@@ -3,6 +3,7 @@
 #include "common/strings.h"
 #include "h323/q931.h"
 #include "h323/ras.h"
+#include "pkt/udp.h"
 #include "rtp/rtcp.h"
 #include "rtp/rtp.h"
 #include "sip/auth.h"
@@ -92,24 +93,32 @@ std::optional<Footprint> Distiller::distill(const pkt::Packet& packet) {
 
 std::optional<RtpPeek> Distiller::peek_rtp(const pkt::Packet& packet) const {
   auto ip = pkt::parse_ipv4(packet.data);
-  if (!ip || ip.value().header.is_fragment()) return std::nullopt;
-  auto udp = pkt::parse_udp_packet(packet.data);
-  if (!udp) return std::nullopt;
-  const pkt::UdpPacketView& u = udp.value();
-  // Any port decode() would classify before the final RTP attempt makes the
-  // packet ambiguous; odd ports additionally trigger the speculative RTCP
-  // parse. All of those must take the full path.
-  if (config_.sip_ports.contains(u.dst_port) || config_.sip_ports.contains(u.src_port)) {
+  if (!ip) return std::nullopt;
+  const pkt::Ipv4View& v = ip.value();
+  if (v.header.is_fragment() || v.header.protocol != pkt::kProtoUdp ||
+      v.payload.size() < pkt::kUdpHeaderLen) {
     return std::nullopt;
   }
-  if (u.dst_port == config_.acc_port || u.src_port == config_.acc_port) return std::nullopt;
-  if (u.dst_port == h323::kH225Port || u.src_port == h323::kH225Port) return std::nullopt;
-  if (u.dst_port == h323::kRasPort || u.src_port == h323::kRasPort) return std::nullopt;
-  if (u.dst_port % 2 == 1 || u.src_port % 2 == 1) return std::nullopt;
-  auto rtp = rtp::parse_rtp(u.payload);
+  // Ports are screened off the raw UDP header, before the checksum pass
+  // over the whole datagram: signaling that must take the full path anyway
+  // costs four byte loads here. Any port decode() would classify before the
+  // final RTP attempt makes the packet ambiguous; odd ports additionally
+  // trigger the speculative RTCP parse.
+  const uint16_t src_port = static_cast<uint16_t>(v.payload[0] << 8 | v.payload[1]);
+  const uint16_t dst_port = static_cast<uint16_t>(v.payload[2] << 8 | v.payload[3]);
+  if (config_.sip_ports.contains(dst_port) || config_.sip_ports.contains(src_port)) {
+    return std::nullopt;
+  }
+  if (dst_port == config_.acc_port || src_port == config_.acc_port) return std::nullopt;
+  if (dst_port == h323::kH225Port || src_port == h323::kH225Port) return std::nullopt;
+  if (dst_port == h323::kRasPort || src_port == h323::kRasPort) return std::nullopt;
+  if (dst_port % 2 == 1 || src_port % 2 == 1) return std::nullopt;
+  auto udp = pkt::parse_udp(v.payload, v.header.src, v.header.dst);
+  if (!udp) return std::nullopt;
+  auto rtp = rtp::parse_rtp(udp.value().payload);
   if (!rtp.ok()) return std::nullopt;
-  return RtpPeek{u.source(),
-                 u.destination(),
+  return RtpPeek{{v.header.src, src_port},
+                 {v.header.dst, dst_port},
                  rtp.value().header.ssrc,
                  rtp.value().header.sequence,
                  rtp.value().header.timestamp,

@@ -207,7 +207,7 @@ VerdictAction ScidiveEngine::on_packet(const pkt::Packet& packet) {
       // Slow-path RTP touching a cached destination or cached source is a
       // hazard the peek could not see (fragment reassembly, parallel flow):
       // hand the affected entries back before events are generated.
-      fastpath_probe_slow_rtp(*fp);
+      fastpath_drop(fp->dst, fp->src);
     }
     // Enforcement identities, captured before the footprint moves into the
     // trail: network source, signaling principal, then (post-routing) the
@@ -293,12 +293,11 @@ bool ScidiveEngine::fastpath_try(const pkt::Packet& packet) {
   if (fastpath_.empty()) return false;
   if (trails_.media_generation() != fp_media_gen_ ||
       events_.watch_generation() != fp_watch_gen_) {
-    // Signaling moved the ground under the cache (media binding change,
-    // monitor armed, session migration or expiry): any entry may now be
-    // watched. Flush and take the slow path; flows that are still steady
-    // re-cache within a packet.
-    fastpath_flush();
-    return false;
+    // Signaling moved the ground under some entries (a media binding
+    // changed, a monitor was armed). Hand those back; every other flow
+    // stays cached.
+    fastpath_catch_up();
+    if (fastpath_.empty()) return false;
   }
   auto peek = distiller_.peek_rtp(packet);
   if (!peek) return false;
@@ -392,14 +391,40 @@ void ScidiveEngine::fastpath_maybe_cache(Trail& trail, const Footprint& fp,
   fastpath_src_.try_emplace(src_key, dst_key);
 }
 
-void ScidiveEngine::fastpath_probe_slow_rtp(const Footprint& fp) {
-  if (FastFlow* flow = fastpath_.find(pack_flow_endpoint(fp.dst))) {
+void ScidiveEngine::fastpath_drop(const pkt::Endpoint& dst, const pkt::Endpoint& src) {
+  if (FastFlow* flow = fastpath_.find(pack_flow_endpoint(dst))) {
     fastpath_invalidate(*flow);
   }
-  if (const uint64_t* dst_key = fastpath_src_.find(pack_flow_endpoint(fp.src))) {
+  if (const uint64_t* dst_key = fastpath_src_.find(pack_flow_endpoint(src))) {
     const uint64_t key = *dst_key;  // copy: invalidate erases the index entry
     if (FastFlow* flow = fastpath_.find(key)) fastpath_invalidate(*flow);
   }
+}
+
+void ScidiveEngine::fastpath_drop_session(Symbol sym) {
+  EventGenerator::SessionState* state = events_.find_state(sym);
+  if (state == nullptr) return;
+  // fastpath_maybe_cache only caches a flow whose destination the session
+  // already tracks, so these are every destination the session's cached
+  // flows can have. Writeback updates values of this map, never its shape.
+  state->last_seq_by_dst.for_each([&](const pkt::Endpoint& dst, const uint16_t&) {
+    FastFlow* flow = fastpath_.find(pack_flow_endpoint(dst));
+    if (flow != nullptr && flow->sym == sym) fastpath_invalidate(*flow);
+  });
+}
+
+void ScidiveEngine::fastpath_catch_up() {
+  const bool exact =
+      trails_.for_each_rebound_since(fp_media_gen_,
+                                     [this](const pkt::Endpoint& ep) { fastpath_drop(ep, ep); }) &&
+      events_.for_each_watched_since(fp_watch_gen_,
+                                     [this](Symbol sym) { fastpath_drop_session(sym); });
+  if (!exact) {
+    fastpath_flush();
+    return;
+  }
+  fp_media_gen_ = trails_.media_generation();
+  fp_watch_gen_ = events_.watch_generation();
 }
 
 void ScidiveEngine::fastpath_writeback(FastFlow& flow) {

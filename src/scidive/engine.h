@@ -262,9 +262,16 @@ class ScidiveEngine {
   /// eligibility gate passes.
   void fastpath_maybe_cache(Trail& trail, const Footprint& fp, const RtpFootprint& rtp,
                             uint64_t src_k, uint64_t sess_k);
-  /// Slow-path RTP for a cached dst or src races the cached microstate:
-  /// write back and drop the entry before event generation runs.
-  void fastpath_probe_slow_rtp(const Footprint& fp);
+  /// Hand back (writeback + erase) the cached flow to `dst` and the cached
+  /// flow from `src`, if any.
+  void fastpath_drop(const pkt::Endpoint& dst, const pkt::Endpoint& src);
+  /// Hand back every cached flow of one session.
+  void fastpath_drop_session(Symbol sym);
+  /// Signaling rebound media endpoints or armed monitors since the
+  /// watermarks: hand back exactly the flows through those endpoints and of
+  /// those sessions (everything, when the logs cannot say), then advance
+  /// the watermarks.
+  void fastpath_catch_up();
   /// Flush the advanced microstate back into the trail and the event
   /// generator's session state.
   void fastpath_writeback(FastFlow& flow);
@@ -293,8 +300,8 @@ class ScidiveEngine {
   FlatMap<uint64_t, FastFlow> fastpath_;        // packed dst -> flow
   FlatMap<uint64_t, uint64_t> fastpath_src_;    // packed src -> packed dst
   bool fastpath_rules_ok_ = false;  // no rule wants steady-state media
-  uint64_t fp_media_gen_ = 0;       // trail-manager binding generation seen
-  uint64_t fp_watch_gen_ = 0;       // event-generator monitor generation seen
+  uint64_t fp_media_gen_ = 0;       // trail-manager binding generation caught up to
+  uint64_t fp_watch_gen_ = 0;       // event-generator monitor generation caught up to
   /// Work the bypass skipped, added to the component-stat mirrors at sync
   /// time so the pipeline counters read the same with the fast path on or
   /// off (every bypassed packet *was* distilled/routed/processed, as far as

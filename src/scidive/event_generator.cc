@@ -52,6 +52,7 @@ void EventGenerator::process(const Footprint& fp, const Trail& trail,
   if (sym == kInvalidSymbol) sym = trails_.symbols().intern(session);
   SessionState& state = sessions_[sym];
   state.last_touched = fp.time;
+  const uint64_t monitors_before = stats_.monitors_started;
 
   switch (fp.protocol) {
     case Protocol::kSip:
@@ -79,6 +80,7 @@ void EventGenerator::process(const Footprint& fp, const Trail& trail,
       }
       break;
   }
+  if (stats_.monitors_started != monitors_before) watched_.record(sym);
 }
 
 void EventGenerator::start_monitor(SessionState& state, SimTime now, pkt::Endpoint watched,
@@ -95,7 +97,6 @@ void EventGenerator::start_monitor(SessionState& state, SimTime now, pkt::Endpoi
                                         .emit = emit_type,
                                         .claimed_aor = std::move(claimed_aor)});
   ++stats_.monitors_started;
-  ++watch_generation_;
 }
 
 void EventGenerator::process_sip(const Footprint& fp, const SipFootprint& sip,
@@ -438,7 +439,7 @@ std::optional<EventGenerator::SessionState> EventGenerator::extract_session(
 void EventGenerator::install_session(const SessionId& session, SessionState state) {
   const Symbol sym = trails_.symbols().intern(session);
   // Adopted state may carry live monitors this engine has never seen arm.
-  if (!state.monitors.empty()) ++watch_generation_;
+  if (!state.monitors.empty()) watched_.record(sym);
   *sessions_.try_emplace(sym).first = std::move(state);
 }
 

@@ -10,6 +10,7 @@
 #include <set>
 #include <vector>
 
+#include "common/change_log.h"
 #include "common/flat_map.h"
 #include "common/symbol.h"
 #include "rtp/stats.h"
@@ -58,11 +59,19 @@ class EventGenerator {
   const EventGeneratorStats& stats() const { return stats_; }
   size_t tracked_sessions() const { return sessions_.size(); }
 
-  /// Bumped whenever a media monitor is armed (or monitor-carrying state is
-  /// adopted from another shard). A monitor means steady media for some
-  /// session has become evidence, so the engine's established-flow fast
-  /// path watches this to fall back to full event generation.
-  uint64_t watch_generation() const { return watch_generation_; }
+  /// Bumped whenever a session arms a media monitor (or adopts
+  /// monitor-carrying state from another shard). A monitor means steady
+  /// media of that session has become evidence, so the engine's
+  /// established-flow fast path hands the session's flows back to full
+  /// event generation.
+  uint64_t watch_generation() const { return watched_.generation(); }
+  /// Visit every session that armed a monitor after generation `since`.
+  /// Returns false when that cannot be replayed session by session (more
+  /// changes than the log holds): the caller must then drop every flow.
+  template <typename Fn>
+  bool for_each_watched_since(uint64_t since, Fn&& fn) const {
+    return watched_.for_each_since(since, fn);
+  }
 
   /// Drop per-session state not touched since `cutoff`.
   size_t expire_idle(SimTime cutoff);
@@ -156,7 +165,9 @@ class EventGenerator {
   /// Passive mirror of the registrar's location service: AOR -> addresses
   /// learned from observed REGISTER Contacts. Feeds the billed-party check.
   std::map<std::string, std::set<pkt::Ipv4Address>> registered_locations_;
-  uint64_t watch_generation_ = 0;
+  /// Sessions that armed a monitor. Sixteen covers what one packet's
+  /// processing can arm.
+  ChangeLog<Symbol, 16> watched_;
   EventGeneratorStats stats_;
 };
 

@@ -15,10 +15,8 @@ bool is_media(Protocol p) {
 }  // namespace
 
 std::optional<Symbol> TrailManager::media_session_sym(pkt::Endpoint ep, Protocol protocol) const {
-  // Media correlates through SDP-learned endpoints. RTCP runs on
-  // media-port + 1; normalize to the even RTP port for the lookup.
-  if (protocol == Protocol::kRtcp && ep.port % 2 == 1) ep.port -= 1;
-  const Symbol* sym = media_to_session_.find(ep);
+  // Media correlates through SDP-learned endpoints.
+  const Symbol* sym = media_to_session_.find(binding_key(ep, protocol));
   if (sym == nullptr) return std::nullopt;
   return *sym;
 }
@@ -103,6 +101,8 @@ Trail& TrailManager::route(const Footprint& fp) {
     }
     Trail& trail = trail_for(sym, fp.protocol);
     media_flow_cache_.try_emplace(flow, CachedRoute{&trail, bound});
+    ++route_refs_[binding_key(fp.src, fp.protocol)];
+    ++route_refs_[binding_key(fp.dst, fp.protocol)];
     return trail;
   }
   bool bound = false;
@@ -123,13 +123,39 @@ void TrailManager::bind_media_endpoint(const pkt::Endpoint& media, const Session
     if (*slot == sym) return;  // re-signaled same binding: keep cache
     *slot = sym;
   }
-  // A new or changed binding can redirect flows that previously resolved to
-  // a synthetic flow-session (or another call), so cached routes are stale.
-  invalidate_media_routes();
+  // A new or changed binding can redirect flows through `media` that
+  // previously resolved to a synthetic flow-session (or another call).
+  forget_routes_through(media);
 }
 
 void TrailManager::unbind_media_endpoint(const pkt::Endpoint& media) {
-  if (media_to_session_.erase(media)) invalidate_media_routes();
+  if (media_to_session_.erase(media)) forget_routes_through(media);
+}
+
+void TrailManager::forget_routes_through(const pkt::Endpoint& ep) {
+  rebound_.record(ep);
+  // A route depends only on the bindings of its two endpoints, so every
+  // other cached route still classifies the same way.
+  if (!route_refs_.contains(ep)) return;
+  media_flow_cache_.erase_if([&](const MediaFlowKey& flow, const CachedRoute&) {
+    const pkt::Endpoint src = binding_key(flow.src, flow.protocol);
+    const pkt::Endpoint dst = binding_key(flow.dst, flow.protocol);
+    if (src != ep && dst != ep) return false;
+    release_route_ref(src);
+    release_route_ref(dst);
+    return true;
+  });
+}
+
+void TrailManager::release_route_ref(const pkt::Endpoint& ep) {
+  uint32_t* refs = route_refs_.find(ep);
+  if (refs != nullptr && --*refs == 0) route_refs_.erase(ep);
+}
+
+void TrailManager::forget_all_routes() {
+  media_flow_cache_.clear();
+  route_refs_.clear();
+  rebound_.record_reset();
 }
 
 std::optional<SessionId> TrailManager::session_for_media(const pkt::Endpoint& media) const {
@@ -232,7 +258,7 @@ TrailManager::ExtractedSession TrailManager::extract_session(const SessionId& se
   // Cached media routes may point into the departed trails. The source
   // symbol stays interned (symbols are never recycled); it simply has no
   // state behind it any more.
-  invalidate_media_routes();
+  forget_all_routes();
   return out;
 }
 
@@ -245,9 +271,11 @@ void TrailManager::install_session(ExtractedSession&& moved) {
     trail->rebind(sym);
     trails_.try_emplace(trail_slot_key(sym, trail->key().protocol), trail);
   }
-  for (const pkt::Endpoint& ep : moved.media) media_to_session_.insert_or_assign(ep, sym);
+  for (const pkt::Endpoint& ep : moved.media) {
+    media_to_session_.insert_or_assign(ep, sym);
+    forget_routes_through(ep);
+  }
   sessions_.try_emplace(sym, std::move(moved.slot));
-  if (!moved.media.empty()) invalidate_media_routes();
 }
 
 size_t TrailManager::expire_idle(SimTime cutoff) {
@@ -267,7 +295,7 @@ size_t TrailManager::expire_idle(SimTime cutoff) {
     return true;
   });
   // Expired trails may still be referenced by cached media routes.
-  if (dropped != 0) invalidate_media_routes();
+  if (dropped != 0) forget_all_routes();
   return dropped;
 }
 

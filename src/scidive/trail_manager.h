@@ -21,9 +21,10 @@
 // classified, a (src, dst, protocol) -> Trail* cache routes every further
 // packet of that flow with a single hash lookup on trivially-hashable keys —
 // no session-id strings are built or copied, so steady-state in-session RTP
-// classification performs zero heap allocations. The cache is invalidated
-// whenever a binding changes (SDP re-binds, expiry), which only happens on
-// the rare signaling path.
+// classification performs zero heap allocations. A binding change (SDP
+// offer/answer, re-INVITE) drops only the cached routes whose classification
+// looked the rebound endpoint up, so call setup elsewhere leaves established
+// flows cached; expiry and session migration still drop every route.
 #pragma once
 
 #include <memory>
@@ -32,6 +33,7 @@
 #include <vector>
 
 #include "common/arena.h"
+#include "common/change_log.h"
 #include "common/flat_map.h"
 #include "common/symbol.h"
 #include "scidive/trail.h"
@@ -80,12 +82,19 @@ class TrailManager {
   std::vector<const Trail*> session_trails(const SessionId& session) const;
 
   std::vector<SessionId> sessions() const;
-  /// Bumped whenever the media routing picture changes (binding learned or
-  /// dropped, session extracted/installed, trails expired) — exactly the
-  /// moments the internal flow-route cache is cleared. The engine's
-  /// established-flow fast path watches this to invalidate its own
-  /// flow-keyed cache in lockstep.
-  uint64_t media_generation() const { return media_generation_; }
+  /// Bumped whenever the media routing picture changes: a binding learned,
+  /// changed or dropped, or a wholesale change (session extracted or
+  /// installed, trails expired). The engine's established-flow fast path
+  /// compares it with the generation it last caught up to.
+  uint64_t media_generation() const { return rebound_.generation(); }
+  /// Visit every endpoint whose binding changed after generation `since`.
+  /// Returns false when that cannot be replayed endpoint by endpoint (a
+  /// wholesale change, or more changes than the log holds): the caller must
+  /// then drop every media route it cached.
+  template <typename Fn>
+  bool for_each_rebound_since(uint64_t since, Fn&& fn) const {
+    return rebound_.for_each_since(since, fn);
+  }
   size_t trail_count() const { return trails_.size(); }
   size_t session_count() const { return sessions_.size(); }
   size_t media_binding_count() const { return media_to_session_.size(); }
@@ -177,14 +186,23 @@ class TrailManager {
     bool bound = false;  // preserved so stats stay exact on cache hits
   };
 
+  /// The binding a media footprint's classification looks up for `ep`:
+  /// RTCP runs on media-port + 1, so an odd RTCP port maps to the even RTP
+  /// port.
+  static pkt::Endpoint binding_key(pkt::Endpoint ep, Protocol protocol) {
+    if (protocol == Protocol::kRtcp && ep.port % 2 == 1) ep.port -= 1;
+    return ep;
+  }
+
   Symbol classify(const Footprint& fp, bool& media_bound);
   Trail& trail_for(Symbol sym, Protocol protocol);
-  /// Cached media routes are stale: drop them and advance the generation so
-  /// downstream flow caches (the engine fast path) invalidate too.
-  void invalidate_media_routes() {
-    media_flow_cache_.clear();
-    ++media_generation_;
-  }
+  /// The binding of `ep` changed: drop the cached routes that looked it up
+  /// and log it, so downstream flow caches (the engine fast path) drop the
+  /// flows through it too.
+  void forget_routes_through(const pkt::Endpoint& ep);
+  /// Cached routes may point into departed or destroyed trails: drop all.
+  void forget_all_routes();
+  void release_route_ref(const pkt::Endpoint& ep);
   std::optional<Symbol> media_session_sym(pkt::Endpoint ep, Protocol protocol) const;
 
   size_t max_footprints_per_trail_;
@@ -194,9 +212,15 @@ class TrailManager {
   FlatMap<uint64_t, Trail*> trails_;
   FlatMap<Symbol, std::unique_ptr<SessionSlot>> sessions_;
   FlatMap<pkt::Endpoint, Symbol> media_to_session_;
-  /// Flow-direction -> trail fast path; cleared when bindings change.
+  /// Flow-direction -> trail fast path.
   FlatMap<MediaFlowKey, CachedRoute, MediaFlowKeyHash> media_flow_cache_;
-  uint64_t media_generation_ = 0;
+  /// Binding key -> cached routes whose classification looked it up. A
+  /// rebound endpoint absent here has no cached route to drop, which is the
+  /// common case: SDP names fresh media endpoints.
+  FlatMap<pkt::Endpoint, uint32_t> route_refs_;
+  /// Endpoints whose binding changed, for the engine's fast path. Sixteen
+  /// covers the bindings one packet's processing can make.
+  ChangeLog<pkt::Endpoint, 16> rebound_;
   TrailManagerStats stats_;
 };
 

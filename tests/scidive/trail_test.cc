@@ -186,6 +186,64 @@ TEST(TrailManager, UnbindMediaEndpoint) {
   EXPECT_FALSE(tm.session_for_media(ep(2, 16384)).has_value());
 }
 
+TEST(TrailManager, RebindingDropsOnlyRoutesThroughTheEndpoint) {
+  TrailManager tm;
+  tm.bind_media_endpoint(ep(2, 16384), "call-A");
+  tm.bind_media_endpoint(ep(4, 16384), "call-B");
+  tm.add(rtp_packet(1, 7, 0, ep(1, 16384), ep(2, 16384)));
+  tm.add(rtp_packet(1, 8, 0, ep(3, 16384), ep(4, 16384)));
+  const uint64_t generation = tm.media_generation();
+
+  // Re-signaling an unchanged binding changes nothing.
+  tm.bind_media_endpoint(ep(2, 16384), "call-A");
+  EXPECT_EQ(tm.media_generation(), generation);
+  // A new call's SDP names a fresh endpoint: both cached routes survive.
+  tm.bind_media_endpoint(ep(5, 16384), "call-C");
+  tm.add(rtp_packet(2, 7, msec(20), ep(1, 16384), ep(2, 16384)));
+  tm.add(rtp_packet(2, 8, msec(20), ep(3, 16384), ep(4, 16384)));
+  EXPECT_EQ(tm.stats().flow_cache_hits, 2u);
+
+  // Re-binding call-B's endpoint drops exactly the route through it.
+  tm.bind_media_endpoint(ep(4, 16384), "call-D");
+  tm.add(rtp_packet(3, 7, msec(40), ep(1, 16384), ep(2, 16384)));
+  Trail& moved = tm.add(rtp_packet(3, 8, msec(40), ep(3, 16384), ep(4, 16384)));
+  EXPECT_EQ(tm.stats().flow_cache_hits, 3u);
+  EXPECT_EQ(moved.key().session, "call-D");
+
+  std::vector<pkt::Endpoint> rebound;
+  EXPECT_TRUE(tm.for_each_rebound_since(
+      generation, [&](const pkt::Endpoint& e) { rebound.push_back(e); }));
+  EXPECT_EQ(rebound, (std::vector<pkt::Endpoint>{ep(5, 16384), ep(4, 16384)}));
+}
+
+TEST(TrailManager, RebindingReachesRtcpRoutesOnTheOddPort) {
+  TrailManager tm;
+  auto rtcp = [] {
+    Footprint fp;
+    fp.protocol = Protocol::kRtcp;
+    fp.src = ep(2, 16385);
+    fp.dst = ep(1, 16385);
+    fp.data = RtcpFootprint{.is_bye = false, .ssrc = 1};
+    return fp;
+  };
+  EXPECT_EQ(tm.add(rtcp()).key().session.rfind("flow:", 0), 0u);
+  // The binding names the even RTP port; the cached RTCP route looked it up.
+  tm.bind_media_endpoint(ep(2, 16384), "call-A");
+  EXPECT_EQ(tm.add(rtcp()).key().session, "call-A");
+}
+
+TEST(TrailManager, MigrationCannotBeReplayedEndpointByEndpoint) {
+  TrailManager tm;
+  tm.bind_media_endpoint(ep(2, 16384), "call-A");
+  tm.add(rtp_packet(1, 7, 0, ep(1, 16384), ep(2, 16384)));
+  const uint64_t generation = tm.media_generation();
+  TrailManager::ExtractedSession moved = tm.extract_session("call-A");
+  ASSERT_TRUE(moved.valid());
+  EXPECT_NE(tm.media_generation(), generation);
+  EXPECT_FALSE(tm.for_each_rebound_since(generation, [](const pkt::Endpoint&) {}))
+      << "cached routes into the departed trails are gone wholesale";
+}
+
 TEST(TrailManager, InternsSessionSymbolsOnce) {
   TrailManager tm;
   tm.add(sip_request("INVITE", "call-A", "a@x", "t", "b@x", "", 0, ep(1, 1), ep(2, 2)));
