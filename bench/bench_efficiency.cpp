@@ -231,34 +231,6 @@ void BM_EngineRtpPacket(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineRtpPacket)->Arg(0)->Arg(1);
 
-/// Event delivery strategy on the in-session RTP steady state: Arg(0)
-/// broadcasts every event to every rule (the historical loop); Arg(1) uses
-/// the engine's per-type subscriber index. RTP media events interest only
-/// the media rules, so dispatch skips the SIP-only rules' on_event calls
-/// entirely — the delta is what the index saves per packet.
-void BM_EngineRtpDispatch(benchmark::State& state) {
-  core::EngineConfig config;
-  config.subscription_dispatch = state.range(0) != 0;
-  config.obs.time_stages = false;
-  core::ScidiveEngine engine(config);
-  establish_bench_call(engine);
-
-  pkt::Packet p = make_rtp_pkt(0);
-  disable_udp_checksum(p);
-  uint16_t seq = 0;
-  SimTime now = msec(100);
-  for (auto _ : state) {
-    ++seq;
-    p.data[kRtpSeqOffset] = static_cast<uint8_t>(seq >> 8);
-    p.data[kRtpSeqOffset + 1] = static_cast<uint8_t>(seq & 0xff);
-    p.timestamp = (now += msec(20));
-    engine.on_packet(p);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-  state.SetLabel(config.subscription_dispatch ? "dispatch" : "broadcast");
-}
-BENCHMARK(BM_EngineRtpDispatch)->Arg(0)->Arg(1);
-
 void BM_EngineSipPacket(benchmark::State& state) {
   // Per-iteration PauseTiming/ResumeTiming costs far more than the work
   // being measured, so this benchmark patches a fixed-width Call-ID counter

@@ -1,27 +1,25 @@
-// scidive_analyze — offline IDS over a captured SPCAP trace: the adoptable
-// command-line entry point. Feed it a trace (e.g. one produced by
-// record_replay or your own TraceWriter tap) and it prints protocol
+// scidive_analyze — offline IDS over a pcap capture: the adoptable
+// command-line entry point. Feed it a capture (e.g. one produced by
+// record_replay, `scidive_pcap export` or tcpdump) and it prints protocol
 // statistics, sessions, incidents and alerts.
 //
-//   usage: scidive_analyze <trace.spcap> [--home <ip>]... [--verbose]
+//   usage: scidive_analyze <capture.pcap> [--home <ip>]... [--verbose]
 //          scidive_analyze --selftest          (generate + analyze a demo)
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 #include <string>
-#include <vector>
 
+#include "capture/pcap.h"
 #include "scidive/engine.h"
 #include "scidive/incident.h"
-#include "scidive/trace.h"
 #include "testbed/testbed.h"
 
 using namespace scidive;
 
 namespace {
 
-int analyze(std::istream& in, const core::EngineConfig& config, bool verbose) {
+int analyze(capture::PcapFileSource& source, const core::EngineConfig& config, bool verbose) {
   core::ScidiveEngine engine(config);
   core::IncidentCorrelator correlator;
   engine.alerts().set_callback(correlator.subscriber("offline"));
@@ -33,14 +31,14 @@ int analyze(std::istream& in, const core::EngineConfig& config, bool verbose) {
     });
   }
 
-  auto fed = core::replay_trace(in, [&](const pkt::Packet& p) { engine.on_packet(p); });
-  if (!fed.ok()) {
-    fprintf(stderr, "error: %s\n", fed.error().to_string().c_str());
+  const uint64_t fed = engine.run(source);
+  if (!source.ok()) {
+    fprintf(stderr, "error: %s\n", source.error().c_str());
     return 2;
   }
 
   const auto& d = engine.distiller().stats();
-  printf("packets: %llu fed, %llu inspected\n", static_cast<unsigned long long>(fed.value()),
+  printf("packets: %llu fed, %llu inspected\n", static_cast<unsigned long long>(fed),
          static_cast<unsigned long long>(engine.stats().packets_inspected));
   printf("footprints: sip=%llu rtp=%llu rtcp=%llu acc=%llu h225=%llu ras=%llu unknown=%llu\n",
          static_cast<unsigned long long>(d.sip_footprints),
@@ -67,10 +65,10 @@ int analyze(std::istream& in, const core::EngineConfig& config, bool verbose) {
 }
 
 int selftest() {
-  printf("selftest: generating a BYE-attack trace on the simulated testbed...\n");
-  std::ostringstream capture;
+  printf("selftest: generating a BYE-attack capture on the simulated testbed...\n");
+  std::stringstream pcap;
   {
-    core::TraceWriter writer(capture);
+    capture::PcapWriter writer(pcap);
     testbed::Testbed tb;
     tb.net().add_tap(writer.tap());
     tb.establish_call(sec(3));
@@ -78,10 +76,10 @@ int selftest() {
     tb.run_for(sec(1));
   }
   printf("analyzing it offline:\n\n");
-  std::istringstream in(capture.str());
+  capture::PcapFileSource source(pcap);
   core::EngineConfig config;
   config.home_addresses = {pkt::Ipv4Address(10, 0, 0, 1)};
-  int rc = analyze(in, config, /*verbose=*/false);
+  int rc = analyze(source, config, /*verbose=*/false);
   return rc == 1 ? 0 : 1;  // the attack must be found
 }
 
@@ -91,7 +89,7 @@ int main(int argc, char** argv) {
   if (argc >= 2 && std::strcmp(argv[1], "--selftest") == 0) return selftest();
   if (argc < 2) {
     fprintf(stderr,
-            "usage: %s <trace.spcap> [--home <ip>]... [--verbose]\n"
+            "usage: %s <capture.pcap> [--home <ip>]... [--verbose]\n"
             "       %s --selftest\n",
             argv[0], argv[0]);
     return 2;
@@ -115,10 +113,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::ifstream in(argv[1]);
-  if (!in) {
-    fprintf(stderr, "cannot open %s\n", argv[1]);
+  capture::PcapFileSource source(argv[1]);
+  if (!source.ok()) {
+    fprintf(stderr, "%s\n", source.error().c_str());  // names the file when unopenable
     return 2;
   }
-  return analyze(in, config, verbose);
+  return analyze(source, config, verbose);
 }

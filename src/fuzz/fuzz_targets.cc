@@ -105,6 +105,15 @@ int fuzz_distiller(const uint8_t* data, size_t size) {
     pkt::Packet packet;
     packet.data.assign(record.begin(), record.end());
     packet.timestamp = now;
+    // The engine's bypass looks a flow up by the endpoints the header names
+    // before the peek validates the packet: whenever the peek accepts, the
+    // two must agree.
+    if (auto peek = distiller.peek_rtp(packet)) {
+      auto endpoints = core::Distiller::header_endpoints(packet);
+      if (!endpoints || endpoints->first != peek->src || endpoints->second != peek->dst) {
+        __builtin_trap();
+      }
+    }
     (void)distiller.distill(packet);
   });
   return 0;
@@ -264,9 +273,9 @@ int fuzz_fastpath(const uint8_t* data, size_t size) {
 
   // The deterministic prelude runs on both engines; by its end the
   // fastpath-on engine is mid-bypass on the call's media flow, so the
-  // fuzzer's records land on a warm cache and every mutation that matters
-  // (SSRC flips, sequence jumps, BYEs, re-INVITEs, garbage) exercises an
-  // invalidation or write-back edge.
+  // fuzzer's records land on an attached flow record and every mutation
+  // that matters (SSRC flips, sequence jumps, BYEs, re-INVITEs, garbage)
+  // is stepped on the bypass or re-routes the flow.
   establish_cached_flow(with, msec(200));
   establish_cached_flow(without, msec(200));
 

@@ -125,6 +125,19 @@ std::optional<RtpPeek> Distiller::peek_rtp(const pkt::Packet& packet) const {
                  packet.timestamp};
 }
 
+std::optional<std::pair<pkt::Endpoint, pkt::Endpoint>> Distiller::header_endpoints(
+    const pkt::Packet& packet) {
+  const Bytes& d = packet.data;
+  if (d.size() < 20) return std::nullopt;
+  const size_t ihl = static_cast<size_t>(d[0] & 0x0f) * 4;
+  if (d.size() < ihl + 4) return std::nullopt;
+  auto u16 = [&d](size_t i) { return static_cast<uint16_t>(d[i] << 8 | d[i + 1]); };
+  auto addr = [&](size_t i) {
+    return pkt::Ipv4Address(static_cast<uint32_t>(u16(i)) << 16 | u16(i + 2));
+  };
+  return std::pair{pkt::Endpoint{addr(12), u16(ihl)}, pkt::Endpoint{addr(16), u16(ihl + 2)}};
+}
+
 SipFootprint Distiller::decode_sip(const sip::SipMessage& msg) {
   SipFootprint s;
   s.is_request = msg.is_request();

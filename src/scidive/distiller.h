@@ -69,17 +69,6 @@ struct DistillerStats {
   ParseErrorStats parse_errors;
 };
 
-/// The header fields of an unambiguous RTP media packet, extracted without
-/// building a Footprint. Input to the engine's established-flow fast path.
-struct RtpPeek {
-  pkt::Endpoint src;
-  pkt::Endpoint dst;
-  uint32_t ssrc = 0;
-  uint16_t sequence = 0;
-  uint32_t timestamp = 0;
-  SimTime time = 0;
-};
-
 class Distiller {
  public:
   Distiller() : Distiller(DistillerConfig{}) {}
@@ -96,6 +85,13 @@ class Distiller {
   /// never runs. Records no stats and touches no reassembler state, so a
   /// packet that peeks but then takes the full pipeline is accounted once.
   std::optional<RtpPeek> peek_rtp(const pkt::Packet& packet) const;
+
+  /// The (source, destination) UDP endpoints an IPv4 datagram's header
+  /// names, read without any validation. Whenever peek_rtp() accepts a
+  /// packet its endpoints are exactly these, so a caller can look flow
+  /// state up before paying for the peek.
+  static std::optional<std::pair<pkt::Endpoint, pkt::Endpoint>> header_endpoints(
+      const pkt::Packet& packet);
 
   const DistillerStats& stats() const { return stats_; }
 

@@ -187,19 +187,6 @@ VerdictAction Enforcer::decide(uint64_t src_key, uint64_t sess_key, uint64_t pri
   return VerdictAction::kPass;
 }
 
-bool Enforcer::steady_pass(uint64_t src_key, uint64_t sess_key, SimTime now) const {
-  const uint64_t keys[2] = {src_key, sess_key};
-  for (uint64_t key : keys) {
-    if (key == 0) continue;
-    if (blocks_.peek(key, now) != VerdictAction::kPass) return false;
-    if (limiter_.armed(key)) return false;
-    if (shared_ != nullptr && shared_->published(key, now) != VerdictAction::kPass) {
-      return false;
-    }
-  }
-  return true;
-}
-
 VerdictAction Enforcer::peek(uint64_t src_key, uint64_t sess_key, uint64_t principal_key,
                              SimTime now) const {
   VerdictAction act = VerdictAction::kPass;

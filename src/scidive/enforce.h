@@ -198,11 +198,6 @@ class SharedEnforcement {
   virtual void publish(uint64_t key, VerdictAction action, SimTime expires_at) = 0;
   /// Action published for `key`, kPass when none or expired at `now`.
   virtual VerdictAction published(uint64_t key, SimTime now) const = 0;
-  /// Monotone change counter over the published state: moves whenever a
-  /// publish alters what published() can report. The engine's fast path
-  /// caches "nothing stands against this flow" and revalidates when the
-  /// version moves; a view that never publishes stays at 0 forever.
-  virtual uint64_t version() const { return 0; }
 };
 
 // --- the enforcer ----------------------------------------------------------
@@ -236,22 +231,6 @@ class Enforcer {
   /// Non-mutating decide() for external enforcement points.
   VerdictAction peek(uint64_t src_key, uint64_t sess_key, uint64_t principal_key,
                      SimTime now) const;
-
-  /// True when nothing stands against the flow's identity keys — no live
-  /// block, no armed bucket, no shared publication. decide() is then kPass
-  /// with no side effects at any later time too (until state_generation()
-  /// moves), which is what lets the engine's established-flow fast path
-  /// cache the decision instead of re-evaluating per packet.
-  bool steady_pass(uint64_t src_key, uint64_t sess_key, SimTime now) const;
-
-  /// Monotone counter that moves whenever enforcement state that could turn
-  /// a steady_pass() into a non-pass appears: blocks installed, buckets
-  /// armed, shared publications. Expiry does not move it — expiry only
-  /// removes obstacles, and a cached pass stays a pass.
-  uint64_t state_generation() const {
-    return blocks_.installed_total() + limiter_.armed_total() +
-           (shared_ == nullptr ? 0 : shared_->version());
-  }
 
   void set_shared(SharedEnforcement* shared) { shared_ = shared; }
 

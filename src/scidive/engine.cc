@@ -96,9 +96,6 @@ void ScidiveEngine::intern_pipeline_instruments() {
     fastpath_misses_ = &registry_.counter(
         "scidive_fastpath_misses_total",
         "Inspected packets that took the full pipeline while the fast path was on");
-    fastpath_invalidations_ = &registry_.counter(
-        "scidive_fastpath_invalidations_total",
-        "Cached flows handed back to the full pipeline");
   }
 }
 
@@ -148,9 +145,9 @@ void ScidiveEngine::rebuild_subscriber_index() {
       }
     }
   }
-  // Re-derive whether any installed rule wants to see steady-state media;
-  // a ruleset change (hot reload included) also invalidates every cached
-  // flow, since the new rules may watch sessions the old ones ignored.
+  // Re-derive whether any installed rule wants to see steady-state media.
+  // The flow records hold no rule state, so a ruleset change (hot reload
+  // included) leaves them as they are.
   fastpath_rules_ok_ = true;
   for (const RulePtr& rule : rules_) {
     if (rule->media_steady_state_interest()) {
@@ -158,7 +155,6 @@ void ScidiveEngine::rebuild_subscriber_index() {
       break;
     }
   }
-  fastpath_flush();
 }
 
 VerdictAction ScidiveEngine::on_packet(const pkt::Packet& packet) {
@@ -180,16 +176,25 @@ VerdictAction ScidiveEngine::on_packet(const pkt::Packet& packet) {
   }
   packets_inspected_->inc();
 
-  // Established-flow fast path: steady-state media for a cached flow skips
-  // footprint construction, trail routing, event generation and rule
-  // dispatch entirely. Any deviation invalidates the entry and the packet
-  // falls through to the full pipeline below.
-  const bool fp_on = fastpath_on();
-  if (fp_on) {
-    if (fastpath_try(packet)) return VerdictAction::kPass;
-    fastpath_misses_->inc();
+  VerdictAction decision = VerdictAction::kPass;
+  if (fastpath_on()) {
+    if (!bypass(packet, decision)) {
+      fastpath_misses_->inc();
+      decision = inspect(packet);
+    }
+  } else {
+    decision = inspect(packet);
   }
+  if (enforcer_ != nullptr) {
+    // Every inspected packet gets exactly one decision, so the accounting
+    // identity packets_inspected == Σ decisions holds (undistillable
+    // packets pass: there is no identity to enforce against).
+    packet_verdicts_[static_cast<size_t>(decision)]->inc();
+  }
+  return decision;
+}
 
+VerdictAction ScidiveEngine::inspect(const pkt::Packet& packet) {
   using Clock = std::chrono::steady_clock;
   const bool timed = config_.obs.time_stages;
   Clock::time_point start{}, mark{};
@@ -203,17 +208,11 @@ VerdictAction ScidiveEngine::on_packet(const pkt::Packet& packet) {
     mark = now;
   }
   if (fp) {
-    if (fp->protocol == Protocol::kRtp && !fastpath_.empty()) {
-      // Slow-path RTP touching a cached destination or cached source is a
-      // hazard the peek could not see (fragment reassembly, parallel flow):
-      // hand the affected entries back before events are generated.
-      fastpath_drop(fp->dst, fp->src);
-    }
     // Enforcement identities, captured before the footprint moves into the
-    // trail: network source, signaling principal, then (post-routing) the
-    // session. Pure hashing — nothing here allocates.
+    // trail: network source and signaling principal (the session comes
+    // from the trail). Pure hashing — nothing here allocates.
     const SimTime pkt_time = fp->time;
-    uint64_t src_k = 0, principal_k = 0, sess_k = 0;
+    uint64_t src_k = 0, principal_k = 0;
     if (enforcer_ != nullptr) {
       if (!fp->src.addr.is_unspecified()) src_k = source_key(fp->src.addr);
       if (const SipFootprint* sip = fp->sip(); sip != nullptr && !sip->from_aor.empty()) {
@@ -221,7 +220,6 @@ VerdictAction ScidiveEngine::on_packet(const pkt::Packet& packet) {
       }
     }
     Trail& trail = trails_.add(std::move(*fp));
-    if (enforcer_ != nullptr) sess_k = session_key(trail.key().session);
     if (timed) {
       const auto now = Clock::now();
       stage_route_->observe(ns_between(mark, now));
@@ -234,232 +232,76 @@ VerdictAction ScidiveEngine::on_packet(const pkt::Packet& packet) {
       stage_events_->observe(ns_between(mark, now));
       mark = now;
     }
-    events_total_->inc(scratch_events_.size());
-    RuleContext ctx(trails_, sink_, &ledger_, &verdicts_, enforcer_.get());
-    for (const Event& event : scratch_events_) {
-      event_type_counters_[static_cast<size_t>(event.type)]->inc();
-      if (event_callback_) event_callback_(event);
-      if (config_.subscription_dispatch) {
-        // Only the subscribers of this event's type are visited; a rule
-        // that kept the default kAllEventsMask appears in every list.
-        for (uint32_t i : subscribers_[static_cast<size_t>(event.type)]) {
-          rule_inst_[i].events_seen->inc();
-          const uint64_t before = sink_.total_raised();
-          rules_[i]->on_event(event, ctx);
-          const uint64_t raised = sink_.total_raised() - before;
-          if (raised != 0) rule_inst_[i].alerts->inc(raised);
-        }
-      } else {
-        for (size_t i = 0; i < rules_.size(); ++i) {
-          rule_inst_[i].events_seen->inc();
-          const uint64_t before = sink_.total_raised();
-          rules_[i]->on_event(event, ctx);
-          const uint64_t raised = sink_.total_raised() - before;
-          if (raised != 0) rule_inst_[i].alerts->inc(raised);
-        }
-      }
-    }
+    dispatch_events();
     if (timed) {
       const auto now = Clock::now();
       stage_rules_->observe(ns_between(mark, now));
       mark = now;
     }
-    if (fp_on && scratch_events_.empty() && trail.back().protocol == Protocol::kRtp) {
-      // A media packet that produced zero events is steady state: the flow
-      // is a candidate for bypass from the next packet on.
-      if (const RtpFootprint* rtp = trail.back().rtp()) {
-        fastpath_maybe_cache(trail, trail.back(), *rtp, src_k, sess_k);
-      }
-    }
-    if (enforcer_ != nullptr) {
-      // Standing state first (blocks, armed buckets), then escalate by any
-      // verdict this very packet's processing emitted — the packet that
-      // crossed a SPIT threshold is itself shaped, not just its successors.
-      decision = enforcer_->decide(src_k, sess_k, principal_k, pkt_time);
-      decision = max_action(decision, verdicts_.take_pending());
-    }
-  }
-  if (enforcer_ != nullptr) {
-    // Every inspected packet gets exactly one decision, so the accounting
-    // identity packets_inspected == Σ decisions holds (undistillable
-    // packets pass: there is no identity to enforce against).
-    packet_verdicts_[static_cast<size_t>(decision)]->inc();
+    if (enforcer_ != nullptr) decision = decide(src_k, trail, principal_k, pkt_time);
   }
   if (timed) processing_ns_->inc(ns_between(start, mark));
   return decision;
 }
 
-bool ScidiveEngine::fastpath_try(const pkt::Packet& packet) {
-  if (fastpath_.empty()) return false;
-  if (trails_.media_generation() != fp_media_gen_ ||
-      events_.watch_generation() != fp_watch_gen_) {
-    // Signaling moved the ground under some entries (a media binding
-    // changed, a monitor was armed). Hand those back; every other flow
-    // stays cached.
-    fastpath_catch_up();
-    if (fastpath_.empty()) return false;
-  }
+bool ScidiveEngine::bypass(const pkt::Packet& packet, VerdictAction& decision) {
+  // Find the flow record by the endpoints the header names before paying
+  // for the peek: a packet peek_rtp accepts has exactly these endpoints, so
+  // a miss here is a miss there. Only a flow whose first packet took the
+  // full pipeline has its record attached; the step then does everything
+  // that pipeline would.
+  const auto endpoints = Distiller::header_endpoints(packet);
+  if (!endpoints) return false;
+  const MediaFlow* flow = trails_.find_flow(endpoints->first, endpoints->second, Protocol::kRtp);
+  if (flow == nullptr || flow->session == nullptr) return false;
+  // The record's state lives in four places; their loads overlap the peek.
+  __builtin_prefetch(flow->trail);
+  __builtin_prefetch(flow->session);
+  __builtin_prefetch(flow->src);
+  __builtin_prefetch(flow->dst);
   auto peek = distiller_.peek_rtp(packet);
   if (!peek) return false;
-  FastFlow* flow = fastpath_.find(pack_flow_endpoint(peek->dst));
-  if (flow == nullptr) return false;
-  if (flow->src == peek->src && flow->ssrc == peek->ssrc &&
-      (enforcer_ == nullptr || flow->enforce_gen == enforcer_->state_generation())) {
-    const int32_t gap = rtp::seq_distance(flow->last_seq, peek->sequence);
-    if (gap >= -config_.events.seq_jump_threshold &&
-        gap <= config_.events.seq_jump_threshold) {
-      // Advance the authoritative jitter-estimator copy. If this very
-      // packet would fire the one-shot jitter alarm, undo the advance and
-      // fall back: the slow path re-applies it identically and emits the
-      // event.
-      const rtp::RtpStreamStats before = flow->stats;
-      flow->stats.on_packet(peek->sequence, peek->timestamp, peek->time);
-      const bool jitter_alarm =
-          flow->jitter_armed &&
-          flow->stats.packets_received() > config_.events.jitter_warmup_packets &&
-          flow->stats.jitter_ms() > config_.events.jitter_alarm_ms;
-      if (!jitter_alarm) {
-        flow->last_seq = peek->sequence;
-        if (peek->time > flow->last_time) flow->last_time = peek->time;
-        ++flow->bypassed;
-        ++bypassed_total_;
-        if (flow->bound) {
-          ++bypassed_bound_;
-        } else {
-          ++bypassed_unbound_;
-        }
-        fastpath_hits_->inc();
-        if (enforcer_ != nullptr) {
-          // The accounting identity packets_inspected == Σ decisions still
-          // holds: a bypassed packet is a kPass decision.
-          packet_verdicts_[static_cast<size_t>(VerdictAction::kPass)]->inc();
-        }
-        return true;
-      }
-      flow->stats = before;
+  Trail& trail = *flow->trail;
+  trail.note_bypassed(peek->time);
+  ++bypassed_total_;
+  ++(flow->bound ? bypassed_bound_ : bypassed_unbound_);
+  fastpath_hits_->inc();
+  scratch_events_.clear();
+  events_.step_rtp(*flow, trail.key().session, *peek, scratch_events_);
+  if (!scratch_events_.empty()) dispatch_events();
+  if (enforcer_ != nullptr) {
+    decision = decide(peek->src.addr.is_unspecified() ? 0 : source_key(peek->src.addr), trail,
+                      0, peek->time);
+  }
+  return true;
+}
+
+void ScidiveEngine::dispatch_events() {
+  events_total_->inc(scratch_events_.size());
+  RuleContext ctx(trails_, sink_, &ledger_, &verdicts_, enforcer_.get());
+  for (const Event& event : scratch_events_) {
+    event_type_counters_[static_cast<size_t>(event.type)]->inc();
+    if (event_callback_) event_callback_(event);
+    // Only the subscribers of this event's type are visited; a rule that
+    // kept the default kAllEventsMask appears in every list.
+    for (uint32_t i : subscribers_[static_cast<size_t>(event.type)]) {
+      rule_inst_[i].events_seen->inc();
+      const uint64_t before = sink_.total_raised();
+      rules_[i]->on_event(event, ctx);
+      const uint64_t raised = sink_.total_raised() - before;
+      if (raised != 0) rule_inst_[i].alerts->inc(raised);
     }
   }
-  // Deviation: different source, SSRC change, sequence jump beyond the
-  // benign-reorder window, pending jitter alarm, or enforcement state that
-  // moved since the verdict was cached. Back to the full pipeline.
-  fastpath_invalidate(*flow);
-  return false;
 }
 
-void ScidiveEngine::fastpath_maybe_cache(Trail& trail, const Footprint& fp,
-                                         const RtpFootprint& rtp, uint64_t src_k,
-                                         uint64_t sess_k) {
-  // Only flows peek_rtp can re-recognize are worth caching: the peek
-  // refuses odd ports (speculative RTCP) outright.
-  if (fp.src.port % 2 == 1 || fp.dst.port % 2 == 1) return;
-  const uint64_t dst_key = pack_flow_endpoint(fp.dst);
-  if (fastpath_.contains(dst_key)) return;  // first flow owns a destination
-  const uint64_t src_key = pack_flow_endpoint(fp.src);
-  if (fastpath_src_.contains(src_key)) return;  // src already feeds a cached dst
-  const Symbol sym = trail.sym();
-  if (sym == kInvalidSymbol) return;
-  EventGenerator::SessionState* state = events_.find_state(sym);
-  if (state == nullptr || !state->monitors.empty()) return;
-  const uint16_t* last_seq = state->last_seq_by_dst.find(fp.dst);
-  const rtp::RtpStreamStats* stats = state->stats_by_src.find(fp.src);
-  if (last_seq == nullptr || stats == nullptr) return;
-  // With enforcement on, cache only a provably inert verdict: no block, no
-  // armed bucket, no cross-shard publication for either identity. Any later
-  // enforcement change bumps state_generation() and misses the entry.
-  if (enforcer_ != nullptr && !enforcer_->steady_pass(src_k, sess_k, fp.time)) return;
-
-  if (fastpath_.empty()) {
-    // First entry after a flush: adopt the current generations. The entry
-    // is built from current state, so everything older is already
-    // reflected in it.
-    fp_media_gen_ = trails_.media_generation();
-    fp_watch_gen_ = events_.watch_generation();
-  }
-  FastFlow flow;
-  flow.src = fp.src;
-  flow.dst = fp.dst;
-  flow.ssrc = rtp.ssrc;
-  flow.last_seq = *last_seq;
-  flow.bound = trail.key().session.rfind("flow:", 0) != 0;
-  flow.jitter_armed = !state->jitter_alarmed.contains(fp.src);
-  flow.trail = &trail;
-  flow.sym = sym;
-  flow.stats = *stats;
-  flow.enforce_gen = enforcer_ == nullptr ? 0 : enforcer_->state_generation();
-  flow.last_time = fp.time;
-  fastpath_.try_emplace(dst_key, flow);
-  fastpath_src_.try_emplace(src_key, dst_key);
-}
-
-void ScidiveEngine::fastpath_drop(const pkt::Endpoint& dst, const pkt::Endpoint& src) {
-  if (FastFlow* flow = fastpath_.find(pack_flow_endpoint(dst))) {
-    fastpath_invalidate(*flow);
-  }
-  if (const uint64_t* dst_key = fastpath_src_.find(pack_flow_endpoint(src))) {
-    const uint64_t key = *dst_key;  // copy: invalidate erases the index entry
-    if (FastFlow* flow = fastpath_.find(key)) fastpath_invalidate(*flow);
-  }
-}
-
-void ScidiveEngine::fastpath_drop_session(Symbol sym) {
-  EventGenerator::SessionState* state = events_.find_state(sym);
-  if (state == nullptr) return;
-  // fastpath_maybe_cache only caches a flow whose destination the session
-  // already tracks, so these are every destination the session's cached
-  // flows can have. Writeback updates values of this map, never its shape.
-  state->last_seq_by_dst.for_each([&](const pkt::Endpoint& dst, const uint16_t&) {
-    FastFlow* flow = fastpath_.find(pack_flow_endpoint(dst));
-    if (flow != nullptr && flow->sym == sym) fastpath_invalidate(*flow);
-  });
-}
-
-void ScidiveEngine::fastpath_catch_up() {
-  const bool exact =
-      trails_.for_each_rebound_since(fp_media_gen_,
-                                     [this](const pkt::Endpoint& ep) { fastpath_drop(ep, ep); }) &&
-      events_.for_each_watched_since(fp_watch_gen_,
-                                     [this](Symbol sym) { fastpath_drop_session(sym); });
-  if (!exact) {
-    fastpath_flush();
-    return;
-  }
-  fp_media_gen_ = trails_.media_generation();
-  fp_watch_gen_ = events_.watch_generation();
-}
-
-void ScidiveEngine::fastpath_writeback(FastFlow& flow) {
-  if (flow.bypassed == 0) return;
-  flow.trail->note_bypassed(flow.bypassed, flow.last_time);
-  if (EventGenerator::SessionState* state = events_.find_state(flow.sym)) {
-    if (uint16_t* last_seq = state->last_seq_by_dst.find(flow.dst)) {
-      *last_seq = flow.last_seq;
-    }
-    if (rtp::RtpStreamStats* stats = state->stats_by_src.find(flow.src)) {
-      *stats = flow.stats;
-    }
-    if (flow.last_time > state->last_touched) state->last_touched = flow.last_time;
-  }
-  flow.bypassed = 0;
-}
-
-void ScidiveEngine::fastpath_invalidate(FastFlow& flow) {
-  fastpath_writeback(flow);
-  fastpath_invalidations_->inc();
-  fastpath_src_.erase(pack_flow_endpoint(flow.src));
-  fastpath_.erase(pack_flow_endpoint(flow.dst));  // `flow` dies here
-}
-
-void ScidiveEngine::fastpath_flush() {
-  if (!fastpath_.empty()) {
-    fastpath_.for_each([this](const uint64_t&, FastFlow& flow) {
-      fastpath_writeback(flow);
-      fastpath_invalidations_->inc();
-    });
-    fastpath_.clear();
-    fastpath_src_.clear();
-  }
-  fp_media_gen_ = trails_.media_generation();
-  fp_watch_gen_ = events_.watch_generation();
+VerdictAction ScidiveEngine::decide(uint64_t src_k, const Trail& trail, uint64_t principal_k,
+                                    SimTime now) {
+  // Standing state first (blocks, armed buckets), then escalate by any
+  // verdict this very packet's processing emitted — the packet that
+  // crossed a SPIT threshold is itself shaped, not just its successors.
+  const VerdictAction standing =
+      enforcer_->decide(src_k, session_key(trail.key().session), principal_k, now);
+  return max_action(standing, verdicts_.take_pending());
 }
 
 VerdictAction ScidiveEngine::peek_packet(const pkt::Packet& packet) const {
@@ -594,14 +436,8 @@ void ScidiveEngine::sync_component_stats() {
   }
 
   if (config_.fastpath.enabled) {
-    const uint64_t hits = fastpath_hits_->value();
-    const uint64_t seen = hits + fastpath_misses_->value();
-    registry_
-        .gauge("scidive_fastpath_hit_rate_permille",
-               "Fast-path hits per thousand inspected packets since start")
-        .set(seen == 0 ? 0 : static_cast<int64_t>(hits * 1000 / seen));
-    registry_.gauge("scidive_fastpath_flows", "Live established-flow cache entries")
-        .set(static_cast<int64_t>(fastpath_.size()));
+    registry_.gauge("scidive_fastpath_flows", "Flow records the bypass can step")
+        .set(static_cast<int64_t>(trails_.attached_flows()));
   }
 
   alerts_total_->sync(sink_.total_raised());
@@ -664,17 +500,11 @@ obs::Snapshot ScidiveEngine::metrics_snapshot() {
 }
 
 void ScidiveEngine::expire_idle(SimTime cutoff) {
-  // Bypassed activity must count toward idleness before the scan, or a
-  // flow that went quiet *after* heavy bypass looks older than it is.
-  fastpath_flush();
   trails_.expire_idle(cutoff);
   events_.expire_idle(cutoff);
 }
 
 ScidiveEngine::SessionTransfer ScidiveEngine::extract_session(const SessionId& session) {
-  // A rebalance migration must ship fully written-back state: hand every
-  // cached flow's microstate to its trail/session before packing.
-  fastpath_flush();
   SessionTransfer out;
   out.trails = trails_.extract_session(session);
   if (!out.trails.valid()) return out;
@@ -691,7 +521,6 @@ ScidiveEngine::SessionTransfer ScidiveEngine::extract_session(const SessionId& s
 
 void ScidiveEngine::install_session(SessionTransfer&& transfer) {
   if (!transfer.valid) return;
-  fastpath_flush();
   trails_.install_session(std::move(transfer.trails));
   if (transfer.events) events_.install_session(transfer.id, std::move(*transfer.events));
   for (auto& [rule_name, state] : transfer.rule_states) {

@@ -42,13 +42,12 @@ struct EngineObsConfig {
 };
 
 struct FastpathConfig {
-  /// The established-flow fast path: a flow-keyed microstate cache that
-  /// lets steady in-order RTP for sessions no rule is watching bypass
-  /// footprint construction, event generation and rule dispatch entirely.
-  /// Detection output is byte-identical on or off — any deviation (SSRC
-  /// change, out-of-window sequence jump, rule interest, monitor armed,
-  /// enforcement state change, migration, binding change) falls back to the
-  /// full pipeline with the cached microstate written back first.
+  /// The established-flow bypass: steady RTP of a flow whose record the
+  /// event generator has attached skips footprint construction, trail
+  /// routing and the ring append, and runs the same in-place RTP step the
+  /// full pipeline runs; events and rule dispatch happen only when the
+  /// step emits. Detection output is byte-identical on or off; off is the
+  /// reference twin the differential oracles compare against.
   bool enabled = true;
 };
 
@@ -64,11 +63,6 @@ struct EngineConfig {
   /// look into this traffic".
   std::set<pkt::Ipv4Address> home_addresses;
   size_t max_footprints_per_trail = 4096;
-  /// Deliver each event only to the rules whose subscriptions() mask covers
-  /// its type (the engine keeps a per-type subscriber index). Off = the
-  /// historical broadcast loop; kept as a knob so bench_efficiency can
-  /// measure what the index saves.
-  bool subscription_dispatch = true;
   /// Prevention layer (off by default: pure detection, byte-identical
   /// behavior and metrics to the pre-verdict engine). Passive and inline
   /// compute identical per-packet decisions; only enforcement points
@@ -171,8 +165,8 @@ class ScidiveEngine {
   const TrailManager& trails() const { return trails_; }
   const EventGenerator& events() const { return events_; }
 
-  /// Live established-flow cache entries (observability/test surface).
-  size_t fastpath_entries() const { return fastpath_.size(); }
+  /// Flow records the bypass can step (observability/test surface).
+  size_t fastpath_entries() const { return trails_.attached_flows(); }
   /// Packets the fast path has bypassed since construction.
   uint64_t fastpath_bypassed() const { return bypassed_total_; }
 
@@ -223,62 +217,24 @@ class ScidiveEngine {
   /// Mirror the component-kept stats into registry cells (snapshot path).
   void sync_component_stats();
 
-  // --- Established-flow fast path ---------------------------------------
-  /// One cached flow, keyed in fastpath_ by the packed destination
-  /// endpoint. Holds everything a steady in-order RTP packet needs: the
-  /// identity to verify (src, ssrc), the microstate to advance (sequence
-  /// window, the authoritative jitter estimator copy) and the accounting to
-  /// defer (trail handle, session symbol, bypassed count). While cached,
-  /// the entry's copies are authoritative; invalidation writes them back
-  /// before the slow path touches the same state.
-  struct FastFlow {
-    pkt::Endpoint src;
-    pkt::Endpoint dst;
-    uint32_t ssrc = 0;
-    uint16_t last_seq = 0;
-    bool bound = false;         // routed via an SDP binding (stats mirror)
-    bool jitter_armed = false;  // the one-shot jitter alarm can still fire
-    Trail* trail = nullptr;
-    Symbol sym = kInvalidSymbol;
-    rtp::RtpStreamStats stats;
-    uint64_t enforce_gen = 0;
-    uint64_t bypassed = 0;  // packets bypassed since the last writeback
-    SimTime last_time = 0;
-  };
-
-  static uint64_t pack_flow_endpoint(const pkt::Endpoint& ep) {
-    return static_cast<uint64_t>(ep.addr.value()) << 16 | ep.port;
-  }
-
-  /// Engine-level switch: configured on, no installed rule interested in
-  /// steady-state media, and the per-packet-event ablation off.
+  /// Engine-level switch for the bypass: configured on, no installed rule
+  /// interested in steady-state media, and the per-packet-event ablation
+  /// off.
   bool fastpath_on() const {
     return config_.fastpath.enabled && fastpath_rules_ok_ &&
            !config_.events.emit_per_packet_events;
   }
-  /// Try to bypass one packet. Returns true when it was fully handled.
-  bool fastpath_try(const pkt::Packet& packet);
-  /// Cache the flow of a just-processed, event-free RTP packet when every
-  /// eligibility gate passes.
-  void fastpath_maybe_cache(Trail& trail, const Footprint& fp, const RtpFootprint& rtp,
-                            uint64_t src_k, uint64_t sess_k);
-  /// Hand back (writeback + erase) the cached flow to `dst` and the cached
-  /// flow from `src`, if any.
-  void fastpath_drop(const pkt::Endpoint& dst, const pkt::Endpoint& src);
-  /// Hand back every cached flow of one session.
-  void fastpath_drop_session(Symbol sym);
-  /// Signaling rebound media endpoints or armed monitors since the
-  /// watermarks: hand back exactly the flows through those endpoints and of
-  /// those sessions (everything, when the logs cannot say), then advance
-  /// the watermarks.
-  void fastpath_catch_up();
-  /// Flush the advanced microstate back into the trail and the event
-  /// generator's session state.
-  void fastpath_writeback(FastFlow& flow);
-  /// Writeback + erase of one entry (both indexes).
-  void fastpath_invalidate(FastFlow& flow);
-  /// Writeback + erase of every entry; resyncs the generation watermarks.
-  void fastpath_flush();
+  /// Bypass one packet: peek it, find its attached flow record, step it in
+  /// place. Returns false, having changed nothing, when the packet needs
+  /// the full pipeline.
+  bool bypass(const pkt::Packet& packet, VerdictAction& decision);
+  /// The full pipeline for one inspected packet.
+  VerdictAction inspect(const pkt::Packet& packet);
+  /// Deliver scratch_events_ to their subscribed rules.
+  void dispatch_events();
+  /// The packet's enforcement decision: standing state, escalated by any
+  /// verdict its own processing emitted.
+  VerdictAction decide(uint64_t src_k, const Trail& trail, uint64_t principal_k, SimTime now);
 
   EngineConfig config_;
   obs::MetricsRegistry registry_;
@@ -296,16 +252,11 @@ class ScidiveEngine {
   obs::AlertLedger ledger_;
   std::vector<Event> scratch_events_;
 
-  // Established-flow fast path state.
-  FlatMap<uint64_t, FastFlow> fastpath_;        // packed dst -> flow
-  FlatMap<uint64_t, uint64_t> fastpath_src_;    // packed src -> packed dst
   bool fastpath_rules_ok_ = false;  // no rule wants steady-state media
-  uint64_t fp_media_gen_ = 0;       // trail-manager binding generation caught up to
-  uint64_t fp_watch_gen_ = 0;       // event-generator monitor generation caught up to
   /// Work the bypass skipped, added to the component-stat mirrors at sync
-  /// time so the pipeline counters read the same with the fast path on or
-  /// off (every bypassed packet *was* distilled/routed/processed, as far as
-  /// the totals are concerned — just not per packet).
+  /// time so the pipeline counters read the same with the bypass on or off
+  /// (every bypassed packet *was* distilled, routed and processed, as far
+  /// as the totals are concerned).
   uint64_t bypassed_total_ = 0;
   uint64_t bypassed_bound_ = 0;
   uint64_t bypassed_unbound_ = 0;
@@ -328,7 +279,6 @@ class ScidiveEngine {
   /// configured on, so disabled engines expose no extra lines.
   obs::Counter* fastpath_hits_ = nullptr;
   obs::Counter* fastpath_misses_ = nullptr;
-  obs::Counter* fastpath_invalidations_ = nullptr;
 
   // Snapshot-synced mirrors (see sync_component_stats()).
   obs::Counter* alerts_total_ = nullptr;

@@ -50,16 +50,17 @@ void EventGenerator::process(const Footprint& fp, const Trail& trail,
   // (tests) intern on the fly through the manager's shared table.
   Symbol sym = trail.sym();
   if (sym == kInvalidSymbol) sym = trails_.symbols().intern(session);
-  SessionState& state = sessions_[sym];
+  std::unique_ptr<SessionState>& slot = sessions_[sym];
+  if (slot == nullptr) slot = std::make_unique<SessionState>();
+  SessionState& state = *slot;
   state.last_touched = fp.time;
-  const uint64_t monitors_before = stats_.monitors_started;
 
   switch (fp.protocol) {
     case Protocol::kSip:
       if (const SipFootprint* sip = fp.sip()) process_sip(fp, *sip, state, session, out);
       break;
     case Protocol::kRtp:
-      if (const RtpFootprint* rtp = fp.rtp()) process_rtp(fp, *rtp, state, session, out);
+      if (const RtpFootprint* rtp = fp.rtp()) process_rtp(fp, *rtp, state, trail, out);
       break;
     case Protocol::kAcc:
       if (const AccFootprint* acc = fp.acc()) process_acc(fp, *acc, state, session, out);
@@ -80,7 +81,6 @@ void EventGenerator::process(const Footprint& fp, const Trail& trail,
       }
       break;
   }
-  if (stats_.monitors_started != monitors_before) watched_.record(sym);
 }
 
 void EventGenerator::start_monitor(SessionState& state, SimTime now, pkt::Endpoint watched,
@@ -235,46 +235,71 @@ void EventGenerator::process_sip(const Footprint& fp, const SipFootprint& sip,
 }
 
 void EventGenerator::process_rtp(const Footprint& fp, const RtpFootprint& rtp,
-                                 SessionState& state, const SessionId& session,
+                                 SessionState& state, const Trail& trail,
                                  std::vector<Event>& out) {
+  // Step the flow record the footprint was routed through, attaching the
+  // session's endpoint records on the flow's first packet. A trail built
+  // outside the manager has no cached route: a transient record serves.
+  MediaFlow transient;
+  MediaFlow* flow = trails_.find_flow(fp.src, fp.dst, Protocol::kRtp);
+  if (flow == nullptr || flow->trail != &trail) flow = &transient;
+  if (flow->session != &state) {
+    auto endpoint = [&state](const pkt::Endpoint& ep) {
+      std::unique_ptr<RtpEndpointState>& rec = state.rtp_endpoints[ep];
+      if (rec == nullptr) rec = std::make_unique<RtpEndpointState>();
+      return rec.get();
+    };
+    flow->session = &state;
+    flow->src = endpoint(fp.src);
+    flow->dst = endpoint(fp.dst);
+  }
+  step_rtp(*flow, trail.key().session,
+           RtpPeek{fp.src, fp.dst, rtp.ssrc, rtp.sequence, rtp.timestamp, fp.time}, out);
+}
+
+void EventGenerator::step_rtp(const MediaFlow& flow, const SessionId& session,
+                              const RtpPeek& rtp, std::vector<Event>& out) {
+  SessionState& state = *flow.session;
+  state.last_touched = rtp.time;
   if (config_.emit_per_packet_events) {
-    emit(out, Event{EventType::kRtpPacketSeen, session, fp.time, "", fp.src,
+    emit(out, Event{EventType::kRtpPacketSeen, session, rtp.time, "", rtp.src,
                     static_cast<int64_t>(rtp.sequence), ""});
   }
   // Consecutive-packet sequence check at the receiving media port (§4.2.4).
-  auto [last_seq, first_at_dst] = state.last_seq_by_dst.try_emplace(fp.dst, rtp.sequence);
-  if (!first_at_dst) {
-    int32_t gap = rtp::seq_distance(*last_seq, rtp.sequence);
+  RtpEndpointState& dst = *flow.dst;
+  if (dst.seq_seen) {
+    int32_t gap = rtp::seq_distance(dst.last_seq, rtp.sequence);
     if (std::abs(gap) > config_.seq_jump_threshold) {
-      emit(out, Event{EventType::kRtpSeqJump, session, fp.time, "", fp.src, gap,
+      emit(out, Event{EventType::kRtpSeqJump, session, rtp.time, "", rtp.src, gap,
                       str::format("sequence gap %d between consecutive packets", gap)});
     }
-    *last_seq = rtp.sequence;
   }
+  dst.seq_seen = true;
+  dst.last_seq = rtp.sequence;
 
   // New source?
-  if (state.rtp_sources_seen.insert(fp.src)) {
-    emit(out, Event{EventType::kRtpStreamStarted, session, fp.time, "", fp.src,
+  RtpEndpointState& src = *flow.src;
+  if (!src.source_seen) {
+    src.source_seen = true;
+    emit(out, Event{EventType::kRtpStreamStarted, session, rtp.time, "", rtp.src,
                     static_cast<int64_t>(rtp.ssrc), "rtp flow started"});
     if (state.invite_seen) {
-      bool expected = (state.caller_media && state.caller_media->addr == fp.src.addr) ||
-                      (state.callee_media && state.callee_media->addr == fp.src.addr);
+      bool expected = (state.caller_media && state.caller_media->addr == rtp.src.addr) ||
+                      (state.callee_media && state.callee_media->addr == rtp.src.addr);
       if (!expected) {
-        emit(out, Event{EventType::kRtpUnexpectedSource, session, fp.time, "", fp.src, 0,
+        emit(out, Event{EventType::kRtpUnexpectedSource, session, rtp.time, "", rtp.src, 0,
                         "rtp from endpoint not present in signaling"});
       }
     }
   }
 
   // Jitter estimate per source.
-  auto [src_stats, _] = state.stats_by_src.try_emplace(fp.src, rtp::RtpStreamStats(8000));
-  src_stats->on_packet(rtp.sequence, rtp.timestamp, fp.time);
-  if (src_stats->packets_received() > config_.jitter_warmup_packets &&
-      src_stats->jitter_ms() > config_.jitter_alarm_ms &&
-      !state.jitter_alarmed.contains(fp.src)) {
-    state.jitter_alarmed.insert(fp.src);
-    emit(out, Event{EventType::kRtpJitter, session, fp.time, "", fp.src,
-                    static_cast<int64_t>(src_stats->jitter_ms() * 1000),
+  src.stats.on_packet(rtp.sequence, rtp.timestamp, rtp.time);
+  if (!src.jitter_alarmed && src.stats.packets_received() > config_.jitter_warmup_packets &&
+      src.stats.jitter_ms() > config_.jitter_alarm_ms) {
+    src.jitter_alarmed = true;
+    emit(out, Event{EventType::kRtpJitter, session, rtp.time, "", rtp.src,
+                    static_cast<int64_t>(src.stats.jitter_ms() * 1000),
                     "jitter above threshold"});
   }
 
@@ -282,20 +307,20 @@ void EventGenerator::process_rtp(const Footprint& fp, const RtpFootprint& rtp,
   // the RTCP-BYE consistency check).
   for (MediaMonitor& monitor : state.monitors) {
     if (!monitor.active) continue;
-    if (fp.time - monitor.started > config_.monitor_window) {
+    if (rtp.time - monitor.started > config_.monitor_window) {
       monitor.active = false;
       ++stats_.monitors_expired;
       continue;
     }
-    if (!monitor.fired && fp.src == monitor.watched &&
-        (!monitor.expected_dst || fp.dst == *monitor.expected_dst)) {
+    if (!monitor.fired && rtp.src == monitor.watched &&
+        (!monitor.expected_dst || rtp.dst == *monitor.expected_dst)) {
       monitor.fired = true;
       monitor.active = false;
       ++stats_.monitors_fired;
-      emit(out, Event{monitor.emit, session, fp.time, monitor.claimed_aor, fp.src,
-                      fp.time - monitor.started,
+      emit(out, Event{monitor.emit, session, rtp.time, monitor.claimed_aor, rtp.src,
+                      rtp.time - monitor.started,
                       str::format("orphan rtp %lld us after signaling",
-                                  static_cast<long long>(fp.time - monitor.started))});
+                                  static_cast<long long>(rtp.time - monitor.started))});
     }
   }
   std::erase_if(state.monitors, [](const MediaMonitor& m) { return !m.active; });
@@ -429,23 +454,27 @@ std::optional<EventGenerator::SessionState> EventGenerator::extract_session(
     const SessionId& session) {
   auto sym = trails_.symbols().find(session);
   if (!sym) return std::nullopt;
-  SessionState* state = sessions_.find(*sym);
+  std::unique_ptr<SessionState>* state = sessions_.find(*sym);
   if (state == nullptr) return std::nullopt;
-  SessionState out = std::move(*state);
+  SessionState out = std::move(**state);
   sessions_.erase(*sym);
+  trails_.forget_routes();  // flow records may point into the departed state
   return out;
 }
 
 void EventGenerator::install_session(const SessionId& session, SessionState state) {
   const Symbol sym = trails_.symbols().intern(session);
-  // Adopted state may carry live monitors this engine has never seen arm.
-  if (!state.monitors.empty()) watched_.record(sym);
-  *sessions_.try_emplace(sym).first = std::move(state);
+  std::unique_ptr<SessionState>& slot = sessions_[sym];
+  if (slot != nullptr) trails_.forget_routes();  // flow records may point into it
+  slot = std::make_unique<SessionState>(std::move(state));
 }
 
 size_t EventGenerator::expire_idle(SimTime cutoff) {
   size_t dropped = sessions_.erase_if(
-      [&](const Symbol&, const SessionState& state) { return state.last_touched < cutoff; });
+      [&](const Symbol&, const std::unique_ptr<SessionState>& state) {
+        return state->last_touched < cutoff;
+      });
+  if (dropped != 0) trails_.forget_routes();  // flow records may point into dropped state
   stats_.sessions_expired += dropped;
   return dropped;
 }

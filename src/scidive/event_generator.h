@@ -7,10 +7,10 @@
 #pragma once
 
 #include <map>
+#include <memory>
 #include <set>
 #include <vector>
 
-#include "common/change_log.h"
 #include "common/flat_map.h"
 #include "common/symbol.h"
 #include "rtp/stats.h"
@@ -45,6 +45,65 @@ struct EventGeneratorStats {
   uint64_t sessions_expired = 0;  // session states dropped by expire_idle
 };
 
+/// One media endpoint's RTP state within a session, in both roles a flow
+/// can give it.
+struct RtpEndpointState {
+  // As a destination: the consecutive-packet view of §4.2.4.
+  bool seq_seen = false;
+  uint16_t last_seq = 0;
+  // As a source: stream start, jitter estimate and the one-shot alarm.
+  bool source_seen = false;
+  bool jitter_alarmed = false;
+  rtp::RtpStreamStats stats{8000};
+};
+
+/// A watch on a media source after signaling said it should go quiet.
+struct MediaMonitor {
+  bool active = false;
+  bool fired = false;
+  SimTime started = 0;
+  pkt::Endpoint watched;  // media endpoint that must fall silent
+  /// The session peer's media endpoint: an orphan flow is src==watched
+  /// AND dst==expected_dst, so concurrent calls sharing the watched
+  /// port (same softphone, different conversation) don't false-alarm.
+  std::optional<pkt::Endpoint> expected_dst;
+  EventType emit = EventType::kRtpAfterBye;
+  std::string claimed_aor;  // who the signaling said was leaving
+};
+
+/// One session's aggregation state. Node-stable (the generator holds it
+/// behind a pointer): flow records point at it.
+struct EventSessionState {
+  // What every RTP packet touches comes first: the idle clock and the
+  // monitors share the record's first cache line.
+  SimTime last_touched = 0;
+  /// Active orphan-media watches (SIP BYE, re-INVITE, RTCP BYE can all be
+  /// pending at once). Bounded: oldest evicted beyond kMaxMonitors.
+  std::vector<MediaMonitor> monitors;
+  // Mirrored dialog.
+  bool invite_seen = false;
+  bool established = false;
+  bool torn_down = false;
+  std::string caller_aor, callee_aor;
+  std::string caller_tag, callee_tag;
+  std::optional<pkt::Endpoint> caller_media, callee_media;
+  std::optional<pkt::Endpoint> caller_signaling;  // where the INVITE/Setup came from
+  std::optional<pkt::Endpoint> callee_signaling;  // where the 200/Connect came from
+  // Media-plane tracking, one node-stable record per endpoint: a flow
+  // record points at its two endpoints' records, so an RTP packet steps
+  // them without a lookup.
+  FlatMap<pkt::Endpoint, std::unique_ptr<RtpEndpointState>> rtp_endpoints;
+  // Registration / auth tracking.
+  bool last_register_had_auth = false;
+  std::string last_auth_response;
+  /// Candidate location from the latest REGISTER in this session —
+  /// committed to the location mirror only when the registrar says 200
+  /// (learning from unauthenticated requests would let an attacker poison
+  /// the mirror by spraying REGISTERs).
+  std::string pending_register_aor;
+  std::optional<pkt::Ipv4Address> pending_register_addr;
+};
+
 class EventGenerator {
  public:
   EventGenerator(TrailManager& trails, EventGeneratorConfig config)
@@ -59,24 +118,10 @@ class EventGenerator {
   const EventGeneratorStats& stats() const { return stats_; }
   size_t tracked_sessions() const { return sessions_.size(); }
 
-  /// Bumped whenever a session arms a media monitor (or adopts
-  /// monitor-carrying state from another shard). A monitor means steady
-  /// media of that session has become evidence, so the engine's
-  /// established-flow fast path hands the session's flows back to full
-  /// event generation.
-  uint64_t watch_generation() const { return watched_.generation(); }
-  /// Visit every session that armed a monitor after generation `since`.
-  /// Returns false when that cannot be replayed session by session (more
-  /// changes than the log holds): the caller must then drop every flow.
-  template <typename Fn>
-  bool for_each_watched_since(uint64_t since, Fn&& fn) const {
-    return watched_.for_each_since(since, fn);
-  }
-
   /// Drop per-session state not touched since `cutoff`.
   size_t expire_idle(SimTime cutoff);
 
-  struct SessionState;
+  using SessionState = EventSessionState;
 
   /// Migration (sharded-engine rebalance): detach this session's
   /// aggregation state. The state holds endpoints, strings and times — no
@@ -87,55 +132,13 @@ class EventGenerator {
   /// Adopt migrated state under this engine's interning of `session`.
   void install_session(const SessionId& session, SessionState state);
 
-  /// Direct access to one session's aggregation state (nullptr when none).
-  /// The engine's fast path reads microstate out of it at flow-cache
-  /// creation and writes the advanced microstate back on invalidation.
-  SessionState* find_state(Symbol sym) { return sessions_.find(sym); }
-
-  /// A watch on a media source after signaling said it should go quiet.
-  struct MediaMonitor {
-    bool active = false;
-    bool fired = false;
-    SimTime started = 0;
-    pkt::Endpoint watched;  // media endpoint that must fall silent
-    /// The session peer's media endpoint: an orphan flow is src==watched
-    /// AND dst==expected_dst, so concurrent calls sharing the watched
-    /// port (same softphone, different conversation) don't false-alarm.
-    std::optional<pkt::Endpoint> expected_dst;
-    EventType emit = EventType::kRtpAfterBye;
-    std::string claimed_aor;  // who the signaling said was leaving
-  };
-
-  struct SessionState {
-    SimTime last_touched = 0;
-    // Mirrored dialog.
-    bool invite_seen = false;
-    bool established = false;
-    bool torn_down = false;
-    std::string caller_aor, callee_aor;
-    std::string caller_tag, callee_tag;
-    std::optional<pkt::Endpoint> caller_media, callee_media;
-    std::optional<pkt::Endpoint> caller_signaling;  // where the INVITE/Setup came from
-    std::optional<pkt::Endpoint> callee_signaling;  // where the 200/Connect came from
-    // Media-plane tracking. Flat tables: the per-RTP-packet path does a
-    // handful of these lookups, and endpoints hash to one word.
-    FlatSet<pkt::Endpoint> rtp_sources_seen;
-    FlatMap<pkt::Endpoint, uint16_t> last_seq_by_dst;  // consecutive-packet view
-    FlatMap<pkt::Endpoint, rtp::RtpStreamStats> stats_by_src;
-    FlatSet<pkt::Endpoint> jitter_alarmed;
-    /// Active orphan-media watches (SIP BYE, re-INVITE, RTCP BYE can all be
-    /// pending at once). Bounded: oldest evicted beyond kMaxMonitors.
-    std::vector<MediaMonitor> monitors;
-    // Registration / auth tracking.
-    bool last_register_had_auth = false;
-    std::string last_auth_response;
-    /// Candidate location from the latest REGISTER in this session —
-    /// committed to the location mirror only when the registrar says 200
-    /// (learning from unauthenticated requests would let an attacker poison
-    /// the mirror by spraying REGISTERs).
-    std::string pending_register_aor;
-    std::optional<pkt::Ipv4Address> pending_register_addr;
-  };
+  /// The steady-state RTP step, on the state `flow` points at: the §4.2.4
+  /// sequence check, stream start, the jitter estimate and the orphan-media
+  /// monitors. The slow path runs it for every RTP footprint; the engine's
+  /// bypass runs it for peeked packets of attached flows. Appends any
+  /// events to `out`.
+  void step_rtp(const MediaFlow& flow, const SessionId& session, const RtpPeek& rtp,
+                std::vector<Event>& out);
 
  private:
   static constexpr size_t kMaxMonitors = 4;
@@ -147,7 +150,7 @@ class EventGenerator {
   void process_h225(const Footprint& fp, const H225Footprint& h225, SessionState& state,
                     const SessionId& session, std::vector<Event>& out);
   void process_rtp(const Footprint& fp, const RtpFootprint& rtp, SessionState& state,
-                   const SessionId& session, std::vector<Event>& out);
+                   const Trail& trail, std::vector<Event>& out);
   void process_acc(const Footprint& fp, const AccFootprint& acc, SessionState& state,
                    const SessionId& session, std::vector<Event>& out);
 
@@ -161,13 +164,10 @@ class EventGenerator {
   /// Keyed by the TrailManager's interned session symbol: the per-footprint
   /// state lookup is one integer hash instead of a string-keyed tree walk —
   /// the dominant per-packet cost at thousands of concurrent sessions.
-  FlatMap<Symbol, SessionState> sessions_;
+  FlatMap<Symbol, std::unique_ptr<SessionState>> sessions_;
   /// Passive mirror of the registrar's location service: AOR -> addresses
   /// learned from observed REGISTER Contacts. Feeds the billed-party check.
   std::map<std::string, std::set<pkt::Ipv4Address>> registered_locations_;
-  /// Sessions that armed a monitor. Sixteen covers what one packet's
-  /// processing can arm.
-  ChangeLog<Symbol, 16> watched_;
   EventGeneratorStats stats_;
 };
 

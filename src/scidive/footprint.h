@@ -54,6 +54,18 @@ struct RtpFootprint {
   size_t payload_len = 0;
 };
 
+/// The fields of one RTP media packet the event generator's steady-state
+/// step reads: what Distiller::peek_rtp extracts without building a
+/// Footprint, and what an RTP footprint carries.
+struct RtpPeek {
+  pkt::Endpoint src;
+  pkt::Endpoint dst;
+  uint32_t ssrc = 0;
+  uint16_t sequence = 0;
+  uint32_t timestamp = 0;
+  SimTime time = 0;
+};
+
 /// Decoded summary of one RTCP packet.
 struct RtcpFootprint {
   bool is_bye = false;

@@ -24,7 +24,6 @@
 // (every packet of a session on one shard) is preserved even then.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -104,22 +103,10 @@ class ShardDirectory : public SharedEnforcement {
       const uint32_t merged =
           ((cur >> 2) > (packed >> 2) ? cur & ~uint32_t{3} : packed & ~uint32_t{3}) |
           ((cur & 3) > (packed & 3) ? cur & 3 : packed & 3);
-      if (merged == cur) return;
-      published_.insert_or_assign(key, merged);
-      publish_version_.fetch_add(1, std::memory_order_release);
+      if (merged != cur) published_.insert_or_assign(key, merged);
       return;
     }
     published_.insert_or_assign(key, packed);
-    publish_version_.fetch_add(1, std::memory_order_release);
-  }
-
-  /// Monotone publish counter (SharedEnforcement::version): moves on every
-  /// publish that changed the published state — including TTL-extending and
-  /// action-upgrading re-publishes of an existing key, which the map's size
-  /// cannot see. The version is bumped after the map write, so a reader
-  /// that observes the new version also observes the new entry.
-  uint64_t version() const override {
-    return publish_version_.load(std::memory_order_acquire);
   }
 
   VerdictAction published(uint64_t key, SimTime now) const override {
@@ -146,7 +133,6 @@ class ShardDirectory : public SharedEnforcement {
   AtomicU64Map overrides_{64};
   AtomicU64Map principal_routed_{256};
   AtomicU64Map published_{256};
-  std::atomic<uint64_t> publish_version_{0};
   std::vector<double> ewma_;
 };
 

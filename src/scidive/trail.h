@@ -54,7 +54,9 @@ class Trail {
         arena_(arena) {}
 
   Trail(Trail&& other) noexcept
-      : key_(std::move(other.key_)),
+      : total_appended_(other.total_appended_),
+        last_time_(other.last_time_),
+        key_(std::move(other.key_)),
         sym_(other.sym_),
         max_footprints_(other.max_footprints_),
         arena_(other.arena_),
@@ -62,10 +64,8 @@ class Trail {
         cap_(other.cap_),
         count_(other.count_),
         head_(other.head_),
-        total_appended_(other.total_appended_),
         evicted_(other.evicted_),
-        first_time_(other.first_time_),
-        last_time_(other.last_time_) {
+        first_time_(other.first_time_) {
     other.slots_ = nullptr;
     other.cap_ = other.count_ = other.head_ = 0;
   }
@@ -96,15 +96,13 @@ class Trail {
     ++total_appended_;
   }
 
-  /// Account `n` packets that the engine's established-flow fast path
-  /// observed for this trail without materializing footprints. Keeps the
-  /// activity counter (the rebalancer's load proxy) and the idle-expiry
-  /// clock exactly what they would be had every packet been appended; the
-  /// ring itself holds no record of bypassed packets, which is the point.
-  void note_bypassed(uint64_t n, SimTime last_seen) {
-    if (n == 0) return;
-    total_appended_ += n;
-    if (last_seen > last_time_) last_time_ = last_seen;
+  /// Account one packet the engine's bypass stepped without materializing
+  /// its footprint: the activity counter (the rebalancer's load proxy) and
+  /// the idle-expiry clock move exactly as append() would move them; the
+  /// ring holds no record of bypassed packets, which is the point.
+  void note_bypassed(SimTime time) {
+    last_time_ = time;
+    ++total_appended_;
   }
 
   const TrailKey& key() const { return key_; }
@@ -171,6 +169,9 @@ class Trail {
     slots_ = fresh;
   }
 
+  // First: the engine's bypass updates both on every packet.
+  uint64_t total_appended_ = 0;
+  SimTime last_time_ = 0;
   TrailKey key_;
   Symbol sym_ = kInvalidSymbol;
   size_t max_footprints_;
@@ -179,10 +180,8 @@ class Trail {
   size_t cap_ = 0;
   size_t count_ = 0;
   size_t head_ = 0;  // index of the oldest footprint once the ring is full
-  uint64_t total_appended_ = 0;
   uint64_t evicted_ = 0;
   SimTime first_time_ = 0;
-  SimTime last_time_ = 0;
 };
 
 }  // namespace scidive::core

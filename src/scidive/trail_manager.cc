@@ -83,7 +83,7 @@ Trail& TrailManager::trail_for(Symbol sym, Protocol protocol) {
 Trail& TrailManager::route(const Footprint& fp) {
   if (is_media(fp.protocol)) {
     MediaFlowKey flow{fp.src, fp.dst, fp.protocol};
-    if (const CachedRoute* cached = media_flow_cache_.find(flow)) {
+    if (const MediaFlow* cached = media_flow_cache_.find(flow)) {
       ++stats_.flow_cache_hits;
       if (cached->bound) {
         ++stats_.rtp_bound_to_session;
@@ -100,7 +100,7 @@ Trail& TrailManager::route(const Footprint& fp) {
       ++stats_.rtp_unbound;
     }
     Trail& trail = trail_for(sym, fp.protocol);
-    media_flow_cache_.try_emplace(flow, CachedRoute{&trail, bound});
+    media_flow_cache_.try_emplace(flow, MediaFlow{.trail = &trail, .bound = bound});
     ++route_refs_[binding_key(fp.src, fp.protocol)];
     ++route_refs_[binding_key(fp.dst, fp.protocol)];
     return trail;
@@ -133,11 +133,10 @@ void TrailManager::unbind_media_endpoint(const pkt::Endpoint& media) {
 }
 
 void TrailManager::forget_routes_through(const pkt::Endpoint& ep) {
-  rebound_.record(ep);
   // A route depends only on the bindings of its two endpoints, so every
   // other cached route still classifies the same way.
   if (!route_refs_.contains(ep)) return;
-  media_flow_cache_.erase_if([&](const MediaFlowKey& flow, const CachedRoute&) {
+  media_flow_cache_.erase_if([&](const MediaFlowKey& flow, const MediaFlow&) {
     const pkt::Endpoint src = binding_key(flow.src, flow.protocol);
     const pkt::Endpoint dst = binding_key(flow.dst, flow.protocol);
     if (src != ep && dst != ep) return false;
@@ -152,10 +151,17 @@ void TrailManager::release_route_ref(const pkt::Endpoint& ep) {
   if (refs != nullptr && --*refs == 0) route_refs_.erase(ep);
 }
 
-void TrailManager::forget_all_routes() {
+void TrailManager::forget_routes() {
   media_flow_cache_.clear();
   route_refs_.clear();
-  rebound_.record_reset();
+}
+
+size_t TrailManager::attached_flows() const {
+  size_t n = 0;
+  media_flow_cache_.for_each([&n](const MediaFlowKey&, const MediaFlow& flow) {
+    if (flow.session != nullptr) ++n;
+  });
+  return n;
 }
 
 std::optional<SessionId> TrailManager::session_for_media(const pkt::Endpoint& media) const {
@@ -258,7 +264,7 @@ TrailManager::ExtractedSession TrailManager::extract_session(const SessionId& se
   // Cached media routes may point into the departed trails. The source
   // symbol stays interned (symbols are never recycled); it simply has no
   // state behind it any more.
-  forget_all_routes();
+  forget_routes();
   return out;
 }
 
@@ -295,7 +301,7 @@ size_t TrailManager::expire_idle(SimTime cutoff) {
     return true;
   });
   // Expired trails may still be referenced by cached media routes.
-  if (dropped != 0) forget_all_routes();
+  if (dropped != 0) forget_routes();
   return dropped;
 }
 

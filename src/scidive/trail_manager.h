@@ -18,13 +18,16 @@
 //     instead of per-trail frees.
 //
 // The media path is the hot path: once a flow's first packet has been
-// classified, a (src, dst, protocol) -> Trail* cache routes every further
+// classified, a (src, dst, protocol) -> MediaFlow cache routes every further
 // packet of that flow with a single hash lookup on trivially-hashable keys —
 // no session-id strings are built or copied, so steady-state in-session RTP
-// classification performs zero heap allocations. A binding change (SDP
-// offer/answer, re-INVITE) drops only the cached routes whose classification
-// looked the rebound endpoint up, so call setup elsewhere leaves established
-// flows cached; expiry and session migration still drop every route.
+// classification performs zero heap allocations. The cache entry is also the
+// flow's one record: the event generator attaches the session's RTP state to
+// it, and the slow path and the engine's bypass both step that state in
+// place. A binding change (SDP offer/answer, re-INVITE) drops only the cached
+// routes whose classification looked the rebound endpoint up, so call setup
+// elsewhere leaves established flows cached; expiry and session migration
+// still drop every route.
 #pragma once
 
 #include <memory>
@@ -33,12 +36,29 @@
 #include <vector>
 
 #include "common/arena.h"
-#include "common/change_log.h"
 #include "common/flat_map.h"
 #include "common/symbol.h"
 #include "scidive/trail.h"
 
 namespace scidive::core {
+
+struct EventSessionState;  // event_generator.h
+struct RtpEndpointState;   // event_generator.h
+
+/// One direction of a media flow as routed: the flow-cache entry and, for
+/// RTP, the flow's one record. The trail manager fills the route; the event
+/// generator attaches the session's RTP state on the flow's first RTP
+/// packet. From then on the slow path and the engine's bypass step that
+/// state in place through these pointers, so nothing is copied and nothing
+/// needs writing back. The event generator owns the pointees and drops
+/// every route (forget_routes) before it destroys or moves session state.
+struct MediaFlow {
+  Trail* trail = nullptr;
+  bool bound = false;  // routed via an SDP binding; keeps stats exact on cache hits
+  EventSessionState* session = nullptr;
+  RtpEndpointState* src = nullptr;  // the sending endpoint's state in the session
+  RtpEndpointState* dst = nullptr;  // the receiving endpoint's state in the session
+};
 
 struct TrailManagerStats {
   uint64_t footprints_routed = 0;
@@ -82,19 +102,18 @@ class TrailManager {
   std::vector<const Trail*> session_trails(const SessionId& session) const;
 
   std::vector<SessionId> sessions() const;
-  /// Bumped whenever the media routing picture changes: a binding learned,
-  /// changed or dropped, or a wholesale change (session extracted or
-  /// installed, trails expired). The engine's established-flow fast path
-  /// compares it with the generation it last caught up to.
-  uint64_t media_generation() const { return rebound_.generation(); }
-  /// Visit every endpoint whose binding changed after generation `since`.
-  /// Returns false when that cannot be replayed endpoint by endpoint (a
-  /// wholesale change, or more changes than the log holds): the caller must
-  /// then drop every media route it cached.
-  template <typename Fn>
-  bool for_each_rebound_since(uint64_t since, Fn&& fn) const {
-    return rebound_.for_each_since(since, fn);
+  /// The cached route of one media flow direction, nullptr when the flow's
+  /// next packet would have to be classified. Lookup only: no stats move.
+  /// The pointer is valid until the next route, binding change or expiry.
+  MediaFlow* find_flow(const pkt::Endpoint& src, const pkt::Endpoint& dst, Protocol protocol) {
+    return media_flow_cache_.find(MediaFlowKey{src, dst, protocol});
   }
+  /// Cached RTP routes with session state attached: the flows the engine's
+  /// bypass can step.
+  size_t attached_flows() const;
+  /// Drop every cached route (the event generator calls this before it
+  /// destroys session state the routes point at).
+  void forget_routes();
   size_t trail_count() const { return trails_.size(); }
   size_t session_count() const { return sessions_.size(); }
   size_t media_binding_count() const { return media_to_session_.size(); }
@@ -181,10 +200,6 @@ class TrailManager {
       return flat_mix64(h);
     }
   };
-  struct CachedRoute {
-    Trail* trail = nullptr;
-    bool bound = false;  // preserved so stats stay exact on cache hits
-  };
 
   /// The binding a media footprint's classification looks up for `ep`:
   /// RTCP runs on media-port + 1, so an odd RTCP port maps to the even RTP
@@ -196,12 +211,8 @@ class TrailManager {
 
   Symbol classify(const Footprint& fp, bool& media_bound);
   Trail& trail_for(Symbol sym, Protocol protocol);
-  /// The binding of `ep` changed: drop the cached routes that looked it up
-  /// and log it, so downstream flow caches (the engine fast path) drop the
-  /// flows through it too.
+  /// The binding of `ep` changed: drop the cached routes that looked it up.
   void forget_routes_through(const pkt::Endpoint& ep);
-  /// Cached routes may point into departed or destroyed trails: drop all.
-  void forget_all_routes();
   void release_route_ref(const pkt::Endpoint& ep);
   std::optional<Symbol> media_session_sym(pkt::Endpoint ep, Protocol protocol) const;
 
@@ -212,15 +223,12 @@ class TrailManager {
   FlatMap<uint64_t, Trail*> trails_;
   FlatMap<Symbol, std::unique_ptr<SessionSlot>> sessions_;
   FlatMap<pkt::Endpoint, Symbol> media_to_session_;
-  /// Flow-direction -> trail fast path.
-  FlatMap<MediaFlowKey, CachedRoute, MediaFlowKeyHash> media_flow_cache_;
+  /// Flow direction -> flow record.
+  FlatMap<MediaFlowKey, MediaFlow, MediaFlowKeyHash> media_flow_cache_;
   /// Binding key -> cached routes whose classification looked it up. A
   /// rebound endpoint absent here has no cached route to drop, which is the
   /// common case: SDP names fresh media endpoints.
   FlatMap<pkt::Endpoint, uint32_t> route_refs_;
-  /// Endpoints whose binding changed, for the engine's fast path. Sixteen
-  /// covers the bindings one packet's processing can make.
-  ChangeLog<pkt::Endpoint, 16> rebound_;
   TrailManagerStats stats_;
 };
 

@@ -196,8 +196,8 @@ TEST(FastpathDifferential, AdversarialStream) {
 
 TEST(FastpathDifferential, RebalancingMidReplay) {
   // Rebalance-driven session migration while flows are being bypassed:
-  // extract/install flush the shard's cache, and the oracle proves the
-  // written-back microstate is exact.
+  // extract/install drop the shard's flow records and move the state they
+  // stepped, and the oracle proves that state is exact.
   capture::CarrierMixConfig mix;
   mix.seed = 0xfa58;
   mix.provisioned_users = 200;

@@ -445,15 +445,11 @@ std::vector<pkt::Packet> steady_rtp(pkt::Endpoint src, pkt::Endpoint dst, uint32
   return out;
 }
 
-uint64_t fastpath_invalidations(ScidiveEngine& engine) {
-  return engine.metrics_snapshot().counter_value("scidive_fastpath_invalidations_total", {});
-}
-
 TEST(RuledslParity, FastpathHotReloadMidStreamStaysByteIdentical) {
-  // Swapping rulesets flushes the flow cache (the new rules may watch
-  // steady media); the written-back microstate must leave the alert stream
-  // byte-identical to both an undisturbed fastpath-on run and a
-  // fastpath-off run — and the bypass must re-engage between swaps.
+  // Swapping rulesets mid-stream must leave the alert stream byte-identical
+  // to both an undisturbed fastpath-on run and a fastpath-off run. The flow
+  // records hold no rule state, so a swap to an equally uninterested
+  // ruleset leaves the bypass engaged throughout.
   const CompiledRuleset ruleset = load_shipped();
   Scenario s = bye_attack_scenario();
 
@@ -479,9 +475,8 @@ TEST(RuledslParity, FastpathHotReloadMidStreamStaysByteIdentical) {
   }
   EXPECT_EQ(alert_strings(reloaded), alert_strings(baseline));
   EXPECT_EQ(ledger_strings(reloaded), ledger_strings(baseline));
-  EXPECT_GT(reloaded.fastpath_bypassed(), 0u) << "bypass must re-engage after each swap";
-  EXPECT_GE(fastpath_invalidations(reloaded), 1u)
-      << "each swap must write back and drop the populated cache";
+  EXPECT_EQ(reloaded.fastpath_bypassed(), baseline.fastpath_bypassed())
+      << "swaps must not take flows off the bypass";
 }
 
 TEST(RuledslParity, FastpathDisabledByRtpPacketSeenSubscriptionUntilReload) {
@@ -537,10 +532,10 @@ TEST(RuledslParity, FastpathDisabledByRtpPacketSeenSubscriptionUntilReload) {
 }
 
 TEST(RuledslParity, FastpathSeqJumpFallsBackByteIdentical) {
-  // An out-of-window sequence jump on a cached flow must fall back to the
-  // full pipeline with the microstate written back first, so the slow path
-  // sees the same last-sequence and emits the same RtpSeqJump the
-  // fastpath-off engine does — then the flow re-caches at the new position.
+  // An out-of-window sequence jump on a bypassing flow is stepped in place:
+  // the bypass's step sees the same last sequence the full pipeline would
+  // and emits the same RtpSeqJump the fastpath-off engine does, and the
+  // event's dispatch raises the same alert.
   const pkt::Endpoint media_src{pkt::Ipv4Address(10, 0, 0, 1), 16384};
   const pkt::Endpoint media_dst{pkt::Ipv4Address(10, 0, 0, 2), 16386};
   std::vector<pkt::Packet> stream =
@@ -565,14 +560,15 @@ TEST(RuledslParity, FastpathSeqJumpFallsBackByteIdentical) {
   EXPECT_GE(on.alerts().count_for_rule("rtp-attack"), 1u) << "the jump must still alert";
   EXPECT_EQ(alert_strings(on), alert_strings(off));
   EXPECT_EQ(ledger_strings(on), ledger_strings(off));
-  EXPECT_GT(on.fastpath_bypassed(), 40u);
-  EXPECT_GE(fastpath_invalidations(on), 1u) << "the jump must invalidate the cached flow";
+  EXPECT_EQ(on.fastpath_bypassed(), stream.size() - 1)
+      << "only the flow's first packet takes the full pipeline, the jump included";
 }
 
 TEST(RuledslParity, FastpathSsrcChangeFallsBackAndRecaches) {
-  // A mid-flow SSRC change misses the cache (the cached talker is gone),
-  // falls back, and the flow re-caches under the new SSRC — with the alert
-  // stream (here: silence) identical to the fastpath-off engine.
+  // A mid-flow SSRC change: the flow record is keyed by endpoints and the
+  // RTP state the step reads is per endpoint, so the new talker steps the
+  // same record on the bypass — with the alert stream (here: silence)
+  // identical to the fastpath-off engine.
   const pkt::Endpoint media_src{pkt::Ipv4Address(10, 0, 0, 1), 16384};
   const pkt::Endpoint media_dst{pkt::Ipv4Address(10, 0, 0, 2), 16386};
   std::vector<pkt::Packet> stream =
@@ -599,9 +595,8 @@ TEST(RuledslParity, FastpathSsrcChangeFallsBackAndRecaches) {
   EXPECT_EQ(alert_strings(on), alert_strings(off));
   EXPECT_EQ(ledger_strings(on), ledger_strings(off));
   EXPECT_GT(bypassed_before_change, 40u);
-  EXPECT_GE(fastpath_invalidations(on), 1u) << "the SSRC change must drop the cached flow";
-  EXPECT_GT(on.fastpath_bypassed(), bypassed_before_change + 10u)
-      << "the flow must re-cache under the new SSRC";
+  EXPECT_EQ(on.fastpath_bypassed(), stream.size() - 1)
+      << "the SSRC change keeps the flow on the bypass";
 }
 
 }  // namespace

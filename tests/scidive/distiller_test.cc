@@ -90,8 +90,18 @@ TEST(Distiller, DecodesRtp) {
   Bytes payload(160, 0xd5);
   auto wire = rtp::serialize_rtp(h, payload);
   Distiller d;
-  auto fp = d.distill(udp(kAMedia, kBMedia,
-                          std::string(reinterpret_cast<const char*>(wire.data()), wire.size())));
+  const pkt::Packet packet =
+      udp(kAMedia, kBMedia, std::string(reinterpret_cast<const char*>(wire.data()), wire.size()));
+  // The bypass's pre-peek lookup key: the header's endpoints, which the
+  // peek must report unchanged.
+  auto peek = d.peek_rtp(packet);
+  ASSERT_TRUE(peek.has_value());
+  auto endpoints = Distiller::header_endpoints(packet);
+  ASSERT_TRUE(endpoints.has_value());
+  EXPECT_EQ(endpoints->first, peek->src);
+  EXPECT_EQ(endpoints->second, peek->dst);
+  EXPECT_EQ(peek->dst, kBMedia);
+  auto fp = d.distill(packet);
   ASSERT_TRUE(fp.has_value());
   EXPECT_EQ(fp->protocol, Protocol::kRtp);
   ASSERT_NE(fp->rtp(), nullptr);

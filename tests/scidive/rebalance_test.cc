@@ -187,9 +187,10 @@ TEST(Rebalance, DifferentialOracleHoldsUnderPeriodicRebalance) {
 
 TEST(Rebalance, MigrationFlushesFastpathCacheAndKeepsDetecting) {
   // The migrated call's media flow was being bypassed by the established-
-  // flow fast path; extract/install on migration must flush the cache with
-  // an exact write-back so the destination shard still detects the BYE
-  // attack that depends on pre-migration dialog + media state.
+  // flow fast path; extract/install on migration drops the flow records
+  // and moves the session state they pointed at, so the destination shard
+  // still detects the BYE attack that depends on pre-migration dialog +
+  // media state.
   CaptureFixture f;
   voip::CallSniffer sniffer;
   f.net.add_tap(sniffer.tap());
@@ -222,17 +223,19 @@ TEST(Rebalance, MigrationFlushesFastpathCacheAndKeepsDetecting) {
     if (a.rule == "bye-attack") ++with_rule;
   }
   EXPECT_GE(with_rule, 1u) << "migration of a bypassed flow must not lose the attack";
-  obs::Snapshot snap = sharded.metrics_snapshot();
-  EXPECT_GE(snap.counter_value("scidive_fastpath_invalidations_total", {}), 1u)
-      << "the extract-side shard must have flushed its populated cache";
+  uint64_t bypassed_after = 0;
+  for (size_t i = 0; i < sharded.num_shards(); ++i) {
+    bypassed_after += sharded.shard(i).fastpath_bypassed();
+  }
+  EXPECT_GT(bypassed_after, bypassed) << "migrated flows re-attach and bypass again";
 }
 
 TEST(Rebalance, ExtractInstallHandoffWritesBackExactMicrostate) {
   // The fleet session-handoff primitive at engine level: extract a session
   // whose media flow is mid-bypass, install it on a second engine, and the
   // continued replay must produce alerts byte-identical to an undisturbed
-  // single engine — proving the written-back sequence/jitter microstate is
-  // exact, not merely close.
+  // single engine — proving the migrated sequence/jitter state the bypass
+  // stepped in place is exact, not merely close.
   CaptureFixture f;
   voip::CallSniffer sniffer;
   f.net.add_tap(sniffer.tap());

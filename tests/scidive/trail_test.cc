@@ -192,28 +192,33 @@ TEST(TrailManager, RebindingDropsOnlyRoutesThroughTheEndpoint) {
   tm.bind_media_endpoint(ep(4, 16384), "call-B");
   tm.add(rtp_packet(1, 7, 0, ep(1, 16384), ep(2, 16384)));
   tm.add(rtp_packet(1, 8, 0, ep(3, 16384), ep(4, 16384)));
-  const uint64_t generation = tm.media_generation();
+  EXPECT_EQ(tm.stats().flow_cache_hits, 0u);
 
-  // Re-signaling an unchanged binding changes nothing.
+  // Re-signaling an unchanged binding, and a new call's SDP naming a fresh
+  // endpoint: both cached routes survive.
   tm.bind_media_endpoint(ep(2, 16384), "call-A");
-  EXPECT_EQ(tm.media_generation(), generation);
-  // A new call's SDP names a fresh endpoint: both cached routes survive.
   tm.bind_media_endpoint(ep(5, 16384), "call-C");
+  ASSERT_NE(tm.find_flow(ep(1, 16384), ep(2, 16384), Protocol::kRtp), nullptr);
+  ASSERT_NE(tm.find_flow(ep(3, 16384), ep(4, 16384), Protocol::kRtp), nullptr);
   tm.add(rtp_packet(2, 7, msec(20), ep(1, 16384), ep(2, 16384)));
   tm.add(rtp_packet(2, 8, msec(20), ep(3, 16384), ep(4, 16384)));
   EXPECT_EQ(tm.stats().flow_cache_hits, 2u);
 
   // Re-binding call-B's endpoint drops exactly the route through it.
   tm.bind_media_endpoint(ep(4, 16384), "call-D");
+  EXPECT_NE(tm.find_flow(ep(1, 16384), ep(2, 16384), Protocol::kRtp), nullptr);
+  EXPECT_EQ(tm.find_flow(ep(3, 16384), ep(4, 16384), Protocol::kRtp), nullptr);
   tm.add(rtp_packet(3, 7, msec(40), ep(1, 16384), ep(2, 16384)));
   Trail& moved = tm.add(rtp_packet(3, 8, msec(40), ep(3, 16384), ep(4, 16384)));
   EXPECT_EQ(tm.stats().flow_cache_hits, 3u);
   EXPECT_EQ(moved.key().session, "call-D");
 
-  std::vector<pkt::Endpoint> rebound;
-  EXPECT_TRUE(tm.for_each_rebound_since(
-      generation, [&](const pkt::Endpoint& e) { rebound.push_back(e); }));
-  EXPECT_EQ(rebound, (std::vector<pkt::Endpoint>{ep(5, 16384), ep(4, 16384)}));
+  // The re-classified flow is cached again, now into the new session.
+  const MediaFlow* flow = tm.find_flow(ep(3, 16384), ep(4, 16384), Protocol::kRtp);
+  ASSERT_NE(flow, nullptr);
+  EXPECT_EQ(flow->trail, &moved);
+  tm.add(rtp_packet(4, 8, msec(60), ep(3, 16384), ep(4, 16384)));
+  EXPECT_EQ(tm.stats().flow_cache_hits, 4u);
 }
 
 TEST(TrailManager, RebindingReachesRtcpRoutesOnTheOddPort) {
@@ -233,15 +238,22 @@ TEST(TrailManager, RebindingReachesRtcpRoutesOnTheOddPort) {
 }
 
 TEST(TrailManager, MigrationCannotBeReplayedEndpointByEndpoint) {
+  // Extracting a session drops every cached route wholesale, not just the
+  // routes through its endpoints: other calls' flows are re-classified
+  // (into the same sessions) on their next packet.
   TrailManager tm;
   tm.bind_media_endpoint(ep(2, 16384), "call-A");
+  tm.bind_media_endpoint(ep(4, 16384), "call-B");
   tm.add(rtp_packet(1, 7, 0, ep(1, 16384), ep(2, 16384)));
-  const uint64_t generation = tm.media_generation();
+  tm.add(rtp_packet(1, 8, 0, ep(3, 16384), ep(4, 16384)));
   TrailManager::ExtractedSession moved = tm.extract_session("call-A");
   ASSERT_TRUE(moved.valid());
-  EXPECT_NE(tm.media_generation(), generation);
-  EXPECT_FALSE(tm.for_each_rebound_since(generation, [](const pkt::Endpoint&) {}))
-      << "cached routes into the departed trails are gone wholesale";
+  EXPECT_EQ(tm.find_flow(ep(1, 16384), ep(2, 16384), Protocol::kRtp), nullptr)
+      << "cached routes into the departed trails are gone";
+  EXPECT_EQ(tm.find_flow(ep(3, 16384), ep(4, 16384), Protocol::kRtp), nullptr);
+  EXPECT_EQ(tm.add(rtp_packet(2, 8, msec(20), ep(3, 16384), ep(4, 16384))).key().session,
+            "call-B");
+  EXPECT_EQ(tm.stats().flow_cache_hits, 0u);
 }
 
 TEST(TrailManager, InternsSessionSymbolsOnce) {
