@@ -13,9 +13,9 @@
 // optionally through a seeded loss gate (counted drops). flush() pumps
 // gossip to a fixpoint and then settles vouch-held claims, so post-flush
 // the union alert multiset is a deterministic function of the packet
-// sequence — the property the fleet differential oracle pins across node
-// counts. The netsim UDP transport (udp_transport.h) replaces this
-// harness's delivery loop with real simulated datagrams.
+// sequence — the property the topology oracle pins across node counts.
+// The netsim UDP transport (udp_transport.h) replaces this harness's
+// delivery loop with real simulated datagrams.
 #pragma once
 
 #include <memory>
@@ -41,8 +41,9 @@ struct FleetConfig {
   /// Streaming gossip cadence: pump every member and deliver built frames
   /// after this many dispatched packets.
   size_t pump_every_packets = 1024;
-  /// Seeded frame loss on the gossip channel (0 = lossless). Lossy runs
-  /// trade alerts for counted drops — the oracle relaxes accordingly.
+  /// Seeded frame loss on the gossip channel (0 = lossless). Lost frames
+  /// are counted (FleetStats::frames_lost); the oracle relaxes its parity
+  /// checks only for a run whose counters show loss.
   double gossip_loss = 0.0;
   uint64_t loss_seed = 1;
 };

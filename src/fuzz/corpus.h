@@ -5,7 +5,7 @@
 //
 // load_corpus_dir() replays the checked-in minimized crash corpus under
 // plain ctest (no libFuzzer required); adversarial_stream() is the input
-// the single-vs-sharded differential oracle feeds to both engines.
+// the topology oracle feeds to its baseline and every topology.
 #pragma once
 
 #include <string>

@@ -2,8 +2,6 @@
 
 #include <map>
 #include <sstream>
-#include <string_view>
-#include <tuple>
 
 #include "capture/pcap.h"
 #include "common/strings.h"
@@ -11,75 +9,62 @@
 namespace scidive::fuzz {
 namespace {
 
-/// (rule, session) -> count. The alert identity that must survive sharding.
-using AlertMultiset = std::map<std::pair<std::string, std::string>, size_t>;
+/// Identity -> count: "(rule, session)" for alerts, "(rule, session,
+/// action)" for verdicts.
+using Multiset = std::map<std::string, size_t>;
 
-AlertMultiset alert_multiset(const std::vector<core::Alert>& alerts) {
-  AlertMultiset out;
-  for (const core::Alert& a : alerts) ++out[{a.rule, a.session}];
-  return out;
-}
-
-/// (rule, session, action) -> count. The prevention identity: what a rule
-/// decided to do about whom must survive sharding just like alerts do.
-using VerdictMultiset = std::map<std::tuple<std::string, std::string, int>, size_t>;
-
-VerdictMultiset verdict_multiset(const std::vector<core::Verdict>& verdicts) {
-  VerdictMultiset out;
-  for (const core::Verdict& v : verdicts) {
-    ++out[{v.rule, v.session, static_cast<int>(v.action)}];
+Multiset alert_multiset(const std::vector<core::Alert>& alerts) {
+  Multiset out;
+  for (const core::Alert& a : alerts) {
+    ++out[str::format("(%s, %s)", a.rule.c_str(), a.session.c_str())];
   }
   return out;
 }
 
-void compare_verdicts(const VerdictMultiset& single, const VerdictMultiset& sharded,
-                      const std::string& who, std::vector<std::string>& mismatches) {
-  if (sharded == single) return;
-  for (const auto& [key, n] : single) {
-    auto it = sharded.find(key);
-    const size_t have = it == sharded.end() ? 0 : it->second;
+Multiset verdict_multiset(const std::vector<core::Verdict>& verdicts) {
+  Multiset out;
+  for (const core::Verdict& v : verdicts) {
+    ++out[str::format("(%s, %s, %s)", v.rule.c_str(), v.session.c_str(),
+                      std::string(core::verdict_action_name(v.action)).c_str())];
+  }
+  return out;
+}
+
+void compare_multisets(const char* what, const Multiset& baseline, const Multiset& run,
+                       const std::string& who, std::vector<std::string>& mismatches) {
+  if (run == baseline) return;
+  for (const auto& [key, n] : baseline) {
+    auto it = run.find(key);
+    const size_t have = it == run.end() ? 0 : it->second;
     if (have != n) {
-      mismatches.push_back(str::format(
-          "%s: verdict (%s, %s, %s) x%zu, single has x%zu", who.c_str(),
-          std::get<0>(key).c_str(), std::get<1>(key).c_str(),
-          std::string(core::verdict_action_name(
-                          static_cast<core::VerdictAction>(std::get<2>(key))))
-              .c_str(),
-          have, n));
+      mismatches.push_back(str::format("%s: %s %s x%zu, baseline has x%zu", who.c_str(),
+                                       what, key.c_str(), have, n));
     }
   }
-  for (const auto& [key, n] : sharded) {
-    if (single.find(key) == single.end()) {
-      mismatches.push_back(str::format(
-          "%s: extra verdict (%s, %s, %s) x%zu not emitted by single engine",
-          who.c_str(), std::get<0>(key).c_str(), std::get<1>(key).c_str(),
-          std::string(core::verdict_action_name(
-                          static_cast<core::VerdictAction>(std::get<2>(key))))
-              .c_str(),
-          n));
+  for (const auto& [key, n] : run) {
+    if (baseline.find(key) == baseline.end()) {
+      mismatches.push_back(str::format("%s: extra %s %s x%zu not in baseline", who.c_str(),
+                                       what, key.c_str(), n));
     }
   }
 }
 
 /// Detection-side metric families that must be topology-invariant. Packet,
 /// fragment and reassembly counters are deliberately absent: the single
-/// engine reassembles in its distiller while the sharded engine reassembles
-/// in the router, so those legitimately differ in placement.
-bool comparable_family(std::string_view name) {
-  return name == "scidive_events_total" || name == "scidive_events_by_type_total" ||
-         name == "scidive_alerts_total" || name == "scidive_rule_alerts_total" ||
-         name == "scidive_rule_events_total" || name == "scidive_parse_errors_total";
-}
-
+/// engine reassembles in its distiller while sharded and fleet front-ends
+/// reassemble in their routers, so those legitimately differ in placement.
+/// Control-plane families (scidive_fleet_*, ring gauges) scale with the
+/// topology by design.
 bool comparable_sample(const obs::Sample& s) {
   if (s.kind != obs::InstrumentKind::kCounter) return false;
-  if (!comparable_family(s.name)) return false;
-  if (s.name == "scidive_parse_errors_total") {
-    // The ipv4 axis counts fragment-train failures, which land in the
-    // router (uncounted by shard distillers) under sharding.
-    for (const auto& [k, v] : s.labels) {
-      if (k == "proto" && v == "ipv4") return false;
-    }
+  if (s.name != "scidive_events_total" && s.name != "scidive_events_by_type_total" &&
+      s.name != "scidive_alerts_total" && s.name != "scidive_rule_alerts_total" &&
+      s.name != "scidive_rule_events_total" && s.name != "scidive_parse_errors_total")
+    return false;
+  // The ipv4 axis counts fragment-train failures, which land in the router
+  // (uncounted by shard distillers) outside the single engine.
+  for (const auto& [k, v] : s.labels) {
+    if (s.name == "scidive_parse_errors_total" && k == "proto" && v == "ipv4") return false;
   }
   return true;
 }
@@ -93,37 +78,257 @@ std::string label_string(const obs::Labels& labels) {
   return out;
 }
 
-void compare_metrics(const obs::Snapshot& single, obs::Snapshot sharded,
+void compare_metrics(const obs::Snapshot& baseline, const obs::Snapshot& run,
                      const std::string& who, std::vector<std::string>& mismatches) {
-  for (const obs::Sample& s : single.samples()) {
+  for (const obs::Sample& s : baseline.samples()) {
     if (!comparable_sample(s)) continue;
-    uint64_t other = sharded.counter_value(s.name, s.labels);
+    const uint64_t other = run.counter_value(s.name, s.labels);
     if (other != s.counter) {
       mismatches.push_back(str::format(
-          "%s: %s{%s} = %llu, single = %llu", who.c_str(), s.name.c_str(),
+          "%s: %s{%s} = %llu, baseline = %llu", who.c_str(), s.name.c_str(),
           label_string(s.labels).c_str(), static_cast<unsigned long long>(other),
           static_cast<unsigned long long>(s.counter)));
     }
   }
-  // Reverse direction: a lazily-registered cell present only under sharding
-  // is itself a divergence.
-  for (const obs::Sample& s : sharded.samples()) {
+  // Reverse direction: a lazily-registered cell present only in the run is
+  // itself a divergence.
+  for (const obs::Sample& s : run.samples()) {
     if (!comparable_sample(s) || s.counter == 0) continue;
-    if (single.find(s.name, s.labels) == nullptr) {
-      mismatches.push_back(str::format(
-          "%s: %s{%s} = %llu, absent from single engine", who.c_str(),
-          s.name.c_str(), label_string(s.labels).c_str(),
-          static_cast<unsigned long long>(s.counter)));
+    if (baseline.find(s.name, s.labels) == nullptr) {
+      mismatches.push_back(str::format("%s: %s{%s} = %llu, absent from baseline",
+                                       who.c_str(), s.name.c_str(),
+                                       label_string(s.labels).c_str(),
+                                       static_cast<unsigned long long>(s.counter)));
     }
   }
 }
 
+/// What one run leaves for the comparisons.
+struct Outcome {
+  std::string who;
+  Multiset alerts;
+  Multiset verdicts;
+  obs::Snapshot metrics;
+  uint64_t filtered = 0;
+  /// Loss the run's own counters show: ring drops, lost gossip frames,
+  /// dropped gossip records.
+  uint64_t lost = 0;
+};
+
+size_t total(const Multiset& m) {
+  size_t n = 0;
+  for (const auto& [key, count] : m) n += count;
+  return n;
+}
+
+/// Runs one topology (std::visit) and checks its accounting identity.
+class Runner {
+ public:
+  Runner(const std::vector<pkt::Packet>& stream, const DifferentialConfig& config,
+         DifferentialReport& report)
+      : stream_(stream), make_rules_(config.make_rules), report_(report) {
+    engine_ = config.engine;
+    engine_.obs.time_stages = false;
+  }
+
+  Outcome baseline() {
+    core::EngineConfig ec = engine_;
+    ec.fastpath.enabled = false;
+    return single("baseline", ec, stream_);
+  }
+
+  Outcome operator()(const FastPath&) {
+    core::EngineConfig ec = engine_;
+    ec.fastpath.enabled = true;
+    return single("fast path", ec, stream_);
+  }
+
+  Outcome operator()(const PcapReplay&) {
+    std::ostringstream exported(std::ios::binary);
+    capture::PcapWriter writer(exported);
+    for (const pkt::Packet& packet : stream_) writer.write(packet);
+    std::istringstream back(exported.str(), std::ios::binary);
+    capture::PcapFileSource source(back);
+    const std::vector<pkt::Packet> reimported = capture::read_all(source);
+    if (!source.ok()) mismatch("pcap replay: reimport failed: " + source.error());
+    if (reimported.size() != stream_.size()) {
+      mismatch(str::format("pcap replay: %zu packets in, %zu back", stream_.size(),
+                           reimported.size()));
+    } else {
+      for (size_t i = 0; i < stream_.size(); ++i) {
+        if (reimported[i].data != stream_[i].data ||
+            reimported[i].timestamp != stream_[i].timestamp) {
+          mismatch(str::format("pcap replay: packet %zu differs after reimport", i));
+          break;
+        }
+      }
+    }
+    return single("pcap replay", engine_, reimported);
+  }
+
+  Outcome operator()(const Sharded& t) {
+    core::ShardedEngineConfig sc = t.config;
+    sc.engine = engine_;
+    Outcome out;
+    out.who = str::format("%zu shards", sc.num_shards);
+    if (sc.route_invite_by_caller) out.who += " by caller";
+    if (t.rebalance_every != 0) out.who += str::format(" rebalanced /%zu", t.rebalance_every);
+
+    core::ShardedEngine sharded(sc);
+    if (make_rules_) sharded.set_rules([&](size_t) { return make_rules_(); });
+    size_t fed = 0;
+    for (const pkt::Packet& packet : stream_) {
+      sharded.on_packet(packet);
+      if (t.rebalance_every != 0 && ++fed % t.rebalance_every == 0) sharded.rebalance();
+    }
+    sharded.flush();
+
+    const core::ShardedEngineStats stats = sharded.stats();
+    const uint64_t held = sharded.router().stats().fragments_held;
+    if (stats.packets_seen != stream_.size() ||
+        stats.packets_seen != stats.packets_filtered + stats.packets_dropped + held +
+                                  stats.engine.packets_seen) {
+      mismatch(str::format(
+          "%s: accounting identity broken: offered=%zu seen=%llu filtered=%llu "
+          "dropped=%llu held=%llu shard-seen=%llu",
+          out.who.c_str(), stream_.size(),
+          static_cast<unsigned long long>(stats.packets_seen),
+          static_cast<unsigned long long>(stats.packets_filtered),
+          static_cast<unsigned long long>(stats.packets_dropped),
+          static_cast<unsigned long long>(held),
+          static_cast<unsigned long long>(stats.engine.packets_seen)));
+    }
+    out.alerts = alert_multiset(sharded.merged_alerts());
+    out.verdicts = verdict_multiset(sharded.merged_verdicts());
+    out.metrics = sharded.metrics_snapshot();
+    out.filtered = stats.packets_filtered;
+    out.lost = stats.packets_dropped;
+    return out;
+  }
+
+  Outcome operator()(const FleetRun& t) {
+    fleet::FleetConfig fc = t.config;
+    fc.home_addresses = engine_.home_addresses;
+    fc.node.engine.engine = engine_;
+    const bool churn = t.join_at != 0 || t.leave_at != 0;
+    Outcome out;
+    out.who = str::format("%zu nodes x %zu workers", t.nodes, fc.node.engine.num_shards);
+    if (fc.node.engine.route_invite_by_caller) out.who += " by caller";
+    if (churn) out.who += " (churn)";
+
+    std::vector<std::string> names;
+    for (size_t i = 0; i < t.nodes; ++i) names.push_back(str::format("node-%zu", i));
+    fleet::Fleet fleet(fc, names);
+    auto install_rules = [&](fleet::FleetNode& node) {
+      if (make_rules_) node.engine().set_rules([&](size_t) { return make_rules_(); });
+    };
+    for (size_t i = 0; i < fleet.size(); ++i) install_rules(fleet.node_at(i));
+    size_t fed = 0;
+    for (const pkt::Packet& packet : stream_) {
+      fleet.on_packet(packet);
+      ++fed;
+      if (fed == t.join_at && fleet.add_node("joiner")) install_rules(*fleet.node("joiner"));
+      if (t.leave_at > t.join_at && fed == t.leave_at) fleet.remove_node("node-0");
+    }
+    fleet.flush();
+
+    const fleet::FleetStats fs = fleet.stats();
+    report_.sessions_handed_off += fs.sessions_handed_off;
+    // Every packet offered is filtered, held as an incomplete fragment, or
+    // seen by exactly one member's front-end, whose own identity covers its
+    // ring drops and shards.
+    uint64_t node_seen = fs.retired_engine_seen, node_dropped = fs.retired_engine_dropped;
+    for (size_t i = 0; i < fleet.size(); ++i) {
+      const core::ShardedEngineStats ns = fleet.node_at(i).engine().stats();
+      node_seen += ns.packets_seen;
+      node_dropped += ns.packets_dropped;
+    }
+    const uint64_t held = fleet.router().stats().fragments_held;
+    if (fs.packets_seen != stream_.size() ||
+        fs.packets_seen != fs.packets_filtered + held + node_seen) {
+      mismatch(str::format(
+          "%s: accounting identity broken: offered=%zu seen=%llu filtered=%llu "
+          "held=%llu node-seen=%llu",
+          out.who.c_str(), stream_.size(), static_cast<unsigned long long>(fs.packets_seen),
+          static_cast<unsigned long long>(fs.packets_filtered),
+          static_cast<unsigned long long>(held),
+          static_cast<unsigned long long>(node_seen)));
+    }
+    out.alerts = alert_multiset(fleet.merged_alerts());
+    out.verdicts = verdict_multiset(fleet.merged_verdicts());
+    out.metrics = fleet.merged_metrics();
+    out.filtered = fs.packets_filtered;
+    out.lost = fs.frames_lost + fleet.node_stats().gossip_records_dropped + node_dropped;
+    return out;
+  }
+
+ private:
+  Outcome single(std::string who, const core::EngineConfig& ec,
+                 const std::vector<pkt::Packet>& packets) {
+    core::ScidiveEngine engine(ec);
+    if (make_rules_) engine.set_rules(make_rules_());
+    for (const pkt::Packet& packet : packets) engine.on_packet(packet);
+    const core::EngineStats stats = engine.stats();
+    if (stats.packets_seen != packets.size() ||
+        stats.packets_seen != stats.packets_filtered + stats.packets_inspected) {
+      mismatch(str::format("%s: accounting identity broken: offered=%zu seen=%llu "
+                           "filtered=%llu inspected=%llu",
+                           who.c_str(), packets.size(),
+                           static_cast<unsigned long long>(stats.packets_seen),
+                           static_cast<unsigned long long>(stats.packets_filtered),
+                           static_cast<unsigned long long>(stats.packets_inspected)));
+    }
+    Outcome out;
+    out.who = std::move(who);
+    out.alerts = alert_multiset(engine.alerts().alerts());
+    out.verdicts = verdict_multiset(engine.verdicts().verdicts());
+    out.metrics = engine.metrics_snapshot();
+    out.filtered = stats.packets_filtered;
+    return out;
+  }
+
+  void mismatch(std::string m) { report_.mismatches.push_back(std::move(m)); }
+
+  const std::vector<pkt::Packet>& stream_;
+  const std::function<std::vector<core::RulePtr>()>& make_rules_;
+  DifferentialReport& report_;
+  core::EngineConfig engine_;
+};
+
 }  // namespace
+
+Sharded sharded_on(size_t workers) {
+  Sharded t;
+  t.config.num_shards = workers;
+  return t;
+}
+
+FleetRun fleet_of(size_t nodes, size_t workers_per_node) {
+  FleetRun t;
+  t.nodes = nodes;
+  t.config.node.engine.num_shards = workers_per_node;
+  return t;
+}
+
+Sharded by_caller(Sharded topology) {
+  topology.config.route_invite_by_caller = true;
+  return topology;
+}
+
+FleetRun by_caller(FleetRun topology) {
+  topology.config.node.engine.route_invite_by_caller = true;
+  return topology;
+}
+
+std::vector<Topology> default_topologies() {
+  return {FastPath{},    sharded_on(1), sharded_on(2),
+          sharded_on(4), sharded_on(8), by_caller(sharded_on(4))};
+}
 
 std::string DifferentialReport::to_string() const {
   if (ok()) {
-    return str::format("differential oracle OK: %zu packets, %zu alerts", packets,
-                       single_alerts);
+    return str::format("differential oracle OK: %zu packets, %zu alerts, %zu verdicts",
+                       packets, baseline_alerts, baseline_verdicts);
   }
   std::string out = str::format("differential oracle FAILED (%zu mismatches):",
                                 mismatches.size());
@@ -138,179 +343,27 @@ DifferentialReport run_differential(const std::vector<pkt::Packet>& stream,
                                     const DifferentialConfig& config) {
   DifferentialReport report;
   report.packets = stream.size();
+  Runner runner(stream, config, report);
+  const Outcome baseline = runner.baseline();
+  report.baseline_alerts = total(baseline.alerts);
+  report.baseline_verdicts = total(baseline.verdicts);
 
-  core::EngineConfig engine_config = config.engine;
-  engine_config.obs.time_stages = false;
-  // Fastpath-differential mode: the reference engine runs with the bypass
-  // disabled; everything compared against it runs with it enabled.
-  core::EngineConfig baseline_config = engine_config;
-  if (config.fastpath_differential) {
-    baseline_config.fastpath.enabled = false;
-    engine_config.fastpath.enabled = true;
-  }
-
-  core::ScidiveEngine single(baseline_config);
-  if (config.make_rules) single.set_rules(config.make_rules());
-  for (const pkt::Packet& packet : stream) single.on_packet(packet);
-  const AlertMultiset single_alerts = alert_multiset(single.alerts().alerts());
-  const VerdictMultiset single_verdicts =
-      config.verdict_mode ? verdict_multiset(single.verdicts().verdicts())
-                          : VerdictMultiset{};
-  const obs::Snapshot single_snapshot = single.metrics_snapshot();
-  report.single_alerts = single.alerts().alerts().size();
-  report.single_verdicts = config.verdict_mode ? single.verdicts().count() : 0;
-  const core::EngineStats single_stats = single.stats();
-
-  if (config.fastpath_differential) {
-    // A fastpath-on single engine against the fastpath-off baseline: the
-    // purest form of the bypass-changes-nothing claim, with no sharding in
-    // the mix.
-    core::ScidiveEngine fast(engine_config);
-    if (config.make_rules) fast.set_rules(config.make_rules());
-    for (const pkt::Packet& packet : stream) fast.on_packet(packet);
-    if (alert_multiset(fast.alerts().alerts()) != single_alerts) {
-      report.mismatches.push_back(
-          "fastpath-on single: alert multiset diverged from fastpath-off baseline");
-    }
-    if (config.verdict_mode) {
-      compare_verdicts(single_verdicts, verdict_multiset(fast.verdicts().verdicts()),
-                       "fastpath-on single", report.mismatches);
-    }
-    compare_metrics(single_snapshot, fast.metrics_snapshot(), "fastpath-on single",
-                    report.mismatches);
-  }
-
-  // Pcap-replay mode: everything downstream consumes the stream after a
-  // trip through the capture file format.
-  std::vector<pkt::Packet> reimported;
-  const std::vector<pkt::Packet>* replay_stream = &stream;
-  if (config.pcap_roundtrip) {
-    std::ostringstream exported(std::ios::binary);
-    capture::PcapWriter writer(exported);
-    for (const pkt::Packet& packet : stream) writer.write(packet);
-    std::istringstream back(exported.str(), std::ios::binary);
-    capture::PcapFileSource source(back);
-    reimported = capture::read_all(source);
-    if (!source.ok()) {
-      report.mismatches.push_back("pcap roundtrip: reimport failed: " + source.error());
-    }
-    if (reimported.size() != stream.size()) {
-      report.mismatches.push_back(
-          str::format("pcap roundtrip: %zu packets in, %zu back", stream.size(),
-                      reimported.size()));
-    } else {
-      for (size_t i = 0; i < stream.size(); ++i) {
-        if (reimported[i].data != stream[i].data ||
-            reimported[i].timestamp != stream[i].timestamp) {
-          report.mismatches.push_back(
-              str::format("pcap roundtrip: packet %zu differs after reimport", i));
-          break;
-        }
-      }
-    }
-    // End-to-end: a fresh single engine over the reimported stream must
-    // raise the identical alert multiset.
-    core::ScidiveEngine replayed(engine_config);
-    if (config.make_rules) replayed.set_rules(config.make_rules());
-    for (const pkt::Packet& packet : reimported) replayed.on_packet(packet);
-    if (alert_multiset(replayed.alerts().alerts()) != single_alerts) {
-      report.mismatches.push_back(
-          "pcap roundtrip: alert multiset diverged after capture-file replay");
-    }
-    if (config.verdict_mode &&
-        verdict_multiset(replayed.verdicts().verdicts()) != single_verdicts) {
-      report.mismatches.push_back(
-          "pcap roundtrip: verdict multiset diverged after capture-file replay");
-    }
-    replay_stream = &reimported;
-  }
-
-  for (size_t shards : config.shard_counts) {
-    core::ShardedEngineConfig sc;
-    sc.engine = engine_config;
-    sc.num_shards = shards;
-    sc.queue_capacity = config.queue_capacity;
-    sc.overflow = config.overflow;
-    if (config.batch_size != 0) sc.batch_size = config.batch_size;
-    sc.route_invite_by_caller = config.verdict_mode;
-    core::ShardedEngine sharded(sc);
-    if (config.make_rules) {
-      sharded.set_rules([&](size_t) { return config.make_rules(); });
-    }
-    if (config.rebalance_interval != 0) {
-      size_t since = 0;
-      for (const pkt::Packet& packet : *replay_stream) {
-        sharded.on_packet(packet);
-        if (++since >= config.rebalance_interval) {
-          since = 0;
-          sharded.rebalance();
-        }
-      }
-    } else {
-      for (const pkt::Packet& packet : *replay_stream) sharded.on_packet(packet);
-    }
-    sharded.flush();
-
-    const core::ShardedEngineStats stats = sharded.stats();
-    if (stats.packets_seen != replay_stream->size()) {
+  for (const Topology& topology : config.topologies) {
+    const Outcome run = std::visit(runner, topology);
+    if (run.filtered != baseline.filtered) {
       report.mismatches.push_back(str::format(
-          "%zu shards: front-end saw %llu of %zu packets", shards,
-          static_cast<unsigned long long>(stats.packets_seen), replay_stream->size()));
+          "%s: filtered %llu packets, baseline filtered %llu", run.who.c_str(),
+          static_cast<unsigned long long>(run.filtered),
+          static_cast<unsigned long long>(baseline.filtered)));
     }
-    // Every packet offered to the front-end is filtered, dropped on a full
-    // ring, held as an incomplete fragment in the router's reassembler, or
-    // seen by exactly one shard engine. Nothing may vanish.
-    const uint64_t held = sharded.router().stats().fragments_held;
-    if (stats.packets_seen != stats.packets_filtered + stats.packets_dropped + held +
-                                  stats.engine.packets_seen) {
-      report.mismatches.push_back(str::format(
-          "%zu shards: accounting identity broken: seen=%llu filtered=%llu "
-          "dropped=%llu held=%llu shard-seen=%llu",
-          shards, static_cast<unsigned long long>(stats.packets_seen),
-          static_cast<unsigned long long>(stats.packets_filtered),
-          static_cast<unsigned long long>(stats.packets_dropped),
-          static_cast<unsigned long long>(held),
-          static_cast<unsigned long long>(stats.engine.packets_seen)));
-    }
-    if (stats.packets_filtered != single_stats.packets_filtered) {
-      report.mismatches.push_back(str::format(
-          "%zu shards: filtered %llu packets, single filtered %llu", shards,
-          static_cast<unsigned long long>(stats.packets_filtered),
-          static_cast<unsigned long long>(single_stats.packets_filtered)));
-    }
-
-    // With drops in play (kDrop under saturation) the alert sets may
-    // legitimately differ — the lost packets are counted, not hidden.
-    if (stats.packets_dropped != 0) continue;
-
-    const AlertMultiset sharded_alerts = alert_multiset(sharded.merged_alerts());
-    if (sharded_alerts != single_alerts) {
-      for (const auto& [key, n] : single_alerts) {
-        auto it = sharded_alerts.find(key);
-        size_t have = it == sharded_alerts.end() ? 0 : it->second;
-        if (have != n) {
-          report.mismatches.push_back(str::format(
-              "%zu shards: alert (%s, %s) x%zu, single has x%zu", shards,
-              key.first.c_str(), key.second.c_str(), have, n));
-        }
-      }
-      for (const auto& [key, n] : sharded_alerts) {
-        if (single_alerts.find(key) == single_alerts.end()) {
-          report.mismatches.push_back(str::format(
-              "%zu shards: extra alert (%s, %s) x%zu not raised by single engine",
-              shards, key.first.c_str(), key.second.c_str(), n));
-        }
-      }
-    }
-
-    const std::string who = str::format("%zu shards", shards);
-    if (config.verdict_mode) {
-      compare_verdicts(single_verdicts, verdict_multiset(sharded.merged_verdicts()),
-                       who, report.mismatches);
-    }
-
-    compare_metrics(single_snapshot, sharded.metrics_snapshot(), who,
-                    report.mismatches);
+    // Counted loss legitimately trades detections for drops; the lost
+    // packets and frames are counted, not hidden. A run whose counters show
+    // no loss is held to every comparison.
+    if (run.lost != 0) continue;
+    compare_multisets("alert", baseline.alerts, run.alerts, run.who, report.mismatches);
+    compare_multisets("verdict", baseline.verdicts, run.verdicts, run.who,
+                      report.mismatches);
+    compare_metrics(baseline.metrics, run.metrics, run.who, report.mismatches);
   }
   return report;
 }

@@ -1,70 +1,87 @@
-// Single-vs-sharded differential oracle. The ShardedEngine's contract is
-// that session-affinity routing changes *where* state lives, never *what*
-// is detected — so for any packet stream, benign or adversarial, a sharded
-// engine must raise the same (rule, session) alert multiset as a single
-// ScidiveEngine, and (when nothing is dropped) agree on the detection-side
-// metric families. run_differential() checks that contract across a set of
-// shard counts and reports every divergence it finds.
+// The topology oracle. SCIDIVE's contract is that detection depends only on
+// the packet stream, never on where state lives: for any stream, benign or
+// adversarial, every deployment of one EngineConfig must raise the same
+// (rule, session) alert multiset, emit the same (rule, session, action)
+// verdict multiset and count the same detection metric families as one
+// ScidiveEngine with the fast path off — the only baseline. Each entry of
+// the topology list is one deployment, configured by its own production
+// struct: a single engine with the fast path on, a single engine over the
+// stream's pcap re-import, a ShardedEngine, or a Fleet.
+// run_differential() replays the stream through the baseline and every
+// topology and reports each divergence it finds.
 #pragma once
 
 #include <functional>
 #include <string>
+#include <variant>
 #include <vector>
 
+#include "fleet/fleet.h"
 #include "pkt/packet.h"
 #include "scidive/sharded_engine.h"
 
 namespace scidive::fuzz {
 
+/// A single engine with the established-flow fast path on.
+struct FastPath {};
+
+/// A single engine over the stream after an in-memory pcap export and
+/// re-import, which must give back byte- and timestamp-identical packets.
+/// Streams must have non-negative timestamps (pcap cannot represent them).
+struct PcapReplay {};
+
+/// A ShardedEngine. The oracle's engine config replaces `config.engine`.
+struct Sharded {
+  core::ShardedEngineConfig config;
+  /// Call rebalance() every this-many packets (0 = never): migration must
+  /// lose no rule, event or trail state.
+  size_t rebalance_every = 0;
+};
+
+/// A Fleet of `nodes` members named node-0.. . The oracle's engine config
+/// replaces `config.node.engine.engine` and its home scope the fleet's.
+struct FleetRun {
+  fleet::FleetConfig config;
+  size_t nodes = 1;
+  /// Churn: when join_at > 0, node "joiner" joins after that many packets;
+  /// when leave_at > join_at, node-0 then leaves. Both hand sessions off.
+  size_t join_at = 0;
+  size_t leave_at = 0;
+};
+
+using Topology = std::variant<FastPath, PcapReplay, Sharded, FleetRun>;
+
+Sharded sharded_on(size_t workers);
+FleetRun fleet_of(size_t nodes, size_t workers_per_node);
+/// The same deployment with INVITEs routed by the caller's AOR
+/// (ShardedEngineConfig::route_invite_by_caller).
+Sharded by_caller(Sharded topology);
+FleetRun by_caller(FleetRun topology);
+
+/// The fast path on, sharded at 1/2/4/8 workers, and 4 workers routing
+/// INVITEs by caller.
+std::vector<Topology> default_topologies();
+
 struct DifferentialConfig {
-  std::vector<size_t> shard_counts = {1, 2, 4, 8};
-  core::OverflowPolicy overflow = core::OverflowPolicy::kBlock;
-  size_t queue_capacity = 4096;
-  /// Worker drain batch size (0 keeps the ShardedEngine default).
-  size_t batch_size = 0;
-  /// Base per-engine configuration. time_stages is forced off (wall-clock
-  /// histograms can never be equal) and the home scope is left as given.
+  /// The deployments each compared against the baseline.
+  std::vector<Topology> topologies = default_topologies();
+  /// The detection config every run shares. obs.time_stages is forced off
+  /// (wall-clock histograms can never be equal) and the baseline forces
+  /// fastpath.enabled off.
   core::EngineConfig engine;
-  /// Optional ruleset override, called once per engine instance (the single
-  /// engine and every shard of every sharded engine) before any traffic.
-  /// Leave empty to keep the built-in C++ ruleset. DSL parity tests use
-  /// this to prove compiled rules are topology-invariant too.
+  /// Optional ruleset override, called once per engine instance (every
+  /// single engine and every shard of every node) before any traffic.
+  /// Leave empty to keep the built-in C++ ruleset.
   std::function<std::vector<core::RulePtr>()> make_rules;
-  /// Pcap-replay mode: export the stream to an in-memory pcap file, read it
-  /// back, and require (a) byte- and timestamp-identical packets, (b) an
-  /// identical alert multiset from a second single engine fed the reimported
-  /// stream. The sharded engines then consume the *reimported* stream, so
-  /// the whole oracle also proves capture-file replay is losslessly
-  /// detection-equivalent. Streams must have non-negative timestamps (the
-  /// wire format cannot represent negatives).
-  bool pcap_roundtrip = false;
-  /// When non-zero, call ShardedEngine::rebalance() every this-many packets
-  /// during replay. The rebalancer migrates whole sessions between shards;
-  /// the oracle's identical-alert-multiset check then also proves migration
-  /// loses no rule/event/trail state.
-  size_t rebalance_interval = 0;
-  /// Verdict-parity mode: additionally require every sharded engine to emit
-  /// the identical (rule, session, action) verdict multiset as the single
-  /// engine. Implies route_invite_by_caller on the sharded front-ends so
-  /// principal-keyed prevention rules (SPIT graylisting) see a caller's
-  /// whole INVITE stream on one shard, exactly as the single engine does.
-  /// Pair with an EngineConfig whose enforce mode is kPassive or kInline
-  /// and a make_rules that installs a prevention ruleset.
-  bool verdict_mode = false;
-  /// Fastpath-differential mode: the baseline single engine runs with the
-  /// established-flow fast path disabled, an extra single engine and every
-  /// sharded engine run with it enabled, and all of them must produce the
-  /// identical alert/verdict multisets and detection metric families. This
-  /// is the oracle for the fast path's core claim: bypassing steady-state
-  /// media never changes what is detected.
-  bool fastpath_differential = false;
 };
 
 struct DifferentialReport {
   size_t packets = 0;
-  size_t single_alerts = 0;
-  /// Verdicts the single engine emitted (0 unless verdict_mode).
-  size_t single_verdicts = 0;
+  size_t baseline_alerts = 0;
+  size_t baseline_verdicts = 0;
+  /// Sessions moved by fleet churn, summed over runs (a churn run that
+  /// moves nothing proves nothing).
+  uint64_t sessions_handed_off = 0;
   /// Human-readable divergence descriptions; empty means the oracle holds.
   std::vector<std::string> mismatches;
 
@@ -72,17 +89,18 @@ struct DifferentialReport {
   std::string to_string() const;
 };
 
-/// Feed `stream` through one single-threaded engine and one ShardedEngine
-/// per configured shard count, all built from the same EngineConfig, and
-/// compare:
-///   - the (rule, session) alert multiset (always);
-///   - the (rule, session, action) verdict multiset (verdict_mode);
-///   - the accounting identity seen == filtered + dropped + shard-seen
-///     (always);
-///   - the detection metric families — events, events by type, alerts,
-///     per-rule alerts, and parse errors excluding the ipv4 axis — when the
-///     run was lossless (reassembly placement differs between the two
-///     topologies, so packet/fragment counters are out of scope by design).
+/// Feed `stream` through the baseline and every topology, and require of
+/// each topology:
+///   - the accounting identity: every packet offered is filtered, dropped
+///     on a full ring, held as an incomplete fragment, or seen by exactly
+///     one engine;
+///   - the baseline's packets_filtered;
+///   - unless its own counters show loss (ring drops, lost gossip frames,
+///     dropped gossip records), the baseline's alert multiset, verdict
+///     multiset and detection metric families — events, events by type,
+///     alerts, per-rule alerts and events, and parse errors except the ipv4
+///     axis (reassembly placement differs across topologies, so packet and
+///     fragment counters are out of scope by design).
 DifferentialReport run_differential(const std::vector<pkt::Packet>& stream,
                                     const DifferentialConfig& config = {});
 

@@ -328,7 +328,7 @@ void ScidiveEngine::sync_component_stats() {
   // *would have* distilled as RTP, routed through the flow cache into its
   // bound trail and run through the event generator (producing nothing).
   // Adding the bypass aggregates keeps every one of these families equal to
-  // its fastpath-off value, so the differential oracle and the single-vs-
+  // its fastpath-off value, so the topology oracle and the single-vs-
   // sharded parity check hold with the fast path on.
   registry_.counter("scidive_distiller_packets_total", "Packets entering the distiller")
       .sync(d.packets_in + bypassed_total_);

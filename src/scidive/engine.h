@@ -47,7 +47,7 @@ struct FastpathConfig {
   /// routing and the ring append, and runs the same in-place RTP step the
   /// full pipeline runs; events and rule dispatch happen only when the
   /// step emits. Detection output is byte-identical on or off; off is the
-  /// reference twin the differential oracles compare against.
+  /// baseline the topology oracle compares every deployment against.
   bool enabled = true;
 };
 

@@ -81,9 +81,12 @@ size_t ShardRouter::shard_of_key(std::string_view key) const {
 }
 
 size_t ShardRouter::session_shard(std::string_view key) const {
-  const uint64_t h = ShardDirectory::key_hash(key);
-  if (auto moved = directory_->override_shard(h)) return *moved % config_.num_shards;
-  return mix64(h) % config_.num_shards;
+  return session_shard(ShardDirectory::key_hash(key));
+}
+
+size_t ShardRouter::session_shard(uint64_t key_hash) const {
+  if (auto moved = directory_->override_shard(key_hash)) return *moved % config_.num_shards;
+  return mix64(key_hash) % config_.num_shards;
 }
 
 void ShardRouter::learn_media(pkt::Endpoint media, size_t shard) {
@@ -145,25 +148,32 @@ size_t ShardRouter::route_datagram(const pkt::Packet& packet) {
     // route_invite_by_caller, INVITE-transaction traffic also routes by the
     // caller's AOR (per-caller graylist state), and the Call-ID is pinned
     // via an override so mid-dialog packets whose From differs (a callee's
-    // BYE) still land on the caller's shard.
-    const bool by_principal =
-        cseq_method == "REGISTER" || cseq_method == "MESSAGE" ||
-        (config_.route_invite_by_caller && cseq_method == "INVITE");
+    // BYE) still land on the caller's shard. Only the dialog's first INVITE
+    // routes by caller: once the Call-ID is pinned, every later INVITE-CSeq
+    // packet (responses, re-INVITEs, a forged re-INVITE from another From)
+    // follows the pin and never moves it — moving it would strand the
+    // dialog's state on the old shard.
+    const std::string call_id = m.call_id().value_or("");
+    const uint64_t cid_hash =
+        ShardDirectory::key_hash(call_id.empty() ? std::string_view("sip-anon") : call_id);
+    const bool by_caller_invite = config_.route_invite_by_caller && cseq_method == "INVITE";
+    std::optional<uint32_t> dialog_pin;
+    if (by_caller_invite && !call_id.empty()) dialog_pin = directory_->override_shard(cid_hash);
+    const bool by_principal = cseq_method == "REGISTER" || cseq_method == "MESSAGE" ||
+                              (by_caller_invite && !dialog_pin);
     if (by_principal && !from_aor.empty()) {
       ++stats_.by_principal;
       shard = shard_of_key(from_aor);
       // This call-id's trails live wherever the principal's state lives;
       // pin the session so the rebalancer never separates them.
-      if (auto cid = m.call_id(); cid && !cid->empty()) {
-        const uint64_t cid_hash = ShardDirectory::key_hash(*cid);
+      if (!call_id.empty()) {
         directory_->mark_principal_routed(cid_hash);
         if (cseq_method == "INVITE" || config_.pin_principal_call_ids)
           directory_->set_override(cid_hash, static_cast<uint32_t>(shard));
       }
     } else {
       ++stats_.by_call_id;
-      std::string call_id = m.call_id().value_or("");
-      shard = session_shard(call_id.empty() ? std::string_view("sip-anon") : call_id);
+      shard = dialog_pin ? *dialog_pin % config_.num_shards : session_shard(cid_hash);
     }
     auto sdp = sip::Sdp::parse(m.body());
     if (sdp.ok() && sdp.value().audio() != nullptr) {

@@ -110,6 +110,7 @@ class ShardRouter {
   /// never migrated, so a same-string collision between a call-id and an
   /// AOR must not drag the AOR's traffic along with a migrated session.
   size_t session_shard(std::string_view key) const;
+  size_t session_shard(uint64_t key_hash) const;
   size_t route_datagram(const pkt::Packet& packet);
   void learn_media(pkt::Endpoint media, size_t shard);
 

@@ -1,8 +1,8 @@
 // Golden-capture round trip: a four-attack testbed run is recorded to a
 // checked-in pcap, and replaying that file must be detection-equivalent to
 // the live simulation — identical alerts and audit-ledger records from a
-// single engine, and an identical alert multiset from sharded engines at
-// 1/2/4/8 workers (via the differential oracle's pcap_roundtrip mode).
+// single engine, and an identical alert multiset from the topology oracle's
+// pcap-replay topology beside its default sharded ones.
 //
 // The golden file doubles as a capture-format compatibility pin: if the
 // writer's byte layout drifts, the file comparison fails. Regenerate
@@ -162,11 +162,10 @@ TEST(PcapRoundtrip, DifferentialOracleHoldsThroughCaptureReplay) {
   const std::vector<pkt::Packet> stream = captured_stream();
   fuzz::DifferentialConfig config;
   config.engine = endpoint_engine_config();
-  config.pcap_roundtrip = true;
-  config.shard_counts = {1, 2, 4, 8};
+  config.topologies.push_back(fuzz::PcapReplay{});
   const fuzz::DifferentialReport report = fuzz::run_differential(stream, config);
   EXPECT_TRUE(report.ok()) << report.to_string();
-  EXPECT_GT(report.single_alerts, 0u);
+  EXPECT_GT(report.baseline_alerts, 0u);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
-// Shared capture helpers for the fleet tests: deterministic packet streams
-// recorded off the testbed (the four Table-1 attacks) and the carrier-mix
-// generator (SPIT prevention), replayed into fleets of varying shape.
+// Shared capture streams for the topology oracle and fleet tests:
+// deterministic packet streams recorded off the testbed (the four Table-1
+// attacks) and the carrier-mix generator (SPIT prevention).
 #pragma once
 
+#include <set>
 #include <vector>
 
 #include "capture/carrier_mix.h"
@@ -10,7 +11,7 @@
 #include "pkt/packet.h"
 #include "testbed/testbed.h"
 
-namespace scidive::fleet::testing {
+namespace scidive::capture::testing {
 
 /// One testbed run carrying the four §5 single-point attacks back to back
 /// (BYE teardown, fake IM, call hijack, RTP flood), captured off the wire.
@@ -42,8 +43,10 @@ inline std::vector<pkt::Packet> four_attacks_stream() {
   return out;
 }
 
-/// Benign carrier traffic plus two SPIT identities hot enough to draw
-/// graylist verdicts (mirrors the sharded differential's SPIT stream).
+/// Carrier mix with a SPIT cohort spliced in: benign calls, IMs and
+/// registration churn from 200 users plus two spam identities hammering
+/// INVITEs, hot enough inside the graylist window that the prevention rule
+/// must fire, so verdict parity is tested on a stream that emits verdicts.
 inline std::vector<pkt::Packet> spit_mix_stream(uint64_t seed) {
   capture::CarrierMixConfig mix;
   mix.seed = seed;
@@ -61,9 +64,9 @@ inline std::vector<pkt::Packet> spit_mix_stream(uint64_t seed) {
   return capture::read_all(source);
 }
 
-/// The testbed IDS's home scope (client A), for fleet-level filtering.
+/// The testbed IDS's home scope (client A), for fleet-level and engine filtering.
 inline std::set<pkt::Ipv4Address> testbed_home() {
   return {pkt::Ipv4Address(10, 0, 0, 1)};
 }
 
-}  // namespace scidive::fleet::testing
+}  // namespace scidive::capture::testing

@@ -4,14 +4,14 @@
 // turning peer silence into false alarms (fail-open).
 #include <gtest/gtest.h>
 
+#include "capture/test_streams.h"
 #include "fleet/fleet.h"
-#include "fleet/fleet_capture_util.h"
 
 namespace scidive::fleet {
 namespace {
 
-using testing::four_attacks_stream;
-using testing::testbed_home;
+using capture::testing::four_attacks_stream;
+using capture::testing::testbed_home;
 
 FleetConfig churn_config() {
   FleetConfig fc;

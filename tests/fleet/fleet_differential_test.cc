@@ -1,32 +1,57 @@
-// The fleet differential oracle: a cooperating N-node cluster must report
-// exactly what a single node reports — identical alert multisets, identical
-// verdict multisets, identical detection-side metric families — for the
-// same packet stream, across node counts, per-node worker counts, and
-// mid-replay membership churn. Losing gossip may cost alerts, but only
-// against counted drops (fail-visible, never fail-silent).
-#include "fleet/differential.h"
+// The topology oracle over fleets: a cooperating N-node cluster must report
+// exactly what the fast-path-off single engine reports — identical alert
+// multisets, identical verdict multisets, identical detection-side metric
+// families and the same filtered count — for the same packet stream, across
+// node counts, per-node worker counts, both INVITE routings, and mid-replay
+// membership churn. Losing gossip may cost alerts, but only against counted
+// drops (fail-visible, never fail-silent).
+#include "fuzz/differential.h"
 
 #include <gtest/gtest.h>
 
-#include "fleet/fleet_capture_util.h"
+#include "capture/test_streams.h"
 #include "scidive/rules.h"
 
-namespace scidive::fleet {
+namespace scidive::fuzz {
 namespace {
 
-using testing::four_attacks_stream;
-using testing::spit_mix_stream;
-using testing::testbed_home;
+using capture::testing::four_attacks_stream;
+using capture::testing::spit_mix_stream;
+using capture::testing::testbed_home;
+
+/// A fleet pumping gossip every 512 packets, so each stream here crosses
+/// several gossip rounds between its traffic and its join/leave handoffs.
+FleetRun fleet(size_t nodes, size_t workers_per_node) {
+  FleetRun t = fleet_of(nodes, workers_per_node);
+  t.config.pump_every_packets = 512;
+  return t;
+}
+
+/// Fleets of 2 and 4 nodes at 1 and 4 workers each.
+std::vector<Topology> fleets() {
+  std::vector<Topology> out;
+  for (size_t workers : {1, 4}) {
+    for (size_t nodes : {2, 4}) out.emplace_back(fleet(nodes, workers));
+  }
+  return out;
+}
 
 TEST(FleetDifferential, AlertParityAcrossNodeAndWorkerCounts) {
   const std::vector<pkt::Packet> stream = four_attacks_stream();
   ASSERT_GT(stream.size(), 500u);
 
-  FleetDifferentialConfig config;
+  DifferentialConfig config;
   config.engine.home_addresses = testbed_home();
-  config.engine.obs.time_stages = false;
+  config.topologies = fleets();
+  // A forged in-dialog re-INVITE (the call hijack) must follow its dialog's
+  // pin under by-caller routing, at every fleet shape.
+  for (size_t workers : {1, 4}) {
+    for (size_t nodes : {1, 2, 4}) {
+      config.topologies.emplace_back(by_caller(fleet(nodes, workers)));
+    }
+  }
 
-  const FleetDifferentialReport report = run_fleet_differential(stream, config);
+  const DifferentialReport report = run_differential(stream, config);
   EXPECT_TRUE(report.ok()) << report.to_string();
   // Vacuity guard: the baseline really detected the injected attacks.
   EXPECT_GE(report.baseline_alerts, 4u);
@@ -35,13 +60,15 @@ TEST(FleetDifferential, AlertParityAcrossNodeAndWorkerCounts) {
 TEST(FleetDifferential, ParitySurvivesMidReplayJoinAndLeave) {
   const std::vector<pkt::Packet> stream = four_attacks_stream();
 
-  FleetDifferentialConfig config;
+  DifferentialConfig config;
   config.engine.home_addresses = testbed_home();
-  config.engine.obs.time_stages = false;
-  config.join_at = stream.size() / 3;
-  config.leave_at = (2 * stream.size()) / 3;
+  config.topologies = fleets();
+  for (Topology& t : config.topologies) {
+    std::get<FleetRun>(t).join_at = stream.size() / 3;
+    std::get<FleetRun>(t).leave_at = (2 * stream.size()) / 3;
+  }
 
-  const FleetDifferentialReport report = run_fleet_differential(stream, config);
+  const DifferentialReport report = run_differential(stream, config);
   EXPECT_TRUE(report.ok()) << report.to_string();
   EXPECT_GE(report.baseline_alerts, 4u);
   // Churn without movement would be vacuous: slots really changed hands.
@@ -52,37 +79,42 @@ TEST(FleetDifferential, VerdictParityOnSpitCapture) {
   const std::vector<pkt::Packet> stream = spit_mix_stream(0x5cf1);
   ASSERT_GT(stream.size(), 1000u);
 
-  FleetDifferentialConfig config;
-  config.verdict_mode = true;
-  config.engine.obs.time_stages = false;
+  DifferentialConfig config;
   config.engine.enforce.mode = core::EnforcementMode::kPassive;
   config.make_rules = [] {
     core::RulesConfig rc;
     rc.spit_graylist = true;
     return core::make_prevention_ruleset(rc);
   };
+  // Per-caller graylist state needs every INVITE of a caller on one node
+  // and one worker.
+  config.topologies = fleets();
+  for (Topology& t : config.topologies) t = by_caller(std::get<FleetRun>(t));
 
-  const FleetDifferentialReport report = run_fleet_differential(stream, config);
+  const DifferentialReport report = run_differential(stream, config);
   EXPECT_TRUE(report.ok()) << report.to_string();
   EXPECT_GE(report.baseline_verdicts, 2u) << "both spammers should be graylisted";
 }
 
 TEST(FleetDifferential, GossipLossIsCountedNeverSilent) {
-  // With a lossy control channel the oracle cannot demand parity — but the
-  // run must still satisfy the accounting identity and report drops rather
-  // than quietly diverging.
+  // With a lossy control channel a run whose counters show loss is held
+  // only to its accounting — but a run that diverges without counted loss
+  // is a reported bug, never a hidden one.
   const std::vector<pkt::Packet> stream = four_attacks_stream();
 
-  FleetDifferentialConfig config;
+  DifferentialConfig config;
   config.engine.home_addresses = testbed_home();
-  config.engine.obs.time_stages = false;
-  config.node_counts = {4};
-  config.gossip_loss = 0.5;
-  config.loss_seed = 7;
+  config.topologies.clear();
+  for (size_t workers : {1, 4}) {
+    FleetRun t = fleet(4, workers);
+    t.config.gossip_loss = 0.5;
+    t.config.loss_seed = 7;
+    config.topologies.push_back(t);
+  }
 
-  const FleetDifferentialReport report = run_fleet_differential(stream, config);
+  const DifferentialReport report = run_differential(stream, config);
   EXPECT_TRUE(report.ok()) << report.to_string();
 }
 
 }  // namespace
-}  // namespace scidive::fleet
+}  // namespace scidive::fuzz

@@ -1,15 +1,15 @@
-// The differential oracle under adversarial input: identical streams of
-// benign calls, mutated packets, fragment trains and garbage must produce
-// identical alert multisets and detection metrics from a single engine and
-// from ShardedEngines at every shard count. This is the strongest statement
-// the harness makes — malformed input may be rejected, but rejection must be
+// The topology oracle under adversarial input: identical streams of benign
+// calls, mutated packets, fragment trains and garbage must produce identical
+// alert multisets and detection metrics from the fast-path-off baseline and
+// from every topology, ShardedEngines at every shard count under both
+// routings included. This is the strongest statement the harness makes —
+// malformed input may be rejected, but rejection must be
 // topology-invariant.
 #include "fuzz/differential.h"
 
 #include <gtest/gtest.h>
 
-#include "capture/carrier_mix.h"
-#include "capture/packet_source.h"
+#include "capture/test_streams.h"
 #include "fuzz/corpus.h"
 #include "fuzz/mutator.h"
 #include "scidive/rules.h"
@@ -18,6 +18,8 @@
 
 namespace scidive::fuzz {
 namespace {
+
+using capture::testing::spit_mix_stream;
 
 TEST(Differential, AdversarialStreamAcrossShardCounts) {
   StreamConfig stream_config;
@@ -36,7 +38,12 @@ TEST(Differential, BatchSizeSweepAcrossShardCounts) {
   const std::vector<pkt::Packet> stream = adversarial_stream(0xba7c4ed, stream_config);
   for (size_t batch : {1, 8, 32, 128}) {
     DifferentialConfig config;
-    config.batch_size = batch;
+    config.topologies.clear();
+    for (size_t workers : {1, 2, 4, 8}) {
+      Sharded t = sharded_on(workers);
+      t.config.batch_size = batch;
+      config.topologies.push_back(t);
+    }
     DifferentialReport report = run_differential(stream, config);
     EXPECT_TRUE(report.ok()) << "batch " << batch << ": " << report.to_string();
   }
@@ -82,20 +89,21 @@ TEST(Differential, RealAttackCaptureWithMutationsInterleaved) {
   }
 
   DifferentialConfig config;
-  config.shard_counts = {2, 4};
+  config.topologies = {FastPath{}, sharded_on(2), sharded_on(4), by_caller(sharded_on(4))};
   config.engine.home_addresses = {f.a_host.address()};
   DifferentialReport report = run_differential(stream, config);
   EXPECT_TRUE(report.ok()) << report.to_string();
-  EXPECT_GE(report.single_alerts, 1u) << "scenario should alert";
+  EXPECT_GE(report.baseline_alerts, 1u) << "scenario should alert";
 }
 
 TEST(Differential, DropPolicySkipsStrictComparisonButKeepsAccounting) {
   // Saturated tiny rings under kDrop: alert equality is not required (losses
   // are real) but the front-end accounting identity still is.
+  Sharded saturated = sharded_on(2);
+  saturated.config.overflow = core::OverflowPolicy::kDrop;
+  saturated.config.queue_capacity = 2;
   DifferentialConfig config;
-  config.shard_counts = {2};
-  config.overflow = core::OverflowPolicy::kDrop;
-  config.queue_capacity = 2;
+  config.topologies = {saturated};
   StreamConfig stream_config;
   stream_config.benign_calls = 5;
   DifferentialReport report =
@@ -104,31 +112,13 @@ TEST(Differential, DropPolicySkipsStrictComparisonButKeepsAccounting) {
   EXPECT_TRUE(report.ok()) << report.to_string();
 }
 
-/// Carrier mix with a SPIT cohort spliced in: benign calls, IMs and
-/// registration churn from 200 users plus two spam identities hammering
-/// INVITEs — enough attempts inside the graylist window that the prevention
-/// rule must fire, so verdict parity is tested on a stream that actually
-/// emits verdicts.
-std::vector<pkt::Packet> spit_mix_stream(uint64_t seed) {
-  capture::CarrierMixConfig mix;
-  mix.seed = seed;
-  mix.provisioned_users = 200;
-  mix.call_rate_hz = 3.0;
-  mix.im_rate_hz = 2.0;
-  mix.register_rate_hz = 3.0;
-  mix.mean_call_hold_sec = 4.0;
-  mix.rtp_interval = msec(40);
-  mix.spit_callers = 2;
-  mix.spit_call_rate_hz = 6.0;
-  mix.spit_hold = msec(300);
-  mix.max_packets = 3000;
-  capture::CarrierMixSource source(mix);
-  return capture::read_all(source);
-}
-
+/// SPIT graylisting under passive enforcement. Per-caller prevention state
+/// is coherent only when every INVITE of one caller meets on one shard, so
+/// the sharded topologies route INVITEs by caller.
 DifferentialConfig verdict_config() {
   DifferentialConfig config;
-  config.verdict_mode = true;
+  config.topologies = {FastPath{}};
+  for (size_t workers : {1, 2, 4, 8}) config.topologies.push_back(by_caller(sharded_on(workers)));
   config.engine.enforce.mode = core::EnforcementMode::kPassive;
   config.make_rules = [] {
     core::RulesConfig rc;
@@ -145,7 +135,7 @@ TEST(Differential, VerdictParityAcrossShardCounts) {
   DifferentialReport report = run_differential(stream, verdict_config());
   EXPECT_TRUE(report.ok()) << report.to_string();
   // The oracle is vacuous unless the scenario actually emitted verdicts.
-  EXPECT_GE(report.single_verdicts, 2u) << "both spammers should be graylisted";
+  EXPECT_GE(report.baseline_verdicts, 2u) << "both spammers should be graylisted";
 }
 
 TEST(Differential, VerdictParitySurvivesMidReplayRebalancing) {
@@ -154,11 +144,15 @@ TEST(Differential, VerdictParitySurvivesMidReplayRebalancing) {
   // the verdict multiset must still match the single engine exactly.
   const std::vector<pkt::Packet> stream = spit_mix_stream(0x5b18);
   DifferentialConfig config = verdict_config();
-  config.shard_counts = {2, 4};
-  config.rebalance_interval = 400;
+  config.topologies.clear();
+  for (size_t workers : {2, 4}) {
+    Sharded t = by_caller(sharded_on(workers));
+    t.rebalance_every = 400;
+    config.topologies.push_back(t);
+  }
   DifferentialReport report = run_differential(stream, config);
   EXPECT_TRUE(report.ok()) << report.to_string();
-  EXPECT_GE(report.single_verdicts, 2u);
+  EXPECT_GE(report.baseline_verdicts, 2u);
 }
 
 TEST(Differential, VerdictParityThroughPcapRoundTrip) {
@@ -166,11 +160,10 @@ TEST(Differential, VerdictParityThroughPcapRoundTrip) {
   // detection *and prevention* must be byte-equivalent to live processing.
   const std::vector<pkt::Packet> stream = spit_mix_stream(0x5b19);
   DifferentialConfig config = verdict_config();
-  config.shard_counts = {2};
-  config.pcap_roundtrip = true;
+  config.topologies = {PcapReplay{}, by_caller(sharded_on(2))};
   DifferentialReport report = run_differential(stream, config);
   EXPECT_TRUE(report.ok()) << report.to_string();
-  EXPECT_GE(report.single_verdicts, 2u);
+  EXPECT_GE(report.baseline_verdicts, 2u);
 }
 
 TEST(Differential, InlineAndPassiveDecideIdentically) {
@@ -211,7 +204,7 @@ TEST(Differential, InlineAndPassiveDecideIdentically) {
 TEST(Differential, ReportFormatting) {
   DifferentialReport report;
   report.packets = 10;
-  report.single_alerts = 2;
+  report.baseline_alerts = 2;
   EXPECT_NE(report.to_string().find("OK"), std::string::npos);
   report.mismatches.push_back("2 shards: something diverged");
   EXPECT_NE(report.to_string().find("FAILED"), std::string::npos);

@@ -1,8 +1,8 @@
-// Fastpath-on vs fastpath-off differential oracle: the established-flow
+// The topology oracle on the fast path's home ground: the established-flow
 // fast path bypasses the full pipeline for steady-state media, and this
 // suite proves the bypass changes nothing observable — identical alert and
-// verdict multisets and identical detection metric families, from a
-// fastpath-off single engine, a fastpath-on single engine, and fastpath-on
+// verdict multisets and identical detection metric families, from the
+// fastpath-off baseline, a fastpath-on single engine, and fastpath-on
 // ShardedEngines at 1/2/4/8 workers, across every Table-1 attack scenario,
 // billing fraud, SPIT and plain carrier-mix traffic.
 #include <gtest/gtest.h>
@@ -20,13 +20,6 @@ namespace scidive::fuzz {
 namespace {
 
 using voip::testing::VoipFixture;
-
-DifferentialConfig fastpath_config() {
-  DifferentialConfig config;
-  config.fastpath_differential = true;
-  config.shard_counts = {1, 2, 4, 8};
-  return config;
-}
 
 /// Run a scenario against a tapped VoipFixture and return the capture.
 template <typename Scenario>
@@ -60,9 +53,9 @@ TEST(FastpathDifferential, ByeAttackStream) {
   });
   ASSERT_GT(stream.size(), 50u);
   EXPECT_GT(bypassed_on(stream), 0u) << "steady media should engage the fast path";
-  DifferentialReport report = run_differential(stream, fastpath_config());
+  DifferentialReport report = run_differential(stream);
   EXPECT_TRUE(report.ok()) << report.to_string();
-  EXPECT_GE(report.single_alerts, 1u) << "BYE attack should alert";
+  EXPECT_GE(report.baseline_alerts, 1u) << "BYE attack should alert";
 }
 
 TEST(FastpathDifferential, FakeImStream) {
@@ -76,9 +69,9 @@ TEST(FastpathDifferential, FakeImStream) {
     f.sim.run_until(f.sim.now() + sec(1));
   });
   ASSERT_GT(stream.size(), 5u);
-  DifferentialReport report = run_differential(stream, fastpath_config());
+  DifferentialReport report = run_differential(stream);
   EXPECT_TRUE(report.ok()) << report.to_string();
-  EXPECT_GE(report.single_alerts, 1u) << "fake IM should alert";
+  EXPECT_GE(report.baseline_alerts, 1u) << "fake IM should alert";
 }
 
 TEST(FastpathDifferential, CallHijackStream) {
@@ -91,9 +84,9 @@ TEST(FastpathDifferential, CallHijackStream) {
   });
   ASSERT_GT(stream.size(), 50u);
   EXPECT_GT(bypassed_on(stream), 0u);
-  DifferentialReport report = run_differential(stream, fastpath_config());
+  DifferentialReport report = run_differential(stream);
   EXPECT_TRUE(report.ok()) << report.to_string();
-  EXPECT_GE(report.single_alerts, 1u) << "hijack should alert";
+  EXPECT_GE(report.baseline_alerts, 1u) << "hijack should alert";
 }
 
 TEST(FastpathDifferential, RtpFloodStream) {
@@ -104,9 +97,9 @@ TEST(FastpathDifferential, RtpFloodStream) {
     f.sim.run_until(f.sim.now() + sec(2));
   });
   ASSERT_GT(stream.size(), 50u);
-  DifferentialReport report = run_differential(stream, fastpath_config());
+  DifferentialReport report = run_differential(stream);
   EXPECT_TRUE(report.ok()) << report.to_string();
-  EXPECT_GE(report.single_alerts, 1u) << "RTP flood should alert";
+  EXPECT_GE(report.baseline_alerts, 1u) << "RTP flood should alert";
 }
 
 TEST(FastpathDifferential, RtcpByeStream) {
@@ -117,7 +110,7 @@ TEST(FastpathDifferential, RtcpByeStream) {
     f.sim.run_until(f.sim.now() + sec(1));
   });
   ASSERT_GT(stream.size(), 50u);
-  DifferentialReport report = run_differential(stream, fastpath_config());
+  DifferentialReport report = run_differential(stream);
   EXPECT_TRUE(report.ok()) << report.to_string();
 }
 
@@ -135,11 +128,11 @@ TEST(FastpathDifferential, BillingFraudStream) {
   // with SIP dialogs, and at higher shard counts those can hash to
   // different shards — a sharding property independent of (and unchanged
   // by) the fast path this oracle is about.
-  DifferentialConfig config = fastpath_config();
-  config.shard_counts = {1};
+  DifferentialConfig config;
+  config.topologies = {FastPath{}, sharded_on(1)};
   DifferentialReport report = run_differential(stream, config);
   EXPECT_TRUE(report.ok()) << report.to_string();
-  EXPECT_GE(report.single_alerts, 1u) << "billing fraud should alert";
+  EXPECT_GE(report.baseline_alerts, 1u) << "billing fraud should alert";
 }
 
 TEST(FastpathDifferential, SpitMixWithVerdictParity) {
@@ -157,8 +150,10 @@ TEST(FastpathDifferential, SpitMixWithVerdictParity) {
   const std::vector<pkt::Packet> stream = capture::read_all(source);
   ASSERT_GT(stream.size(), 1000u);
 
-  DifferentialConfig config = fastpath_config();
-  config.verdict_mode = true;
+  // Per-caller graylist state needs every INVITE of a caller on one shard.
+  DifferentialConfig config;
+  config.topologies = {FastPath{}};
+  for (size_t workers : {1, 2, 4, 8}) config.topologies.push_back(by_caller(sharded_on(workers)));
   config.engine.enforce.mode = core::EnforcementMode::kPassive;
   config.make_rules = [] {
     core::RulesConfig rc;
@@ -167,7 +162,7 @@ TEST(FastpathDifferential, SpitMixWithVerdictParity) {
   };
   DifferentialReport report = run_differential(stream, config);
   EXPECT_TRUE(report.ok()) << report.to_string();
-  EXPECT_GE(report.single_verdicts, 2u) << "both spammers should be graylisted";
+  EXPECT_GE(report.baseline_verdicts, 2u) << "both spammers should be graylisted";
 }
 
 TEST(FastpathDifferential, CarrierMixStream) {
@@ -182,7 +177,7 @@ TEST(FastpathDifferential, CarrierMixStream) {
   const std::vector<pkt::Packet> stream = capture::read_all(source);
   ASSERT_GT(stream.size(), 1000u);
   EXPECT_GT(bypassed_on(stream), 100u) << "carrier media should mostly bypass";
-  DifferentialReport report = run_differential(stream, fastpath_config());
+  DifferentialReport report = run_differential(stream);
   EXPECT_TRUE(report.ok()) << report.to_string();
 }
 
@@ -190,7 +185,7 @@ TEST(FastpathDifferential, AdversarialStream) {
   StreamConfig stream_config;
   const std::vector<pkt::Packet> stream = adversarial_stream(0xfa57d1ff, stream_config);
   ASSERT_GT(stream.size(), 100u);
-  DifferentialReport report = run_differential(stream, fastpath_config());
+  DifferentialReport report = run_differential(stream);
   EXPECT_TRUE(report.ok()) << report.to_string();
 }
 
@@ -207,9 +202,13 @@ TEST(FastpathDifferential, RebalancingMidReplay) {
   mix.max_packets = 3000;
   capture::CarrierMixSource source(mix);
   const std::vector<pkt::Packet> stream = capture::read_all(source);
-  DifferentialConfig config = fastpath_config();
-  config.shard_counts = {2, 4};
-  config.rebalance_interval = 400;
+  DifferentialConfig config;
+  config.topologies = {FastPath{}};
+  for (size_t workers : {2, 4}) {
+    Sharded t = sharded_on(workers);
+    t.rebalance_every = 400;
+    config.topologies.push_back(t);
+  }
   DifferentialReport report = run_differential(stream, config);
   EXPECT_TRUE(report.ok()) << report.to_string();
 }
