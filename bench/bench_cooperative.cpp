@@ -1,10 +1,11 @@
 // Cooperative vs single-point detection matrix (paper §4.2.2 / §6
-// extension): two fake-IM variants against two IDS deployments, plus the
-// control-channel cost the paper worries about ("does not overwhelm the
-// system with control messages").
+// extension): two fake-IM variants against two IDS deployments — one node
+// beside each client, either alone or joined into a two-node fleet over
+// UDP gossip — plus the control-channel cost the paper worries about
+// ("does not overwhelm the system with control messages").
 #include <cstdio>
 
-#include "fleet/coop.h"
+#include "fleet/udp_transport.h"
 #include "testbed/testbed.h"
 #include "voip/attack.h"
 
@@ -13,32 +14,41 @@ using testbed::Testbed;
 
 namespace {
 
+fleet::FleetNodeConfig node_config(const std::string& name) {
+  fleet::FleetNodeConfig config;
+  config.name = name;
+  config.engine.num_shards = 1;
+  return config;
+}
+
 struct Deployment {
   Testbed tb;
-  fleet::CooperativeIds ids_a;
-  fleet::CooperativeIds ids_b;
+  netsim::Host ids_a_host{"ids-a", pkt::Ipv4Address(10, 0, 0, 10), tb.net()};
+  netsim::Host ids_b_host{"ids-b", pkt::Ipv4Address(10, 0, 0, 11), tb.net()};
+  fleet::FleetNode ids_a{node_config("ids-a")};
+  fleet::FleetNode ids_b{node_config("ids-b")};
+  fleet::UdpGossipLink link_a{ids_a_host, ids_a};
+  fleet::UdpGossipLink link_b{ids_b_host, ids_b};
 
-  explicit Deployment(bool cooperative)
-      : ids_a(tb.client_a().host(), engine_config(tb.client_a().host().address()),
-              fleet::CoopConfig{.node_name = "ids-a"}),
-        ids_b(tb.client_b().host(), engine_config(tb.client_b().host().address()),
-              fleet::CoopConfig{.node_name = "ids-b"}) {
-    tb.net().add_tap(ids_a.tap());
-    tb.net().add_tap(ids_b.tap());
+  /// Both deployments put a node beside each client; only the cooperative
+  /// one joins them (peers, peer-homed users, host vouching, gossip links).
+  explicit Deployment(bool cooperative) {
+    tb.net().attach(ids_a_host, netsim::LinkConfig{.delay = DelayModel::fixed(msec(1))});
+    tb.net().attach(ids_b_host, netsim::LinkConfig{.delay = DelayModel::fixed(msec(1))});
+    tb.net().add_tap(fleet::node_tap(ids_a, tb.client_a().host().address()));
+    tb.net().add_tap(fleet::node_tap(ids_b, tb.client_b().host().address()));
     if (cooperative) {
-      ids_a.add_peer({tb.client_b().host().address(), fleet::kSepPort});
-      ids_b.add_peer({tb.client_a().host().address(), fleet::kSepPort});
+      ids_a.add_peer("ids-b");
+      ids_b.add_peer("ids-a");
       ids_a.attach_local_agent(tb.client_a());
       ids_b.attach_local_agent(tb.client_b());
       ids_a.add_peer_user(tb.client_b().aor());
       ids_b.add_peer_user(tb.client_a().aor());
+      link_a.add_peer("ids-b", {ids_b_host.address(), fleet::kFleetPort});
+      link_b.add_peer("ids-a", {ids_a_host.address(), fleet::kFleetPort});
     }
-  }
-
-  static core::EngineConfig engine_config(pkt::Ipv4Address home) {
-    core::EngineConfig config;
-    config.home_addresses = {home};
-    return config;
+    link_a.start();
+    link_b.start();
   }
 
   void seed_history() {
@@ -48,9 +58,18 @@ struct Deployment {
     tb.run_for(sec(2));
   }
 
+  /// Quiesce both engines so alerts and stats are safe to read.
+  void settle() {
+    ids_a.pump(tb.now());
+    ids_b.pump(tb.now());
+  }
+
   size_t detections() const {
-    return ids_a.alerts().count_for_rule("fake-im") +
-           ids_a.alerts().count_for_rule(fleet::CooperativeIds::kCoopFakeImRule);
+    size_t n = 0;
+    for (const core::Alert& alert : ids_a.engine().merged_alerts()) {
+      if (alert.rule == "fake-im" || alert.rule == fleet::FleetNode::kFleetFakeImRule) ++n;
+    }
+    return n;
   }
 };
 
@@ -80,6 +99,7 @@ int main() {
         attacker.send(d.tb.client_a().sip_endpoint(), d.tb.client_b().aor(), "pay up");
       }
       d.tb.run_for(sec(2));
+      d.settle();
       detected[coop] = d.detections();
     }
     printf("%-28s | %-18s | %-18s\n", test_case.name,
@@ -95,12 +115,24 @@ int main() {
       d.tb.run_for(msec(700));
     }
     d.tb.run_for(sec(2));
-    printf("\nbenign run (11 genuine IMs): alerts=%zu, SEP events shared by ids-b=%llu,\n"
-           "received by ids-a=%llu (~1 control msg per shared event — far below the\n"
-           "media plane's 50 pkt/s per call)\n",
-           d.ids_a.alerts().count(),
-           static_cast<unsigned long long>(d.ids_b.coop_stats().events_shared),
-           static_cast<unsigned long long>(d.ids_a.coop_stats().events_received));
+    d.settle();
+    const fleet::FleetNodeStats a = d.ids_a.stats();
+    const fleet::FleetNodeStats b = d.ids_b.stats();
+    printf("\nbenign run (11 genuine IMs): alerts=%zu, claims confirmed by ids-a=%llu\n"
+           "control channel: vouches sent by ids-b=%llu, received by ids-a=%llu;\n"
+           "gossip frames built ids-a=%llu ids-b=%llu (%llu + %llu bytes) — about one\n"
+           "frame per vouched IM. Datagrams sent incl. one liveness hello per peer\n"
+           "per 50 ms pump tick: ids-a=%llu ids-b=%llu\n",
+           d.ids_a.engine().merged_alerts().size(),
+           static_cast<unsigned long long>(a.claims_confirmed),
+           static_cast<unsigned long long>(b.vouches_sent),
+           static_cast<unsigned long long>(a.vouches_received),
+           static_cast<unsigned long long>(a.gossip_frames_built),
+           static_cast<unsigned long long>(b.gossip_frames_built),
+           static_cast<unsigned long long>(a.gossip_bytes_built),
+           static_cast<unsigned long long>(b.gossip_bytes_built),
+           static_cast<unsigned long long>(d.link_a.frames_sent()),
+           static_cast<unsigned long long>(d.link_b.frames_sent()));
   }
 
   printf("\nexpected shape: the endpoint-only deployment catches the clumsy forgery\n");

@@ -22,34 +22,6 @@ namespace {
 
 const char* kAttackRules[] = {"bye-attack", "fake-im", "call-hijack", "rtp-attack"};
 
-/// The four §5 attacks back to back, captured off the Figure-4 testbed.
-std::vector<pkt::Packet> four_attacks_stream() {
-  std::vector<pkt::Packet> out;
-  testbed::TestbedConfig cfg;
-  cfg.ids_obs.time_stages = false;
-  testbed::Testbed tb(cfg);
-  tb.net().add_tap([&out](const pkt::Packet& p) { out.push_back(p); });
-
-  tb.establish_call(sec(3));
-  tb.inject_bye_attack();
-  tb.run_for(sec(1));
-
-  tb.client_b().add_contact(tb.client_a().aor(), tb.client_a().sip_endpoint());
-  tb.client_b().send_im("alice", "lunch at noon? - bob");
-  tb.run_for(sec(1));
-  tb.inject_fake_im();
-  tb.run_for(sec(1));
-
-  tb.establish_call(sec(2));
-  tb.inject_call_hijack();
-  tb.run_for(sec(1));
-
-  tb.establish_call(sec(2));
-  tb.inject_rtp_flood(30);
-  tb.run_for(sec(2));
-  return out;
-}
-
 size_t count_rule(const std::vector<core::Alert>& alerts, std::string_view rule) {
   size_t n = 0;
   for (const core::Alert& a : alerts) {
@@ -81,7 +53,7 @@ fleet::FleetConfig base_config() {
 int main() {
   printf("SCIDIVE — cooperative fleet across 3 IDS nodes\n");
   printf("===============================================\n\n");
-  const std::vector<pkt::Packet> stream = four_attacks_stream();
+  const std::vector<pkt::Packet> stream = testbed::four_attacks_stream();
   uint64_t stream_bytes = 0;
   for (const pkt::Packet& p : stream) stream_bytes += p.data.size();
   printf("captured %zu packets (%llu bytes): the four Table-1 attacks\n\n",

@@ -11,9 +11,9 @@
 // re-delivery and reordering, and only the ring owner of a key raises the
 // alert — exactly once per (kind, key, window) fleet-wide.
 //
-// VouchStore holds host-based ground truth received from peers (the
-// coop fake-IM vouch generalized to BYE/re-INVITE): "this client really
-// performed the keyed action around time t".
+// VouchStore holds host-based ground truth received from peers (IMs,
+// hangups and media moves): "this client really performed the keyed
+// action around time t".
 #pragma once
 
 #include <deque>

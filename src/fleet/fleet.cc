@@ -24,9 +24,7 @@ void accumulate(FleetNodeStats& out, const FleetNodeStats& s) {
   out.events_shared += s.events_shared;
   out.events_received += s.events_received;
   out.frames_received += s.frames_received;
-  out.parse_errors_sep2 += s.parse_errors_sep2;
-  out.parse_errors_sep1 += s.parse_errors_sep1;
-  out.legacy_frames += s.legacy_frames;
+  out.parse_errors += s.parse_errors;
   out.unknown_records += s.unknown_records;
   out.verdicts_shared += s.verdicts_shared;
   out.verdicts_adopted += s.verdicts_adopted;

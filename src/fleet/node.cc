@@ -1,6 +1,8 @@
 #include "fleet/node.h"
 
 #include <algorithm>
+#include <map>
+#include <tuple>
 
 #include "common/strings.h"
 
@@ -78,24 +80,15 @@ void FleetNode::broadcast(const SepRecord& record) {
 }
 
 void FleetNode::on_datagram(std::span<const uint8_t> payload, SimTime now) {
-  auto frame = decode_frame_any(payload);
+  auto frame = decode_frame(payload);
   if (!frame.ok()) {
-    // Attribute the failure to the format family the bytes claimed.
-    const bool claimed_sep2 = payload.size() >= 4 && payload[0] == 'S' && payload[1] == 'E' &&
-                              payload[2] == 'P' && payload[3] == '2';
-    if (claimed_sep2) {
-      ++stats_.parse_errors_sep2;
-    } else {
-      ++stats_.parse_errors_sep1;
-    }
+    ++stats_.parse_errors;
     return;
   }
   SepFrame& f = frame.value();
   if (f.node == config_.name) return;  // own reflection
   ++stats_.frames_received;
   stats_.unknown_records += f.unknown_skipped;
-  if (f.legacy_sep1) ++stats_.legacy_frames;
-  peer_heard_[f.node] = now;
   if (now > last_peer_heard_) last_peer_heard_ = now;
   for (SepRecord& rec : f.records) {
     if (remote_records_.size() >= config_.remote_buffer_max) remote_records_.pop_front();
@@ -284,15 +277,8 @@ void FleetNode::sync_metrics() {
       .sync(s.events_received);
   reg.counter("scidive_fleet_frames_received_total", "SEP frames accepted from peers")
       .sync(s.frames_received);
-  reg.counter("scidive_fleet_parse_errors_total", "Undecodable SEP datagrams by format",
-              {{"format", "sep1"}})
-      .sync(s.parse_errors_sep1);
-  reg.counter("scidive_fleet_parse_errors_total", "Undecodable SEP datagrams by format",
-              {{"format", "sep2"}})
-      .sync(s.parse_errors_sep2);
-  reg.counter("scidive_fleet_legacy_frames_total",
-              "Frames decoded via the deprecated SEP1 compat path")
-      .sync(s.legacy_frames);
+  reg.counter("scidive_fleet_parse_errors_total", "Undecodable SEP datagrams")
+      .sync(s.parse_errors);
   reg.counter("scidive_fleet_unknown_records_total",
               "Record types skipped for forward compatibility")
       .sync(s.unknown_records);

@@ -6,7 +6,7 @@
 //   * gossip egress — shared events, verdicts, vouches and correlator
 //     partials batch into per-peer bounded GossipQueues (SEP-v2 frames);
 //   * gossip intake — on_datagram() strictly decodes untrusted frames
-//     (counted parse errors by format) into an inbox that pump() applies
+//     (counted parse errors) into an inbox that pump() applies
 //     at the next quiesce point, never concurrently with the workers;
 //   * verdict adoption — a peer's non-pass verdict is applied through the
 //     local enforcer, so a principal blocked on node A is screened here;
@@ -24,7 +24,6 @@
 
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -71,9 +70,7 @@ struct FleetNodeStats {
   uint64_t events_shared = 0;
   uint64_t events_received = 0;
   uint64_t frames_received = 0;
-  uint64_t parse_errors_sep2 = 0;
-  uint64_t parse_errors_sep1 = 0;
-  uint64_t legacy_frames = 0;     // SEP1 compat decodes (deprecation meter)
+  uint64_t parse_errors = 0;      // undecodable datagrams
   uint64_t unknown_records = 0;   // forward-compat skips
   uint64_t verdicts_shared = 0;
   uint64_t verdicts_adopted = 0;
@@ -199,7 +196,6 @@ class FleetNode {
   /// Records decoded from peers, staged until the next quiesce point.
   std::vector<std::pair<std::string, SepRecord>> inbox_;
   std::deque<HeldClaim> held_;
-  std::map<std::string, SimTime> peer_heard_;
   SimTime last_peer_heard_ = -1;
   std::deque<RemoteRecord> remote_records_;
   FleetNodeStats stats_;

@@ -1,7 +1,5 @@
 #include "fleet/sep_wire.h"
 
-#include "common/strings.h"
-
 namespace scidive::fleet {
 
 namespace {
@@ -10,8 +8,8 @@ constexpr uint8_t kMagic[4] = {'S', 'E', 'P', '2'};
 constexpr uint8_t kFlagCompressed = 0x01;
 constexpr size_t kMaxVarintBytes = 10;
 
-/// EventType <-> wire id table shared by SEP1 lines and SEP-v2 event
-/// records. Append only; ids are protocol state.
+/// EventType <-> wire id table for SEP-v2 event records. Append only; ids
+/// are protocol state.
 constexpr struct {
   core::EventType type;
   int id;
@@ -36,7 +34,8 @@ constexpr struct {
     {core::EventType::kAccStartSeen, 18},
     {core::EventType::kAccUnmatched, 19},
     {core::EventType::kAccBilledPartyAbsent, 20},
-    {core::EventType::kImMessageSent, 21},
+    // 21 was a host-side "IM really sent" event; IM vouches now ride
+    // SepVouch records. The id stays unassigned so it is rejected.
     {core::EventType::kRtpPacketSeen, 22},
     {core::EventType::kRtcpByeSeen, 23},
     {core::EventType::kRtpAfterRtcpBye, 24},
@@ -468,22 +467,6 @@ Result<SepFrame> decode_frame(std::span<const uint8_t> datagram) {
   return decode_body(r.rest(), count.value(), std::move(frame));
 }
 
-Result<SepFrame> decode_frame_any(std::span<const uint8_t> datagram) {
-  if (datagram.size() >= 4 && std::equal(datagram.begin(), datagram.begin() + 4, kMagic))
-    return decode_frame(datagram);
-  // Deprecated SEP1 text compat: one event per datagram. Removed after one
-  // release; new deployments never emit it.
-  std::string_view text(reinterpret_cast<const char*>(datagram.data()), datagram.size());
-  auto legacy = parse_event(text);
-  if (!legacy) return legacy.error();
-  SepFrame frame;
-  frame.node = std::move(legacy.value().from_node);
-  frame.epoch = 0;
-  frame.legacy_sep1 = true;
-  frame.records.emplace_back(std::move(legacy.value().event));
-  return frame;
-}
-
 int event_type_wire_id(core::EventType type) {
   for (const auto& entry : kWireIds) {
     if (entry.type == type) return entry.id;
@@ -496,74 +479,6 @@ Result<core::EventType> event_type_from_wire_id(int id) {
     if (entry.id == id) return entry.type;
   }
   return Error{Errc::kUnsupported, "unknown event wire id"};
-}
-
-std::string serialize_event(std::string_view node_name, const core::Event& event) {
-  std::string detail = event.detail;
-  for (char& c : detail) {
-    if (c == '\t' || c == '\n' || c == '\r') c = ' ';
-  }
-  return str::format("SEP1\t%.*s\t%d\t%s\t%lld\t%s\t%s\t%lld\t%s",
-                     static_cast<int>(node_name.size()), node_name.data(),
-                     event_type_wire_id(event.type), event.session.c_str(),
-                     static_cast<long long>(event.time), event.aor.c_str(),
-                     event.endpoint.to_string().c_str(), static_cast<long long>(event.value),
-                     detail.c_str());
-}
-
-Result<RemoteEvent> parse_event(std::string_view line) {
-  if (line.size() > kMaxSepLineBytes)
-    return Error{Errc::kMalformed, "SEP line exceeds size cap"};
-  // Strip line endings only — a full trim() would eat the trailing tab of
-  // an empty detail field and shift the field count.
-  while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) line.remove_suffix(1);
-  auto fields = str::split(line, '\t');
-  // Exactly nine: serialize_event() sanitizes tabs out of the detail field,
-  // so extra separators mean a peer speaking something else — reject rather
-  // than guess at field boundaries.
-  if (fields.size() != 9) return Error{Errc::kMalformed, "SEP line needs 9 fields"};
-  if (fields[0] != "SEP1") return Error{Errc::kUnsupported, "not SEP1"};
-
-  RemoteEvent out;
-  out.from_node = std::string(fields[1]);
-  if (out.from_node.empty()) return Error{Errc::kMalformed, "empty node name"};
-
-  auto type_id = str::parse_u32(fields[2]);
-  if (!type_id) return Error{Errc::kMalformed, "bad event type id"};
-  auto type = event_type_from_wire_id(static_cast<int>(*type_id));
-  if (!type) return type.error();
-  out.event.type = type.value();
-
-  out.event.session = std::string(fields[3]);
-  auto time = str::parse_u64(fields[4]);
-  if (!time) return Error{Errc::kMalformed, "bad time"};
-  out.event.time = static_cast<SimTime>(*time);
-  out.event.aor = std::string(fields[5]);
-
-  // addr:port
-  auto colon = str::split_once(fields[6], ':');
-  if (!colon) return Error{Errc::kMalformed, "bad endpoint"};
-  auto addr = pkt::Ipv4Address::parse(colon->first);
-  auto port = str::parse_u16(colon->second);
-  if (!addr || !port) return Error{Errc::kMalformed, "bad endpoint addr/port"};
-  out.event.endpoint = pkt::Endpoint{*addr, *port};
-
-  auto value = str::parse_u64(fields[7]);
-  if (!value) {
-    // Negative values (e.g. backward seq jumps) serialize with '-'.
-    if (!fields[7].empty() && fields[7][0] == '-') {
-      auto magnitude = str::parse_u64(fields[7].substr(1));
-      if (!magnitude) return Error{Errc::kMalformed, "bad value"};
-      out.event.value = -static_cast<int64_t>(*magnitude);
-    } else {
-      return Error{Errc::kMalformed, "bad value"};
-    }
-  } else {
-    out.event.value = static_cast<int64_t>(*value);
-  }
-
-  out.event.detail = std::string(fields[8]);
-  return out;
 }
 
 }  // namespace scidive::fleet

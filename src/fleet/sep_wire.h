@@ -1,6 +1,4 @@
-// SEP version 2: the fleet's binary event-exchange wire format, replacing
-// the tab-separated SEP1 text lines (kept as a one-release compat path at
-// the bottom of this header; see decode_frame_any and parse_event).
+// SEP version 2: the fleet's binary event-exchange wire format.
 //
 // A frame is one UDP datagram:
 //
@@ -32,7 +30,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -43,7 +40,7 @@
 
 namespace scidive::fleet {
 
-constexpr uint16_t kFleetPort = 6000;  // SEP-v2 gossip (SEP1 kept 5999)
+constexpr uint16_t kFleetPort = 6000;  // SEP-v2 gossip
 constexpr uint8_t kSepVersion = 2;
 
 // Decoder hard limits. A frame violating any of them is malformed.
@@ -86,7 +83,7 @@ struct SepCounter {
 };
 
 /// Host-based ground truth: the co-located client really performed the
-/// keyed action around `time` (generalizes the coop fake-IM vouch to calls).
+/// keyed action (sent the IM, hung up, moved its media) around `time`.
 struct SepVouch {
   VouchKind kind = VouchKind::kIm;
   std::string key;
@@ -128,9 +125,6 @@ struct SepFrame {
   /// Records whose type byte this build does not know, skipped over their
   /// length prefix (forward compatibility; counted, never fatal).
   uint64_t unknown_skipped = 0;
-  /// True when the frame was decoded from the deprecated SEP1 text format
-  /// (decode_frame_any compat path).
-  bool legacy_sep1 = false;
 };
 
 /// Batches records into one frame. Records are appended in call order and
@@ -168,11 +162,6 @@ class SepEncoder {
 /// discarded (no partial application).
 Result<SepFrame> decode_frame(std::span<const uint8_t> datagram);
 
-/// Compat decode: SEP-v2 frames via decode_frame, deprecated SEP1 text
-/// lines (parse_event below) as a single-event frame with legacy_sep1
-/// set. One-release grace period — SEP1 emission is already gone.
-Result<SepFrame> decode_frame_any(std::span<const uint8_t> datagram);
-
 /// Self-describing run-length coding used for frame bodies. Token stream:
 /// a control byte c < 0x80 copies c+1 literal bytes; c >= 0x80 repeats the
 /// following byte c-0x80+4 times (runs of 4..131). decompress enforces
@@ -187,41 +176,9 @@ Result<uint64_t> get_varint(BufReader& r);
 void put_zigzag(BufWriter& w, int64_t v);
 Result<int64_t> get_zigzag(BufReader& r);
 
-// ---------------------------------------------------------------------------
-// DEPRECATED SEP1 text compat. The original exchange format was one
-// tab-separated line per event:
-//
-//   SEP1 \t <node> \t <type> \t <session> \t <time_usec> \t <aor>
-//        \t <addr:port> \t <value> \t <detail...>
-//
-// SEP-v2 frames supersede it; these helpers remain for the one-release
-// compat window (decode_frame_any still accepts SEP1 datagrams) and for the
-// pre-fleet CooperativeIds pair deployment, which still speaks SEP1
-// point-to-point. New code should use SepEncoder/decode_frame.
-
-/// An event as received from a peer IDS, with provenance.
-struct RemoteEvent {
-  std::string from_node;  // sender's node name
-  core::Event event;
-  SimTime received_at = 0;
-};
-
-/// Serialize an event as a SEP1 line for the wire.
-std::string serialize_event(std::string_view node_name, const core::Event& event);
-
-/// Parse a SEP1 line. Rejects unknown versions and malformed fields — peers
-/// are other machines and their traffic is untrusted input.
-Result<RemoteEvent> parse_event(std::string_view line);
-
-/// Stable numeric ids for EventType on the wire, shared by SEP1 lines and
-/// SEP-v2 event records (do not reorder).
+/// Stable numeric ids for EventType in SEP-v2 event records (do not
+/// reorder or reuse).
 int event_type_wire_id(core::EventType type);
 Result<core::EventType> event_type_from_wire_id(int id);
-
-constexpr uint16_t kSepPort = 5999;
-
-/// Hard ceiling on an accepted SEP1 line. Anything longer is an attack or a
-/// framing bug, not an event — rejected outright rather than partially read.
-constexpr size_t kMaxSepLineBytes = 2048;
 
 }  // namespace scidive::fleet

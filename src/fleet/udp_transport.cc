@@ -1,6 +1,18 @@
 #include "fleet/udp_transport.h"
 
+#include "pkt/ipv4.h"
+
 namespace scidive::fleet {
+
+netsim::PacketTap node_tap(FleetNode& node, pkt::Ipv4Address watch) {
+  return [&node, watch](const pkt::Packet& packet) {
+    auto ip = pkt::parse_ipv4(packet.data);
+    if (!ip.ok()) return;
+    if (ip.value().header.src != watch && ip.value().header.dst != watch) return;
+    pkt::Packet copy = packet;
+    node.on_packet_to_slot(0, std::move(copy));
+  };
+}
 
 void UdpGossipLink::start() {
   if (running_) return;

@@ -3,7 +3,9 @@
 // kFleetPort — so gossip rides the same network the attacks do, including
 // netsim's FaultConfig loss/duplication/delay. A self-rescheduling tick
 // pumps the node (quiesce, drain, judge) and flushes its gossip queues;
-// liveness heartbeats ride every tick.
+// liveness heartbeats ride every tick. node_tap() feeds a node the traffic
+// of the one host it sits beside — with a link per node, that is the
+// per-client cooperative deployment of §6.
 //
 // The channel is deliberately unauthenticated, as 2004-era control
 // channels were (the paper's own trust assumption); a deployment would
@@ -18,6 +20,12 @@
 #include "netsim/host.h"
 
 namespace scidive::fleet {
+
+/// Deliver only the packets touching `watch` to the node — the per-client
+/// deployment of Figure 4, one IDS beside each monitored host. The node's
+/// engine has no home scope of its own (see FleetNodeConfig::engine), so
+/// this is the only filter. The node must outlive the tap.
+netsim::PacketTap node_tap(FleetNode& node, pkt::Ipv4Address watch);
 
 class UdpGossipLink {
  public:

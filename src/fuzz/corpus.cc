@@ -224,10 +224,6 @@ std::vector<Bytes> sep_frame_seeds() {
   padded.detail = std::string(600, 'a');
   runs.add_event(padded);
   out.push_back(runs.finish(/*compress=*/true));
-
-  // Deprecated SEP1 text line (the decode_frame_any compat path).
-  const std::string sep1 = fleet::serialize_event("ids-old", event);
-  out.emplace_back(sep1.begin(), sep1.end());
   return out;
 }
 

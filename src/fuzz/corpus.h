@@ -33,8 +33,7 @@ std::vector<Bytes> rtcp_seeds();
 std::vector<Bytes> datagram_seeds();
 
 /// Valid SEP-v2 gossip frames (fleet/sep_wire.h): every record type, both
-/// compression settings, a run-heavy body, plus one deprecated SEP1 text
-/// line for the compat decode path.
+/// compression settings and a run-heavy body.
 std::vector<Bytes> sep_frame_seeds();
 
 /// Valid `.sdr` ruleset texts spanning the DSL grammar: the Table-1 rule

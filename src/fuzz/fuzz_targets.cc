@@ -331,14 +331,13 @@ bool same_record(const fleet::SepRecord& a, const fleet::SepRecord& b) {
 }  // namespace
 
 int fuzz_sep_wire(const uint8_t* data, size_t size) {
-  auto decoded = fleet::decode_frame_any(std::span<const uint8_t>(data, size));
+  auto decoded = fleet::decode_frame(std::span<const uint8_t>(data, size));
   if (!decoded.ok()) return 0;
   const fleet::SepFrame& frame = decoded.value();
 
-  // The round-trip invariant only covers frames this build fully owns: a
-  // legacy SEP1 line re-encodes as SEP-v2 by design, and unknown record
-  // types were skipped, not captured.
-  if (frame.legacy_sep1 || frame.unknown_skipped != 0) return 0;
+  // The round-trip invariant only covers frames this build fully owns:
+  // unknown record types were skipped, not captured.
+  if (frame.unknown_skipped != 0) return 0;
   if (frame.node.empty() || frame.node.size() > fleet::kMaxNodeNameBytes) __builtin_trap();
 
   for (bool compress : {false, true}) {
@@ -367,7 +366,7 @@ int fuzz_sep_wire(const uint8_t* data, size_t size) {
     if (!again.ok()) __builtin_trap();
     const fleet::SepFrame& back = again.value();
     if (back.node != frame.node || back.epoch != frame.epoch ||
-        back.unknown_skipped != 0 || back.legacy_sep1 ||
+        back.unknown_skipped != 0 ||
         back.records.size() != frame.records.size()) {
       __builtin_trap();
     }

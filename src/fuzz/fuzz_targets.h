@@ -66,9 +66,9 @@ int fuzz_verdict(const uint8_t* data, size_t size);
 /// sequence or the packet accounting; the target traps on any difference.
 int fuzz_fastpath(const uint8_t* data, size_t size);
 
-/// SEP-v2 gossip frame decoder (fleet/sep_wire.h) plus the SEP1 compat
-/// path. Beyond no-crash: any frame this build fully decodes (no unknown
-/// record types, not legacy SEP1) must survive a re-encode/decode round
+/// SEP-v2 gossip frame decoder (fleet/sep_wire.h). Beyond no-crash: any
+/// frame this build fully decodes (no unknown record types) must survive
+/// a re-encode/decode round
 /// trip with an identical record list, under both compression settings —
 /// the property that makes versioned gossip safe to evolve.
 int fuzz_sep_wire(const uint8_t* data, size_t size);

@@ -27,7 +27,6 @@ core::Protocol event_protocol(core::EventType type) {
     case EventType::kSipAuthChallenge:
     case EventType::kSipAuthFailure:
     case EventType::kImMessageSeen:
-    case EventType::kImMessageSent:
       return Protocol::kSip;
     case EventType::kRtcpByeSeen:
       return Protocol::kRtcp;

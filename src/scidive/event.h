@@ -25,8 +25,6 @@ enum class EventType {
   kSipAuthChallenge,       // 401 with a challenge
   kSipAuthFailure,         // 401 answering a request that carried credentials
   kImMessageSeen,          // MESSAGE request (instant message)
-  kImMessageSent,          // host-based: the local client really sent an IM
-                           // (cooperative detection vouching, §6 extension)
 
   // Media events (already aggregated across packets — stateful).
   kRtpPacketSeen,        // one event PER RTP packet — disabled by default;

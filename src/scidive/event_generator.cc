@@ -19,7 +19,6 @@ std::string_view event_type_name(EventType t) {
     case EventType::kSipAuthChallenge: return "SipAuthChallenge";
     case EventType::kSipAuthFailure: return "SipAuthFailure";
     case EventType::kImMessageSeen: return "ImMessageSeen";
-    case EventType::kImMessageSent: return "ImMessageSent";
     case EventType::kRtpPacketSeen: return "RtpPacketSeen";
     case EventType::kRtpStreamStarted: return "RtpStreamStarted";
     case EventType::kRtpSeqJump: return "RtpSeqJump";

@@ -229,4 +229,31 @@ Testbed::Score Testbed::score() const {
   return s;
 }
 
+std::vector<pkt::Packet> four_attacks_stream() {
+  std::vector<pkt::Packet> out;
+  TestbedConfig cfg;
+  cfg.ids_obs.time_stages = false;
+  Testbed tb(cfg);
+  tb.net().add_tap([&out](const pkt::Packet& p) { out.push_back(p); });
+
+  tb.establish_call(sec(3));
+  tb.inject_bye_attack();
+  tb.run_for(sec(1));
+
+  tb.client_b().add_contact(tb.client_a().aor(), tb.client_a().sip_endpoint());
+  tb.client_b().send_im("alice", "lunch at noon? - bob");
+  tb.run_for(sec(1));
+  tb.inject_fake_im();
+  tb.run_for(sec(1));
+
+  tb.establish_call(sec(2));
+  tb.inject_call_hijack();
+  tb.run_for(sec(1));
+
+  tb.establish_call(sec(2));
+  tb.inject_rtp_flood(30);
+  tb.run_for(sec(2));
+  return out;
+}
+
 }  // namespace scidive::testbed

@@ -142,4 +142,9 @@ class Testbed {
   std::vector<InjectedAttack> injected_;
 };
 
+/// One testbed run carrying the four §5 single-point attacks back to back
+/// (BYE teardown, fake IM, call hijack, RTP flood), captured off the wire.
+/// Deterministic: the same packets, byte for byte, on every call.
+std::vector<pkt::Packet> four_attacks_stream();
+
 }  // namespace scidive::testbed

@@ -1,6 +1,6 @@
-// Shared capture streams for the topology oracle and fleet tests:
-// deterministic packet streams recorded off the testbed (the four Table-1
-// attacks) and the carrier-mix generator (SPIT prevention).
+// Shared capture streams for the topology oracle and fleet tests: the
+// carrier-mix generator with a SPIT cohort (verdict parity). The four
+// Table-1 attacks come from testbed::four_attacks_stream().
 #pragma once
 
 #include <set>
@@ -9,39 +9,8 @@
 #include "capture/carrier_mix.h"
 #include "capture/packet_source.h"
 #include "pkt/packet.h"
-#include "testbed/testbed.h"
 
 namespace scidive::capture::testing {
-
-/// One testbed run carrying the four §5 single-point attacks back to back
-/// (BYE teardown, fake IM, call hijack, RTP flood), captured off the wire.
-/// Deterministic for a fixed seed.
-inline std::vector<pkt::Packet> four_attacks_stream() {
-  std::vector<pkt::Packet> out;
-  testbed::TestbedConfig cfg;
-  cfg.ids_obs.time_stages = false;
-  testbed::Testbed tb(cfg);
-  tb.net().add_tap([&out](const pkt::Packet& p) { out.push_back(p); });
-
-  tb.establish_call(sec(3));
-  tb.inject_bye_attack();
-  tb.run_for(sec(1));
-
-  tb.client_b().add_contact(tb.client_a().aor(), tb.client_a().sip_endpoint());
-  tb.client_b().send_im("alice", "lunch at noon? - bob");
-  tb.run_for(sec(1));
-  tb.inject_fake_im();
-  tb.run_for(sec(1));
-
-  tb.establish_call(sec(2));
-  tb.inject_call_hijack();
-  tb.run_for(sec(1));
-
-  tb.establish_call(sec(2));
-  tb.inject_rtp_flood(30);
-  tb.run_for(sec(2));
-  return out;
-}
 
 /// Carrier mix with a SPIT cohort spliced in: benign calls, IMs and
 /// registration churn from 200 users plus two spam identities hammering

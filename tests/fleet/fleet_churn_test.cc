@@ -6,11 +6,12 @@
 
 #include "capture/test_streams.h"
 #include "fleet/fleet.h"
+#include "testbed/testbed.h"
 
 namespace scidive::fleet {
 namespace {
 
-using capture::testing::four_attacks_stream;
+using testbed::four_attacks_stream;
 using capture::testing::testbed_home;
 
 FleetConfig churn_config() {

@@ -11,11 +11,12 @@
 
 #include "capture/test_streams.h"
 #include "scidive/rules.h"
+#include "testbed/testbed.h"
 
 namespace scidive::fuzz {
 namespace {
 
-using capture::testing::four_attacks_stream;
+using testbed::four_attacks_stream;
 using capture::testing::spit_mix_stream;
 using capture::testing::testbed_home;
 

@@ -1,6 +1,6 @@
 // Golden-file test for the fleet control-plane exposition: a FleetNode's
-// scidive_fleet_* instruments (gossip volume, parse errors by format,
-// claim outcomes, queue depth) ride the same Prometheus registry as the
+// scidive_fleet_* instruments (gossip volume, parse errors, claim
+// outcomes, queue depth) ride the same Prometheus registry as the
 // engine's detection families, and the full text is pinned byte-for-byte
 // against a fixed, packet-free control-plane exchange. Regenerate with:
 //
@@ -46,20 +46,17 @@ obs::Snapshot control_plane_snapshot() {
   const Bytes frame = enc.finish();
   node.on_datagram(frame, msec(200));
 
-  // ... plus one garbage datagram per format family and one legacy SEP1
-  // line, so the error/deprecation meters are non-zero in the golden.
+  // ... plus two garbage datagrams and one line of the retired SEP1 text
+  // format, all three rejected, so the parse-error meter is non-zero in the
+  // golden.
   const std::string bad2 = "SEP2 but truncated";
   node.on_datagram(std::span(reinterpret_cast<const uint8_t*>(bad2.data()), bad2.size()),
                    msec(210));
   const std::string bad1 = "not sep at all";
   node.on_datagram(std::span(reinterpret_cast<const uint8_t*>(bad1.data()), bad1.size()),
                    msec(220));
-  core::Event legacy;
-  legacy.type = core::EventType::kRtpAfterReinvite;
-  legacy.session = "legacy-3";
-  legacy.time = msec(130);
-  legacy.aor = "bob@lab.net";
-  const std::string sep1 = serialize_event("ids-old", legacy);
+  const std::string sep1 =
+      "SEP1\tids-old\t15\tlegacy-3\t130000\tbob@lab.net\t0.0.0.0:0\t0\t";
   node.on_datagram(std::span(reinterpret_cast<const uint8_t*>(sep1.data()), sep1.size()),
                    msec(230));
 

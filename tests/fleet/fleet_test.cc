@@ -1,7 +1,10 @@
 // Fleet integration: FleetNodes gossiping SEP-v2 over real simulated UDP
-// (vouch-or-flag attribution, fail-open on a severed control channel,
-// legacy SEP1 compat), fleet-wide correlation across the slot partition,
-// and cross-node verdict screening — a principal graylisted on one node is
+// — the per-client cooperative deployment of §6, one node beside each
+// client (vouch-or-flag attribution of IMs, hangups and media moves, the
+// spoofed fake IM the single-point rule cannot see, fail-open and
+// fail-closed without a peer, strict rejection of garbage and retired SEP1
+// lines) — fleet-wide correlation across the slot partition, and
+// cross-node verdict screening: a principal graylisted on one node is
 // rate-limited on every other.
 #include <gtest/gtest.h>
 
@@ -9,7 +12,6 @@
 #include "capture/packet_source.h"
 #include "fleet/fleet.h"
 #include "fleet/udp_transport.h"
-#include "pkt/ipv4.h"
 #include "scidive/enforce.h"
 #include "scidive/rules.h"
 #include "voip/attack.h"
@@ -26,18 +28,6 @@ FleetNodeConfig node_config(const std::string& name) {
   config.engine.num_shards = 1;
   config.engine.engine.obs.time_stages = false;
   return config;
-}
-
-/// Deliver only the packets touching `watch` to the node — the per-client
-/// deployment of Figure 4, one IDS beside each monitored host.
-netsim::PacketTap node_tap(FleetNode& node, pkt::Ipv4Address watch) {
-  return [&node, watch](const pkt::Packet& packet) {
-    auto ip = pkt::parse_ipv4(packet.data);
-    if (!ip.ok()) return;
-    if (ip.value().header.src != watch && ip.value().header.dst != watch) return;
-    pkt::Packet copy = packet;
-    node.on_packet_to_slot(0, std::move(copy));
-  };
 }
 
 size_t rule_count(const FleetNode& node, std::string_view rule) {
@@ -82,6 +72,150 @@ struct FleetNetFixture : VoipFixture {
     node_b.pump(sim.now());
   }
 };
+
+/// ids-a alone beside alice's host. Its peer ids-b never runs, so no vouch
+/// and no heartbeat ever reaches it.
+struct LoneNodeFixture : VoipFixture {
+  netsim::Host ids_a_host{"ids-a", pkt::Ipv4Address(10, 0, 0, 10), net};
+  FleetNode node_a;
+  UdpGossipLink link_a{ids_a_host, node_a};
+
+  explicit LoneNodeFixture(FleetNodeConfig config = node_config("ids-a"))
+      : node_a(std::move(config)) {
+    net.attach(ids_a_host, netsim::LinkConfig{.delay = DelayModel::fixed(msec(1))});
+    net.add_tap(node_tap(node_a, a_host.address()));
+    node_a.add_peer("ids-b");
+    node_a.add_peer_user("bob@lab.net");
+    link_a.add_peer("ids-b", {pkt::Ipv4Address(10, 0, 0, 11), kFleetPort});
+    link_a.start();
+  }
+};
+
+TEST(FleetNet, GenuineImIsVouchedAndSilent) {
+  FleetNetFixture f;
+  f.b.add_contact("alice@lab.net", f.a.sip_endpoint());
+  f.b.send_im("alice", "really me");
+  f.sim.run_until(sec(2));
+  f.settle();
+
+  // ids-a held the IM claiming bob until bob's own IDS vouched the send.
+  EXPECT_TRUE(f.node_a.engine().merged_alerts().empty());
+  EXPECT_EQ(f.node_a.stats().claims_held, 1u);
+  EXPECT_EQ(f.node_a.stats().claims_confirmed, 1u);
+  EXPECT_EQ(f.node_a.stats().claims_flagged, 0u);
+  EXPECT_GE(f.node_a.stats().vouches_received, 1u);
+}
+
+TEST(FleetNet, SpoofedFakeImEvadesLocalRuleButNotFleet) {
+  FleetNetFixture f;
+  // History: bob IMs alice legitimately so the IP-consistency rule has his
+  // usual source on file.
+  f.b.add_contact("alice@lab.net", f.a.sip_endpoint());
+  f.b.send_im("alice", "hello");
+  f.sim.run_until(sec(2));
+
+  // The stronger attack: source IP spoofed to bob's real endpoint. The
+  // single-point fake-im rule sees a consistent source and stays silent —
+  // exactly the blind spot §4.2.2 concedes.
+  voip::FakeImAttacker attacker(f.attacker_host);
+  attacker.send_spoofed(f.a.sip_endpoint(), "bob@lab.net", f.b.sip_endpoint(),
+                        "wire money now");
+  f.sim.run_until(f.sim.now() + sec(2));
+  f.settle();
+
+  EXPECT_EQ(rule_count(f.node_a, "fake-im"), 0u);  // local rule blind
+  EXPECT_GE(rule_count(f.node_a, FleetNode::kFleetFakeImRule), 1u)
+      << "bob's IDS never vouched the send, spoofed source or not";
+  EXPECT_EQ(f.node_a.stats().claims_flagged, 1u);
+}
+
+TEST(FleetNet, UnspoofedFakeImCaughtByBothLayers) {
+  FleetNetFixture f;
+  f.b.add_contact("alice@lab.net", f.a.sip_endpoint());
+  f.b.send_im("alice", "hello");
+  f.sim.run_until(sec(2));
+  voip::FakeImAttacker attacker(f.attacker_host);
+  attacker.send(f.a.sip_endpoint(), "bob@lab.net", "clumsy forgery");
+  f.sim.run_until(f.sim.now() + sec(2));
+  f.settle();
+
+  EXPECT_GE(rule_count(f.node_a, "fake-im"), 1u);
+  EXPECT_GE(rule_count(f.node_a, FleetNode::kFleetFakeImRule), 1u);
+}
+
+TEST(FleetNet, OnlyPeerHomedUsersAreVerified) {
+  FleetNetFixture f;
+  // carol is homed nowhere in the fleet: an IM claiming her is not held.
+  voip::FakeImAttacker attacker(f.attacker_host);
+  attacker.send(f.a.sip_endpoint(), "carol@lab.net", "who dis");
+  f.sim.run_until(sec(2));
+  f.settle();
+
+  EXPECT_EQ(f.node_a.stats().claims_held, 0u);
+  EXPECT_EQ(rule_count(f.node_a, FleetNode::kFleetFakeImRule), 0u);
+}
+
+TEST(FleetNet, OrphanEventsAreSharedAcrossNodes) {
+  FleetNetFixture f;
+  voip::CallSniffer sniffer;
+  f.net.add_tap(sniffer.tap());
+  f.establish_call(sec(2));
+  voip::ByeAttacker attacker(f.attacker_host);
+  attacker.attack(*sniffer.latest_active_call(), /*attack_caller=*/true);
+  f.sim.run_until(f.sim.now() + sec(1));
+  f.settle();
+
+  // ids-a saw the orphan flow and gossiped the event; ids-b heard it.
+  EXPECT_GE(rule_count(f.node_a, "bye-attack"), 1u);
+  bool b_received_orphan = false;
+  for (const RemoteRecord& remote : f.node_b.remote_records()) {
+    const auto* event = std::get_if<core::Event>(&remote.record);
+    if (event != nullptr && event->type == core::EventType::kRtpAfterBye &&
+        remote.from == "ids-a")
+      b_received_orphan = true;
+  }
+  EXPECT_TRUE(b_received_orphan);
+}
+
+TEST(FleetNet, FailOpenWhenPeerIdsIsDown) {
+  // No vouching is possible: a forged IM claiming bob must NOT alarm under
+  // the default fail-open policy — a dead peer IDS would otherwise turn
+  // every message into an alert.
+  LoneNodeFixture f;
+  voip::FakeImAttacker attacker(f.attacker_host);
+  attacker.send(f.a.sip_endpoint(), "bob@lab.net", "nobody is watching");
+  f.sim.run_until(sec(2));
+  f.node_a.pump(f.sim.now());
+
+  EXPECT_EQ(rule_count(f.node_a, FleetNode::kFleetFakeImRule), 0u);
+  EXPECT_EQ(f.node_a.stats().claims_skipped_peer_down, 1u);
+}
+
+TEST(FleetNet, FailClosedConfigurationFlagsWithoutPeer) {
+  FleetNodeConfig config = node_config("ids-a");
+  config.peer_liveness_window = 0;  // always verify
+  LoneNodeFixture f(std::move(config));
+  voip::FakeImAttacker attacker(f.attacker_host);
+  attacker.send(f.a.sip_endpoint(), "bob@lab.net", "strict mode");
+  f.sim.run_until(sec(2));
+  f.node_a.pump(f.sim.now());
+
+  EXPECT_EQ(rule_count(f.node_a, FleetNode::kFleetFakeImRule), 1u);
+}
+
+TEST(FleetNet, VerificationWaitsFullDelay) {
+  FleetNetFixture f;
+  f.b.add_contact("alice@lab.net", f.a.sip_endpoint());
+  // Slow ids-b's uplink: bob's vouch reaches ids-a after the IM does, but
+  // still within verify_delay.
+  f.net.set_link(f.ids_b_host, netsim::LinkConfig{.delay = DelayModel::fixed(msec(100))});
+  f.b.send_im("alice", "slow network hello");
+  f.sim.run_until(sec(3));
+  f.settle();
+
+  EXPECT_EQ(f.node_a.stats().claims_flagged, 0u);
+  EXPECT_EQ(f.node_a.stats().claims_confirmed, 1u);
+}
 
 TEST(FleetNet, GenuineHangupIsVouchedAndSilent) {
   FleetNetFixture f;
@@ -164,30 +298,37 @@ TEST(FleetNet, FailsOpenWhenGossipChannelIsSevered) {
   EXPECT_EQ(f.node_a.stats().claims_flagged, 0u);
 }
 
-TEST(FleetNet, GarbageAndLegacyDatagramsAreCounted) {
+TEST(FleetNet, GarbageSepDatagramsCounted) {
   FleetNetFixture f;
-  // Garbage in both format families, plus one genuine SEP1 line from a
-  // pre-fleet CooperativeIds peer: strict rejection for the former, compat
-  // decode (with the deprecation meter ticking) for the latter.
   f.attacker_host.send_udp(kFleetPort, {f.ids_a_host.address(), kFleetPort},
-                           std::string_view("SEP2 but truncated"));
+                           std::string_view("SEP1 but \x01 bogus"));
   f.attacker_host.send_udp(kFleetPort, {f.ids_a_host.address(), kFleetPort},
                            std::string_view("not sep at all"));
-  core::Event orphan;
-  orphan.type = core::EventType::kRtpAfterBye;
-  orphan.session = "legacy-call-1";
-  orphan.time = msec(10);
-  orphan.aor = "bob@lab.net";
-  f.attacker_host.send_udp(kFleetPort, {f.ids_a_host.address(), kFleetPort},
-                           serialize_event("ids-old", orphan));
   f.sim.run_until(sec(1));
   f.settle();
 
   const FleetNodeStats stats = f.node_a.stats();
-  EXPECT_EQ(stats.parse_errors_sep2, 1u);
-  EXPECT_EQ(stats.parse_errors_sep1, 1u);
-  EXPECT_GE(stats.legacy_frames, 1u);
-  EXPECT_GE(stats.events_received, 1u);
+  EXPECT_EQ(stats.parse_errors, 2u);
+  EXPECT_EQ(stats.events_received, 0u);
+}
+
+TEST(FleetNet, GarbageAndLegacyDatagramsAreCounted) {
+  FleetNetFixture f;
+  // Garbage that claims SEP2 and a well-formed line of the retired SEP1
+  // text format: decode_frame rejects both, and neither yields an event.
+  for (std::string_view datagram : {
+           std::string_view("SEP2 but truncated"),
+           std::string_view("SEP1\tids-old\t14\tlegacy-call-1\t10000\tbob@lab.net\t"
+                            "0.0.0.0:0\t0\t"),
+       }) {
+    f.attacker_host.send_udp(kFleetPort, {f.ids_a_host.address(), kFleetPort}, datagram);
+  }
+  f.sim.run_until(sec(1));
+  f.settle();
+
+  const FleetNodeStats stats = f.node_a.stats();
+  EXPECT_EQ(stats.parse_errors, 2u);
+  EXPECT_EQ(stats.events_received, 0u);
 }
 
 TEST(FleetCorrelation, RegisterFloodAggregatesAcrossNodes) {

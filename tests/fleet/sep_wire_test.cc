@@ -1,8 +1,9 @@
 // SEP-v2 wire format: exact round-trips for every record type, strict
-// rejection of anything truncated, oversized or trailing, forward-compatible
-// skip of unknown record types, the RLE body codec, and the deprecated SEP1
-// compat decode path. The decoder handles bytes from other machines — the
-// never-crash sweep hammers it with mutated frames.
+// rejection of anything truncated, oversized or trailing (a retired SEP1
+// text line included), forward-compatible skip of unknown record types, the
+// RLE body codec and the pinned event wire ids. The decoder handles bytes
+// from other machines — the never-crash sweep hammers it with mutated
+// frames.
 #include "fleet/sep_wire.h"
 
 #include <gtest/gtest.h>
@@ -111,7 +112,6 @@ TEST(SepWire, AllRecordTypesRoundTrip) {
   EXPECT_EQ(frame.value().node, "node-a");
   EXPECT_EQ(frame.value().epoch, 3u);
   EXPECT_EQ(frame.value().unknown_skipped, 0u);
-  EXPECT_FALSE(frame.value().legacy_sep1);
   // kHello carries no record payload; six materialized records.
   ASSERT_EQ(frame.value().records.size(), 6u);
   const auto& recs = frame.value().records;
@@ -247,33 +247,51 @@ TEST(SepWire, RecordCountCapEnforced) {
   EXPECT_FALSE(decode_frame(std::move(w).take()).ok());
 }
 
-TEST(SepWire, Sep1CompatDecodePinned) {
-  // The one-release compat contract: a SEP1 text line still decodes through
-  // decode_frame_any, marked legacy, with the event intact.
-  core::Event e = sample_event();
-  e.type = core::EventType::kImMessageSent;
-  std::string line = serialize_event("ids-b", e);
-  std::span<const uint8_t> bytes(reinterpret_cast<const uint8_t*>(line.data()), line.size());
-  auto frame = decode_frame_any(bytes);
-  ASSERT_TRUE(frame.ok()) << frame.error().to_string();
-  EXPECT_TRUE(frame.value().legacy_sep1);
-  EXPECT_EQ(frame.value().node, "ids-b");
-  EXPECT_EQ(frame.value().epoch, 0u);
-  ASSERT_EQ(frame.value().records.size(), 1u);
-  const auto& decoded = std::get<core::Event>(frame.value().records[0]);
-  EXPECT_EQ(decoded.type, e.type);
-  EXPECT_EQ(decoded.session, e.session);
-  EXPECT_EQ(decoded.time, e.time);
-  EXPECT_EQ(decoded.value, e.value);
+TEST(SepWire, Sep1LineIsRejected) {
+  // The retired SEP1 text format (one tab-separated event per datagram) has
+  // no decoder left: a well-formed SEP1 line is just another datagram that
+  // is not a SEP2 frame.
+  const std::string line =
+      "SEP1\tids-b\t14\tcall-77@lab.net\t1234000\tbob@lab.net\t10.0.0.2:16384\t-42\t"
+      "orphan RTP after BYE";
+  auto frame = decode_frame(
+      std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(line.data()), line.size()));
+  ASSERT_FALSE(frame.ok());
+  EXPECT_EQ(frame.error().code, Errc::kUnsupported);
 }
 
-TEST(SepWire, DecodeFrameAnyPrefersSep2) {
-  SepEncoder enc("node-a", 2);
-  enc.add_hello();
-  auto frame = decode_frame_any(enc.finish());
-  ASSERT_TRUE(frame.ok());
-  EXPECT_FALSE(frame.value().legacy_sep1);
-  EXPECT_EQ(frame.value().node, "node-a");
+TEST(SepWire, EveryEventTypeHasStableWireId) {
+  // Wire ids are protocol state: pinned here, never reordered or reused.
+  using core::EventType;
+  const std::pair<EventType, int> pinned[] = {
+      {EventType::kSipInviteSeen, 1},          {EventType::kSipReinviteSeen, 2},
+      {EventType::kSipSessionEstablished, 3},  {EventType::kSipByeSeen, 4},
+      {EventType::kSipMalformed, 5},           {EventType::kSip4xxSeen, 6},
+      {EventType::kSipRegisterSeen, 7},        {EventType::kSipAuthChallenge, 8},
+      {EventType::kSipAuthFailure, 9},         {EventType::kImMessageSeen, 10},
+      {EventType::kRtpStreamStarted, 11},      {EventType::kRtpSeqJump, 12},
+      {EventType::kRtpUnexpectedSource, 13},   {EventType::kRtpAfterBye, 14},
+      {EventType::kRtpAfterReinvite, 15},      {EventType::kRtpJitter, 16},
+      {EventType::kNonRtpOnMediaPort, 17},     {EventType::kAccStartSeen, 18},
+      {EventType::kAccUnmatched, 19},          {EventType::kAccBilledPartyAbsent, 20},
+      {EventType::kRtpPacketSeen, 22},         {EventType::kRtcpByeSeen, 23},
+      {EventType::kRtpAfterRtcpBye, 24},
+  };
+  ASSERT_EQ(std::size(pinned), core::kEventTypeCount) << "pin every event type";
+  for (size_t t = 0; t < core::kEventTypeCount; ++t) {
+    EXPECT_GT(event_type_wire_id(static_cast<EventType>(t)), 0)
+        << core::event_type_name(static_cast<EventType>(t));
+  }
+  for (const auto& [type, id] : pinned) {
+    EXPECT_EQ(event_type_wire_id(type), id) << core::event_type_name(type);
+    auto back = event_type_from_wire_id(id);
+    ASSERT_TRUE(back.ok()) << id;
+    EXPECT_EQ(back.value(), type);
+  }
+  // 21 belonged to the retired host-side IM event: unassigned, so rejected.
+  for (int unassigned : {0, 21, 25, -1}) {
+    EXPECT_FALSE(event_type_from_wire_id(unassigned).ok()) << unassigned;
+  }
 }
 
 TEST(SepWire, MutationSweepNeverCrashesAndRoundTripsSurvivors) {
@@ -302,9 +320,9 @@ TEST(SepWire, MutationSweepNeverCrashesAndRoundTripsSurvivors) {
       mutated.resize(static_cast<size_t>(
           rng.uniform_int(0, static_cast<int64_t>(mutated.size()) - 1)));
     }
-    auto frame = decode_frame_any(mutated);
+    auto frame = decode_frame(mutated);
     if (!frame.ok()) continue;
-    if (frame.value().legacy_sep1 || frame.value().unknown_skipped != 0) continue;
+    if (frame.value().unknown_skipped != 0) continue;
     ++decoded_ok;
     // Round-trip: re-encode the decoded records and decode again — the two
     // frames must carry identical records (the fuzz target's invariant).
