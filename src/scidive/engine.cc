@@ -427,7 +427,7 @@ void ScidiveEngine::sync_component_stats() {
   registry_
       .counter("scidive_eventgen_sessions_expired_total",
                "Event-generator session states dropped by idle expiry")
-      .sync(e.sessions_expired);
+      .sync(trails_.stats().sessions_expired);
   registry_.gauge("scidive_tracked_sessions", "Sessions with live event-generator state")
       .set(static_cast<int64_t>(events_.tracked_sessions()));
 
@@ -499,18 +499,12 @@ obs::Snapshot ScidiveEngine::metrics_snapshot() {
   return registry_.snapshot();
 }
 
-void ScidiveEngine::expire_idle(SimTime cutoff) {
-  trails_.expire_idle(cutoff);
-  events_.expire_idle(cutoff);
-}
+void ScidiveEngine::expire_idle(SimTime cutoff) { trails_.expire_idle(cutoff); }
 
 ScidiveEngine::SessionTransfer ScidiveEngine::extract_session(const SessionId& session) {
   SessionTransfer out;
-  out.trails = trails_.extract_session(session);
-  if (!out.trails.valid()) return out;
-  out.id = session;
-  out.valid = true;
-  out.events = events_.extract_session(session);
+  out.record = trails_.extract_session(session);
+  if (!out.record.valid()) return out;
   for (const RulePtr& rule : rules_) {
     if (auto state = rule->extract_session(session)) {
       out.rule_states.emplace_back(std::string(rule->name()), std::move(state));
@@ -520,13 +514,13 @@ ScidiveEngine::SessionTransfer ScidiveEngine::extract_session(const SessionId& s
 }
 
 void ScidiveEngine::install_session(SessionTransfer&& transfer) {
-  if (!transfer.valid) return;
-  trails_.install_session(std::move(transfer.trails));
-  if (transfer.events) events_.install_session(transfer.id, std::move(*transfer.events));
+  if (!transfer.record.valid()) return;
+  const SessionId id = transfer.record.id;
+  trails_.install_session(std::move(transfer.record));
   for (auto& [rule_name, state] : transfer.rule_states) {
     for (const RulePtr& rule : rules_) {
       if (rule->name() == rule_name) {
-        rule->install_session(transfer.id, std::move(state));
+        rule->install_session(id, std::move(state));
         break;
       }
     }

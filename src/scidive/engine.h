@@ -182,16 +182,13 @@ class ScidiveEngine {
   void expire_idle(SimTime cutoff);
 
   // --- Session migration (sharded-engine rebalance) ---------------------
-  /// One session's complete engine-side state: trails (with their arena),
-  /// event-generator aggregation state, and any per-rule session state,
-  /// keyed by rule name so the matching rule instance on the destination
-  /// engine adopts it.
+  /// One session's complete engine-side state: its record (trails with
+  /// their arena, event state, media bindings) and any per-rule session
+  /// state, keyed by rule name so the matching rule instance on the
+  /// destination engine adopts it.
   struct SessionTransfer {
-    SessionId id;
-    TrailManager::ExtractedSession trails;
-    std::optional<EventGenerator::SessionState> events;
+    TrailManager::ExtractedSession record;
     std::vector<std::pair<std::string, std::unique_ptr<Rule::SessionState>>> rule_states;
-    bool valid = false;
   };
 
   bool has_session(const SessionId& session) const { return trails_.has_session(session); }
@@ -199,7 +196,7 @@ class ScidiveEngine {
   /// engine unchanged) when the session does not exist here.
   SessionTransfer extract_session(const SessionId& session);
   /// Adopt a transfer produced by another engine with the same ruleset.
-  /// Precondition: !has_session(transfer.id). Creation counters are NOT
+  /// Precondition: !has_session(transfer.record.id). Creation counters are NOT
   /// incremented — across a sharded engine the session was created once.
   void install_session(SessionTransfer&& transfer);
 

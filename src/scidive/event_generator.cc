@@ -45,14 +45,7 @@ void EventGenerator::process(const Footprint& fp, const Trail& trail,
                              std::vector<Event>& out) {
   ++stats_.footprints_processed;
   const SessionId& session = trail.key().session;
-  // Managed trails carry their interned symbol; directly-constructed trails
-  // (tests) intern on the fly through the manager's shared table.
-  Symbol sym = trail.sym();
-  if (sym == kInvalidSymbol) sym = trails_.symbols().intern(session);
-  std::unique_ptr<SessionState>& slot = sessions_[sym];
-  if (slot == nullptr) slot = std::make_unique<SessionState>();
-  SessionState& state = *slot;
-  state.last_touched = fp.time;
+  EventSessionState& state = trails_.session_state(trail);
 
   switch (fp.protocol) {
     case Protocol::kSip:
@@ -82,7 +75,7 @@ void EventGenerator::process(const Footprint& fp, const Trail& trail,
   }
 }
 
-void EventGenerator::start_monitor(SessionState& state, SimTime now, pkt::Endpoint watched,
+void EventGenerator::start_monitor(EventSessionState& state, SimTime now, pkt::Endpoint watched,
                                    std::optional<pkt::Endpoint> expected_dst,
                                    EventType emit_type, std::string claimed_aor) {
   if (state.monitors.size() >= kMaxMonitors) {
@@ -99,7 +92,7 @@ void EventGenerator::start_monitor(SessionState& state, SimTime now, pkt::Endpoi
 }
 
 void EventGenerator::process_sip(const Footprint& fp, const SipFootprint& sip,
-                                 SessionState& state, const SessionId& session,
+                                 EventSessionState& state, const SessionId& session,
                                  std::vector<Event>& out) {
   if (!sip.well_formed) {
     emit(out, Event{EventType::kSipMalformed, session, fp.time, sip.from_aor, fp.src, 0,
@@ -225,7 +218,9 @@ void EventGenerator::process_sip(const Footprint& fp, const SipFootprint& sip,
       emit(out, Event{EventType::kSipAuthChallenge, session, fp.time, sip.to_aor, fp.src, 0,
                       "digest challenge"});
       if (state.last_register_had_auth) {
-        emit(out, Event{EventType::kSipAuthFailure, session, fp.time, sip.to_aor, fp.src, 0,
+        // Keyed by the challenged client, not the registrar that answered:
+        // a guesser is one source failing for many identities.
+        emit(out, Event{EventType::kSipAuthFailure, session, fp.time, sip.to_aor, fp.dst, 0,
                         state.last_auth_response});
       }
     }
@@ -234,14 +229,11 @@ void EventGenerator::process_sip(const Footprint& fp, const SipFootprint& sip,
 }
 
 void EventGenerator::process_rtp(const Footprint& fp, const RtpFootprint& rtp,
-                                 SessionState& state, const Trail& trail,
+                                 EventSessionState& state, const Trail& trail,
                                  std::vector<Event>& out) {
   // Step the flow record the footprint was routed through, attaching the
-  // session's endpoint records on the flow's first packet. A trail built
-  // outside the manager has no cached route: a transient record serves.
-  MediaFlow transient;
+  // session's endpoint records on the flow's first packet.
   MediaFlow* flow = trails_.find_flow(fp.src, fp.dst, Protocol::kRtp);
-  if (flow == nullptr || flow->trail != &trail) flow = &transient;
   if (flow->session != &state) {
     auto endpoint = [&state](const pkt::Endpoint& ep) {
       std::unique_ptr<RtpEndpointState>& rec = state.rtp_endpoints[ep];
@@ -258,8 +250,7 @@ void EventGenerator::process_rtp(const Footprint& fp, const RtpFootprint& rtp,
 
 void EventGenerator::step_rtp(const MediaFlow& flow, const SessionId& session,
                               const RtpPeek& rtp, std::vector<Event>& out) {
-  SessionState& state = *flow.session;
-  state.last_touched = rtp.time;
+  EventSessionState& state = *flow.session;
   if (config_.emit_per_packet_events) {
     emit(out, Event{EventType::kRtpPacketSeen, session, rtp.time, "", rtp.src,
                     static_cast<int64_t>(rtp.sequence), ""});
@@ -326,7 +317,7 @@ void EventGenerator::step_rtp(const MediaFlow& flow, const SessionId& session,
 }
 
 void EventGenerator::process_h225(const Footprint& fp, const H225Footprint& h225,
-                                  SessionState& state, const SessionId& session,
+                                  EventSessionState& state, const SessionId& session,
                                   std::vector<Event>& out) {
   // The kSip* milestone events are CMP-generic (the architecture watches
   // "call management protocols", §1) — H.225 signaling maps onto the same
@@ -385,7 +376,7 @@ void EventGenerator::process_h225(const Footprint& fp, const H225Footprint& h225
 }
 
 void EventGenerator::process_rtcp(const Footprint& fp, const RtcpFootprint& rtcp,
-                                  SessionState& state, const SessionId& session,
+                                  EventSessionState& state, const SessionId& session,
                                   std::vector<Event>& out) {
   if (!rtcp.is_bye) return;  // SR/RR feed trails only
   // An RTCP BYE announces the end of the RTP stream from its sender. RTP
@@ -401,7 +392,7 @@ void EventGenerator::process_rtcp(const Footprint& fp, const RtcpFootprint& rtcp
 }
 
 void EventGenerator::process_acc(const Footprint& fp, const AccFootprint& acc,
-                                 SessionState& state, const SessionId& session,
+                                 EventSessionState& state, const SessionId& session,
                                  std::vector<Event>& out) {
   if (!acc.is_start) return;
   emit(out, Event{EventType::kAccStartSeen, session, fp.time, acc.from_aor, fp.src, 0,
@@ -447,35 +438,6 @@ void EventGenerator::process_acc(const Footprint& fp, const AccFootprint& acc,
                         " registered elsewhere; their location appears nowhere in this "
                         "session"});
   }
-}
-
-std::optional<EventGenerator::SessionState> EventGenerator::extract_session(
-    const SessionId& session) {
-  auto sym = trails_.symbols().find(session);
-  if (!sym) return std::nullopt;
-  std::unique_ptr<SessionState>* state = sessions_.find(*sym);
-  if (state == nullptr) return std::nullopt;
-  SessionState out = std::move(**state);
-  sessions_.erase(*sym);
-  trails_.forget_routes();  // flow records may point into the departed state
-  return out;
-}
-
-void EventGenerator::install_session(const SessionId& session, SessionState state) {
-  const Symbol sym = trails_.symbols().intern(session);
-  std::unique_ptr<SessionState>& slot = sessions_[sym];
-  if (slot != nullptr) trails_.forget_routes();  // flow records may point into it
-  slot = std::make_unique<SessionState>(std::move(state));
-}
-
-size_t EventGenerator::expire_idle(SimTime cutoff) {
-  size_t dropped = sessions_.erase_if(
-      [&](const Symbol&, const std::unique_ptr<SessionState>& state) {
-        return state->last_touched < cutoff;
-      });
-  if (dropped != 0) trails_.forget_routes();  // flow records may point into dropped state
-  stats_.sessions_expired += dropped;
-  return dropped;
 }
 
 }  // namespace scidive::core

@@ -280,10 +280,10 @@ ScidiveEngine::SessionTransfer ShardedEngine::extract_session(const SessionId& s
 
 bool ShardedEngine::install_session(ScidiveEngine::SessionTransfer&& transfer,
                                     size_t shard) {
-  if (!transfer.valid) return false;
+  if (!transfer.record.valid()) return false;
   const size_t to = shard % shards_.size();
-  if (shards_[to]->engine.has_session(transfer.id)) return false;
-  const SessionId id = transfer.id;
+  const SessionId id = transfer.record.id;
+  if (shards_[to]->engine.has_session(id)) return false;
   shards_[to]->engine.install_session(std::move(transfer));
   directory_.set_override(ShardDirectory::key_hash(id), static_cast<uint32_t>(to));
   for (const pkt::Endpoint& ep : shards_[to]->engine.trails().media_endpoints(id))
@@ -301,7 +301,7 @@ bool ShardedEngine::migrate_session(const SessionId& session, size_t from, size_
   // candidate list must still not corrupt the destination.
   if (shards_[to]->engine.has_session(session)) return false;
   ScidiveEngine::SessionTransfer transfer = shards_[from]->engine.extract_session(session);
-  if (!transfer.valid) return false;
+  if (!transfer.record.valid()) return false;
   shards_[to]->engine.install_session(std::move(transfer));
   // Repoint routing for every producer: the session key override plus its
   // media endpoints (which non-SIP packets route by).

@@ -146,8 +146,8 @@ class ShardedEngine {
   /// riding the same SessionTransfer machinery as rebalance(). All three
   /// calls require quiescence (flush() first), like shard(i) access.
   bool has_session(const SessionId& session) const;
-  /// Extract from whichever shard holds the session; transfer.valid is
-  /// false when none does.
+  /// Extract from whichever shard holds the session; transfer.record is
+  /// invalid when none does.
   ScidiveEngine::SessionTransfer extract_session(const SessionId& session);
   /// Install into `shard` (mod num_shards) and repoint routing — directory
   /// override plus the session's media bindings — so every producer routes

@@ -64,19 +64,17 @@ Symbol TrailManager::classify(const Footprint& fp, bool& media_bound) {
 }
 
 Trail& TrailManager::trail_for(Symbol sym, Protocol protocol) {
-  const uint64_t slot_key = trail_slot_key(sym, protocol);
-  if (Trail* const* found = trails_.find(slot_key)) return **found;
-
   auto [slot_ptr, created] = sessions_.try_emplace(sym);
   if (created) {
     *slot_ptr = std::make_unique<SessionSlot>();
     ++stats_.sessions_created;
   }
   SessionSlot& slot = **slot_ptr;
+  if (Trail* found = slot.find(protocol)) return *found;
   Trail* trail = slot.arena.create<Trail>(TrailKey{std::string(symbols_.name(sym)), protocol},
                                           max_footprints_per_trail_, sym, &slot.arena);
   slot.trails.push_back(trail);
-  trails_.try_emplace(slot_key, trail);
+  ++trail_count_;
   return *trail;
 }
 
@@ -170,27 +168,28 @@ std::optional<SessionId> TrailManager::session_for_media(const pkt::Endpoint& me
   return SessionId(symbols_.name(*sym));
 }
 
-const Trail* TrailManager::find(const SessionId& session, Protocol protocol) const {
+const TrailManager::SessionSlot* TrailManager::slot_of(const SessionId& session) const {
   auto sym = symbols_.find(session);
   if (!sym) return nullptr;
-  Trail* const* found = trails_.find(trail_slot_key(*sym, protocol));
-  return found == nullptr ? nullptr : *found;
+  const std::unique_ptr<SessionSlot>* slot = sessions_.find(*sym);
+  return slot == nullptr ? nullptr : slot->get();
+}
+
+const Trail* TrailManager::find(const SessionId& session, Protocol protocol) const {
+  const SessionSlot* slot = slot_of(session);
+  return slot == nullptr ? nullptr : slot->find(protocol);
 }
 
 Trail* TrailManager::find_mut(const SessionId& session, Protocol protocol) {
-  auto sym = symbols_.find(session);
-  if (!sym) return nullptr;
-  Trail* const* found = trails_.find(trail_slot_key(*sym, protocol));
-  return found == nullptr ? nullptr : *found;
+  const SessionSlot* slot = slot_of(session);
+  return slot == nullptr ? nullptr : slot->find(protocol);
 }
 
 std::vector<const Trail*> TrailManager::session_trails(const SessionId& session) const {
   std::vector<const Trail*> out;
-  auto sym = symbols_.find(session);
-  if (!sym) return out;
-  const std::unique_ptr<SessionSlot>* slot = sessions_.find(*sym);
-  if (slot == nullptr) return out;
-  out.assign((*slot)->trails.begin(), (*slot)->trails.end());
+  if (const SessionSlot* slot = slot_of(session)) {
+    out.assign(slot->trails.begin(), slot->trails.end());
+  }
   return out;
 }
 
@@ -219,17 +218,14 @@ TrailManager::ExtractedSession& TrailManager::ExtractedSession::operator=(
 TrailManager::ExtractedSession::~ExtractedSession() = default;
 
 bool TrailManager::has_session(const SessionId& session) const {
-  auto sym = symbols_.find(session);
-  return sym && sessions_.contains(*sym);
+  return slot_of(session) != nullptr;
 }
 
 uint64_t TrailManager::session_activity(const SessionId& session) const {
-  auto sym = symbols_.find(session);
-  if (!sym) return 0;
-  const std::unique_ptr<SessionSlot>* slot = sessions_.find(*sym);
+  const SessionSlot* slot = slot_of(session);
   if (slot == nullptr) return 0;
   uint64_t appended = 0;
-  for (const Trail* trail : (*slot)->trails) appended += trail->total_appended();
+  for (const Trail* trail : slot->trails) appended += trail->total_appended();
   return appended;
 }
 
@@ -252,16 +248,13 @@ TrailManager::ExtractedSession TrailManager::extract_session(const SessionId& se
   out.id = session;
   out.slot = std::move(*slot);
   sessions_.erase(*sym);
-  // Detach the trail index entries (the Trail objects travel in the slot's
-  // arena) and the session's media bindings.
-  for (const Trail* trail : out.slot->trails)
-    trails_.erase(trail_slot_key(*sym, trail->key().protocol));
+  trail_count_ -= out.slot->trails.size();
   media_to_session_.erase_if([&](const pkt::Endpoint& ep, const Symbol& bound) {
     if (bound != *sym) return false;
     out.media.push_back(ep);
     return true;
   });
-  // Cached media routes may point into the departed trails. The source
+  // Cached media routes may point into the departed record. The source
   // symbol stays interned (symbols are never recycled); it simply has no
   // state behind it any more.
   forget_routes();
@@ -273,10 +266,8 @@ void TrailManager::install_session(ExtractedSession&& moved) {
   const Symbol sym = symbols_.intern(moved.id);
   // Intentionally no ++stats_.sessions_created: the session already exists
   // from the pipeline's point of view, it just lives here now.
-  for (Trail* trail : moved.slot->trails) {
-    trail->rebind(sym);
-    trails_.try_emplace(trail_slot_key(sym, trail->key().protocol), trail);
-  }
+  for (Trail* trail : moved.slot->trails) trail->rebind(sym);
+  trail_count_ += moved.slot->trails.size();
   for (const pkt::Endpoint& ep : moved.media) {
     media_to_session_.insert_or_assign(ep, sym);
     forget_routes_through(ep);
@@ -285,22 +276,31 @@ void TrailManager::install_session(ExtractedSession&& moved) {
 }
 
 size_t TrailManager::expire_idle(SimTime cutoff) {
-  size_t dropped = trails_.erase_if([&](const uint64_t&, Trail*& trail) {
-    if (trail->last_time() >= cutoff) return false;
-    const Symbol sym = trail->sym();
-    if (std::unique_ptr<SessionSlot>* slot = sessions_.find(sym)) {
-      std::erase((*slot)->trails, trail);
+  size_t dropped = 0;
+  FlatSet<Symbol> gone;
+  sessions_.erase_if([&](const Symbol& sym, std::unique_ptr<SessionSlot>& slot) {
+    dropped += std::erase_if(slot->trails, [&](Trail* trail) {
+      if (trail->last_time() >= cutoff) return false;
       trail->~Trail();
-      // The arena (and every byte the session's trails ever allocated) is
-      // reclaimed in one release once the last trail expires.
-      if ((*slot)->trails.empty()) sessions_.erase(sym);
-    } else {
-      trail->~Trail();
-    }
-    ++stats_.trails_expired;
+      return true;
+    });
+    if (!slot->trails.empty()) return false;
+    // The record goes with its last trail: the arena (every byte the
+    // session's trails ever allocated) in one release, the event state
+    // with it.
+    gone.insert(sym);
     return true;
   });
-  // Expired trails may still be referenced by cached media routes.
+  trail_count_ -= dropped;
+  stats_.trails_expired += dropped;
+  stats_.sessions_expired += gone.size();
+  // A binding to a dropped record would re-create it on the endpoint's
+  // next packet.
+  if (!gone.empty()) {
+    media_to_session_.erase_if(
+        [&](const pkt::Endpoint&, const Symbol& bound) { return gone.contains(bound); });
+  }
+  // Cached media routes may point into expired trails or dropped records.
   if (dropped != 0) forget_routes();
   return dropped;
 }

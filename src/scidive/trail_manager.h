@@ -7,15 +7,18 @@
 // RTP with no known session gets a synthetic per-flow session so that rules
 // can still reason about unsignaled media ("flow:<src>-><dst>").
 //
-// Session-scale memory layout (§3 trail model at 10k+ concurrent sessions):
-//   - every session id is interned once into a SymbolTable; all internal
-//     tables key on the dense uint32 symbol, so routing compares integers,
+// Each session has one record: its trails and its event state. The record
+// table is the only table keyed by session:
+//   - every session id is interned once into a SymbolTable; the record
+//     table keys on the dense uint32 symbol, so routing compares integers,
 //     never strings;
-//   - the trail table is a flat open-addressing map keyed by the packed
-//     (symbol, protocol) word — one mix, one probe, no per-node heap blocks;
-//   - each session owns an Arena; its Trail objects and their footprint
+//   - a session's trail is found by scanning its record's trail list, which
+//     holds at most one trail per protocol;
+//   - each record owns an Arena; its Trail objects and their footprint
 //     rings bump-allocate from it, so session teardown is one arena release
-//     instead of per-trail frees.
+//     instead of per-trail frees. The event state is an ordinary member of
+//     the record (not arena-placed): it lives and dies with the record.
+// Expiry, migration and fleet handoff therefore drop or move one record.
 //
 // The media path is the hot path: once a flow's first packet has been
 // classified, a (src, dst, protocol) -> MediaFlow cache routes every further
@@ -38,20 +41,18 @@
 #include "common/arena.h"
 #include "common/flat_map.h"
 #include "common/symbol.h"
+#include "scidive/session_state.h"
 #include "scidive/trail.h"
 
 namespace scidive::core {
-
-struct EventSessionState;  // event_generator.h
-struct RtpEndpointState;   // event_generator.h
 
 /// One direction of a media flow as routed: the flow-cache entry and, for
 /// RTP, the flow's one record. The trail manager fills the route; the event
 /// generator attaches the session's RTP state on the flow's first RTP
 /// packet. From then on the slow path and the engine's bypass step that
 /// state in place through these pointers, so nothing is copied and nothing
-/// needs writing back. The event generator owns the pointees and drops
-/// every route (forget_routes) before it destroys or moves session state.
+/// needs writing back. The pointees live in the session's record; the trail
+/// manager drops every route before it drops or moves a record.
 struct MediaFlow {
   Trail* trail = nullptr;
   bool bound = false;  // routed via an SDP binding; keeps stats exact on cache hits
@@ -67,6 +68,7 @@ struct TrailManagerStats {
   uint64_t rtp_unbound = 0;            // synthetic flow session
   uint64_t flow_cache_hits = 0;        // media packets routed without classify
   uint64_t trails_expired = 0;         // trails dropped by expire_idle
+  uint64_t sessions_expired = 0;       // records dropped with their last trail
 };
 
 class TrailManager {
@@ -111,31 +113,35 @@ class TrailManager {
   /// Cached RTP routes with session state attached: the flows the engine's
   /// bypass can step.
   size_t attached_flows() const;
-  /// Drop every cached route (the event generator calls this before it
-  /// destroys session state the routes point at).
-  void forget_routes();
-  size_t trail_count() const { return trails_.size(); }
+  /// The event state of the session `trail` belongs to. Precondition:
+  /// `trail` was routed by this manager and has not expired.
+  EventSessionState& session_state(const Trail& trail) {
+    return (*sessions_.find(trail.sym()))->events;
+  }
+  size_t trail_count() const { return trail_count_; }
   size_t session_count() const { return sessions_.size(); }
   size_t media_binding_count() const { return media_to_session_.size(); }
   const TrailManagerStats& stats() const { return stats_; }
 
   /// The interner shared by every downstream consumer of this manager's
-  /// session ids (EventGenerator keys its per-session state by these).
+  /// session ids.
   SymbolTable& symbols() { return symbols_; }
   const SymbolTable& symbols() const { return symbols_; }
 
   /// Bytes reserved across all live session arenas (observability gauge).
   size_t arena_bytes_reserved() const;
 
-  /// Drop every trail whose newest footprint is older than `cutoff`.
+  /// Drop every trail whose newest footprint is older than `cutoff`. A
+  /// record goes with its last trail, event state and media bindings
+  /// included. Returns the trails dropped.
   size_t expire_idle(SimTime cutoff);
 
   // --- Session migration (sharded-engine rebalance) ---------------------
-  // A session's whole trail state moves between managers as one opaque
-  // package: the arena-owning SessionSlot plus the media endpoints bound to
-  // the session. Trail pointers stay valid across the move (the arena
-  // moves, not the objects); install re-interns the id and rebinds the
-  // trails to the adopting manager's symbol.
+  // A session moves between managers as one opaque package: its record
+  // (arena, trails, event state) plus the media endpoints bound to it.
+  // Trail and state pointers stay valid across the move (the record moves,
+  // not the objects); install re-interns the id and rebinds the trails to
+  // the adopting manager's symbol.
 
   struct ExtractedSession {
     SessionId id;
@@ -154,7 +160,7 @@ class TrailManager {
   uint64_t session_activity(const SessionId& session) const;
   std::vector<pkt::Endpoint> media_endpoints(const SessionId& session) const;
 
-  /// Detach a session (trails, arena, media bindings) for transplant.
+  /// Detach a session (its record and media bindings) for transplant.
   /// Returns an invalid package when the session does not exist. Counters
   /// (sessions_created etc.) are monotone and unaffected.
   ExtractedSession extract_session(const SessionId& session);
@@ -165,24 +171,25 @@ class TrailManager {
   void install_session(ExtractedSession&& moved);
 
  private:
-  /// All of a session's storage: trails plus their footprint rings live in
-  /// the arena; the slot destructor runs the Trail destructors and then the
+  /// One session's record: trails plus their footprint rings live in the
+  /// arena; the slot destructor runs the Trail destructors and then the
   /// arena release reclaims every byte at once. Held behind unique_ptr so
-  /// the arena's address survives table rehashes (trail rings keep Arena*).
+  /// the arena's and the event state's addresses survive table rehashes
+  /// (trail rings keep Arena*, flow records keep state pointers).
   struct SessionSlot {
     Arena arena;
-    std::vector<Trail*> trails;  // creation order, arena-placed
+    std::vector<Trail*> trails;  // creation order, arena-placed, one per protocol
+    EventSessionState events;
     ~SessionSlot() {
       for (Trail* t : trails) t->~Trail();
     }
+    Trail* find(Protocol protocol) const {
+      for (Trail* t : trails) {
+        if (t->key().protocol == protocol) return t;
+      }
+      return nullptr;
+    }
   };
-
-  /// (symbol, protocol) packed into one word: Protocol has 7 values, so the
-  /// low 3 bits hold it exactly. Hashing this integer is the whole trail
-  /// lookup — the old TrailKeyHash re-hashed the session string every time.
-  static uint64_t trail_slot_key(Symbol sym, Protocol protocol) {
-    return (static_cast<uint64_t>(sym) << 3) | static_cast<uint64_t>(protocol);
-  }
 
   /// One direction of a media flow. Trivially hashable: the steady-state
   /// lookup never touches a string.
@@ -211,6 +218,10 @@ class TrailManager {
 
   Symbol classify(const Footprint& fp, bool& media_bound);
   Trail& trail_for(Symbol sym, Protocol protocol);
+  const SessionSlot* slot_of(const SessionId& session) const;
+  /// Drop every cached route: they may point into a record being dropped
+  /// or moved.
+  void forget_routes();
   /// The binding of `ep` changed: drop the cached routes that looked it up.
   void forget_routes_through(const pkt::Endpoint& ep);
   void release_route_ref(const pkt::Endpoint& ep);
@@ -218,10 +229,9 @@ class TrailManager {
 
   size_t max_footprints_per_trail_;
   SymbolTable symbols_;
-  /// packed (symbol, protocol) -> trail; the Trail objects live in their
-  /// session's arena, not here.
-  FlatMap<uint64_t, Trail*> trails_;
+  /// Session symbol -> its record.
   FlatMap<Symbol, std::unique_ptr<SessionSlot>> sessions_;
+  size_t trail_count_ = 0;
   FlatMap<pkt::Endpoint, Symbol> media_to_session_;
   /// Flow direction -> flow record.
   FlatMap<MediaFlowKey, MediaFlow, MediaFlowKeyHash> media_flow_cache_;

@@ -393,9 +393,42 @@ TEST(FleetCorrelation, DigestGuessingAggregatesFleetWide) {
 
   size_t fleet_alerts = 0;
   for (const core::Alert& alert : fleet.merged_alerts()) {
-    if (alert.rule == kFleetDigestGuessRule) ++fleet_alerts;
+    if (alert.rule != kFleetDigestGuessRule) continue;
+    ++fleet_alerts;
+    // Keyed by the client the 401s challenged, not the registrar.
+    EXPECT_NE(alert.message.find("from " + f.attacker_host.address().to_string() + " "),
+              std::string::npos)
+        << alert.message;
   }
   EXPECT_EQ(fleet_alerts, 1u);
+}
+
+TEST(FleetCorrelation, BenignAuthFailuresRaiseNoDigestGuess) {
+  // Registration churn where many clients each mistype a password now and
+  // then: well over the fleet threshold of failures in one window, but
+  // no one source fails repeatedly, so no digest-guessing alert.
+  capture::CarrierMixConfig mix;
+  mix.seed = 0xd16e;
+  mix.provisioned_users = 500;
+  mix.call_rate_hz = 2.0;
+  mix.im_rate_hz = 1.0;
+  mix.register_rate_hz = 40.0;
+  mix.digest_failure_probability = 0.3;
+  mix.mean_call_hold_sec = 4.0;
+  mix.max_packets = 6000;
+  capture::CarrierMixSource source(mix);
+
+  FleetConfig fc;
+  fc.node.engine.num_shards = 1;
+  fc.node.engine.engine.obs.time_stages = false;
+  fc.pump_every_packets = 256;
+  Fleet fleet(fc, {"node-0", "node-1"});
+  fleet.run(source);
+  ASSERT_GE(source.digest_failures(), 2 * CorrelatorConfig{}.digest_guess_threshold);
+
+  for (const core::Alert& alert : fleet.merged_alerts()) {
+    EXPECT_NE(alert.rule, kFleetDigestGuessRule) << alert.message;
+  }
 }
 
 TEST(FleetScreening, VerdictOnOneNodeScreensThePrincipalOnAll) {

@@ -203,6 +203,9 @@ TEST(EngineIntegration, ExpireIdleReclaimsState) {
   EXPECT_GT(f.ids.trails().trail_count(), 0u);
   f.ids.expire_idle(f.sim.now() + sec(100));
   EXPECT_EQ(f.ids.trails().trail_count(), 0u);
+  EXPECT_EQ(f.ids.trails().session_count(), 0u);
+  EXPECT_EQ(f.ids.events().tracked_sessions(), 0u);
+  EXPECT_EQ(f.ids.trails().media_binding_count(), 0u);
 }
 
 TEST(EngineIntegration, AttacksAgainstBAreInvisibleToAsIds) {

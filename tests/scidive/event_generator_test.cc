@@ -318,11 +318,33 @@ TEST(EventGenerator, JitterEventAfterWarmup) {
 }
 
 TEST(EventGenerator, ExpireIdleSessions) {
+  // The event state is part of the session record: expiring the session's
+  // trails drops it too.
   GeneratorHarness h;
   setup_call(h, "c1");
   EXPECT_EQ(h.generator.tracked_sessions(), 1u);
-  EXPECT_EQ(h.generator.expire_idle(sec(1000)), 1u);
+  EXPECT_EQ(h.trails.expire_idle(sec(1000)), 1u);
   EXPECT_EQ(h.generator.tracked_sessions(), 0u);
+}
+
+TEST(EventGenerator, MigratedRecordCarriesEventState) {
+  // The record extracted from one manager and installed in another brings
+  // the dialog mirror with it: the adopting side knows whose media must go
+  // quiet after the BYE without ever having seen the call set up.
+  GeneratorHarness from;
+  setup_call(from, "c1");
+  from.feed(rtp_packet(10, 7, msec(200), kBMedia, kAMedia));
+  GeneratorHarness to;
+  to.trails.install_session(from.trails.extract_session("c1"));
+  EXPECT_EQ(from.generator.tracked_sessions(), 0u);
+  EXPECT_EQ(to.generator.tracked_sessions(), 1u);
+
+  to.feed(sip_request("BYE", "c1", "bob@lab.net", "tb", "alice@lab.net", "ta", msec(500), kBSip,
+                      kASip));
+  to.feed(rtp_packet(11, 7, msec(520), kBMedia, kAMedia));
+  EXPECT_EQ(to.count(EventType::kRtpAfterBye), 1u);
+  // The stream had started before the move: no second start event.
+  EXPECT_EQ(to.count(EventType::kRtpStreamStarted), 0u);
 }
 
 }  // namespace

@@ -262,7 +262,7 @@ TEST(Rebalance, ExtractInstallHandoffWritesBackExactMicrostate) {
   ASSERT_GT(source.fastpath_bypassed(), 0u);
   ASSERT_TRUE(source.has_session(session));
   ScidiveEngine::SessionTransfer transfer = source.extract_session(session);
-  ASSERT_TRUE(transfer.valid);
+  ASSERT_TRUE(transfer.record.valid());
   EXPECT_EQ(source.fastpath_entries(), 0u) << "handoff must flush the flow cache";
 
   ScidiveEngine target(config);

@@ -304,6 +304,7 @@ TEST(TrailManager, PartialExpiryKeepsSessionAlive) {
   const Trail* rtp = tm.find("call-A", Protocol::kRtp);
   ASSERT_NE(rtp, nullptr);
   EXPECT_EQ(rtp->size(), 1u);  // still readable: arena not released
+  EXPECT_EQ(tm.session_for_media(ep(4, 16384)), "call-A");  // the record keeps its binding
 }
 
 TEST(TrailManager, SessionChurnStress) {
