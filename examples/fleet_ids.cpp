@@ -91,7 +91,7 @@ int main() {
     }
     cluster.flush();
     score += detected(cluster.merged_alerts()) == 4;
-    printf("    %llu session(s) rode SessionTransfer to a new owner; "
+    printf("    %llu session record(s) moved to a new owner; "
            "attacks tracked since their INVITE still fired\n\n",
            (unsigned long long)cluster.stats().sessions_handed_off);
   }

@@ -245,7 +245,7 @@ void Fleet::relocate_moved_sessions() {
     FleetNode* target = slot_node_[move.slot];
     if (target == nullptr || target == move.source) continue;
     auto transfer = move.source->engine().extract_session(move.session);
-    if (!transfer.record.valid()) {
+    if (!transfer.valid()) {
       ++stats_.handoff_skipped_invalid;
       continue;
     }

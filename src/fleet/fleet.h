@@ -6,8 +6,8 @@
 // rendezvous-hashed ring maps slots to nodes. The key -> slot mapping is
 // membership-independent, so learned media bindings and pinned call-ids
 // survive churn; join/leave only reassigns the slots whose rendezvous
-// winner changed (expected slots/N), and exactly those sessions ride
-// SessionTransfer to their new owner.
+// winner changed (expected slots/N), and exactly those sessions' records
+// move to their new owner.
 //
 // The harness owns transport: frames drain between engine quiesce points,
 // optionally through a seeded loss gate (counted drops). flush() pumps

@@ -139,8 +139,8 @@ class FleetNode {
   /// A liveness heartbeat frame for every peer.
   std::vector<std::pair<std::string, Bytes>> hello_frames() const;
 
-  /// Announce an ownership transfer this node just performed (the state
-  /// itself rode SessionTransfer in-process; this is the wire-visible half).
+  /// Announce an ownership transfer this node just performed (the session
+  /// record itself moved in-process; this is the wire-visible half).
   void announce_handoff(const SepHandoff& handoff) {
     ++stats_.handoffs_announced;
     broadcast(SepRecord{handoff});

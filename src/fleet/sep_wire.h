@@ -92,10 +92,10 @@ struct SepVouch {
   bool operator==(const SepVouch&) const = default;
 };
 
-/// Ownership-transfer announcement. The session state itself rides the
-/// in-process SessionTransfer machinery (ScidiveEngine::extract_session /
-/// install_session); this record is the wire-visible half peers use to
-/// update their view of who owns what.
+/// Ownership-transfer announcement. The session record itself moves
+/// in-process (ScidiveEngine::extract_session / install_session); this
+/// record is the wire-visible half peers use to update their view of who
+/// owns what.
 struct SepHandoff {
   std::string session;
   std::string to_node;

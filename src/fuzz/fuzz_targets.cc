@@ -131,8 +131,16 @@ int fuzz_engine(const uint8_t* data, size_t size) {
     packet.timestamp = now;
     engine.on_packet(packet);
   });
+  // Expiry past the last packet must reclaim every session: its record,
+  // its media bindings and the session-keyed rules' state in it.
   engine.expire_idle(now + sec(120));
-  (void)engine.metrics_snapshot();
+  const obs::Snapshot snap = engine.metrics_snapshot();
+  if (engine.trails().session_count() != 0 || engine.trails().media_binding_count() != 0) {
+    __builtin_trap();
+  }
+  for (const char* rule : {"billing-fraud", "register-flood", "password-guess"}) {
+    if (snap.gauge_value("scidive_rule_state_entries", {{"rule", rule}}) != 0) __builtin_trap();
+  }
   return 0;
 }
 
@@ -145,18 +153,28 @@ int fuzz_ruledsl(const uint8_t* data, size_t size) {
   // A ruleset that compiles must also *run*: sweep every subscribed event
   // type through each rule twice (first-touch and revisit paths) across two
   // sessions, so slot updates, branches and alert rendering all execute on
-  // whatever programs the fuzzer evolved.
+  // whatever programs the fuzzer evolved. Both sessions get a record first:
+  // `key session` state lives there.
   std::vector<core::RulePtr> rules = ruledsl::make_rules(ruleset.value());
+  const char* const sessions[] = {"fuzz-session", "fuzz-session-2"};
   core::TrailManager trails;
+  for (const char* session : sessions) {
+    core::Footprint fp;
+    fp.protocol = core::Protocol::kAcc;
+    fp.data = core::AccFootprint{.call_id = session};
+    trails.add(std::move(fp));
+  }
   core::AlertSink sink;
   core::RuleContext ctx(trails, sink);
-  for (const core::RulePtr& rule : rules) {
+  for (size_t position = 0; position < rules.size(); ++position) {
+    const core::RulePtr& rule = rules[position];
+    ctx.set_rule(position);
     for (int round = 0; round < 2; ++round) {
       for (size_t t = 0; t < core::kEventTypeCount; ++t) {
         if ((rule->subscriptions() >> t & 1) == 0) continue;
         core::Event event;
         event.type = static_cast<core::EventType>(t);
-        event.session = round == 0 ? "fuzz-session" : "fuzz-session-2";
+        event.session = sessions[round];
         event.time = sec(static_cast<int64_t>(t) + 1) * (round + 1);
         event.aor = "fuzz@lab.net";
         event.endpoint = {pkt::Ipv4Address(0x0a000002u + static_cast<uint32_t>(round)), 16384};

@@ -31,54 +31,34 @@ int64_t since_value(SimTime now, int64_t t) {
 
 }  // namespace
 
-namespace {
-
-struct BoxedRecord final : core::Rule::SessionState {
-  std::vector<int64_t> nums;
-  std::vector<std::string> strs;
-};
-
-}  // namespace
-
-std::unique_ptr<core::Rule::SessionState> CompiledRule::extract_session(
-    const core::SessionId& session) {
-  if (def_->key != KeyKind::kSession) return nullptr;  // AOR state never moves
-  auto sym = keys_.find(session);
-  if (!sym) return nullptr;
-  Record* rec = records_.find(*sym);
-  if (rec == nullptr) return nullptr;
-  auto box = std::make_unique<BoxedRecord>();
-  box->nums = std::move(rec->nums);
-  box->strs = std::move(rec->strs);
-  records_.erase(*sym);
-  return box;
-}
-
-void CompiledRule::install_session(const core::SessionId& session,
-                                   std::unique_ptr<SessionState> state) {
-  if (def_->key != KeyKind::kSession) return;
-  auto* box = dynamic_cast<BoxedRecord*>(state.get());
-  // A slot-count mismatch means the destination runs a different revision of
-  // this rule (mid-hot-reload); adopting the record would misindex slots.
-  if (box == nullptr || box->nums.size() != def_->slots.size()) return;
-  Record rec;
-  rec.nums = std::move(box->nums);
-  rec.strs = std::move(box->strs);
-  records_.insert_or_assign(keys_.intern(session), std::move(rec));
-}
-
-CompiledRule::Record& CompiledRule::record_for(const core::Event& event) {
-  const std::string& key = def_->key == KeyKind::kAor ? event.aor : event.session;
-  auto [rec, inserted] = records_.try_emplace(keys_.intern(key));
-  if (inserted) {
-    rec->nums.reserve(def_->slots.size());
-    for (const SlotDecl& slot : def_->slots) rec->nums.push_back(slot.init);
-    rec->strs.resize(def_->num_string_slots);
-    for (const SlotDecl& slot : def_->slots) {
-      if (slot.type == ValType::kString) rec->strs[slot.str_index] = slot.str_init;
-    }
+void CompiledRule::init(Record& rec) const {
+  rec.nums.reserve(def_->slots.size());
+  for (const SlotDecl& slot : def_->slots) rec.nums.push_back(slot.init);
+  rec.strs.resize(def_->num_string_slots);
+  for (const SlotDecl& slot : def_->slots) {
+    if (slot.type == ValType::kString) rec.strs[slot.str_index] = slot.str_init;
   }
-  return *rec;
+}
+
+CompiledRule::Record* CompiledRule::record_for(const core::Event& event,
+                                               core::RuleContext& ctx) {
+  if (def_->key == KeyKind::kAor) {
+    auto [rec, inserted] = records_.try_emplace(keys_.intern(event.aor));
+    if (inserted) init(*rec);
+    return &*rec;
+  }
+  std::unique_ptr<core::RuleSessionState>* slot = ctx.session_slot(event.session);
+  if (slot == nullptr) return nullptr;
+  auto* rec = static_cast<Record*>(slot->get());
+  // A slot count that does not match the definition means the record was
+  // written by another revision of this rule (a session that migrated
+  // mid-hot-reload); reading it would misindex slots, so start over.
+  if (rec == nullptr || rec->nums.size() != def_->slots.size()) {
+    *slot = std::make_unique<Record>();
+    rec = static_cast<Record*>(slot->get());
+    init(*rec);
+  }
+  return rec;
 }
 
 CompiledRule::Value CompiledRule::eval(const ExprProgram& program, const core::Event& event,
@@ -248,7 +228,10 @@ void CompiledRule::on_event(const core::Event& event, core::RuleContext& ctx) {
   const HandlerRange h = def_->handlers[static_cast<size_t>(event.type)];
   if (h.begin == h.end) return;
   Record* rec = nullptr;
-  if (!def_->slots.empty()) rec = &record_for(event);
+  if (!def_->slots.empty()) {
+    rec = record_for(event, ctx);
+    if (rec == nullptr) return;
+  }
 
   uint32_t pc = h.begin;
   while (pc < h.end) {

@@ -1,9 +1,10 @@
 // CompiledRule: the Rule adapter that executes one compiled DSL rule.
 // Indistinguishable from a hand-written C++ rule to ScidiveEngine,
-// ShardedEngine, the per-rule obs instruments and the AlertLedger. Each
-// instance owns its per-key state records (one instance per shard — rules
-// are stateful and must not be shared across workers); the immutable
-// CompiledRuleDef is shared.
+// ShardedEngine, the per-rule obs instruments and the AlertLedger. A
+// `key session` rule keeps its state record in the session's record (so it
+// expires and migrates with the session); a `key aor` rule owns its records
+// (one instance per shard — rules are stateful and must not be shared
+// across workers). The immutable CompiledRuleDef is shared.
 #pragma once
 
 #include <memory>
@@ -23,8 +24,9 @@ class CompiledRule : public core::Rule {
 
   std::string_view name() const override { return def_->name; }
   void on_event(const core::Event& event, core::RuleContext& ctx) override;
-  /// Per-key state records currently held — the same observability surface
-  /// hand-written rules expose through the state-entry gauges.
+  /// Per-AOR state records currently held — the same observability surface
+  /// hand-written principal-keyed rules expose through the state-entry
+  /// gauges. Per-session records are counted by the engine.
   size_t state_entries() const override { return records_.size(); }
   core::EventTypeMask subscriptions() const override { return def_->subscriptions; }
   /// Static analysis over the compiled transition programs: a DSL rule is
@@ -40,18 +42,12 @@ class CompiledRule : public core::Rule {
     return (def_->subscriptions & core::event_mask(core::EventType::kRtpPacketSeen)) != 0;
   }
 
-  /// Migration: session-keyed rules hand their Record over; AOR-keyed state
-  /// is principal state and stays put (the router pins those sessions).
-  std::unique_ptr<SessionState> extract_session(const core::SessionId& session) override;
-  void install_session(const core::SessionId& session,
-                       std::unique_ptr<SessionState> state) override;
-
   const CompiledRuleDef& def() const { return *def_; }
 
  private:
   /// Mutable state for one key (session or AOR): one numeric cell per slot
   /// plus backing storage for string slots.
-  struct Record {
+  struct Record : core::RuleSessionState {
     std::vector<int64_t> nums;
     std::vector<std::string> strs;
   };
@@ -65,7 +61,11 @@ class CompiledRule : public core::Rule {
     const std::string* s = nullptr;
   };
 
-  Record& record_for(const core::Event& event);
+  /// The event's key's record, initialised on first use; nullptr for a
+  /// session key when the context has no session state to give.
+  Record* record_for(const core::Event& event, core::RuleContext& ctx);
+  /// Fill a fresh record with the definition's initial slot values.
+  void init(Record& rec) const;
   Value eval(const ExprProgram& program, const core::Event& event, const Record* rec,
              core::RuleContext& ctx) const;
   /// Renders alert and verdict templates alike (both are AlertPiece lists).
@@ -73,9 +73,8 @@ class CompiledRule : public core::Rule {
                      const Record* rec, core::RuleContext& ctx) const;
 
   std::shared_ptr<const CompiledRuleDef> def_;
-  /// Rule-local interner: state keys (session ids or AORs) hash once as a
-  /// string and forever after as a dense integer. Symbols are stable across
-  /// hot reloads because reload swaps rule *definitions*, not rule state.
+  /// `key aor` state: AORs hash once as a string and forever after as a
+  /// dense integer.
   SymbolTable keys_;
   FlatMap<Symbol, Record> records_;
 };

@@ -124,6 +124,7 @@ void ScidiveEngine::clear_rules() {
   // freeze at their last values.
   rules_.clear();
   rule_inst_.clear();
+  trails_.clear_rule_states();
   rebuild_subscriber_index();
 }
 
@@ -132,6 +133,7 @@ void ScidiveEngine::set_rules(std::vector<RulePtr> rules) {
   rule_inst_.clear();
   rule_inst_.reserve(rules_.size());
   for (const RulePtr& rule : rules_) rule_inst_.push_back(intern_rule_instruments(*rule));
+  trails_.clear_rule_states();
   rebuild_subscriber_index();
 }
 
@@ -287,6 +289,7 @@ void ScidiveEngine::dispatch_events() {
     for (uint32_t i : subscribers_[static_cast<size_t>(event.type)]) {
       rule_inst_[i].events_seen->inc();
       const uint64_t before = sink_.total_raised();
+      ctx.set_rule(i);
       rules_[i]->on_event(event, ctx);
       const uint64_t raised = sink_.total_raised() - before;
       if (raised != 0) rule_inst_[i].alerts->inc(raised);
@@ -431,8 +434,12 @@ void ScidiveEngine::sync_component_stats() {
   registry_.gauge("scidive_tracked_sessions", "Sessions with live event-generator state")
       .set(static_cast<int64_t>(events_.tracked_sessions()));
 
+  // A rule's state: what it keeps per principal plus the session records
+  // holding its slot.
+  const std::vector<size_t> in_records = trails_.rule_state_counts(rules_.size());
   for (size_t i = 0; i < rules_.size(); ++i) {
-    rule_inst_[i].state_entries->set(static_cast<int64_t>(rules_[i]->state_entries()));
+    rule_inst_[i].state_entries->set(
+        static_cast<int64_t>(rules_[i]->state_entries() + in_records[i]));
   }
 
   if (config_.fastpath.enabled) {
@@ -500,31 +507,5 @@ obs::Snapshot ScidiveEngine::metrics_snapshot() {
 }
 
 void ScidiveEngine::expire_idle(SimTime cutoff) { trails_.expire_idle(cutoff); }
-
-ScidiveEngine::SessionTransfer ScidiveEngine::extract_session(const SessionId& session) {
-  SessionTransfer out;
-  out.record = trails_.extract_session(session);
-  if (!out.record.valid()) return out;
-  for (const RulePtr& rule : rules_) {
-    if (auto state = rule->extract_session(session)) {
-      out.rule_states.emplace_back(std::string(rule->name()), std::move(state));
-    }
-  }
-  return out;
-}
-
-void ScidiveEngine::install_session(SessionTransfer&& transfer) {
-  if (!transfer.record.valid()) return;
-  const SessionId id = transfer.record.id;
-  trails_.install_session(std::move(transfer.record));
-  for (auto& [rule_name, state] : transfer.rule_states) {
-    for (const RulePtr& rule : rules_) {
-      if (rule->name() == rule_name) {
-        rule->install_session(id, std::move(state));
-        break;
-      }
-    }
-  }
-}
 
 }  // namespace scidive::core

@@ -119,11 +119,14 @@ class ScidiveEngine {
 
   /// Install an additional rule (the ruleset defaults to the paper's).
   void add_rule(RulePtr rule);
-  /// Drop all rules (for baseline configurations in the benches).
+  /// Drop all rules (for baseline configurations in the benches), and with
+  /// them every session record's rule state.
   void clear_rules();
   /// Atomically replace the whole ruleset (hot reload). Instruments for the
   /// new rules are interned against the same registry, so a rule keeping its
-  /// name keeps its counters across the swap.
+  /// name keeps its counters across the swap. Rule state starts fresh: every
+  /// session record's rule slots are emptied, as new rule instances would
+  /// have it.
   void set_rules(std::vector<RulePtr> rules);
   size_t rule_count() const { return rules_.size(); }
 
@@ -182,23 +185,22 @@ class ScidiveEngine {
   void expire_idle(SimTime cutoff);
 
   // --- Session migration (sharded-engine rebalance) ---------------------
-  /// One session's complete engine-side state: its record (trails with
-  /// their arena, event state, media bindings) and any per-rule session
-  /// state, keyed by rule name so the matching rule instance on the
-  /// destination engine adopts it.
-  struct SessionTransfer {
-    TrailManager::ExtractedSession record;
-    std::vector<std::pair<std::string, std::unique_ptr<Rule::SessionState>>> rule_states;
-  };
+  // A session's complete engine-side state is its record (trails with their
+  // arena, event state, rule state) plus its media bindings.
 
   bool has_session(const SessionId& session) const { return trails_.has_session(session); }
   /// Detach everything this engine knows about `session`. Invalid (and the
   /// engine unchanged) when the session does not exist here.
-  SessionTransfer extract_session(const SessionId& session);
-  /// Adopt a transfer produced by another engine with the same ruleset.
-  /// Precondition: !has_session(transfer.record.id). Creation counters are NOT
-  /// incremented — across a sharded engine the session was created once.
-  void install_session(SessionTransfer&& transfer);
+  TrailManager::ExtractedSession extract_session(const SessionId& session) {
+    return trails_.extract_session(session);
+  }
+  /// Adopt a session extracted from another engine with the same ruleset
+  /// (rule state is indexed by rule position). Precondition:
+  /// !has_session(moved.id). Creation counters are NOT incremented — across
+  /// a sharded engine the session was created once.
+  void install_session(TrailManager::ExtractedSession&& moved) {
+    trails_.install_session(std::move(moved));
+  }
 
  private:
   /// Interned once per rule at registration; indexed parallel to rules_.

@@ -1,10 +1,13 @@
 // The Rule abstraction. Rules are driven by Events (the efficient path) and
 // may additionally inspect Trails directly through the context (the paper's
-// "crude information directly from the Trails" path, §3.1). Stateful rules
-// keep their own per-session state; cross-protocol rules simply subscribe
-// to events originating from different protocol trails of one session.
+// "crude information directly from the Trails" path, §3.1). Session-keyed
+// rules keep their per-session state in the session's record, reached
+// through the context; principal-keyed rules keep their own tables.
+// Cross-protocol rules simply subscribe to events originating from
+// different protocol trails of one session.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string_view>
 
@@ -20,13 +23,34 @@ namespace scidive::core {
 /// Everything a rule may touch while matching.
 class RuleContext {
  public:
-  RuleContext(const TrailManager& trails, AlertSink& sink, obs::AlertLedger* ledger = nullptr,
+  RuleContext(TrailManager& trails, AlertSink& sink, obs::AlertLedger* ledger = nullptr,
               VerdictSink* verdicts = nullptr, Enforcer* enforcer = nullptr)
       : trails_(trails), sink_(sink), ledger_(ledger), verdicts_(verdicts),
         enforcer_(enforcer) {}
 
   /// Query access to all trails (cross-protocol, direct inspection).
   const TrailManager& trails() const { return trails_; }
+
+  /// Which rule the next on_event call is for: its position in the rule
+  /// list, which is also its slot in every session record. The engine's
+  /// dispatch loop sets it before each call; until it is set, rules see no
+  /// session state.
+  void set_rule(size_t position) { rule_ = position; }
+
+  /// The calling rule's state for `session`, created on first use. nullptr
+  /// when no rule is set or the session has no record.
+  template <typename State>
+  State* session_state(const SessionId& session) {
+    std::unique_ptr<RuleSessionState>* slot = session_slot(session);
+    if (slot == nullptr) return nullptr;
+    if (*slot == nullptr) *slot = std::make_unique<State>();
+    return static_cast<State*>(slot->get());
+  }
+  /// The calling rule's slot in `session`'s record, for rules that build
+  /// their state themselves. nullptr as for session_state().
+  std::unique_ptr<RuleSessionState>* session_slot(const SessionId& session) {
+    return rule_ == kNoRule ? nullptr : trails_.rule_slot(session, rule_);
+  }
 
   void raise(std::string rule, Severity severity, const Event& cause, std::string message) {
     Alert alert{std::move(rule), severity, cause.session, cause.time, std::move(message)};
@@ -47,7 +71,10 @@ class RuleContext {
   }
 
  private:
-  const TrailManager& trails_;
+  static constexpr size_t kNoRule = SIZE_MAX;
+
+  TrailManager& trails_;
+  size_t rule_ = kNoRule;
   AlertSink& sink_;
   obs::AlertLedger* ledger_;
   VerdictSink* verdicts_;
@@ -73,20 +100,13 @@ constexpr EventTypeMask kAllEventsMask =
 
 class Rule {
  public:
-  /// Opaque box for one session's worth of a rule's private state, used by
-  /// the sharded engine's rebalancer to move a session between shards. The
-  /// concrete type belongs to the rule that produced it; the matching rule
-  /// instance on the destination shard (same name, same class) unpacks it.
-  struct SessionState {
-    virtual ~SessionState() = default;
-  };
-
   virtual ~Rule() = default;
   virtual std::string_view name() const = 0;
   virtual void on_event(const Event& event, RuleContext& ctx) = 0;
-  /// How many per-session (or per-principal) state entries the rule holds
-  /// right now — the observability surface for rule memory. Stateless rules
-  /// keep the default.
+  /// How many per-principal state entries the rule holds right now — the
+  /// observability surface for rule memory. Stateless and session-keyed
+  /// rules keep the default: the engine counts the session records holding
+  /// a rule's state itself.
   virtual size_t state_entries() const { return 0; }
   /// The EventTypes this rule consumes. The engine indexes rules by type so
   /// an event only visits its subscribers; the default (everything)
@@ -102,20 +122,6 @@ class Rule {
   /// bypass.
   virtual bool media_steady_state_interest() const {
     return (subscriptions() & event_mask(EventType::kRtpPacketSeen)) != 0;
-  }
-
-  /// Migration hooks. extract_session detaches and returns the rule's
-  /// state for `session` (nullptr when it holds none — the default for
-  /// stateless and principal-keyed rules, whose state must stay put);
-  /// install_session adopts a box produced by the same rule class on
-  /// another shard. A rule implementing one must implement both.
-  virtual std::unique_ptr<SessionState> extract_session(const SessionId& session) {
-    (void)session;
-    return nullptr;
-  }
-  virtual void install_session(const SessionId& session, std::unique_ptr<SessionState> state) {
-    (void)session;
-    (void)state;
   }
 };
 

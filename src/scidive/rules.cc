@@ -89,7 +89,9 @@ void BillingFraudRule::on_event(const Event& event, RuleContext& ctx) {
     default:
       return;
   }
-  Evidence& evidence = evidence_[sessions_interned_.intern(event.session)];
+  auto* found = ctx.session_state<Evidence>(event.session);
+  if (found == nullptr) return;
+  Evidence& evidence = *found;
   evidence.mask |= 1u << static_cast<uint32_t>(event.type);
   const auto count = static_cast<size_t>(std::popcount(evidence.mask));
   if (static_cast<int>(count) >= config_.billing_min_evidence && !evidence.alerted) {
@@ -110,7 +112,9 @@ void BillingFraudRule::on_event(const Event& event, RuleContext& ctx) {
 }
 
 void RegisterFloodRule::on_event(const Event& event, RuleContext& ctx) {
-  SessionAuthState& state = sessions_[sessions_interned_.intern(event.session)];
+  auto* found = ctx.session_state<SessionAuthState>(event.session);
+  if (found == nullptr) return;
+  SessionAuthState& state = *found;
   if (event.type == EventType::kSipRegisterSeen) {
     state.last_register_had_auth = (event.value != 0);
     return;
@@ -135,7 +139,9 @@ void RegisterFloodRule::on_event(const Event& event, RuleContext& ctx) {
 
 void PasswordGuessRule::on_event(const Event& event, RuleContext& ctx) {
   if (event.type != EventType::kSipAuthFailure) return;
-  GuessState& state = sessions_[sessions_interned_.intern(event.session)];
+  auto* found = ctx.session_state<GuessState>(event.session);
+  if (found == nullptr) return;
+  GuessState& state = *found;
   // detail carries the digest response of the failed attempt; attacks show
   // *different* responses ("requests with different values in the challenge
   // response field", §3.3), while a retransmitted legitimate request repeats
@@ -182,12 +188,9 @@ void RtcpByeRule::on_event(const Event& event, RuleContext& ctx) {
 
 void DirectTrailScanByeRule::on_event(const Event& event, RuleContext& ctx) {
   if (event.type != EventType::kRtpPacketSeen) return;
-  // find() (no intern) on the per-packet path: only alerted sessions ever
-  // enter the table.
-  if (auto sym = sessions_interned_.find(event.session);
-      sym && alerted_.contains(*sym)) {
-    return;
-  }
+  // A session holds a state only once the rule alerted on it.
+  std::unique_ptr<RuleSessionState>* alerted = ctx.session_slot(event.session);
+  if (alerted == nullptr || *alerted != nullptr) return;
   const Trail* sip_trail = ctx.trails().find(event.session, Protocol::kSip);
   if (sip_trail == nullptr) return;
 
@@ -220,90 +223,11 @@ void DirectTrailScanByeRule::on_event(const Event& event, RuleContext& ctx) {
   });
   if (!sender_media || event.endpoint != *sender_media) return;
 
-  alerted_.insert(sessions_interned_.intern(event.session));
+  *alerted = std::make_unique<RuleSessionState>();
   ctx.raise(std::string(name()), Severity::kCritical, event,
             str::format("orphan RTP from %s %lld us after BYE (direct trail scan)",
                         event.endpoint.to_string().c_str(),
                         static_cast<long long>(event.time - bye_time)));
-}
-
-// --- Session migration ----------------------------------------------------
-// Each session-keyed rule boxes its per-session value; the destination
-// instance re-interns the id into its own rule-local table. dynamic_cast
-// guards against a box reaching the wrong rule class (it cannot under the
-// engine's name-matched dispatch, but a wrong-type box must not corrupt
-// state — it is silently dropped, same as the no-state case).
-
-namespace {
-
-template <typename T>
-struct BoxedState final : Rule::SessionState {
-  explicit BoxedState(T v) : value(std::move(v)) {}
-  T value;
-};
-
-/// Detach `map[session]` (keyed via `interned`) into a box; null when absent.
-template <typename T, typename Map>
-std::unique_ptr<Rule::SessionState> extract_boxed(const SymbolTable& interned, Map& map,
-                                                  const SessionId& session) {
-  auto sym = interned.find(session);
-  if (!sym) return nullptr;
-  T* value = map.find(*sym);
-  if (value == nullptr) return nullptr;
-  auto box = std::make_unique<BoxedState<T>>(std::move(*value));
-  map.erase(*sym);
-  return box;
-}
-
-template <typename T, typename Map>
-void install_boxed(SymbolTable& interned, Map& map, const SessionId& session,
-                   std::unique_ptr<Rule::SessionState> state) {
-  auto* box = dynamic_cast<BoxedState<T>*>(state.get());
-  if (box == nullptr) return;
-  map.insert_or_assign(interned.intern(session), std::move(box->value));
-}
-
-}  // namespace
-
-std::unique_ptr<Rule::SessionState> BillingFraudRule::extract_session(const SessionId& session) {
-  return extract_boxed<Evidence>(sessions_interned_, evidence_, session);
-}
-
-void BillingFraudRule::install_session(const SessionId& session,
-                                       std::unique_ptr<SessionState> state) {
-  install_boxed<Evidence>(sessions_interned_, evidence_, session, std::move(state));
-}
-
-std::unique_ptr<Rule::SessionState> RegisterFloodRule::extract_session(const SessionId& session) {
-  return extract_boxed<SessionAuthState>(sessions_interned_, sessions_, session);
-}
-
-void RegisterFloodRule::install_session(const SessionId& session,
-                                        std::unique_ptr<SessionState> state) {
-  install_boxed<SessionAuthState>(sessions_interned_, sessions_, session, std::move(state));
-}
-
-std::unique_ptr<Rule::SessionState> PasswordGuessRule::extract_session(const SessionId& session) {
-  return extract_boxed<GuessState>(sessions_interned_, sessions_, session);
-}
-
-void PasswordGuessRule::install_session(const SessionId& session,
-                                        std::unique_ptr<SessionState> state) {
-  install_boxed<GuessState>(sessions_interned_, sessions_, session, std::move(state));
-}
-
-std::unique_ptr<Rule::SessionState> DirectTrailScanByeRule::extract_session(
-    const SessionId& session) {
-  // The only per-session state is alerted-set membership.
-  auto sym = sessions_interned_.find(session);
-  if (!sym || !alerted_.erase(*sym)) return nullptr;
-  return std::make_unique<BoxedState<bool>>(true);
-}
-
-void DirectTrailScanByeRule::install_session(const SessionId& session,
-                                             std::unique_ptr<SessionState> state) {
-  if (dynamic_cast<BoxedState<bool>*>(state.get()) == nullptr) return;
-  alerted_.insert(sessions_interned_.intern(session));
 }
 
 void SpitGraylistRule::on_event(const Event& event, RuleContext& ctx) {

@@ -99,9 +99,9 @@ class FakeImRule : public Rule {
     SimTime at = 0;
   };
   RulesConfig config_;
-  /// Each stateful rule interns its own keys (AORs here): events are rare
-  /// relative to packets, and keeping the interner rule-local means hand-
-  /// constructed Events in tests need no shared table.
+  /// Principal-keyed rules intern their own keys (AORs here): events are
+  /// rare relative to packets, and a principal outlives any one session
+  /// record.
   SymbolTable aors_;
   FlatMap<Symbol, SenderHistory> senders_;        // by claimed AOR
   FlatMap<Symbol, Registration> registrations_;   // last observed REGISTER
@@ -126,26 +126,21 @@ class BillingFraudRule : public Rule {
   explicit BillingFraudRule(const RulesConfig& config) : config_(config) {}
   std::string_view name() const override { return "billing-fraud"; }
   void on_event(const Event& event, RuleContext& ctx) override;
-  size_t state_entries() const override { return evidence_.size(); }
   EventTypeMask subscriptions() const override {
     return event_mask(EventType::kSipMalformed, EventType::kAccUnmatched,
                       EventType::kAccBilledPartyAbsent, EventType::kRtpUnexpectedSource);
   }
-  std::unique_ptr<SessionState> extract_session(const SessionId& session) override;
-  void install_session(const SessionId& session, std::unique_ptr<SessionState> state) override;
 
  private:
   /// Evidence per session, packed: one bit per EventType (the enum has far
   /// fewer than 32 values). popcount = distinct-condition count; iterating
   /// ascending bits reproduces the old std::set<EventType> alert-message
   /// order exactly.
-  struct Evidence {
+  struct Evidence : RuleSessionState {
     uint32_t mask = 0;
     bool alerted = false;
   };
   RulesConfig config_;
-  SymbolTable sessions_interned_;
-  FlatMap<Symbol, Evidence> evidence_;
 };
 
 /// §3.3 — "DoS via repeated SIP requests": alternating unauthenticated
@@ -155,22 +150,17 @@ class RegisterFloodRule : public Rule {
   explicit RegisterFloodRule(const RulesConfig& config) : config_(config) {}
   std::string_view name() const override { return "register-flood"; }
   void on_event(const Event& event, RuleContext& ctx) override;
-  size_t state_entries() const override { return sessions_.size(); }
   EventTypeMask subscriptions() const override {
     return event_mask(EventType::kSipRegisterSeen, EventType::kSipAuthChallenge);
   }
-  std::unique_ptr<SessionState> extract_session(const SessionId& session) override;
-  void install_session(const SessionId& session, std::unique_ptr<SessionState> state) override;
 
  private:
-  struct SessionAuthState {
+  struct SessionAuthState : RuleSessionState {
     bool last_register_had_auth = false;
     std::deque<SimTime> unauth_challenges;
     SimTime last_alert = -1;
   };
   RulesConfig config_;
-  SymbolTable sessions_interned_;
-  FlatMap<Symbol, SessionAuthState> sessions_;
 };
 
 /// §3.3 — "Password guessing": continuous SIP requests with *different*
@@ -180,22 +170,17 @@ class PasswordGuessRule : public Rule {
   explicit PasswordGuessRule(const RulesConfig& config) : config_(config) {}
   std::string_view name() const override { return "password-guess"; }
   void on_event(const Event& event, RuleContext& ctx) override;
-  size_t state_entries() const override { return sessions_.size(); }
   EventTypeMask subscriptions() const override {
     return event_mask(EventType::kSipAuthFailure);
   }
-  std::unique_ptr<SessionState> extract_session(const SessionId& session) override;
-  void install_session(const SessionId& session, std::unique_ptr<SessionState> state) override;
 
  private:
-  struct GuessState {
+  struct GuessState : RuleSessionState {
     std::set<std::string> distinct_responses;
     std::deque<SimTime> failure_times;
     bool alerted = false;
   };
   RulesConfig config_;
-  SymbolTable sessions_interned_;
-  FlatMap<Symbol, GuessState> sessions_;
 };
 
 /// The strawman the paper argues against (§3.3, §5): a session-unaware
@@ -243,17 +228,12 @@ class DirectTrailScanByeRule : public Rule {
   explicit DirectTrailScanByeRule(SimDuration window = msec(200)) : window_(window) {}
   std::string_view name() const override { return "bye-attack-direct"; }
   void on_event(const Event& event, RuleContext& ctx) override;
-  size_t state_entries() const override { return alerted_.size(); }
   EventTypeMask subscriptions() const override {
     return event_mask(EventType::kRtpPacketSeen);
   }
-  std::unique_ptr<SessionState> extract_session(const SessionId& session) override;
-  void install_session(const SessionId& session, std::unique_ptr<SessionState> state) override;
 
  private:
   SimDuration window_;
-  SymbolTable sessions_interned_;
-  FlatSet<Symbol> alerted_;
 };
 
 /// SPIT defense (the "SPAM over Internet Telephony" motivation): count call

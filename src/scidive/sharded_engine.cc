@@ -271,20 +271,19 @@ bool ShardedEngine::has_session(const SessionId& session) const {
   return false;
 }
 
-ScidiveEngine::SessionTransfer ShardedEngine::extract_session(const SessionId& session) {
+TrailManager::ExtractedSession ShardedEngine::extract_session(const SessionId& session) {
   for (auto& shard : shards_) {
     if (shard->engine.has_session(session)) return shard->engine.extract_session(session);
   }
   return {};
 }
 
-bool ShardedEngine::install_session(ScidiveEngine::SessionTransfer&& transfer,
-                                    size_t shard) {
-  if (!transfer.record.valid()) return false;
+bool ShardedEngine::install_session(TrailManager::ExtractedSession&& moved, size_t shard) {
+  if (!moved.valid()) return false;
   const size_t to = shard % shards_.size();
-  const SessionId id = transfer.record.id;
+  const SessionId id = moved.id;
   if (shards_[to]->engine.has_session(id)) return false;
-  shards_[to]->engine.install_session(std::move(transfer));
+  shards_[to]->engine.install_session(std::move(moved));
   directory_.set_override(ShardDirectory::key_hash(id), static_cast<uint32_t>(to));
   for (const pkt::Endpoint& ep : shards_[to]->engine.trails().media_endpoints(id))
     directory_.learn_media(ep, static_cast<uint32_t>(to));
@@ -300,9 +299,9 @@ bool ShardedEngine::migrate_session(const SessionId& session, size_t from, size_
   // this session. Affinity makes a collision all but impossible; a stale
   // candidate list must still not corrupt the destination.
   if (shards_[to]->engine.has_session(session)) return false;
-  ScidiveEngine::SessionTransfer transfer = shards_[from]->engine.extract_session(session);
-  if (!transfer.record.valid()) return false;
-  shards_[to]->engine.install_session(std::move(transfer));
+  TrailManager::ExtractedSession moved = shards_[from]->engine.extract_session(session);
+  if (!moved.valid()) return false;
+  shards_[to]->engine.install_session(std::move(moved));
   // Repoint routing for every producer: the session key override plus its
   // media endpoints (which non-SIP packets route by).
   directory_.set_override(ShardDirectory::key_hash(session), static_cast<uint32_t>(to));

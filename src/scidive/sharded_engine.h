@@ -143,16 +143,16 @@ class ShardedEngine {
   void on_packet_to_shard(size_t shard, pkt::Packet&& packet);
 
   /// Session relocation between engines — the fleet's churn-handoff path,
-  /// riding the same SessionTransfer machinery as rebalance(). All three
-  /// calls require quiescence (flush() first), like shard(i) access.
+  /// moving the same session record as rebalance(). All three calls require
+  /// quiescence (flush() first), like shard(i) access.
   bool has_session(const SessionId& session) const;
-  /// Extract from whichever shard holds the session; transfer.record is
-  /// invalid when none does.
-  ScidiveEngine::SessionTransfer extract_session(const SessionId& session);
+  /// Extract from whichever shard holds the session; the result is invalid
+  /// when none does.
+  TrailManager::ExtractedSession extract_session(const SessionId& session);
   /// Install into `shard` (mod num_shards) and repoint routing — directory
   /// override plus the session's media bindings — so every producer routes
   /// the session there. False if invalid or the shard already has it.
-  bool install_session(ScidiveEngine::SessionTransfer&& transfer, size_t shard);
+  bool install_session(TrailManager::ExtractedSession&& moved, size_t shard);
 
   /// Adopt a verdict computed elsewhere (a fleet peer's engine): apply it
   /// through shard 0's enforcer, which installs its content-derived keys

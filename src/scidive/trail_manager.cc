@@ -168,7 +168,7 @@ std::optional<SessionId> TrailManager::session_for_media(const pkt::Endpoint& me
   return SessionId(symbols_.name(*sym));
 }
 
-const TrailManager::SessionSlot* TrailManager::slot_of(const SessionId& session) const {
+TrailManager::SessionSlot* TrailManager::slot_of(const SessionId& session) const {
   auto sym = symbols_.find(session);
   if (!sym) return nullptr;
   const std::unique_ptr<SessionSlot>* slot = sessions_.find(*sym);
@@ -209,6 +209,29 @@ size_t TrailManager::arena_bytes_reserved() const {
     bytes += slot->arena.bytes_reserved();
   });
   return bytes;
+}
+
+std::unique_ptr<RuleSessionState>* TrailManager::rule_slot(const SessionId& session,
+                                                           size_t rule) {
+  SessionSlot* slot = slot_of(session);
+  if (slot == nullptr) return nullptr;
+  if (slot->rules.size() <= rule) slot->rules.resize(rule + 1);
+  return &slot->rules[rule];
+}
+
+std::vector<size_t> TrailManager::rule_state_counts(size_t rules) const {
+  std::vector<size_t> counts(rules, 0);
+  sessions_.for_each([&](const Symbol&, const std::unique_ptr<SessionSlot>& slot) {
+    for (size_t i = 0; i < std::min(rules, slot->rules.size()); ++i) {
+      if (slot->rules[i] != nullptr) ++counts[i];
+    }
+  });
+  return counts;
+}
+
+void TrailManager::clear_rule_states() {
+  sessions_.for_each(
+      [](const Symbol&, std::unique_ptr<SessionSlot>& slot) { slot->rules.clear(); });
 }
 
 TrailManager::ExtractedSession::ExtractedSession() = default;

@@ -7,8 +7,9 @@
 // RTP with no known session gets a synthetic per-flow session so that rules
 // can still reason about unsignaled media ("flow:<src>-><dst>").
 //
-// Each session has one record: its trails and its event state. The record
-// table is the only table keyed by session:
+// Each session has one record: its trails, its event state and the state
+// each session-keyed rule keeps about it. The record table is the only table
+// keyed by session:
 //   - every session id is interned once into a SymbolTable; the record
 //     table keys on the dense uint32 symbol, so routing compares integers,
 //     never strings;
@@ -17,7 +18,9 @@
 //   - each record owns an Arena; its Trail objects and their footprint
 //     rings bump-allocate from it, so session teardown is one arena release
 //     instead of per-trail frees. The event state is an ordinary member of
-//     the record (not arena-placed): it lives and dies with the record.
+//     the record (not arena-placed), and so is each rule's state (one
+//     slot per rule position, empty until that rule first writes): they
+//     live and die with the record.
 // Expiry, migration and fleet handoff therefore drop or move one record.
 //
 // The media path is the hot path: once a flow's first packet has been
@@ -131,14 +134,26 @@ class TrailManager {
   /// Bytes reserved across all live session arenas (observability gauge).
   size_t arena_bytes_reserved() const;
 
+  // --- Rule state (session-keyed rules, one slot per rule position) -----
+
+  /// The slot of rule position `rule` in `session`'s record, created empty
+  /// on first use; nullptr when the session has no record.
+  std::unique_ptr<RuleSessionState>* rule_slot(const SessionId& session, size_t rule);
+  /// Records holding state, for each rule position below `rules`.
+  std::vector<size_t> rule_state_counts(size_t rules) const;
+  /// Drop every record's rule state: a new ruleset starts fresh.
+  void clear_rule_states();
+
   /// Drop every trail whose newest footprint is older than `cutoff`. A
-  /// record goes with its last trail, event state and media bindings
-  /// included. Returns the trails dropped.
+  /// record goes with its last trail, event state, rule state and media
+  /// bindings included. Returns the trails dropped.
   size_t expire_idle(SimTime cutoff);
 
   // --- Session migration (sharded-engine rebalance) ---------------------
   // A session moves between managers as one opaque package: its record
-  // (arena, trails, event state) plus the media endpoints bound to it.
+  // (arena, trails, event state, rule state) plus the media endpoints bound
+  // to it. Rule state is indexed by rule position, so both managers must
+  // serve the same ruleset.
   // Trail and state pointers stay valid across the move (the record moves,
   // not the objects); install re-interns the id and rebinds the trails to
   // the adopting manager's symbol.
@@ -180,6 +195,8 @@ class TrailManager {
     Arena arena;
     std::vector<Trail*> trails;  // creation order, arena-placed, one per protocol
     EventSessionState events;
+    /// Indexed by rule position; grown only as far as the rules that wrote.
+    std::vector<std::unique_ptr<RuleSessionState>> rules;
     ~SessionSlot() {
       for (Trail* t : trails) t->~Trail();
     }
@@ -218,7 +235,9 @@ class TrailManager {
 
   Symbol classify(const Footprint& fp, bool& media_bound);
   Trail& trail_for(Symbol sym, Protocol protocol);
-  const SessionSlot* slot_of(const SessionId& session) const;
+  /// The record of `session`, nullptr when it has none. Shallow const, like
+  /// the trail pointers the record holds.
+  SessionSlot* slot_of(const SessionId& session) const;
   /// Drop every cached route: they may point into a record being dropped
   /// or moved.
   void forget_routes();

@@ -1,5 +1,5 @@
 // Membership churn under fire: nodes joining mid-attack take over their
-// slots' sessions (state rides SessionTransfer, the announcement gossips),
+// slots' sessions (the session record moves, the announcement gossips),
 // graceful leaves hand everything back, and crashes lose state without
 // turning peer silence into false alarms (fail-open).
 #include <gtest/gtest.h>

@@ -10,6 +10,7 @@
 
 #include "ruledsl/loader.h"
 #include "scidive/rule.h"
+#include "scidive/scidive_test_util.h"
 #include "scidive/trail_manager.h"
 
 namespace scidive::ruledsl {
@@ -18,6 +19,14 @@ namespace {
 using core::Event;
 using core::EventType;
 
+/// Give `session` a record by routing an ACC footprint for it (an ACC
+/// trail leaves has_trail("sip"/"rtp") false).
+void route_session(core::TrailManager& trails, const std::string& session) {
+  if (trails.has_session(session)) return;
+  trails.add(core::testing::acc_start(session, "", "", 0, {}, {}));
+}
+
+/// Drives the first rule of a compiled ruleset (rule position 0).
 struct Harness {
   core::TrailManager trails;
   core::AlertSink sink;
@@ -25,14 +34,23 @@ struct Harness {
   std::vector<core::RulePtr> rules;
 
   explicit Harness(std::string_view text) {
+    ctx.set_rule(0);
     auto compiled = compile_ruleset_text(text, "test.sdr");
     EXPECT_TRUE(compiled.ok()) << compiled.error().to_string();
     if (compiled.ok()) rules = make_rules(compiled.value());
   }
 
   core::Rule& rule() { return *rules.at(0); }
+  /// What the engine's state gauge reads for the rule: its own (per-AOR)
+  /// records plus the session records holding its slot.
+  size_t state_entries() const {
+    return rules.at(0)->state_entries() + trails.rule_state_counts(1)[0];
+  }
 
+  /// An event of `session`, whose record is created first: `key session`
+  /// state lives there.
   Event event(EventType type, const std::string& session, SimTime time) {
+    route_session(trails, session);
     Event e;
     e.type = type;
     e.session = session;
@@ -55,7 +73,7 @@ TEST(CompiledRule, StatelessRuleKeepsNoRecords) {
   Harness h("rule r { on RtpSeqJump { alert critical \"jump {value}\"; } }");
   h.rule().on_event(h.event(EventType::kRtpSeqJump, "s1", sec(1)), h.ctx);
   h.rule().on_event(h.event(EventType::kRtpSeqJump, "s2", sec(2)), h.ctx);
-  EXPECT_EQ(h.rule().state_entries(), 0u);
+  EXPECT_EQ(h.state_entries(), 0u);
   EXPECT_EQ(h.messages(), (std::vector<std::string>{"jump 42", "jump 42"}));
 }
 
@@ -78,10 +96,10 @@ rule r {
   h.rule().on_event(h.event(EventType::kSipByeSeen, "s1", sec(1)), h.ctx);
   h.rule().on_event(h.event(EventType::kSipByeSeen, "s2", sec(2)), h.ctx);
   EXPECT_TRUE(h.messages().empty()) << "first touch per session takes the else arm";
-  EXPECT_EQ(h.rule().state_entries(), 2u);
+  EXPECT_EQ(h.state_entries(), 2u);
   h.rule().on_event(h.event(EventType::kSipByeSeen, "s1", sec(3)), h.ctx);
   EXPECT_EQ(h.messages(), (std::vector<std::string>{"again"}));
-  EXPECT_EQ(h.rule().state_entries(), 2u);
+  EXPECT_EQ(h.state_entries(), 2u);
 }
 
 TEST(CompiledRule, StateKeyedByAorIgnoresSession) {
@@ -96,7 +114,7 @@ rule r {
 )sdr");
   h.rule().on_event(h.event(EventType::kImMessageSeen, "dialog-1", sec(1)), h.ctx);
   h.rule().on_event(h.event(EventType::kImMessageSeen, "dialog-2", sec(2)), h.ctx);
-  EXPECT_EQ(h.rule().state_entries(), 1u) << "same AOR, different dialogs: one record";
+  EXPECT_EQ(h.state_entries(), 1u) << "same AOR, different dialogs: one record";
   EXPECT_EQ(h.messages(), (std::vector<std::string>{"repeat"}));
 }
 
@@ -239,16 +257,56 @@ rule r {
   auto a = make_rules(compiled.value());
   auto b = make_rules(compiled.value());
   core::TrailManager trails;
+  route_session(trails, "s1");
   core::AlertSink sink;
   core::RuleContext ctx(trails, sink);
   Event e;
   e.type = EventType::kSipByeSeen;
   e.session = "s1";
+  ctx.set_rule(0);
   a[0]->on_event(e, ctx);
+  ctx.set_rule(1);
   b[0]->on_event(e, ctx);
-  EXPECT_EQ(sink.total_raised(), 2u) << "each instance owns its own records";
-  EXPECT_EQ(a[0]->state_entries(), 1u);
-  EXPECT_EQ(b[0]->state_entries(), 1u);
+  EXPECT_EQ(sink.total_raised(), 2u) << "each instance owns its own slot";
+  EXPECT_EQ(trails.rule_state_counts(2), (std::vector<size_t>{1, 1}));
+}
+
+TEST(CompiledRule, RecordOfAnotherRevisionStartsOver) {
+  // A session moves between engines running two revisions of a `key
+  // session` rule (mid-reload): the record's slot count does not match the
+  // new definition, so it is re-initialised rather than misindexed.
+  auto v1 = compile_ruleset_text(R"sdr(
+rule r {
+  key session;
+  state { bool seen = false; }
+  on SipByeSeen { if seen { alert info "again"; } else { set seen = true; } }
+}
+)sdr");
+  auto v2 = compile_ruleset_text(R"sdr(
+rule r {
+  key session;
+  state { bool seen = false; int byes = 0; }
+  on SipByeSeen { add byes; if seen { alert info "again"; } else { set seen = true; } }
+}
+)sdr");
+  ASSERT_TRUE(v1.ok() && v2.ok());
+  core::TrailManager from, to;
+  route_session(from, "s1");
+  core::AlertSink sink;
+  core::RuleContext from_ctx(from, sink), to_ctx(to, sink);
+  from_ctx.set_rule(0);
+  to_ctx.set_rule(0);
+  Event e;
+  e.type = EventType::kSipByeSeen;
+  e.session = "s1";
+  make_rules(v1.value())[0]->on_event(e, from_ctx);
+  to.install_session(from.extract_session("s1"));
+
+  auto rules = make_rules(v2.value());
+  rules[0]->on_event(e, to_ctx);
+  EXPECT_EQ(sink.total_raised(), 0u) << "v2 starts from its own initial values";
+  rules[0]->on_event(e, to_ctx);
+  EXPECT_EQ(sink.total_raised(), 1u);
 }
 
 }  // namespace

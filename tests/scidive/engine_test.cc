@@ -201,11 +201,55 @@ TEST(EngineIntegration, ExpireIdleReclaimsState) {
   f.a.hangup(call_id);
   f.sim.run_until(f.sim.now() + sec(1));
   EXPECT_GT(f.ids.trails().trail_count(), 0u);
+  auto rule_state = [&f](const char* rule) {
+    return f.ids.metrics_snapshot().gauge_value("scidive_rule_state_entries",
+                                                {{"rule", rule}});
+  };
+  // A's REGISTER left register-flood state in its registration session.
+  EXPECT_GT(rule_state("register-flood"), 0);
   f.ids.expire_idle(f.sim.now() + sec(100));
   EXPECT_EQ(f.ids.trails().trail_count(), 0u);
   EXPECT_EQ(f.ids.trails().session_count(), 0u);
   EXPECT_EQ(f.ids.events().tracked_sessions(), 0u);
   EXPECT_EQ(f.ids.trails().media_binding_count(), 0u);
+  for (const char* rule : {"register-flood", "password-guess", "billing-fraud"}) {
+    EXPECT_EQ(rule_state(rule), 0) << rule;
+  }
+}
+
+TEST(EngineIntegration, HotReloadStartsSessionRuleStateFresh) {
+  // Two failed digests, a reload of the same ruleset, two more: the fresh
+  // rules have seen only two, so no alert; a third after the reload raises
+  // one.
+  VoipFixture f(/*require_auth=*/true);
+  std::vector<pkt::Packet> capture;
+  f.net.add_tap([&capture](const pkt::Packet& packet) { capture.push_back(packet); });
+  voip::PasswordGuesser guesser(f.attacker_host, {f.proxy_host.address(), 5060}, "alice",
+                                "lab.net");
+  guesser.start({"guess1", "guess2", "guess3", "guess4", "guess5"});
+  f.sim.run_until(sec(10));
+
+  EngineConfig config;
+  config.home_addresses = {f.proxy_host.address()};
+  ScidiveEngine ids(config);
+  size_t failures = 0;
+  ids.set_event_callback([&failures](const Event& e) {
+    if (e.type == EventType::kSipAuthFailure) ++failures;
+  });
+  bool reloaded = false;
+  for (const pkt::Packet& packet : capture) {
+    ids.on_packet(packet);
+    if (failures == 2 && !reloaded) {
+      ids.set_rules(make_default_ruleset());
+      reloaded = true;
+    }
+    if (failures == 4) {
+      EXPECT_EQ(ids.alerts().count_for_rule("password-guess"), 0u);
+    }
+  }
+  EXPECT_TRUE(reloaded);
+  EXPECT_EQ(failures, 5u);
+  EXPECT_EQ(ids.alerts().count_for_rule("password-guess"), 1u);
 }
 
 TEST(EngineIntegration, AttacksAgainstBAreInvisibleToAsIds) {

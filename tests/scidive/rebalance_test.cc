@@ -10,7 +10,10 @@
 #include <vector>
 
 #include "fuzz/differential.h"
+#include "ruledsl/loader.h"
 #include "scidive/sharded_engine.h"
+#include "sip/message.h"
+#include "voip/accounting.h"
 #include "voip/attack.h"
 #include "voip/voip_fixture.h"
 
@@ -22,7 +25,7 @@ using voip::testing::VoipFixture;
 struct CaptureFixture : VoipFixture {
   std::vector<pkt::Packet> capture;
 
-  CaptureFixture() {
+  explicit CaptureFixture(bool require_auth = false) : VoipFixture(require_auth) {
     net.add_tap([this](const pkt::Packet& packet) { capture.push_back(packet); });
   }
 };
@@ -261,8 +264,8 @@ TEST(Rebalance, ExtractInstallHandoffWritesBackExactMicrostate) {
   for (size_t i = 0; i < pre_attack; ++i) source.on_packet(f.capture[i]);
   ASSERT_GT(source.fastpath_bypassed(), 0u);
   ASSERT_TRUE(source.has_session(session));
-  ScidiveEngine::SessionTransfer transfer = source.extract_session(session);
-  ASSERT_TRUE(transfer.record.valid());
+  TrailManager::ExtractedSession transfer = source.extract_session(session);
+  ASSERT_TRUE(transfer.valid());
   EXPECT_EQ(source.fastpath_entries(), 0u) << "handoff must flush the flow cache";
 
   ScidiveEngine target(config);
@@ -275,6 +278,101 @@ TEST(Rebalance, ExtractInstallHandoffWritesBackExactMicrostate) {
   for (const Alert& a : reference.alerts().alerts()) want.push_back(a.to_string());
   EXPECT_EQ(got, want);
   EXPECT_GE(target.alerts().count_for_rule("bye-attack"), 1u);
+}
+
+/// Replays `capture` into `source` until it has emitted `before` events of
+/// the `evidence` types, moves the session of the last one to `target`
+/// (extract_session/install_session: one record, rule state included) and
+/// replays the rest into `target`. Returns the first packet `target` saw.
+size_t replay_with_handoff(const std::vector<pkt::Packet>& capture, EventTypeMask evidence,
+                           size_t before, ScidiveEngine& source, ScidiveEngine& target) {
+  size_t seen = 0;
+  SessionId session;
+  source.set_event_callback([&](const Event& e) {
+    if ((evidence & event_mask(e.type)) == 0) return;
+    ++seen;
+    session = e.session;
+  });
+  size_t i = 0;
+  while (i < capture.size() && seen < before) source.on_packet(capture[i++]);
+  EXPECT_EQ(seen, before);
+  TrailManager::ExtractedSession moved = source.extract_session(session);
+  EXPECT_TRUE(moved.valid());
+  target.install_session(std::move(moved));
+  for (size_t j = i; j < capture.size(); ++j) target.on_packet(capture[j]);
+  return i;
+}
+
+TEST(Rebalance, PasswordGuessStateCrossesMigrationMidAttack) {
+  // Two of the three distinct failed digests reach the source, the third
+  // the target: only the moved record's rule state can complete the count.
+  CaptureFixture f(/*require_auth=*/true);
+  voip::PasswordGuesser guesser(f.attacker_host, {f.proxy_host.address(), 5060}, "alice",
+                                "lab.net");
+  guesser.start({"guess1", "guess2", "guess3"});
+  f.sim.run_until(sec(10));
+
+  const EngineConfig config = home_config(f.proxy_host.address());
+  ScidiveEngine source(config), target(config);
+  const size_t split = replay_with_handoff(
+      f.capture, event_mask(EventType::kSipAuthFailure), 2, source, target);
+  EXPECT_EQ(source.alerts().count_for_rule("password-guess"), 0u);
+  EXPECT_EQ(target.alerts().count_for_rule("password-guess"), 1u);
+  EXPECT_EQ(target.alerts().count(), 1u);
+
+  // Control: the tail alone holds one failure, which alerts nowhere.
+  ScidiveEngine tail_only(config);
+  for (size_t i = split; i < f.capture.size(); ++i) tail_only.on_packet(f.capture[i]);
+  EXPECT_EQ(tail_only.alerts().count_for_rule("password-guess"), 0u);
+}
+
+TEST(Rebalance, SessionKeyedDslStateCrossesMigrationMidAttack) {
+  // The `key session` billing-fraud rule: a CDR with no matching call setup
+  // (AccUnmatched) reaches the source, a malformed INVITE of the same call
+  // (SipMalformed, a second kind of evidence) the target.
+  auto datagram = [](pkt::Endpoint src, pkt::Endpoint dst, const std::string& text,
+                     SimTime time) {
+    pkt::Packet packet = pkt::make_udp_packet(src, dst, Bytes(text.begin(), text.end()));
+    packet.timestamp = time;
+    return packet;
+  };
+  const pkt::Endpoint proxy{pkt::Ipv4Address(10, 0, 0, 100), 5060};
+  const pkt::Endpoint caller{pkt::Ipv4Address(10, 0, 0, 66), 5060};
+  voip::AccRecord cdr{voip::AccRecord::Kind::kStart, "fraud-x", "alice@lab.net",
+                      "bob@lab.net", msec(10)};
+  auto invite = sip::SipMessage::request(sip::Method::kInvite, sip::SipUri("bob", "lab.net"));
+  invite.headers().add("Via", "SIP/2.0/UDP 10.0.0.66:5060;branch=z9hG4bK-fx");
+  invite.headers().add("From", "<sip:mallory@lab.net>;tag=m1");
+  invite.headers().add("To", "<sip:bob@lab.net>");
+  invite.headers().add("Call-ID", "fraud-x");
+  invite.headers().add("CSeq", "1 BYE");  // method mismatch: malformed
+  const std::vector<pkt::Packet> capture = {
+      datagram({proxy.addr, 9010}, {pkt::Ipv4Address(10, 0, 0, 200), voip::kAccPort},
+               cdr.serialize(), msec(10)),
+      datagram(caller, proxy, invite.to_string(), msec(20)),
+  };
+
+  auto ruleset =
+      ruledsl::compile_ruleset_file(std::string(SCIDIVE_RULESET_DIR) + "/billing_fraud.sdr");
+  ASSERT_TRUE(ruleset.ok()) << ruleset.error().to_string();
+  ScidiveEngine source, target, tail_only;
+  for (ScidiveEngine* engine : {&source, &target, &tail_only}) {
+    engine->set_rules(ruledsl::make_rules(ruleset.value()));
+  }
+  const EventTypeMask evidence =
+      event_mask(EventType::kSipMalformed, EventType::kAccUnmatched,
+                 EventType::kAccBilledPartyAbsent, EventType::kRtpUnexpectedSource);
+  const size_t split = replay_with_handoff(capture, evidence, 1, source, target);
+  ASSERT_EQ(split, 1u);
+  EXPECT_EQ(source.alerts().count_for_rule("billing-fraud"), 0u);
+  ASSERT_EQ(target.alerts().count_for_rule("billing-fraud"), 1u);
+  EXPECT_EQ(target.alerts().alerts()[0].message,
+            "billing fraud suspected: 2 independent conditions violated "
+            "(SipMalformed, AccUnmatched)");
+
+  // Control: the tail alone holds one kind of evidence.
+  tail_only.on_packet(capture[1]);
+  EXPECT_EQ(tail_only.alerts().count_for_rule("billing-fraud"), 0u);
 }
 
 }  // namespace

@@ -9,14 +9,20 @@ namespace {
 
 using namespace scidive::core::testing;
 
-/// Harness that feeds synthetic events straight into one rule.
+/// Harness that feeds synthetic events straight into one rule, at position
+/// 0 of a one-rule list.
 struct RuleHarness {
   TrailManager trails;
   AlertSink sink;
   RuleContext ctx{trails, sink};
 
+  RuleHarness() { ctx.set_rule(0); }
+
+  /// An event of `session`, whose record is created first (by routing an
+  /// ACC footprint for it): session-keyed rules keep their state there.
   Event make(EventType type, SessionId session, SimTime time, std::string aor = "",
              pkt::Endpoint endpoint = {}, int64_t value = 0, std::string detail = "") {
+    if (!trails.has_session(session)) trails.add(acc_start(session, "", "", time, {}, {}));
     return Event{type, std::move(session), time, std::move(aor), endpoint, value,
                  std::move(detail)};
   }
