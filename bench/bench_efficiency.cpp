@@ -15,12 +15,14 @@
 #include <vector>
 
 #include "common/md5.h"
+#include "fleet/fleet.h"
 #include "obs/metrics.h"
 #include "pkt/packet.h"
 #include "rtp/rtp.h"
 #include "ruledsl/loader.h"
 #include "scidive/distiller.h"
 #include "scidive/engine.h"
+#include "scidive/sharded_engine.h"
 #include "scidive/trail_manager.h"
 #include "sip/message.h"
 #include "sip/sdp.h"
@@ -78,7 +80,9 @@ std::string make_invite_text() {
 }
 
 /// INVITE + 200 OK so the bench call's media correlates into a session.
-void establish_bench_call(core::ScidiveEngine& engine) {
+/// `Ingest` is any packet consumer: an engine, a sharded engine, a fleet.
+template <typename Ingest>
+void establish_bench_call(Ingest& engine) {
   auto invite = pkt::make_udp_packet(kASip, kBSip, from_string(make_invite_text()));
   invite.timestamp = 0;
   engine.on_packet(invite);
@@ -486,6 +490,58 @@ void BM_EngineRtpVerdictAllocs(benchmark::State& state) {
   state.SetLabel(limited > 0 ? "decisions=limiting" : "decisions=pass-only");
 }
 BENCHMARK(BM_EngineRtpVerdictAllocs);
+
+/// Steady in-session RTP through a multi-worker front-end: the producer
+/// routes each packet and copies it into a ring slot, the worker processes
+/// it there. Ring slots keep their datagram buffers across laps, so past
+/// the first lap neither thread allocates: allocs_per_op must read 0. The
+/// counter is global, so worker-thread allocations count; flush() before
+/// reading it makes sure every measured packet has been processed.
+template <typename Ingest>
+void measure_ingest_allocs(benchmark::State& state, Ingest& ingest, size_t ring_slots) {
+  establish_bench_call(ingest);
+  pkt::Packet p = make_rtp_pkt(0);
+  disable_udp_checksum(p);
+  uint16_t seq = 0;
+  SimTime now = msec(100);
+  const auto feed = [&] {
+    ++seq;
+    p.data[kRtpSeqOffset] = static_cast<uint8_t>(seq >> 8);
+    p.data[kRtpSeqOffset + 1] = static_cast<uint8_t>(seq & 0xff);
+    p.timestamp = (now += msec(20));
+    ingest.on_packet(p);
+  };
+  // Warm-up laps every ring slot once, so each has grown its buffer.
+  for (size_t i = 0; i < 2 * ring_slots; ++i) feed();
+  ingest.flush();
+  uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  for (auto _ : state) feed();
+  ingest.flush();
+  uint64_t allocs = g_alloc_count.load(std::memory_order_relaxed) - before;
+  state.counters["allocs_per_op"] =
+      benchmark::Counter(static_cast<double>(allocs) / static_cast<double>(state.iterations()));
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+
+/// A 2-worker ShardedEngine fed through on_packet(const Packet&).
+void BM_ShardedRtpAllocs(benchmark::State& state) {
+  core::ShardedEngineConfig config;
+  config.num_shards = 2;
+  core::ShardedEngine engine(config);
+  measure_ingest_allocs(state, engine, config.queue_capacity);
+}
+BENCHMARK(BM_ShardedRtpAllocs)->UseRealTime();
+
+/// A 2-node Fleet, one worker per node: fleet routing, then the owning
+/// node's ring. Gossip pumps every 1024 packets, so the control plane's
+/// own bookkeeping shows up as a small fraction of an allocation per op.
+void BM_FleetRtpAllocs(benchmark::State& state) {
+  fleet::FleetConfig config;
+  config.node.engine.num_shards = 1;
+  fleet::Fleet fleet(config, {"node-0", "node-1"});
+  measure_ingest_allocs(state, fleet, config.node.engine.queue_capacity);
+}
+BENCHMARK(BM_FleetRtpAllocs)->UseRealTime();
 
 void BM_EngineGarbagePacket(benchmark::State& state) {
   core::ScidiveEngine engine;

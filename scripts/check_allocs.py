@@ -16,7 +16,12 @@ BM_EngineRtpVerdictAllocs (inline enforcement: block-list lookup +
 token-bucket charge per packet) must stay at zero: the session arena +
 flat-map + interner layer exists precisely so that an in-session packet
 allocates nothing, and the enforcement decision path is FlatMaps and
-token arithmetic on top of it. A small epsilon absorbs one-time
+token arithmetic on top of it. BM_ShardedRtpAllocs (2-worker
+ShardedEngine) and BM_FleetRtpAllocs (2-node Fleet) guard the multi-worker
+ingest path the same way: ring slots keep their datagram buffers, so the
+producer's copy into a slot and the worker's in-place processing allocate
+nothing; the counter is global, so worker-thread allocations count. The
+fleet's periodic gossip pump (~0.002 allocs/op) stays under the epsilon. A small epsilon absorbs one-time
 noise that leaks past warm-up (a rare flat-map rehash amortised over
 millions of iterations lands around 1e-6 allocs/op).
 
@@ -47,6 +52,8 @@ GUARDED = [
     "BM_EngineRtpPacketAllocs",
     "BM_EngineRtpFastpathAllocs",
     "BM_EngineRtpVerdictAllocs",
+    "BM_ShardedRtpAllocs",
+    "BM_FleetRtpAllocs",
 ]
 
 # Minimum fraction of measured iterations that must take the fast-path

@@ -8,9 +8,9 @@
 //     CLI) calls next() until it returns false. File and generator sources
 //     are exhausted then; live sources return false only after stop().
 //   - PacketSink is push-based: taps, recorders and exporters implement
-//     write(). A sink's tap() adapter plugs directly into
-//     netsim::Network::add_tap (the PacketTap type is just std::function,
-//     so no netsim dependency is needed here).
+//     write(). A sink's tap() adapter, like every engine's, is a PacketTap:
+//     the callback type netsim::Network::add_tap takes (netsim::PacketTap
+//     aliases it), so the engines need no netsim dependency for it.
 //
 // In the paper's terms (§4.1) a PacketSource is one tap location: the
 // client-side deployment of Figure 3 is a source at the endpoint, a
@@ -27,6 +27,9 @@
 #include "pkt/packet.h"
 
 namespace scidive::capture {
+
+/// Push-side packet callback: engine and sink taps, netsim::Network taps.
+using PacketTap = std::function<void(const pkt::Packet&)>;
 
 class PacketSource {
  public:
@@ -48,16 +51,14 @@ class PacketSink {
 
   virtual void write(const pkt::Packet& packet) = 0;
 
-  /// Adapter for netsim::Network::add_tap (PacketTap is this exact
-  /// std::function type).
-  std::function<void(const pkt::Packet&)> tap() {
+  /// Adapter for netsim::Network::add_tap.
+  PacketTap tap() {
     return [this](const pkt::Packet& packet) { write(packet); };
   }
 };
 
 /// Drain a source into a callback. Returns the number of packets fed.
-inline uint64_t drain(PacketSource& source,
-                      const std::function<void(const pkt::Packet&)>& consumer) {
+inline uint64_t drain(PacketSource& source, const PacketTap& consumer) {
   pkt::Packet packet;
   uint64_t fed = 0;
   while (source.next(&packet)) {

@@ -12,16 +12,17 @@
 // producers interleave in claim order, which is fine — the affinity router
 // guarantees a session is only ever fed by one producer at a time.
 //
-// `try_push` is lossless-or-false: when the ring is full it returns false
-// and leaves the value untouched, so callers implement kBlock/kDrop policy
-// exactly as with SpscQueue.
+// Values never move in or out: producers fill a slot's value and the
+// consumer processes it in place, so a buffer a slot owns is reused lap
+// after lap (the sharded engine's rings carry datagrams allocation-free).
+// `try_push_with` is lossless-or-false: on a full ring it returns false
+// without calling fill, so callers implement kBlock/kDrop policy exactly as
+// with SpscQueue.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <memory>
-#include <utility>
-#include <vector>
 
 #include "common/spsc_queue.h"  // kCacheLineSize
 
@@ -41,9 +42,11 @@ class MpscQueue {
   MpscQueue(const MpscQueue&) = delete;
   MpscQueue& operator=(const MpscQueue&) = delete;
 
-  /// Producer side (any thread). Returns false (leaving `value` untouched)
-  /// when the ring is full.
-  bool try_push(T&& value) {
+  /// Producer side (any thread): claim a slot, run `fill(T&)` on the value
+  /// a previous lap left there, publish it. False (fill not called) when
+  /// the ring is full.
+  template <typename Fill>
+  bool try_push_with(Fill&& fill) {
     size_t head = head_.load(std::memory_order_relaxed);
     for (;;) {
       Slot& slot = slots_[head & mask_];
@@ -53,7 +56,7 @@ class MpscQueue {
       if (diff == 0) {
         // Slot is free for this ticket; race other producers for it.
         if (head_.compare_exchange_weak(head, head + 1, std::memory_order_relaxed)) {
-          slot.value = std::move(value);
+          fill(slot.value);
           slot.seq.store(head + 1, std::memory_order_release);
           return true;
         }
@@ -69,35 +72,26 @@ class MpscQueue {
     }
   }
 
-  /// Consumer side (single thread). Returns false when empty.
-  bool try_pop(T& out) {
-    const size_t tail = tail_.load(std::memory_order_relaxed);
-    Slot& slot = slots_[tail & mask_];
-    const size_t seq = slot.seq.load(std::memory_order_acquire);
-    if (static_cast<intptr_t>(seq) - static_cast<intptr_t>(tail + 1) < 0)
-      return false;  // producer has not published this slot yet
-    out = std::move(slot.value);
-    // Free the slot for the producers' next lap.
-    slot.seq.store(tail + mask_ + 1, std::memory_order_release);
-    tail_.store(tail + 1, std::memory_order_relaxed);
-    return true;
-  }
-
-  /// Consumer side: drain up to `max` published elements into `out`
-  /// (appended; callers reuse a cleared scratch vector so steady state
-  /// performs no allocation). Unlike the SPSC ring each slot needs its own
-  /// release store — a producer may be waiting on that exact slot — but the
-  /// consumer's tail index is only published once per batch.
-  size_t pop_batch(std::vector<T>& out, size_t max) {
+  /// Consumer side (single thread): run `fn(T& value, const T* next)` in
+  /// place on up to `max` published elements in claim order, freeing each
+  /// slot right after; `next` is the following element when it was already
+  /// published (to prefetch), else nullptr. Each slot needs its own release
+  /// store — a producer may be waiting on that exact slot — but the tail
+  /// index is published once per batch. Returns the count consumed.
+  template <typename Fn>
+  size_t consume_batch(size_t max, Fn&& fn) {
     const size_t tail = tail_.load(std::memory_order_relaxed);
     size_t n = 0;
-    while (n < max) {
+    bool ready = max != 0 && published(tail);
+    while (ready) {
       Slot& slot = slots_[(tail + n) & mask_];
-      const size_t seq = slot.seq.load(std::memory_order_acquire);
-      if (static_cast<intptr_t>(seq) - static_cast<intptr_t>(tail + n + 1) < 0) break;
-      out.push_back(std::move(slot.value));
+      const bool next_ready = n + 1 < max && published(tail + n + 1);
+      fn(slot.value, next_ready ? &slots_[(tail + n + 1) & mask_].value : nullptr);
+      // Free the slot for the producers' next lap.
       slot.seq.store(tail + n + mask_ + 1, std::memory_order_release);
       ++n;
+      // A slot published while fn ran still joins this batch.
+      ready = next_ready || (n < max && published(tail + n));
     }
     if (n != 0) tail_.store(tail + n, std::memory_order_relaxed);
     return n;
@@ -115,6 +109,12 @@ class MpscQueue {
   bool empty() const { return size() == 0; }
 
  private:
+  /// Has the producer holding ticket `ticket` published its slot?
+  bool published(size_t ticket) const {
+    const size_t seq = slots_[ticket & mask_].seq.load(std::memory_order_acquire);
+    return static_cast<intptr_t>(seq) - static_cast<intptr_t>(ticket + 1) >= 0;
+  }
+
   struct Slot {
     std::atomic<size_t> seq{0};
     T value{};

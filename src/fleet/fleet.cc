@@ -135,12 +135,7 @@ void Fleet::on_packet(const pkt::Packet& packet) {
   }
   FleetNode* owner = slot_node_[routed->shard % slot_node_.size()];
   if (owner == nullptr) return;  // no members
-  if (routed->reassembled) {
-    owner->on_packet_to_slot(routed->shard, std::move(*routed->reassembled));
-  } else {
-    pkt::Packet copy = packet;
-    owner->on_packet_to_slot(routed->shard, std::move(copy));
-  }
+  owner->on_packet_to_slot(routed->shard, routed->reassembled ? *routed->reassembled : packet);
   if (config_.pump_every_packets > 0 && ++packets_since_pump_ >= config_.pump_every_packets) {
     packets_since_pump_ = 0;
     pump_now();

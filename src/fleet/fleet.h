@@ -70,7 +70,7 @@ class Fleet {
   /// Dispatch one packet: fleet home filter, slot routing, owner delivery.
   /// Single feeder thread, like a ShardedEngine producer.
   void on_packet(const pkt::Packet& packet);
-  netsim::PacketTap tap() {
+  capture::PacketTap tap() {
     return [this](const pkt::Packet& packet) { on_packet(packet); };
   }
 

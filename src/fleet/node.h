@@ -119,8 +119,8 @@ class FleetNode {
 
   /// Pre-routed ingestion from the fleet dispatcher (slot -> worker shard
   /// is slot mod workers). Single feeder thread, like a producer.
-  void on_packet_to_slot(size_t slot, pkt::Packet&& packet) {
-    engine_.on_packet_to_shard(slot, std::move(packet));
+  void on_packet_to_slot(size_t slot, const pkt::Packet& packet) {
+    engine_.on_packet_to_shard(slot, packet);
   }
 
   /// One raw SEP datagram from a peer (untrusted). Decodes strictly and

@@ -9,8 +9,7 @@ netsim::PacketTap node_tap(FleetNode& node, pkt::Ipv4Address watch) {
     auto ip = pkt::parse_ipv4(packet.data);
     if (!ip.ok()) return;
     if (ip.value().header.src != watch && ip.value().header.dst != watch) return;
-    pkt::Packet copy = packet;
-    node.on_packet_to_slot(0, std::move(copy));
+    node.on_packet_to_slot(0, packet);
   };
 }
 

@@ -9,6 +9,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "capture/packet_source.h"
 #include "common/rng.h"
 #include "netsim/simulator.h"
 #include "pkt/packet.h"
@@ -28,7 +29,7 @@ class NetworkNode {
 /// A promiscuous observer: sees every packet that crosses the hub, at the
 /// moment it reaches the hub, regardless of addressing. The IDS attaches
 /// here. `const Packet&` only — taps cannot modify traffic.
-using PacketTap = std::function<void(const pkt::Packet&)>;
+using PacketTap = capture::PacketTap;
 
 /// Per-link fault-injection knobs (adversarial/impaired network conditions
 /// beyond the paper's independent-loss model). All faults are applied on the

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "capture/packet_source.h"
-#include "netsim/network.h"
 #include "obs/alert_ledger.h"
 #include "obs/metrics.h"
 #include "scidive/distiller.h"
@@ -99,7 +98,7 @@ class ScidiveEngine {
   VerdictAction on_packet(const pkt::Packet& packet);
 
   /// A tap suitable for netsim::Network::add_tap.
-  netsim::PacketTap tap() {
+  capture::PacketTap tap() {
     return [this](const pkt::Packet& packet) { on_packet(packet); };
   }
 

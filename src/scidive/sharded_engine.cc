@@ -33,7 +33,7 @@ EngineConfig shard_engine_config(const ShardedEngineConfig& config) {
 /// Adaptive drain-batch tuning (batch_size = 0). Starting small and halving
 /// on any near-empty drain measured *worse* than every fixed size: steady
 /// producers leave the ring shallow most polls, so the batch thrashed at
-/// kMinBatch and paid a pop_batch round-trip per handful of packets. Start
+/// kMinBatch and paid a ring round-trip per handful of packets. Start
 /// large instead, and only shrink after a sustained run of near-empty
 /// drains — a shallow ring costs nothing when drains are cheap, while a
 /// too-small batch costs ring traffic on every poll.
@@ -42,6 +42,11 @@ constexpr size_t kMaxBatch = 128;
 constexpr size_t kStartBatch = 64;
 /// Consecutive near-empty drains before the batch halves once.
 constexpr int kShrinkHysteresis = 8;
+
+/// A ring slot keeps its datagram buffer across laps; one that grew past
+/// this (a reassembled datagram) is released after processing, so ring
+/// memory stays bounded at about slots x kSlotBufferBytes.
+constexpr size_t kSlotBufferBytes = 2048;
 
 uint64_t elapsed_ns(std::chrono::steady_clock::time_point since) {
   return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -119,10 +124,6 @@ void ShardedEngine::worker_loop(Shard& shard, size_t index) {
   const bool adaptive = config_.batch_size == 0;
   size_t batch = adaptive ? kStartBatch : config_.batch_size;
   int near_empty_drains = 0;
-  // Worker-local scratch: the batch is moved out of the ring in one pass,
-  // then processed from this thread's own memory with zero ring traffic.
-  std::vector<pkt::Packet> scratch;
-  scratch.reserve(adaptive ? kMaxBatch : batch);
   uint64_t hwm = 0;
   int idle_polls = 0;
   for (;;) {
@@ -133,17 +134,17 @@ void ShardedEngine::worker_loop(Shard& shard, size_t index) {
       hwm = depth;
       shard.queue_depth_hwm.store(hwm, std::memory_order_relaxed);
     }
-    scratch.clear();
-    size_t n = shard.queue.pop_batch(scratch, batch);
+    const auto poll_start = std::chrono::steady_clock::now();
+    const size_t n = shard.queue.consume_batch(
+        batch, [&shard](pkt::Packet& packet, const pkt::Packet* next) {
+          // The next packet's bytes are about to be parsed; overlap the
+          // miss with this packet's pipeline work.
+          if (next != nullptr) __builtin_prefetch(next->data.data());
+          shard.engine.on_packet(packet);
+          if (packet.data.capacity() > kSlotBufferBytes) packet.data = Bytes();
+        });
     if (n != 0) {
-      const auto busy_start = std::chrono::steady_clock::now();
-      for (size_t i = 0; i < n; ++i) {
-        // The next packet's bytes are about to be parsed; overlap the miss
-        // with this packet's pipeline work.
-        if (i + 1 < n) __builtin_prefetch(scratch[i + 1].data.data());
-        shard.engine.on_packet(scratch[i]);
-      }
-      shard.busy_ns.fetch_add(elapsed_ns(busy_start), std::memory_order_relaxed);
+      shard.busy_ns.fetch_add(elapsed_ns(poll_start), std::memory_order_relaxed);
       // One release store per batch publishes both the progress counter and
       // every engine mutation made while processing the batch. Ordering
       // matters for flush(): processed must trail the processing itself.
@@ -167,36 +168,35 @@ void ShardedEngine::worker_loop(Shard& shard, size_t index) {
       continue;
     }
     if (stopping_.load(std::memory_order_acquire)) return;
-    const auto idle_start = std::chrono::steady_clock::now();
     if (++idle_polls < 64) {
       std::this_thread::yield();
     } else {
       std::this_thread::sleep_for(std::chrono::microseconds(50));
     }
-    shard.idle_ns.fetch_add(elapsed_ns(idle_start), std::memory_order_relaxed);
+    shard.idle_ns.fetch_add(elapsed_ns(poll_start), std::memory_order_relaxed);
   }
 }
 
-void ShardedEngine::enqueue(size_t index, pkt::Packet&& packet) {
+void ShardedEngine::enqueue(size_t index, const pkt::Packet& packet) {
   Shard& shard = *shards_[index];
-  if (!shard.queue.try_push(std::move(packet))) {
+  // The slot's buffer already fits the datagram past the ring's first lap.
+  const auto fill = [&packet](pkt::Packet& slot) {
+    slot.data.assign(packet.data.begin(), packet.data.end());
+    slot.timestamp = packet.timestamp;
+  };
+  if (!shard.queue.try_push_with(fill)) {
     if (config_.overflow == OverflowPolicy::kDrop) {
       shard.dropped.fetch_add(1, std::memory_order_relaxed);
       return;
     }
     do {
       std::this_thread::yield();
-    } while (!shard.queue.try_push(std::move(packet)));
+    } while (!shard.queue.try_push_with(fill));
   }
   shard.enqueued.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ShardedEngine::Producer::on_packet(const pkt::Packet& packet) {
-  pkt::Packet copy = packet;
-  on_packet(std::move(copy));
-}
-
-void ShardedEngine::Producer::on_packet(pkt::Packet&& packet) {
   ++seen_;
   const auto& home = owner_->config_.engine.home_addresses;
   if (!home.empty()) {
@@ -212,11 +212,7 @@ void ShardedEngine::Producer::on_packet(pkt::Packet&& packet) {
   }
   auto routed = router_.route(packet);
   if (!routed) return;  // fragment held by the router's reassembler
-  if (routed->reassembled) {
-    owner_->enqueue(routed->shard, std::move(*routed->reassembled));
-  } else {
-    owner_->enqueue(routed->shard, std::move(packet));
-  }
+  owner_->enqueue(routed->shard, routed->reassembled ? *routed->reassembled : packet);
 }
 
 void ShardedEngine::flush() {
@@ -259,9 +255,9 @@ void ShardedEngine::set_rules(
   }
 }
 
-void ShardedEngine::on_packet_to_shard(size_t shard, pkt::Packet&& packet) {
+void ShardedEngine::on_packet_to_shard(size_t shard, const pkt::Packet& packet) {
   direct_seen_ += 1;
-  enqueue(shard % shards_.size(), std::move(packet));
+  enqueue(shard % shards_.size(), packet);
 }
 
 bool ShardedEngine::has_session(const SessionId& session) const {

@@ -1,7 +1,8 @@
 // ShardedEngine: a multi-worker front-end over N private ScidiveEngines.
 // Producer threads call on_packet(); a session-affinity router (see
-// shard_router.h) picks a shard and the packet crosses a bounded MPSC ring
-// to that shard's worker thread, which owns a full single-threaded engine.
+// shard_router.h) picks a shard and the datagram is copied into a slot of a
+// bounded MPSC ring — slots keep their buffers across laps, so neither side
+// allocates — for that shard's worker, which owns a single-threaded engine.
 // Because every packet of a session — signaling, media learned from its SDP,
 // billing records — lands on one shard, the paper's stateful and
 // cross-protocol semantics are preserved with zero locking on the hot path.
@@ -103,8 +104,7 @@ class ShardedEngine {
   class Producer {
    public:
     void on_packet(const pkt::Packet& packet);
-    void on_packet(pkt::Packet&& packet);
-    netsim::PacketTap tap() {
+    capture::PacketTap tap() {
       return [this](const pkt::Packet& packet) { on_packet(packet); };
     }
     const ShardRouter& router() const { return router_; }
@@ -127,10 +127,9 @@ class ShardedEngine {
 
   /// Feed one captured packet through the implicit default producer.
   void on_packet(const pkt::Packet& packet) { producers_.front()->on_packet(packet); }
-  void on_packet(pkt::Packet&& packet) { producers_.front()->on_packet(std::move(packet)); }
 
   /// A tap suitable for netsim::Network::add_tap.
-  netsim::PacketTap tap() {
+  capture::PacketTap tap() {
     return [this](const pkt::Packet& packet) { on_packet(packet); };
   }
 
@@ -140,7 +139,7 @@ class ShardedEngine {
   /// router, home filter and per-producer counters; ring backpressure and
   /// drop accounting apply unchanged. Calls must come from one thread at a
   /// time, like a producer.
-  void on_packet_to_shard(size_t shard, pkt::Packet&& packet);
+  void on_packet_to_shard(size_t shard, const pkt::Packet& packet);
 
   /// Session relocation between engines — the fleet's churn-handoff path,
   /// moving the same session record as rebalance(). All three calls require
@@ -168,7 +167,7 @@ class ShardedEngine {
     pkt::Packet packet;
     uint64_t fed = 0;
     while (source.next(&packet)) {
-      on_packet(std::move(packet));
+      on_packet(packet);
       ++fed;
     }
     flush();
@@ -260,7 +259,7 @@ class ShardedEngine {
   };
 
   void worker_loop(Shard& shard, size_t index);
-  void enqueue(size_t index, pkt::Packet&& packet);
+  void enqueue(size_t index, const pkt::Packet& packet);
   void pin_worker(size_t index);
   /// One cross-shard migration (quiescent). Returns false when the session
   /// could not be extracted (e.g. raced away by expiry).

@@ -11,16 +11,28 @@
 namespace scidive {
 namespace {
 
+/// Fill callback that writes `value` into the claimed slot.
+template <typename T>
+auto put(T value) {
+  return [value = std::move(value)](T& slot) mutable { slot = std::move(value); };
+}
+
+/// Consume up to `max` elements, appending copies to `out`.
+template <typename T>
+size_t take(MpscQueue<T>& q, std::vector<T>& out, size_t max) {
+  return q.consume_batch(max, [&out](T& v, const T*) { out.push_back(v); });
+}
+
 TEST(MpscQueue, PushPopOrdering) {
   MpscQueue<int> q(8);
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(q.try_push(int(i)));
+  for (int i = 0; i < 5; ++i) EXPECT_TRUE(q.try_push_with(put(i)));
   EXPECT_EQ(q.size(), 5u);
-  int v = -1;
+  std::vector<int> got;
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(q.try_pop(v));
-    EXPECT_EQ(v, i);
+    ASSERT_EQ(take(q, got, 1), 1u);
+    EXPECT_EQ(got.back(), i);
   }
-  EXPECT_FALSE(q.try_pop(v));
+  EXPECT_EQ(take(q, got, 1), 0u);
   EXPECT_TRUE(q.empty());
 }
 
@@ -33,26 +45,33 @@ TEST(MpscQueue, CapacityRoundsUpToPowerOfTwo) {
 
 TEST(MpscQueue, FullRingRejectsAndKeepsValue) {
   MpscQueue<std::string> q(2);
-  EXPECT_TRUE(q.try_push("a"));
-  EXPECT_TRUE(q.try_push("b"));
+  EXPECT_TRUE(q.try_push_with(put<std::string>("a")));
+  EXPECT_TRUE(q.try_push_with(put<std::string>("b")));
   std::string keep = "survivor";
-  EXPECT_FALSE(q.try_push(std::move(keep)));
-  // A failed push must not consume the value: the caller retries with it.
+  bool filled = false;
+  const auto fill = [&](std::string& slot) {
+    filled = true;
+    slot = std::move(keep);
+  };
+  EXPECT_FALSE(q.try_push_with(fill));
+  // A failed push must not run the fill: the caller retries with its value.
+  EXPECT_FALSE(filled);
   EXPECT_EQ(keep, "survivor");
-  std::string out;
-  ASSERT_TRUE(q.try_pop(out));
-  EXPECT_EQ(out, "a");
-  EXPECT_TRUE(q.try_push(std::move(keep)));
+  std::vector<std::string> out;
+  ASSERT_EQ(take(q, out, 1), 1u);
+  EXPECT_EQ(out.back(), "a");
+  EXPECT_TRUE(q.try_push_with(fill));
+  EXPECT_TRUE(filled);
 }
 
 TEST(MpscQueue, WraparoundManyTimes) {
   MpscQueue<uint32_t> q(4);
   uint32_t next_in = 0, next_out = 0;
   for (int round = 0; round < 1000; ++round) {
-    while (q.try_push(uint32_t(next_in))) ++next_in;
-    uint32_t v;
-    while (q.try_pop(v)) {
-      ASSERT_EQ(v, next_out);
+    while (q.try_push_with(put(next_in))) ++next_in;
+    std::vector<uint32_t> got;
+    while (take(q, got, 1) == 1) {
+      ASSERT_EQ(got.back(), next_out);
       ++next_out;
     }
   }
@@ -62,25 +81,57 @@ TEST(MpscQueue, WraparoundManyTimes) {
 
 TEST(MpscQueue, PopBatchDrainsUpToLimit) {
   MpscQueue<int> q(16);
-  for (int i = 0; i < 10; ++i) ASSERT_TRUE(q.try_push(int(i)));
+  for (int i = 0; i < 10; ++i) ASSERT_TRUE(q.try_push_with(put(i)));
   std::vector<int> got;
-  size_t n = q.pop_batch(got, 4);
+  size_t n = take(q, got, 4);
   EXPECT_EQ(n, 4u);
   EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3}));
-  n = q.pop_batch(got, 100);
+  n = take(q, got, 100);
   EXPECT_EQ(n, 6u);
   ASSERT_EQ(got.size(), 10u);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(got[i], i);
-  EXPECT_EQ(q.pop_batch(got, 8), 0u);
+  EXPECT_EQ(take(q, got, 8), 0u);
 }
 
 TEST(MpscQueue, MoveOnlyElements) {
   MpscQueue<std::unique_ptr<int>> q(4);
-  EXPECT_TRUE(q.try_push(std::make_unique<int>(42)));
+  EXPECT_TRUE(q.try_push_with([](std::unique_ptr<int>& slot) { slot = std::make_unique<int>(42); }));
   std::unique_ptr<int> out;
-  ASSERT_TRUE(q.try_pop(out));
+  ASSERT_EQ(q.consume_batch(1, [&out](std::unique_ptr<int>& v, const std::unique_ptr<int>*) {
+              out = std::move(v);
+            }),
+            1u);
   ASSERT_NE(out, nullptr);
   EXPECT_EQ(*out, 42);
+}
+
+TEST(MpscQueue, SlotBufferSurvivesLaps) {
+  // What the sharded engine's copy-free ingest rests on: a value consumed in
+  // place stays in its slot, so when a producer claims the slot again a lap
+  // later the buffer it grew is still there and refilling it with data that
+  // fits does not reallocate.
+  MpscQueue<std::vector<uint8_t>> q(2);
+  const std::vector<uint8_t> datagram(1500, 0xab);
+  std::vector<size_t> capacity_at_claim;
+  std::vector<const uint8_t*> buffer_at_claim, buffer_consumed;
+  const auto fill = [&](std::vector<uint8_t>& slot) {
+    capacity_at_claim.push_back(slot.capacity());
+    buffer_at_claim.push_back(slot.data());
+    slot.assign(datagram.begin(), datagram.end());
+  };
+  for (int lap = 0; lap < 3; ++lap) {
+    for (size_t i = 0; i < q.capacity(); ++i) ASSERT_TRUE(q.try_push_with(fill));
+    const size_t n = q.consume_batch(q.capacity(), [&](std::vector<uint8_t>& v, const auto*) {
+      EXPECT_EQ(v, datagram);
+      buffer_consumed.push_back(v.data());
+    });
+    ASSERT_EQ(n, q.capacity());
+  }
+  ASSERT_EQ(capacity_at_claim.size(), 3 * q.capacity());
+  for (size_t i = q.capacity(); i < capacity_at_claim.size(); ++i) {
+    EXPECT_GE(capacity_at_claim[i], datagram.size()) << "claim " << i;
+    EXPECT_EQ(buffer_at_claim[i], buffer_consumed[i - q.capacity()]) << "claim " << i;
+  }
 }
 
 TEST(MpscQueue, MultiProducerPreservesEveryElementAndPerProducerOrder) {
@@ -96,8 +147,8 @@ TEST(MpscQueue, MultiProducerPreservesEveryElementAndPerProducerOrder) {
     producers.emplace_back([&q, p] {
       for (uint64_t i = 0; i < kPerProducer; ++i) {
         // Tag each element with its producer in the top bits.
-        uint64_t v = (static_cast<uint64_t>(p) << 48) | i;
-        while (!q.try_push(std::move(v))) std::this_thread::yield();
+        const uint64_t v = (static_cast<uint64_t>(p) << 48) | i;
+        while (!q.try_push_with(put(v))) std::this_thread::yield();
       }
     });
   }
@@ -109,7 +160,7 @@ TEST(MpscQueue, MultiProducerPreservesEveryElementAndPerProducerOrder) {
   batch.reserve(256);
   while (seen < kProducers * kPerProducer) {
     batch.clear();
-    size_t n = q.pop_batch(batch, 256);
+    size_t n = take(q, batch, 256);
     if (n == 0) {
       std::this_thread::yield();
       continue;

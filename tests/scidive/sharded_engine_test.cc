@@ -116,7 +116,7 @@ TEST(ShardedEngine, CallHijackParity) {
 
 TEST(ShardedEngine, BatchedDrainParityAcrossWorkerAndBatchSizes) {
   // Re-pin sharded-vs-single parity across the full worker × batch-size
-  // grid: the worker-local scratch drain must not reorder packets within a
+  // grid: the in-place ring drain must not reorder packets within a
   // shard or lose counted work at any batch size.
   CaptureFixture f;
   voip::CallSniffer sniffer;
