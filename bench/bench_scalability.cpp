@@ -8,8 +8,6 @@
 //   * ShardedEngine with 1/2/4/8 shards at K >= 1000 (rows where the shard
 //     count exceeds the machine's hardware threads are marked oversubscribed
 //     — they measure queue overhead, not scaling);
-//   * worker drain batch-size sweep (B in {1, 8, 32, 64, 128} plus the
-//     occupancy-adaptive default) at 5000 sessions;
 //   * multicore mode: 1/2/4/8 pinned workers at 50000 sessions — each worker
 //     thread pinned to its own core so the scheduler cannot stack them. This
 //     is the section scripts/check_speedup.py gates CI on; on a machine with
@@ -166,11 +164,9 @@ RunResult run_single(SessionPlan& plan, int packets,
   return r;
 }
 
-RunResult run_sharded(SessionPlan& plan, int packets, size_t shards, size_t batch_size = 0,
-                      bool pin_workers = false) {
+RunResult run_sharded(SessionPlan& plan, int packets, size_t shards, bool pin_workers = false) {
   core::ShardedEngineConfig config;
   config.num_shards = shards;
-  config.batch_size = batch_size;  // 0 = occupancy-adaptive default
   config.pin_workers = pin_workers;
   core::ShardedEngine engine(config);
   for (const auto& p : plan.signaling) engine.on_packet(p);
@@ -293,41 +289,6 @@ int main() {
     json += "\n";
     first = false;
   }
-  json += "  ],\n  \"batch_sweep\": [\n";
-
-  printf("\nWorker drain batch-size sweep at 5000 sessions (%u shard%s)\n",
-         hw_threads > 1 ? 2u : 1u, hw_threads > 1 ? "s" : "");
-  printf("==========================================================\n\n");
-  printf("%-8s | %-14s | %-12s | %-8s\n", "batch", "wall time", "pkts/sec", "dropped");
-  printf("--------------------------------------------------\n");
-
-  const size_t sweep_shards = hw_threads > 1 ? 2 : 1;
-  first = true;
-  // 0 = the occupancy-adaptive default: start at 64, grow on full drains,
-  // and shrink only after a sustained run of near-empty drains. The sweep
-  // exists to keep it honest — check_speedup.py fails CI if auto falls more
-  // than 10% behind the best fixed batch on this workload.
-  for (size_t batch : {0u, 1u, 8u, 32u, 64u, 128u}) {
-    auto plan = build_plan(5000);
-    RunResult r = run_sharded(plan, kPackets, sweep_shards, batch);
-    char label[16];
-    if (batch == 0) {
-      snprintf(label, sizeof(label), "auto");
-    } else {
-      snprintf(label, sizeof(label), "%zu", batch);
-    }
-    printf("%-8s | %11.3f s | %12.0f | %llu\n", label, r.elapsed, r.pps,
-           (unsigned long long)r.dropped);
-    char row[220];
-    snprintf(row, sizeof(row),
-             "    %s{\"workload\": \"rtp_steady\", \"batch\": \"%s\", \"shards\": %zu, \"sessions\": 5000, \"packets\": %d, "
-             "\"pkts_per_sec\": %.0f, \"dropped\": %llu}",
-             first ? "" : ",", label, sweep_shards, kPackets, r.pps,
-             (unsigned long long)r.dropped);
-    json += row;
-    json += "\n";
-    first = false;
-  }
   json += "  ],\n  \"multicore\": [\n";
 
   printf("\nMulticore mode: pinned workers at 50000 sessions (1/2/4/8 shards)\n");
@@ -339,7 +300,7 @@ int main() {
   first = true;
   for (size_t shards : {1u, 2u, 4u, 8u}) {
     auto plan = build_plan(50000);
-    RunResult r = run_sharded(plan, kPackets, shards, /*batch_size=*/0, /*pin_workers=*/true);
+    RunResult r = run_sharded(plan, kPackets, shards, /*pin_workers=*/true);
     const bool oversubscribed = hw_threads != 0 && shards > hw_threads;
     printf("%-8zu | %11.3f s | %12.0f | %13.2fx | %-8llu%s\n", shards, r.elapsed, r.pps,
            single_50000_pps > 0 ? r.pps / single_50000_pps : 0.0,

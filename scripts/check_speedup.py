@@ -34,15 +34,9 @@ twin and a bypass hit rate of at least --min-fastpath-hit-rate (default
 0.9). Single-engine same-machine ratios, so this gate runs at every
 hardware-thread count.
 
-Also gates the "batch_sweep" section: the occupancy-adaptive batch ("auto")
-must stay within --max-batch-gap (default 10%) of the best fixed batch
-size. Like the multicore gate this is a threaded-throughput measurement,
-so it degrades to a warning on runners with fewer than 4 hardware threads.
-
 Usage: check_speedup.py bench_scalability.json [--min-speedup 2.0]
     [--max-inline-overhead 0.4] [--max-gossip-overhead 0.05]
     [--min-fastpath-speedup 1.5] [--min-fastpath-hit-rate 0.9]
-    [--max-batch-gap 0.10]
 """
 
 import argparse
@@ -67,9 +61,6 @@ def main() -> int:
     parser.add_argument("--min-fastpath-hit-rate", type=float, default=0.9,
                         help="required fast-path bypass rate on the "
                              "steady-RTP workload (fraction)")
-    parser.add_argument("--max-batch-gap", type=float, default=0.10,
-                        help="how far the adaptive batch may trail the best "
-                             "fixed batch size (fraction)")
     args = parser.parse_args()
 
     with open(args.results) as f:
@@ -182,37 +173,6 @@ def main() -> int:
         return 1 if inline_failures else 0
 
     failures = list(inline_failures)
-
-    # Adaptive-batch honesty gate: "auto" must not trail the best fixed
-    # drain batch by more than the allowed gap. Threaded measurement, so it
-    # runs only where the multicore gate does.
-    batch_rows = [r for r in data.get("batch_sweep", [])
-                  if r.get("workload", "rtp_steady") == "rtp_steady"]
-    auto_pps = max((float(r.get("pkts_per_sec", 0.0)) for r in batch_rows
-                    if r.get("batch") == "auto"), default=0.0)
-    best_fixed = 0.0
-    best_label = ""
-    for row in batch_rows:
-        if row.get("batch") == "auto":
-            continue
-        pps = float(row.get("pkts_per_sec", 0.0))
-        if pps > best_fixed:
-            best_fixed = pps
-            best_label = str(row.get("batch"))
-    if not batch_rows:
-        failures.append("no 'batch_sweep' section in results")
-    elif auto_pps <= 0.0 or best_fixed <= 0.0:
-        failures.append("batch_sweep lacks an 'auto' row or any fixed row")
-    else:
-        gap = 1.0 - auto_pps / best_fixed
-        print(f"batch auto: {auto_pps:.0f} pkts/s vs best fixed "
-              f"(batch={best_label}) {best_fixed:.0f} pkts/s "
-              f"({gap * 100:+.1f}% gap)")
-        if gap > args.max_batch_gap:
-            failures.append(
-                f"adaptive batch trails best fixed batch ({best_label}) by "
-                f"{gap * 100:.1f}%, over the {args.max_batch_gap * 100:.0f}% "
-                f"allowance")
 
     four = None
     for row in rows:

@@ -8,18 +8,6 @@ namespace scidive::fleet {
 
 namespace {
 
-/// Engine-synthesized session ids (shared anonymous buckets, flow-hash
-/// fallbacks): their slot is not derivable from the id, and every node
-/// synthesizes its own — they never hand off (counted as skipped).
-bool is_synthetic_session(const core::SessionId& session) {
-  static constexpr std::string_view kPrefixes[] = {
-      "flow:", "sip-anon", "acc-anon", "h225-anon", "ras-anon", "ras-reg:", "unclassified"};
-  for (std::string_view prefix : kPrefixes) {
-    if (session.starts_with(prefix)) return true;
-  }
-  return false;
-}
-
 void accumulate(FleetNodeStats& out, const FleetNodeStats& s) {
   out.events_shared += s.events_shared;
   out.events_received += s.events_received;
@@ -57,6 +45,7 @@ void add_node_tagged(obs::Snapshot& out, const obs::Snapshot& snap, const std::s
 core::ShardRouterConfig dispatcher_router_config(const FleetConfig& config) {
   core::ShardRouterConfig rc;
   rc.num_shards = config.num_slots == 0 ? 1 : config.num_slots;
+  rc.distiller = config.node.engine.engine.distiller;
   rc.route_invite_by_caller = config.node.engine.route_invite_by_caller;
   // Every principal-routed call-id gets an override so churn handoff can
   // recover its slot from the session id alone.
@@ -226,7 +215,9 @@ void Fleet::relocate_moved_sessions() {
   for (auto& source : nodes_) {
     for (size_t sh = 0; sh < source->engine().num_shards(); ++sh) {
       for (const core::SessionId& sid : source->engine().shard(sh).trails().sessions()) {
-        if (is_synthetic_session(sid)) {
+        // A synthesized id's slot is not derivable from the id, and every
+        // node synthesizes its own: it never hands off (counted as skipped).
+        if (core::TrailManager::synthetic_session(sid)) {
           ++stats_.handoff_skipped_synthetic;
           continue;
         }

@@ -8,7 +8,7 @@
 #include "rtp/rtp.h"
 #include "sip/auth.h"
 #include "sip/sdp.h"
-#include "voip/accounting.h"
+#include "voip/acc_record.h"
 
 namespace scidive::core {
 

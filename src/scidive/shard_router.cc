@@ -6,7 +6,7 @@
 #include "h323/ras.h"
 #include "sip/message.h"
 #include "sip/sdp.h"
-#include "voip/accounting.h"
+#include "voip/acc_record.h"
 
 namespace scidive::core {
 
@@ -59,7 +59,7 @@ ShardRouter::ShardRouter(ShardRouterConfig config)
 
 ShardRouter::ShardRouter(ShardRouterConfig config, ShardDirectory* directory)
     : config_(std::move(config)),
-      reassembler_(pkt::Ipv4Reassembler::Config{.timeout = config_.reassembly_timeout}),
+      reassembler_(pkt::Ipv4Reassembler::Config{.timeout = config_.distiller.reassembly_timeout}),
       directory_(directory) {
   if (config_.num_shards == 0) config_.num_shards = 1;
   if (directory_ == nullptr) {
@@ -121,8 +121,8 @@ size_t ShardRouter::route_datagram(const pkt::Packet& packet) {
   auto peek = peek_udp(packet.data);
   if (!peek) return 0;  // undecodable — shard 0 keeps the error accounting
 
-  const bool sip_port = config_.sip_ports.contains(peek->src.port) ||
-                        config_.sip_ports.contains(peek->dst.port);
+  const bool sip_port = config_.distiller.sip_ports.contains(peek->src.port) ||
+                        config_.distiller.sip_ports.contains(peek->dst.port);
   if (sip_port) {
     auto msg = sip::SipMessage::parse(peek->payload);
     if (!msg.ok()) {
@@ -183,7 +183,8 @@ size_t ShardRouter::route_datagram(const pkt::Packet& packet) {
     return shard;
   }
 
-  if (peek->src.port == config_.acc_port || peek->dst.port == config_.acc_port) {
+  const uint16_t acc_port = config_.distiller.acc_port;
+  if (peek->src.port == acc_port || peek->dst.port == acc_port) {
     std::string_view text(reinterpret_cast<const char*>(peek->payload.data()),
                           peek->payload.size());
     ++stats_.by_call_id;

@@ -32,22 +32,21 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string_view>
 
 #include "pkt/fragment.h"
 #include "pkt/packet.h"
+#include "scidive/distiller.h"
 #include "scidive/shard_directory.h"
 
 namespace scidive::core {
 
 struct ShardRouterConfig {
   size_t num_shards = 4;
-  /// Port conventions — mirror DistillerConfig so the router and the shard
-  /// distillers classify identically.
-  std::set<uint16_t> sip_ports = {5060, 5061, 5062, 5064, 5070, 5080, 5081, 5082};
-  uint16_t acc_port = 9009;
-  SimDuration reassembly_timeout = sec(30);
+  /// The shard engines' distiller config: the router reads its port
+  /// conventions and reassembly timeout, so it classifies exactly as the
+  /// distillers it feeds.
+  DistillerConfig distiller;
   /// Route initial INVITEs by the caller's From AOR and pin the dialog's
   /// Call-ID to that shard (directory override), so per-caller rule state
   /// (SPIT graylisting) stays coherent: every call attempt of one caller —

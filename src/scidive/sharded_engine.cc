@@ -17,9 +17,7 @@ namespace {
 ShardRouterConfig router_config(const ShardedEngineConfig& config) {
   ShardRouterConfig rc;
   rc.num_shards = config.num_shards == 0 ? 1 : config.num_shards;
-  rc.sip_ports = config.engine.distiller.sip_ports;
-  rc.acc_port = config.engine.distiller.acc_port;
-  rc.reassembly_timeout = config.engine.distiller.reassembly_timeout;
+  rc.distiller = config.engine.distiller;
   rc.route_invite_by_caller = config.route_invite_by_caller;
   return rc;
 }
@@ -30,19 +28,6 @@ EngineConfig shard_engine_config(const ShardedEngineConfig& config) {
   return ec;
 }
 
-/// Adaptive drain-batch tuning (batch_size = 0). Starting small and halving
-/// on any near-empty drain measured *worse* than every fixed size: steady
-/// producers leave the ring shallow most polls, so the batch thrashed at
-/// kMinBatch and paid a ring round-trip per handful of packets. Start
-/// large instead, and only shrink after a sustained run of near-empty
-/// drains — a shallow ring costs nothing when drains are cheap, while a
-/// too-small batch costs ring traffic on every poll.
-constexpr size_t kMinBatch = 8;
-constexpr size_t kMaxBatch = 128;
-constexpr size_t kStartBatch = 64;
-/// Consecutive near-empty drains before the batch halves once.
-constexpr int kShrinkHysteresis = 8;
-
 /// A ring slot keeps its datagram buffer across laps; one that grew past
 /// this (a reassembled datagram) is released after processing, so ring
 /// memory stays bounded at about slots x kSlotBufferBytes.
@@ -52,20 +37,6 @@ uint64_t elapsed_ns(std::chrono::steady_clock::time_point since) {
   return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
                                    std::chrono::steady_clock::now() - since)
                                    .count());
-}
-
-/// Sessions whose identity is synthesized by the engines rather than
-/// carried by the traffic. Their names collide across unrelated flows
-/// ("sip-anon") or encode per-principal state ("ras-reg:"), so migrating
-/// them would split state the rules expect to stay together.
-bool synthetic_session(const SessionId& id) {
-  using std::string_view_literals::operator""sv;
-  for (std::string_view prefix : {"flow:"sv, "sip-anon"sv, "acc-anon"sv, "h225-anon"sv,
-                                  "ras-anon"sv, "ras-reg:"sv, "unclassified"sv}) {
-    if (id.size() >= prefix.size() && std::string_view(id).substr(0, prefix.size()) == prefix)
-      return true;
-  }
-  return false;
 }
 
 }  // namespace
@@ -121,9 +92,6 @@ void ShardedEngine::pin_worker(size_t index) {
 
 void ShardedEngine::worker_loop(Shard& shard, size_t index) {
   if (config_.pin_workers) pin_worker(index);
-  const bool adaptive = config_.batch_size == 0;
-  size_t batch = adaptive ? kStartBatch : config_.batch_size;
-  int near_empty_drains = 0;
   uint64_t hwm = 0;
   int idle_polls = 0;
   for (;;) {
@@ -135,8 +103,11 @@ void ShardedEngine::worker_loop(Shard& shard, size_t index) {
       shard.queue_depth_hwm.store(hwm, std::memory_order_relaxed);
     }
     const auto poll_start = std::chrono::steady_clock::now();
+    // Drain whatever is published, up to one lap. Each slot goes back to
+    // the producers as soon as its packet is processed, so a long drain
+    // holds up no producer; it only spreads this poll's bookkeeping.
     const size_t n = shard.queue.consume_batch(
-        batch, [&shard](pkt::Packet& packet, const pkt::Packet* next) {
+        shard.queue.capacity(), [&shard](pkt::Packet& packet, const pkt::Packet* next) {
           // The next packet's bytes are about to be parsed; overlap the
           // miss with this packet's pipeline work.
           if (next != nullptr) __builtin_prefetch(next->data.data());
@@ -149,21 +120,6 @@ void ShardedEngine::worker_loop(Shard& shard, size_t index) {
       // every engine mutation made while processing the batch. Ordering
       // matters for flush(): processed must trail the processing itself.
       shard.processed.fetch_add(n, std::memory_order_release);
-      if (adaptive) {
-        if (n == batch) {
-          near_empty_drains = 0;
-          if (batch < kMaxBatch) batch <<= 1;  // full drain: backlogged
-        } else if (n <= batch / 4) {
-          // Shrink only after a sustained near-empty run: a single shallow
-          // poll between producer bursts must not collapse the batch.
-          if (batch > kMinBatch && ++near_empty_drains >= kShrinkHysteresis) {
-            batch >>= 1;
-            near_empty_drains = 0;
-          }
-        } else {
-          near_empty_drains = 0;
-        }
-      }
       idle_polls = 0;
       continue;
     }
@@ -291,19 +247,11 @@ void ShardedEngine::adopt_verdict(const Verdict& verdict) {
 }
 
 bool ShardedEngine::migrate_session(const SessionId& session, size_t from, size_t to) {
-  // install_session's precondition: the destination must not already hold
-  // this session. Affinity makes a collision all but impossible; a stale
-  // candidate list must still not corrupt the destination.
+  // install_session refuses a destination that already holds the session;
+  // check before extracting, so a stale candidate list never strands one.
+  // Affinity makes such a collision all but impossible.
   if (shards_[to]->engine.has_session(session)) return false;
-  TrailManager::ExtractedSession moved = shards_[from]->engine.extract_session(session);
-  if (!moved.valid()) return false;
-  shards_[to]->engine.install_session(std::move(moved));
-  // Repoint routing for every producer: the session key override plus its
-  // media endpoints (which non-SIP packets route by).
-  directory_.set_override(ShardDirectory::key_hash(session), static_cast<uint32_t>(to));
-  for (const pkt::Endpoint& ep : shards_[to]->engine.trails().media_endpoints(session))
-    directory_.learn_media(ep, static_cast<uint32_t>(to));
-  return true;
+  return install_session(shards_[from]->engine.extract_session(session), to);
 }
 
 size_t ShardedEngine::rebalance() {
@@ -341,7 +289,7 @@ size_t ShardedEngine::rebalance() {
   for (SessionId& id : hot.trails().sessions()) {
     const uint64_t activity = hot.trails().session_activity(id);
     hot_activity += activity;
-    if (synthetic_session(id)) continue;
+    if (TrailManager::synthetic_session(id)) continue;
     if (directory_.principal_routed(ShardDirectory::key_hash(id))) continue;
     candidates.emplace_back(activity, std::move(id));
   }

@@ -3,6 +3,9 @@
 // shard_router.h) picks a shard and the datagram is copied into a slot of a
 // bounded MPSC ring — slots keep their buffers across laps, so neither side
 // allocates — for that shard's worker, which owns a single-threaded engine.
+// Each worker wakeup drains whatever is published, up to one ring lap, and
+// frees every slot as soon as its packet has been processed: no producer
+// waits on a batch boundary, so the drain has no size to tune.
 // Because every packet of a session — signaling, media learned from its SDP,
 // billing records — lands on one shard, the paper's stateful and
 // cross-protocol semantics are preserved with zero locking on the hot path.
@@ -55,12 +58,6 @@ struct ShardedEngineConfig {
   EngineConfig engine;
   size_t num_shards = 4;
   size_t queue_capacity = 4096;  // per-shard ring slots (rounded up to 2^k)
-  /// Max packets drained per worker wakeup. 0 (the default) auto-tunes from
-  /// ring occupancy: start at 8, double toward 128 while drains run full,
-  /// decay back while the ring runs near-empty. The scalability sweep shows
-  /// small batches win at low occupancy (lower latency to first packet) and
-  /// large ones only pay off under backlog, so no fixed value is right.
-  size_t batch_size = 0;
   OverflowPolicy overflow = OverflowPolicy::kBlock;
   /// Pin worker i to cpu worker_cpus[i % worker_cpus.size()] (or cpu
   /// i % hardware_concurrency when worker_cpus is empty). Linux only; a

@@ -21,6 +21,21 @@ std::optional<Symbol> TrailManager::media_session_sym(pkt::Endpoint ep, Protocol
   return *sym;
 }
 
+namespace {
+
+/// Every id prefix classify() mints for a session the traffic does not name.
+constexpr std::string_view kSyntheticPrefixes[] = {
+    "flow:", "sip-anon", "acc-anon", "h225-anon", "ras-anon", "ras-reg:", "unclassified"};
+
+}  // namespace
+
+bool TrailManager::synthetic_session(std::string_view session) {
+  for (std::string_view prefix : kSyntheticPrefixes) {
+    if (session.starts_with(prefix)) return true;
+  }
+  return false;
+}
+
 Symbol TrailManager::classify(const Footprint& fp, bool& media_bound) {
   media_bound = false;
   switch (fp.protocol) {

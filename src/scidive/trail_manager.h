@@ -39,6 +39,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/arena.h"
@@ -170,6 +171,11 @@ class TrailManager {
   };
 
   bool has_session(const SessionId& session) const;
+  /// True for the ids classify() synthesizes rather than reads off the
+  /// traffic ("flow:...", "sip-anon", "ras-reg:<alias>", ...). They collide
+  /// across unrelated flows or carry per-principal state, so migration and
+  /// fleet handoff leave these sessions where they are.
+  static bool synthetic_session(std::string_view session);
   /// Footprints ever routed to this session's trails — the rebalancer's
   /// (deterministic) load proxy for hot-vs-cold ordering.
   uint64_t session_activity(const SessionId& session) const;

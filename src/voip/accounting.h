@@ -1,35 +1,18 @@
 // The accounting subsystem of the §3.2 billing-fraud example: the proxy's
 // AccountingClient sends CDR transactions over a tiny line-based UDP
 // protocol ("ACC") to a BillingDatabase host, which stores them and acks.
-// The IDS decodes ACC datagrams into accounting footprints and correlates
-// them with the SIP trail.
+// The record's wire format lives in acc_record.h, which the IDS decodes
+// into accounting footprints and correlates with the SIP trail.
 #pragma once
 
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "common/result.h"
 #include "netsim/host.h"
+#include "voip/acc_record.h"
 
 namespace scidive::voip {
-
-/// One accounting transaction on the wire.
-struct AccRecord {
-  enum class Kind { kStart, kStop };
-  Kind kind = Kind::kStart;
-  std::string call_id;
-  std::string from_aor;  // the billed party
-  std::string to_aor;
-  SimTime timestamp = 0;
-
-  /// Wire format: "ACC START|STOP call_id=<..> from=<..> to=<..> t=<usec>"
-  std::string serialize() const;
-  static Result<AccRecord> parse(std::string_view line);
-};
-
-constexpr uint16_t kAccPort = 9009;
 
 /// Runs on the proxy host; fires CDR transactions at the database.
 class AccountingClient {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "capture/test_streams.h"
+#include "pkt/packet.h"
 #include "scidive/rules.h"
 #include "testbed/testbed.h"
 
@@ -95,6 +96,47 @@ TEST(FleetDifferential, VerdictParityOnSpitCapture) {
   const DifferentialReport report = run_differential(stream, config);
   EXPECT_TRUE(report.ok()) << report.to_string();
   EXPECT_GE(report.baseline_verdicts, 2u) << "both spammers should be graylisted";
+}
+
+/// `stream` with UDP port `from` renumbered `to` (those datagrams are
+/// rebuilt, so checksums stay valid). Everything else, fragments included,
+/// passes through unchanged.
+std::vector<pkt::Packet> renumber_port(const std::vector<pkt::Packet>& stream, uint16_t from,
+                                       uint16_t to) {
+  std::vector<pkt::Packet> out;
+  for (const pkt::Packet& packet : stream) {
+    auto udp = pkt::parse_udp_packet(packet.data);
+    if (!udp.ok() || (udp.value().src_port != from && udp.value().dst_port != from)) {
+      out.push_back(packet);
+      continue;
+    }
+    const pkt::UdpPacketView& v = udp.value();
+    pkt::Endpoint src = v.source();
+    pkt::Endpoint dst = v.destination();
+    if (src.port == from) src.port = to;
+    if (dst.port == from) dst.port = to;
+    pkt::Packet moved = pkt::make_udp_packet(src, dst, v.payload, v.ip.identification, v.ip.ttl);
+    moved.timestamp = packet.timestamp;
+    out.push_back(std::move(moved));
+  }
+  return out;
+}
+
+TEST(FleetDifferential, SipOnNonDefaultPortMatchesSingleEngine) {
+  // The engines are told SIP runs on 5090. The fleet's dispatcher must route
+  // by the same port conventions, or it hashes that SIP as an unsignaled
+  // flow, learns no media binding and splits each call from its media.
+  const std::vector<pkt::Packet> stream = renumber_port(four_attacks_stream(), 5060, 5090);
+
+  DifferentialConfig config;
+  config.engine.home_addresses = testbed_home();
+  config.engine.distiller.sip_ports = {5090};
+  config.topologies = fleets();
+
+  const DifferentialReport report = run_differential(stream, config);
+  EXPECT_TRUE(report.ok()) << report.to_string();
+  // Vacuity guard: the engines really read 5090 as SIP.
+  EXPECT_GE(report.baseline_alerts, 4u);
 }
 
 TEST(FleetDifferential, GossipLossIsCountedNeverSilent) {

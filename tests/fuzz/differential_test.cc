@@ -32,21 +32,16 @@ TEST(Differential, AdversarialStreamAcrossShardCounts) {
 }
 
 TEST(Differential, BatchSizeSweepAcrossShardCounts) {
-  // The oracle must hold at every worker drain batch size: batching changes
-  // the cadence of ring drains, never the per-shard processing order.
+  // The oracle must hold whatever batch each worker wakeup drains (up to
+  // one ring lap, so it varies with occupancy): batching changes the
+  // cadence of ring drains, never the per-shard processing order.
   StreamConfig stream_config;
   const std::vector<pkt::Packet> stream = adversarial_stream(0xba7c4ed, stream_config);
-  for (size_t batch : {1, 8, 32, 128}) {
-    DifferentialConfig config;
-    config.topologies.clear();
-    for (size_t workers : {1, 2, 4, 8}) {
-      Sharded t = sharded_on(workers);
-      t.config.batch_size = batch;
-      config.topologies.push_back(t);
-    }
-    DifferentialReport report = run_differential(stream, config);
-    EXPECT_TRUE(report.ok()) << "batch " << batch << ": " << report.to_string();
-  }
+  DifferentialConfig config;
+  config.topologies.clear();
+  for (size_t workers : {1, 2, 4, 8}) config.topologies.push_back(sharded_on(workers));
+  DifferentialReport report = run_differential(stream, config);
+  EXPECT_TRUE(report.ok()) << report.to_string();
 }
 
 TEST(Differential, SecondSeedAcrossShardCounts) {

@@ -71,7 +71,6 @@ TEST(Backpressure, BlockedProducerLosesNothingAndKeepsParity) {
   sc.engine = config;
   sc.num_shards = 2;
   sc.queue_capacity = 8;  // saturates constantly
-  sc.batch_size = 1;      // slow consumer: one packet per wakeup
   sc.overflow = OverflowPolicy::kBlock;
   ShardedEngine sharded(sc);
   for (const pkt::Packet& packet : f.capture) sharded.on_packet(packet);
@@ -110,7 +109,6 @@ TEST(Backpressure, ConcurrentProducersUnderSaturationLoseNothing) {
   sc.engine = home_config(f1.a_host.address());
   sc.num_shards = 2;
   sc.queue_capacity = 8;
-  sc.batch_size = 1;
   sc.overflow = OverflowPolicy::kBlock;
   ShardedEngine sharded(sc);
   ShardedEngine::Producer& p2 = sharded.add_producer();
