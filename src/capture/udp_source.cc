@@ -51,7 +51,7 @@ UdpSocketSource::UdpSocketSource(UdpSourceConfig config) : config_(std::move(con
 
   if (config_.ring_capacity < 2) config_.ring_capacity = 2;
   if (config_.recv_batch == 0) config_.recv_batch = 1;
-  ring_ = std::make_unique<SpscQueue<Slot>>(config_.ring_capacity);
+  ring_ = std::make_unique<MpscQueue<Slot>>(config_.ring_capacity);
   epoch_steady_ns_ = steady_ns();
 
   if (obs::MetricsRegistry* metrics = config_.metrics) {
@@ -80,14 +80,15 @@ void UdpSocketSource::stop() { stopping_.store(true, std::memory_order_release);
 
 void UdpSocketSource::enqueue(const uint8_t* payload, size_t len, uint32_t src_addr,
                               uint16_t src_port, uint64_t recv_ns) {
-  Slot slot;
-  slot.packet = pkt::make_udp_packet({pkt::Ipv4Address(src_addr), src_port}, local_,
-                                     std::span<const uint8_t>(payload, len));
-  slot.packet.timestamp =
-      static_cast<SimTime>((recv_ns - epoch_steady_ns_) / 1000);  // µs since start
-  slot.recv_steady_ns = recv_ns;
   received_.fetch_add(1, std::memory_order_relaxed);
-  if (!ring_->try_push(std::move(slot))) {
+  const bool pushed = ring_->try_push_with([&](Slot& slot) {
+    slot.packet = pkt::make_udp_packet({pkt::Ipv4Address(src_addr), src_port}, local_,
+                                       std::span<const uint8_t>(payload, len));
+    slot.packet.timestamp =
+        static_cast<SimTime>((recv_ns - epoch_steady_ns_) / 1000);  // µs since start
+    slot.recv_steady_ns = recv_ns;
+  });
+  if (!pushed) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
     if (drops_ring_full_ != nullptr) drops_ring_full_->inc();
   }
@@ -144,27 +145,25 @@ void UdpSocketSource::reader_loop() {
   }
 }
 
+bool UdpSocketSource::consume(pkt::Packet* out) {
+  return ring_->consume_batch(1, [&](Slot& slot, const Slot*) {
+    if (lag_ns_ != nullptr) {
+      const uint64_t now = steady_ns();
+      lag_ns_->observe(now > slot.recv_steady_ns ? now - slot.recv_steady_ns : 0);
+    }
+    if (packets_total_ != nullptr) packets_total_->inc();
+    *out = std::move(slot.packet);
+  }) == 1;
+}
+
 bool UdpSocketSource::next(pkt::Packet* out) {
   if (ring_ == nullptr) return false;
-  Slot slot;
   for (;;) {
-    if (ring_->try_pop(slot)) {
-      if (lag_ns_ != nullptr) {
-        const uint64_t now = steady_ns();
-        lag_ns_->observe(now > slot.recv_steady_ns ? now - slot.recv_steady_ns : 0);
-      }
-      if (packets_total_ != nullptr) packets_total_->inc();
-      *out = std::move(slot.packet);
-      return true;
-    }
+    if (consume(out)) return true;
     if (stopping_.load(std::memory_order_acquire)) {
-      // Drain race: the reader may have pushed between the failed pop and
-      // the stop check; one more pop attempt settles it.
-      if (ring_->try_pop(slot)) {
-        *out = std::move(slot.packet);
-        return true;
-      }
-      return false;
+      // Drain race: the reader may have pushed between the failed consume
+      // and the stop check; one more attempt settles it.
+      return consume(out);
     }
     if (!config_.blocking) return false;
     pollfd pfd{fd_, POLLIN, 0};

@@ -2,8 +2,8 @@
 // so an engine can front a real SIP proxy or media relay in a lab without
 // touching netsim. The idiom follows fmus-3g's socket/transport split: a
 // reader thread batches datagrams off the kernel (recvmmsg on Linux, a
-// recvfrom loop elsewhere) into a bounded SpscQueue; the consumer thread
-// pulls decoded packets with next().
+// recvfrom loop elsewhere) into a bounded MpscQueue, filling each slot in
+// place; the consumer thread pulls decoded packets with next().
 //
 // Each received payload is wrapped in a synthetic IPv4/UDP datagram (source
 // = the sender's address, destination = the bound socket) because the IDS
@@ -12,8 +12,10 @@
 //
 // Backpressure is explicit, SCIDIVE-style: a full ring drops the datagram
 // and counts it in scidive_capture_drops_total{source="udp",reason=
-// "ring_full"} — packets are never silently lost. The consumer-side pop
-// also feeds a scidive_capture_lag_ns histogram (receive -> next() delay),
+// "ring_full"} — packets are never silently lost. Every packet next()
+// delivers goes through one consume path, which counts it in
+// scidive_capture_packets_total and feeds a scidive_capture_lag_ns
+// histogram (receive -> next() delay),
 // the live deployment's "is the engine keeping up" signal. All instruments
 // are interned at construction; the steady-state path performs no
 // allocation beyond the packet buffers themselves.
@@ -27,7 +29,7 @@
 #include <thread>
 
 #include "capture/packet_source.h"
-#include "common/spsc_queue.h"
+#include "common/mpsc_queue.h"
 #include "obs/metrics.h"
 #include "pkt/addr.h"
 
@@ -83,12 +85,15 @@ class UdpSocketSource : public PacketSource {
   /// Wrap one payload and push it; counts the drop when the ring is full.
   void enqueue(const uint8_t* payload, size_t len, uint32_t src_addr,
                uint16_t src_port, uint64_t recv_ns);
+  /// Move one packet out of the ring into `out`, counting it and its lag.
+  /// False when the ring is empty.
+  bool consume(pkt::Packet* out);
 
   UdpSourceConfig config_;
   int fd_ = -1;
   std::string error_;
   pkt::Endpoint local_;
-  std::unique_ptr<SpscQueue<Slot>> ring_;
+  std::unique_ptr<MpscQueue<Slot>> ring_;
   std::thread reader_;
   std::atomic<bool> stopping_{false};
   std::atomic<uint64_t> received_{0};

@@ -1,7 +1,7 @@
 // Concurrent u64 -> u32 hash map with lock-free reads and mutex-serialized
-// writes — the shape of the sharded front-end's shared routing directory:
-// many producer threads look up media-endpoint bindings on every media
-// packet, while inserts only happen on the rare signaling path.
+// writes — the shape of the sharded engine's verdict publication
+// (SharedEnforcement, scidive/enforce.h): every shard worker looks keys up
+// on every decision, while inserts only happen when a rule emits a verdict.
 //
 // Layout: open addressing with linear probing over atomic (key, value)
 // slots. A writer stores the value with release semantics *before*
@@ -17,10 +17,10 @@
 // Key 0 is reserved as the empty sentinel; a real 0 key is transparently
 // remapped to a private surrogate, so the full u64 domain works.
 //
-// Deliberately not supported: erase. The routing directory only ever adds
-// or overwrites bindings (stale entries route consistently, which preserves
-// affinity), and skipping deletion is what keeps readers lock-free without
-// an epoch scheme.
+// Deliberately not supported: erase. Publication only ever adds or
+// overwrites entries (an expired verdict reads as expired by its value),
+// and skipping deletion is what keeps readers lock-free without an epoch
+// scheme.
 #pragma once
 
 #include <atomic>

@@ -3,30 +3,32 @@
 // number; a producer claims a slot with one CAS on `head_`, writes the
 // value, then publishes it with a release store of the slot sequence. The
 // consumer never contends with producers on any cache line except a claimed
-// slot's own sequence word, and consumes in strict claim order — so per-slot
-// FIFO is preserved exactly as with the SPSC ring, just with N producers
-// interleaving at the claim CAS.
+// slot's own sequence word, and consumes in strict claim order.
 //
-// Ordering guarantee (what the sharded engine needs): all pushes from one
-// producer thread pop in that producer's push order. Pushes from different
-// producers interleave in claim order, which is fine — the affinity router
-// guarantees a session is only ever fed by one producer at a time.
+// Ordering guarantee: all pushes from one producer thread pop in that
+// producer's push order; pushes from different producers interleave in
+// claim order. The sharded engine and the live UDP source each feed a ring
+// from one thread, so for them the ring is plain FIFO.
 //
 // Values never move in or out: producers fill a slot's value and the
 // consumer processes it in place, so a buffer a slot owns is reused lap
 // after lap (the sharded engine's rings carry datagrams allocation-free).
 // `try_push_with` is lossless-or-false: on a full ring it returns false
-// without calling fill, so callers implement kBlock/kDrop policy exactly as
-// with SpscQueue.
+// without calling fill, so callers implement their own block or drop policy.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 
-#include "common/spsc_queue.h"  // kCacheLineSize
-
 namespace scidive {
+
+/// Padding for the producer- and consumer-owned indices. A constant rather
+/// than std::hardware_destructive_interference_size, whose value may differ
+/// between compilers and flags (GCC warns about every use of it in a
+/// header): 64 bytes is the line size of every target this builds for.
+inline constexpr size_t kCacheLineSize = 64;
 
 template <typename T>
 class MpscQueue {

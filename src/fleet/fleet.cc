@@ -58,8 +58,7 @@ core::ShardRouterConfig dispatcher_router_config(const FleetConfig& config) {
 Fleet::Fleet(FleetConfig config, std::vector<std::string> node_names)
     : config_(std::move(config)),
       ring_(config_.num_slots == 0 ? 1 : config_.num_slots),
-      directory_(ring_.num_slots()),
-      router_(dispatcher_router_config(config_), &directory_),
+      router_(dispatcher_router_config(config_)),
       rng_(config_.loss_seed) {
   config_.num_slots = ring_.num_slots();
   for (const std::string& name : node_names) ring_.add_node(name);
@@ -200,9 +199,7 @@ void Fleet::deliver(const std::string& to, const Bytes& frame, SimTime now) {
 }
 
 size_t Fleet::slot_of_session(const core::SessionId& session) const {
-  const uint64_t hash = core::ShardDirectory::key_hash(session);
-  if (auto pinned = directory_.override_shard(hash)) return *pinned % ring_.num_slots();
-  return core::ShardRouter::shard_of_hash(hash, ring_.num_slots());
+  return router_.session_shard(session);
 }
 
 void Fleet::relocate_moved_sessions() {

@@ -68,7 +68,7 @@ class Fleet {
   Fleet(FleetConfig config, std::vector<std::string> node_names);
 
   /// Dispatch one packet: fleet home filter, slot routing, owner delivery.
-  /// Single feeder thread, like a ShardedEngine producer.
+  /// Single feeder thread, like ShardedEngine::on_packet.
   void on_packet(const pkt::Packet& packet);
   capture::PacketTap tap() {
     return [this](const pkt::Packet& packet) { on_packet(packet); };
@@ -127,8 +127,7 @@ class Fleet {
 
   FleetConfig config_;
   FleetRing ring_;
-  core::ShardDirectory directory_;  // slot-level media/override routing state
-  core::ShardRouter router_;
+  core::ShardRouter router_;  // slot-level routing: media bindings, call-id pins
   std::vector<std::unique_ptr<FleetNode>> nodes_;
   std::vector<FleetNode*> slot_node_;  // slot -> owner (cache of ring state)
   Rng rng_;

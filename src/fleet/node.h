@@ -118,7 +118,7 @@ class FleetNode {
   void attach_local_agent(voip::UserAgent& agent);
 
   /// Pre-routed ingestion from the fleet dispatcher (slot -> worker shard
-  /// is slot mod workers). Single feeder thread, like a producer.
+  /// is slot mod workers). Single feeder thread, like ShardedEngine::on_packet.
   void on_packet_to_slot(size_t slot, const pkt::Packet& packet) {
     engine_.on_packet_to_shard(slot, packet);
   }

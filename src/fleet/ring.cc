@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/flat_map.h"
-#include "scidive/shard_directory.h"
 #include "scidive/shard_router.h"
 
 namespace scidive::fleet {
@@ -59,7 +58,7 @@ void FleetRing::rebuild() {
   });
   std::vector<uint64_t> hashes(members_.size());
   for (size_t i = 0; i < members_.size(); ++i)
-    hashes[i] = core::ShardDirectory::key_hash(names_.name(members_[i]));
+    hashes[i] = core::ShardRouter::key_hash(names_.name(members_[i]));
   for (size_t slot = 0; slot < slot_owner_.size(); ++slot) {
     if (members_.empty()) {
       slot_owner_[slot] = std::nullopt;
@@ -80,13 +79,9 @@ void FleetRing::rebuild() {
   }
 }
 
-size_t FleetRing::slot_of_hash(uint64_t key_hash) const {
+size_t FleetRing::slot_of_key(std::string_view key) const {
   // Must agree with the dispatcher's ShardRouter over num_slots shards —
   // the router decides where packets go, the ring decides who owns slots.
-  return core::ShardRouter::shard_of_hash(key_hash, slot_owner_.size());
-}
-
-size_t FleetRing::slot_of_key(std::string_view key) const {
   return core::ShardRouter::shard_of(key, slot_owner_.size());
 }
 

@@ -46,9 +46,8 @@ class FleetRing {
   /// on).
   std::vector<std::string> members() const;
 
-  /// Slot for a routing-key hash. Membership-independent: safe to cache,
-  /// learn media bindings against, and compare across nodes.
-  size_t slot_of_hash(uint64_t key_hash) const;
+  /// Slot for a routing key. Membership-independent: safe to cache, learn
+  /// media bindings against, and compare across nodes.
   size_t slot_of_key(std::string_view key) const;
 
   /// Owning node of a slot / key. Empty when the ring has no members.

@@ -172,15 +172,10 @@ class Runner {
     Outcome out;
     out.who = str::format("%zu shards", sc.num_shards);
     if (sc.route_invite_by_caller) out.who += " by caller";
-    if (t.rebalance_every != 0) out.who += str::format(" rebalanced /%zu", t.rebalance_every);
 
     core::ShardedEngine sharded(sc);
     if (make_rules_) sharded.set_rules([&](size_t) { return make_rules_(); });
-    size_t fed = 0;
-    for (const pkt::Packet& packet : stream_) {
-      sharded.on_packet(packet);
-      if (t.rebalance_every != 0 && ++fed % t.rebalance_every == 0) sharded.rebalance();
-    }
+    for (const pkt::Packet& packet : stream_) sharded.on_packet(packet);
     sharded.flush();
 
     const core::ShardedEngineStats stats = sharded.stats();

@@ -33,9 +33,6 @@ struct PcapReplay {};
 /// A ShardedEngine. The oracle's engine config replaces `config.engine`.
 struct Sharded {
   core::ShardedEngineConfig config;
-  /// Call rebalance() every this-many packets (0 = never): migration must
-  /// lose no rule, event or trail state.
-  size_t rebalance_every = 0;
 };
 
 /// A Fleet of `nodes` members named node-0.. . The oracle's engine config

@@ -1,5 +1,6 @@
 #include "scidive/enforce.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace scidive::core {
@@ -100,6 +101,41 @@ size_t BlockList::sweep(SimTime now) {
       [now](const uint64_t&, const Entry& e) { return e.expires_at <= now; });
   expired_total_ += n;
   return n;
+}
+
+// --- SharedEnforcement -----------------------------------------------------
+
+namespace {
+
+uint32_t pack_enforcement(VerdictAction action, SimTime expires_at) {
+  const SimTime whole_sec = expires_at <= 0 ? 0 : (expires_at + 999'999) / 1'000'000;
+  constexpr uint64_t kMaxSec = (uint64_t{1} << 30) - 1;
+  const uint64_t capped = std::min(static_cast<uint64_t>(whole_sec), kMaxSec);
+  return static_cast<uint32_t>(capped << 2) | static_cast<uint32_t>(action);
+}
+
+}  // namespace
+
+void SharedEnforcement::publish(uint64_t key, VerdictAction action, SimTime expires_at) {
+  const uint32_t packed = pack_enforcement(action, expires_at);
+  uint32_t cur;
+  if (published_.find(key, cur)) {
+    // Take the max of the deadline and of the action independently.
+    const uint32_t merged = std::max(cur & ~uint32_t{3}, packed & ~uint32_t{3}) |
+                            std::max(cur & 3, packed & 3);
+    if (merged != cur) published_.insert_or_assign(key, merged);
+    return;
+  }
+  published_.insert_or_assign(key, packed);
+}
+
+VerdictAction SharedEnforcement::published(uint64_t key, SimTime now) const {
+  if (published_.size() == 0) return VerdictAction::kPass;  // common-path fast exit
+  uint32_t packed;
+  if (!published_.find(key, packed)) return VerdictAction::kPass;
+  const SimTime expires = static_cast<SimTime>(packed >> 2) * 1'000'000;
+  if (expires <= now) return VerdictAction::kPass;
+  return static_cast<VerdictAction>(packed & 3);
 }
 
 // --- Enforcer --------------------------------------------------------------

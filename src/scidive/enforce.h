@@ -7,7 +7,7 @@
 // Keys are content-derived, not interner-local: a key is an EnforceKeyKind
 // tag in the top byte over a 56-bit hash of the identity (source address,
 // AOR spelling, session id). Content derivation is what lets a verdict
-// computed on one shard be published through the ShardDirectory and honored
+// computed on one shard be published through SharedEnforcement and honored
 // by every other shard — symbol ids are per-interner, hashes are not.
 //
 // The Enforcer composes the two stores and owns the action semantics:
@@ -27,6 +27,7 @@
 #include <memory>
 #include <string_view>
 
+#include "common/atomic_u64_map.h"
 #include "common/clock.h"
 #include "common/flat_map.h"
 #include "pkt/addr.h"
@@ -188,16 +189,24 @@ class BlockList {
 
 // --- shared publication ----------------------------------------------------
 
-/// Cross-shard enforcement fabric. A sharded deployment installs one view
-/// per worker engine (backed by the ShardDirectory's atomic maps) so a
-/// verdict applied on one shard is visible to packet decisions on every
-/// other shard. Single-engine deployments leave it unset.
+/// Cross-shard verdict publication. A ShardedEngine owns one and attaches
+/// every worker's Enforcer to it, so a verdict applied on one shard is
+/// honored by packet decisions on every other. Workers publish while other
+/// workers read, so entries live in an AtomicU64Map (lock-free reads,
+/// mutex-serialized writes); each value packs ceil-seconds of the expiry
+/// (30 bits, saturated) over the 2-bit action. The map cannot erase, so
+/// expiry is value-level: an entry past its deadline reads as kPass, and a
+/// re-publish merges in place. Single-engine deployments attach none.
 class SharedEnforcement {
  public:
-  virtual ~SharedEnforcement() = default;
-  virtual void publish(uint64_t key, VerdictAction action, SimTime expires_at) = 0;
+  /// Merge-upgrade: never downgrades the action, never shortens the TTL.
+  void publish(uint64_t key, VerdictAction action, SimTime expires_at);
   /// Action published for `key`, kPass when none or expired at `now`.
-  virtual VerdictAction published(uint64_t key, SimTime now) const = 0;
+  VerdictAction published(uint64_t key, SimTime now) const;
+  size_t published_count() const { return published_.size(); }
+
+ private:
+  AtomicU64Map published_{256};
 };
 
 // --- the enforcer ----------------------------------------------------------

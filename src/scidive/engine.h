@@ -183,7 +183,7 @@ class ScidiveEngine {
   /// Housekeeping: expire idle trails/session state older than cutoff.
   void expire_idle(SimTime cutoff);
 
-  // --- Session migration (sharded-engine rebalance) ---------------------
+  // --- Session migration (fleet churn handoff) --------------------------
   // A session's complete engine-side state is its record (trails with their
   // arena, event state, rule state) plus its media bindings.
 

@@ -45,54 +45,58 @@ bool is_fragment(std::span<const uint8_t> d) {
   return ((static_cast<uint16_t>(d[6]) << 8 | d[7]) & 0x3fff) != 0;
 }
 
-uint64_t mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
+uint64_t pack_endpoint(pkt::Endpoint ep) {
+  return static_cast<uint64_t>(ep.addr.value()) << 16 | ep.port;
 }
 
 }  // namespace
 
 ShardRouter::ShardRouter(ShardRouterConfig config)
-    : ShardRouter(std::move(config), nullptr) {}
-
-ShardRouter::ShardRouter(ShardRouterConfig config, ShardDirectory* directory)
     : config_(std::move(config)),
       reassembler_(pkt::Ipv4Reassembler::Config{.timeout = config_.distiller.reassembly_timeout}),
-      directory_(directory) {
+      media_shard_(1024) {
   if (config_.num_shards == 0) config_.num_shards = 1;
-  if (directory_ == nullptr) {
-    owned_directory_ = std::make_unique<ShardDirectory>(config_.num_shards);
-    directory_ = owned_directory_.get();
-  }
 }
 
 size_t ShardRouter::shard_of(std::string_view key, size_t num_shards) {
-  return mix64(ShardDirectory::key_hash(key)) % (num_shards == 0 ? 1 : num_shards);
-}
-
-size_t ShardRouter::shard_of_hash(uint64_t key_hash, size_t num_shards) {
-  return mix64(key_hash) % (num_shards == 0 ? 1 : num_shards);
+  return flat_mix64(key_hash(key)) % (num_shards == 0 ? 1 : num_shards);
 }
 
 size_t ShardRouter::shard_of_key(std::string_view key) const {
-  return mix64(ShardDirectory::key_hash(key)) % config_.num_shards;
+  return flat_mix64(key_hash(key)) % config_.num_shards;
 }
 
 size_t ShardRouter::session_shard(std::string_view key) const {
-  return session_shard(ShardDirectory::key_hash(key));
+  return session_shard(key_hash(key));
 }
 
-size_t ShardRouter::session_shard(uint64_t key_hash) const {
-  if (auto moved = directory_->override_shard(key_hash)) return *moved % config_.num_shards;
-  return mix64(key_hash) % config_.num_shards;
+size_t ShardRouter::session_shard(uint64_t hash) const {
+  if (auto moved = override_shard(hash)) return *moved % config_.num_shards;
+  return flat_mix64(hash) % config_.num_shards;
+}
+
+std::optional<uint32_t> ShardRouter::override_shard(uint64_t hash) const {
+  if (overrides_.empty()) return std::nullopt;  // the common case: nothing pinned
+  if (const uint32_t* shard = overrides_.find(hash)) return *shard;
+  return std::nullopt;
+}
+
+std::optional<uint32_t> ShardRouter::media_shard(pkt::Endpoint media) const {
+  if (const uint32_t* shard = media_shard_.find(pack_endpoint(media))) return *shard;
+  return std::nullopt;
 }
 
 void ShardRouter::learn_media(pkt::Endpoint media, size_t shard) {
-  if (directory_->learn_media(media, static_cast<uint32_t>(shard))) {
+  if (media_shard_.insert_or_assign(pack_endpoint(media), static_cast<uint32_t>(shard))) {
     ++stats_.media_bindings_learned;
   }
+}
+
+void ShardRouter::repoint(std::string_view session, size_t shard,
+                          std::span<const pkt::Endpoint> media) {
+  overrides_.insert_or_assign(key_hash(session), static_cast<uint32_t>(shard));
+  for (const pkt::Endpoint& ep : media)
+    media_shard_.insert_or_assign(pack_endpoint(ep), static_cast<uint32_t>(shard));
 }
 
 std::optional<ShardRouter::Routed> ShardRouter::route(const pkt::Packet& packet) {
@@ -155,22 +159,18 @@ size_t ShardRouter::route_datagram(const pkt::Packet& packet) {
     // dialog's state on the old shard.
     const std::string call_id = m.call_id().value_or("");
     const uint64_t cid_hash =
-        ShardDirectory::key_hash(call_id.empty() ? std::string_view("sip-anon") : call_id);
+        key_hash(call_id.empty() ? std::string_view("sip-anon") : call_id);
     const bool by_caller_invite = config_.route_invite_by_caller && cseq_method == "INVITE";
     std::optional<uint32_t> dialog_pin;
-    if (by_caller_invite && !call_id.empty()) dialog_pin = directory_->override_shard(cid_hash);
+    if (by_caller_invite && !call_id.empty()) dialog_pin = override_shard(cid_hash);
     const bool by_principal = cseq_method == "REGISTER" || cseq_method == "MESSAGE" ||
                               (by_caller_invite && !dialog_pin);
     if (by_principal && !from_aor.empty()) {
       ++stats_.by_principal;
       shard = shard_of_key(from_aor);
-      // This call-id's trails live wherever the principal's state lives;
-      // pin the session so the rebalancer never separates them.
-      if (!call_id.empty()) {
-        directory_->mark_principal_routed(cid_hash);
-        if (cseq_method == "INVITE" || config_.pin_principal_call_ids)
-          directory_->set_override(cid_hash, static_cast<uint32_t>(shard));
-      }
+      // This call-id's trails live wherever the principal's state lives.
+      if (!call_id.empty() && (cseq_method == "INVITE" || config_.pin_principal_call_ids))
+        overrides_.insert_or_assign(cid_hash, static_cast<uint32_t>(shard));
     } else {
       ++stats_.by_call_id;
       shard = dialog_pin ? *dialog_pin % config_.num_shards : session_shard(cid_hash);
@@ -218,10 +218,10 @@ size_t ShardRouter::route_datagram(const pkt::Packet& packet) {
   // Media plane: two hash lookups, no parsing. RTCP conventionally runs on
   // media-port + 1; fall back to the even port like TrailManager::classify.
   auto lookup = [&](pkt::Endpoint ep) -> std::optional<uint32_t> {
-    if (auto shard = directory_->media_shard(ep)) return shard;
+    if (auto shard = media_shard(ep)) return shard;
     if (ep.port % 2 == 1) {
       ep.port -= 1;
-      if (auto shard = directory_->media_shard(ep)) return shard;
+      if (auto shard = media_shard(ep)) return shard;
     }
     return std::nullopt;
   };
@@ -239,7 +239,7 @@ size_t ShardRouter::route_datagram(const pkt::Packet& packet) {
   uint64_t a = static_cast<uint64_t>(peek->src.addr.value()) << 16 | peek->src.port;
   uint64_t b = static_cast<uint64_t>(peek->dst.addr.value()) << 16 | peek->dst.port;
   if (a > b) std::swap(a, b);
-  return mix64(a ^ mix64(b)) % config_.num_shards;
+  return flat_mix64(a ^ flat_mix64(b)) % config_.num_shards;
 }
 
 }  // namespace scidive::core

@@ -1,5 +1,5 @@
-// Producer-side shard routing for the sharded engine front-end. Every packet
-// is mapped to a stable shard so that all state any rule consults for it
+// Shard routing for the sharded engine front-end (and, over virtual slots,
+// the fleet dispatcher). Every packet is mapped to a stable shard so that all state any rule consults for it
 // lives in exactly one shard's private engine:
 //
 //   - SIP dialog traffic (INVITE/ACK/BYE/CANCEL and their responses) routes
@@ -22,22 +22,22 @@
 // Signaling is parsed with the real codecs (it is rare); the media hot path
 // is two hash lookups on trivially-hashable endpoints.
 //
-// Multi-producer operation: each capture thread owns one ShardRouter (the
-// reassembler and stats are per-stream), while the learned media map, the
-// rebalancer's affinity overrides and the principal-routed pin set live in
-// a ShardDirectory shared by every router of the engine (see
-// shard_directory.h). A standalone router owns a private directory.
+// One router per feeding thread: the router owns every piece of routing
+// state — the reassembler, the learned media endpoint -> shard map and the
+// session-affinity overrides — as plain single-threaded maps, so nothing on
+// the routing path is shared or atomic.
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <functional>
 #include <optional>
+#include <span>
 #include <string_view>
 
+#include "common/flat_map.h"
 #include "pkt/fragment.h"
 #include "pkt/packet.h"
 #include "scidive/distiller.h"
-#include "scidive/shard_directory.h"
 
 namespace scidive::core {
 
@@ -48,11 +48,11 @@ struct ShardRouterConfig {
   /// distillers it feeds.
   DistillerConfig distiller;
   /// Route initial INVITEs by the caller's From AOR and pin the dialog's
-  /// Call-ID to that shard (directory override), so per-caller rule state
+  /// Call-ID to that shard (session override), so per-caller rule state
   /// (SPIT graylisting) stays coherent: every call attempt of one caller —
   /// and every later packet of each dialog — lands on the caller's shard.
   bool route_invite_by_caller = false;
-  /// Record a directory override for *every* principal-routed call-id
+  /// Record a session override for *every* principal-routed call-id
   /// (REGISTER/MESSAGE, not just pinned INVITEs). Routing is unchanged —
   /// those packets carry their From on every message — but the override
   /// makes the session's shard recoverable from its id alone, which the
@@ -72,11 +72,7 @@ struct ShardRouterStats {
 
 class ShardRouter {
  public:
-  /// Standalone router with a private directory (tests, single producer).
   explicit ShardRouter(ShardRouterConfig config);
-  /// Router sharing an engine-owned directory with sibling producers.
-  /// `directory` must outlive the router.
-  ShardRouter(ShardRouterConfig config, ShardDirectory* directory);
 
   struct Routed {
     size_t shard = 0;
@@ -91,36 +87,49 @@ class ShardRouter {
   /// them so their error accounting is not lost).
   std::optional<Routed> route(const pkt::Packet& packet);
 
+  /// The hash every routing key goes through (session overrides key on it).
+  static uint64_t key_hash(std::string_view key) {
+    return std::hash<std::string_view>{}(key);
+  }
   /// The pure key -> shard mapping (no overrides), exposed so other layers
   /// that must agree with the router — the fleet ring maps the same keys to
   /// ownership slots — use the identical hash instead of a lookalike.
   static size_t shard_of(std::string_view key, size_t num_shards);
-  static size_t shard_of_hash(uint64_t key_hash, size_t num_shards);
+
+  /// The shard a session-keyed route (Call-ID / CDR / Q.931 / RAS call-id)
+  /// takes: its override when one is set, else the hash. Principal
+  /// (From-AOR) routes never consult overrides, so a same-string collision
+  /// between a call-id and an AOR cannot drag the AOR's traffic along.
+  size_t session_shard(std::string_view key) const;
+
+  /// Send `session` and its media endpoints to `shard` from now on (the
+  /// session record was just installed there).
+  void repoint(std::string_view session, size_t shard,
+               std::span<const pkt::Endpoint> media);
 
   const ShardRouterStats& stats() const { return stats_; }
-  size_t media_binding_count() const { return directory_->media_binding_count(); }
-  const ShardDirectory& directory() const { return *directory_; }
+  size_t media_binding_count() const { return media_shard_.size(); }
+  size_t override_count() const { return overrides_.size(); }
 
  private:
   size_t shard_of_key(std::string_view key) const;
-  /// shard_of_key plus the rebalancer's affinity overrides. Only
-  /// session-keyed routes (Call-ID / CDR / Q.931 / RAS call-id) consult
-  /// overrides; principal (From-AOR) routes never do — principal state is
-  /// never migrated, so a same-string collision between a call-id and an
-  /// AOR must not drag the AOR's traffic along with a migrated session.
-  size_t session_shard(std::string_view key) const;
-  size_t session_shard(uint64_t key_hash) const;
+  size_t session_shard(uint64_t hash) const;
+  std::optional<uint32_t> override_shard(uint64_t hash) const;
+  std::optional<uint32_t> media_shard(pkt::Endpoint media) const;
   size_t route_datagram(const pkt::Packet& packet);
   void learn_media(pkt::Endpoint media, size_t shard);
 
   ShardRouterConfig config_;
   pkt::Ipv4Reassembler reassembler_;
-  /// Shared routing state (media endpoint -> shard, affinity overrides,
-  /// principal pins). Entries are only ever added or overwritten (mirroring
+  /// Packed media endpoint -> shard, learned from SDP / H.245 signaling.
+  /// Entries are only ever added or overwritten (mirroring
   /// TrailManager::bind_media_endpoint); stale entries are harmless because
   /// an unbound flow is classified identically on every shard.
-  ShardDirectory* directory_;
-  std::unique_ptr<ShardDirectory> owned_directory_;  // standalone mode only
+  FlatMap<uint64_t, uint32_t> media_shard_;
+  /// key_hash(session) -> shard: by-caller dialog pins, principal call-id
+  /// pins and repointed sessions. A hash collision merely makes the
+  /// colliding session follow the override too, so affinity holds.
+  FlatMap<uint64_t, uint32_t> overrides_;
   ShardRouterStats stats_;
 };
 

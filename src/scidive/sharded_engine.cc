@@ -42,20 +42,17 @@ uint64_t elapsed_ns(std::chrono::steady_clock::time_point since) {
 }  // namespace
 
 ShardedEngine::ShardedEngine(ShardedEngineConfig config)
-    : config_(std::move(config)),
-      directory_(config_.num_shards == 0 ? 1 : config_.num_shards) {
+    : config_(std::move(config)), router_(router_config(config_)) {
   if (config_.num_shards == 0) config_.num_shards = 1;
-  producers_.push_back(
-      std::unique_ptr<Producer>(new Producer(*this, router_config(config_))));
   EngineConfig ec = shard_engine_config(config_);
   shards_.reserve(config_.num_shards);
   for (size_t i = 0; i < config_.num_shards; ++i)
     shards_.push_back(std::make_unique<Shard>(ec, config_.queue_capacity));
   // Before any worker starts: attach each shard's enforcer (present when
-  // enforcement is on) to the shared directory so a verdict applied on one
-  // worker is honored by every shard's decide().
+  // enforcement is on) to the shared publication so a verdict applied on
+  // one worker is honored by every shard's decide().
   for (auto& shard : shards_) {
-    if (Enforcer* enf = shard->engine.enforcer()) enf->set_shared(&directory_);
+    if (Enforcer* enf = shard->engine.enforcer()) enf->set_shared(&enforcement_);
   }
   for (size_t i = 0; i < shards_.size(); ++i)
     shards_[i]->worker = std::thread([this, s = shards_[i].get(), i] { worker_loop(*s, i); });
@@ -63,22 +60,11 @@ ShardedEngine::ShardedEngine(ShardedEngineConfig config)
 
 ShardedEngine::~ShardedEngine() { stop(); }
 
-ShardedEngine::Producer& ShardedEngine::add_producer() {
-  producers_.push_back(
-      std::unique_ptr<Producer>(new Producer(*this, router_config(config_))));
-  return *producers_.back();
-}
-
 void ShardedEngine::pin_worker(size_t index) {
 #if defined(__linux__)
-  unsigned cpu;
-  if (!config_.worker_cpus.empty()) {
-    cpu = static_cast<unsigned>(config_.worker_cpus[index % config_.worker_cpus.size()]);
-  } else {
-    unsigned hw = std::thread::hardware_concurrency();
-    if (hw == 0) hw = 1;
-    cpu = static_cast<unsigned>(index) % hw;
-  }
+  unsigned hw = std::thread::hardware_concurrency();
+  if (hw == 0) hw = 1;
+  const unsigned cpu = static_cast<unsigned>(index) % hw;
   cpu_set_t set;
   CPU_ZERO(&set);
   CPU_SET(cpu, &set);
@@ -96,7 +82,7 @@ void ShardedEngine::worker_loop(Shard& shard, size_t index) {
   int idle_polls = 0;
   for (;;) {
     // Sample ring depth before draining: the high-water mark feeds the
-    // rebalancer and the scidive_shard_queue_depth_hwm gauge.
+    // scidive_shard_queue_depth_hwm gauge.
     const size_t depth = shard.queue.size();
     if (depth > hwm) {
       hwm = depth;
@@ -104,8 +90,8 @@ void ShardedEngine::worker_loop(Shard& shard, size_t index) {
     }
     const auto poll_start = std::chrono::steady_clock::now();
     // Drain whatever is published, up to one lap. Each slot goes back to
-    // the producers as soon as its packet is processed, so a long drain
-    // holds up no producer; it only spreads this poll's bookkeeping.
+    // the feeder as soon as its packet is processed, so a long drain holds
+    // up no enqueue; it only spreads this poll's bookkeeping.
     const size_t n = shard.queue.consume_batch(
         shard.queue.capacity(), [&shard](pkt::Packet& packet, const pkt::Packet* next) {
           // The next packet's bytes are about to be parsed; overlap the
@@ -152,9 +138,9 @@ void ShardedEngine::enqueue(size_t index, const pkt::Packet& packet) {
   shard.enqueued.fetch_add(1, std::memory_order_relaxed);
 }
 
-void ShardedEngine::Producer::on_packet(const pkt::Packet& packet) {
+void ShardedEngine::on_packet(const pkt::Packet& packet) {
   ++seen_;
-  const auto& home = owner_->config_.engine.home_addresses;
+  const auto& home = config_.engine.home_addresses;
   if (!home.empty()) {
     auto ip = pkt::parse_ipv4(packet.data);
     bool ours = false;
@@ -168,7 +154,7 @@ void ShardedEngine::Producer::on_packet(const pkt::Packet& packet) {
   }
   auto routed = router_.route(packet);
   if (!routed) return;  // fragment held by the router's reassembler
-  owner_->enqueue(routed->shard, routed->reassembled ? *routed->reassembled : packet);
+  enqueue(routed->shard, routed->reassembled ? *routed->reassembled : packet);
 }
 
 void ShardedEngine::flush() {
@@ -216,13 +202,6 @@ void ShardedEngine::on_packet_to_shard(size_t shard, const pkt::Packet& packet) 
   enqueue(shard % shards_.size(), packet);
 }
 
-bool ShardedEngine::has_session(const SessionId& session) const {
-  for (const auto& shard : shards_) {
-    if (shard->engine.has_session(session)) return true;
-  }
-  return false;
-}
-
 TrailManager::ExtractedSession ShardedEngine::extract_session(const SessionId& session) {
   for (auto& shard : shards_) {
     if (shard->engine.has_session(session)) return shard->engine.extract_session(session);
@@ -236,94 +215,12 @@ bool ShardedEngine::install_session(TrailManager::ExtractedSession&& moved, size
   const SessionId id = moved.id;
   if (shards_[to]->engine.has_session(id)) return false;
   shards_[to]->engine.install_session(std::move(moved));
-  directory_.set_override(ShardDirectory::key_hash(id), static_cast<uint32_t>(to));
-  for (const pkt::Endpoint& ep : shards_[to]->engine.trails().media_endpoints(id))
-    directory_.learn_media(ep, static_cast<uint32_t>(to));
+  router_.repoint(id, to, shards_[to]->engine.trails().media_endpoints(id));
   return true;
 }
 
 void ShardedEngine::adopt_verdict(const Verdict& verdict) {
   if (Enforcer* enforcer = shards_.front()->engine.enforcer()) enforcer->apply(verdict);
-}
-
-bool ShardedEngine::migrate_session(const SessionId& session, size_t from, size_t to) {
-  // install_session refuses a destination that already holds the session;
-  // check before extracting, so a stale candidate list never strands one.
-  // Affinity makes such a collision all but impossible.
-  if (shards_[to]->engine.has_session(session)) return false;
-  return install_session(shards_[from]->engine.extract_session(session), to);
-}
-
-size_t ShardedEngine::rebalance() {
-  if (shards_.size() < 2) return 0;
-  flush();
-  ++rebalance_rounds_;
-
-  // Load signal: packets each worker processed since the last rebalance —
-  // a deterministic function of the traffic, unlike wall-clock busy time,
-  // so the differential oracle can run rebalance() and stay reproducible.
-  double mean = 0.0;
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    const uint64_t processed = shards_[i]->processed.load(std::memory_order_acquire);
-    const double sample =
-        static_cast<double>(processed - shards_[i]->processed_at_last_rebalance);
-    shards_[i]->processed_at_last_rebalance = processed;
-    directory_.update_load(i, sample, config_.rebalance_ewma_alpha);
-    mean += directory_.load(i);
-  }
-  mean /= static_cast<double>(shards_.size());
-
-  size_t hottest = 0;
-  for (size_t i = 1; i < shards_.size(); ++i) {
-    if (directory_.load(i) > directory_.load(hottest)) hottest = i;
-  }
-  if (mean <= 0.0 || directory_.load(hottest) <= config_.rebalance_hot_ratio * mean)
-    return 0;
-
-  // Candidates: the hot shard's sessions, coldest first (recent trail
-  // activity), skipping sessions whose state cannot move — synthetic ids
-  // and call-ids pinned to a principal's shard.
-  ScidiveEngine& hot = shards_[hottest]->engine;
-  std::vector<std::pair<uint64_t, SessionId>> candidates;
-  uint64_t hot_activity = 0;
-  for (SessionId& id : hot.trails().sessions()) {
-    const uint64_t activity = hot.trails().session_activity(id);
-    hot_activity += activity;
-    if (TrailManager::synthetic_session(id)) continue;
-    if (directory_.principal_routed(ShardDirectory::key_hash(id))) continue;
-    candidates.emplace_back(activity, std::move(id));
-  }
-  std::sort(candidates.begin(), candidates.end());
-
-  // Keep the hottest sessions where they are (moving them would thrash the
-  // very state making the shard hot); shed cold ones until the surplus over
-  // the mean is gone or the per-round cap is hit.
-  const double surplus_share =
-      (directory_.load(hottest) - mean) / directory_.load(hottest);
-  uint64_t activity_budget =
-      static_cast<uint64_t>(surplus_share * static_cast<double>(hot_activity));
-  size_t migrated = 0;
-  uint64_t moved_activity = 0;
-  for (auto& [activity, id] : candidates) {
-    if (migrated >= config_.rebalance_max_migrations) break;
-    if (moved_activity > activity_budget) break;
-    // Greedy coldest target.
-    size_t coldest = hottest == 0 ? 1 : 0;
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      if (i != hottest && directory_.load(i) < directory_.load(coldest)) coldest = i;
-    }
-    if (migrate_session(id, hottest, coldest)) {
-      ++migrated;
-      moved_activity += activity;
-      // Shift the load estimate with the move so the greedy target choice
-      // spreads sessions instead of dogpiling one cold shard.
-      const double delta = static_cast<double>(activity);
-      directory_.update_load(coldest, directory_.load(coldest) + delta, 1.0);
-      directory_.update_load(hottest, directory_.load(hottest) - delta, 1.0);
-    }
-  }
-  sessions_migrated_ += migrated;
-  return migrated;
 }
 
 uint64_t ShardedEngine::packets_dropped() const {
@@ -334,11 +231,8 @@ uint64_t ShardedEngine::packets_dropped() const {
 
 ShardedEngineStats ShardedEngine::stats() const {
   ShardedEngineStats out;
-  for (const auto& producer : producers_) {
-    out.packets_seen += producer->seen_;
-    out.packets_filtered += producer->filtered_;
-  }
-  out.packets_seen += direct_seen_;
+  out.packets_seen = seen_ + direct_seen_;
+  out.packets_filtered = filtered_;
   out.packets_dropped = packets_dropped();
   for (const auto& shard : shards_) {
     const EngineStats s = shard->engine.stats();
@@ -353,30 +247,14 @@ ShardedEngineStats ShardedEngine::stats() const {
 }
 
 void ShardedEngine::sync_frontend_stats() {
-  uint64_t seen = 0, filtered = 0;
-  ShardRouterStats router{};
-  for (const auto& producer : producers_) {
-    seen += producer->seen_;
-    filtered += producer->filtered_;
-    const ShardRouterStats& r = producer->router_.stats();
-    router.by_call_id += r.by_call_id;
-    router.by_principal += r.by_principal;
-    router.by_media_binding += r.by_media_binding;
-    router.by_flow_hash += r.by_flow_hash;
-    router.media_bindings_learned += r.media_bindings_learned;
-    router.fragments_held += r.fragments_held;
-    router.datagrams_reassembled += r.datagrams_reassembled;
-  }
+  const ShardRouterStats& router = router_.stats();
   frontend_registry_
       .counter("scidive_frontend_packets_seen_total", "Packets offered to the front-end")
-      .sync(seen);
+      .sync(seen_);
   frontend_registry_
       .counter("scidive_frontend_packets_filtered_total",
                "Packets outside the home-address scope (filtered before routing)")
-      .sync(filtered);
-  frontend_registry_
-      .gauge("scidive_frontend_producers", "Registered capture streams (MPSC lanes)")
-      .set(static_cast<int64_t>(producers_.size()));
+      .sync(filtered_);
   for (size_t i = 0; i < shards_.size(); ++i) {
     const obs::Labels shard_label = {{"shard", std::to_string(i)}};
     Shard& s = *shards_[i];
@@ -435,23 +313,16 @@ void ShardedEngine::sync_frontend_stats() {
       .sync(router.datagrams_reassembled);
   frontend_registry_
       .gauge("scidive_router_media_bindings", "Media endpoint bindings currently mapped")
-      .set(static_cast<int64_t>(directory_.media_binding_count()));
+      .set(static_cast<int64_t>(router_.media_binding_count()));
   frontend_registry_
       .gauge("scidive_router_affinity_overrides",
-             "Session-affinity overrides installed by the rebalancer")
-      .set(static_cast<int64_t>(directory_.override_count()));
-  frontend_registry_
-      .counter("scidive_rebalance_sessions_migrated_total",
-               "Sessions migrated between shards by rebalance()")
-      .sync(sessions_migrated_);
-  frontend_registry_
-      .counter("scidive_rebalance_rounds_total", "rebalance() invocations")
-      .sync(rebalance_rounds_);
+             "Session-affinity overrides (caller dialog pins and handed-off sessions)")
+      .set(static_cast<int64_t>(router_.override_count()));
   if (config_.engine.enforce.mode != EnforcementMode::kOff) {
     frontend_registry_
         .gauge("scidive_router_published_enforcement",
-               "Enforcement entries published through the shard directory")
-        .set(static_cast<int64_t>(directory_.published_count()));
+               "Enforcement entries published for every shard to honor")
+        .set(static_cast<int64_t>(enforcement_.published_count()));
   }
 }
 

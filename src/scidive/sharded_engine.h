@@ -1,37 +1,31 @@
 // ShardedEngine: a multi-worker front-end over N private ScidiveEngines.
-// Producer threads call on_packet(); a session-affinity router (see
+// One feeding thread calls on_packet(); a session-affinity router (see
 // shard_router.h) picks a shard and the datagram is copied into a slot of a
-// bounded MPSC ring — slots keep their buffers across laps, so neither side
+// bounded ring — slots keep their buffers across laps, so neither side
 // allocates — for that shard's worker, which owns a single-threaded engine.
 // Each worker wakeup drains whatever is published, up to one ring lap, and
-// frees every slot as soon as its packet has been processed: no producer
-// waits on a batch boundary, so the drain has no size to tune.
+// frees every slot as soon as its packet has been processed: the feeder
+// never waits on a batch boundary, so the drain has no size to tune.
 // Because every packet of a session — signaling, media learned from its SDP,
 // billing records — lands on one shard, the paper's stateful and
 // cross-protocol semantics are preserved with zero locking on the hot path.
 //
-// Multi-producer ingestion: the engine starts with one implicit producer
-// (on_packet()/tap() use it). add_producer() registers further capture
-// threads; each gets a private ShardRouter (reassembler and stats are
-// per-stream) over the engine's shared ShardDirectory, so all producers
-// agree on media bindings and affinity overrides. Per-session ordering is
-// preserved as long as each session's packets arrive through one producer
-// (a capture stream), exactly like RSS NIC queues.
+// One feeder, one routing owner: the feeding thread owns the router and
+// with it every piece of routing state (media bindings, session overrides,
+// the reassembler). The only state workers share is verdict publication
+// (SharedEnforcement, enforce.h): a verdict applied on one worker is
+// honored by every shard's decide().
 //
 // Determinism protocol: flush() blocks until every queue is drained and
-// every worker is parked; after it returns (and until the next on_packet
-// from any producer) the shard engines, merged stats and merged alerts may
-// be read safely. flush() requires producers to be quiescent — it cannot
-// wait for packets still inside another thread's on_packet call.
-// Backpressure is explicit: a full ring either blocks the producer
+// every worker is parked; after it returns (and until the next on_packet)
+// the shard engines, merged stats and merged alerts may be read safely.
+// Backpressure is explicit: a full ring either blocks the feeder
 // (OverflowPolicy::kBlock, the default) or drops the packet and counts it —
 // packets are never silently lost.
 //
-// Skew handling: rebalance() migrates cold sessions off the hottest shard
-// at a flush-quiesce point, moving their engine state (trails, event state,
-// rule state) and installing directory overrides so every producer routes
-// them to the new shard from then on. Alert multisets are invariant under
-// migration — the differential oracle pins this.
+// Session relocation (extract_session / install_session) is the fleet's
+// churn-handoff path: called from the feeding thread after flush(), it
+// moves one session record between engines and repoints the router.
 #pragma once
 
 #include <atomic>
@@ -41,14 +35,14 @@
 
 #include "common/mpsc_queue.h"
 #include "scidive/engine.h"
-#include "scidive/shard_directory.h"
+#include "scidive/enforce.h"
 #include "scidive/shard_router.h"
 
 namespace scidive::core {
 
 enum class OverflowPolicy {
-  kBlock,  // producer waits for ring space (lossless; applies backpressure)
-  kDrop,   // producer drops and counts (bounded latency; never silent)
+  kBlock,  // feeder waits for ring space (lossless; applies backpressure)
+  kDrop,   // feeder drops and counts (bounded latency; never silent)
 };
 
 struct ShardedEngineConfig {
@@ -59,16 +53,10 @@ struct ShardedEngineConfig {
   size_t num_shards = 4;
   size_t queue_capacity = 4096;  // per-shard ring slots (rounded up to 2^k)
   OverflowPolicy overflow = OverflowPolicy::kBlock;
-  /// Pin worker i to cpu worker_cpus[i % worker_cpus.size()] (or cpu
-  /// i % hardware_concurrency when worker_cpus is empty). Linux only; a
-  /// failed pin is ignored. The multicore bench uses this to stop the
-  /// scheduler from stacking workers on one core mid-measurement.
+  /// Pin worker i to cpu i % hardware_concurrency. Linux only; a failed
+  /// pin is ignored. The multicore bench uses this to stop the scheduler
+  /// from stacking workers on one core mid-measurement.
   bool pin_workers = false;
-  std::vector<int> worker_cpus;
-  /// Skew rebalancer knobs (see rebalance()).
-  double rebalance_ewma_alpha = 0.5;  // weight of the newest load sample
-  double rebalance_hot_ratio = 1.25;  // trigger: max load > ratio * mean
-  size_t rebalance_max_migrations = 64;  // per rebalance() call
   /// Route initial INVITEs by caller AOR (principal affinity) instead of
   /// Call-ID. Per-caller rules (SPIT graylisting) keep their state coherent
   /// only when every call attempt of one caller lands on one shard — the
@@ -81,7 +69,7 @@ struct ShardedEngineConfig {
 /// Front-end counters plus shard-summed engine stats. Like EngineStats this
 /// is a view built on demand — the engine half reads each shard's registry.
 struct ShardedEngineStats {
-  uint64_t packets_seen = 0;      // front-end, summed over producers
+  uint64_t packets_seen = 0;      // front-end: routed plus pre-routed
   uint64_t packets_filtered = 0;  // outside the home scope
   uint64_t packets_dropped = 0;   // ring full under OverflowPolicy::kDrop
   EngineStats engine;             // summed across shards (read after flush())
@@ -95,35 +83,8 @@ class ShardedEngine {
   ShardedEngine(const ShardedEngine&) = delete;
   ShardedEngine& operator=(const ShardedEngine&) = delete;
 
-  /// One registered capture stream. All on_packet calls on a given
-  /// producer must come from one thread at a time, like a NIC RX queue;
-  /// different producers may run on different threads concurrently.
-  class Producer {
-   public:
-    void on_packet(const pkt::Packet& packet);
-    capture::PacketTap tap() {
-      return [this](const pkt::Packet& packet) { on_packet(packet); };
-    }
-    const ShardRouter& router() const { return router_; }
-
-   private:
-    friend class ShardedEngine;
-    Producer(ShardedEngine& owner, const ShardRouterConfig& rc)
-        : owner_(&owner), router_(rc, &owner.directory_) {}
-    ShardedEngine* owner_;
-    ShardRouter router_;
-    uint64_t seen_ = 0;      // this-thread-only counters
-    uint64_t filtered_ = 0;
-  };
-
-  /// Register an additional capture stream. Must be called while the
-  /// engine is quiescent (before traffic, or between flush() and the next
-  /// on_packet); the handle stays valid for the engine's lifetime.
-  Producer& add_producer();
-  size_t producer_count() const { return producers_.size(); }
-
-  /// Feed one captured packet through the implicit default producer.
-  void on_packet(const pkt::Packet& packet) { producers_.front()->on_packet(packet); }
+  /// Feed one captured packet. All calls come from one thread at a time.
+  void on_packet(const pkt::Packet& packet);
 
   /// A tap suitable for netsim::Network::add_tap.
   capture::PacketTap tap() {
@@ -133,31 +94,27 @@ class ShardedEngine {
   /// Pre-routed ingestion for callers that own the routing decision (the
   /// fleet dispatcher routes once at fleet level — slot -> node -> worker —
   /// and addresses the worker shard directly). Bypasses this engine's
-  /// router, home filter and per-producer counters; ring backpressure and
-  /// drop accounting apply unchanged. Calls must come from one thread at a
-  /// time, like a producer.
+  /// router and home filter; ring backpressure and drop accounting apply
+  /// unchanged. Calls come from the feeding thread, like on_packet.
   void on_packet_to_shard(size_t shard, const pkt::Packet& packet);
 
-  /// Session relocation between engines — the fleet's churn-handoff path,
-  /// moving the same session record as rebalance(). All three calls require
-  /// quiescence (flush() first), like shard(i) access.
-  bool has_session(const SessionId& session) const;
-  /// Extract from whichever shard holds the session; the result is invalid
-  /// when none does.
+  /// Session relocation between engines — the fleet's churn-handoff path.
+  /// Both are called from the feeding thread after flush(), like shard(i)
+  /// access. Extract from whichever shard holds the session; the result is
+  /// invalid when none does.
   TrailManager::ExtractedSession extract_session(const SessionId& session);
-  /// Install into `shard` (mod num_shards) and repoint routing — directory
-  /// override plus the session's media bindings — so every producer routes
-  /// the session there. False if invalid or the shard already has it.
+  /// Install into `shard` (mod num_shards) and repoint routing — session
+  /// override plus the session's media bindings — so the router sends the
+  /// session there. False if invalid or the shard already has it.
   bool install_session(TrailManager::ExtractedSession&& moved, size_t shard);
 
   /// Adopt a verdict computed elsewhere (a fleet peer's engine): apply it
   /// through shard 0's enforcer, which installs its content-derived keys
-  /// locally and publishes them through the directory to every shard. No-op
-  /// when enforcement is off. Quiescent-only, like shard(i) access.
+  /// locally and publishes them to every shard. No-op when enforcement is
+  /// off. Quiescent-only, like shard(i) access.
   void adopt_verdict(const Verdict& verdict);
 
-  /// Drive loop over a capture source through the default producer, then
-  /// flush() — so when this returns, merged alerts/stats/shards are safe to
+  /// Drive loop over a capture source, then flush() — so when this returns, merged alerts/stats/shards are safe to
   /// read. Flush-deterministic: the post-run state is a pure function of
   /// the packet sequence (same guarantee the differential oracle pins).
   uint64_t run(capture::PacketSource& source) {
@@ -172,8 +129,8 @@ class ShardedEngine {
   }
 
   /// Drain every ring and park every worker. After this returns, shard
-  /// state is safe to read until the next on_packet call. Producers must be
-  /// quiescent (no concurrent on_packet).
+  /// state is safe to read until the next on_packet call. Called from the
+  /// feeding thread.
   void flush();
 
   /// flush() + join the workers. Idempotent; the destructor calls it.
@@ -189,25 +146,11 @@ class ShardedEngine {
   /// hold per-session state and must not be shared across workers).
   void set_rules(const std::function<std::vector<RulePtr>(size_t shard)>& factory);
 
-  /// Skew-aware re-affinity at a flush-quiesce point. Updates the per-shard
-  /// EWMA load from the packets processed since the last call; when the
-  /// hottest shard exceeds rebalance_hot_ratio x mean load, migrates the
-  /// coldest migratable sessions (never principal-routed or synthetic ones)
-  /// to the least-loaded shards: their engine state moves wholesale and a
-  /// directory override repoints every producer's routing. Returns the
-  /// number of sessions migrated. Alert multisets are invariant under this
-  /// call — the differential oracle runs it mid-stream to pin that.
-  size_t rebalance();
-  uint64_t sessions_migrated() const { return sessions_migrated_; }
-
   size_t num_shards() const { return shards_.size(); }
   /// Shard engine access — only safe between flush() and the next on_packet.
   ScidiveEngine& shard(size_t i) { return shards_[i]->engine; }
   const ScidiveEngine& shard(size_t i) const { return shards_[i]->engine; }
-  /// The default producer's router (legacy accessor; per-producer stats
-  /// live on each Producer).
-  const ShardRouter& router() const { return producers_.front()->router(); }
-  const ShardDirectory& directory() const { return directory_; }
+  const ShardRouter& router() const { return router_; }
 
   /// Front-end counters plus shard-summed engine stats (call after flush()).
   ShardedEngineStats stats() const;
@@ -216,7 +159,7 @@ class ShardedEngine {
   size_t alert_count() const;
   /// All verdicts across shards in a deterministic order (call after
   /// flush()). Worker-computed verdicts are additionally published through
-  /// the ShardDirectory, so enforcement state is topology-global even
+  /// SharedEnforcement, so enforcement state is topology-global even
   /// though each sink is shard-local.
   std::vector<Verdict> merged_verdicts() const;
   size_t verdict_count() const;
@@ -240,44 +183,44 @@ class ShardedEngine {
         : engine(config), queue(queue_capacity) {}
     ScidiveEngine engine;
     MpscQueue<pkt::Packet> queue;
-    /// Producer-shared accounting (relaxed; exact once producers quiesce).
+    /// Feeder-written accounting (relaxed; read by flush() and snapshots).
     std::atomic<uint64_t> enqueued{0};
     std::atomic<uint64_t> dropped{0};
     /// Worker-published counters on their own line: the release store of
     /// `processed` after each batch is what makes post-flush engine reads
-    /// safe, and it must not share a line with producer-written fields.
+    /// safe, and it must not share a line with feeder-written fields.
     alignas(kCacheLineSize) std::atomic<uint64_t> processed{0};
     std::atomic<uint64_t> busy_ns{0};
     std::atomic<uint64_t> idle_ns{0};
     std::atomic<uint64_t> queue_depth_hwm{0};
-    /// Packets processed at the last rebalance() (quiesce-only).
-    uint64_t processed_at_last_rebalance = 0;
     std::thread worker;
   };
 
   void worker_loop(Shard& shard, size_t index);
   void enqueue(size_t index, const pkt::Packet& packet);
   void pin_worker(size_t index);
-  /// One cross-shard migration (quiescent). Returns false when the session
-  /// could not be extracted (e.g. raced away by expiry).
-  bool migrate_session(const SessionId& session, size_t from, size_t to);
 
   /// Mirror front-end/router state into frontend_registry_ (snapshot path;
   /// caller must hold the post-flush quiescent state).
   void sync_frontend_stats();
 
   ShardedEngineConfig config_;
-  ShardDirectory directory_;
-  std::vector<std::unique_ptr<Producer>> producers_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<bool> stopping_{false};
+  /// Feeder-owned: the router and the counters on_packet bumps per packet.
+  ShardRouter router_;
+  uint64_t seen_ = 0;         // on_packet
+  uint64_t filtered_ = 0;     // outside the home scope
+  uint64_t direct_seen_ = 0;  // on_packet_to_shard
   bool stopped_ = false;
-  uint64_t direct_seen_ = 0;  // on_packet_to_shard ingestion (single caller)
-  uint64_t sessions_migrated_ = 0;  // quiesce-only
-  uint64_t rebalance_rounds_ = 0;
-  /// Front-end instruments (touched only at snapshot time; the producer
+  /// Front-end instruments (touched only at snapshot time; the feeder
   /// counters stay plain fields on the hot path).
   obs::MetricsRegistry frontend_registry_;
+  /// Read by the workers — the published verdicts on every decision, the
+  /// stop flag on every idle poll — so each starts a cache line of its own,
+  /// away from the feeder's per-packet writes above.
+  alignas(kCacheLineSize) SharedEnforcement enforcement_;
+  alignas(kCacheLineSize) std::atomic<bool> stopping_{false};
+  /// Last: the worker threads live here and use every member above.
+  std::vector<std::unique_ptr<Shard>> shards_;
 };
 
 }  // namespace scidive::core

@@ -97,9 +97,9 @@ class Trail {
   }
 
   /// Account one packet the engine's bypass stepped without materializing
-  /// its footprint: the activity counter (the rebalancer's load proxy) and
-  /// the idle-expiry clock move exactly as append() would move them; the
-  /// ring holds no record of bypassed packets, which is the point.
+  /// its footprint: the append counter and the idle-expiry clock move
+  /// exactly as append() would move them; the ring holds no record of
+  /// bypassed packets, which is the point.
   void note_bypassed(SimTime time) {
     last_time_ = time;
     ++total_appended_;

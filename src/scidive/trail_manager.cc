@@ -259,14 +259,6 @@ bool TrailManager::has_session(const SessionId& session) const {
   return slot_of(session) != nullptr;
 }
 
-uint64_t TrailManager::session_activity(const SessionId& session) const {
-  const SessionSlot* slot = slot_of(session);
-  if (slot == nullptr) return 0;
-  uint64_t appended = 0;
-  for (const Trail* trail : slot->trails) appended += trail->total_appended();
-  return appended;
-}
-
 std::vector<pkt::Endpoint> TrailManager::media_endpoints(const SessionId& session) const {
   std::vector<pkt::Endpoint> out;
   auto sym = symbols_.find(session);

@@ -21,7 +21,7 @@
 //     the record (not arena-placed), and so is each rule's state (one
 //     slot per rule position, empty until that rule first writes): they
 //     live and die with the record.
-// Expiry, migration and fleet handoff therefore drop or move one record.
+// Expiry and fleet handoff therefore drop or move one record.
 //
 // The media path is the hot path: once a flow's first packet has been
 // classified, a (src, dst, protocol) -> MediaFlow cache routes every further
@@ -150,7 +150,7 @@ class TrailManager {
   /// bindings included. Returns the trails dropped.
   size_t expire_idle(SimTime cutoff);
 
-  // --- Session migration (sharded-engine rebalance) ---------------------
+  // --- Session migration (fleet churn handoff) --------------------------
   // A session moves between managers as one opaque package: its record
   // (arena, trails, event state, rule state) plus the media endpoints bound
   // to it. Rule state is indexed by rule position, so both managers must
@@ -173,12 +173,9 @@ class TrailManager {
   bool has_session(const SessionId& session) const;
   /// True for the ids classify() synthesizes rather than reads off the
   /// traffic ("flow:...", "sip-anon", "ras-reg:<alias>", ...). They collide
-  /// across unrelated flows or carry per-principal state, so migration and
-  /// fleet handoff leave these sessions where they are.
+  /// across unrelated flows or carry per-principal state, so fleet handoff
+  /// leaves these sessions where they are.
   static bool synthetic_session(std::string_view session);
-  /// Footprints ever routed to this session's trails — the rebalancer's
-  /// (deterministic) load proxy for hot-vs-cold ordering.
-  uint64_t session_activity(const SessionId& session) const;
   std::vector<pkt::Endpoint> media_endpoints(const SessionId& session) const;
 
   /// Detach a session (its record and media bindings) for transplant.

@@ -11,6 +11,11 @@
 namespace scidive {
 namespace {
 
+// The claim ticket and the consumer index each own a cache line.
+static_assert(alignof(MpscQueue<int>) >= kCacheLineSize);
+static_assert(sizeof(MpscQueue<int>) >= 3 * kCacheLineSize,
+              "head and tail must sit on separate lines after the slot pointer");
+
 /// Fill callback that writes `value` into the claimed slot.
 template <typename T>
 auto put(T value) {

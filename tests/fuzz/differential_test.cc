@@ -133,23 +133,6 @@ TEST(Differential, VerdictParityAcrossShardCounts) {
   EXPECT_GE(report.baseline_verdicts, 2u) << "both spammers should be graylisted";
 }
 
-TEST(Differential, VerdictParitySurvivesMidReplayRebalancing) {
-  // Migration during replay: AOR-keyed prevention state must stay put (the
-  // router pins principal-routed sessions) while session state moves, and
-  // the verdict multiset must still match the single engine exactly.
-  const std::vector<pkt::Packet> stream = spit_mix_stream(0x5b18);
-  DifferentialConfig config = verdict_config();
-  config.topologies.clear();
-  for (size_t workers : {2, 4}) {
-    Sharded t = by_caller(sharded_on(workers));
-    t.rebalance_every = 400;
-    config.topologies.push_back(t);
-  }
-  DifferentialReport report = run_differential(stream, config);
-  EXPECT_TRUE(report.ok()) << report.to_string();
-  EXPECT_GE(report.baseline_verdicts, 2u);
-}
-
 TEST(Differential, VerdictParityThroughPcapRoundTrip) {
   // Export/reimport the SPIT mix through the capture file format: replayed
   // detection *and prevention* must be byte-equivalent to live processing.

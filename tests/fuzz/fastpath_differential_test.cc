@@ -190,9 +190,10 @@ TEST(FastpathDifferential, AdversarialStream) {
 }
 
 TEST(FastpathDifferential, RebalancingMidReplay) {
-  // Rebalance-driven session migration while flows are being bypassed:
-  // extract/install drop the shard's flow records and move the state they
-  // stepped, and the oracle proves that state is exact.
+  // Slot rebalancing under fleet churn while flows are being bypassed: a
+  // node joins at 1/3 and one leaves at 2/3, and each handoff's
+  // extract/install drops the flow records and moves the state they
+  // stepped; the oracle proves that state is exact.
   capture::CarrierMixConfig mix;
   mix.seed = 0xfa58;
   mix.provisioned_users = 200;
@@ -204,13 +205,15 @@ TEST(FastpathDifferential, RebalancingMidReplay) {
   const std::vector<pkt::Packet> stream = capture::read_all(source);
   DifferentialConfig config;
   config.topologies = {FastPath{}};
-  for (size_t workers : {2, 4}) {
-    Sharded t = sharded_on(workers);
-    t.rebalance_every = 400;
+  for (size_t workers : {1, 2}) {
+    FleetRun t = fleet_of(2, workers);
+    t.join_at = stream.size() / 3;
+    t.leave_at = (2 * stream.size()) / 3;
     config.topologies.push_back(t);
   }
   DifferentialReport report = run_differential(stream, config);
   EXPECT_TRUE(report.ok()) << report.to_string();
+  EXPECT_GT(report.sessions_handed_off, 0u) << "churn must move sessions";
 }
 
 }  // namespace

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "scidive/shard_directory.h"
 
 namespace scidive::core {
 namespace {
@@ -34,7 +33,7 @@ TEST(EnforceKeys, KindsNeverCollideOnTheSameIdentity) {
 
 TEST(EnforceKeys, ContentDerivedAcrossInstances) {
   // Two shards hashing the same identity independently agree — the property
-  // the ShardDirectory publication fabric rests on.
+  // the SharedEnforcement publication rests on.
   EXPECT_EQ(aor_key("spambot@lab.net"), aor_key(std::string("spambot@lab.net")));
   EXPECT_EQ(source_key(pkt::Ipv4Address(10, 0, 0, 66)),
             source_key(pkt::Ipv4Address(10, 0, 0, 66)));
@@ -273,38 +272,38 @@ TEST(Enforcer, PassVerdictsAndIdentitylessVerdictsAreNoOps) {
   EXPECT_EQ(enf.limiter().size(), 0u);
 }
 
-// --- shared publication through the ShardDirectory -------------------------
+// --- shared publication across shards --------------------------------------
 
-TEST(ShardDirectory, PublishMergeUpgradesAndExpires) {
-  ShardDirectory dir(4);
+TEST(SharedEnforcement, PublishMergeUpgradesAndExpires) {
+  SharedEnforcement shared;
   const uint64_t key = source_key(pkt::Ipv4Address(10, 0, 0, 66));
-  dir.publish(key, VerdictAction::kQuarantine, sec(100));
-  EXPECT_EQ(dir.published(key, sec(50)), VerdictAction::kQuarantine);
+  shared.publish(key, VerdictAction::kQuarantine, sec(100));
+  EXPECT_EQ(shared.published(key, sec(50)), VerdictAction::kQuarantine);
   // Upgrade with a *shorter* TTL: action upgrades, TTL must not shorten.
-  dir.publish(key, VerdictAction::kDrop, sec(40));
-  EXPECT_EQ(dir.published(key, sec(99)), VerdictAction::kDrop);
+  shared.publish(key, VerdictAction::kDrop, sec(40));
+  EXPECT_EQ(shared.published(key, sec(99)), VerdictAction::kDrop);
   // Downgrade attempt: the action is ignored, but the longer deadline is
   // adopted — the merge takes the max of each field independently.
-  dir.publish(key, VerdictAction::kRateLimit, sec(500));
-  EXPECT_EQ(dir.published(key, sec(99)), VerdictAction::kDrop);
-  EXPECT_EQ(dir.published(key, sec(499)), VerdictAction::kDrop);
+  shared.publish(key, VerdictAction::kRateLimit, sec(500));
+  EXPECT_EQ(shared.published(key, sec(99)), VerdictAction::kDrop);
+  EXPECT_EQ(shared.published(key, sec(499)), VerdictAction::kDrop);
   // Value-level expiry (packed ceil-seconds): past the deadline reads kPass
   // even though the atomic map cannot erase.
-  EXPECT_EQ(dir.published(key, sec(500)), VerdictAction::kPass);
-  EXPECT_EQ(dir.published_count(), 1u);
+  EXPECT_EQ(shared.published(key, sec(500)), VerdictAction::kPass);
+  EXPECT_EQ(shared.published_count(), 1u);
 }
 
-TEST(ShardDirectory, CrossShardAdoptionOfBlocksAndGraylists) {
-  // Shard A applies verdicts; shard B, sharing only the directory, must
+TEST(SharedEnforcement, CrossShardAdoptionOfBlocksAndGraylists) {
+  // Shard A applies verdicts; shard B, sharing only the publication, must
   // honor them: blocks immediately, graylists by arming a local bucket.
-  ShardDirectory dir(2);
+  SharedEnforcement shared;
   EnforceConfig config;
   config.mode = EnforcementMode::kInline;
   config.limiter.burst = 1.0;
   config.limiter.rate_per_sec = 0.0;
   Enforcer a(config), b(config);
-  a.set_shared(&dir);
-  b.set_shared(&dir);
+  a.set_shared(&shared);
+  b.set_shared(&shared);
 
   const pkt::Endpoint bot{pkt::Ipv4Address(10, 0, 0, 66), 5060};
   a.apply(make_verdict(VerdictAction::kDrop, "call-1", "", bot, sec(1)));
