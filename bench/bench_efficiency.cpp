@@ -22,9 +22,11 @@
 #include "ruledsl/loader.h"
 #include "scidive/distiller.h"
 #include "scidive/engine.h"
+#include "scidive/shard_router.h"
 #include "scidive/sharded_engine.h"
 #include "scidive/trail_manager.h"
 #include "sip/message.h"
+#include "sip/scan.h"
 #include "sip/sdp.h"
 
 // Global allocation counter (this binary only) so the *_Allocs benchmarks
@@ -182,6 +184,58 @@ void BM_Ipv4Checksum(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * data.size()));
 }
 BENCHMARK(BM_Ipv4Checksum);
+
+/// The one-pass scan the distiller makes of a SIP payload (footprint
+/// mode): compare BM_SipParse, which builds the endpoint's full model.
+void BM_SipScan(benchmark::State& state) {
+  std::string text = make_invite_text();
+  std::string fold_buf;
+  sip::SipScan scan;
+  for (auto _ : state) {
+    Errc err = sip::scan_sip(text, fold_buf, scan);
+    benchmark::DoNotOptimize(err);
+    benchmark::DoNotOptimize(scan);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * text.size()));
+}
+BENCHMARK(BM_SipScan);
+
+/// The shard router on an INVITE with SDP: carrier validation, the
+/// keys-only scan, the Call-ID hash and the media binding refresh.
+void BM_RouteSipPacket(benchmark::State& state) {
+  core::ShardRouter router(core::ShardRouterConfig{});
+  auto p = pkt::make_udp_packet(kASip, kBSip, from_string(make_invite_text()));
+  for (auto _ : state) {
+    auto routed = router.route(p);
+    benchmark::DoNotOptimize(routed);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * p.data.size()));
+}
+BENCHMARK(BM_RouteSipPacket);
+
+/// Scanning and routing SIP allocate nothing: an unfolded INVITE with SDP
+/// is scanned in footprint mode and routed by a warm router (its media
+/// binding already learned), and allocs_per_op must read 0.
+void BM_SipScanAllocs(benchmark::State& state) {
+  const std::string text = make_invite_text();
+  std::string fold_buf;
+  sip::SipScan scan;
+  core::ShardRouter router(core::ShardRouterConfig{});
+  auto p = pkt::make_udp_packet(kASip, kBSip, from_string(text));
+  (void)router.route(p);
+  uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  for (auto _ : state) {
+    Errc err = sip::scan_sip(text, fold_buf, scan);
+    benchmark::DoNotOptimize(err);
+    auto routed = router.route(p);
+    benchmark::DoNotOptimize(routed);
+  }
+  uint64_t allocs = g_alloc_count.load(std::memory_order_relaxed) - before;
+  state.counters["allocs_per_op"] =
+      benchmark::Counter(static_cast<double>(allocs) / static_cast<double>(state.iterations()));
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_SipScanAllocs);
 
 void BM_DistillSipPacket(benchmark::State& state) {
   core::Distiller distiller;

@@ -21,7 +21,10 @@ ShardedEngine) and BM_FleetRtpAllocs (2-node Fleet) guard the multi-worker
 ingest path the same way: ring slots keep their datagram buffers, so the
 producer's copy into a slot and the worker's in-place processing allocate
 nothing; the counter is global, so worker-thread allocations count. The
-fleet's periodic gossip pump (~0.002 allocs/op) stays under the epsilon. A small epsilon absorbs one-time
+fleet's periodic gossip pump (~0.002 allocs/op) stays under the epsilon.
+BM_SipScanAllocs guards the signaling side: the one-pass SIP scan and the
+shard router's keys-only scan of an unfolded INVITE with SDP read views
+into the datagram and allocate nothing. A small epsilon absorbs one-time
 noise that leaks past warm-up (a rare flat-map rehash amortised over
 millions of iterations lands around 1e-6 allocs/op).
 
@@ -54,6 +57,7 @@ GUARDED = [
     "BM_EngineRtpVerdictAllocs",
     "BM_ShardedRtpAllocs",
     "BM_FleetRtpAllocs",
+    "BM_SipScanAllocs",
 ]
 
 # Minimum fraction of measured iterations that must take the fast-path

@@ -1,7 +1,6 @@
 #include "common/strings.h"
 
 #include <bit>
-#include <cctype>
 #include <cstdarg>
 #include <cstdio>
 #include <cstring>
@@ -56,31 +55,10 @@ size_t find_crlf(std::string_view s, size_t from) {
   }
 }
 
-std::string_view trim(std::string_view s) {
-  size_t b = 0, e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
-}
-
 std::string to_lower(std::string_view s) {
   std::string out(s);
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  for (char& c : out) c = ascii_lower(c);
   return out;
-}
-
-bool iequals(std::string_view a, std::string_view b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i])))
-      return false;
-  }
-  return true;
-}
-
-bool istarts_with(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && iequals(s.substr(0, prefix.size()), prefix);
 }
 
 std::vector<std::string_view> split(std::string_view s, char sep) {
@@ -102,30 +80,6 @@ std::optional<std::pair<std::string_view, std::string_view>> split_once(std::str
   size_t pos = find_byte(s, sep);
   if (pos == npos) return std::nullopt;
   return std::make_pair(s.substr(0, pos), s.substr(pos + 1));
-}
-
-std::optional<uint64_t> parse_u64(std::string_view s) {
-  if (s.empty()) return std::nullopt;
-  uint64_t v = 0;
-  for (char c : s) {
-    if (c < '0' || c > '9') return std::nullopt;
-    uint64_t digit = static_cast<uint64_t>(c - '0');
-    if (v > (UINT64_MAX - digit) / 10) return std::nullopt;  // overflow
-    v = v * 10 + digit;
-  }
-  return v;
-}
-
-std::optional<uint32_t> parse_u32(std::string_view s) {
-  auto v = parse_u64(s);
-  if (!v || *v > UINT32_MAX) return std::nullopt;
-  return static_cast<uint32_t>(*v);
-}
-
-std::optional<uint16_t> parse_u16(std::string_view s) {
-  auto v = parse_u64(s);
-  if (!v || *v > UINT16_MAX) return std::nullopt;
-  return static_cast<uint16_t>(*v);
 }
 
 std::string format(const char* fmt, ...) {

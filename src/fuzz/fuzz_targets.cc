@@ -6,6 +6,7 @@
 
 #include "capture/pcap.h"
 #include "fleet/sep_wire.h"
+#include "fuzz/sip_reference.h"
 #include "pkt/fragment.h"
 #include "rtp/rtcp.h"
 #include "rtp/rtp.h"
@@ -52,6 +53,14 @@ int fuzz_sip_message(const uint8_t* data, size_t size) {
   (void)msg.well_formed();
   // Round trip: the serializer must accept anything the parser produced.
   (void)sip::SipMessage::parse(msg.to_string());
+  return 0;
+}
+
+int fuzz_sip_scan(const uint8_t* data, size_t size) {
+  // One buffer across inputs, as the distiller and the router keep theirs.
+  static std::string fold_buf;
+  std::string_view text(reinterpret_cast<const char*>(data), size);
+  if (!sip_scan_divergences(text, fold_buf).empty()) __builtin_trap();
   return 0;
 }
 

@@ -20,6 +20,14 @@ namespace scidive::fuzz {
 /// structured-header accessors.
 int fuzz_sip_message(const uint8_t* data, size_t size);
 
+/// The IDS's one-pass SIP scan against the endpoint parser: the input is
+/// one SIP payload, read both by core::distill_sip / core::sip_route_keys
+/// and by SipMessage::parse plus its accessors (fuzz/sip_reference.h). The
+/// target traps on any divergence — parse verdict, Errc, a footprint field
+/// or a routing key — so a fuzzer hunts for messages the IDS and the
+/// endpoint read differently.
+int fuzz_sip_scan(const uint8_t* data, size_t size);
+
 /// SDP body parser.
 int fuzz_sdp(const uint8_t* data, size_t size);
 
@@ -88,6 +96,7 @@ struct FuzzTarget {
 /// Every target above, for table-driven replay tests.
 constexpr FuzzTarget kFuzzTargets[] = {
     {"sip_message", fuzz_sip_message},
+    {"sip_scan", fuzz_sip_scan},
     {"sdp", fuzz_sdp},
     {"rtp", fuzz_rtp},
     {"rtcp", fuzz_rtcp},

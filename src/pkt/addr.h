@@ -21,16 +21,28 @@ class Ipv4Address {
       : value_(static_cast<uint32_t>(a) << 24 | static_cast<uint32_t>(b) << 16 |
                static_cast<uint32_t>(c) << 8 | d) {}
 
+  /// Dotted quad: exactly four '.'-separated, non-empty runs of decimal
+  /// digits, each worth at most 255 (leading zeros allowed). Allocates
+  /// nothing (the SIP scanner reads SDP and Contact addresses with it).
   static std::optional<Ipv4Address> parse(std::string_view s) {
-    auto parts = str::split(s, '.');
-    if (parts.size() != 4) return std::nullopt;
     uint32_t v = 0;
-    for (auto part : parts) {
-      auto octet = str::parse_u32(part);
-      if (!octet || *octet > 255) return std::nullopt;
-      v = (v << 8) | *octet;
+    size_t i = 0;
+    for (int octets = 1;; ++octets) {
+      const size_t start = i;
+      uint32_t octet = 0;
+      for (; i < s.size() && s[i] >= '0' && s[i] <= '9'; ++i) {
+        octet = octet * 10 + static_cast<uint32_t>(s[i] - '0');
+        if (octet > 255) return std::nullopt;
+      }
+      if (i == start) return std::nullopt;
+      v = (v << 8) | octet;
+      if (octets == 4) {
+        if (i != s.size()) return std::nullopt;
+        return Ipv4Address(v);
+      }
+      if (i == s.size() || s[i] != '.') return std::nullopt;
+      ++i;
     }
-    return Ipv4Address(v);
   }
 
   constexpr uint32_t value() const { return value_; }

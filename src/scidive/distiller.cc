@@ -6,8 +6,7 @@
 #include "pkt/udp.h"
 #include "rtp/rtcp.h"
 #include "rtp/rtp.h"
-#include "sip/auth.h"
-#include "sip/sdp.h"
+#include "sip/scan.h"
 #include "voip/acc_record.h"
 
 namespace scidive::core {
@@ -138,49 +137,41 @@ std::optional<std::pair<pkt::Endpoint, pkt::Endpoint>> Distiller::header_endpoin
   return std::pair{pkt::Endpoint{addr(12), u16(ihl)}, pkt::Endpoint{addr(16), u16(ihl + 2)}};
 }
 
-SipFootprint Distiller::decode_sip(const sip::SipMessage& msg) {
-  SipFootprint s;
-  s.is_request = msg.is_request();
-  if (msg.is_request()) {
-    s.method = msg.method_text();
-  } else {
-    s.status_code = msg.status_code();
+Errc distill_sip(std::string_view text, std::string& fold_buf, SipFootprint& out) {
+  out = SipFootprint{};
+  sip::SipScan scan;
+  const Errc err = sip::scan_sip(text, fold_buf, scan);
+  if (err != Errc::kOk) {
+    out.method = "<unparseable>";
+    return err;
   }
-  auto cs = msg.cseq();
-  if (cs.ok()) {
-    s.cseq = cs.value().number;
-    s.cseq_method = cs.value().method;
+  out.is_request = scan.is_request;
+  out.method = scan.method;
+  out.status_code = scan.status_code;
+  if (scan.cseq) {
+    out.cseq = scan.cseq->number;
+    out.cseq_method = scan.cseq->method;
   }
-  s.call_id = msg.call_id().value_or("");
-  auto from = msg.from();
-  if (from.ok()) {
-    s.from_aor = from.value().uri.address_of_record();
-    s.from_tag = from.value().tag().value_or("");
+  out.call_id = scan.call_id.value_or("");
+  if (scan.from) {
+    out.from_aor = scan.from->uri.aor;
+    out.from_tag = scan.from->tag;
   }
-  auto to = msg.to();
-  if (to.ok()) {
-    s.to_aor = to.value().uri.address_of_record();
-    s.to_tag = to.value().tag().value_or("");
+  if (scan.to) {
+    out.to_aor = scan.to->uri.aor;
+    out.to_tag = scan.to->tag;
   }
-  s.well_formed = msg.well_formed();
-  if (auto auth = msg.headers().get("Authorization")) {
-    s.has_auth = true;
-    auto creds = sip::DigestCredentials::parse(*auth);
-    if (creds.ok()) s.auth_response = creds.value().response;
+  out.well_formed = scan.well_formed;
+  out.has_auth = scan.has_auth;
+  out.auth_response = scan.auth_response.value_or("");
+  out.has_challenge = scan.has_challenge;
+  out.body_len = scan.body.size();
+  out.sdp_media = scan.sdp_media;
+  if (scan.contact) {
+    if (auto ip = pkt::Ipv4Address::parse(scan.contact->uri.host))
+      out.contact = pkt::Endpoint{*ip, scan.contact->uri.port_or_default()};
   }
-  s.has_challenge = msg.headers().has("WWW-Authenticate");
-  s.body_len = msg.body().size();
-  auto sdp = sip::Sdp::parse(msg.body());
-  if (sdp.ok() && sdp.value().audio() != nullptr) {
-    if (auto ip = pkt::Ipv4Address::parse(sdp.value().connection_addr))
-      s.sdp_media = pkt::Endpoint{*ip, sdp.value().audio()->port};
-  }
-  auto contact = msg.contact();
-  if (contact.ok()) {
-    if (auto ip = pkt::Ipv4Address::parse(contact.value().uri.host()))
-      s.contact = pkt::Endpoint{*ip, contact.value().uri.port_or_default()};
-  }
-  return s;
+  return Errc::kOk;
 }
 
 Footprint Distiller::decode(const pkt::UdpPacketView& udp, SimTime time, size_t wire_len) {
@@ -214,21 +205,14 @@ Footprint Distiller::decode(const pkt::UdpPacketView& udp, SimTime time, size_t 
   }
 
   if (sip_port) {
-    auto msg = sip::SipMessage::parse(udp.payload);
-    if (msg.ok()) {
-      fp.protocol = Protocol::kSip;
-      fp.data = decode_sip(msg.value());
-      return fp;
-    }
     // A SIP-port packet that does not parse is itself a signal (malformed
     // SIP is event material for the billing-fraud rule).
-    stats_.parse_errors.record(ParseProto::kSip, msg.error().code);
+    std::string_view text(reinterpret_cast<const char*>(udp.payload.data()),
+                          udp.payload.size());
     fp.protocol = Protocol::kSip;
-    SipFootprint s;
-    s.well_formed = false;
-    s.is_request = true;
-    s.method = "<unparseable>";
-    fp.data = s;
+    fp.data = SipFootprint{};  // filled in place, inside its box
+    const Errc err = distill_sip(text, sip_fold_buf_, *fp.mutable_sip());
+    if (err != Errc::kOk) stats_.parse_errors.record(ParseProto::kSip, err);
     return fp;
   }
 

@@ -11,11 +11,13 @@
 
 #include <optional>
 #include <set>
+#include <string>
+#include <string_view>
 
+#include "common/result.h"
 #include "pkt/fragment.h"
 #include "pkt/packet.h"
 #include "scidive/footprint.h"
-#include "sip/message.h"
 
 namespace scidive::core {
 
@@ -69,6 +71,13 @@ struct DistillerStats {
   ParseErrorStats parse_errors;
 };
 
+/// The footprint of one SIP-port payload, from one scan (sip/scan.h).
+/// Returns Errc::kOk, or the reason the message does not parse — the same
+/// reason the endpoints' parser gives — in which case `out` is the
+/// "<unparseable>" footprint malformed SIP becomes. `fold_buf` is the
+/// scanner's reusable buffer for folded header lines.
+Errc distill_sip(std::string_view text, std::string& fold_buf, SipFootprint& out);
+
 class Distiller {
  public:
   Distiller() : Distiller(DistillerConfig{}) {}
@@ -97,11 +106,11 @@ class Distiller {
 
  private:
   Footprint decode(const pkt::UdpPacketView& udp, SimTime time, size_t wire_len);
-  static SipFootprint decode_sip(const sip::SipMessage& msg);
 
   DistillerConfig config_;
   pkt::Ipv4Reassembler reassembler_;
   DistillerStats stats_;
+  std::string sip_fold_buf_;
 };
 
 }  // namespace scidive::core

@@ -4,17 +4,16 @@
 
 #include "h323/q931.h"
 #include "h323/ras.h"
-#include "sip/message.h"
-#include "sip/sdp.h"
+#include "sip/scan.h"
 #include "voip/acc_record.h"
 
 namespace scidive::core {
 
 namespace {
 
-/// Header-only UDP peek: no checksum verification, no copies. The shard's
-/// own Distiller re-parses defensively; the router only needs addresses,
-/// ports and a payload view to pick a shard.
+/// Header-only UDP peek: no checksum verification, no copies — enough to
+/// pick a shard for traffic the router learns nothing from. The shard's own
+/// Distiller re-parses defensively.
 struct UdpPeek {
   pkt::Endpoint src;
   pkt::Endpoint dst;
@@ -50,6 +49,22 @@ uint64_t pack_endpoint(pkt::Endpoint ep) {
 }
 
 }  // namespace
+
+std::optional<SipRouteKeys> sip_route_keys(std::string_view text, std::string& fold_buf) {
+  sip::SipScan scan;
+  if (sip::scan_sip(text, fold_buf, scan, sip::ScanMode::kKeys) != Errc::kOk)
+    return std::nullopt;
+  SipRouteKeys keys;
+  keys.call_id = scan.call_id.value_or("");
+  if (scan.cseq) {
+    keys.cseq_method = scan.cseq->method;
+  } else if (scan.is_request) {
+    keys.cseq_method = scan.method;
+  }
+  if (scan.from) keys.from_aor = scan.from->uri.aor;
+  keys.sdp_media = scan.sdp_media;
+  return keys;
+}
 
 ShardRouter::ShardRouter(ShardRouterConfig config)
     : config_(std::move(config)),
@@ -125,24 +140,41 @@ size_t ShardRouter::route_datagram(const pkt::Packet& packet) {
   auto peek = peek_udp(packet.data);
   if (!peek) return 0;  // undecodable — shard 0 keeps the error accounting
 
+  // Port precedence follows Distiller::decode: ACC, SIP, H.225, RAS, media.
+  const uint16_t acc_port = config_.distiller.acc_port;
+  if (peek->src.port == acc_port || peek->dst.port == acc_port) {
+    std::string_view text(reinterpret_cast<const char*>(peek->payload.data()),
+                          peek->payload.size());
+    ++stats_.by_call_id;
+    auto record = voip::AccRecord::parse(text);
+    if (record.ok() && !record.value().call_id.empty())
+      return session_shard(record.value().call_id);
+    return session_shard("acc-anon");
+  }
+
   const bool sip_port = config_.distiller.sip_ports.contains(peek->src.port) ||
                         config_.distiller.sip_ports.contains(peek->dst.port);
+  const bool h225_port = peek->src.port == h323::kH225Port || peek->dst.port == h323::kH225Port;
+  std::span<const uint8_t> payload = peek->payload;
+  if (sip_port || h225_port) {
+    // These teach the router state; a datagram the distillers reject must
+    // not (it would repoint a live call's media, or pin a Call-ID, with a
+    // packet no engine ever sees).
+    auto udp = pkt::parse_udp_packet(packet.data);
+    if (!udp.ok()) return 0;
+    payload = udp.value().payload;
+  }
+
   if (sip_port) {
-    auto msg = sip::SipMessage::parse(peek->payload);
-    if (!msg.ok()) {
+    const std::string_view text(reinterpret_cast<const char*>(payload.data()), payload.size());
+    const std::optional<SipRouteKeys> keys = sip_route_keys(text, fold_buf_);
+    if (!keys) {
       // Unparseable SIP shares the "sip-anon" session on every engine.
       ++stats_.by_call_id;
       return session_shard("sip-anon");
     }
-    const sip::SipMessage& m = msg.value();
-    std::string cseq_method;
-    if (auto cs = m.cseq(); cs.ok()) {
-      cseq_method = cs.value().method;
-    } else if (m.is_request()) {
-      cseq_method = m.method_text();
-    }
-    std::string from_aor;
-    if (auto from = m.from(); from.ok()) from_aor = from.value().uri.address_of_record();
+    const std::string_view call_id = keys->call_id;
+    const std::string_view cseq_method = keys->cseq_method;
 
     size_t shard;
     // REGISTER and MESSAGE feed per-principal rule state (the registration
@@ -157,7 +189,6 @@ size_t ShardRouter::route_datagram(const pkt::Packet& packet) {
     // packet (responses, re-INVITEs, a forged re-INVITE from another From)
     // follows the pin and never moves it — moving it would strand the
     // dialog's state on the old shard.
-    const std::string call_id = m.call_id().value_or("");
     const uint64_t cid_hash =
         key_hash(call_id.empty() ? std::string_view("sip-anon") : call_id);
     const bool by_caller_invite = config_.route_invite_by_caller && cseq_method == "INVITE";
@@ -165,9 +196,9 @@ size_t ShardRouter::route_datagram(const pkt::Packet& packet) {
     if (by_caller_invite && !call_id.empty()) dialog_pin = override_shard(cid_hash);
     const bool by_principal = cseq_method == "REGISTER" || cseq_method == "MESSAGE" ||
                               (by_caller_invite && !dialog_pin);
-    if (by_principal && !from_aor.empty()) {
+    if (by_principal && !keys->from_aor.empty()) {
       ++stats_.by_principal;
-      shard = shard_of_key(from_aor);
+      shard = shard_of_key(keys->from_aor);
       // This call-id's trails live wherever the principal's state lives.
       if (!call_id.empty() && (cseq_method == "INVITE" || config_.pin_principal_call_ids))
         overrides_.insert_or_assign(cid_hash, static_cast<uint32_t>(shard));
@@ -175,28 +206,13 @@ size_t ShardRouter::route_datagram(const pkt::Packet& packet) {
       ++stats_.by_call_id;
       shard = dialog_pin ? *dialog_pin % config_.num_shards : session_shard(cid_hash);
     }
-    auto sdp = sip::Sdp::parse(m.body());
-    if (sdp.ok() && sdp.value().audio() != nullptr) {
-      if (auto ip = pkt::Ipv4Address::parse(sdp.value().connection_addr))
-        learn_media({*ip, sdp.value().audio()->port}, shard);
-    }
+    if (keys->sdp_media) learn_media(*keys->sdp_media, shard);
     return shard;
   }
 
-  const uint16_t acc_port = config_.distiller.acc_port;
-  if (peek->src.port == acc_port || peek->dst.port == acc_port) {
-    std::string_view text(reinterpret_cast<const char*>(peek->payload.data()),
-                          peek->payload.size());
+  if (h225_port) {
     ++stats_.by_call_id;
-    auto record = voip::AccRecord::parse(text);
-    if (record.ok() && !record.value().call_id.empty())
-      return session_shard(record.value().call_id);
-    return session_shard("acc-anon");
-  }
-
-  if (peek->src.port == h323::kH225Port || peek->dst.port == h323::kH225Port) {
-    ++stats_.by_call_id;
-    auto q931 = h323::Q931Message::parse(peek->payload);
+    auto q931 = h323::Q931Message::parse(payload);
     if (!q931.ok()) return session_shard("h225-anon");
     const auto& m = q931.value();
     size_t shard = session_shard(m.call_id.empty() ? std::string_view("h225-anon") : m.call_id);

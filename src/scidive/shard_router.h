@@ -19,8 +19,14 @@
 //   - anything else falls back to a symmetric 4-tuple hash, which keeps both
 //     directions of an unsignaled flow on one shard.
 //
-// Signaling is parsed with the real codecs (it is rare); the media hot path
-// is two hash lookups on trivially-hashable endpoints.
+// SIP is read by the distiller's one-pass scanner in keys-only mode
+// (sip/scan.h), hashing views into the datagram without allocating; H.225,
+// RAS and ACC use their codecs. Signaling teaches the router state (media
+// bindings, Call-ID pins), so it is only read from datagrams the shard's
+// distiller accepts: SIP and H.225 first pass the distiller's IPv4+UDP
+// validation, checksums included, and a datagram failing it goes to shard
+// 0 with the other undecodables. The media hot path is two hash lookups on
+// trivially-hashable endpoints.
 //
 // One router per feeding thread: the router owns every piece of routing
 // state — the reassembler, the learned media endpoint -> shard map and the
@@ -32,6 +38,7 @@
 #include <functional>
 #include <optional>
 #include <span>
+#include <string>
 #include <string_view>
 
 #include "common/flat_map.h"
@@ -69,6 +76,19 @@ struct ShardRouterStats {
   uint64_t fragments_held = 0;   // fragment consumed, datagram incomplete
   uint64_t datagrams_reassembled = 0;  // fragmented datagrams completed
 };
+
+/// What the router hashes of one SIP message, as views into it.
+struct SipRouteKeys {
+  std::string_view call_id;
+  /// The CSeq method; for a request without a valid CSeq, its method.
+  std::string_view cseq_method;
+  std::string_view from_aor;
+  std::optional<pkt::Endpoint> sdp_media;
+};
+
+/// The keys-only scan of one SIP payload; nothing when the message does not
+/// parse. `fold_buf` is the scanner's reusable folded-line buffer.
+std::optional<SipRouteKeys> sip_route_keys(std::string_view text, std::string& fold_buf);
 
 class ShardRouter {
  public:
@@ -131,6 +151,7 @@ class ShardRouter {
   /// colliding session follow the override too, so affinity holds.
   FlatMap<uint64_t, uint32_t> overrides_;
   ShardRouterStats stats_;
+  std::string fold_buf_;
 };
 
 }  // namespace scidive::core

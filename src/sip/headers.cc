@@ -9,7 +9,7 @@ namespace scidive::sip {
 std::string_view canonical_header_name(std::string_view name) {
   // RFC 3261 §7.3.3 compact forms (the subset this stack emits/accepts).
   if (name.size() == 1) {
-    switch (std::tolower(static_cast<unsigned char>(name[0]))) {
+    switch (str::ascii_lower(name[0])) {
       case 'v': return "Via";
       case 'f': return "From";
       case 't': return "To";

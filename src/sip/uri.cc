@@ -36,7 +36,7 @@ Result<SipUri> SipUri::parse(std::string_view text) {
   }
   if (hostport.empty()) return Error{Errc::kMalformed, "empty host"};
   for (char c : hostport) {
-    if (!(std::isalnum(static_cast<unsigned char>(c)) || c == '.' || c == '-' || c == '_'))
+    if (!(str::is_alnum(c) || c == '.' || c == '-' || c == '_'))
       return Error{Errc::kMalformed, "bad host character"};
   }
   uri.host_ = std::string(hostport);

@@ -48,6 +48,7 @@ TEST(CorpusReplay, SeedsPassEveryTargetUnmutated) {
   // builders stay in sync with the parsers they feed.
   for (const std::string& s : sip_seeds()) {
     EXPECT_EQ(fuzz_sip_message(reinterpret_cast<const uint8_t*>(s.data()), s.size()), 0);
+    EXPECT_EQ(fuzz_sip_scan(reinterpret_cast<const uint8_t*>(s.data()), s.size()), 0);
   }
   for (const Bytes& b : rtp_seeds()) EXPECT_EQ(fuzz_rtp(b.data(), b.size()), 0);
   for (const Bytes& b : rtcp_seeds()) EXPECT_EQ(fuzz_rtcp(b.data(), b.size()), 0);
@@ -75,6 +76,8 @@ TEST(CorpusReplay, TenThousandMutatedSipMessages) {
         0);
     ASSERT_EQ(fuzz_sdp(reinterpret_cast<const uint8_t*>(twisted.data()), twisted.size()),
               0);
+    ASSERT_EQ(
+        fuzz_sip_scan(reinterpret_cast<const uint8_t*>(twisted.data()), twisted.size()), 0);
   }
 }
 

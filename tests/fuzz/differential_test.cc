@@ -12,7 +12,9 @@
 #include "capture/test_streams.h"
 #include "fuzz/corpus.h"
 #include "fuzz/mutator.h"
+#include "scidive/distiller.h"
 #include "scidive/rules.h"
+#include "scidive/shard_router.h"
 #include "voip/attack.h"
 #include "voip/voip_fixture.h"
 
@@ -89,6 +91,91 @@ TEST(Differential, RealAttackCaptureWithMutationsInterleaved) {
   DifferentialReport report = run_differential(stream, config);
   EXPECT_TRUE(report.ok()) << report.to_string();
   EXPECT_GE(report.baseline_alerts, 1u) << "scenario should alert";
+}
+
+/// A copy of the SIP datagram `packet` under another Call-ID, whose UDP
+/// checksum is left stale: every distiller rejects it as undecodable.
+pkt::Packet stale_checksum_copy(const pkt::Packet& packet, std::string_view call_id,
+                                std::string_view decoy) {
+  auto udp = pkt::parse_udp_packet(packet.data);
+  EXPECT_TRUE(udp.ok());
+  std::string text(reinterpret_cast<const char*>(udp.value().payload.data()),
+                   udp.value().payload.size());
+  const size_t at = text.find(call_id);
+  EXPECT_NE(at, std::string::npos);
+  text.replace(at, call_id.size(), decoy);
+  pkt::Packet copy = pkt::make_udp_packet(udp.value().source(), udp.value().destination(),
+                                          Bytes(text.begin(), text.end()), /*ip_id=*/4242);
+  copy.timestamp = packet.timestamp;
+  const size_t checksum = udp.value().ip.header_length + 6;
+  copy.data[checksum] ^= 0x5a;
+  if (copy.data[checksum] == 0 && copy.data[checksum + 1] == 0) copy.data[checksum + 1] = 1;
+  return copy;
+}
+
+TEST(Differential, StaleChecksumSignalingTeachesTheRouterNothing) {
+  // A BYE attack whose stream carries, just before the forged BYE, copies
+  // of the call's INVITE and 200 OK under a decoy Call-ID with a stale UDP
+  // checksum. Every engine drops them as undecodable; a router that still
+  // read them would bind the call's media endpoints to the decoy's shard,
+  // and the orphan RTP after the BYE — the attack's evidence — would miss
+  // the shard holding the call.
+  voip::testing::VoipFixture f;
+  std::vector<pkt::Packet> capture;
+  f.net.add_tap([&](const pkt::Packet& p) { capture.push_back(p); });
+  voip::CallSniffer sniffer;
+  f.net.add_tap(sniffer.tap());
+  f.establish_call(sec(3));
+  voip::ByeAttacker attacker(f.attacker_host);
+  attacker.attack(*sniffer.latest_active_call(), /*attack_caller=*/true);
+  f.sim.run_until(f.sim.now() + sec(1));
+
+  core::Distiller distiller;
+  std::string call_id;
+  const pkt::Packet* offer = nullptr;   // the INVITE, naming the caller's media
+  const pkt::Packet* answer = nullptr;  // the 200 OK, naming the callee's
+  size_t bye_at = capture.size();
+  for (size_t i = 0; i < capture.size() && bye_at == capture.size(); ++i) {
+    auto fp = distiller.distill(capture[i]);
+    const core::SipFootprint* sip = fp ? fp->sip() : nullptr;
+    if (sip == nullptr) continue;
+    if (sip->is_request && sip->method == "BYE") bye_at = i;
+    // Only legs touching the monitored home address reach the engines.
+    if (!sip->sdp_media || sip->cseq_method != "INVITE") continue;
+    if (fp->src.addr != f.a_host.address() && fp->dst.addr != f.a_host.address()) continue;
+    call_id = sip->call_id;
+    if (sip->is_request && offer == nullptr) offer = &capture[i];
+    if (sip->status_code == 200 && answer == nullptr) answer = &capture[i];
+  }
+  ASSERT_NE(offer, nullptr);
+  ASSERT_NE(answer, nullptr);
+  ASSERT_LT(bye_at, capture.size());
+  // A decoy Call-ID that hashes away from the call at every shard count here.
+  std::string decoy;
+  for (int k = 0; decoy.empty(); ++k) {
+    const std::string candidate = "decoy-" + std::to_string(k);
+    bool apart = true;
+    for (size_t shards : {2, 4}) {
+      apart &= core::ShardRouter::shard_of(candidate, shards) !=
+               core::ShardRouter::shard_of(call_id, shards);
+    }
+    if (apart) decoy = candidate;
+  }
+
+  std::vector<pkt::Packet> stream(capture.begin(), capture.begin() + bye_at);
+  for (const pkt::Packet* signaling : {offer, answer}) {
+    stream.push_back(stale_checksum_copy(*signaling, call_id, decoy));
+    stream.back().timestamp = capture[bye_at].timestamp;
+  }
+  stream.insert(stream.end(), capture.begin() + bye_at, capture.end());
+
+  DifferentialConfig config;
+  config.topologies = {sharded_on(2), sharded_on(4), by_caller(sharded_on(4)), fleet_of(2, 1),
+                       fleet_of(4, 2)};
+  config.engine.home_addresses = {f.a_host.address()};
+  DifferentialReport report = run_differential(stream, config);
+  EXPECT_TRUE(report.ok()) << report.to_string();
+  EXPECT_GE(report.baseline_alerts, 1u) << "the BYE attack should alert";
 }
 
 TEST(Differential, DropPolicySkipsStrictComparisonButKeepsAccounting) {

@@ -30,6 +30,55 @@ TEST(Ipv4Address, ParseInvalid) {
   EXPECT_FALSE(Ipv4Address::parse("1..3.4"));
 }
 
+TEST(Ipv4Address, ParseAgreesWithSplitReference) {
+  // The parser scans in place; it must accept exactly what splitting on
+  // '.' into four decimal fields of at most 255 accepts.
+  auto reference = [](std::string_view s) -> std::optional<uint32_t> {
+    auto parts = str::split(s, '.');
+    if (parts.size() != 4) return std::nullopt;
+    uint32_t v = 0;
+    for (auto part : parts) {
+      auto octet = str::parse_u32(part);
+      if (!octet || *octet > 255) return std::nullopt;
+      v = (v << 8) | *octet;
+    }
+    return v;
+  };
+  std::vector<std::string> inputs = {"1.2.3.4.",         ".1.2.3",
+                                     "1.2.3.4 ",         " 1.2.3.4",
+                                     "01.002.0003.255",  "0000000000255.0.0.0",
+                                     "1.2.3.-4",         "1.2.3.+4",
+                                     "4294967296.0.0.0", "..."};
+  // Three to five fields drawn from valid and invalid octet spellings.
+  const std::vector<std::string> fields = {"0", "7", "255", "010", "256", "0000000255", "",
+                                           "x", " 1", "1 ", "-1", "4294967296", "99", "1.5"};
+  uint64_t state = 0x9e3779b97f4a7c15ULL;
+  auto next = [&state](size_t n) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return static_cast<size_t>(state >> 33) % n;
+  };
+  for (int i = 0; i < 20000; ++i) {
+    const size_t count = 3 + next(3);
+    std::string s;
+    for (size_t k = 0; k < count; ++k) {
+      if (k > 0) s += '.';
+      s += fields[next(next(2) == 0 ? 4 : fields.size())];  // half from the first four, all valid
+    }
+    inputs.push_back(s);
+  }
+  size_t accepted = 0;
+  for (const std::string& s : inputs) {
+    auto got = Ipv4Address::parse(s);
+    auto want = reference(s);
+    ASSERT_EQ(got.has_value(), want.has_value()) << s;
+    if (got) {
+      EXPECT_EQ(got->value(), *want) << s;
+      ++accepted;
+    }
+  }
+  EXPECT_GT(accepted, 100u);
+}
+
 TEST(Ipv4Address, OctetConstructor) {
   Ipv4Address a(10, 0, 0, 1);
   EXPECT_EQ(a.to_string(), "10.0.0.1");

@@ -156,6 +156,51 @@ TEST(ShardRouterAdversarial, MutatedStreamRoutingIsDeterministic) {
   EXPECT_EQ(a.media_binding_count(), b.media_binding_count());
 }
 
+TEST(ShardRouterAdversarial, StaleChecksumSignalingTeachesNothing) {
+  // A SIP INVITE with SDP whose UDP checksum is stale never reaches an
+  // engine (every distiller rejects it), so it must not teach the router a
+  // media binding or a Call-ID pin either: it goes to shard 0 with the
+  // other undecodables.
+  ShardRouterConfig config;
+  config.num_shards = 8;
+  config.route_invite_by_caller = true;
+  ShardRouter router(config);
+  pkt::Endpoint alice{pkt::Ipv4Address(10, 0, 0, 1), 5060};
+  pkt::Endpoint bob{pkt::Ipv4Address(10, 0, 0, 2), 5060};
+  std::string text = invite_with_call_id("stale-1");
+  const std::string sdp = "v=0\r\nc=IN IP4 10.0.0.1\r\nm=audio 16384 RTP/AVP 0\r\n";
+  text.replace(text.find("Content-Length: 0"), 17,
+               "Content-Length: " + std::to_string(sdp.size()));
+  text += sdp;
+  pkt::Packet p = sip_packet(text, alice, bob);
+  Distiller distiller;
+  ASSERT_TRUE(distiller.distill(p)->sip()->sdp_media.has_value());
+  p.data[20 + 6] ^= 0x5a;  // the UDP checksum
+  ASSERT_FALSE(distiller.distill(p).has_value());
+
+  auto routed = router.route(p);
+  ASSERT_TRUE(routed.has_value());
+  EXPECT_EQ(routed->shard, 0u);
+  EXPECT_EQ(router.media_binding_count(), 0u);
+  EXPECT_EQ(router.override_count(), 0u);
+  EXPECT_EQ(router.stats().by_principal + router.stats().by_call_id, 0u);
+}
+
+TEST(ShardRouterAdversarial, AccPortTakesPrecedenceOverSipPort) {
+  // A datagram between the SIP port and the accounting port is an ACC
+  // record to the distiller, which classifies ACC first; the router must
+  // route it by its CDR call-id too, not read it as (unparseable) SIP.
+  ShardRouter router(ShardRouterConfig{.num_shards = 8});
+  const std::string record = "ACC START call_id=cdr-77 from=alice@lab.net to=bob@lab.net t=1";
+  pkt::Packet p = sip_packet(record, {pkt::Ipv4Address(10, 0, 0, 100), 5060},
+                             {pkt::Ipv4Address(10, 0, 0, 200), 9009});
+  Distiller distiller;
+  ASSERT_EQ(distiller.distill(p)->protocol, Protocol::kAcc);
+  auto routed = router.route(p);
+  ASSERT_TRUE(routed.has_value());
+  EXPECT_EQ(routed->shard, router.session_shard("cdr-77"));
+}
+
 TEST(ShardRouterAdversarial, SaturatedRingsCountEveryDrop) {
   // kDrop + capacity-2 rings + an adversarial flood: the front-end must
   // account for every packet as filtered, dropped or shard-seen.
