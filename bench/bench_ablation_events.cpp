@@ -9,7 +9,7 @@
 //
 // We run the same traffic (one established call, N in-session RTP packets,
 // then a forged-BYE attack) through two engine configurations:
-//   A. event-gated  — the shipping ByeAttackRule, driven by the stateful
+//   A. event-gated  — the shipping bye-attack rule, driven by the stateful
 //                     monitor's single kRtpAfterBye event;
 //   B. direct scan  — DirectTrailScanByeRule on per-packet events, which
 //                     re-searches the SIP trail for every RTP packet.

@@ -31,7 +31,7 @@ RunResult run(uint64_t seed, bool with_attacks, bool proxy_side) {
   config.ids_watches_client_a = !proxy_side;
   config.ids_watches_proxy = proxy_side;
   Testbed tb(config);
-  tb.ids().add_rule(std::make_unique<core::Stateless4xxRule>(core::RulesConfig{}));
+  tb.ids().add_rule(std::make_unique<core::Stateless4xxRule>());
   tb.add_client("carol", 3);
   tb.add_client("dave", 4);
   tb.register_all();

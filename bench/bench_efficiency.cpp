@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <cstdlib>
 #include <new>
 #include <string>
@@ -19,7 +18,6 @@
 #include "obs/metrics.h"
 #include "pkt/packet.h"
 #include "rtp/rtp.h"
-#include "ruledsl/loader.h"
 #include "scidive/distiller.h"
 #include "scidive/engine.h"
 #include "scidive/shard_router.h"
@@ -99,20 +97,6 @@ void establish_bench_call(Ingest& engine) {
   auto ok_pkt = pkt::make_udp_packet(kBSip, kASip, from_string(ok.to_string()));
   ok_pkt.timestamp = msec(10);
   engine.on_packet(ok_pkt);
-}
-
-/// The shipped .sdr ports of the built-in rules, compiled once per call.
-std::vector<core::RulePtr> shipped_dsl_rules() {
-  const std::string dir = SCIDIVE_RULESET_DIR;
-  auto compiled = ruledsl::compile_ruleset_files(
-      {dir + "/bye_attack.sdr", dir + "/fake_im.sdr", dir + "/call_hijack.sdr",
-       dir + "/rtp_attack.sdr", dir + "/billing_fraud.sdr"});
-  if (!compiled.ok()) {
-    std::fprintf(stderr, "shipped ruleset failed to compile: %s\n",
-                 compiled.error().to_string().c_str());
-    std::abort();
-  }
-  return ruledsl::make_rules(compiled.value());
 }
 
 pkt::Packet make_rtp_pkt(uint16_t seq) {
@@ -403,18 +387,14 @@ BENCHMARK(BM_TrailAddRtpAllocs);
 /// distiller/event/rule steady state would go unguarded (that path has its
 /// own guard, BM_EngineRtpFastpathAllocs). Not asserted to be zero — the
 /// distiller's footprint and event scratch work are measured here — but
-/// tracked so regressions are visible.
-///
-/// Arg(0) runs the built-in C++ ruleset; Arg(1) replaces it with the
-/// shipped .sdr ports, proving the DSL interpreter's steady state adds no
-/// allocations of its own: per-session records exist after warm-up, so a
-/// transition program runs on slot arithmetic alone.
+/// tracked so regressions are visible. The default ruleset is compiled
+/// .sdr rules, so this also shows that the rule interpreter's steady state
+/// adds no allocations of its own: per-session records exist after
+/// warm-up, so a transition program runs on slot arithmetic alone.
 void BM_EngineRtpPacketAllocs(benchmark::State& state) {
-  const bool dsl = state.range(0) != 0;
   core::EngineConfig config;
   config.fastpath.enabled = false;  // measure the slow pipeline, not the bypass
   core::ScidiveEngine engine(config);
-  if (dsl) engine.set_rules(shipped_dsl_rules());
   establish_bench_call(engine);
 
   pkt::Packet p = make_rtp_pkt(0);
@@ -441,9 +421,8 @@ void BM_EngineRtpPacketAllocs(benchmark::State& state) {
   state.counters["allocs_per_op"] =
       benchmark::Counter(static_cast<double>(allocs) / static_cast<double>(state.iterations()));
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-  state.SetLabel(dsl ? "rules=dsl" : "rules=builtin");
 }
-BENCHMARK(BM_EngineRtpPacketAllocs)->Arg(0)->Arg(1);
+BENCHMARK(BM_EngineRtpPacketAllocs);
 
 /// The established-flow fast path itself: a default engine (fastpath on),
 /// one steady in-session RTP flow. The warm-up populates the flow cache, so
@@ -451,15 +430,11 @@ BENCHMARK(BM_EngineRtpPacketAllocs)->Arg(0)->Arg(1);
 /// records the measured bypass share so a silently disengaged fast path
 /// (share ~0) is visible, and check_allocs.py fails the build on it. The
 /// bypass is FlatMap lookup + microstate arithmetic only: allocs_per_op
-/// must read 0.00.
-///
-/// Arg(0)/Arg(1) mirror BM_EngineRtpPacketAllocs (builtin vs shipped .sdr
-/// rules): the compiled-rule interest analysis must reach the same
-/// "no steady-state interest" answer as the C++ rules' virtual hook.
+/// must read 0.00. The compiled-rule interest analysis must find no
+/// steady-state media interest in the default ruleset, or the bypass never
+/// engages.
 void BM_EngineRtpFastpathAllocs(benchmark::State& state) {
-  const bool dsl = state.range(0) != 0;
   core::ScidiveEngine engine;  // default config: fastpath enabled
-  if (dsl) engine.set_rules(shipped_dsl_rules());
   establish_bench_call(engine);
 
   pkt::Packet p = make_rtp_pkt(0);
@@ -490,12 +465,11 @@ void BM_EngineRtpFastpathAllocs(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(allocs) / static_cast<double>(state.iterations()));
   state.counters["bypassed_share"] = benchmark::Counter(share);
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-  state.SetLabel(dsl ? "rules=dsl" : "rules=builtin");
 }
-BENCHMARK(BM_EngineRtpFastpathAllocs)->Arg(0)->Arg(1);
+BENCHMARK(BM_EngineRtpFastpathAllocs);
 
 /// The inline-prevention variant of the RTP hot path: enforcement mode
-/// kInline with the prevention ruleset installed and a standing rate limit
+/// kInline with SPIT graylisting installed and a standing rate limit
 /// armed on the media source, so every packet takes the full decision path
 /// — block-list lookup, token-bucket charge, pending-verdict fold — on top
 /// of detection. The decision layer is FlatMap lookups and token arithmetic
@@ -608,6 +582,20 @@ void BM_EngineGarbagePacket(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_EngineGarbagePacket);
+
+/// What an engine (each shard, each fleet node) pays once at construction:
+/// compiling the embedded default ruleset into fresh rule instances.
+/// Arg(1) includes spit-graylist.
+void BM_MakeDefaultRuleset(benchmark::State& state) {
+  core::RulesConfig config;
+  config.spit_graylist = state.range(0) != 0;
+  for (auto _ : state) {
+    std::vector<core::RulePtr> rules = core::make_default_ruleset(config);
+    benchmark::DoNotOptimize(rules.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_MakeDefaultRuleset)->Arg(0)->Arg(1);
 
 }  // namespace
 

@@ -21,7 +21,7 @@ std::unique_ptr<Testbed> make_testbed(int extra_clients) {
   config.ids_watches_client_a = false;
   config.ids_watches_proxy = true;
   auto tb = std::make_unique<Testbed>(config);
-  tb->ids().add_rule(std::make_unique<core::Stateless4xxRule>(core::RulesConfig{}));
+  tb->ids().add_rule(std::make_unique<core::Stateless4xxRule>());
   for (int i = 0; i < extra_clients; ++i) {
     tb->add_client("user" + std::to_string(i), static_cast<uint8_t>(10 + i));
   }

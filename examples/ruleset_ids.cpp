@@ -1,7 +1,10 @@
-// The four Table-1 attacks detected by *DSL-loaded* rules: the engine's
-// built-in C++ ruleset is swapped for the compiled .sdr ports before any
-// traffic flows, then each attack runs on the Figure-4 testbed. Finishes
-// with a live hot reload (valid and invalid) to show the atomic swap.
+// The four Table-1 attacks detected by rules loaded from .sdr files at run
+// time: the engine's embedded default ruleset is swapped for the files in
+// the ruleset directory (by default the source of that same embedded
+// ruleset, so an operator can edit a copy and point this program at it)
+// before any traffic flows, then each attack runs on the Figure-4 testbed.
+// Finishes with a live hot reload (valid and invalid) to show the atomic
+// swap.
 //
 //   $ ./ruleset_ids [ruleset-dir]
 #include <cstdio>
@@ -18,7 +21,7 @@ using testbed::TestbedConfig;
 namespace {
 
 #ifndef SCIDIVE_RULESET_DIR
-#define SCIDIVE_RULESET_DIR "examples/rulesets"
+#define SCIDIVE_RULESET_DIR "src/scidive/rules"
 #endif
 
 std::vector<std::string> ruleset_paths(const std::string& dir) {

@@ -9,9 +9,9 @@ Run the alloc-counting benchmarks with google-benchmark's JSON reporter:
 
 The guarded benchmarks measure steady-state allocations per operation on
 the RTP hot path. BM_TrailRouteRtpAllocs (both metric arms),
-BM_EngineRtpPacketAllocs (builtin and DSL rulesets, fast path disabled so
-the full slow pipeline stays covered), BM_EngineRtpFastpathAllocs (the
-established-flow bypass itself, both rulesets) and
+BM_EngineRtpPacketAllocs (the default ruleset of compiled .sdr rules, fast
+path disabled so the full slow pipeline stays covered),
+BM_EngineRtpFastpathAllocs (the established-flow bypass itself) and
 BM_EngineRtpVerdictAllocs (inline enforcement: block-list lookup +
 token-bucket charge per packet) must stay at zero: the session arena +
 flat-map + interner layer exists precisely so that an in-session packet
@@ -47,8 +47,8 @@ import sys
 EPSILON = 0.01
 
 # Benchmark-name prefixes that must stay allocation-free. Each expands to
-# every run matching "<prefix>/" or exactly "<prefix>" in the JSON, so the
-# Arg(0)/Arg(1) arms (metrics off/on, builtin/DSL rules) are all guarded.
+# every run matching "<prefix>/" or exactly "<prefix>" in the JSON, so
+# every Arg() arm (e.g. metrics off/on) is guarded.
 GUARDED = [
     "BM_TrailRouteRtpAllocs",
     "BM_TrailAddRtpAllocs",

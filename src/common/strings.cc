@@ -55,6 +55,25 @@ size_t find_crlf(std::string_view s, size_t from) {
   }
 }
 
+size_t find_unquoted(std::string_view s, char needle, size_t from) {
+  bool quoted = false;
+  for (size_t i = from; i < s.size(); ++i) {
+    const char c = s[i];
+    if (quoted) {
+      if (c == '\\') {
+        ++i;
+      } else if (c == '"') {
+        quoted = false;
+      }
+    } else if (c == '"') {
+      quoted = true;
+    } else if (c == needle) {
+      return i;
+    }
+  }
+  return npos;
+}
+
 std::string to_lower(std::string_view s) {
   std::string out(s);
   for (char& c : out) c = ascii_lower(c);

@@ -59,6 +59,13 @@ size_t find_byte(std::string_view s, char needle, size_t from = 0);
 /// Index of the first "\r\n" at or after `from`; npos when absent.
 size_t find_crlf(std::string_view s, size_t from = 0);
 
+/// Index of the first `needle` byte at or after `from` that is outside a
+/// double-quoted string; npos when absent. Inside quotes a backslash
+/// escapes the next byte (RFC 3261 quoted-pair), so `"a\"<b"` hides its `<`.
+/// The SIP readers use it where a quoted display name or digest parameter
+/// may contain the separator they split on.
+size_t find_unquoted(std::string_view s, char needle, size_t from = 0);
+
 /// Split on a separator character. Empty fields are preserved.
 std::vector<std::string_view> split(std::string_view s, char sep);
 

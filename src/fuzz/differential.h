@@ -68,7 +68,7 @@ struct DifferentialConfig {
   core::EngineConfig engine;
   /// Optional ruleset override, called once per engine instance (every
   /// single engine and every shard of every node) before any traffic.
-  /// Leave empty to keep the built-in C++ ruleset.
+  /// Leave empty to keep the default ruleset.
   std::function<std::vector<core::RulePtr>()> make_rules;
 };
 

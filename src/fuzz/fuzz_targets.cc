@@ -13,7 +13,6 @@
 #include "ruledsl/loader.h"
 #include "scidive/distiller.h"
 #include "scidive/engine.h"
-#include "scidive/rules.h"
 #include "sip/message.h"
 #include "sip/sdp.h"
 
@@ -204,11 +203,9 @@ int fuzz_verdict(const uint8_t* data, size_t size) {
   // Hair-trigger prevention thresholds: two INVITEs from one caller inside
   // the window already graylist, so mutated SIP streams reach the verdict
   // and enforcement paths instead of dying in the parser.
-  core::RulesConfig rules;
-  rules.spit_graylist = true;
-  rules.spit_call_threshold = 2;
+  config.rules.spit_graylist = true;
+  config.rules.spit_call_threshold = 2;
   core::ScidiveEngine engine(config);
-  engine.set_rules(core::make_prevention_ruleset(rules));
 
   uint64_t counted[core::kVerdictActionCount] = {};
   SimTime now = 0;

@@ -58,7 +58,7 @@ int fuzz_engine(const uint8_t* data, size_t size);
 int fuzz_ruledsl(const uint8_t* data, size_t size);
 
 /// Prevention path: length-prefixed packet records through an inline-mode
-/// engine running the prevention ruleset with hair-trigger thresholds, so
+/// engine running SPIT graylisting at a hair-trigger threshold, so
 /// fuzzer-shaped SIP reaches the verdict/enforcement machinery. Beyond
 /// no-crash, the target traps if the per-packet accounting identity breaks:
 /// every inspected packet must get exactly one decision, the engine's

@@ -35,7 +35,8 @@ struct StmtNode {
   Kind kind = Kind::kSet;
   SourceLoc loc;
   std::string target;                // set/add: slot name
-  std::optional<ExprNode> expr;      // set: value; if: condition
+  std::optional<ExprNode> expr;      // set: value; if: condition; add: the
+                                     // value a stringset slot takes in
   std::string severity;              // alert: critical/warning/info;
                                      // verdict: drop/quarantine/rate_limit
   std::string template_text;         // alert/verdict: message template
@@ -45,9 +46,19 @@ struct StmtNode {
 
 struct SlotNode {
   SourceLoc loc;
-  std::string type_name;  // time/int/bool/string/addr/endpoint/eventset
+  std::string type_name;  // time/int/bool/string/addr/endpoint/eventset/window/stringset
   std::string name;
   std::optional<ExprNode> init;
+  std::optional<ExprNode> span;  // window: how far back it holds event times
+};
+
+/// A rule-level `param TYPE NAME = literal;`: a named constant the compiler
+/// may override by "rule.param" name.
+struct ParamNode {
+  SourceLoc loc;
+  std::string type_name;  // int/duration
+  std::string name;
+  ExprNode init;
 };
 
 struct HandlerNode {
@@ -62,6 +73,7 @@ struct RuleNode {
   std::string name;
   std::string key = "session";  // "session" (default) or "aor"
   SourceLoc key_loc;
+  std::vector<ParamNode> params;
   std::vector<SlotNode> slots;
   std::vector<HandlerNode> handlers;
 };

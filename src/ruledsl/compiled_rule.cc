@@ -29,15 +29,40 @@ int64_t since_value(SimTime now, int64_t t) {
   return static_cast<int64_t>(static_cast<uint64_t>(now) - static_cast<uint64_t>(t));
 }
 
+/// Whether records of `def` need out-of-line storage.
+bool has_storage(const CompiledRuleDef& def) {
+  return def.num_string_slots + def.num_windows + def.num_sets != 0;
+}
+
 }  // namespace
+
+void CompiledRule::Window::add(SimTime now, SimDuration span) {
+  times.push_back(now);
+  while (head < times.size() && since_value(now, times[head]) > span) ++head;
+  if (head > times.size() / 2) {
+    times.erase(times.begin(), times.begin() + static_cast<std::ptrdiff_t>(head));
+    head = 0;
+  }
+}
 
 void CompiledRule::init(Record& rec) const {
   rec.nums.reserve(def_->slots.size());
   for (const SlotDecl& slot : def_->slots) rec.nums.push_back(slot.init);
-  rec.strs.resize(def_->num_string_slots);
+  if (!has_storage(*def_)) return;
+  rec.more = std::make_unique<Storage>();
+  rec.more->strs.resize(def_->num_string_slots);
+  rec.more->windows.resize(def_->num_windows);
+  rec.more->sets.resize(def_->num_sets);
   for (const SlotDecl& slot : def_->slots) {
-    if (slot.type == ValType::kString) rec.strs[slot.str_index] = slot.str_init;
+    if (slot.type == ValType::kString) rec.more->strs[slot.str_index] = slot.str_init;
   }
+}
+
+bool CompiledRule::fits(const Record& rec) const {
+  if (rec.nums.size() != def_->slots.size()) return false;
+  if (rec.more == nullptr) return !has_storage(*def_);
+  return rec.more->strs.size() == def_->num_string_slots &&
+         rec.more->windows.size() == def_->num_windows && rec.more->sets.size() == def_->num_sets;
 }
 
 CompiledRule::Record* CompiledRule::record_for(const core::Event& event,
@@ -50,10 +75,10 @@ CompiledRule::Record* CompiledRule::record_for(const core::Event& event,
   std::unique_ptr<core::RuleSessionState>* slot = ctx.session_slot(event.session);
   if (slot == nullptr) return nullptr;
   auto* rec = static_cast<Record*>(slot->get());
-  // A slot count that does not match the definition means the record was
+  // A layout that does not match the definition means the record was
   // written by another revision of this rule (a session that migrated
   // mid-hot-reload); reading it would misindex slots, so start over.
-  if (rec == nullptr || rec->nums.size() != def_->slots.size()) {
+  if (rec == nullptr || !fits(*rec)) {
     *slot = std::make_unique<Record>();
     rec = static_cast<Record*>(slot->get());
     init(*rec);
@@ -103,7 +128,7 @@ CompiledRule::Value CompiledRule::eval(const ExprProgram& program, const core::E
         const SlotDecl& slot = def_->slots[op.slot];
         if (slot.type == ValType::kString) {
           stack[top].i = 0;
-          stack[top++].s = &rec->strs[slot.str_index];
+          stack[top++].s = &rec->more->strs[slot.str_index];
         } else {
           stack[top++].i = rec->nums[op.slot];
         }
@@ -124,6 +149,13 @@ CompiledRule::Value CompiledRule::eval(const ExprProgram& program, const core::E
       case ExprOpKind::kCount:
         stack[top - 1].i = std::popcount(static_cast<uint64_t>(stack[top - 1].i));
         break;
+      case ExprOpKind::kCountEntries: {
+        const SlotDecl& slot = def_->slots[op.slot];
+        stack[top++].i = static_cast<int64_t>(slot.type == ValType::kWindow
+                                                  ? rec->more->windows[slot.coll_index].size()
+                                                  : rec->more->sets[slot.coll_index].size());
+        break;
+      }
       case ExprOpKind::kHasTrail:
         stack[top++].i =
             ctx.trails().find(event.session, static_cast<core::Protocol>(op.imm)) != nullptr
@@ -207,8 +239,7 @@ std::string CompiledRule::render(const std::vector<AlertPiece>& pieces,
         out += unpack_endpoint(v.i).to_string();
         break;
       case ValType::kEventSet: {
-        // Ascending bit order == EventType enum order, matching how the
-        // hand-written rules join std::set<EventType>.
+        // Ascending bit order: the event type names in enum order.
         std::string kinds;
         const auto bits = static_cast<uint64_t>(v.i);
         for (size_t t = 0; t < core::kEventTypeCount; ++t) {
@@ -250,7 +281,7 @@ void CompiledRule::on_event(const core::Event& event, core::RuleContext& ctx) {
         const Value v = eval(def_->exprs[op.expr], event, rec, ctx);
         const SlotDecl& slot = def_->slots[op.slot];
         if (slot.type == ValType::kString) {
-          rec->strs[slot.str_index] = *v.s;
+          rec->more->strs[slot.str_index] = *v.s;
         } else {
           rec->nums[op.slot] = v.i;
         }
@@ -261,6 +292,15 @@ void CompiledRule::on_event(const core::Event& event, core::RuleContext& ctx) {
         break;
       case StmtOpKind::kAddInt:
         rec->nums[op.slot] += 1;
+        break;
+      case StmtOpKind::kAddTime: {
+        const SlotDecl& slot = def_->slots[op.slot];
+        rec->more->windows[slot.coll_index].add(event.time, slot.span);
+        break;
+      }
+      case StmtOpKind::kAddString:
+        rec->more->sets[def_->slots[op.slot].coll_index].insert(
+            *eval(def_->exprs[op.expr], event, rec, ctx).s);
         break;
       case StmtOpKind::kAlert: {
         const AlertTemplate& tmpl = def_->alerts[op.alert];

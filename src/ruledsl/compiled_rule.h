@@ -1,6 +1,6 @@
-// CompiledRule: the Rule adapter that executes one compiled DSL rule.
-// Indistinguishable from a hand-written C++ rule to ScidiveEngine,
-// ShardedEngine, the per-rule obs instruments and the AlertLedger. A
+// CompiledRule: the Rule adapter that executes one compiled DSL rule — every
+// rule of the default ruleset. To ScidiveEngine, ShardedEngine, the per-rule
+// obs instruments and the AlertLedger it is a Rule like any other. A
 // `key session` rule keeps its state record in the session's record (so it
 // expires and migrates with the session); a `key aor` rule owns its records
 // (one instance per shard — rules are stateful and must not be shared
@@ -8,6 +8,7 @@
 #pragma once
 
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -24,9 +25,8 @@ class CompiledRule : public core::Rule {
 
   std::string_view name() const override { return def_->name; }
   void on_event(const core::Event& event, core::RuleContext& ctx) override;
-  /// Per-AOR state records currently held — the same observability surface
-  /// hand-written principal-keyed rules expose through the state-entry
-  /// gauges. Per-session records are counted by the engine.
+  /// Per-AOR state records currently held (the rule's state-entry gauge).
+  /// Per-session records are counted by the engine.
   size_t state_entries() const override { return records_.size(); }
   core::EventTypeMask subscriptions() const override { return def_->subscriptions; }
   /// Static analysis over the compiled transition programs: a DSL rule is
@@ -45,11 +45,31 @@ class CompiledRule : public core::Rule {
   const CompiledRuleDef& def() const { return *def_; }
 
  private:
-  /// Mutable state for one key (session or AOR): one numeric cell per slot
-  /// plus backing storage for string slots.
+  /// A window slot's event times, oldest first from `head` on. Times that
+  /// fall out of the span advance `head`; the dead prefix is compacted away
+  /// once it is half the buffer, so an add costs O(1) amortized.
+  struct Window {
+    std::vector<SimTime> times;
+    size_t head = 0;
+
+    size_t size() const { return times.size() - head; }
+    /// Append `now` and drop every time before `now - span`.
+    void add(SimTime now, SimDuration span);
+  };
+
+  /// String, window and stringset slots, out of line: most rules declare
+  /// none, and a record is kept per session or per AOR.
+  struct Storage {
+    std::vector<std::string> strs;
+    std::vector<Window> windows;
+    std::vector<std::set<std::string>> sets;
+  };
+
+  /// Mutable state for one key (session or AOR): one numeric cell per slot,
+  /// plus the storage of the other slot kinds when the rule declares any.
   struct Record : core::RuleSessionState {
     std::vector<int64_t> nums;
-    std::vector<std::string> strs;
+    std::unique_ptr<Storage> more;
   };
 
   /// Evaluation value. Types are static (checked at compile time), so no
@@ -66,6 +86,8 @@ class CompiledRule : public core::Rule {
   Record* record_for(const core::Event& event, core::RuleContext& ctx);
   /// Fill a fresh record with the definition's initial slot values.
   void init(Record& rec) const;
+  /// Whether `rec` has this definition's layout (slot and storage counts).
+  bool fits(const Record& rec) const;
   Value eval(const ExprProgram& program, const core::Event& event, const Record* rec,
              core::RuleContext& ctx) const;
   /// Renders alert and verdict templates alike (both are AlertPiece lists).

@@ -56,7 +56,17 @@ std::optional<ValType> slot_type_by_name(std::string_view name) {
   if (name == "addr") return ValType::kAddr;
   if (name == "endpoint") return ValType::kEndpoint;
   if (name == "eventset") return ValType::kEventSet;
+  if (name == "window") return ValType::kWindow;
+  if (name == "stringset") return ValType::kStringSet;
   return std::nullopt;
+}
+
+/// Window and stringset slots hold collections: `add` fills them and
+/// count() reads their size, but they are no expression values.
+bool type_is_collection(ValType t) { return t == ValType::kWindow || t == ValType::kStringSet; }
+
+bool is_builtin_name(std::string_view name) {
+  return field_by_name(name) || name == "true" || name == "false" || name == "never";
 }
 
 bool type_is_ordered(ValType t) {
@@ -67,13 +77,18 @@ bool type_is_equatable(ValType t) { return t != ValType::kEventSet; }
 
 class RuleCompiler {
  public:
-  RuleCompiler(const RuleNode& rule, std::string_view filename)
-      : rule_(rule), filename_(filename) {}
+  /// Overrides naming one of this rule's parameters are applied and their
+  /// names added to `overrides_used`.
+  RuleCompiler(const RuleNode& rule, std::string_view filename,
+               const ParamOverrides& overrides, std::set<std::string>& overrides_used)
+      : rule_(rule), filename_(filename), overrides_(overrides),
+        overrides_used_(overrides_used) {}
 
   Result<CompiledRuleDef> run() {
     def_.name = rule_.name;
     def_.key = rule_.key == "aor" ? KeyKind::kAor : KeyKind::kSession;
 
+    if (auto s = compile_params(); !s.ok()) return s.error();
     if (auto s = compile_slots(); !s.ok()) return s.error();
     if (rule_.handlers.empty()) {
       return err(rule_.loc, str::format("rule '%s' has no 'on' handlers", rule_.name.c_str()));
@@ -91,18 +106,44 @@ class RuleCompiler {
                              filename_.data(), loc.line, loc.col, what.c_str())};
   }
 
+  /// Parameters are named constants: a reference compiles to its value,
+  /// the declared default unless an override names "rule.param".
+  Status compile_params() {
+    for (const ParamNode& param : rule_.params) {
+      const bool is_int = param.type_name == "int";
+      if (!(is_int ? param.init.kind == ExprNode::Kind::kIntLit
+                   : param.type_name == "duration" &&
+                         param.init.kind == ExprNode::Kind::kDurationLit)) {
+        return err(param.loc, str::format("parameter '%s' must be an int or a duration, with "
+                                          "a literal of that type as its default",
+                                          param.name.c_str()));
+      }
+      if (is_builtin_name(param.name) || params_.contains(param.name)) {
+        return err(param.loc, str::format("parameter name '%s' is a built-in or already taken",
+                                          param.name.c_str()));
+      }
+      int64_t value = param.init.int_value;
+      const std::string qualified = rule_.name + "." + param.name;
+      if (auto it = overrides_.find(qualified); it != overrides_.end()) {
+        value = it->second;
+        overrides_used_.insert(qualified);
+      }
+      params_[param.name] = Param{is_int ? ValType::kInt : ValType::kDuration, value};
+    }
+    return Status::Ok();
+  }
+
   Status compile_slots() {
     for (const SlotNode& slot : rule_.slots) {
       auto type = slot_type_by_name(slot.type_name);
       if (!type) {
         return err(slot.loc, str::format("unknown slot type '%s'", slot.type_name.c_str()));
       }
-      if (field_by_name(slot.name) || slot.name == "true" || slot.name == "false" ||
-          slot.name == "never") {
+      if (is_builtin_name(slot.name)) {
         return err(slot.loc,
                    str::format("slot name '%s' shadows a built-in", slot.name.c_str()));
       }
-      if (slot_index_.contains(slot.name)) {
+      if (slot_index_.contains(slot.name) || params_.contains(slot.name)) {
         return err(slot.loc, str::format("duplicate slot '%s'", slot.name.c_str()));
       }
       SlotDecl decl;
@@ -110,6 +151,18 @@ class RuleCompiler {
       decl.type = *type;
       decl.init = *type == ValType::kTime ? kNever : 0;
       if (*type == ValType::kString) decl.str_index = def_.num_string_slots++;
+      if (*type == ValType::kWindow) decl.coll_index = def_.num_windows++;
+      if (*type == ValType::kStringSet) decl.coll_index = def_.num_sets++;
+      if (slot.span.has_value() != (*type == ValType::kWindow)) {
+        return err(slot.loc, str::format("slot '%s': a window, and only a window, takes "
+                                         "'over <span>'",
+                                         slot.name.c_str()));
+      }
+      if (slot.span) {
+        auto span = constant_duration(*slot.span);
+        if (!span.ok()) return span.error();
+        decl.span = span.value();
+      }
       if (slot.init) {
         if (auto s = constant_init(*slot.init, decl); !s.ok()) return s.error();
       }
@@ -117,6 +170,16 @@ class RuleCompiler {
       def_.slots.push_back(std::move(decl));
     }
     return Status::Ok();
+  }
+
+  /// A window's span: a duration literal or a duration parameter.
+  Result<int64_t> constant_duration(const ExprNode& node) const {
+    if (node.kind == ExprNode::Kind::kDurationLit) return node.int_value;
+    if (node.kind == ExprNode::Kind::kIdent) {
+      auto it = params_.find(node.text);
+      if (it != params_.end() && it->second.type == ValType::kDuration) return it->second.value;
+    }
+    return err(node.loc, "a window span must be a duration literal or a duration parameter");
   }
 
   Status constant_init(const ExprNode& init, SlotDecl& decl) {
@@ -215,16 +278,36 @@ class RuleCompiler {
           return err(stmt.loc, str::format("unknown slot '%s'", stmt.target.c_str()));
         }
         const ValType slot_type = def_.slots[it->second].type;
-        if (slot_type != ValType::kEventSet && slot_type != ValType::kInt) {
-          return err(stmt.loc, str::format("'add' needs an eventset or int slot; '%s' is %s",
-                                           stmt.target.c_str(),
-                                           std::string(val_type_name(slot_type)).c_str()));
-        }
         StmtOp op;
-        // On an eventset, `add` accumulates the event's type bit; on an int
-        // it increments — the counter form sliding-window rules need.
-        op.kind = slot_type == ValType::kEventSet ? StmtOpKind::kAddEvent : StmtOpKind::kAddInt;
         op.slot = it->second;
+        // On an eventset, `add` accumulates the event's type bit; on an int
+        // it increments (the counter form); on a window it records the
+        // event's time; on a stringset it inserts the value given.
+        switch (slot_type) {
+          case ValType::kEventSet: op.kind = StmtOpKind::kAddEvent; break;
+          case ValType::kInt: op.kind = StmtOpKind::kAddInt; break;
+          case ValType::kWindow: op.kind = StmtOpKind::kAddTime; break;
+          case ValType::kStringSet: op.kind = StmtOpKind::kAddString; break;
+          default:
+            return err(stmt.loc,
+                       str::format("'add' needs an eventset, int, window or stringset slot; "
+                                   "'%s' is %s",
+                                   stmt.target.c_str(),
+                                   std::string(val_type_name(slot_type)).c_str()));
+        }
+        if (stmt.expr.has_value() != (slot_type == ValType::kStringSet)) {
+          return err(stmt.loc, str::format("'add %s': a stringset, and only a stringset, "
+                                           "takes a value",
+                                           stmt.target.c_str()));
+        }
+        if (stmt.expr) {
+          auto value = compile_expr(*stmt.expr);
+          if (!value.ok()) return value.error();
+          if (def_.exprs[value.value()].result != ValType::kString) {
+            return err(stmt.expr->loc, "a stringset takes string values");
+          }
+          op.expr = value.value();
+        }
         def_.stmts.push_back(op);
         return Status::Ok();
       }
@@ -431,11 +514,23 @@ class RuleCompiler {
           push_tracks(program, depth);
           return field->type;
         }
+        if (auto param = params_.find(node.text); param != params_.end()) {
+          program.ops.push_back({ExprOpKind::kPushInt, param->second.type, Field::kAor,
+                                 param->second.value, 0, 0});
+          push_tracks(program, depth);
+          return param->second.type;
+        }
         auto it = slot_index_.find(node.text);
         if (it == slot_index_.end()) {
-          return err(node.loc,
-                     str::format("unknown name '%s' (not an event field or state slot)",
-                                 node.text.c_str()));
+          return err(node.loc, str::format("unknown name '%s' (not an event field, state slot "
+                                           "or parameter)",
+                                           node.text.c_str()));
+        }
+        if (type_is_collection(def_.slots[it->second].type)) {
+          return err(node.loc, str::format("%s slot '%s' has no value; read it with count()",
+                                           std::string(val_type_name(def_.slots[it->second].type))
+                                               .c_str(),
+                                           node.text.c_str()));
         }
         ExprOp op;
         op.kind = ExprOpKind::kPushSlot;
@@ -509,10 +604,22 @@ class RuleCompiler {
     }
     if (fn == "count") {
       if (auto s = arity(1); !s.ok()) return s.error();
-      auto arg = emit(node.children[0], program, depth);
+      const ExprNode& target = node.children[0];
+      if (target.kind == ExprNode::Kind::kIdent) {
+        auto it = slot_index_.find(target.text);
+        if (it != slot_index_.end() && type_is_collection(def_.slots[it->second].type)) {
+          ExprOp op;
+          op.kind = ExprOpKind::kCountEntries;
+          op.slot = it->second;
+          program.ops.push_back(op);
+          push_tracks(program, depth);
+          return ValType::kInt;
+        }
+      }
+      auto arg = emit(target, program, depth);
       if (!arg.ok()) return arg;
       if (arg.value() != ValType::kEventSet) {
-        return err(node.loc, "count() needs an eventset slot");
+        return err(node.loc, "count() needs an eventset, window or stringset slot");
       }
       program.ops.push_back({ExprOpKind::kCount, ValType::kInt, Field::kAor, 0, 0, 0});
       return ValType::kInt;
@@ -588,10 +695,18 @@ class RuleCompiler {
     return ValType::kBool;
   }
 
+  struct Param {
+    ValType type;
+    int64_t value;
+  };
+
   const RuleNode& rule_;
   std::string_view filename_;
+  const ParamOverrides& overrides_;
+  std::set<std::string>& overrides_used_;
   CompiledRuleDef def_;
   std::map<std::string, uint32_t, std::less<>> slot_index_;
+  std::map<std::string, Param, std::less<>> params_;
 };
 
 }  // namespace
@@ -606,13 +721,17 @@ std::string_view val_type_name(ValType t) {
     case ValType::kAddr: return "addr";
     case ValType::kEndpoint: return "endpoint";
     case ValType::kEventSet: return "eventset";
+    case ValType::kWindow: return "window";
+    case ValType::kStringSet: return "stringset";
   }
   return "?";
 }
 
-Result<CompiledRuleset> compile(const RulesetAst& ast, std::string_view filename) {
+Result<CompiledRuleset> compile(const RulesetAst& ast, std::string_view filename,
+                                const ParamOverrides& params) {
   CompiledRuleset out;
   std::set<std::string> names;
+  std::set<std::string> params_used;
   for (const RuleNode& rule : ast.rules) {
     if (!names.insert(rule.name).second) {
       return Error{Errc::kMalformed,
@@ -620,10 +739,18 @@ Result<CompiledRuleset> compile(const RulesetAst& ast, std::string_view filename
                                static_cast<int>(filename.size()), filename.data(),
                                rule.loc.line, rule.loc.col, rule.name.c_str())};
     }
-    RuleCompiler rc(rule, filename);
+    RuleCompiler rc(rule, filename, params, params_used);
     auto def = rc.run();
     if (!def.ok()) return def.error();
     out.rules.push_back(std::make_shared<const CompiledRuleDef>(std::move(def).value()));
+  }
+  for (const auto& [name, value] : params) {
+    if (!params_used.contains(name)) {
+      return Error{Errc::kMalformed,
+                   str::format("%.*s: unknown parameter '%s' (no rule declares it)",
+                               static_cast<int>(filename.size()), filename.data(),
+                               name.c_str())};
+    }
   }
   return out;
 }

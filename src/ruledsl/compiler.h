@@ -11,6 +11,8 @@
 
 namespace scidive::ruledsl {
 
-Result<CompiledRuleset> compile(const RulesetAst& ast, std::string_view filename);
+/// `params` overrides parameter defaults by "rule.param" name.
+Result<CompiledRuleset> compile(const RulesetAst& ast, std::string_view filename,
+                                const ParamOverrides& params = {});
 
 }  // namespace scidive::ruledsl

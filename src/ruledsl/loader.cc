@@ -35,10 +35,22 @@ void count_reload(obs::MetricsRegistry& registry, bool ok) {
 
 }  // namespace
 
-Result<CompiledRuleset> compile_ruleset_text(std::string_view text, std::string_view filename) {
+Result<CompiledRuleset> compile_ruleset_text(std::string_view text, std::string_view filename,
+                                             const ParamOverrides& params) {
   auto ast = parse_ruleset(text, filename);
   if (!ast.ok()) return ast.error();
-  return compile(ast.value(), filename);
+  return compile(ast.value(), filename, params);
+}
+
+Result<CompiledRuleset> compile_default_ruleset(const core::RulesConfig& config) {
+  auto compiled = compile_ruleset_text(
+      kDefaultRulesetText, "<default ruleset>",
+      {{"billing-fraud.min_evidence", config.billing_min_evidence},
+       {"spit-graylist.call_threshold", config.spit_call_threshold}});
+  if (!compiled.ok() || config.spit_graylist) return compiled;
+  std::erase_if(compiled.value().rules,
+                [](const auto& def) { return def->name == "spit-graylist"; });
+  return compiled;
 }
 
 Result<CompiledRuleset> compile_ruleset_file(const std::string& path) {

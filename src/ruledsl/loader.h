@@ -1,11 +1,13 @@
-// Loader: text/file -> CompiledRuleset -> live Rule instances, plus atomic
-// hot reload into a running engine. Reload is all-or-nothing: the candidate
-// file is parsed and compiled off-line first, and only a fully valid
-// ruleset replaces the running rules — an invalid file leaves the engine
-// untouched (and is counted in scidive_ruleset_reloads_total{result="error"}).
+// Loader: text/file -> CompiledRuleset -> live Rule instances, the
+// embedded default ruleset, plus atomic hot reload into a running engine.
+// Reload is all-or-nothing: the candidate file is parsed and compiled
+// off-line first, and only a fully valid ruleset replaces the running
+// rules — an invalid file leaves the engine untouched (and is counted in
+// scidive_ruleset_reloads_total{result="error"}).
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -15,9 +17,19 @@
 
 namespace scidive::ruledsl {
 
-/// Compile ruleset source text. `filename` only labels diagnostics.
+/// Compile ruleset source text. `filename` only labels diagnostics;
+/// `params` overrides parameter defaults by "rule.param" name.
 Result<CompiledRuleset> compile_ruleset_text(std::string_view text,
-                                             std::string_view filename = "<input>");
+                                             std::string_view filename = "<input>",
+                                             const ParamOverrides& params = {});
+
+/// The default ruleset's source: the .sdr files of src/scidive/rules/,
+/// joined in ruleset order and embedded in the library at build time.
+extern const std::string_view kDefaultRulesetText;
+
+/// Compile the embedded default ruleset with `config`'s parameters. Without
+/// `config.spit_graylist` the spit-graylist rule is left out.
+Result<CompiledRuleset> compile_default_ruleset(const core::RulesConfig& config = {});
 
 /// Read and compile one .sdr file.
 Result<CompiledRuleset> compile_ruleset_file(const std::string& path);

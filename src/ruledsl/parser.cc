@@ -92,6 +92,10 @@ class Parser {
         }
         if (auto s = expect(TokenKind::kSemi, "after the key declaration"); !s.ok())
           return s.error();
+      } else if (at_keyword("param")) {
+        auto param = parse_param();
+        if (!param.ok()) return param.error();
+        rule.params.push_back(std::move(param).value());
       } else if (at_keyword("state")) {
         if (saw_state) return err(peek().loc, "duplicate 'state' block");
         saw_state = true;
@@ -109,11 +113,31 @@ class Parser {
         if (!handler.ok()) return handler.error();
         rule.handlers.push_back(std::move(handler).value());
       } else {
-        return err(peek().loc, "expected 'key', 'state', 'on' or '}' in rule body");
+        return err(peek().loc, "expected 'key', 'param', 'state', 'on' or '}' in rule body");
       }
     }
     take();  // '}'
     return rule;
+  }
+
+  Result<ParamNode> parse_param() {
+    ParamNode param;
+    param.loc = peek().loc;
+    take();  // 'param'
+    auto type = expect_ident("(parameter type)");
+    if (!type.ok()) return type.error();
+    param.type_name = std::move(type).value();
+    auto name = expect_ident("(parameter name)");
+    if (!name.ok()) return name.error();
+    param.name = std::move(name).value();
+    if (auto s = expect(TokenKind::kAssign, "after the parameter name (its default)"); !s.ok())
+      return s.error();
+    auto init = parse_expr();
+    if (!init.ok()) return init.error();
+    param.init = std::move(init).value();
+    if (auto s = expect(TokenKind::kSemi, "after the parameter declaration"); !s.ok())
+      return s.error();
+    return param;
   }
 
   Result<SlotNode> parse_slot() {
@@ -125,6 +149,12 @@ class Parser {
     auto name = expect_ident("(slot name)");
     if (!name.ok()) return name.error();
     slot.name = std::move(name).value();
+    if (at_keyword("over")) {
+      take();
+      auto span = parse_expr();
+      if (!span.ok()) return span.error();
+      slot.span = std::move(span).value();
+    }
     if (at(TokenKind::kAssign)) {
       take();
       auto init = parse_expr();
@@ -189,9 +219,14 @@ class Parser {
     if (at_keyword("add")) {
       take();
       stmt.kind = StmtNode::Kind::kAdd;
-      auto target = expect_ident("after 'add' (eventset slot name)");
+      auto target = expect_ident("after 'add' (slot name)");
       if (!target.ok()) return target.error();
       stmt.target = std::move(target).value();
+      if (!at(TokenKind::kSemi)) {
+        auto value = parse_expr();
+        if (!value.ok()) return value.error();
+        stmt.expr = std::move(value).value();
+      }
       if (auto s = expect(TokenKind::kSemi, "after the add statement"); !s.ok())
         return s.error();
       return stmt;

@@ -1,12 +1,13 @@
 // Recursive-descent parser for the .sdr ruleset grammar:
 //
 //   ruleset  := rule*
-//   rule     := "rule" NAME "{" ( key | state | handler )* "}"
+//   rule     := "rule" NAME "{" ( key | param | state | handler )* "}"
 //   key      := "key" ( "session" | "aor" ) ";"
-//   state    := "state" "{" ( TYPE NAME ( "=" expr )? ";" )* "}"
+//   param    := "param" TYPE NAME "=" expr ";"
+//   state    := "state" "{" ( TYPE NAME ( "over" expr )? ( "=" expr )? ";" )* "}"
 //   handler  := "on" EVENT ( "," EVENT )* "{" stmt* "}"
 //   stmt     := "set" NAME "=" expr ";"
-//             | "add" NAME ";"
+//             | "add" NAME expr? ";"
 //             | "if" expr "{" stmt* "}" ( "else" "{" stmt* "}" )?
 //             | "alert" SEVERITY STRING ";"
 //   expr     := or ; or := and ("||" and)* ; and := cmp ("&&" cmp)*

@@ -32,6 +32,8 @@ std::string expr_op_to_string(const ExprOp& op, const CompiledRuleDef& def) {
     case ExprOpKind::kSince: return "since";
     case ExprOpKind::kWithin: return "within";
     case ExprOpKind::kCount: return "count";
+    case ExprOpKind::kCountEntries:
+      return str::format("count slot %s", def.slots[op.slot].name.c_str());
     case ExprOpKind::kHasTrail:
       return str::format("has_trail %lld", static_cast<long long>(op.imm));
     case ExprOpKind::kCmpEq: return "eq";
@@ -82,7 +84,12 @@ std::string CompiledRuleset::dump() const {
           break;
         case StmtOpKind::kAddEvent:
         case StmtOpKind::kAddInt:
+        case StmtOpKind::kAddTime:
           out += str::format("  %3zu: add %s\n", i, def->slots[op.slot].name.c_str());
+          break;
+        case StmtOpKind::kAddString:
+          out += str::format("  %3zu: add %s expr#%u\n", i, def->slots[op.slot].name.c_str(),
+                             op.expr);
           break;
         case StmtOpKind::kAlert:
           out += str::format("  %3zu: alert %s template#%u\n", i,

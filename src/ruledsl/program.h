@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -26,6 +27,8 @@ enum class ValType : uint8_t {
   kAddr,      // IPv4 address
   kEndpoint,  // addr:port
   kEventSet,  // bitmask over EventType (accumulating evidence sets)
+  kWindow,     // event times of the last `span` (sliding-window counts)
+  kStringSet,  // distinct strings seen (e.g. digest responses)
 };
 
 std::string_view val_type_name(ValType t);
@@ -46,6 +49,7 @@ enum class ExprOpKind : uint8_t {
   kSince,      // pop time, push event.time - it (kNever -> INT64_MAX)
   kWithin,     // pop time; push bool: it != never && event.time - it <= imm
   kCount,      // pop eventset, push popcount
+  kCountEntries,  // push the entries held by window/stringset slot `slot`
   kHasTrail,   // push bool: session has a trail for protocol imm
   kCmpEq,      // pop b, a; push a == b (type tells string vs numeric)
   kCmpNe,
@@ -107,6 +111,8 @@ enum class StmtOpKind : uint8_t {
   kSetSlot,        // slots[slot] = evaluate exprs[expr]
   kAddEvent,       // eventset slots[slot] |= bit(event.type)
   kAddInt,         // int slots[slot] += 1 (the `add` counter form)
+  kAddTime,        // window slots[slot]: append event.time, drop times older than its span
+  kAddString,      // stringset slots[slot]: insert evaluate exprs[expr]
   kAlert,          // render alerts[alert] and raise
   kVerdict,        // render verdicts[alert] and emit via ctx.verdict()
 };
@@ -125,6 +131,8 @@ struct SlotDecl {
   int64_t init = 0;        // numeric initial value (times default to kNever)
   std::string str_init;    // string slots' initial value
   uint32_t str_index = 0;  // sub-index into the record's string storage
+  uint32_t coll_index = 0; // window/stringset: sub-index into the record's windows/sets
+  int64_t span = 0;        // window: how far back it holds event times (µs)
 };
 
 /// What a rule keys its per-entry state on.
@@ -143,6 +151,8 @@ struct CompiledRuleDef {
   KeyKind key = KeyKind::kSession;
   std::vector<SlotDecl> slots;
   uint32_t num_string_slots = 0;
+  uint32_t num_windows = 0;
+  uint32_t num_sets = 0;
   std::vector<std::string> strings;  // interned string literals
   std::vector<ExprProgram> exprs;
   std::vector<AlertTemplate> alerts;
@@ -151,6 +161,11 @@ struct CompiledRuleDef {
   HandlerRange handlers[core::kEventTypeCount] = {};
   core::EventTypeMask subscriptions = 0;
 };
+
+/// Values for rule parameters by "rule.param" name, overriding the defaults
+/// the source declares (durations in microseconds). Naming a parameter no
+/// rule declares is a compile error.
+using ParamOverrides = std::map<std::string, int64_t, std::less<>>;
 
 struct CompiledRuleset {
   std::vector<std::shared_ptr<const CompiledRuleDef>> rules;

@@ -3,8 +3,8 @@
 //   scidive_rulec FILE...          validate each file (exit 1 on any error)
 //   scidive_rulec --dump FILE...   also print the compiled programs
 //
-// CI runs this over everything under examples/rulesets/ so a ruleset that
-// no longer compiles fails the build, not the operator's reload.
+// CI runs this over the default ruleset's files in src/scidive/rules/, so a
+// rule that no longer compiles fails the build, not the engine.
 #include <cstdio>
 #include <cstring>
 #include <string>

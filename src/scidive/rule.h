@@ -37,17 +37,9 @@ class RuleContext {
   /// session state.
   void set_rule(size_t position) { rule_ = position; }
 
-  /// The calling rule's state for `session`, created on first use. nullptr
-  /// when no rule is set or the session has no record.
-  template <typename State>
-  State* session_state(const SessionId& session) {
-    std::unique_ptr<RuleSessionState>* slot = session_slot(session);
-    if (slot == nullptr) return nullptr;
-    if (*slot == nullptr) *slot = std::make_unique<State>();
-    return static_cast<State*>(slot->get());
-  }
-  /// The calling rule's slot in `session`'s record, for rules that build
-  /// their state themselves. nullptr as for session_state().
+  /// The calling rule's slot in `session`'s record; the rule builds the
+  /// state it keeps there. nullptr when no rule is set or the session has
+  /// no record.
   std::unique_ptr<RuleSessionState>* session_slot(const SessionId& session) {
     return rule_ == kNoRule ? nullptr : trails_.rule_slot(session, rule_);
   }

@@ -8,7 +8,8 @@ namespace {
 
 std::string quote(std::string_view s) { return "\"" + std::string(s) + "\""; }
 
-/// Parse `Digest key="value", key2="value2", ...` into a map.
+/// Parse `Digest key="value", key2="value2", ...` into a map. A comma
+/// inside a quoted value (e.g. a `uri` with one) does not split it.
 Result<std::map<std::string, std::string, std::less<>>> parse_digest_params(
     std::string_view header_value) {
   header_value = str::trim(header_value);
@@ -17,8 +18,11 @@ Result<std::map<std::string, std::string, std::less<>>> parse_digest_params(
   header_value.remove_prefix(6);
 
   std::map<std::string, std::string, std::less<>> params;
-  for (auto part : str::split(header_value, ',')) {
-    part = str::trim(part);
+  for (size_t pos = 0; pos <= header_value.size();) {
+    size_t comma = str::find_unquoted(header_value, ',', pos);
+    if (comma == std::string_view::npos) comma = header_value.size();
+    std::string_view part = str::trim(header_value.substr(pos, comma - pos));
+    pos = comma + 1;
     if (part.empty()) continue;
     auto eq = str::split_once(part, '=');
     if (!eq) return Error{Errc::kMalformed, "digest param without '='"};

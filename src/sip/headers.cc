@@ -68,7 +68,8 @@ Result<NameAddr> NameAddr::parse(std::string_view text) {
   std::string_view uri_part;
   std::string_view after_uri;
 
-  size_t lt = text.find('<');
+  // A quoted display name may itself contain '<' ("a<b" <sip:...>).
+  size_t lt = str::find_unquoted(text, '<');
   if (lt != std::string_view::npos) {
     size_t gt = text.find('>', lt);
     if (gt == std::string_view::npos) return Error{Errc::kMalformed, "unterminated <uri>"};

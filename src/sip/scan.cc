@@ -23,11 +23,14 @@ inline size_t find(std::string_view s, char c, size_t from = 0) {
 /// without building the vector.
 class Fields {
  public:
-  Fields(std::string_view s, char sep) : s_(s), sep_(sep) {}
+  /// `skip_quoted`: a separator inside a double-quoted string does not split.
+  Fields(std::string_view s, char sep, bool skip_quoted = false)
+      : s_(s), sep_(sep), skip_quoted_(skip_quoted) {}
 
   bool next(std::string_view& field) {
     if (done_) return false;
-    const size_t hit = find(s_, sep_, pos_);
+    const size_t hit =
+        skip_quoted_ ? str::find_unquoted(s_, sep_, pos_) : find(s_, sep_, pos_);
     if (hit == npos) {
       field = s_.substr(pos_);
       done_ = true;
@@ -41,6 +44,7 @@ class Fields {
  private:
   std::string_view s_;
   char sep_;
+  bool skip_quoted_;
   size_t pos_ = 0;
   bool done_ = false;
 };
@@ -165,7 +169,7 @@ std::optional<NameAddrView> scan_name_addr(std::string_view text) {
   text = str::trim(text);
   std::string_view uri_part = text;
   std::string_view after_uri;
-  if (const size_t lt = find(text, '<'); lt != npos) {
+  if (const size_t lt = str::find_unquoted(text, '<'); lt != npos) {
     const size_t gt = find(text, '>', lt);
     if (gt == npos) return std::nullopt;
     uri_part = text.substr(lt + 1, gt - lt - 1);
@@ -229,7 +233,7 @@ std::optional<std::string_view> scan_digest_response(std::string_view text) {
   constexpr std::string_view kRequired[] = {"username", "realm", "nonce", "uri", "response"};
   unsigned seen = 0;
   std::string_view response;
-  Fields parts(text, ',');
+  Fields parts(text, ',', /*skip_quoted=*/true);
   std::string_view part;
   while (parts.next(part)) {
     part = str::trim(part);

@@ -122,6 +122,16 @@ TEST(FindCrlf, SkipsLoneCrAndBareLf) {
   EXPECT_EQ(find_crlf("a\r\nb\r\nc", 2), 4u);
 }
 
+TEST(FindUnquoted, SkipsQuotedStringsAndEscapes) {
+  EXPECT_EQ(find_unquoted("a,b", ','), 1u);
+  EXPECT_EQ(find_unquoted("uri=\"x,y\", r=1", ','), 9u);
+  EXPECT_EQ(find_unquoted("\"a<b\" <sip:x>", '<'), 6u);
+  // An escaped quote does not close the string.
+  EXPECT_EQ(find_unquoted("\"a\\\"<b\" <c>", '<'), 8u);
+  EXPECT_EQ(find_unquoted("\"unterminated, still quoted", ','), std::string_view::npos);
+  EXPECT_EQ(find_unquoted("a,b,c", ',', 2), 3u);
+}
+
 TEST(Split, LongInputCrossesSimdBlocks) {
   std::string s;
   for (int i = 0; i < 40; ++i) s += "field" + std::to_string(i) + ",";

@@ -86,7 +86,7 @@ TEST(FleetDifferential, VerdictParityOnSpitCapture) {
   config.make_rules = [] {
     core::RulesConfig rc;
     rc.spit_graylist = true;
-    return core::make_prevention_ruleset(rc);
+    return core::make_default_ruleset(rc);
   };
   // Per-caller graylist state needs every INVITE of a caller on one node
   // and one worker.

@@ -461,7 +461,7 @@ TEST(FleetScreening, VerdictOnOneNodeScreensThePrincipalOnAll) {
     fleet.node_at(i).engine().set_rules([](size_t) {
       core::RulesConfig rc;
       rc.spit_graylist = true;
-      return core::make_prevention_ruleset(rc);
+      return core::make_default_ruleset(rc);
     });
   }
   fleet.run(source);

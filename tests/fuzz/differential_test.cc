@@ -205,7 +205,7 @@ DifferentialConfig verdict_config() {
   config.make_rules = [] {
     core::RulesConfig rc;
     rc.spit_graylist = true;
-    return core::make_prevention_ruleset(rc);
+    return core::make_default_ruleset(rc);
   };
   return config;
 }
@@ -248,7 +248,7 @@ TEST(Differential, InlineAndPassiveDecideIdentically) {
     config.obs.time_stages = false;
     config.enforce.mode = mode;
     core::ScidiveEngine engine(config);
-    engine.set_rules(core::make_prevention_ruleset(rc));
+    engine.set_rules(core::make_default_ruleset(rc));
     for (const pkt::Packet& p : stream) engine.on_packet(p);
     for (size_t a = 0; a < core::kVerdictActionCount; ++a) {
       totals[i][a] = engine.decisions(static_cast<core::VerdictAction>(a));

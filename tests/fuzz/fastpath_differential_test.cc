@@ -158,7 +158,7 @@ TEST(FastpathDifferential, SpitMixWithVerdictParity) {
   config.make_rules = [] {
     core::RulesConfig rc;
     rc.spit_graylist = true;
-    return core::make_prevention_ruleset(rc);
+    return core::make_default_ruleset(rc);
   };
   DifferentialReport report = run_differential(stream, config);
   EXPECT_TRUE(report.ok()) << report.to_string();

@@ -311,3 +311,57 @@ rule r {
 
 }  // namespace
 }  // namespace scidive::ruledsl
+
+namespace scidive::ruledsl {
+namespace {
+
+TEST(CompiledRule, WindowDropsTimesOlderThanItsSpan) {
+  Harness h(R"sdr(rule r {
+  state { window w over 10s; }
+  on SipAuthChallenge {
+    add w;
+    alert info "{count(w)}";
+  }
+})sdr");
+  for (SimTime t : {sec(0), sec(4), sec(10), sec(11), sec(25)}) {
+    h.rule().on_event(h.event(EventType::kSipAuthChallenge, "s1", t), h.ctx);
+  }
+  // At 10s the entry at 0s is exactly `span` old and stays; at 11s it goes.
+  EXPECT_EQ(h.messages(), (std::vector<std::string>{"1", "2", "3", "3", "1"}));
+  h.rule().on_event(h.event(EventType::kSipAuthChallenge, "s2", sec(26)), h.ctx);
+  EXPECT_EQ(h.messages().back(), "1") << "each session has its own window";
+}
+
+TEST(CompiledRule, LongWindowKeepsExactlyItsSpan) {
+  // Thousands of adds at a steady rate: the window holds the same eleven
+  // times throughout, however often its dead prefix is compacted.
+  Harness h(R"sdr(rule r {
+  state { window w over 10ms; }
+  on SipAuthChallenge { add w; if count(w) != 11 { alert info "{count(w)}"; } }
+})sdr");
+  for (int i = 0; i < 5000; ++i) {
+    h.rule().on_event(h.event(EventType::kSipAuthChallenge, "s1", msec(i)), h.ctx);
+  }
+  std::vector<std::string> warmup;
+  for (int i = 1; i <= 10; ++i) warmup.push_back(std::to_string(i));
+  EXPECT_EQ(h.messages(), warmup);
+}
+
+TEST(CompiledRule, StringSetCountsDistinctValues) {
+  Harness h(R"sdr(rule r {
+  state { stringset seen; }
+  on SipAuthFailure {
+    add seen detail;
+    alert info "{count(seen)}";
+  }
+})sdr");
+  for (const char* detail : {"a", "b", "a", "c", "b"}) {
+    core::Event e = h.event(EventType::kSipAuthFailure, "s1", sec(1));
+    e.detail = detail;
+    h.rule().on_event(e, h.ctx);
+  }
+  EXPECT_EQ(h.messages(), (std::vector<std::string>{"1", "2", "2", "3", "3"}));
+}
+
+}  // namespace
+}  // namespace scidive::ruledsl

@@ -226,3 +226,88 @@ TEST(RuledslCompiler, DumpListsEveryRule) {
 
 }  // namespace
 }  // namespace scidive::ruledsl
+
+namespace scidive::ruledsl {
+namespace {
+
+constexpr std::string_view kParamRule = R"sdr(
+rule r {
+  param int threshold = 3;
+  param duration span = 10s;
+  state {
+    window recent over span;
+    stringset seen;
+  }
+  on SipAuthFailure {
+    add recent;
+    add seen detail;
+    if count(recent) >= threshold && count(seen) >= threshold {
+      alert info "{count(seen)} within {span:sec1}s";
+    }
+  }
+}
+)sdr";
+
+TEST(RuledslCompiler, ParamsFoldToConstantsAndTakeOverrides) {
+  CompiledRuleset defaults = compile_ok(kParamRule);
+  ASSERT_EQ(defaults.rules.size(), 1u);
+  const CompiledRuleDef& def = *defaults.rules[0];
+  ASSERT_EQ(def.slots.size(), 2u);
+  EXPECT_EQ(def.slots[0].type, ValType::kWindow);
+  EXPECT_EQ(def.slots[0].span, sec(10));
+  EXPECT_EQ(def.slots[1].type, ValType::kStringSet);
+  EXPECT_EQ(def.num_windows, 1u);
+  EXPECT_EQ(def.num_sets, 1u);
+  EXPECT_NE(defaults.dump().find("push int 3"), std::string::npos) << defaults.dump();
+
+  auto overridden =
+      compile_ruleset_text(kParamRule, "test.sdr", {{"r.threshold", 7}, {"r.span", sec(2)}});
+  ASSERT_TRUE(overridden.ok()) << overridden.error().to_string();
+  EXPECT_EQ(overridden.value().rules[0]->slots[0].span, sec(2));
+  EXPECT_NE(overridden.value().dump().find("push int 7"), std::string::npos);
+
+  auto unknown = compile_ruleset_text(kParamRule, "test.sdr", {{"r.nope", 1}});
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_NE(unknown.error().message.find("unknown parameter 'r.nope'"), std::string::npos)
+      << unknown.error().message;
+  EXPECT_FALSE(compile_ruleset_text(kParamRule, "test.sdr", {{"other.threshold", 1}}).ok())
+      << "an override names rule.param exactly";
+}
+
+TEST(RuledslCompiler, RejectsBadParamsWindowsAndSets) {
+  // Parameter types, defaults and names.
+  EXPECT_FALSE(compile_error("rule r { param string s = \"x\"; on SipByeSeen { } }").empty());
+  EXPECT_FALSE(compile_error("rule r { param int n = 5s; on SipByeSeen { } }").empty());
+  EXPECT_FALSE(compile_error("rule r { param int n = value; on SipByeSeen { } }").empty());
+  EXPECT_FALSE(compile_error("rule r { param int time = 1; on SipByeSeen { } }").empty());
+  EXPECT_FALSE(
+      compile_error("rule r { param int n = 1; param int n = 2; on SipByeSeen { } }").empty());
+  EXPECT_FALSE(
+      compile_error("rule r { param int n = 1; state { int n; } on SipByeSeen { } }").empty());
+  // A window needs a constant duration span; nothing else takes one.
+  EXPECT_FALSE(compile_error("rule r { state { window w; } on SipByeSeen { } }").empty());
+  EXPECT_FALSE(compile_error("rule r { state { window w over 5; } on SipByeSeen { } }").empty());
+  EXPECT_FALSE(
+      compile_error("rule r { param int n = 1; state { window w over n; } on SipByeSeen { } }")
+          .empty());
+  EXPECT_FALSE(compile_error("rule r { state { int n over 1s; } on SipByeSeen { } }").empty());
+  EXPECT_FALSE(
+      compile_error("rule r { state { stringset s = \"x\"; } on SipByeSeen { } }").empty());
+  // Collections are read with count() only and filled with add.
+  EXPECT_FALSE(compile_error(
+      "rule r { state { window w over 1s; } on SipByeSeen { if w == w { } } }").empty());
+  EXPECT_FALSE(compile_error(
+      "rule r { state { stringset s; } on SipByeSeen { alert info \"{s}\"; } }").empty());
+  EXPECT_FALSE(compile_error(
+      "rule r { state { stringset s; } on SipByeSeen { set s = aor; } }").empty());
+  EXPECT_FALSE(compile_error("rule r { state { stringset s; } on SipByeSeen { add s; } }")
+                   .empty());
+  EXPECT_FALSE(compile_error("rule r { state { stringset s; } on SipByeSeen { add s value; } }")
+                   .empty());
+  EXPECT_FALSE(compile_error(
+      "rule r { state { window w over 1s; } on SipByeSeen { add w time; } }").empty());
+  EXPECT_FALSE(compile_error("rule r { state { int n; } on SipByeSeen { add n 1; } }").empty());
+}
+
+}  // namespace
+}  // namespace scidive::ruledsl

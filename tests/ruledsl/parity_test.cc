@@ -1,15 +1,24 @@
-// DSL ↔ C++ rule parity: the compiled `.sdr` ports of the Table-1 attack
-// rules must be indistinguishable from the hand-written rules they replace —
-// byte-identical alert streams and AlertLedger records on the same capture,
-// topology-invariant under ShardedEngine at every shard count, and atomic
+// The compiled `.sdr` default ruleset against the hand-written C++ rules it
+// replaced. The goldens under tests/ruledsl/data/ were recorded from those
+// C++ rules on the same captures, so "byte-identical" here means the same
+// alerts, ledger records and verdicts as before the port. On top of that,
+// the compiled rules stay topology-invariant under ShardedEngine and atomic
 // under hot reload (an invalid ruleset never touches the running one; a
-// valid mid-stream swap loses and double-matches nothing).
+// valid mid-stream swap loses and double-matches nothing), and keep the
+// established-flow fast path engaged exactly when no rule wants steady
+// media.
+//
+// Regenerate the goldens only for an intended detection change:
+//
+//   SCIDIVE_REGEN_GOLDEN=1 ./scidive_tests --gtest_filter='RuledslParity.*'
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -17,6 +26,7 @@
 #include "capture/packet_source.h"
 #include "fuzz/corpus.h"
 #include "fuzz/differential.h"
+#include "obs/alert_ledger.h"
 #include "obs/metrics.h"
 #include "rtp/rtp.h"
 #include "ruledsl/loader.h"
@@ -36,32 +46,19 @@ using core::ShardedEngineConfig;
 using voip::testing::VoipFixture;
 
 #ifndef SCIDIVE_RULESET_DIR
-#define SCIDIVE_RULESET_DIR "examples/rulesets"
+#define SCIDIVE_RULESET_DIR "src/scidive/rules"
+#endif
+#ifndef SCIDIVE_RULEDSL_DATA_DIR
+#define SCIDIVE_RULEDSL_DATA_DIR "tests/ruledsl/data"
 #endif
 
-std::vector<std::string> shipped_ruleset_paths() {
-  const std::string dir = SCIDIVE_RULESET_DIR;
-  return {dir + "/bye_attack.sdr", dir + "/fake_im.sdr", dir + "/call_hijack.sdr",
-          dir + "/rtp_attack.sdr", dir + "/billing_fraud.sdr"};
-}
+/// One rule file of the default ruleset, for the file-based reload paths.
+std::string rule_file(const char* name) { return std::string(SCIDIVE_RULESET_DIR) + "/" + name; }
 
-CompiledRuleset load_shipped() {
-  auto compiled = compile_ruleset_files(shipped_ruleset_paths());
+CompiledRuleset default_ruleset() {
+  auto compiled = compile_default_ruleset();
   EXPECT_TRUE(compiled.ok()) << compiled.error().to_string();
   return compiled.ok() ? compiled.value() : CompiledRuleset{};
-}
-
-/// The C++ originals of the five ported rules, in the same order the `.sdr`
-/// files are loaded (order matters: alert interleaving must match exactly).
-std::vector<core::RulePtr> cpp_ported_rules() {
-  const core::RulesConfig config;
-  std::vector<core::RulePtr> out;
-  out.push_back(std::make_unique<core::ByeAttackRule>());
-  out.push_back(std::make_unique<core::FakeImRule>(config));
-  out.push_back(std::make_unique<core::CallHijackRule>());
-  out.push_back(std::make_unique<core::RtpAttackRule>());
-  out.push_back(std::make_unique<core::BillingFraudRule>(config));
-  return out;
 }
 
 /// Full alert identity, not just the (rule, session) multiset: severity,
@@ -85,18 +82,62 @@ std::vector<std::string> ledger_strings(const ScidiveEngine& engine) {
   return out;
 }
 
+std::vector<std::string> verdict_strings(const ScidiveEngine& engine) {
+  std::vector<std::string> out;
+  for (const core::Verdict& v : engine.verdicts().verdicts()) {
+    out.push_back(v.rule + "|" + std::string(core::verdict_action_name(v.action)) + "|" +
+                  v.session + "|" + v.aor + "|" + v.endpoint.to_string() + "|" +
+                  std::to_string(v.time) + "|" + v.message);
+  }
+  return out;
+}
+
+/// What the golden files pin: every alert, ledger record and verdict, and
+/// the per-packet decision totals when enforcement is on.
+std::string detection_record(const ScidiveEngine& engine, bool enforcing) {
+  std::string out;
+  for (const std::string& s : alert_strings(engine)) out += "alert " + s + "\n";
+  for (const std::string& s : ledger_strings(engine)) out += "ledger " + s + "\n";
+  for (const std::string& s : verdict_strings(engine)) out += "verdict " + s + "\n";
+  if (enforcing) {
+    for (size_t a = 0; a < core::kVerdictActionCount; ++a) {
+      const auto action = static_cast<core::VerdictAction>(a);
+      out += "decisions " + std::string(core::verdict_action_name(action)) + " " +
+             std::to_string(engine.decisions(action)) + "\n";
+    }
+  }
+  return out;
+}
+
+/// Compares `got` with tests/ruledsl/data/<name>.golden. The goldens were
+/// recorded from the hand-written C++ rules the `.sdr` rules replaced, so a
+/// difference is a change in detection. SCIDIVE_REGEN_GOLDEN=1 rewrites the
+/// file instead.
+void expect_golden(const std::string& name, const std::string& got) {
+  const std::string path = std::string(SCIDIVE_RULEDSL_DATA_DIR) + "/" + name + ".golden";
+  if (std::getenv("SCIDIVE_REGEN_GOLDEN") != nullptr) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << got;
+    return;
+  }
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in) << "missing golden " << path;
+  std::ostringstream want;
+  want << in.rdbuf();
+  EXPECT_EQ(got, want.str()) << name << " differs from " << path;
+}
+
 struct CaptureFixture : VoipFixture {
   std::vector<pkt::Packet> capture;
 
-  CaptureFixture() {
+  explicit CaptureFixture(bool require_auth = false) : VoipFixture(require_auth) {
     net.add_tap([this](const pkt::Packet& packet) { capture.push_back(packet); });
   }
 };
 
 struct Scenario {
-  const char* rule;                  // which rule the capture must trigger
+  const char* rule;  // which rule the capture must trigger
   std::vector<pkt::Packet> capture;
-  pkt::Ipv4Address home;
+  std::set<pkt::Ipv4Address> home;
 };
 
 Scenario bye_attack_scenario() {
@@ -107,7 +148,7 @@ Scenario bye_attack_scenario() {
   voip::ByeAttacker attacker(f.attacker_host);
   attacker.attack(*sniffer.latest_active_call(), /*attack_caller=*/true);
   f.sim.run_until(f.sim.now() + sec(1));
-  return {"bye-attack", std::move(f.capture), f.a_host.address()};
+  return {"bye-attack", std::move(f.capture), {f.a_host.address()}};
 }
 
 Scenario fake_im_scenario() {
@@ -119,7 +160,7 @@ Scenario fake_im_scenario() {
   voip::FakeImAttacker attacker(f.attacker_host);
   attacker.send(f.a.sip_endpoint(), "bob@lab.net", "wire money please");
   f.sim.run_until(f.sim.now() + sec(1));
-  return {"fake-im", std::move(f.capture), f.a_host.address()};
+  return {"fake-im", std::move(f.capture), {f.a_host.address()}};
 }
 
 Scenario call_hijack_scenario() {
@@ -131,7 +172,7 @@ Scenario call_hijack_scenario() {
   hijacker.attack(*sniffer.latest_active_call(), {f.attacker_host.address(), 17000},
                   /*attack_caller=*/true);
   f.sim.run_until(f.sim.now() + sec(1));
-  return {"call-hijack", std::move(f.capture), f.a_host.address()};
+  return {"call-hijack", std::move(f.capture), {f.a_host.address()}};
 }
 
 Scenario rtp_attack_scenario() {
@@ -147,7 +188,7 @@ Scenario rtp_attack_scenario() {
   }
   injector.start(victim, {.count = 30});
   f.sim.run_until(f.sim.now() + sec(1));
-  return {"rtp-attack", std::move(f.capture), f.a_host.address()};
+  return {"rtp-attack", std::move(f.capture), {f.a_host.address()}};
 }
 
 std::vector<Scenario> table1_scenarios() {
@@ -159,9 +200,48 @@ std::vector<Scenario> table1_scenarios() {
   return out;
 }
 
-EngineConfig replay_config(pkt::Ipv4Address home) {
+Scenario register_flood_scenario() {
+  CaptureFixture f(/*require_auth=*/true);
+  voip::RegisterFlooder flooder(f.attacker_host, {f.proxy_host.address(), 5060}, "alice",
+                                "lab.net");
+  flooder.start(20, msec(100));
+  f.sim.run_until(sec(10));
+  return {"register-flood", std::move(f.capture), {f.proxy_host.address()}};
+}
+
+Scenario password_guess_scenario() {
+  CaptureFixture f(/*require_auth=*/true);
+  voip::PasswordGuesser guesser(f.attacker_host, {f.proxy_host.address(), 5060}, "alice",
+                                "lab.net");
+  guesser.start({"guess1", "guess2", "guess3", "guess4", "guess5"});
+  f.sim.run_until(sec(10));
+  return {"password-guess", std::move(f.capture), {f.proxy_host.address()}};
+}
+
+Scenario rtcp_bye_scenario() {
+  CaptureFixture f;
+  voip::CallSniffer sniffer;
+  f.net.add_tap(sniffer.tap());
+  f.establish_call(sec(3));
+  voip::RtcpByeForger forger(f.attacker_host);
+  forger.attack(*sniffer.latest_active_call(), /*attack_caller=*/true);
+  f.sim.run_until(f.sim.now() + sec(1));
+  return {"rtcp-bye-attack", std::move(f.capture), {f.a_host.address()}};
+}
+
+Scenario billing_fraud_scenario() {
+  CaptureFixture f;
+  f.proxy.set_billing_identity_bug(true);
+  f.register_both();
+  voip::BillingFraudster fraudster(f.attacker_host, {f.proxy_host.address(), 5060}, "lab.net");
+  fraudster.place_fraudulent_call("bob", "alice@lab.net");
+  f.sim.run_until(f.sim.now() + sec(3));
+  return {"billing-fraud", std::move(f.capture), {f.proxy_host.address(), f.db_host.address()}};
+}
+
+EngineConfig replay_config(const std::set<pkt::Ipv4Address>& home) {
   EngineConfig config;
-  config.home_addresses = {home};
+  config.home_addresses = home;
   config.obs.time_stages = false;
   return config;
 }
@@ -172,114 +252,17 @@ ScidiveEngine make_engine(const Scenario& s, std::vector<core::RulePtr> rules) {
   return engine;
 }
 
-// --- the shipped rulesets themselves (ctest twin of the CI rulec step) ---
-
-TEST(RuledslParity, EveryShippedRulesetCompiles) {
-  for (const std::string& path : shipped_ruleset_paths()) {
-    auto one = compile_ruleset_file(path);
-    EXPECT_TRUE(one.ok()) << path << ": "
-                          << (one.ok() ? "" : one.error().to_string());
-  }
-  CompiledRuleset all = load_shipped();
-  EXPECT_EQ(all.rules.size(), 5u);
-  EXPECT_FALSE(all.dump().empty());
+/// Runs a scenario's capture through an engine with the default ruleset and
+/// checks the result against the scenario's golden.
+void expect_scenario_golden(const std::string& golden, const Scenario& s) {
+  ScidiveEngine engine(replay_config(s.home));
+  for (const pkt::Packet& p : s.capture) engine.on_packet(p);
+  EXPECT_GE(engine.alerts().count_for_rule(s.rule), 1u) << s.rule << ": scenario did not alert";
+  expect_golden(golden, detection_record(engine, /*enforcing=*/false));
 }
 
-// --- single-engine byte parity ---
-
-TEST(RuledslParity, FourAttacksByteIdenticalAlertsAndLedger) {
-  const CompiledRuleset ruleset = load_shipped();
-  ASSERT_EQ(ruleset.rules.size(), 5u);
-  for (const Scenario& s : table1_scenarios()) {
-    ScidiveEngine cpp_engine = make_engine(s, cpp_ported_rules());
-    ScidiveEngine dsl_engine = make_engine(s, make_rules(ruleset));
-    for (const pkt::Packet& p : s.capture) {
-      cpp_engine.on_packet(p);
-      dsl_engine.on_packet(p);
-    }
-    ASSERT_GE(cpp_engine.alerts().alerts().size(), 1u)
-        << s.rule << ": scenario did not alert";
-    EXPECT_GE(cpp_engine.alerts().count_for_rule(s.rule), 1u) << s.rule;
-    EXPECT_EQ(alert_strings(cpp_engine), alert_strings(dsl_engine)) << s.rule;
-    EXPECT_EQ(ledger_strings(cpp_engine), ledger_strings(dsl_engine)) << s.rule;
-  }
-}
-
-// --- sharded parity: DSL rules are topology-invariant too ---
-
-TEST(RuledslParity, DifferentialHoldsWithDslRulesOnAttackCaptures) {
-  const CompiledRuleset ruleset = load_shipped();
-  for (const Scenario& s : table1_scenarios()) {
-    fuzz::DifferentialConfig config;
-    config.engine.home_addresses = {s.home};
-    config.make_rules = [&ruleset] { return make_rules(ruleset); };
-    fuzz::DifferentialReport report = fuzz::run_differential(s.capture, config);
-    EXPECT_TRUE(report.ok()) << s.rule << ": " << report.to_string();
-    EXPECT_GE(report.baseline_alerts, 1u) << s.rule;
-  }
-}
-
-TEST(RuledslParity, DifferentialHoldsWithDslRulesOnAdversarialStream) {
-  const CompiledRuleset ruleset = load_shipped();
-  fuzz::DifferentialConfig config;
-  config.make_rules = [&ruleset] { return make_rules(ruleset); };
-  fuzz::DifferentialReport report =
-      fuzz::run_differential(fuzz::adversarial_stream(0xd51d51d5), config);
-  EXPECT_TRUE(report.ok()) << report.to_string();
-}
-
-TEST(RuledslParity, ShardedDslMatchesSingleCppMultiset) {
-  // Cross pairing: N-shard DSL engines against the single-threaded C++
-  // originals — the full "indistinguishable to the engine" claim.
-  const CompiledRuleset ruleset = load_shipped();
-  for (const Scenario& s : table1_scenarios()) {
-    ScidiveEngine cpp_engine = make_engine(s, cpp_ported_rules());
-    for (const pkt::Packet& p : s.capture) cpp_engine.on_packet(p);
-    std::multiset<std::string> want;
-    for (const core::Alert& a : cpp_engine.alerts().alerts()) {
-      want.insert(a.rule + "|" + a.session + "|" +
-                  std::string(core::severity_name(a.severity)) + "|" + a.message);
-    }
-    for (size_t shards : {2u, 4u}) {
-      ShardedEngineConfig sc;
-      sc.engine = replay_config(s.home);
-      sc.num_shards = shards;
-      ShardedEngine sharded(sc);
-      sharded.set_rules([&](size_t) { return make_rules(ruleset); });
-      for (const pkt::Packet& p : s.capture) sharded.on_packet(p);
-      sharded.flush();
-      std::multiset<std::string> got;
-      for (const core::Alert& a : sharded.merged_alerts()) {
-        got.insert(a.rule + "|" + a.session + "|" +
-                   std::string(core::severity_name(a.severity)) + "|" + a.message);
-      }
-      EXPECT_EQ(got, want) << s.rule << " @ " << shards << " shards";
-    }
-  }
-}
-
-// --- the prevention pack: verdict-emitting DSL rule vs its C++ original ---
-
-std::vector<std::string> verdict_strings(const ScidiveEngine& engine) {
-  std::vector<std::string> out;
-  for (const core::Verdict& v : engine.verdicts().verdicts()) {
-    out.push_back(v.rule + "|" + std::string(core::verdict_action_name(v.action)) + "|" +
-                  v.session + "|" + v.aor + "|" + v.endpoint.to_string() + "|" +
-                  std::to_string(v.time) + "|" + v.message);
-  }
-  return out;
-}
-
-TEST(RuledslParity, SpitGraylistDslMatchesCppAlertsAndVerdicts) {
-  // The shipped prevention pack compiles, and on a carrier mix with a spam
-  // cohort the compiled rule is byte-indistinguishable from the hand-written
-  // SpitGraylistRule — alerts, verdicts (action, principal, message) and the
-  // per-packet decision totals they induce.
-  auto compiled =
-      compile_ruleset_file(std::string(SCIDIVE_RULESET_DIR) + "/spit_graylist.sdr");
-  ASSERT_TRUE(compiled.ok()) << compiled.error().to_string();
-  ASSERT_EQ(compiled.value().rules.size(), 1u);
-
+/// A carrier mix with a two-bot spam cohort.
+std::vector<pkt::Packet> spit_mix_capture() {
   capture::CarrierMixConfig mix;
   mix.seed = 0x5b17;
   mix.provisioned_users = 100;
@@ -289,34 +272,125 @@ TEST(RuledslParity, SpitGraylistDslMatchesCppAlertsAndVerdicts) {
   mix.spit_hold = msec(300);
   mix.max_packets = 2500;
   capture::CarrierMixSource source(mix);
-  const std::vector<pkt::Packet> stream = capture::read_all(source);
+  return capture::read_all(source);
+}
 
-  EngineConfig config;
-  config.obs.time_stages = false;
+TEST(RuledslParity, FourAttacksByteIdenticalAlertsAndLedger) {
+  for (const Scenario& s : table1_scenarios()) expect_scenario_golden(s.rule, s);
+}
+
+TEST(RuledslParity, RegisterFloodMatchesCppGolden) {
+  expect_scenario_golden("register-flood", register_flood_scenario());
+}
+
+TEST(RuledslParity, PasswordGuessMatchesCppGolden) {
+  expect_scenario_golden("password-guess", password_guess_scenario());
+}
+
+TEST(RuledslParity, ForgedRtcpByeMatchesCppGolden) {
+  expect_scenario_golden("rtcp-bye-attack", rtcp_bye_scenario());
+}
+
+TEST(RuledslParity, BillingFraudMatchesCppGolden) {
+  expect_scenario_golden("billing-fraud", billing_fraud_scenario());
+}
+
+TEST(RuledslParity, AdversarialStreamMatchesCppGolden) {
+  // The differential suites' stream, which alerts nothing, and a longer cut
+  // of it whose mutations raise rtp-attack and register-flood alerts.
+  ScidiveEngine quiet(replay_config({}));
+  for (const pkt::Packet& p : fuzz::adversarial_stream(0xd51d51d5)) quiet.on_packet(p);
+  expect_golden("adversarial", detection_record(quiet, /*enforcing=*/false));
+
+  fuzz::StreamConfig longer;
+  longer.benign_calls = 10;
+  longer.mutated = 4000;
+  ScidiveEngine engine(replay_config({}));
+  for (const pkt::Packet& p : fuzz::adversarial_stream(0xd51d51d5, longer)) engine.on_packet(p);
+  EXPECT_GE(engine.alerts().count_for_rule("register-flood"), 1u);
+  expect_golden("adversarial-4k", detection_record(engine, /*enforcing=*/false));
+}
+
+TEST(RuledslParity, SpitGraylistDslMatchesCppAlertsAndVerdicts) {
+  // On a carrier mix with a spam cohort, the compiled spit-graylist rule
+  // (and the rest of the default ruleset beside it) reproduces what the
+  // hand-written rules did: alerts, ledger, verdicts (action, principal,
+  // message) and the per-packet decision totals they induce.
+  EngineConfig config = replay_config({});
   config.enforce.mode = core::EnforcementMode::kPassive;
+  config.rules.spit_graylist = true;
+  ScidiveEngine engine(config);
+  for (const pkt::Packet& p : spit_mix_capture()) engine.on_packet(p);
+  ASSERT_GE(engine.verdicts().count(), 2u) << "both spammers should be graylisted";
+  expect_golden("spit-mix", detection_record(engine, /*enforcing=*/true));
+}
 
-  ScidiveEngine cpp_engine(config);
-  {
-    std::vector<core::RulePtr> rules;
-    rules.push_back(std::make_unique<core::SpitGraylistRule>(core::RulesConfig{}));
-    cpp_engine.set_rules(std::move(rules));
+// --- the rule files themselves (ctest twin of the CI rulec step) ---
+
+TEST(RuledslParity, EveryShippedRulesetCompiles) {
+  for (const char* file :
+       {"bye_attack.sdr", "call_hijack.sdr", "fake_im.sdr", "rtp_attack.sdr",
+        "rtcp_bye_attack.sdr", "billing_fraud.sdr", "register_flood.sdr",
+        "password_guess.sdr", "spit_graylist.sdr"}) {
+    auto one = compile_ruleset_file(rule_file(file));
+    EXPECT_TRUE(one.ok()) << file << ": " << (one.ok() ? "" : one.error().to_string());
   }
-  ScidiveEngine dsl_engine(config);
-  dsl_engine.set_rules(make_rules(compiled.value()));
+  CompiledRuleset all = default_ruleset();
+  EXPECT_EQ(all.rules.size(), 8u);
+  EXPECT_FALSE(all.dump().empty());
+  core::RulesConfig with_spit;
+  with_spit.spit_graylist = true;
+  auto prevention = compile_default_ruleset(with_spit);
+  ASSERT_TRUE(prevention.ok()) << prevention.error().to_string();
+  EXPECT_EQ(prevention.value().rules.size(), 9u);
+}
 
-  for (const pkt::Packet& p : stream) {
-    cpp_engine.on_packet(p);
-    dsl_engine.on_packet(p);
+// --- sharded parity: compiled rules are topology-invariant ---
+
+TEST(RuledslParity, DifferentialHoldsWithDslRulesOnAttackCaptures) {
+  for (const Scenario& s : table1_scenarios()) {
+    fuzz::DifferentialConfig config;
+    config.engine.home_addresses = s.home;
+    fuzz::DifferentialReport report = fuzz::run_differential(s.capture, config);
+    EXPECT_TRUE(report.ok()) << s.rule << ": " << report.to_string();
+    EXPECT_GE(report.baseline_alerts, 1u) << s.rule;
   }
+}
 
-  ASSERT_GE(cpp_engine.verdicts().count(), 2u) << "both spammers should be graylisted";
-  EXPECT_EQ(alert_strings(cpp_engine), alert_strings(dsl_engine));
-  EXPECT_EQ(ledger_strings(cpp_engine), ledger_strings(dsl_engine));
-  EXPECT_EQ(verdict_strings(cpp_engine), verdict_strings(dsl_engine));
-  for (size_t a = 0; a < core::kVerdictActionCount; ++a) {
-    const auto action = static_cast<core::VerdictAction>(a);
-    EXPECT_EQ(cpp_engine.decisions(action), dsl_engine.decisions(action))
-        << core::verdict_action_name(action);
+TEST(RuledslParity, DifferentialHoldsWithDslRulesOnAdversarialStream) {
+  fuzz::DifferentialReport report =
+      fuzz::run_differential(fuzz::adversarial_stream(0xd51d51d5), fuzz::DifferentialConfig{});
+  EXPECT_TRUE(report.ok()) << report.to_string();
+}
+
+/// The alerts a golden pins, as a multiset.
+std::multiset<std::string> golden_alerts(const std::string& name) {
+  std::ifstream in(std::string(SCIDIVE_RULEDSL_DATA_DIR) + "/" + name + ".golden");
+  std::multiset<std::string> out;
+  for (std::string line; std::getline(in, line);) {
+    if (line.starts_with("alert ")) out.insert(line.substr(6));
+  }
+  return out;
+}
+
+TEST(RuledslParity, ShardedDslMatchesSingleCppMultiset) {
+  // Cross pairing: N-shard engines running the compiled rules against what
+  // the single-threaded C++ originals raised — the full "indistinguishable
+  // to the engine" claim.
+  for (const Scenario& s : table1_scenarios()) {
+    const std::multiset<std::string> want = golden_alerts(s.rule);
+    ASSERT_FALSE(want.empty()) << s.rule;
+    for (size_t shards : {2u, 4u}) {
+      ShardedEngineConfig sc;
+      sc.engine = replay_config(s.home);
+      sc.num_shards = shards;
+      ShardedEngine sharded(sc);
+      for (const pkt::Packet& p : s.capture) sharded.on_packet(p);
+      sharded.flush();
+      std::multiset<std::string> got;
+      for (const core::Alert& a : sharded.merged_alerts()) got.insert(a.to_string());
+      EXPECT_EQ(got, want) << s.rule << " @ " << shards << " shards";
+    }
   }
 }
 
@@ -325,10 +399,11 @@ TEST(RuledslParity, SpitGraylistDslMatchesCppAlertsAndVerdicts) {
 TEST(RuledslParity, HotReloadMidStreamLosesAndDoublesNothing) {
   // Swapping in the same ruleset between packets must leave the alert
   // stream byte-identical to an undisturbed run: no event is lost to the
-  // swap and none is matched twice. (The ported Table-1 rules keep their
-  // cross-packet state in the event generator, so a swap is semantically a
-  // no-op — which is exactly what makes the comparison exact.)
-  const CompiledRuleset ruleset = load_shipped();
+  // swap and none is matched twice. (The bye-attack capture raises only
+  // alerts whose cross-packet state lives in the event generator, so a swap
+  // is semantically a no-op — which is exactly what makes the comparison
+  // exact.)
+  const CompiledRuleset ruleset = default_ruleset();
   Scenario s = bye_attack_scenario();
 
   ScidiveEngine baseline = make_engine(s, make_rules(ruleset));
@@ -362,7 +437,7 @@ TEST(RuledslParity, HotReloadMidStreamLosesAndDoublesNothing) {
 }
 
 TEST(RuledslParity, InvalidReloadLeavesRunningRulesetUntouched) {
-  const CompiledRuleset ruleset = load_shipped();
+  const CompiledRuleset ruleset = default_ruleset();
   Scenario s = bye_attack_scenario();
 
   // A file whose first rule is valid and second is not: nothing may load.
@@ -374,16 +449,16 @@ TEST(RuledslParity, InvalidReloadLeavesRunningRulesetUntouched) {
   }
 
   ScidiveEngine engine = make_engine(s, make_rules(ruleset));
-  ASSERT_EQ(engine.rule_count(), 5u);
+  ASSERT_EQ(engine.rule_count(), 8u);
 
   auto bad = reload_from_file(engine, bad_path);
   EXPECT_FALSE(bad.ok());
   EXPECT_FALSE(bad.error().message.empty());
-  EXPECT_EQ(engine.rule_count(), 5u) << "failed reload must not touch the ruleset";
+  EXPECT_EQ(engine.rule_count(), 8u) << "failed reload must not touch the ruleset";
 
   auto missing = reload_from_file(engine, bad_path + ".does-not-exist");
   EXPECT_FALSE(missing.ok());
-  EXPECT_EQ(engine.rule_count(), 5u);
+  EXPECT_EQ(engine.rule_count(), 8u);
 
   // The untouched rules still detect the attack...
   for (const pkt::Packet& p : s.capture) engine.on_packet(p);
@@ -395,7 +470,7 @@ TEST(RuledslParity, InvalidReloadLeavesRunningRulesetUntouched) {
   EXPECT_EQ(snap.counter_value("scidive_ruleset_reloads_total", {{"result", "ok"}}), 0u);
 
   // A valid reload flips the ok counter and swaps the live set.
-  auto good = reload_from_file(engine, shipped_ruleset_paths()[0]);
+  auto good = reload_from_file(engine, rule_file("bye_attack.sdr"));
   EXPECT_TRUE(good.ok()) << good.error().to_string();
   EXPECT_EQ(engine.rule_count(), 1u);
   snap = engine.metrics_snapshot();
@@ -404,19 +479,19 @@ TEST(RuledslParity, InvalidReloadLeavesRunningRulesetUntouched) {
 }
 
 TEST(RuledslParity, ShardedInvalidReloadLeavesRulesUntouched) {
-  const CompiledRuleset ruleset = load_shipped();
+  const CompiledRuleset ruleset = default_ruleset();
   ShardedEngineConfig sc;
   sc.num_shards = 2;
   sc.engine.obs.time_stages = false;
   ShardedEngine sharded(sc);
   sharded.set_rules([&](size_t) { return make_rules(ruleset); });
 
-  auto bad = reload_from_file(sharded, std::string(SCIDIVE_RULESET_DIR) + "/nope.sdr");
+  auto bad = reload_from_file(sharded, rule_file("nope.sdr"));
   EXPECT_FALSE(bad.ok());
   obs::Snapshot snap = sharded.frontend_metrics().snapshot();
   EXPECT_EQ(snap.counter_value("scidive_ruleset_reloads_total", {{"result", "error"}}), 1u);
 
-  auto good = reload_from_file(sharded, shipped_ruleset_paths()[0]);
+  auto good = reload_from_file(sharded, rule_file("bye_attack.sdr"));
   EXPECT_TRUE(good.ok()) << good.error().to_string();
   snap = sharded.frontend_metrics().snapshot();
   EXPECT_EQ(snap.counter_value("scidive_ruleset_reloads_total", {{"result", "ok"}}), 1u);
@@ -449,7 +524,7 @@ TEST(RuledslParity, FastpathHotReloadMidStreamStaysByteIdentical) {
   // to both an undisturbed fastpath-on run and a fastpath-off run. The flow
   // records hold no rule state, so a swap to an equally uninterested
   // ruleset leaves the bypass engaged throughout.
-  const CompiledRuleset ruleset = load_shipped();
+  const CompiledRuleset ruleset = default_ruleset();
   Scenario s = bye_attack_scenario();
 
   ScidiveEngine baseline = make_engine(s, make_rules(ruleset));
@@ -502,10 +577,10 @@ TEST(RuledslParity, FastpathDisabledByRtpPacketSeenSubscriptionUntilReload) {
   const pkt::Endpoint media_dst{pkt::Ipv4Address(10, 0, 0, 2), 16386};
   const std::vector<pkt::Packet> stream =
       steady_rtp(media_src, media_dst, 0xabc, 100, 60, msec(10));
-  const std::string rtp_rules = shipped_ruleset_paths()[3];  // rtp_attack.sdr
+  const std::string rtp_rules = rule_file("rtp_attack.sdr");
 
   auto run = [&](bool fastpath_enabled) {
-    EngineConfig config = replay_config(media_dst.addr);
+    EngineConfig config = replay_config({media_dst.addr});
     config.fastpath.enabled = fastpath_enabled;
     ScidiveEngine engine(config);
     engine.set_rules(make_rules(tap.value()));
@@ -544,10 +619,10 @@ TEST(RuledslParity, FastpathSeqJumpFallsBackByteIdentical) {
     stream.push_back(std::move(p));
   }
 
-  const CompiledRuleset ruleset = load_shipped();
-  ScidiveEngine on(replay_config(media_dst.addr));
+  const CompiledRuleset ruleset = default_ruleset();
+  ScidiveEngine on(replay_config({media_dst.addr}));
   on.set_rules(make_rules(ruleset));
-  EngineConfig off_config = replay_config(media_dst.addr);
+  EngineConfig off_config = replay_config({media_dst.addr});
   off_config.fastpath.enabled = false;
   ScidiveEngine off(off_config);
   off.set_rules(make_rules(ruleset));
@@ -577,10 +652,10 @@ TEST(RuledslParity, FastpathSsrcChangeFallsBackAndRecaches) {
     stream.push_back(std::move(p));
   }
 
-  const CompiledRuleset ruleset = load_shipped();
-  ScidiveEngine on(replay_config(media_dst.addr));
+  const CompiledRuleset ruleset = default_ruleset();
+  ScidiveEngine on(replay_config({media_dst.addr}));
   on.set_rules(make_rules(ruleset));
-  EngineConfig off_config = replay_config(media_dst.addr);
+  EngineConfig off_config = replay_config({media_dst.addr});
   off_config.fastpath.enabled = false;
   ScidiveEngine off(off_config);
   off.set_rules(make_rules(ruleset));

@@ -146,3 +146,35 @@ TEST(RuledslParser, ExpressionSnippets) {
 
 }  // namespace
 }  // namespace scidive::ruledsl
+
+namespace scidive::ruledsl {
+namespace {
+
+TEST(RuledslParser, ParamsWindowSpansAndAddValues) {
+  RulesetAst ast = parse_ok(R"sdr(rule r {
+  param duration span = 30s;
+  state { window w over span; stringset s; }
+  on SipAuthFailure { add w; add s detail; }
+})sdr");
+  ASSERT_EQ(ast.rules.size(), 1u);
+  const RuleNode& rule = ast.rules[0];
+  ASSERT_EQ(rule.params.size(), 1u);
+  EXPECT_EQ(rule.params[0].type_name, "duration");
+  EXPECT_EQ(rule.params[0].name, "span");
+  EXPECT_EQ(rule.params[0].init.kind, ExprNode::Kind::kDurationLit);
+  ASSERT_EQ(rule.slots.size(), 2u);
+  ASSERT_TRUE(rule.slots[0].span.has_value());
+  EXPECT_EQ(rule.slots[0].span->text, "span");
+  EXPECT_FALSE(rule.slots[1].span.has_value());
+  const std::vector<StmtNode>& body = rule.handlers.at(0).body;
+  ASSERT_EQ(body.size(), 2u);
+  EXPECT_FALSE(body[0].expr.has_value());
+  ASSERT_TRUE(body[1].expr.has_value());
+  EXPECT_EQ(body[1].expr->text, "detail");
+
+  auto missing_default = parse_ruleset("rule r { param int n; on SipByeSeen { } }", "t.sdr");
+  EXPECT_FALSE(missing_default.ok());
+}
+
+}  // namespace
+}  // namespace scidive::ruledsl

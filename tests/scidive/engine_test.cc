@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/bytes.h"
+#include "common/strings.h"
 #include "voip/attack.h"
 #include "voip/voip_fixture.h"
 
@@ -139,6 +141,47 @@ TEST(EngineIntegration, PasswordGuessingDetectedAtProxy) {
 
   EXPECT_GE(f.ids.alerts().count_for_rule("password-guess"), 1u);
   EXPECT_EQ(f.ids.alerts().count_for_rule("register-flood"), 0u);
+}
+
+TEST(EngineIntegration, PasswordGuessingWithQuotedCommaInDigestUri) {
+  // A guesser whose Authorization carries a quoted comma (uri="sip:lab.net,x"):
+  // the digest reader must not split inside the quotes, or every attempt's
+  // response reads empty and the distinct-response count never grows.
+  const pkt::Endpoint guesser{pkt::Ipv4Address(10, 0, 0, 66), 5081};
+  const pkt::Endpoint registrar{pkt::Ipv4Address(10, 0, 0, 100), 5060};
+  EngineConfig config;
+  config.home_addresses = {registrar.addr};
+  config.obs.time_stages = false;
+  ScidiveEngine ids(config);
+  auto message = [](std::string_view start, uint32_t cseq, std::string_view extra) {
+    return str::format(
+        "%.*s\r\nVia: SIP/2.0/UDP 10.0.0.66:5081;branch=z9hG4bK-g%u\r\n"
+        "From: <sip:alice@lab.net>;tag=g\r\nTo: <sip:alice@lab.net>\r\n"
+        "Call-ID: guess-comma\r\nCSeq: %u REGISTER\r\n%.*sContent-Length: 0\r\n\r\n",
+        static_cast<int>(start.size()), start.data(), cseq, cseq,
+        static_cast<int>(extra.size()), extra.data());
+  };
+  SimTime now = msec(10);
+  for (uint32_t attempt = 1; attempt <= 4; ++attempt) {
+    const std::string auth = str::format(
+        "Authorization: Digest username=\"alice\", realm=\"lab.net\", nonce=\"n1\", "
+        "uri=\"sip:lab.net,x\", response=\"guess-%u\"\r\n",
+        attempt);
+    pkt::Packet reg = pkt::make_udp_packet(
+        guesser, registrar, from_string(message("REGISTER sip:lab.net SIP/2.0", attempt, auth)));
+    reg.timestamp = (now += msec(50));
+    ids.on_packet(reg);
+    pkt::Packet rejected = pkt::make_udp_packet(
+        registrar, guesser,
+        from_string(message("SIP/2.0 401 Unauthorized", attempt,
+                            "WWW-Authenticate: Digest realm=\"lab.net\", nonce=\"n1\"\r\n")));
+    rejected.timestamp = (now += msec(5));
+    ids.on_packet(rejected);
+  }
+  ASSERT_EQ(ids.alerts().count_for_rule("password-guess"), 1u);
+  EXPECT_NE(ids.alerts().alerts()[0].message.find("3 distinct failed digest responses"),
+            std::string::npos)
+      << ids.alerts().alerts()[0].to_string();
 }
 
 TEST(EngineIntegration, NormalAuthRegistrationNoAlerts) {

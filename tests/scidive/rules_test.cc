@@ -9,6 +9,17 @@ namespace {
 
 using namespace scidive::core::testing;
 
+/// The default ruleset's rule called `name` (spit-graylist included),
+/// compiled with `config`.
+RulePtr default_rule(std::string_view name, RulesConfig config = {}) {
+  config.spit_graylist = true;
+  for (RulePtr& rule : make_default_ruleset(config)) {
+    if (rule->name() == name) return std::move(rule);
+  }
+  ADD_FAILURE() << "the default ruleset has no rule '" << name << "'";
+  return nullptr;
+}
+
 /// Harness that feeds synthetic events straight into one rule, at position
 /// 0 of a one-rule list.
 struct RuleHarness {
@@ -30,10 +41,10 @@ struct RuleHarness {
 
 TEST(ByeAttackRule, FiresOnOrphanAfterBye) {
   RuleHarness h;
-  ByeAttackRule rule;
-  rule.on_event(h.make(EventType::kRtpAfterBye, "c1", msec(500), "bob@lab.net", ep(2, 16384),
-                       msec(12)),
-                h.ctx);
+  RulePtr rule = default_rule("bye-attack");
+  rule->on_event(h.make(EventType::kRtpAfterBye, "c1", msec(500), "bob@lab.net", ep(2, 16384),
+                        msec(12)),
+                 h.ctx);
   ASSERT_EQ(h.sink.count(), 1u);
   EXPECT_EQ(h.sink.alerts()[0].rule, "bye-attack");
   EXPECT_EQ(h.sink.alerts()[0].severity, Severity::kCritical);
@@ -43,59 +54,55 @@ TEST(ByeAttackRule, FiresOnOrphanAfterBye) {
 
 TEST(ByeAttackRule, IgnoresOtherEvents) {
   RuleHarness h;
-  ByeAttackRule rule;
-  rule.on_event(h.make(EventType::kSipByeSeen, "c1", 0), h.ctx);
-  rule.on_event(h.make(EventType::kRtpAfterReinvite, "c1", 0), h.ctx);
+  RulePtr rule = default_rule("bye-attack");
+  rule->on_event(h.make(EventType::kSipByeSeen, "c1", 0), h.ctx);
+  rule->on_event(h.make(EventType::kRtpAfterReinvite, "c1", 0), h.ctx);
   EXPECT_EQ(h.sink.count(), 0u);
 }
 
 TEST(CallHijackRule, FiresOnOrphanAfterReinvite) {
   RuleHarness h;
-  CallHijackRule rule;
-  rule.on_event(h.make(EventType::kRtpAfterReinvite, "c1", msec(700), "bob@lab.net",
-                       ep(2, 16384)),
-                h.ctx);
+  RulePtr rule = default_rule("call-hijack");
+  rule->on_event(h.make(EventType::kRtpAfterReinvite, "c1", msec(700), "bob@lab.net",
+                        ep(2, 16384)),
+                 h.ctx);
   ASSERT_EQ(h.sink.count(), 1u);
   EXPECT_EQ(h.sink.alerts()[0].rule, "call-hijack");
 }
 
 TEST(FakeImRule, AlarmsOnRapidSourceChange) {
   RuleHarness h;
-  RulesConfig config;
-  config.im_mobility_interval = sec(60);
-  FakeImRule rule(config);
-  rule.on_event(h.make(EventType::kImMessageSeen, "im1", sec(10), "bob@lab.net", ep(2, 5060)),
-                h.ctx);
-  rule.on_event(h.make(EventType::kImMessageSeen, "im2", sec(12), "bob@lab.net", ep(66, 5060)),
-                h.ctx);
+  RulePtr rule = default_rule("fake-im");
+  rule->on_event(h.make(EventType::kImMessageSeen, "im1", sec(10), "bob@lab.net", ep(2, 5060)),
+                 h.ctx);
+  rule->on_event(h.make(EventType::kImMessageSeen, "im2", sec(12), "bob@lab.net", ep(66, 5060)),
+                 h.ctx);
   ASSERT_EQ(h.sink.count(), 1u);
   EXPECT_EQ(h.sink.alerts()[0].rule, "fake-im");
 }
 
 TEST(FakeImRule, StableSourceNeverAlarms) {
   RuleHarness h;
-  FakeImRule rule(RulesConfig{});
+  RulePtr rule = default_rule("fake-im");
   for (int i = 0; i < 20; ++i) {
-    rule.on_event(h.make(EventType::kImMessageSeen, "im", sec(i), "bob@lab.net", ep(2, 5060)),
-                  h.ctx);
+    rule->on_event(h.make(EventType::kImMessageSeen, "im", sec(i), "bob@lab.net", ep(2, 5060)),
+                   h.ctx);
   }
   EXPECT_EQ(h.sink.count(), 0u);
 }
 
 TEST(FakeImRule, SlowChangeIsMobilityNotAttack) {
   RuleHarness h;
-  RulesConfig config;
-  config.im_mobility_interval = sec(60);
-  FakeImRule rule(config);
-  rule.on_event(h.make(EventType::kImMessageSeen, "im1", sec(10), "bob@lab.net", ep(2, 5060)),
-                h.ctx);
+  RulePtr rule = default_rule("fake-im");
+  rule->on_event(h.make(EventType::kImMessageSeen, "im1", sec(10), "bob@lab.net", ep(2, 5060)),
+                 h.ctx);
   // Two minutes later bob is on a different network: plausible motion.
-  rule.on_event(h.make(EventType::kImMessageSeen, "im2", sec(130), "bob@lab.net", ep(5, 5060)),
-                h.ctx);
+  rule->on_event(h.make(EventType::kImMessageSeen, "im2", sec(130), "bob@lab.net", ep(5, 5060)),
+                 h.ctx);
   EXPECT_EQ(h.sink.count(), 0u);
   // But flip-flopping back right away is not.
-  rule.on_event(h.make(EventType::kImMessageSeen, "im3", sec(131), "bob@lab.net", ep(2, 5060)),
-                h.ctx);
+  rule->on_event(h.make(EventType::kImMessageSeen, "im3", sec(131), "bob@lab.net", ep(2, 5060)),
+                 h.ctx);
   EXPECT_EQ(h.sink.count(), 1u);
 }
 
@@ -103,65 +110,60 @@ TEST(FakeImRule, RegistrarUpdateSanctionsRapidMove) {
   // bob re-registers from a new address; an IM from there moments later is
   // legitimate mobility even though the mobility-rate bound would flag it.
   RuleHarness h;
-  RulesConfig config;
-  config.im_mobility_interval = sec(60);
-  FakeImRule rule(config);
-  rule.on_event(h.make(EventType::kImMessageSeen, "i1", sec(10), "bob@lab.net", ep(2, 5060)),
-                h.ctx);
-  rule.on_event(h.make(EventType::kSipRegisterSeen, "r1", sec(11), "bob@lab.net", ep(5, 5060),
-                       /*has_auth=*/1),
-                h.ctx);
-  rule.on_event(h.make(EventType::kImMessageSeen, "i2", sec(12), "bob@lab.net", ep(5, 5060)),
-                h.ctx);
+  RulePtr rule = default_rule("fake-im");
+  rule->on_event(h.make(EventType::kImMessageSeen, "i1", sec(10), "bob@lab.net", ep(2, 5060)),
+                 h.ctx);
+  rule->on_event(h.make(EventType::kSipRegisterSeen, "r1", sec(11), "bob@lab.net", ep(5, 5060),
+                        /*has_auth=*/1),
+                 h.ctx);
+  rule->on_event(h.make(EventType::kImMessageSeen, "i2", sec(12), "bob@lab.net", ep(5, 5060)),
+                 h.ctx);
   EXPECT_EQ(h.sink.count(), 0u);
 }
 
 TEST(FakeImRule, RegistrationFromOtherAddressDoesNotSanction) {
   RuleHarness h;
-  FakeImRule rule(RulesConfig{});
-  rule.on_event(h.make(EventType::kImMessageSeen, "i1", sec(10), "bob@lab.net", ep(2, 5060)),
-                h.ctx);
-  rule.on_event(h.make(EventType::kSipRegisterSeen, "r1", sec(11), "bob@lab.net", ep(5, 5060)),
-                h.ctx);
+  RulePtr rule = default_rule("fake-im");
+  rule->on_event(h.make(EventType::kImMessageSeen, "i1", sec(10), "bob@lab.net", ep(2, 5060)),
+                 h.ctx);
+  rule->on_event(h.make(EventType::kSipRegisterSeen, "r1", sec(11), "bob@lab.net", ep(5, 5060)),
+                 h.ctx);
   // The IM comes from yet another address (the attacker's, not the newly
   // registered one): still flagged.
-  rule.on_event(h.make(EventType::kImMessageSeen, "i2", sec(12), "bob@lab.net", ep(66, 5060)),
-                h.ctx);
+  rule->on_event(h.make(EventType::kImMessageSeen, "i2", sec(12), "bob@lab.net", ep(66, 5060)),
+                 h.ctx);
   EXPECT_EQ(h.sink.count(), 1u);
 }
 
 TEST(FakeImRule, StaleRegistrationDoesNotSanction) {
   RuleHarness h;
-  RulesConfig config;
-  config.im_mobility_interval = sec(60);
-  config.im_registration_window = sec(120);
-  FakeImRule rule(config);
-  rule.on_event(h.make(EventType::kSipRegisterSeen, "r1", sec(0), "bob@lab.net", ep(5, 5060)),
-                h.ctx);
-  rule.on_event(h.make(EventType::kImMessageSeen, "i1", sec(300), "bob@lab.net", ep(2, 5060)),
-                h.ctx);
+  RulePtr rule = default_rule("fake-im");
+  rule->on_event(h.make(EventType::kSipRegisterSeen, "r1", sec(0), "bob@lab.net", ep(5, 5060)),
+                 h.ctx);
+  rule->on_event(h.make(EventType::kImMessageSeen, "i1", sec(300), "bob@lab.net", ep(2, 5060)),
+                 h.ctx);
   // Registration is 5+ minutes old; the rapid flip to its address is not
   // sanctioned by it.
-  rule.on_event(h.make(EventType::kImMessageSeen, "i2", sec(301), "bob@lab.net", ep(5, 5060)),
-                h.ctx);
+  rule->on_event(h.make(EventType::kImMessageSeen, "i2", sec(301), "bob@lab.net", ep(5, 5060)),
+                 h.ctx);
   EXPECT_EQ(h.sink.count(), 1u);
 }
 
 TEST(FakeImRule, DifferentUsersTrackedIndependently) {
   RuleHarness h;
-  FakeImRule rule(RulesConfig{});
-  rule.on_event(h.make(EventType::kImMessageSeen, "i1", sec(1), "bob@lab.net", ep(2, 5060)),
-                h.ctx);
-  rule.on_event(h.make(EventType::kImMessageSeen, "i2", sec(2), "carol@lab.net", ep(3, 5060)),
-                h.ctx);
+  RulePtr rule = default_rule("fake-im");
+  rule->on_event(h.make(EventType::kImMessageSeen, "i1", sec(1), "bob@lab.net", ep(2, 5060)),
+                 h.ctx);
+  rule->on_event(h.make(EventType::kImMessageSeen, "i2", sec(2), "carol@lab.net", ep(3, 5060)),
+                 h.ctx);
   EXPECT_EQ(h.sink.count(), 0u);
 }
 
 TEST(RtpAttackRule, FiresOnSeqJump) {
   RuleHarness h;
-  RtpAttackRule rule;
-  rule.on_event(h.make(EventType::kRtpSeqJump, "c1", msec(100), "", ep(66, 40000), 4900),
-                h.ctx);
+  RulePtr rule = default_rule("rtp-attack");
+  rule->on_event(h.make(EventType::kRtpSeqJump, "c1", msec(100), "", ep(66, 40000), 4900),
+                 h.ctx);
   ASSERT_EQ(h.sink.count(), 1u);
   EXPECT_EQ(h.sink.alerts()[0].rule, "rtp-attack");
   EXPECT_EQ(h.sink.alerts()[0].severity, Severity::kCritical);
@@ -169,9 +171,9 @@ TEST(RtpAttackRule, FiresOnSeqJump) {
 
 TEST(RtpAttackRule, FiresOnUnexpectedSourceAndGarbage) {
   RuleHarness h;
-  RtpAttackRule rule;
-  rule.on_event(h.make(EventType::kRtpUnexpectedSource, "c1", 0, "", ep(66, 40000)), h.ctx);
-  rule.on_event(h.make(EventType::kNonRtpOnMediaPort, "c1", 0, "", ep(66, 40000)), h.ctx);
+  RulePtr rule = default_rule("rtp-attack");
+  rule->on_event(h.make(EventType::kRtpUnexpectedSource, "c1", 0, "", ep(66, 40000)), h.ctx);
+  rule->on_event(h.make(EventType::kNonRtpOnMediaPort, "c1", 0, "", ep(66, 40000)), h.ctx);
   EXPECT_EQ(h.sink.count(), 2u);
 }
 
@@ -179,55 +181,52 @@ TEST(BillingFraudRule, RequiresTwoIndependentConditions) {
   RuleHarness h;
   RulesConfig config;
   config.billing_min_evidence = 2;
-  BillingFraudRule rule(config);
+  RulePtr rule = default_rule("billing-fraud", config);
   // One condition alone (the false-alarm case the paper warns about) stays
   // quiet...
-  rule.on_event(h.make(EventType::kAccUnmatched, "c1", sec(1), "victim@lab.net"), h.ctx);
+  rule->on_event(h.make(EventType::kAccUnmatched, "c1", sec(1), "victim@lab.net"), h.ctx);
   EXPECT_EQ(h.sink.count(), 0u);
   // ...the second independent condition confirms.
-  rule.on_event(h.make(EventType::kRtpUnexpectedSource, "c1", sec(2), "", ep(66, 17000)),
-                h.ctx);
+  rule->on_event(h.make(EventType::kRtpUnexpectedSource, "c1", sec(2), "", ep(66, 17000)),
+                 h.ctx);
   ASSERT_EQ(h.sink.count(), 1u);
   EXPECT_EQ(h.sink.alerts()[0].rule, "billing-fraud");
 }
 
 TEST(BillingFraudRule, DuplicateEvidenceDoesNotCount) {
   RuleHarness h;
-  BillingFraudRule rule(RulesConfig{});
+  RulePtr rule = default_rule("billing-fraud");
   for (int i = 0; i < 5; ++i) {
-    rule.on_event(h.make(EventType::kAccUnmatched, "c1", sec(i), "v@x"), h.ctx);
+    rule->on_event(h.make(EventType::kAccUnmatched, "c1", sec(i), "v@x"), h.ctx);
   }
   EXPECT_EQ(h.sink.count(), 0u);  // same condition repeated is one condition
 }
 
 TEST(BillingFraudRule, AlertsOncePerSession) {
   RuleHarness h;
-  BillingFraudRule rule(RulesConfig{});
-  rule.on_event(h.make(EventType::kAccUnmatched, "c1", 1), h.ctx);
-  rule.on_event(h.make(EventType::kSipMalformed, "c1", 2), h.ctx);
-  rule.on_event(h.make(EventType::kRtpUnexpectedSource, "c1", 3), h.ctx);
+  RulePtr rule = default_rule("billing-fraud");
+  rule->on_event(h.make(EventType::kAccUnmatched, "c1", 1), h.ctx);
+  rule->on_event(h.make(EventType::kSipMalformed, "c1", 2), h.ctx);
+  rule->on_event(h.make(EventType::kRtpUnexpectedSource, "c1", 3), h.ctx);
   EXPECT_EQ(h.sink.count(), 1u);
 }
 
 TEST(BillingFraudRule, EvidenceIsPerSession) {
   RuleHarness h;
-  BillingFraudRule rule(RulesConfig{});
-  rule.on_event(h.make(EventType::kAccUnmatched, "c1", 1), h.ctx);
-  rule.on_event(h.make(EventType::kSipMalformed, "c2", 2), h.ctx);
+  RulePtr rule = default_rule("billing-fraud");
+  rule->on_event(h.make(EventType::kAccUnmatched, "c1", 1), h.ctx);
+  rule->on_event(h.make(EventType::kSipMalformed, "c2", 2), h.ctx);
   EXPECT_EQ(h.sink.count(), 0u);  // two sessions with one condition each
 }
 
 TEST(RegisterFloodRule, FiresAfterThresholdCycles) {
   RuleHarness h;
-  RulesConfig config;
-  config.flood_threshold = 5;
-  config.flood_window = sec(10);
-  RegisterFloodRule rule(config);
+  RulePtr rule = default_rule("register-flood");
   for (int i = 0; i < 5; ++i) {
-    rule.on_event(h.make(EventType::kSipRegisterSeen, "flood", msec(i * 100), "x@lab.net", {},
-                         /*has_auth=*/0),
-                  h.ctx);
-    rule.on_event(h.make(EventType::kSipAuthChallenge, "flood", msec(i * 100 + 10)), h.ctx);
+    rule->on_event(h.make(EventType::kSipRegisterSeen, "flood", msec(i * 100), "x@lab.net", {},
+                          /*has_auth=*/0),
+                   h.ctx);
+    rule->on_event(h.make(EventType::kSipAuthChallenge, "flood", msec(i * 100 + 10)), h.ctx);
   }
   ASSERT_GE(h.sink.count(), 1u);
   EXPECT_EQ(h.sink.alerts()[0].rule, "register-flood");
@@ -235,54 +234,50 @@ TEST(RegisterFloodRule, FiresAfterThresholdCycles) {
 
 TEST(RegisterFloodRule, NormalAuthFlowDoesNotAlarm) {
   RuleHarness h;
-  RegisterFloodRule rule(RulesConfig{});
+  RulePtr rule = default_rule("register-flood");
   // Typical client: one unauthenticated attempt, 401, authenticated retry.
-  rule.on_event(h.make(EventType::kSipRegisterSeen, "r1", 0, "alice@lab.net", {}, 0), h.ctx);
-  rule.on_event(h.make(EventType::kSipAuthChallenge, "r1", msec(10)), h.ctx);
-  rule.on_event(h.make(EventType::kSipRegisterSeen, "r1", msec(20), "alice@lab.net", {}, 1),
-                h.ctx);
+  rule->on_event(h.make(EventType::kSipRegisterSeen, "r1", 0, "alice@lab.net", {}, 0), h.ctx);
+  rule->on_event(h.make(EventType::kSipAuthChallenge, "r1", msec(10)), h.ctx);
+  rule->on_event(h.make(EventType::kSipRegisterSeen, "r1", msec(20), "alice@lab.net", {}, 1),
+                 h.ctx);
   EXPECT_EQ(h.sink.count(), 0u);
 }
 
 TEST(RegisterFloodRule, SlowCyclesOutsideWindowDoNotAccumulate) {
   RuleHarness h;
-  RulesConfig config;
-  config.flood_threshold = 3;
-  config.flood_window = sec(10);
-  RegisterFloodRule rule(config);
-  for (int i = 0; i < 6; ++i) {
-    rule.on_event(h.make(EventType::kSipRegisterSeen, "slow", sec(i * 20), "x@lab.net", {}, 0),
-                  h.ctx);
-    rule.on_event(h.make(EventType::kSipAuthChallenge, "slow", sec(i * 20) + msec(10)), h.ctx);
+  // Ten cycles 20s apart: more than the threshold (5) in total, but never
+  // two within the 10s window.
+  RulePtr rule = default_rule("register-flood");
+  for (int i = 0; i < 10; ++i) {
+    rule->on_event(h.make(EventType::kSipRegisterSeen, "slow", sec(i * 20), "x@lab.net", {}, 0),
+                   h.ctx);
+    rule->on_event(h.make(EventType::kSipAuthChallenge, "slow", sec(i * 20) + msec(10)), h.ctx);
   }
   EXPECT_EQ(h.sink.count(), 0u);
 }
 
 TEST(RegisterFloodRule, SessionsIsolated) {
   RuleHarness h;
-  RulesConfig config;
-  config.flood_threshold = 4;
-  RegisterFloodRule rule(config);
-  // Three *different* clients each do one normal unauth/401 cycle at the
-  // same moment — the stateless rule's false-alarm scenario.
-  for (int client = 0; client < 3; ++client) {
+  RulePtr rule = default_rule("register-flood");
+  // Five *different* clients — as many as the threshold — each do one
+  // normal unauth/401 cycle at the same moment: the stateless rule's
+  // false-alarm scenario.
+  for (int client = 0; client < 5; ++client) {
     std::string session = "client-" + std::to_string(client);
-    rule.on_event(h.make(EventType::kSipRegisterSeen, session, msec(client), "x@lab.net", {}, 0),
-                  h.ctx);
-    rule.on_event(h.make(EventType::kSipAuthChallenge, session, msec(client) + 1), h.ctx);
+    rule->on_event(h.make(EventType::kSipRegisterSeen, session, msec(client), "x@lab.net", {}, 0),
+                   h.ctx);
+    rule->on_event(h.make(EventType::kSipAuthChallenge, session, msec(client) + 1), h.ctx);
   }
   EXPECT_EQ(h.sink.count(), 0u);
 }
 
 TEST(PasswordGuessRule, FiresOnDistinctFailedResponses) {
   RuleHarness h;
-  RulesConfig config;
-  config.guess_threshold = 3;
-  PasswordGuessRule rule(config);
+  RulePtr rule = default_rule("password-guess");
   for (int i = 0; i < 3; ++i) {
-    rule.on_event(h.make(EventType::kSipAuthFailure, "guess", msec(i * 50), "alice@lab.net",
-                         {}, 0, "response-" + std::to_string(i)),
-                  h.ctx);
+    rule->on_event(h.make(EventType::kSipAuthFailure, "guess", msec(i * 50), "alice@lab.net",
+                          {}, 0, "response-" + std::to_string(i)),
+                   h.ctx);
   }
   ASSERT_EQ(h.sink.count(), 1u);
   EXPECT_EQ(h.sink.alerts()[0].rule, "password-guess");
@@ -290,22 +285,18 @@ TEST(PasswordGuessRule, FiresOnDistinctFailedResponses) {
 
 TEST(PasswordGuessRule, RepeatedIdenticalResponseIsRetransmissionNotGuessing) {
   RuleHarness h;
-  RulesConfig config;
-  config.guess_threshold = 3;
-  PasswordGuessRule rule(config);
+  RulePtr rule = default_rule("password-guess");
   for (int i = 0; i < 10; ++i) {
-    rule.on_event(h.make(EventType::kSipAuthFailure, "r1", msec(i * 50), "alice@lab.net", {},
-                         0, "same-response"),
-                  h.ctx);
+    rule->on_event(h.make(EventType::kSipAuthFailure, "r1", msec(i * 50), "alice@lab.net", {},
+                          0, "same-response"),
+                   h.ctx);
   }
   EXPECT_EQ(h.sink.count(), 0u);
 }
 
 TEST(Stateless4xxRule, FalseAlarmsOnUnrelatedSessions) {
   RuleHarness h;
-  RulesConfig config;
-  config.stateless_4xx_threshold = 5;
-  Stateless4xxRule rule(config);
+  Stateless4xxRule rule;
   // Five different clients each get one routine 401 at around the same
   // time. The session-unaware strawman alarms; SCIDIVE's stateful rules
   // (above) do not.
@@ -329,6 +320,18 @@ TEST(MakeDefaultRuleset, ContainsAllPaperRules) {
   EXPECT_TRUE(names.contains("register-flood"));
   EXPECT_TRUE(names.contains("password-guess"));
   EXPECT_FALSE(names.contains("stateless-4xx"));  // strawman not enabled by default
+  EXPECT_FALSE(names.contains("spit-graylist"));  // prevention rule is opt-in
+  // The order rules are dispatched in (and their slots in session records).
+  std::vector<std::string_view> order;
+  for (const auto& r : rules) order.push_back(r->name());
+  EXPECT_EQ(order, (std::vector<std::string_view>{
+                       "bye-attack", "call-hijack", "fake-im", "rtp-attack", "rtcp-bye-attack",
+                       "billing-fraud", "register-flood", "password-guess"}));
+  RulesConfig prevention;
+  prevention.spit_graylist = true;
+  auto with_spit = make_default_ruleset(prevention);
+  ASSERT_EQ(with_spit.size(), rules.size() + 1);
+  EXPECT_EQ(with_spit.back()->name(), "spit-graylist");
 }
 
 TEST(AlertSink, CallbackAndCounts) {

@@ -120,7 +120,7 @@ TEST(ShardedEngine, CallerReusesOnePacketBuffer) {
   const auto prevention = [] {
     RulesConfig rc;
     rc.spit_graylist = true;
-    return make_prevention_ruleset(rc);
+    return make_default_ruleset(rc);
   };
   EngineConfig passive;
   passive.enforce.mode = EnforcementMode::kPassive;

@@ -32,6 +32,15 @@ TEST(DigestCredentials, RoundTrip) {
   EXPECT_EQ(parsed.value().response, c.response);
 }
 
+TEST(DigestCredentials, QuotedCommaStaysInItsValue) {
+  auto parsed = DigestCredentials::parse(
+      "Digest username=\"alice\", realm=\"lab.net\", nonce=\"n1\", uri=\"sip:lab.net,x\", "
+      "response=\"0123456789abcdef0123456789abcdef\"");
+  ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
+  EXPECT_EQ(parsed.value().uri, "sip:lab.net,x");
+  EXPECT_EQ(parsed.value().response, "0123456789abcdef0123456789abcdef");
+}
+
 TEST(DigestCredentials, MissingFieldRejected) {
   EXPECT_FALSE(
       DigestCredentials::parse("Digest username=\"a\", realm=\"r\", nonce=\"n\", uri=\"u\"").ok());

@@ -67,6 +67,14 @@ TEST(NameAddr, ParseWithDisplayName) {
   EXPECT_EQ(r.value().tag(), "1928301774");
 }
 
+TEST(NameAddr, AngleInsideQuotedDisplayName) {
+  auto r = NameAddr::parse("\"a<b\" <sip:alice@lab.net>;tag=t");
+  ASSERT_TRUE(r.ok()) << r.error().to_string();
+  EXPECT_EQ(r.value().display_name, "a<b");
+  EXPECT_EQ(r.value().uri.user(), "alice");
+  EXPECT_EQ(r.value().tag(), "t");
+}
+
 TEST(NameAddr, ParseBareAddrSpec) {
   auto r = NameAddr::parse("sip:bob@example.com;tag=a73kszlfl");
   ASSERT_TRUE(r.ok());
