@@ -9,11 +9,14 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <functional>
+#include <limits>
 #include <new>
 #include <string>
 #include <vector>
 
 #include "common/md5.h"
+#include "fleet/correlate.h"
 #include "fleet/fleet.h"
 #include "obs/metrics.h"
 #include "pkt/packet.h"
@@ -570,6 +573,43 @@ void BM_FleetRtpAllocs(benchmark::State& state) {
   measure_ingest_allocs(state, fleet, config.node.engine.queue_capacity);
 }
 BENCHMARK(BM_FleetRtpAllocs)->UseRealTime();
+
+/// The fleet correlator's steady state beside 1000 idle windows: a local
+/// REGISTER advances an existing window, then the threshold pass visits
+/// just that dirty window (below the threshold, so nothing is raised). The
+/// flat table, the dirty list and the partial returned for gossip all reuse
+/// their storage: allocs_per_op must read 0, windows_per_evaluate 1.
+void BM_FleetCorrelatorAllocs(benchmark::State& state) {
+  fleet::CorrelatorConfig config;
+  config.register_flood_threshold = std::numeric_limits<uint64_t>::max();
+  fleet::FleetCorrelator correlator("node-0", config);
+  const std::function<bool(std::string_view)> is_owner = [](std::string_view) { return true; };
+  core::Event event{};
+  event.type = core::EventType::kSipRegisterSeen;
+  event.time = sec(1);
+  for (uint32_t i = 0; i < 1000; ++i) {
+    event.endpoint = {pkt::Ipv4Address(0x0b000000u + i), 5060};
+    correlator.on_local_event(event);
+  }
+  event.endpoint = {pkt::Ipv4Address(10, 0, 0, 66), 5060};
+  correlator.on_local_event(event);
+  correlator.evaluate(is_owner);
+  const uint64_t evaluated = correlator.stats().windows_evaluated;
+  uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  for (auto _ : state) {
+    auto partial = correlator.on_local_event(event);
+    benchmark::DoNotOptimize(partial);
+    auto alerts = correlator.evaluate(is_owner);
+    benchmark::DoNotOptimize(alerts.data());
+  }
+  uint64_t allocs = g_alloc_count.load(std::memory_order_relaxed) - before;
+  const double iterations = static_cast<double>(state.iterations());
+  state.counters["allocs_per_op"] = benchmark::Counter(static_cast<double>(allocs) / iterations);
+  state.counters["windows_per_evaluate"] = benchmark::Counter(
+      static_cast<double>(correlator.stats().windows_evaluated - evaluated) / iterations);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_FleetCorrelatorAllocs);
 
 void BM_EngineGarbagePacket(benchmark::State& state) {
   core::ScidiveEngine engine;

@@ -21,12 +21,15 @@ ShardedEngine) and BM_FleetRtpAllocs (2-node Fleet) guard the multi-worker
 ingest path the same way: ring slots keep their datagram buffers, so the
 producer's copy into a slot and the worker's in-place processing allocate
 nothing; the counter is global, so worker-thread allocations count. The
-fleet's periodic gossip pump (~0.002 allocs/op) stays under the epsilon.
+fleet's periodic gossip pump (about 1e-5 allocs/op) stays under the epsilon.
 BM_SipScanAllocs guards the signaling side: the one-pass SIP scan and the
 shard router's keys-only scan of an unfolded INVITE with SDP read views
-into the datagram and allocate nothing. A small epsilon absorbs one-time
-noise that leaks past warm-up (a rare flat-map rehash amortised over
-millions of iterations lands around 1e-6 allocs/op).
+into the datagram and allocate nothing. BM_FleetCorrelatorAllocs guards
+the fleet control plane's correlator: a local REGISTER advancing an
+existing window and a threshold pass over that one dirty window reuse the
+flat window table and the dirty list, and format nothing. A small epsilon
+absorbs one-time noise that leaks past warm-up (a rare flat-map rehash
+amortised over millions of iterations lands around 1e-6 allocs/op).
 
 BM_EngineRtpFastpathAllocs also reports a bypassed_share counter (bypass
 hits / measured iterations). It must stay near 1.0 — a zero-alloc run
@@ -58,6 +61,7 @@ GUARDED = [
     "BM_ShardedRtpAllocs",
     "BM_FleetRtpAllocs",
     "BM_SipScanAllocs",
+    "BM_FleetCorrelatorAllocs",
 ]
 
 # Minimum fraction of measured iterations that must take the fast-path

@@ -47,9 +47,6 @@ core::ShardRouterConfig dispatcher_router_config(const FleetConfig& config) {
   rc.num_shards = config.num_slots == 0 ? 1 : config.num_slots;
   rc.distiller = config.node.engine.engine.distiller;
   rc.route_invite_by_caller = config.node.engine.route_invite_by_caller;
-  // Every principal-routed call-id gets an override so churn handoff can
-  // recover its slot from the session id alone.
-  rc.pin_principal_call_ids = true;
   return rc;
 }
 

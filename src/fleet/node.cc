@@ -1,7 +1,6 @@
 #include "fleet/node.h"
 
 #include <algorithm>
-#include <map>
 #include <tuple>
 
 #include "common/strings.h"
@@ -32,6 +31,7 @@ void FleetNode::add_peer(const std::string& name) {
   peer_names_.push_back(name);
   peer_queues_.push_back(
       std::make_unique<GossipQueue>(config_.name, config_.epoch, config_.gossip));
+  correlator_.ownership_changed();
 }
 
 void FleetNode::remove_peer(const std::string& name) {
@@ -45,6 +45,7 @@ void FleetNode::remove_peer(const std::string& name) {
     stats_.gossip_bytes_built += gs.bytes_built;
     peer_names_.erase(peer_names_.begin() + static_cast<ptrdiff_t>(i));
     peer_queues_.erase(peer_queues_.begin() + static_cast<ptrdiff_t>(i));
+    correlator_.ownership_changed();
     return;
   }
 }
@@ -102,10 +103,7 @@ void FleetNode::pump(SimTime now) {
   on_engine_outputs(now);
   apply_inbox(now);
   judge_held(now);
-  const auto is_owner = is_owner_ ? is_owner_
-                                  : std::function<bool(std::string_view)>(
-                                        [](std::string_view) { return true; });
-  for (core::Alert& alert : correlator_.evaluate(is_owner))
+  for (core::Alert& alert : correlator_.evaluate(is_owner_))
     engine_.shard(0).alerts().raise(std::move(alert));
 }
 
@@ -113,17 +111,15 @@ void FleetNode::on_engine_outputs(SimTime) {
   // Latest partial per correlation window: a burst of REGISTERs advances
   // one cumulative counter many times, but only the newest value needs the
   // wire (§6's control-message economy; max() merge makes it lossless).
-  std::map<std::tuple<uint8_t, std::string, SimTime>, SepCounter> latest_partials;
+  FlatMap<WindowKey, uint64_t, WindowKeyHash> latest_partials;
   for (auto& buffer : event_buffers_) {
     for (core::Event& event : buffer) {
       if (config_.shared_types.contains(event.type)) {
         ++stats_.events_shared;
         broadcast(SepRecord{event});
       }
-      if (auto partial = correlator_.on_local_event(event)) {
-        latest_partials[{static_cast<uint8_t>(partial->kind), partial->key,
-                         partial->window_start}] = *partial;
-      }
+      if (auto partial = correlator_.on_local_event(event))
+        latest_partials.insert_or_assign(partial->window, partial->count);
       if (!event.aor.empty() && peer_users_.contains(event.aor)) {
         switch (event.type) {
           case core::EventType::kImMessageSeen:
@@ -142,9 +138,19 @@ void FleetNode::on_engine_outputs(SimTime) {
     }
     buffer.clear();
   }
-  for (auto& [key, partial] : latest_partials) {
+  // In (kind, key text, window) order, so what the bounded peer queues
+  // receive does not depend on the hash table's layout.
+  std::vector<SepCounter> counters;
+  counters.reserve(latest_partials.size());
+  latest_partials.for_each([&counters](const WindowKey& window, uint64_t count) {
+    counters.push_back(FleetCorrelator::counter({window, count}));
+  });
+  std::sort(counters.begin(), counters.end(), [](const SepCounter& a, const SepCounter& b) {
+    return std::tie(a.kind, a.key, a.window_start) < std::tie(b.kind, b.key, b.window_start);
+  });
+  for (const SepCounter& counter : counters) {
     ++stats_.counters_shared;
-    broadcast(SepRecord{partial});
+    broadcast(SepRecord{counter});
   }
   // Newly raised local verdicts propagate so a principal blocked here is
   // screened on every peer.

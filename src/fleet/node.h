@@ -15,7 +15,10 @@
 //     claim is judged forged (spoofed source attribution, §4.2.2/§6);
 //   * fleet-wide correlation — FleetCorrelator partials advance on local
 //     REGISTER/auth-failure events and merge from peers; the ring owner of
-//     a key (injected via set_owner_check) alerts once fleet-wide.
+//     a key (injected via set_owner_check) alerts once fleet-wide. Each
+//     pump gossips the newest partial per changed window and evaluates
+//     only the windows that changed; add_peer/remove_peer/set_owner_check
+//     change ring ownership, so they make the next pump evaluate them all.
 //
 // Threading: the engine's workers run free; everything else (on_datagram,
 // pump, take_frames) belongs to one control thread — the fleet harness or
@@ -150,6 +153,7 @@ class FleetNode {
   /// by the harness. Default: self owns everything (single node).
   void set_owner_check(std::function<bool(std::string_view)> is_owner) {
     is_owner_ = std::move(is_owner);
+    correlator_.ownership_changed();
   }
 
   FleetNodeStats stats() const;
@@ -187,7 +191,7 @@ class FleetNode {
   std::set<std::string> peer_users_;
   FleetCorrelator correlator_;
   VouchStore vouches_;
-  std::function<bool(std::string_view)> is_owner_;
+  std::function<bool(std::string_view)> is_owner_ = [](std::string_view) { return true; };
 
   /// Worker-written, pump-drained (flush() is the memory barrier).
   std::vector<std::vector<core::Event>> event_buffers_;

@@ -58,6 +58,16 @@ struct StreamConfig {
   size_t garbage = 24;
 };
 
+/// A size at which the default ruleset alerts on the stream (its mutations
+/// raise rtp-attack and register-flood): at the default size it raises
+/// nothing, so a parity check over it compares empty alert sets.
+inline StreamConfig alerting_stream_config() {
+  StreamConfig config;
+  config.benign_calls = 10;
+  config.mutated = 4000;
+  return config;
+}
+
 /// Deterministic adversarial packet stream: same (seed, config) produces a
 /// byte-identical packet sequence with strictly increasing timestamps.
 std::vector<pkt::Packet> adversarial_stream(uint64_t seed, const StreamConfig& config = {});

@@ -506,6 +506,8 @@ obs::Snapshot ScidiveEngine::metrics_snapshot() {
   return registry_.snapshot();
 }
 
-void ScidiveEngine::expire_idle(SimTime cutoff) { trails_.expire_idle(cutoff); }
+void ScidiveEngine::expire_idle(SimTime cutoff, std::vector<SessionId>* retired) {
+  trails_.expire_idle(cutoff, retired);
+}
 
 }  // namespace scidive::core

@@ -180,8 +180,10 @@ class ScidiveEngine {
   /// first, which is why it is non-const.
   obs::Snapshot metrics_snapshot();
 
-  /// Housekeeping: expire idle trails/session state older than cutoff.
-  void expire_idle(SimTime cutoff);
+  /// Housekeeping: expire idle trails/session state older than cutoff. The
+  /// id of every session whose record went is appended to `retired` when
+  /// given.
+  void expire_idle(SimTime cutoff, std::vector<SessionId>* retired = nullptr);
 
   // --- Session migration (fleet churn handoff) --------------------------
   // A session's complete engine-side state is its record (trails with their

@@ -114,6 +114,12 @@ void ShardRouter::repoint(std::string_view session, size_t shard,
     media_shard_.insert_or_assign(pack_endpoint(ep), static_cast<uint32_t>(shard));
 }
 
+void ShardRouter::forget(std::string_view session, size_t shard) {
+  const uint64_t hash = key_hash(session);
+  if (const uint32_t* pinned = overrides_.find(hash); pinned && *pinned % config_.num_shards == shard)
+    overrides_.erase(hash);
+}
+
 std::optional<ShardRouter::Routed> ShardRouter::route(const pkt::Packet& packet) {
   if (is_fragment(packet.data)) {
     auto whole = reassembler_.push(packet.data, packet.timestamp);
@@ -188,7 +194,9 @@ size_t ShardRouter::route_datagram(const pkt::Packet& packet) {
     // routes by caller: once the Call-ID is pinned, every later INVITE-CSeq
     // packet (responses, re-INVITEs, a forged re-INVITE from another From)
     // follows the pin and never moves it — moving it would strand the
-    // dialog's state on the old shard.
+    // dialog's state on the old shard. REGISTER and MESSAGE Call-IDs are
+    // pinned too: a packet of such a session that cannot route by principal
+    // (mangled From or CSeq method) still meets the session's rule state.
     const uint64_t cid_hash =
         key_hash(call_id.empty() ? std::string_view("sip-anon") : call_id);
     const bool by_caller_invite = config_.route_invite_by_caller && cseq_method == "INVITE";
@@ -200,8 +208,7 @@ size_t ShardRouter::route_datagram(const pkt::Packet& packet) {
       ++stats_.by_principal;
       shard = shard_of_key(keys->from_aor);
       // This call-id's trails live wherever the principal's state lives.
-      if (!call_id.empty() && (cseq_method == "INVITE" || config_.pin_principal_call_ids))
-        overrides_.insert_or_assign(cid_hash, static_cast<uint32_t>(shard));
+      if (!call_id.empty()) overrides_.insert_or_assign(cid_hash, static_cast<uint32_t>(shard));
     } else {
       ++stats_.by_call_id;
       shard = dialog_pin ? *dialog_pin % config_.num_shards : session_shard(cid_hash);

@@ -59,12 +59,6 @@ struct ShardRouterConfig {
   /// (SPIT graylisting) stays coherent: every call attempt of one caller —
   /// and every later packet of each dialog — lands on the caller's shard.
   bool route_invite_by_caller = false;
-  /// Record a session override for *every* principal-routed call-id
-  /// (REGISTER/MESSAGE, not just pinned INVITEs). Routing is unchanged —
-  /// those packets carry their From on every message — but the override
-  /// makes the session's shard recoverable from its id alone, which the
-  /// fleet's churn handoff needs to relocate principal-routed sessions.
-  bool pin_principal_call_ids = false;
 };
 
 struct ShardRouterStats {
@@ -122,6 +116,11 @@ class ShardRouter {
   /// between a call-id and an AOR cannot drag the AOR's traffic along.
   size_t session_shard(std::string_view key) const;
 
+  /// `shard` retired `session`'s record: drop the session's pin if it points
+  /// there, so pins live as long as the state they route to. A pin to
+  /// another shard stays (that shard may still hold the session).
+  void forget(std::string_view session, size_t shard);
+
   /// Send `session` and its media endpoints to `shard` from now on (the
   /// session record was just installed there).
   void repoint(std::string_view session, size_t shard,
@@ -147,7 +146,13 @@ class ShardRouter {
   /// an unbound flow is classified identically on every shard.
   FlatMap<uint64_t, uint32_t> media_shard_;
   /// key_hash(session) -> shard: by-caller dialog pins, principal call-id
-  /// pins and repointed sessions. A hash collision merely makes the
+  /// pins and repointed sessions. Every principal-routed call-id is pinned:
+  /// a packet of that session the router cannot route by principal (a
+  /// mangled From or CSeq method) follows its session's state instead of
+  /// splitting it, and the fleet's churn handoff recovers a principal-routed
+  /// session's slot from its id alone. A pin lives as long as its session's
+  /// record: forget() drops it when the pinned shard retires the session
+  /// (ShardedEngine::expire_idle). A hash collision merely makes the
   /// colliding session follow the override too, so affinity holds.
   FlatMap<uint64_t, uint32_t> overrides_;
   ShardRouterStats stats_;

@@ -183,7 +183,12 @@ void ShardedEngine::stop() {
 
 void ShardedEngine::expire_idle(SimTime cutoff) {
   flush();
-  for (auto& shard : shards_) shard->engine.expire_idle(cutoff);
+  std::vector<SessionId> retired;
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    shards_[i]->engine.expire_idle(cutoff, &retired);
+    for (const SessionId& session : retired) router_.forget(session, i);
+    retired.clear();
+  }
 }
 
 void ShardedEngine::set_rules(

@@ -136,7 +136,8 @@ class ShardedEngine {
   /// flush() + join the workers. Idempotent; the destructor calls it.
   void stop();
 
-  /// Housekeeping across all shards (flushes first).
+  /// Housekeeping across all shards (flushes first). A session whose record
+  /// a shard retires loses its router pin to that shard with it.
   void expire_idle(SimTime cutoff);
 
   /// Atomically replace every shard's ruleset (hot reload). Flushes first,

@@ -305,7 +305,7 @@ void TrailManager::install_session(ExtractedSession&& moved) {
   sessions_.try_emplace(sym, std::move(moved.slot));
 }
 
-size_t TrailManager::expire_idle(SimTime cutoff) {
+size_t TrailManager::expire_idle(SimTime cutoff, std::vector<SessionId>* retired) {
   size_t dropped = 0;
   FlatSet<Symbol> gone;
   sessions_.erase_if([&](const Symbol& sym, std::unique_ptr<SessionSlot>& slot) {
@@ -324,6 +324,8 @@ size_t TrailManager::expire_idle(SimTime cutoff) {
   trail_count_ -= dropped;
   stats_.trails_expired += dropped;
   stats_.sessions_expired += gone.size();
+  if (retired != nullptr)
+    gone.for_each([&](const Symbol& sym) { retired->emplace_back(symbols_.name(sym)); });
   // A binding to a dropped record would re-create it on the endpoint's
   // next packet.
   if (!gone.empty()) {

@@ -147,8 +147,9 @@ class TrailManager {
 
   /// Drop every trail whose newest footprint is older than `cutoff`. A
   /// record goes with its last trail, event state, rule state and media
-  /// bindings included. Returns the trails dropped.
-  size_t expire_idle(SimTime cutoff);
+  /// bindings included; its id is appended to `retired` when given.
+  /// Returns the trails dropped.
+  size_t expire_idle(SimTime cutoff, std::vector<SessionId>* retired = nullptr);
 
   // --- Session migration (fleet churn handoff) --------------------------
   // A session moves between managers as one opaque package: its record

@@ -73,7 +73,9 @@ std::optional<std::string_view> next_logical_line(std::string_view& text,
       text.remove_prefix(eol + 2);
     }
   }
-  if (text.empty() || (text.front() != ' ' && text.front() != '\t')) {
+  // The empty line that ends the headers never starts a fold: a body may
+  // begin with SP or HTAB.
+  if (first.empty() || text.empty() || (text.front() != ' ' && text.front() != '\t')) {
     return first;  // zero-copy fast path
   }
   fold_buf.assign(first);

@@ -96,8 +96,8 @@ Field classify(std::string_view name) {
 }
 
 /// Pop one logical line the way SipMessage::parse does: lines end at CRLF,
-/// and a line followed by lines that begin with SP/HTAB absorbs them
-/// verbatim. An unfolded line is a view into the input; a folded one is
+/// and a non-empty line followed by lines that begin with SP/HTAB absorbs
+/// them verbatim. An unfolded line is a view into the input; a folded one is
 /// appended to `fold_buf`, which is sized on first use to the whole
 /// message — every folded line is assembled from disjoint input bytes, so
 /// the buffer never reallocates and earlier views into it stay valid.
@@ -120,7 +120,7 @@ std::optional<std::string_view> next_line(std::string_view& text, std::string& f
     return !text.empty() && (text.front() == ' ' || text.front() == '\t');
   };
   const std::string_view first = pop();
-  if (!continues()) return first;
+  if (first.empty() || !continues()) return first;  // the blank line never folds
   if (fold_buf.empty()) fold_buf.reserve(message_size);
   const size_t begin = fold_buf.size();
   fold_buf.append(first);

@@ -33,6 +33,14 @@ TEST(Differential, AdversarialStreamAcrossShardCounts) {
   EXPECT_EQ(report.packets, stream.size());
 }
 
+TEST(Differential, AlertingAdversarialStreamAcrossShardCounts) {
+  const std::vector<pkt::Packet> stream = adversarial_stream(0xd1ffe7e1, alerting_stream_config());
+  DifferentialReport report = run_differential(stream);
+  ASSERT_GT(report.baseline_alerts, 0u) << "parity over an empty alert set proves little";
+  EXPECT_TRUE(report.ok()) << report.to_string();
+  EXPECT_EQ(report.packets, stream.size());
+}
+
 TEST(Differential, BatchSizeSweepAcrossShardCounts) {
   // The oracle must hold whatever batch each worker wakeup drains (up to
   // one ring lap, so it varies with occupancy): batching changes the
@@ -46,12 +54,29 @@ TEST(Differential, BatchSizeSweepAcrossShardCounts) {
   EXPECT_TRUE(report.ok()) << report.to_string();
 }
 
+TEST(Differential, AlertingBatchSizeSweepAcrossShardCounts) {
+  DifferentialConfig config;
+  config.topologies.clear();
+  for (size_t workers : {1, 2, 4, 8}) config.topologies.push_back(sharded_on(workers));
+  DifferentialReport report =
+      run_differential(adversarial_stream(0xba7c4ed, alerting_stream_config()), config);
+  ASSERT_GT(report.baseline_alerts, 0u);
+  EXPECT_TRUE(report.ok()) << report.to_string();
+}
+
 TEST(Differential, SecondSeedAcrossShardCounts) {
   StreamConfig config;
   config.mutated = 200;
   config.fragment_trains = 20;
   config.garbage = 40;
   DifferentialReport report = run_differential(adversarial_stream(0x5eed0002, config));
+  EXPECT_TRUE(report.ok()) << report.to_string();
+}
+
+TEST(Differential, AlertingSecondSeedAcrossShardCounts) {
+  DifferentialReport report =
+      run_differential(adversarial_stream(0x5eed0002, alerting_stream_config()));
+  ASSERT_GT(report.baseline_alerts, 0u);
   EXPECT_TRUE(report.ok()) << report.to_string();
 }
 

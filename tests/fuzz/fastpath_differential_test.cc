@@ -189,6 +189,13 @@ TEST(FastpathDifferential, AdversarialStream) {
   EXPECT_TRUE(report.ok()) << report.to_string();
 }
 
+TEST(FastpathDifferential, AlertingAdversarialStream) {
+  DifferentialReport report =
+      run_differential(adversarial_stream(0xfa57d1ff, alerting_stream_config()));
+  ASSERT_GT(report.baseline_alerts, 0u) << "parity over an empty alert set proves little";
+  EXPECT_TRUE(report.ok()) << report.to_string();
+}
+
 TEST(FastpathDifferential, RebalancingMidReplay) {
   // Slot rebalancing under fleet churn while flows are being bypassed: a
   // node joins at 1/3 and one leaves at 2/3, and each handoff's

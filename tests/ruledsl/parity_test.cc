@@ -363,6 +363,14 @@ TEST(RuledslParity, DifferentialHoldsWithDslRulesOnAdversarialStream) {
   EXPECT_TRUE(report.ok()) << report.to_string();
 }
 
+TEST(RuledslParity, DifferentialHoldsWithDslRulesOnAlertingAdversarialStream) {
+  fuzz::DifferentialReport report = fuzz::run_differential(
+      fuzz::adversarial_stream(0xd51d51d5, fuzz::alerting_stream_config()),
+      fuzz::DifferentialConfig{});
+  ASSERT_GT(report.baseline_alerts, 0u) << "parity over an empty alert set proves little";
+  EXPECT_TRUE(report.ok()) << report.to_string();
+}
+
 /// The alerts a golden pins, as a multiset.
 std::multiset<std::string> golden_alerts(const std::string& name) {
   std::ifstream in(std::string(SCIDIVE_RULEDSL_DATA_DIR) + "/" + name + ".golden");

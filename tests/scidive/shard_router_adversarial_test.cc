@@ -139,21 +139,67 @@ TEST(ShardRouterAdversarial, UnparseableSipColocatesOnOneShard) {
   EXPECT_EQ(shards.size(), 1u);
 }
 
-TEST(ShardRouterAdversarial, MutatedStreamRoutingIsDeterministic) {
-  // Whatever the mutator produces, two routers given the same packets make
-  // the same decisions — shard choice never depends on hidden state other
-  // than the learned (deterministic) media map.
-  const std::vector<pkt::Packet> stream = fuzz::adversarial_stream(0x90073);
+/// Two routers given the same packets make the same decisions.
+void expect_deterministic_routing(const std::vector<pkt::Packet>& stream) {
   ShardRouter a(ShardRouterConfig{.num_shards = 4});
   ShardRouter b(ShardRouterConfig{.num_shards = 4});
   for (const pkt::Packet& p : stream) {
     auto ra = a.route(p);
     auto rb = b.route(p);
     ASSERT_EQ(ra.has_value(), rb.has_value());
-    if (ra.has_value()) EXPECT_EQ(ra->shard, rb->shard);
+    if (ra.has_value()) {
+      EXPECT_EQ(ra->shard, rb->shard);
+    }
   }
   EXPECT_EQ(a.stats().by_flow_hash, b.stats().by_flow_hash);
   EXPECT_EQ(a.media_binding_count(), b.media_binding_count());
+}
+
+/// Alerts a single engine raises on `stream`: the alerting twins below
+/// check that their stream carries real detections.
+size_t single_engine_alerts(const std::vector<pkt::Packet>& stream) {
+  ScidiveEngine engine;
+  for (const pkt::Packet& p : stream) engine.on_packet(p);
+  return engine.alerts().alerts().size();
+}
+
+TEST(ShardRouterAdversarial, MutatedStreamRoutingIsDeterministic) {
+  // Whatever the mutator produces, two routers given the same packets make
+  // the same decisions — shard choice never depends on hidden state other
+  // than the learned (deterministic) media map.
+  expect_deterministic_routing(fuzz::adversarial_stream(0x90073));
+}
+
+TEST(ShardRouterAdversarial, MutatedAlertingStreamRoutingIsDeterministic) {
+  const std::vector<pkt::Packet> stream =
+      fuzz::adversarial_stream(0x90073, fuzz::alerting_stream_config());
+  ASSERT_GT(single_engine_alerts(stream), 0u);
+  expect_deterministic_routing(stream);
+}
+
+TEST(ShardRouterAdversarial, ForgetDropsOnlyAPinToTheRetiringShard) {
+  // A REGISTER's Call-ID is pinned to its principal's shard. A stray copy of
+  // the session retired on another shard leaves the pin; the pinned shard
+  // retiring it drops the pin, and the Call-ID routes by hash again.
+  ShardRouter router(ShardRouterConfig{.num_shards = 8});
+  const std::string text = "REGISTER sip:lab.net SIP/2.0\r\n"
+                           "Via: SIP/2.0/UDP 10.0.0.1:5060;branch=z9hG4bKreg\r\n"
+                           "From: <sip:alice@lab.net>;tag=a1\r\n"
+                           "To: <sip:alice@lab.net>\r\n"
+                           "Call-ID: reg-1\r\n"
+                           "CSeq: 1 REGISTER\r\n"
+                           "Content-Length: 0\r\n\r\n";
+  auto routed = router.route(sip_packet(text, {pkt::Ipv4Address(10, 0, 0, 1), 5060},
+                                        {pkt::Ipv4Address(10, 0, 0, 100), 5060}));
+  ASSERT_TRUE(routed.has_value());
+  ASSERT_EQ(router.override_count(), 1u);
+  EXPECT_EQ(router.session_shard("reg-1"), routed->shard);
+
+  router.forget("reg-1", (routed->shard + 1) % 8);
+  EXPECT_EQ(router.override_count(), 1u);
+  router.forget("reg-1", routed->shard);
+  EXPECT_EQ(router.override_count(), 0u);
+  EXPECT_EQ(router.session_shard("reg-1"), ShardRouter::shard_of("reg-1", 8));
 }
 
 TEST(ShardRouterAdversarial, StaleChecksumSignalingTeachesNothing) {
@@ -201,16 +247,15 @@ TEST(ShardRouterAdversarial, AccPortTakesPrecedenceOverSipPort) {
   EXPECT_EQ(routed->shard, router.session_shard("cdr-77"));
 }
 
-TEST(ShardRouterAdversarial, SaturatedRingsCountEveryDrop) {
-  // kDrop + capacity-2 rings + an adversarial flood: the front-end must
-  // account for every packet as filtered, dropped or shard-seen.
+/// kDrop + capacity-2 rings + an adversarial flood: the front-end must
+/// account for every packet as filtered, dropped or shard-seen.
+void expect_every_drop_counted(const std::vector<pkt::Packet>& stream) {
   ShardedEngineConfig sc;
   sc.num_shards = 2;
   sc.queue_capacity = 2;
   sc.overflow = OverflowPolicy::kDrop;
   sc.engine.obs.time_stages = false;
   ShardedEngine sharded(sc);
-  const std::vector<pkt::Packet> stream = fuzz::adversarial_stream(0xf100d);
   for (const pkt::Packet& p : stream) sharded.on_packet(p);
   sharded.flush();
 
@@ -226,6 +271,17 @@ TEST(ShardRouterAdversarial, SaturatedRingsCountEveryDrop) {
     if (s.name == "scidive_shard_dropped_total") dropped += s.counter;
   }
   EXPECT_EQ(dropped, stats.packets_dropped);
+}
+
+TEST(ShardRouterAdversarial, SaturatedRingsCountEveryDrop) {
+  expect_every_drop_counted(fuzz::adversarial_stream(0xf100d));
+}
+
+TEST(ShardRouterAdversarial, SaturatedRingsCountEveryDropOfAnAlertingStream) {
+  const std::vector<pkt::Packet> stream =
+      fuzz::adversarial_stream(0xf100d, fuzz::alerting_stream_config());
+  ASSERT_GT(single_engine_alerts(stream), 0u);
+  expect_every_drop_counted(stream);
 }
 
 }  // namespace

@@ -309,5 +309,31 @@ TEST(ShardedEngine, RouterSpreadsSessionsAcrossShards) {
   EXPECT_GT(rs.media_bindings_learned, 0u);
 }
 
+TEST(ShardedEngine, ExpireIdleDropsThePinsOfRetiredSessions) {
+  // Every REGISTER Call-ID and by-caller INVITE Call-ID is pinned to the
+  // shard holding its session; the pin goes when that session's record does.
+  CaptureFixture f;
+  f.register_both();
+  const std::string call_id = f.a.call("bob");
+  f.sim.run_until(f.sim.now() + sec(1));
+  f.a.hangup(call_id);
+  f.sim.run_until(f.sim.now() + sec(1));
+
+  ShardedEngineConfig sc;
+  sc.engine = home_config(f.a_host.address());
+  sc.num_shards = 4;
+  sc.route_invite_by_caller = true;
+  ShardedEngine sharded(sc);
+  for (const pkt::Packet& packet : f.capture) sharded.on_packet(packet);
+  sharded.flush();
+  const size_t pins = sharded.router().override_count();
+  ASSERT_GT(pins, 0u);
+
+  sharded.expire_idle(0);  // nothing is idle before the capture began
+  EXPECT_EQ(sharded.router().override_count(), pins);
+  sharded.expire_idle(f.sim.now() + sec(100));
+  EXPECT_EQ(sharded.router().override_count(), 0u);
+}
+
 }  // namespace
 }  // namespace scidive::core

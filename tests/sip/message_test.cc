@@ -108,6 +108,24 @@ TEST(SipMessage, FoldedHeaderUnfolds) {
   EXPECT_EQ(r.value().headers().get("Subject"), "first part continued");
 }
 
+TEST(SipMessage, BlankLineThenSpaceStartsTheBody) {
+  // The empty line ends the headers even when the body's first byte is SP
+  // or HTAB: it never folds into what follows.
+  for (const char* length : {"", "Content-Length: 6\r\n"}) {
+    std::string text = std::string(
+                           "MESSAGE sip:bob@lab.net SIP/2.0\r\n"
+                           "Call-ID: c\r\n") +
+                       length + "\r\n hello";
+    auto r = SipMessage::parse(text);
+    ASSERT_TRUE(r.ok()) << length << r.error().to_string();
+    EXPECT_EQ(r.value().body(), " hello");
+    EXPECT_EQ(r.value().call_id(), "c");
+  }
+  auto tab = SipMessage::parse(std::string_view("MESSAGE sip:bob@lab.net SIP/2.0\r\n\r\n\thi"));
+  ASSERT_TRUE(tab.ok());
+  EXPECT_EQ(tab.value().body(), "\thi");
+}
+
 TEST(SipMessage, CompactHeadersAccepted) {
   std::string text =
       "BYE sip:a@b SIP/2.0\r\n"

@@ -155,6 +155,19 @@ TEST(SipScanParity, FoldedLinesKeepEarlierViewsValid) {
   EXPECT_TRUE(agrees(text, fold_buf));
 }
 
+TEST(SipScanParity, BlankLineThenSpaceBodyIsTheBody) {
+  const std::string text =
+      "MESSAGE sip:bob@lab.net SIP/2.0\r\n"
+      "Call-ID: blank-then-space\r\n"
+      "\r\n"
+      " hello";
+  std::string fold_buf;
+  SipScan scan;
+  ASSERT_EQ(scan_sip(text, fold_buf, scan), Errc::kOk);
+  EXPECT_EQ(scan.body, " hello");
+  EXPECT_TRUE(agrees(text, fold_buf));
+}
+
 TEST(SipScanParity, UnfoldedMessageLeavesTheBufferUntouched) {
   const std::string text = fuzz::sip_seeds().front();
   std::string fold_buf;
