@@ -162,15 +162,17 @@ void BM_Md5Digest(benchmark::State& state) {
 }
 BENCHMARK(BM_Md5Digest);
 
+/// The RFC 1071 sum over an IPv4 header (20), a small SIP/RTP datagram
+/// (180), an INVITE with SDP (600) and a full Ethernet MTU (1500).
 void BM_Ipv4Checksum(benchmark::State& state) {
-  Bytes data(1500, 0x5a);
+  Bytes data(static_cast<size_t>(state.range(0)), 0x5a);
   for (auto _ : state) {
     uint16_t csum = internet_checksum(data);
     benchmark::DoNotOptimize(csum);
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * data.size()));
 }
-BENCHMARK(BM_Ipv4Checksum);
+BENCHMARK(BM_Ipv4Checksum)->Arg(20)->Arg(180)->Arg(600)->Arg(1500);
 
 /// The one-pass scan the distiller makes of a SIP payload (footprint
 /// mode): compare BM_SipParse, which builds the endpoint's full model.
@@ -251,9 +253,12 @@ BENCHMARK(BM_DistillRtpPacket);
 /// optimizes with the event abstraction); Arg(1) is the default engine with
 /// the established-flow fast path, where steady media settles onto the
 /// header-peek bypass. The delta is the fast path's single-engine win.
+/// The second argument switches sampled stage timing off (0) or on (1, the
+/// default); the on/off delta is the price of timing.
 void BM_EngineRtpPacket(benchmark::State& state) {
   core::EngineConfig config;
   config.fastpath.enabled = state.range(0) != 0;
+  config.obs.time_stages = state.range(1) != 0;
   core::ScidiveEngine engine(config);
   // Establish the session so RTP correlates.
   establish_bench_call(engine);
@@ -272,16 +277,20 @@ void BM_EngineRtpPacket(benchmark::State& state) {
     engine.on_packet(p);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-  state.SetLabel(config.fastpath.enabled ? "fastpath=on" : "fastpath=off");
+  state.SetLabel(std::string(config.fastpath.enabled ? "fastpath=on" : "fastpath=off") +
+                 (config.obs.time_stages ? " timing=on" : " timing=off"));
 }
-BENCHMARK(BM_EngineRtpPacket)->Arg(0)->Arg(1);
+BENCHMARK(BM_EngineRtpPacket)->ArgsProduct({{0, 1}, {0, 1}});
 
 void BM_EngineSipPacket(benchmark::State& state) {
   // Per-iteration PauseTiming/ResumeTiming costs far more than the work
   // being measured, so this benchmark patches a fixed-width Call-ID counter
   // into one pre-built packet instead — every INVITE still opens a fresh
-  // session, and the timed loop contains only the IDS.
-  core::ScidiveEngine engine;
+  // session, and the timed loop contains only the IDS. The argument
+  // switches sampled stage timing off (0) or on (1, the default).
+  core::EngineConfig config;
+  config.obs.time_stages = state.range(0) != 0;
+  core::ScidiveEngine engine(config);
   auto m = sip::SipMessage::request(sip::Method::kInvite, sip::SipUri("bob", "lab.net"));
   m.headers().add("Via", "SIP/2.0/UDP 10.0.0.1:5060;branch=z9hG4bK-bench-1");
   m.headers().add("Max-Forwards", "70");
@@ -309,8 +318,9 @@ void BM_EngineSipPacket(benchmark::State& state) {
     engine.on_packet(p);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+  state.SetLabel(config.obs.time_stages ? "timing=on" : "timing=off");
 }
-BENCHMARK(BM_EngineSipPacket);
+BENCHMARK(BM_EngineSipPacket)->Arg(0)->Arg(1);
 
 /// Steady-state media routing must be allocation-free: once a flow's first
 /// packet has populated TrailManager's flow cache, classifying further
@@ -393,7 +403,8 @@ BENCHMARK(BM_TrailAddRtpAllocs);
 /// tracked so regressions are visible. The default ruleset is compiled
 /// .sdr rules, so this also shows that the rule interpreter's steady state
 /// adds no allocations of its own: per-session records exist after
-/// warm-up, so a transition program runs on slot arithmetic alone.
+/// warm-up, so a transition program runs on slot arithmetic alone. Stage
+/// timing is on (the default), so the loop includes sampled packets.
 void BM_EngineRtpPacketAllocs(benchmark::State& state) {
   core::EngineConfig config;
   config.fastpath.enabled = false;  // measure the slow pipeline, not the bypass
@@ -433,9 +444,9 @@ BENCHMARK(BM_EngineRtpPacketAllocs);
 /// records the measured bypass share so a silently disengaged fast path
 /// (share ~0) is visible, and check_allocs.py fails the build on it. The
 /// bypass is FlatMap lookup + microstate arithmetic only: allocs_per_op
-/// must read 0.00. The compiled-rule interest analysis must find no
-/// steady-state media interest in the default ruleset, or the bypass never
-/// engages.
+/// must read 0.00, sampled (timed) packets included. The compiled-rule
+/// interest analysis must find no steady-state media interest in the
+/// default ruleset, or the bypass never engages.
 void BM_EngineRtpFastpathAllocs(benchmark::State& state) {
   core::ScidiveEngine engine;  // default config: fastpath enabled
   establish_bench_call(engine);

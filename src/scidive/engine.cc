@@ -7,13 +7,38 @@ namespace scidive::core {
 
 namespace {
 
-uint64_t ns_between(std::chrono::steady_clock::time_point a,
-                    std::chrono::steady_clock::time_point b) {
+using Clock = std::chrono::steady_clock;
+
+uint64_t ns_between(Clock::time_point a, Clock::time_point b) {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
 }
 
+constexpr const char* kStageHelp = "Per-stage pipeline latency in nanoseconds";
+
 }  // namespace
+
+template <bool kTimed>
+class ScidiveEngine::StageTimer {
+ public:
+  StageTimer() {
+    if constexpr (kTimed) start_ = mark_ = Clock::now();
+  }
+  /// Charge the time since the previous lap to `stage`.
+  void lap(obs::Histogram* stage) {
+    if constexpr (kTimed) {
+      const auto now = Clock::now();
+      stage->observe(ns_between(mark_, now));
+      mark_ = now;
+    }
+  }
+  /// Nanoseconds from construction to the last lap: every path ends on a
+  /// lap, so this spans the whole decision without another clock read.
+  uint64_t total() const { return ns_between(start_, mark_); }
+
+ private:
+  Clock::time_point start_{}, mark_{};
+};
 
 ScidiveEngine::ScidiveEngine(EngineConfig config)
     : config_(std::move(config)),
@@ -27,8 +52,13 @@ ScidiveEngine::ScidiveEngine(EngineConfig config)
   // keeps the per-packet clear()/push_back cycle allocation-free.
   scratch_events_.reserve(16);
   intern_pipeline_instruments();
+  if (!config_.obs.time_stages) timing_countdown_ = UINT64_MAX;
   if (config_.enforce.mode != EnforcementMode::kOff) {
     enforcer_ = std::make_unique<Enforcer>(config_.enforce);
+    if (config_.obs.time_stages) {
+      stage_enforce_ = &registry_.histogram("scidive_stage_ns", kStageHelp,
+                                            obs::latency_ns_bounds(), {{"stage", "enforce"}});
+    }
     for (size_t i = 0; i < kVerdictActionCount; ++i) {
       packet_verdicts_[i] = &registry_.counter(
           "scidive_packet_verdicts_total", "Per-packet enforcement decisions, by action",
@@ -65,18 +95,23 @@ void ScidiveEngine::intern_pipeline_instruments() {
         {{"type", std::string(event_type_name(static_cast<EventType>(i)))}});
   }
   const auto bounds = obs::latency_ns_bounds();
-  stage_distill_ = &registry_.histogram(
-      "scidive_stage_ns", "Per-stage pipeline latency in nanoseconds", bounds,
-      {{"stage", "distill"}});
-  stage_route_ = &registry_.histogram("scidive_stage_ns",
-                                      "Per-stage pipeline latency in nanoseconds", bounds,
-                                      {{"stage", "route"}});
-  stage_events_ = &registry_.histogram("scidive_stage_ns",
-                                       "Per-stage pipeline latency in nanoseconds", bounds,
-                                       {{"stage", "events"}});
-  stage_rules_ = &registry_.histogram("scidive_stage_ns",
-                                      "Per-stage pipeline latency in nanoseconds", bounds,
-                                      {{"stage", "rules"}});
+  stage_distill_ =
+      &registry_.histogram("scidive_stage_ns", kStageHelp, bounds, {{"stage", "distill"}});
+  stage_route_ =
+      &registry_.histogram("scidive_stage_ns", kStageHelp, bounds, {{"stage", "route"}});
+  stage_events_ =
+      &registry_.histogram("scidive_stage_ns", kStageHelp, bounds, {{"stage", "events"}});
+  stage_rules_ =
+      &registry_.histogram("scidive_stage_ns", kStageHelp, bounds, {{"stage", "rules"}});
+  if (config_.obs.time_stages) {
+    decision_ns_ = &registry_.histogram(
+        "scidive_decision_ns",
+        "Sampled wall-clock nanoseconds from admitting a packet to its decision", bounds);
+    if (config_.fastpath.enabled) {
+      stage_fastpath_ =
+          &registry_.histogram("scidive_stage_ns", kStageHelp, bounds, {{"stage", "fastpath"}});
+    }
+  }
   alerts_total_ = &registry_.counter(
       "scidive_alerts_total", "Alerts raised by the rule engine (including retention drops)");
   alerts_dropped_ = &registry_.counter("scidive_alerts_dropped_total",
@@ -177,15 +212,22 @@ VerdictAction ScidiveEngine::on_packet(const pkt::Packet& packet) {
     }
   }
   packets_inspected_->inc();
+  // One countdown and one branch: only a sample reads the clock.
+  if (--timing_countdown_ != 0) [[likely]] return process<false>(packet);
+  return process<true>(packet);
+}
 
+template <bool kTimed>
+VerdictAction ScidiveEngine::process(const pkt::Packet& packet) {
+  StageTimer<kTimed> timer;
   VerdictAction decision = VerdictAction::kPass;
   if (fastpath_on()) {
-    if (!bypass(packet, decision)) {
+    if (!bypass(packet, decision, timer)) {
       fastpath_misses_->inc();
-      decision = inspect(packet);
+      decision = inspect(packet, timer);
     }
   } else {
-    decision = inspect(packet);
+    decision = inspect(packet, timer);
   }
   if (enforcer_ != nullptr) {
     // Every inspected packet gets exactly one decision, so the accounting
@@ -193,22 +235,25 @@ VerdictAction ScidiveEngine::on_packet(const pkt::Packet& packet) {
     // packets pass: there is no identity to enforce against).
     packet_verdicts_[static_cast<size_t>(decision)]->inc();
   }
+  if constexpr (kTimed) record_sample(timer.total());
   return decision;
 }
 
-VerdictAction ScidiveEngine::inspect(const pkt::Packet& packet) {
-  using Clock = std::chrono::steady_clock;
-  const bool timed = config_.obs.time_stages;
-  Clock::time_point start{}, mark{};
-  if (timed) start = mark = Clock::now();
+void ScidiveEngine::record_sample(uint64_t ns) {
+  decision_ns_->observe(ns);
+  processing_ns_->inc(ns * timing_weight_);
+  timing_rng_ ^= timing_rng_ << 13;
+  timing_rng_ ^= timing_rng_ >> 7;
+  timing_rng_ ^= timing_rng_ << 17;
+  timing_weight_ = kTimingGapMin + timing_rng_ % (kTimingGapMax - kTimingGapMin + 1);
+  timing_countdown_ = timing_weight_;
+}
 
+template <bool kTimed>
+VerdictAction ScidiveEngine::inspect(const pkt::Packet& packet, StageTimer<kTimed>& timer) {
   VerdictAction decision = VerdictAction::kPass;
   auto fp = distiller_.distill(packet);
-  if (timed) {
-    const auto now = Clock::now();
-    stage_distill_->observe(ns_between(mark, now));
-    mark = now;
-  }
+  timer.lap(stage_distill_);
   if (fp) {
     // Enforcement identities, captured before the footprint moves into the
     // trail: network source and signaling principal (the session comes
@@ -222,31 +267,23 @@ VerdictAction ScidiveEngine::inspect(const pkt::Packet& packet) {
       }
     }
     Trail& trail = trails_.add(std::move(*fp));
-    if (timed) {
-      const auto now = Clock::now();
-      stage_route_->observe(ns_between(mark, now));
-      mark = now;
-    }
+    timer.lap(stage_route_);
     scratch_events_.clear();
     events_.process(trail.back(), trail, scratch_events_);
-    if (timed) {
-      const auto now = Clock::now();
-      stage_events_->observe(ns_between(mark, now));
-      mark = now;
-    }
+    timer.lap(stage_events_);
     dispatch_events();
-    if (timed) {
-      const auto now = Clock::now();
-      stage_rules_->observe(ns_between(mark, now));
-      mark = now;
+    timer.lap(stage_rules_);
+    if (enforcer_ != nullptr) {
+      decision = decide(src_k, trail, principal_k, pkt_time);
+      timer.lap(stage_enforce_);
     }
-    if (enforcer_ != nullptr) decision = decide(src_k, trail, principal_k, pkt_time);
   }
-  if (timed) processing_ns_->inc(ns_between(start, mark));
   return decision;
 }
 
-bool ScidiveEngine::bypass(const pkt::Packet& packet, VerdictAction& decision) {
+template <bool kTimed>
+bool ScidiveEngine::bypass(const pkt::Packet& packet, VerdictAction& decision,
+                           StageTimer<kTimed>& timer) {
   // Find the flow record by the endpoints the header names before paying
   // for the peek: a packet peek_rtp accepts has exactly these endpoints, so
   // a miss here is a miss there. Only a flow whose first packet took the
@@ -271,9 +308,11 @@ bool ScidiveEngine::bypass(const pkt::Packet& packet, VerdictAction& decision) {
   scratch_events_.clear();
   events_.step_rtp(*flow, trail.key().session, *peek, scratch_events_);
   if (!scratch_events_.empty()) dispatch_events();
+  timer.lap(stage_fastpath_);
   if (enforcer_ != nullptr) {
     decision = decide(peek->src.addr.is_unspecified() ? 0 : source_key(peek->src.addr), trail,
                       0, peek->time);
+    timer.lap(stage_enforce_);
   }
   return true;
 }

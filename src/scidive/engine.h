@@ -30,9 +30,13 @@
 namespace scidive::core {
 
 struct EngineObsConfig {
-  /// Wall-clock the pipeline stages into the per-stage latency histograms
-  /// and the processing_ns total. Costs a few steady_clock reads per packet;
-  /// disable for byte-deterministic metric exposition (golden tests do).
+  /// Sampled wall-clock timing: about one inspected packet in
+  /// ScidiveEngine::kTimingPeriod, on every path, is timed through its
+  /// stages into the per-stage latency histograms, the whole-decision
+  /// histogram and the processing_ns estimate. Which packets are sampled is
+  /// a pure function of the packet sequence; a packet that is not sampled
+  /// reads no clock. Disable for byte-deterministic metric exposition
+  /// (golden tests do).
   bool time_stages = true;
   /// AlertSink retention bound (alerts beyond it are dropped and counted).
   size_t alert_capacity = AlertSink::kDefaultCapacity;
@@ -78,14 +82,26 @@ struct EngineStats {
   uint64_t packets_inspected = 0;
   uint64_t events = 0;
   uint64_t alerts = 0;
-  /// Wall-clock nanoseconds spent inside the IDS pipeline (real CPU cost of
-  /// detection; the simulation clock is unrelated). Zero when
+  /// Estimated wall-clock nanoseconds spent inside the IDS pipeline (real
+  /// CPU cost of detection; the simulation clock is unrelated): each timed
+  /// packet counts for the sampling gap it stands for, so this is an
+  /// estimate of the total, not a sum of every packet. Zero when
   /// EngineObsConfig::time_stages is off.
   uint64_t processing_ns = 0;
 };
 
 class ScidiveEngine {
  public:
+  /// Stage timing samples one inspected packet in kTimingPeriod on average.
+  /// The gap to the next sample is drawn uniformly from [kTimingGapMin,
+  /// kTimingGapMax] by a fixed-seed xorshift, so the same packet sequence
+  /// samples the same packets, and a stream whose packet classes repeat
+  /// with a period dividing kTimingPeriod still has every class sampled.
+  /// The first inspected packet is always sampled.
+  static constexpr uint64_t kTimingPeriod = 64;
+  static constexpr uint64_t kTimingGapMin = kTimingPeriod / 2;
+  static constexpr uint64_t kTimingGapMax = kTimingPeriod * 3 / 2;
+
   ScidiveEngine() : ScidiveEngine(EngineConfig{}) {}
   explicit ScidiveEngine(EngineConfig config);
 
@@ -217,6 +233,11 @@ class ScidiveEngine {
   /// Mirror the component-kept stats into registry cells (snapshot path).
   void sync_component_stats();
 
+  /// Wall-clock stage laps of one packet (engine.cc). The untimed
+  /// instantiation reads no clock.
+  template <bool kTimed>
+  class StageTimer;
+
   /// Engine-level switch for the bypass: configured on, no installed rule
   /// interested in steady-state media, and the per-packet-event ablation
   /// off.
@@ -224,12 +245,20 @@ class ScidiveEngine {
     return config_.fastpath.enabled && fastpath_rules_ok_ &&
            !config_.events.emit_per_packet_events;
   }
+  /// One inspected packet through the bypass or the full pipeline, timed
+  /// when it is a sample.
+  template <bool kTimed>
+  VerdictAction process(const pkt::Packet& packet);
   /// Bypass one packet: peek it, find its attached flow record, step it in
   /// place. Returns false, having changed nothing, when the packet needs
-  /// the full pipeline.
-  bool bypass(const pkt::Packet& packet, VerdictAction& decision);
+  /// the full pipeline (the attempt is then charged to the distill stage).
+  template <bool kTimed>
+  bool bypass(const pkt::Packet& packet, VerdictAction& decision, StageTimer<kTimed>& timer);
   /// The full pipeline for one inspected packet.
-  VerdictAction inspect(const pkt::Packet& packet);
+  template <bool kTimed>
+  VerdictAction inspect(const pkt::Packet& packet, StageTimer<kTimed>& timer);
+  /// Record one sample's whole time and draw the gap to the next sample.
+  void record_sample(uint64_t ns);
   /// Deliver scratch_events_ to their subscribed rules.
   void dispatch_events();
   /// The packet's enforcement decision: standing state, escalated by any
@@ -261,6 +290,13 @@ class ScidiveEngine {
   uint64_t bypassed_bound_ = 0;
   uint64_t bypassed_unbound_ = 0;
 
+  /// Inspected packets until the next sample, this one included. With
+  /// timing off it starts at the maximum and never reaches zero in practice.
+  uint64_t timing_countdown_ = 1;
+  /// The gap the next sample stands for: its weight in processing_ns.
+  uint64_t timing_weight_ = 1;
+  uint64_t timing_rng_ = 0x9e3779b97f4a7c15ULL;  // xorshift64 state
+
   // Hot-path instruments (registry-owned cells).
   obs::Counter* packets_seen_ = nullptr;
   obs::Counter* packets_filtered_ = nullptr;
@@ -275,6 +311,12 @@ class ScidiveEngine {
   obs::Histogram* stage_route_ = nullptr;
   obs::Histogram* stage_events_ = nullptr;
   obs::Histogram* stage_rules_ = nullptr;
+  /// Registered only when stage timing is on (stage_fastpath_ also needs
+  /// the fast path configured, stage_enforce_ an enforcer), so the
+  /// deterministic expositions carry no extra lines.
+  obs::Histogram* stage_fastpath_ = nullptr;
+  obs::Histogram* stage_enforce_ = nullptr;
+  obs::Histogram* decision_ns_ = nullptr;
   /// Fast-path instruments; registered only when the fast path is
   /// configured on, so disabled engines expose no extra lines.
   obs::Counter* fastpath_hits_ = nullptr;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+
 namespace scidive {
 namespace {
 
@@ -109,6 +111,40 @@ TEST(InternetChecksum, OddLength) {
 
 TEST(InternetChecksum, EmptyIsAllOnes) {
   EXPECT_EQ(internet_checksum({}), 0xffff);
+}
+
+// The byte-pair loop RFC 1071 §4.1 describes, kept as the reference the
+// word-wide implementation must match bit for bit.
+uint16_t reference_checksum(std::span<const uint8_t> data, uint32_t initial) {
+  uint32_t sum = initial;
+  size_t i = 0;
+  for (; i + 1 < data.size(); i += 2) sum += static_cast<uint32_t>(data[i]) << 8 | data[i + 1];
+  if (i < data.size()) sum += static_cast<uint32_t>(data[i]) << 8;
+  while (sum >> 16) sum = (sum & 0xffff) + (sum >> 16);
+  return static_cast<uint16_t>(~sum);
+}
+
+TEST(InternetChecksum, MatchesBytePairReferenceAtEveryLength) {
+  // The UDP pseudo-header's largest sum: two all-ones addresses, the
+  // protocol number and a maximal length.
+  constexpr uint32_t kPseudoMax = 4 * 0xffff + 17 + 0xffff;
+  const uint32_t initials[] = {0, 1, 0xfffe, 0xffff, 0x10000, 0x2c4d1, kPseudoMax};
+  Rng rng(0xc5c5);
+  Bytes random(1501);
+  for (uint8_t& b : random) b = static_cast<uint8_t>(rng.next_u32());
+  const Bytes zeros(1501, 0x00);
+  const Bytes ones(1501, 0xff);
+  for (const Bytes* buf : std::initializer_list<const Bytes*>{&random, &zeros, &ones}) {
+    for (size_t offset : {size_t{0}, size_t{1}}) {  // aligned and unaligned starts
+      for (size_t len = 0; len + offset <= 1501 && len <= 1500; ++len) {
+        const std::span<const uint8_t> data(buf->data() + offset, len);
+        for (uint32_t initial : initials) {
+          ASSERT_EQ(internet_checksum(data, initial), reference_checksum(data, initial))
+              << "len " << len << " offset " << offset << " initial " << initial;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
