@@ -248,6 +248,39 @@ void BM_DistillRtpPacket(benchmark::State& state) {
 }
 BENCHMARK(BM_DistillRtpPacket);
 
+/// Garbage on an RTP port (the flood of the §3.3 RTP attack) distills to an
+/// inline UnknownFootprint carrying the parser's Errc: allocs_per_op must
+/// read 0. The payloads cycle through the RTP parser's rejections: a wrong
+/// version, a truncated header, CSRCs past the end, a truncated extension,
+/// and padding longer than the packet; the last one goes to the RTCP port,
+/// where the speculative RTCP parse rejects its version first.
+void BM_DistillGarbageAllocs(benchmark::State& state) {
+  const pkt::Endpoint src{pkt::Ipv4Address(10, 0, 0, 66), 16384};
+  const pkt::Endpoint dst{pkt::Ipv4Address(10, 0, 0, 1), 16384};
+  std::vector<pkt::Packet> garbage;
+  for (Bytes payload : {Bytes(172, 0x3c), Bytes(8, 0x80), Bytes(20, 0x8f), Bytes(14, 0x90),
+                        Bytes(100, 0xa0)}) {
+    garbage.push_back(pkt::make_udp_packet(src, dst, payload));
+  }
+  garbage.push_back(pkt::make_udp_packet({src.addr, 16385}, {dst.addr, 16385}, Bytes(172, 0x3c)));
+  core::Distiller distiller;
+  size_t i = 0;
+  uint64_t unknown = 0;
+  uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  for (auto _ : state) {
+    auto fp = distiller.distill(garbage[i]);
+    unknown += fp && fp->unknown() != nullptr;
+    benchmark::DoNotOptimize(fp);
+    i = i + 1 == garbage.size() ? 0 : i + 1;
+  }
+  uint64_t allocs = g_alloc_count.load(std::memory_order_relaxed) - before;
+  const double iterations = static_cast<double>(state.iterations());
+  state.counters["allocs_per_op"] = benchmark::Counter(static_cast<double>(allocs) / iterations);
+  state.counters["unknown_share"] = benchmark::Counter(static_cast<double>(unknown) / iterations);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_DistillGarbageAllocs);
+
 /// Cost per in-session RTP packet. Arg(0) pins the full pipeline — distill
 /// -> trail -> event generation -> rules (the common case the paper
 /// optimizes with the event abstraction); Arg(1) is the default engine with
@@ -282,45 +315,80 @@ void BM_EngineRtpPacket(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineRtpPacket)->ArgsProduct({{0, 1}, {0, 1}});
 
+/// A stream of INVITEs, each opening a fresh session. Per-iteration
+/// PauseTiming/ResumeTiming costs far more than the work being measured, so
+/// next() patches a fixed-width Call-ID counter into one pre-built packet
+/// instead, and a timed loop contains only the IDS.
+class InviteStream {
+ public:
+  InviteStream() {
+    auto m = sip::SipMessage::request(sip::Method::kInvite, sip::SipUri("bob", "lab.net"));
+    m.headers().add("Via", "SIP/2.0/UDP 10.0.0.1:5060;branch=z9hG4bK-bench-1");
+    m.headers().add("Max-Forwards", "70");
+    m.headers().add("From", "\"Alice\" <sip:alice@lab.net>;tag=ta");
+    m.headers().add("To", "<sip:bob@lab.net>");
+    m.headers().add("Call-ID", "bench-call-00000000");
+    m.headers().add("CSeq", "1 INVITE");
+    m.headers().add("Contact", "<sip:alice@10.0.0.1:5060>");
+    m.set_body(sip::make_audio_sdp("10.0.0.1", 16384, 1).to_string(), "application/sdp");
+    packet_ = pkt::make_udp_packet(kASip, kBSip, from_string(m.to_string()));
+    disable_udp_checksum(packet_);
+    const std::string marker = "bench-call-";
+    auto it = std::search(packet_.data.begin(), packet_.data.end(), marker.begin(), marker.end());
+    digits_at_ = static_cast<size_t>(it - packet_.data.begin()) + marker.size();
+  }
+
+  const pkt::Packet& next() {
+    uint64_t id = n_++;
+    for (size_t d = 0; d < 8; ++d) {
+      packet_.data[digits_at_ + 7 - d] = static_cast<uint8_t>('0' + id % 10);
+      id /= 10;
+    }
+    packet_.timestamp = (now_ += msec(1));
+    return packet_;
+  }
+
+ private:
+  pkt::Packet packet_;
+  size_t digits_at_ = 0;
+  SimTime now_ = 0;
+  uint64_t n_ = 0;
+};
+
+/// Cost per INVITE, each opening a fresh session. The argument switches
+/// sampled stage timing off (0) or on (1, the default).
 void BM_EngineSipPacket(benchmark::State& state) {
-  // Per-iteration PauseTiming/ResumeTiming costs far more than the work
-  // being measured, so this benchmark patches a fixed-width Call-ID counter
-  // into one pre-built packet instead — every INVITE still opens a fresh
-  // session, and the timed loop contains only the IDS. The argument
-  // switches sampled stage timing off (0) or on (1, the default).
   core::EngineConfig config;
   config.obs.time_stages = state.range(0) != 0;
   core::ScidiveEngine engine(config);
-  auto m = sip::SipMessage::request(sip::Method::kInvite, sip::SipUri("bob", "lab.net"));
-  m.headers().add("Via", "SIP/2.0/UDP 10.0.0.1:5060;branch=z9hG4bK-bench-1");
-  m.headers().add("Max-Forwards", "70");
-  m.headers().add("From", "\"Alice\" <sip:alice@lab.net>;tag=ta");
-  m.headers().add("To", "<sip:bob@lab.net>");
-  m.headers().add("Call-ID", "bench-call-00000000");
-  m.headers().add("CSeq", "1 INVITE");
-  m.headers().add("Contact", "<sip:alice@10.0.0.1:5060>");
-  m.set_body(sip::make_audio_sdp("10.0.0.1", 16384, 1).to_string(), "application/sdp");
-  pkt::Packet p = pkt::make_udp_packet(kASip, kBSip, from_string(m.to_string()));
-  disable_udp_checksum(p);
-  const std::string marker = "bench-call-";
-  auto it = std::search(p.data.begin(), p.data.end(), marker.begin(), marker.end());
-  const size_t digits_at = static_cast<size_t>(it - p.data.begin()) + marker.size();
-
-  SimTime now = 0;
-  uint64_t n = 0;
+  InviteStream invites;
   for (auto _ : state) {
-    uint64_t id = n++;
-    for (size_t d = 0; d < 8; ++d) {
-      p.data[digits_at + 7 - d] = static_cast<uint8_t>('0' + id % 10);
-      id /= 10;
-    }
-    p.timestamp = (now += msec(1));
-    engine.on_packet(p);
+    engine.on_packet(invites.next());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
   state.SetLabel(config.obs.time_stages ? "timing=on" : "timing=off");
 }
 BENCHMARK(BM_EngineSipPacket)->Arg(0)->Arg(1);
+
+/// Heap allocations per INVITE of BM_EngineSipPacket's stream, default
+/// engine. A new session's INVITE pays for its footprint block, its session
+/// record with its bookkeeping, and the event it raises; check_allocs.py
+/// holds the count at a ceiling (CEILINGS) so per-footprint boxes and
+/// strings cannot creep back.
+void BM_EngineSipPacketAllocs(benchmark::State& state) {
+  core::ScidiveEngine engine;
+  InviteStream invites;
+  for (int i = 0; i < 1000; ++i) engine.on_packet(invites.next());  // warm tables
+  uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  for (auto _ : state) {
+    engine.on_packet(invites.next());
+  }
+  uint64_t allocs = g_alloc_count.load(std::memory_order_relaxed) - before;
+  state.counters["allocs_per_op"] =
+      benchmark::Counter(static_cast<double>(allocs) / static_cast<double>(state.iterations()));
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EngineSipPacketAllocs);
 
 /// Steady-state media routing must be allocation-free: once a flow's first
 /// packet has populated TrailManager's flow cache, classifying further

@@ -36,6 +36,11 @@ hits / measured iterations). It must stay near 1.0 — a zero-alloc run
 with share ~0 means the fast path silently disengaged and the benchmark
 is measuring the slow path twice, so that is a failure too.
 
+CEILINGS holds benchmarks that must allocate, but no more than they do
+today: BM_EngineSipPacketAllocs (an INVITE opening a fresh session) is
+held at its measured count plus a small margin, so the per-footprint boxes
+and owned strings that SIP footprints used to carry cannot creep back.
+
 Exit status is non-zero if any guarded benchmark exceeds the threshold
 or is missing from the JSON (so a renamed/deleted benchmark cannot
 silently disable the guard).
@@ -62,7 +67,18 @@ GUARDED = [
     "BM_FleetRtpAllocs",
     "BM_SipScanAllocs",
     "BM_FleetCorrelatorAllocs",
+    "BM_DistillGarbageAllocs",
 ]
+
+# Benchmark-name prefix -> allocs/op ceiling, for paths that allocate by
+# design. Each ceiling is the count measured when it was set plus a margin
+# under one allocation, so a single extra allocation per operation fails.
+CEILINGS = {
+    # A new session's INVITE: its SIP footprint block; the session record,
+    # its arena chunk, chunk table and trail list; the trail key's copy of
+    # the Call-ID; the event's session id and its two-step detail string.
+    "BM_EngineSipPacketAllocs": 9.5,  # measured 9.0
+}
 
 # Minimum fraction of measured iterations that must take the fast-path
 # bypass in benchmarks reporting a bypassed_share counter. Guards against
@@ -79,7 +95,9 @@ def main(path: str) -> int:
             if b.get("run_type", "iteration") == "iteration"]
 
     status = 0
-    seen = {g: 0 for g in GUARDED}
+    limits = {g: EPSILON for g in GUARDED}
+    limits.update(CEILINGS)
+    seen = {g: 0 for g in limits}
     for run in runs:
         name = run.get("name", "")
         base = name.split("/")[0]
@@ -91,9 +109,9 @@ def main(path: str) -> int:
             print(f"FAIL {name}: no allocs_per_op counter in JSON")
             status = 1
             continue
-        if allocs > EPSILON:
+        if allocs > limits[base]:
             print(f"FAIL {name}: allocs_per_op = {allocs:.6g} "
-                  f"(threshold {EPSILON})")
+                  f"(threshold {limits[base]})")
             status = 1
         else:
             print(f"OK   {name}: allocs_per_op = {allocs:.6g}")
@@ -114,7 +132,8 @@ def main(path: str) -> int:
             status = 1
 
     if status == 0:
-        print("allocation guard: all hot paths at zero allocs/op")
+        print("allocation guard: all hot paths at zero allocs/op, "
+              "ceilings held")
     return status
 
 

@@ -1,9 +1,11 @@
 // Box<T> — a heap cell with value semantics. Copying a Box deep-copies the
 // pointee; moving steals it. Used to shrink wide variant alternatives: a
 // variant's footprint is its largest member, so boxing the string-heavy
-// signaling footprints keeps the per-slot stride of hot containers (the
-// Trail ring) at the size of the small media footprints instead of the
-// largest SIP one.
+// ACC, H.225 and RAS footprints keeps the per-slot stride of hot containers
+// (the Trail ring) at the size of the small media footprints. (SIP, the
+// bulk of the signaling, is not boxed: a SipRecord puts the fields and the
+// texts in one block sized to the message instead of a cell plus a heap
+// string per long text.)
 //
 // A default-constructed or moved-from Box is EMPTY (get() == nullptr);
 // dereferencing it is UB, same as a unique_ptr. Emptiness matters because a

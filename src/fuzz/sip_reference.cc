@@ -32,35 +32,38 @@ std::string endpoint_text(const std::optional<pkt::Endpoint>& ep) {
 
 /// The distiller's SIP decode as it read a parsed message before the
 /// scanner: the message's structured accessors, each parsing its header.
-core::SipFootprint endpoint_footprint(const sip::SipMessage& msg) {
+/// The accessors return owned strings; the draft views them until the
+/// record copies them.
+core::SipRecord endpoint_footprint(const sip::SipMessage& msg) {
   core::SipFootprint s;
+  std::string method, cseq_method, call_id, from_aor, from_tag, to_aor, to_tag, auth_response;
   s.is_request = msg.is_request();
   if (msg.is_request()) {
-    s.method = msg.method_text();
+    method = msg.method_text();
   } else {
     s.status_code = msg.status_code();
   }
   auto cs = msg.cseq();
   if (cs.ok()) {
     s.cseq = cs.value().number;
-    s.cseq_method = cs.value().method;
+    cseq_method = cs.value().method;
   }
-  s.call_id = msg.call_id().value_or("");
+  call_id = msg.call_id().value_or("");
   auto from = msg.from();
   if (from.ok()) {
-    s.from_aor = from.value().uri.address_of_record();
-    s.from_tag = from.value().tag().value_or("");
+    from_aor = from.value().uri.address_of_record();
+    from_tag = from.value().tag().value_or("");
   }
   auto to = msg.to();
   if (to.ok()) {
-    s.to_aor = to.value().uri.address_of_record();
-    s.to_tag = to.value().tag().value_or("");
+    to_aor = to.value().uri.address_of_record();
+    to_tag = to.value().tag().value_or("");
   }
   s.well_formed = msg.well_formed();
   if (auto auth = msg.headers().get("Authorization")) {
     s.has_auth = true;
     auto creds = sip::DigestCredentials::parse(*auth);
-    if (creds.ok()) s.auth_response = creds.value().response;
+    if (creds.ok()) auth_response = creds.value().response;
   }
   s.has_challenge = msg.headers().has("WWW-Authenticate");
   s.body_len = msg.body().size();
@@ -74,7 +77,15 @@ core::SipFootprint endpoint_footprint(const sip::SipMessage& msg) {
     if (auto ip = pkt::Ipv4Address::parse(contact.value().uri.host()))
       s.contact = pkt::Endpoint{*ip, contact.value().uri.port_or_default()};
   }
-  return s;
+  s.method = method;
+  s.cseq_method = cseq_method;
+  s.call_id = call_id;
+  s.from_aor = from_aor;
+  s.from_tag = from_tag;
+  s.to_aor = to_aor;
+  s.to_tag = to_tag;
+  s.auth_response = auth_response;
+  return core::SipRecord::make(s);
 }
 
 /// What the IDS reads of one SIP payload, read the endpoint's way.
@@ -83,7 +94,7 @@ struct SipEndpointView {
   Errc error = Errc::kOk;
   /// The footprint decoded from the parsed message through its accessors,
   /// or the "<unparseable>" footprint when it does not parse.
-  core::SipFootprint footprint;
+  core::SipRecord footprint;
   // The shard router's keys (core::SipRouteKeys), when the message parses.
   std::string call_id;
   std::string cseq_method;
@@ -96,19 +107,21 @@ SipEndpointView sip_endpoint_view(std::string_view text) {
   auto msg = sip::SipMessage::parse(text);
   if (!msg.ok()) {
     view.error = msg.error().code;
-    view.footprint.method = "<unparseable>";
+    core::SipFootprint unparseable;
+    unparseable.method = "<unparseable>";
+    view.footprint = core::SipRecord::make(unparseable);
     return view;
   }
   const sip::SipMessage& m = msg.value();
   view.footprint = endpoint_footprint(m);
-  view.call_id = view.footprint.call_id;
+  view.call_id = view.footprint->call_id;
   if (auto cs = m.cseq(); cs.ok()) {
     view.cseq_method = cs.value().method;
   } else if (m.is_request()) {
     view.cseq_method = m.method_text();
   }
-  view.from_aor = view.footprint.from_aor;
-  view.sdp_media = view.footprint.sdp_media;
+  view.from_aor = view.footprint->from_aor;
+  view.sdp_media = view.footprint->sdp_media;
   return view;
 }
 
@@ -127,7 +140,7 @@ std::vector<std::string> sip_scan_divergences(std::string_view text, std::string
   };
   check("error", errc_name(error), errc_name(want.error));
   const std::string rendered = render_sip_footprint(error, got);
-  const std::string expected = render_sip_footprint(want.error, want.footprint);
+  const std::string expected = render_sip_footprint(want.error, *want.footprint);
   if (rendered != expected) out.push_back("footprint:\n" + rendered + "endpoint:\n" + expected);
 
   const std::optional<core::SipRouteKeys> keys = core::sip_route_keys(text, fold_buf);

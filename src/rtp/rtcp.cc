@@ -43,7 +43,7 @@ void write_header(BufWriter& w, RtcpType type, uint8_t count, uint16_t length_wo
 Result<RtcpPacket> parse_rtcp(std::span<const uint8_t> data) {
   if (data.size() < 4) return Error{Errc::kTruncated, "rtcp header"};
   uint8_t b0 = data[0];
-  if ((b0 >> 6) != 2) return Error{Errc::kUnsupported, "rtcp version != 2"};
+  if ((b0 >> 6) != 2) return Error{Errc::kUnsupported, "rtcp version"};
   uint8_t count = b0 & 0x1f;
   uint8_t type = data[1];
   uint16_t length_words = static_cast<uint16_t>(data[2] << 8 | data[3]);

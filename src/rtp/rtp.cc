@@ -2,11 +2,13 @@
 
 namespace scidive::rtp {
 
+// The error texts fit the small-string buffer, so rejecting garbage on a
+// media port builds no heap string.
 Result<RtpView> parse_rtp(std::span<const uint8_t> data) {
   if (data.size() < kRtpMinHeaderLen) return Error{Errc::kTruncated, "rtp header"};
   uint8_t b0 = data[0];
   uint8_t version = b0 >> 6;
-  if (version != 2) return Error{Errc::kUnsupported, "rtp version != 2"};
+  if (version != 2) return Error{Errc::kUnsupported, "rtp version"};
   bool padding = b0 & 0x20;
   bool extension = b0 & 0x10;
   uint8_t cc = b0 & 0x0f;
@@ -28,18 +30,18 @@ Result<RtpView> parse_rtp(std::span<const uint8_t> data) {
   }
 
   if (extension) {
-    if (data.size() < offset + 4) return Error{Errc::kTruncated, "rtp extension header"};
+    if (data.size() < offset + 4) return Error{Errc::kTruncated, "rtp ext header"};
     uint16_t ext_words = static_cast<uint16_t>(data[offset + 2] << 8 | data[offset + 3]);
     offset += 4 + static_cast<size_t>(ext_words) * 4;
-    if (data.size() < offset) return Error{Errc::kTruncated, "rtp extension body"};
+    if (data.size() < offset) return Error{Errc::kTruncated, "rtp ext body"};
   }
 
   size_t end = data.size();
   if (padding) {
-    if (end <= offset) return Error{Errc::kMalformed, "rtp padding without payload"};
+    if (end <= offset) return Error{Errc::kMalformed, "rtp no payload"};
     uint8_t pad_len = data[end - 1];
     if (pad_len == 0 || offset + pad_len > end)
-      return Error{Errc::kMalformed, "rtp bad padding length"};
+      return Error{Errc::kMalformed, "rtp pad length"};
     end -= pad_len;
   }
   v.payload = data.subspan(offset, end - offset);

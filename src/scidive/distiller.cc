@@ -11,19 +11,6 @@
 
 namespace scidive::core {
 
-std::string_view protocol_name(Protocol p) {
-  switch (p) {
-    case Protocol::kSip: return "sip";
-    case Protocol::kRtp: return "rtp";
-    case Protocol::kRtcp: return "rtcp";
-    case Protocol::kAcc: return "acc";
-    case Protocol::kH225: return "h225";
-    case Protocol::kRas: return "ras";
-    case Protocol::kUnknown: return "unknown";
-  }
-  return "?";
-}
-
 std::string_view parse_proto_name(ParseProto p) {
   switch (p) {
     case ParseProto::kIpv4: return "ipv4";
@@ -200,7 +187,7 @@ Footprint Distiller::decode(const pkt::UdpPacketView& udp, SimTime time, size_t 
     // an unknown footprint in the ACC column.
     stats_.parse_errors.record(ParseProto::kAcc, record.error().code);
     fp.protocol = Protocol::kAcc;
-    fp.data = UnknownFootprint{"unparsed acc datagram"};
+    fp.data = UnknownFootprint{record.error().code};
     return fp;
   }
 
@@ -210,9 +197,10 @@ Footprint Distiller::decode(const pkt::UdpPacketView& udp, SimTime time, size_t 
     std::string_view text(reinterpret_cast<const char*>(udp.payload.data()),
                           udp.payload.size());
     fp.protocol = Protocol::kSip;
-    fp.data = SipFootprint{};  // filled in place, inside its box
-    const Errc err = distill_sip(text, sip_fold_buf_, *fp.mutable_sip());
+    SipFootprint draft;  // views into `text` and the fold buffer
+    const Errc err = distill_sip(text, sip_fold_buf_, draft);
     if (err != Errc::kOk) stats_.parse_errors.record(ParseProto::kSip, err);
+    fp.data = SipRecord::make(draft);
     return fp;
   }
 
@@ -237,7 +225,7 @@ Footprint Distiller::decode(const pkt::UdpPacketView& udp, SimTime time, size_t 
     }
     stats_.parse_errors.record(ParseProto::kH225, q931.error().code);
     fp.protocol = Protocol::kH225;
-    fp.data = UnknownFootprint{"unparsed h225 datagram"};
+    fp.data = UnknownFootprint{q931.error().code};
     return fp;
   }
   if (udp.dst_port == h323::kRasPort || udp.src_port == h323::kRasPort) {
@@ -257,7 +245,7 @@ Footprint Distiller::decode(const pkt::UdpPacketView& udp, SimTime time, size_t 
     }
     stats_.parse_errors.record(ParseProto::kRas, ras.error().code);
     fp.protocol = Protocol::kRas;
-    fp.data = UnknownFootprint{"unparsed ras datagram"};
+    fp.data = UnknownFootprint{ras.error().code};
     return fp;
   }
 
@@ -296,7 +284,7 @@ Footprint Distiller::decode(const pkt::UdpPacketView& udp, SimTime time, size_t 
   // RTCP attempt is speculative and falls through here.
   stats_.parse_errors.record(ParseProto::kRtp, rtp.error().code);
   fp.protocol = Protocol::kUnknown;
-  fp.data = UnknownFootprint{rtp.error().to_string()};
+  fp.data = UnknownFootprint{rtp.error().code};
   return fp;
 }
 

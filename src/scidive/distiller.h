@@ -75,7 +75,9 @@ struct DistillerStats {
 /// Returns Errc::kOk, or the reason the message does not parse — the same
 /// reason the endpoints' parser gives — in which case `out` is the
 /// "<unparseable>" footprint malformed SIP becomes. `fold_buf` is the
-/// scanner's reusable buffer for folded header lines.
+/// scanner's reusable buffer for folded header lines. `out` is a draft: its
+/// texts view `text` and `fold_buf` and stay valid while both do;
+/// SipRecord::make turns it into a stored footprint.
 Errc distill_sip(std::string_view text, std::string& fold_buf, SipFootprint& out);
 
 class Distiller {

@@ -95,15 +95,15 @@ void EventGenerator::process_sip(const Footprint& fp, const SipFootprint& sip,
                                  EventSessionState& state, const SessionId& session,
                                  std::vector<Event>& out) {
   if (!sip.well_formed) {
-    emit(out, Event{EventType::kSipMalformed, session, fp.time, sip.from_aor, fp.src, 0,
-                    "malformed SIP message"});
+    emit(out, Event{EventType::kSipMalformed, session, fp.time, std::string(sip.from_aor), fp.src,
+                    0, "malformed SIP message"});
     if (sip.call_id.empty()) return;  // nothing further to mirror
   }
 
   if (sip.is_request && sip.method == "INVITE") {
     if (state.established) {
       // re-INVITE: the claimed sender's media moves to the SDP endpoint.
-      std::string claimed = sip.from_aor;
+      std::string claimed(sip.from_aor);
       std::optional<pkt::Endpoint> old_media;
       if (!state.caller_tag.empty() && sip.from_tag == state.caller_tag) {
         old_media = state.caller_media;
@@ -141,8 +141,8 @@ void EventGenerator::process_sip(const Footprint& fp, const SipFootprint& sip,
       state.caller_media = sip.sdp_media;
       trails_.bind_media_endpoint(*sip.sdp_media, session);
     }
-    emit(out, Event{EventType::kSipInviteSeen, session, fp.time, sip.from_aor, fp.src, 0,
-                    "call initiation " + sip.from_aor + " -> " + sip.to_aor});
+    emit(out, Event{EventType::kSipInviteSeen, session, fp.time, state.caller_aor, fp.src, 0,
+                    "call initiation " + state.caller_aor + " -> " + state.callee_aor});
     return;
   }
 
@@ -154,8 +154,8 @@ void EventGenerator::process_sip(const Footprint& fp, const SipFootprint& sip,
         state.callee_media = sip.sdp_media;
         trails_.bind_media_endpoint(*sip.sdp_media, session);
       }
-      emit(out, Event{EventType::kSipSessionEstablished, session, fp.time, sip.to_aor, fp.src,
-                      0, "session established"});
+      emit(out, Event{EventType::kSipSessionEstablished, session, fp.time,
+                      std::string(sip.to_aor), fp.src, 0, "session established"});
     }
     return;
   }
@@ -174,11 +174,12 @@ void EventGenerator::process_sip(const Footprint& fp, const SipFootprint& sip,
       watched = state.callee_media;
       peer_media = state.caller_media;
     }
-    emit(out, Event{EventType::kSipByeSeen, session, fp.time, sip.from_aor, fp.src, 0,
-                    "session teardown by " + sip.from_aor});
+    std::string sender(sip.from_aor);
+    emit(out, Event{EventType::kSipByeSeen, session, fp.time, sender, fp.src, 0,
+                    "session teardown by " + sender});
     if (watched) {
       start_monitor(state, fp.time, *watched, peer_media, EventType::kRtpAfterBye,
-                    sip.from_aor);
+                    std::move(sender));
     }
     return;
   }
@@ -191,14 +192,15 @@ void EventGenerator::process_sip(const Footprint& fp, const SipFootprint& sip,
       state.pending_register_aor = sip.from_aor;
       state.pending_register_addr = sip.contact ? sip.contact->addr : fp.src.addr;
     }
-    emit(out, Event{EventType::kSipRegisterSeen, session, fp.time, sip.from_aor, fp.src,
-                    sip.has_auth ? 1 : 0, sip.auth_response});
+    emit(out, Event{EventType::kSipRegisterSeen, session, fp.time, std::string(sip.from_aor),
+                    fp.src, sip.has_auth ? 1 : 0, std::string(sip.auth_response)});
     return;
   }
 
   if (sip.is_request && sip.method == "MESSAGE") {
-    emit(out, Event{EventType::kImMessageSeen, session, fp.time, sip.from_aor, fp.src, 0,
-                    "instant message claiming " + sip.from_aor});
+    std::string claimed(sip.from_aor);
+    emit(out, Event{EventType::kImMessageSeen, session, fp.time, claimed, fp.src, 0,
+                    "instant message claiming " + claimed});
     return;
   }
 
@@ -212,16 +214,16 @@ void EventGenerator::process_sip(const Footprint& fp, const SipFootprint& sip,
   }
 
   if (sip.is_response() && sip.status_code / 100 == 4) {
-    emit(out, Event{EventType::kSip4xxSeen, session, fp.time, sip.to_aor, fp.src,
+    emit(out, Event{EventType::kSip4xxSeen, session, fp.time, std::string(sip.to_aor), fp.src,
                     sip.status_code, "4xx response"});
     if (sip.status_code == 401) {
-      emit(out, Event{EventType::kSipAuthChallenge, session, fp.time, sip.to_aor, fp.src, 0,
-                      "digest challenge"});
+      emit(out, Event{EventType::kSipAuthChallenge, session, fp.time, std::string(sip.to_aor),
+                      fp.src, 0, "digest challenge"});
       if (state.last_register_had_auth) {
         // Keyed by the challenged client, not the registrar that answered:
         // a guesser is one source failing for many identities.
-        emit(out, Event{EventType::kSipAuthFailure, session, fp.time, sip.to_aor, fp.dst, 0,
-                        state.last_auth_response});
+        emit(out, Event{EventType::kSipAuthFailure, session, fp.time, std::string(sip.to_aor),
+                        fp.dst, 0, state.last_auth_response});
       }
     }
     return;

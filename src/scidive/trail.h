@@ -33,14 +33,24 @@ struct TrailKey {
 /// memory available", §1); eviction drops the oldest footprints but keeps
 /// counters, so aggregate rules stay correct.
 ///
-/// Storage is a ring over a flat slot array that grows geometrically up to
-/// the bound, after which every append overwrites the oldest slot in place.
-/// When the ring is arena-backed, growth first tries Arena::try_extend: the
-/// ring is almost always its session arena's newest allocation, so growth is
-/// a bump-pointer adjustment — no element moves, no abandoned blocks — and
-/// the steady-state media path performs no heap allocation per packet.
+/// Storage is a ring over a flat slot array that starts at kFirstRingSlots
+/// and doubles up to the bound, after which every append overwrites the
+/// oldest slot in place. When the ring is arena-backed, growth first tries
+/// Arena::try_extend: the ring is usually its session arena's newest
+/// allocation, so growth is a bump-pointer adjustment — no element moves,
+/// no abandoned blocks — and the steady-state media path performs no heap
+/// allocation per packet. The slots live in the arena, but what a slot owns
+/// does not: a SIP footprint's block is freed when its slot is overwritten
+/// or the trail is destroyed, so a wrapping ring holds a bounded number of
+/// blocks however long the session runs.
 class Trail {
  public:
+  /// Slots of a ring's first block. Most trails hold a handful of
+  /// footprints (a REGISTER or MESSAGE and its answer; a short call's
+  /// signaling or its first RTP packets), so rings start at four slots and
+  /// double from there up to the bound.
+  static constexpr size_t kFirstRingSlots = 4;
+
   /// `sym` is the interned id of key.session when the trail is managed by a
   /// TrailManager (kInvalidSymbol for directly-constructed trails). `arena`,
   /// when set, backs the ring storage: growth bumps the owning session's
@@ -139,7 +149,7 @@ class Trail {
 
  private:
   void grow() {
-    size_t new_cap = cap_ == 0 ? 8 : cap_ * 2;
+    size_t new_cap = cap_ == 0 ? kFirstRingSlots : cap_ * 2;
     if (new_cap > max_footprints_) new_cap = max_footprints_;
     if (arena_ != nullptr) {
       if (slots_ != nullptr &&

@@ -17,7 +17,9 @@
 //     holds at most one trail per protocol;
 //   - each record owns an Arena; its Trail objects and their footprint
 //     rings bump-allocate from it, so session teardown is one arena release
-//     instead of per-trail frees. The event state is an ordinary member of
+//     instead of per-trail frees. (A SIP footprint's own block is owned by
+//     its ring slot, not the arena, so a wrapping ring frees what it
+//     overwrites.) The event state is an ordinary member of
 //     the record (not arena-placed), and so is each rule's state (one
 //     slot per rule position, empty until that rule first writes): they
 //     live and die with the record.
@@ -196,7 +198,12 @@ class TrailManager {
   /// the arena's and the event state's addresses survive table rehashes
   /// (trail rings keep Arena*, flow records keep state pointers).
   struct SessionSlot {
-    Arena arena;
+    /// A one-trail session (a trail and its first ring block, 416 B) fits
+    /// the first chunk; the second chunk (twice the size) holds a second
+    /// trail plus the first trail's ring regrown to eight slots.
+    static constexpr size_t kFirstChunkBytes = 512;
+
+    Arena arena{kFirstChunkBytes};
     std::vector<Trail*> trails;  // creation order, arena-placed, one per protocol
     EventSessionState events;
     /// Indexed by rule position; grown only as far as the rules that wrote.

@@ -183,11 +183,12 @@ TEST(EventGenerator, RegisterChallengeSequence) {
   EXPECT_EQ(h.count(EventType::kSipAuthFailure), 0u);  // no credentials yet
 
   // Now a REGISTER carrying (wrong) credentials, answered 401 again.
-  Footprint with_auth = sip_request("REGISTER", "r1", "alice@lab.net", "t", "alice@lab.net",
-                                    "", msec(20), kASip, ep(100, 5060));
-  with_auth.mutable_sip()->has_auth = true;
-  with_auth.mutable_sip()->auth_response = "deadbeef";
-  h.feed(std::move(with_auth));
+  h.feed(tweak_sip(sip_request("REGISTER", "r1", "alice@lab.net", "t", "alice@lab.net", "",
+                               msec(20), kASip, ep(100, 5060)),
+                   [](SipFootprint& s) {
+                     s.has_auth = true;
+                     s.auth_response = "deadbeef";
+                   }));
   h.feed(sip_response(401, "REGISTER", "r1", "alice@lab.net", "t", "alice@lab.net", "",
                       msec(30), ep(100, 5060), kASip));
   EXPECT_EQ(h.count(EventType::kSipAuthFailure), 1u);
@@ -217,7 +218,7 @@ TEST(EventGenerator, MalformedSipEvent) {
   s.well_formed = false;
   s.is_request = true;
   s.method = "<unparseable>";
-  fp.data = s;
+  fp.data = SipRecord::make(s);
   h.feed(std::move(fp));
   EXPECT_EQ(h.count(EventType::kSipMalformed), 1u);
 }
@@ -244,10 +245,9 @@ TEST(EventGenerator, AccUnmatchedWhenBilledUserNeverCalled) {
 
 void feed_confirmed_registration(GeneratorHarness& h, const std::string& aor,
                                  pkt::Endpoint contact, SimTime t = 0) {
-  Footprint reg = sip_request("REGISTER", "reg-" + aor, aor, "t", aor, "", t, contact,
-                              ep(100, 5060));
-  reg.mutable_sip()->contact = contact;
-  h.feed(std::move(reg));
+  h.feed(tweak_sip(
+      sip_request("REGISTER", "reg-" + aor, aor, "t", aor, "", t, contact, ep(100, 5060)),
+      [&](SipFootprint& s) { s.contact = contact; }));
   h.feed(sip_response(200, "REGISTER", "reg-" + aor, aor, "t", aor, "", t + msec(5),
                       ep(100, 5060), contact));
 }
@@ -284,10 +284,9 @@ TEST(EventGenerator, UnconfirmedRegisterDoesNotPoisonLocationMirror) {
   GeneratorHarness h;
   feed_confirmed_registration(h, "alice@lab.net", kASip);
   // Unconfirmed REGISTER claiming alice from the attacker (401 answered).
-  Footprint rogue = sip_request("REGISTER", "rogue-reg", "alice@lab.net", "t",
-                                "alice@lab.net", "", msec(50), kAttacker, ep(100, 5060));
-  rogue.mutable_sip()->contact = kAttacker;
-  h.feed(std::move(rogue));
+  h.feed(tweak_sip(sip_request("REGISTER", "rogue-reg", "alice@lab.net", "t", "alice@lab.net",
+                               "", msec(50), kAttacker, ep(100, 5060)),
+                   [](SipFootprint& s) { s.contact = kAttacker; }));
   h.feed(sip_response(401, "REGISTER", "rogue-reg", "alice@lab.net", "t", "alice@lab.net", "",
                       msec(55), ep(100, 5060), kAttacker));
   // Fraudulent call from the attacker's address, billed to alice.

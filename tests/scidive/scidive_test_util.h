@@ -34,14 +34,14 @@ inline Footprint sip_request(std::string method, std::string call_id, std::strin
   s.method = method;
   s.cseq_method = method;
   s.cseq = 1;
-  s.call_id = std::move(call_id);
-  s.from_aor = std::move(from_aor);
-  s.from_tag = std::move(from_tag);
-  s.to_aor = std::move(to_aor);
-  s.to_tag = std::move(to_tag);
+  s.call_id = call_id;
+  s.from_aor = from_aor;
+  s.from_tag = from_tag;
+  s.to_aor = to_aor;
+  s.to_tag = to_tag;
   s.well_formed = true;
   s.sdp_media = sdp_media;
-  b.fp.data = std::move(s);
+  b.fp.data = SipRecord::make(s);
   return b;
 }
 
@@ -54,18 +54,29 @@ inline Footprint sip_response(int code, std::string cseq_method, std::string cal
   SipFootprint s;
   s.is_request = false;
   s.status_code = code;
-  s.cseq_method = std::move(cseq_method);
+  s.cseq_method = cseq_method;
   s.cseq = 1;
-  s.call_id = std::move(call_id);
-  s.from_aor = std::move(from_aor);
-  s.from_tag = std::move(from_tag);
-  s.to_aor = std::move(to_aor);
-  s.to_tag = std::move(to_tag);
+  s.call_id = call_id;
+  s.from_aor = from_aor;
+  s.from_tag = from_tag;
+  s.to_aor = to_aor;
+  s.to_tag = to_tag;
   s.well_formed = true;
   s.has_challenge = (code == 401);
   s.sdp_media = sdp_media;
-  b.fp.data = std::move(s);
+  b.fp.data = SipRecord::make(s);
   return b;
+}
+
+/// `fp` with its SIP footprint rebuilt from a draft `tweak` edits. The draft
+/// starts as a copy of the stored footprint, its texts viewing the old
+/// block, which lives until the new record has copied them.
+template <typename Fn>
+Footprint tweak_sip(Footprint fp, Fn&& tweak) {
+  SipFootprint draft = *fp.sip();
+  tweak(draft);
+  fp.data = SipRecord::make(draft);
+  return fp;
 }
 
 inline Footprint rtp_packet(uint16_t seq, uint32_t ssrc, SimTime time, pkt::Endpoint src,
