@@ -51,7 +51,7 @@ UdpSocketSource::UdpSocketSource(UdpSourceConfig config) : config_(std::move(con
 
   if (config_.ring_capacity < 2) config_.ring_capacity = 2;
   if (config_.recv_batch == 0) config_.recv_batch = 1;
-  ring_ = std::make_unique<MpscQueue<Slot>>(config_.ring_capacity);
+  ring_ = std::make_unique<SpscRing<Slot>>(config_.ring_capacity);
   epoch_steady_ns_ = steady_ns();
 
   if (obs::MetricsRegistry* metrics = config_.metrics) {

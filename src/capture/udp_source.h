@@ -2,7 +2,7 @@
 // so an engine can front a real SIP proxy or media relay in a lab without
 // touching netsim. The idiom follows fmus-3g's socket/transport split: a
 // reader thread batches datagrams off the kernel (recvmmsg on Linux, a
-// recvfrom loop elsewhere) into a bounded MpscQueue, filling each slot in
+// recvfrom loop elsewhere) into a bounded SpscRing, filling each slot in
 // place; the consumer thread pulls decoded packets with next().
 //
 // Each received payload is wrapped in a synthetic IPv4/UDP datagram (source
@@ -29,7 +29,7 @@
 #include <thread>
 
 #include "capture/packet_source.h"
-#include "common/mpsc_queue.h"
+#include "common/spsc_ring.h"
 #include "obs/metrics.h"
 #include "pkt/addr.h"
 
@@ -93,7 +93,7 @@ class UdpSocketSource : public PacketSource {
   int fd_ = -1;
   std::string error_;
   pkt::Endpoint local_;
-  std::unique_ptr<MpscQueue<Slot>> ring_;
+  std::unique_ptr<SpscRing<Slot>> ring_;
   std::thread reader_;
   std::atomic<bool> stopping_{false};
   std::atomic<uint64_t> received_{0};

@@ -22,6 +22,7 @@ void accumulate(FleetNodeStats& out, const FleetNodeStats& s) {
   out.counters_merged += s.counters_merged;
   out.handoffs_announced += s.handoffs_announced;
   out.handoffs_heard += s.handoffs_heard;
+  out.principals_handed_off += s.principals_handed_off;
   out.claims_held += s.claims_held;
   out.claims_confirmed += s.claims_confirmed;
   out.claims_flagged += s.claims_flagged;
@@ -199,16 +200,22 @@ size_t Fleet::slot_of_session(const core::SessionId& session) const {
   return router_.session_shard(session);
 }
 
-void Fleet::relocate_moved_sessions() {
+void Fleet::relocate_moved_records() {
+  // Sessions and principals move in one pass, each through its engine's
+  // extract/install pair: a session's slot is its router slot, a
+  // principal's the hash of its AOR (the slot its REGISTER, MESSAGE and
+  // by-caller INVITE traffic routes to).
   struct Move {
     FleetNode* source;
-    core::SessionId session;
+    std::string key;  // session id or AOR
     size_t slot;
+    bool principal;
   };
   std::vector<Move> moves;
   for (auto& source : nodes_) {
     for (size_t sh = 0; sh < source->engine().num_shards(); ++sh) {
-      for (const core::SessionId& sid : source->engine().shard(sh).trails().sessions()) {
+      const core::TrailManager& trails = source->engine().shard(sh).trails();
+      for (const core::SessionId& sid : trails.sessions()) {
         // A synthesized id's slot is not derivable from the id, and every
         // node synthesizes its own: it never hands off (counted as skipped).
         if (core::TrailManager::synthetic_session(sid)) {
@@ -217,24 +224,46 @@ void Fleet::relocate_moved_sessions() {
         }
         const size_t slot = slot_of_session(sid);
         if (ring_.owner_of_slot(slot) == source->name()) continue;
-        moves.push_back({source.get(), sid, slot});
+        moves.push_back({source.get(), sid, slot, false});
+      }
+      for (std::string& aor : trails.principals()) {
+        const size_t slot = core::ShardRouter::shard_of(aor, ring_.num_slots());
+        if (ring_.owner_of_slot(slot) == source->name()) continue;
+        moves.push_back({source.get(), std::move(aor), slot, true});
       }
     }
   }
   for (Move& move : moves) {
     FleetNode* target = slot_node_[move.slot];
     if (target == nullptr || target == move.source) continue;
-    auto transfer = move.source->engine().extract_session(move.session);
+    core::ShardedEngine& to = target->engine();
+    if (move.principal) {
+      // The new owner already keeps state for this AOR: merging two
+      // records has no meaning, so this one stays where it is.
+      if (to.shard(move.slot % to.num_shards()).has_principal(move.key)) {
+        ++stats_.handoff_skipped_held;
+        continue;
+      }
+      if (!to.install_principal(move.source->engine().extract_principal(move.key),
+                                move.slot)) {
+        ++stats_.handoff_skipped_invalid;
+        continue;
+      }
+      ++stats_.principals_handed_off;
+      move.source->principal_handed_off();
+      continue;
+    }
+    auto transfer = move.source->engine().extract_session(move.key);
     if (!transfer.valid()) {
       ++stats_.handoff_skipped_invalid;
       continue;
     }
-    if (!target->engine().install_session(std::move(transfer), move.slot)) {
+    if (!to.install_session(std::move(transfer), move.slot)) {
       ++stats_.handoff_skipped_invalid;
       continue;
     }
     ++stats_.sessions_handed_off;
-    move.source->announce_handoff({move.session, target->name(), move.slot});
+    move.source->announce_handoff({move.key, target->name(), move.slot});
   }
   deliver_frames(last_time_);
 }
@@ -252,7 +281,7 @@ bool Fleet::add_node(const std::string& name) {
   }
   nodes_.push_back(std::move(joined));
   rebuild_slot_cache();
-  relocate_moved_sessions();
+  relocate_moved_records();
   return true;
 }
 
@@ -282,7 +311,7 @@ bool Fleet::remove_node(const std::string& name) {
   deliver_frames(last_time_);
   ring_.remove_node(name);
   rebuild_slot_cache();
-  relocate_moved_sessions();
+  relocate_moved_records();
   deliver_frames(last_time_);
   for (auto& node : nodes_) {
     if (node.get() != leaving) node->remove_peer(name);

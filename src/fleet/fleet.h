@@ -6,8 +6,8 @@
 // rendezvous-hashed ring maps slots to nodes. The key -> slot mapping is
 // membership-independent, so learned media bindings and pinned call-ids
 // survive churn; join/leave only reassigns the slots whose rendezvous
-// winner changed (expected slots/N), and exactly those sessions' records
-// move to their new owner.
+// winner changed (expected slots/N), and exactly those slots' session and
+// principal records move to their new owner.
 //
 // The harness owns transport: frames drain between engine quiesce points,
 // optionally through a seeded loss gate (counted drops). flush() pumps
@@ -55,7 +55,9 @@ struct FleetStats {
   uint64_t frames_delivered = 0;
   uint64_t frames_lost = 0;       // seeded gossip-loss gate
   uint64_t sessions_handed_off = 0;
+  uint64_t principals_handed_off = 0;
   uint64_t handoff_skipped_synthetic = 0;  // flow:/anon sessions stay put
+  uint64_t handoff_skipped_held = 0;       // new owner already had the AOR
   uint64_t handoff_skipped_invalid = 0;    // extract/install refused
   /// Engine-level packet totals of departed members (leave or crash), kept
   /// so the seen == filtered + held + node-seen identity survives churn.
@@ -83,8 +85,9 @@ class Fleet {
   /// One streaming pump round (each member pumps once, frames deliver once).
   void pump_now();
 
-  /// Membership churn. add/remove hand the moved slots' sessions off to
-  /// their new owners; crash loses the node's state (peers fail open).
+  /// Membership churn. add/remove hand the moved slots' sessions and
+  /// principals off to their new owners; crash loses the node's state
+  /// (peers fail open).
   bool add_node(const std::string& name);
   bool remove_node(const std::string& name);
   bool crash_node(const std::string& name);
@@ -116,9 +119,10 @@ class Fleet {
   void deliver(const std::string& to, const Bytes& frame, SimTime now);
   FleetNode* find(const std::string& name);
   size_t slot_of_session(const core::SessionId& session) const;
-  /// Move every non-synthetic session sitting on a node the ring no longer
-  /// assigns its slot to. Requires all members flushed.
-  void relocate_moved_sessions();
+  /// Move every non-synthetic session and every principal sitting on a
+  /// node the ring no longer assigns its slot to. Requires all members
+  /// flushed.
+  void relocate_moved_records();
   /// Fold a departing member's history into the fleet before it is erased:
   /// alerts and verdicts already raised are facts (an operator's sink has
   /// them), and the engine/control-plane counters must keep the fleet's

@@ -311,6 +311,9 @@ void FleetNode::sync_metrics() {
   reg.counter("scidive_fleet_claims_total", "Vouch-held claims by outcome",
               {{"outcome", "skipped_peer_down"}})
       .sync(s.claims_skipped_peer_down);
+  reg.counter("scidive_fleet_principals_handed_off_total",
+              "Principal records handed to a new owner on fleet churn")
+      .sync(s.principals_handed_off);
   reg.counter("scidive_fleet_gossip_drops_total",
               "Records dropped at full per-peer gossip queues")
       .sync(s.gossip_records_dropped);

@@ -83,6 +83,7 @@ struct FleetNodeStats {
   uint64_t counters_merged = 0;
   uint64_t handoffs_announced = 0;
   uint64_t handoffs_heard = 0;
+  uint64_t principals_handed_off = 0;  // principal records given to new owners
   uint64_t claims_held = 0;
   uint64_t claims_confirmed = 0;
   uint64_t claims_flagged = 0;
@@ -148,6 +149,9 @@ class FleetNode {
     ++stats_.handoffs_announced;
     broadcast(SepRecord{handoff});
   }
+  /// Count a principal record this node just gave to a new owner. Nothing
+  /// goes on the wire: principal traffic routes by the AOR's hash alone.
+  void principal_handed_off() { ++stats_.principals_handed_off; }
 
   /// Who coordinates a correlation key — wired to FleetRing::owner_of_key
   /// by the harness. Default: self owns everything (single node).

@@ -229,6 +229,7 @@ class Runner {
 
     const fleet::FleetStats fs = fleet.stats();
     report_.sessions_handed_off += fs.sessions_handed_off;
+    report_.principals_handed_off += fs.principals_handed_off;
     // Every packet offered is filtered, held as an incomplete fragment, or
     // seen by exactly one member's front-end, whose own identity covers its
     // ring drops and shards.

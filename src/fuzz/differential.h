@@ -79,6 +79,8 @@ struct DifferentialReport {
   /// Sessions moved by fleet churn, summed over runs (a churn run that
   /// moves nothing proves nothing).
   uint64_t sessions_handed_off = 0;
+  /// Principal records moved by fleet churn, summed over runs.
+  uint64_t principals_handed_off = 0;
   /// Human-readable divergence descriptions; empty means the oracle holds.
   std::vector<std::string> mismatches;
 

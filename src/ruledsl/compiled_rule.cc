@@ -67,17 +67,15 @@ bool CompiledRule::fits(const Record& rec) const {
 
 CompiledRule::Record* CompiledRule::record_for(const core::Event& event,
                                                core::RuleContext& ctx) {
-  if (def_->key == KeyKind::kAor) {
-    auto [rec, inserted] = records_.try_emplace(keys_.intern(event.aor));
-    if (inserted) init(*rec);
-    return &*rec;
-  }
-  std::unique_ptr<core::RuleSessionState>* slot = ctx.session_slot(event.session);
+  std::unique_ptr<core::RuleSessionState>* slot = def_->key == KeyKind::kAor
+                                                       ? ctx.principal_slot(event.aor)
+                                                       : ctx.session_slot(event.session);
   if (slot == nullptr) return nullptr;
   auto* rec = static_cast<Record*>(slot->get());
   // A layout that does not match the definition means the record was
-  // written by another revision of this rule (a session that migrated
-  // mid-hot-reload); reading it would misindex slots, so start over.
+  // written by another revision of this rule (a session or principal that
+  // migrated mid-hot-reload); reading it would misindex slots, so start
+  // over.
   if (rec == nullptr || !fits(*rec)) {
     *slot = std::make_unique<Record>();
     rec = static_cast<Record*>(slot->get());
@@ -121,6 +119,10 @@ CompiledRule::Value CompiledRule::eval(const ExprProgram& program, const core::E
             break;
           case Field::kTime:
             stack[top++].i = event.time;
+            break;
+          case Field::kRegisteredAt:
+            stack[top++].i =
+                ctx.trails().registered_at(event.aor, event.endpoint.addr).value_or(kNever);
             break;
         }
         break;

@@ -1,10 +1,11 @@
 // CompiledRule: the Rule adapter that executes one compiled DSL rule — every
 // rule of the default ruleset. To ScidiveEngine, ShardedEngine, the per-rule
-// obs instruments and the AlertLedger it is a Rule like any other. A
-// `key session` rule keeps its state record in the session's record (so it
-// expires and migrates with the session); a `key aor` rule owns its records
-// (one instance per shard — rules are stateful and must not be shared
-// across workers). The immutable CompiledRuleDef is shared.
+// obs instruments and the AlertLedger it is a Rule like any other. A rule
+// owns no state table: a `key session` rule keeps its state record in the
+// session's record (so it expires and migrates with the session), a
+// `key aor` rule in the claimed AOR's principal record (so it migrates with
+// the principal), both reached through the RuleContext. The immutable
+// CompiledRuleDef is shared.
 #pragma once
 
 #include <memory>
@@ -12,8 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "common/flat_map.h"
-#include "common/symbol.h"
 #include "ruledsl/program.h"
 #include "scidive/rule.h"
 
@@ -25,9 +24,6 @@ class CompiledRule : public core::Rule {
 
   std::string_view name() const override { return def_->name; }
   void on_event(const core::Event& event, core::RuleContext& ctx) override;
-  /// Per-AOR state records currently held (the rule's state-entry gauge).
-  /// Per-session records are counted by the engine.
-  size_t state_entries() const override { return records_.size(); }
   core::EventTypeMask subscriptions() const override { return def_->subscriptions; }
   /// Static analysis over the compiled transition programs: a DSL rule is
   /// steady-state-media-interested exactly when it compiled a handler for
@@ -65,8 +61,9 @@ class CompiledRule : public core::Rule {
     std::vector<std::set<std::string>> sets;
   };
 
-  /// Mutable state for one key (session or AOR): one numeric cell per slot,
-  /// plus the storage of the other slot kinds when the rule declares any.
+  /// Mutable state for one key (session or AOR), held in that key's record:
+  /// one numeric cell per slot, plus the storage of the other slot kinds
+  /// when the rule declares any.
   struct Record : core::RuleSessionState {
     std::vector<int64_t> nums;
     std::unique_ptr<Storage> more;
@@ -81,8 +78,8 @@ class CompiledRule : public core::Rule {
     const std::string* s = nullptr;
   };
 
-  /// The event's key's record, initialised on first use; nullptr for a
-  /// session key when the context has no session state to give.
+  /// The event's key's record, initialised on first use; nullptr when the
+  /// context has no state to give.
   Record* record_for(const core::Event& event, core::RuleContext& ctx);
   /// Fill a fresh record with the definition's initial slot values.
   void init(Record& rec) const;
@@ -95,10 +92,6 @@ class CompiledRule : public core::Rule {
                      const Record* rec, core::RuleContext& ctx) const;
 
   std::shared_ptr<const CompiledRuleDef> def_;
-  /// `key aor` state: AORs hash once as a string and forever after as a
-  /// dense integer.
-  SymbolTable keys_;
-  FlatMap<Symbol, Record> records_;
 };
 
 }  // namespace scidive::ruledsl

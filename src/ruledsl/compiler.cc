@@ -44,6 +44,7 @@ std::optional<FieldInfo> field_by_name(std::string_view name) {
   if (name == "detail") return FieldInfo{Field::kDetail, ValType::kString};
   if (name == "session") return FieldInfo{Field::kSession, ValType::kString};
   if (name == "time") return FieldInfo{Field::kTime, ValType::kTime};
+  if (name == "registered_at") return FieldInfo{Field::kRegisteredAt, ValType::kTime};
   return std::nullopt;
 }
 

@@ -24,6 +24,7 @@ std::string expr_op_to_string(const ExprOp& op, const CompiledRuleDef& def) {
         case Field::kDetail: return "push detail";
         case Field::kSession: return "push session";
         case Field::kTime: return "push time";
+        case Field::kRegisteredAt: return "push registered_at";
       }
       return "push ?";
     case ExprOpKind::kPushSlot:

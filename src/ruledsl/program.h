@@ -33,8 +33,10 @@ enum class ValType : uint8_t {
 
 std::string_view val_type_name(ValType t);
 
-/// Event fields readable in expressions.
-enum class Field : uint8_t { kAor, kEndpoint, kValue, kDetail, kSession, kTime };
+/// Event fields readable in expressions. kRegisteredAt is derived rather
+/// than carried: when the registrar last accepted addr(endpoint) for the
+/// event's AOR, read from the AOR's principal record (never if it did not).
+enum class Field : uint8_t { kAor, kEndpoint, kValue, kDetail, kSession, kTime, kRegisteredAt };
 
 /// The uninitialized value for time slots: `never`. since()/within() treat
 /// it as infinitely long ago / not within any window.

@@ -453,6 +453,10 @@ void ScidiveEngine::sync_component_stats() {
       .gauge("scidive_session_arena_bytes",
              "Heap bytes reserved across all per-session trail arenas")
       .set(static_cast<int64_t>(trails_.arena_bytes_reserved()));
+  registry_
+      .gauge("scidive_principal_records",
+             "AORs with a principal record (rule state, registered locations)")
+      .set(static_cast<int64_t>(trails_.principal_count()));
 
   const EventGeneratorStats& e = events_.stats();
   registry_
@@ -473,8 +477,8 @@ void ScidiveEngine::sync_component_stats() {
   registry_.gauge("scidive_tracked_sessions", "Sessions with live event-generator state")
       .set(static_cast<int64_t>(events_.tracked_sessions()));
 
-  // A rule's state: what it keeps per principal plus the session records
-  // holding its slot.
+  // A rule's state: what it keeps in tables of its own plus the session and
+  // principal records holding its slot.
   const std::vector<size_t> in_records = trails_.rule_state_counts(rules_.size());
   for (size_t i = 0; i < rules_.size(); ++i) {
     rule_inst_[i].state_entries->set(

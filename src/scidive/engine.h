@@ -135,13 +135,14 @@ class ScidiveEngine {
   /// Install an additional rule (the ruleset defaults to the paper's).
   void add_rule(RulePtr rule);
   /// Drop all rules (for baseline configurations in the benches), and with
-  /// them every session record's rule state.
+  /// them every session and principal record's rule state.
   void clear_rules();
   /// Atomically replace the whole ruleset (hot reload). Instruments for the
   /// new rules are interned against the same registry, so a rule keeping its
   /// name keeps its counters across the swap. Rule state starts fresh: every
-  /// session record's rule slots are emptied, as new rule instances would
-  /// have it.
+  /// session and principal record's rule slots are emptied, as new rule
+  /// instances would have it. Registered locations are the registrar's, not
+  /// a rule's, and stay.
   void set_rules(std::vector<RulePtr> rules);
   size_t rule_count() const { return rules_.size(); }
 
@@ -201,7 +202,7 @@ class ScidiveEngine {
   /// given.
   void expire_idle(SimTime cutoff, std::vector<SessionId>* retired = nullptr);
 
-  // --- Session migration (fleet churn handoff) --------------------------
+  // --- Session and principal migration (fleet churn handoff) ------------
   // A session's complete engine-side state is its record (trails with their
   // arena, event state, rule state) plus its media bindings.
 
@@ -217,6 +218,17 @@ class ScidiveEngine {
   /// a sharded engine the session was created once.
   void install_session(TrailManager::ExtractedSession&& moved) {
     trails_.install_session(std::move(moved));
+  }
+
+  /// A principal's complete engine-side state is its record (rule state
+  /// and registered locations); it moves the same way.
+  bool has_principal(std::string_view aor) const { return trails_.has_principal(aor); }
+  TrailManager::ExtractedPrincipal extract_principal(std::string_view aor) {
+    return trails_.extract_principal(aor);
+  }
+  /// Precondition: !has_principal(moved.aor).
+  void install_principal(TrailManager::ExtractedPrincipal&& moved) {
+    trails_.install_principal(std::move(moved));
   }
 
  private:

@@ -206,8 +206,10 @@ void EventGenerator::process_sip(const Footprint& fp, const SipFootprint& sip,
 
   if (sip.is_response() && sip.cseq_method == "REGISTER" && sip.status_code == 200 &&
       !state.pending_register_aor.empty() && state.pending_register_addr) {
-    // Registrar accepted: commit the location (§3.2 billed-party check).
-    registered_locations_[state.pending_register_aor].insert(*state.pending_register_addr);
+    // Registrar accepted: commit the location to the principal's record
+    // (§3.2 billed-party check; a sanctioned fake-IM source move).
+    trails_.commit_location(state.pending_register_aor, *state.pending_register_addr,
+                            fp.time);
     state.pending_register_aor.clear();
     state.pending_register_addr.reset();
     return;
@@ -427,10 +429,9 @@ void EventGenerator::process_acc(const Footprint& fp, const AccFootprint& acc,
   // (a dangling CDR is condition 2's territory, not condition 3's) or when
   // the billed party never registered in our view.
   if (!state.invite_seen) return;
-  auto locations = registered_locations_.find(acc.from_aor);
-  if (locations == registered_locations_.end()) return;
+  if (trails_.registered_locations(acc.from_aor).empty()) return;
   auto present = [&](const std::optional<pkt::Endpoint>& ep) {
-    return ep && locations->second.contains(ep->addr);
+    return ep && trails_.registered_at(acc.from_aor, ep->addr).has_value();
   };
   if (!present(state.caller_media) && !present(state.callee_media) &&
       !present(state.caller_signaling)) {

@@ -3,11 +3,12 @@
 // mirrored dialog state machine, the post-BYE/post-re-INVITE media monitors
 // (the analysis window "m" of §4.3), RTP sequence/jitter tracking and the
 // SIP<->accounting correlation — so the Ruleset is only triggered "at the
-// moment of interest".
+// moment of interest". The generator keeps no table of its own: session
+// state lives in the TrailManager's session records, and the passive mirror
+// of the registrar's location service (each AOR's registered locations) in
+// its principal records.
 #pragma once
 
-#include <map>
-#include <set>
 #include <vector>
 
 #include "scidive/event.h"
@@ -84,11 +85,6 @@ class EventGenerator {
 
   TrailManager& trails_;
   EventGeneratorConfig config_;
-  /// Passive mirror of the registrar's location service: AOR -> addresses
-  /// learned from observed REGISTER Contacts. Feeds the billed-party check.
-  /// Per principal, not per session, so it never migrates with a record
-  /// (principal-routed sessions are pinned by the router).
-  std::map<std::string, std::set<pkt::Ipv4Address>> registered_locations_;
   EventGeneratorStats stats_;
 };
 

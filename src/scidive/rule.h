@@ -1,10 +1,11 @@
 // The Rule abstraction. Rules are driven by Events (the efficient path) and
 // may additionally inspect Trails directly through the context (the paper's
-// "crude information directly from the Trails" path, §3.1). Session-keyed
-// rules keep their per-session state in the session's record, reached
-// through the context; principal-keyed rules keep their own tables.
-// Cross-protocol rules simply subscribe to events originating from
-// different protocol trails of one session.
+// "crude information directly from the Trails" path, §3.1). A stateful
+// rule keeps its state in a record the TrailManager owns — the session's
+// record for session-keyed rules, the claimed AOR's principal record for
+// principal-keyed ones — reached through the context, so the rule holds no
+// table of its own. Cross-protocol rules simply subscribe to events
+// originating from different protocol trails of one session.
 #pragma once
 
 #include <cstdint>
@@ -32,9 +33,9 @@ class RuleContext {
   const TrailManager& trails() const { return trails_; }
 
   /// Which rule the next on_event call is for: its position in the rule
-  /// list, which is also its slot in every session record. The engine's
-  /// dispatch loop sets it before each call; until it is set, rules see no
-  /// session state.
+  /// list, which is also its slot in every session and principal record.
+  /// The engine's dispatch loop sets it before each call; until it is set,
+  /// rules see no state.
   void set_rule(size_t position) { rule_ = position; }
 
   /// The calling rule's slot in `session`'s record; the rule builds the
@@ -42,6 +43,12 @@ class RuleContext {
   /// no record.
   std::unique_ptr<RuleSessionState>* session_slot(const SessionId& session) {
     return rule_ == kNoRule ? nullptr : trails_.rule_slot(session, rule_);
+  }
+
+  /// The calling rule's slot in `aor`'s principal record, which is created
+  /// on first use. nullptr when no rule is set.
+  std::unique_ptr<RuleSessionState>* principal_slot(std::string_view aor) {
+    return rule_ == kNoRule ? nullptr : trails_.principal_slot(aor, rule_);
   }
 
   void raise(std::string rule, Severity severity, const Event& cause, std::string message) {
@@ -95,10 +102,10 @@ class Rule {
   virtual ~Rule() = default;
   virtual std::string_view name() const = 0;
   virtual void on_event(const Event& event, RuleContext& ctx) = 0;
-  /// How many per-principal state entries the rule holds right now — the
-  /// observability surface for rule memory. Stateless and session-keyed
-  /// rules keep the default: the engine counts the session records holding
-  /// a rule's state itself.
+  /// How many state entries the rule holds in tables of its own — the
+  /// observability surface for rule memory. Rules that keep their state in
+  /// session or principal records keep the default: the engine counts the
+  /// records holding a rule's slot itself.
   virtual size_t state_entries() const { return 0; }
   /// The EventTypes this rule consumes. The engine indexes rules by type so
   /// an event only visits its subscribers; the default (everything)

@@ -1,7 +1,7 @@
 // One session's state (§3.1 "per-session processors"). The event state is
 // the mirrored dialog, the orphan-media monitors and the per-endpoint RTP
 // state; the rule state is what each session-keyed rule keeps about the
-// session. The TrailManager's session record holds both, so they are created
+// session (a principal record holds the same kind of rule state per AOR). The TrailManager's session record holds both, so they are created
 // with the session's first trail, move with the record on migration and are
 // dropped with the record's last trail. The EventGenerator steps the event
 // state; each rule reads and writes its own slot through the RuleContext.
@@ -76,17 +76,11 @@ struct EventSessionState {
   std::optional<pkt::Ipv4Address> pending_register_addr;
 };
 
-/// One session-keyed rule's state for one session. Each such rule derives
-/// its own state type from this base; the record holds it at the rule's
-/// position in the engine's rule list, so only that rule ever reads it.
-/// Copy and move are declared because the virtual destructor would drop the
-/// implicit move: a `key aor` DSL record, stored by value, still moves cheaply.
+/// One stateful rule's state for one session or one principal. Each such
+/// rule derives its own state type from this base; the session or principal
+/// record holds it at the rule's position in the engine's rule list, so
+/// only that rule ever reads it.
 struct RuleSessionState {
-  RuleSessionState() = default;
-  RuleSessionState(const RuleSessionState&) = default;
-  RuleSessionState(RuleSessionState&&) = default;
-  RuleSessionState& operator=(const RuleSessionState&) = default;
-  RuleSessionState& operator=(RuleSessionState&&) = default;
   virtual ~RuleSessionState() = default;
 };
 

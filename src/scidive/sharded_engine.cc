@@ -224,6 +224,21 @@ bool ShardedEngine::install_session(TrailManager::ExtractedSession&& moved, size
   return true;
 }
 
+TrailManager::ExtractedPrincipal ShardedEngine::extract_principal(std::string_view aor) {
+  for (auto& shard : shards_) {
+    if (shard->engine.has_principal(aor)) return shard->engine.extract_principal(aor);
+  }
+  return {};
+}
+
+bool ShardedEngine::install_principal(TrailManager::ExtractedPrincipal&& moved, size_t shard) {
+  if (!moved.valid()) return false;
+  ScidiveEngine& engine = shards_[shard % shards_.size()]->engine;
+  if (engine.has_principal(moved.aor)) return false;
+  engine.install_principal(std::move(moved));
+  return true;
+}
+
 void ShardedEngine::adopt_verdict(const Verdict& verdict) {
   if (Enforcer* enforcer = shards_.front()->engine.enforcer()) enforcer->apply(verdict);
 }

@@ -26,6 +26,8 @@
 // Session relocation (extract_session / install_session) is the fleet's
 // churn-handoff path: called from the feeding thread after flush(), it
 // moves one session record between engines and repoints the router.
+// Principal records move the same way (extract_principal /
+// install_principal) and need no repointing.
 #pragma once
 
 #include <atomic>
@@ -33,7 +35,7 @@
 #include <thread>
 #include <vector>
 
-#include "common/mpsc_queue.h"
+#include "common/spsc_ring.h"
 #include "scidive/engine.h"
 #include "scidive/enforce.h"
 #include "scidive/shard_router.h"
@@ -107,6 +109,11 @@ class ShardedEngine {
   /// override plus the session's media bindings — so the router sends the
   /// session there. False if invalid or the shard already has it.
   bool install_session(TrailManager::ExtractedSession&& moved, size_t shard);
+  /// The same for a principal record. No routing changes: principal traffic
+  /// routes by the AOR's hash, so `shard` must be the one it hashes to.
+  /// False if invalid or the shard already holds the AOR.
+  TrailManager::ExtractedPrincipal extract_principal(std::string_view aor);
+  bool install_principal(TrailManager::ExtractedPrincipal&& moved, size_t shard);
 
   /// Adopt a verdict computed elsewhere (a fleet peer's engine): apply it
   /// through shard 0's enforcer, which installs its content-derived keys
@@ -183,7 +190,7 @@ class ShardedEngine {
     Shard(const EngineConfig& config, size_t queue_capacity)
         : engine(config), queue(queue_capacity) {}
     ScidiveEngine engine;
-    MpscQueue<pkt::Packet> queue;
+    SpscRing<pkt::Packet> queue;
     /// Feeder-written accounting (relaxed; read by flush() and snapshots).
     std::atomic<uint64_t> enqueued{0};
     std::atomic<uint64_t> dropped{0};

@@ -234,19 +234,94 @@ std::unique_ptr<RuleSessionState>* TrailManager::rule_slot(const SessionId& sess
   return &slot->rules[rule];
 }
 
+std::unique_ptr<RuleSessionState>* TrailManager::principal_slot(std::string_view aor,
+                                                                size_t rule) {
+  PrincipalRecord& record = *principals_.try_emplace(principal_symbols_.intern(aor)).first;
+  if (record.rules.size() <= rule) record.rules.resize(rule + 1);
+  return &record.rules[rule];
+}
+
 std::vector<size_t> TrailManager::rule_state_counts(size_t rules) const {
   std::vector<size_t> counts(rules, 0);
-  sessions_.for_each([&](const Symbol&, const std::unique_ptr<SessionSlot>& slot) {
-    for (size_t i = 0; i < std::min(rules, slot->rules.size()); ++i) {
-      if (slot->rules[i] != nullptr) ++counts[i];
+  auto count = [&](const std::vector<std::unique_ptr<RuleSessionState>>& slots) {
+    for (size_t i = 0; i < std::min(rules, slots.size()); ++i) {
+      if (slots[i] != nullptr) ++counts[i];
     }
-  });
+  };
+  sessions_.for_each(
+      [&](const Symbol&, const std::unique_ptr<SessionSlot>& slot) { count(slot->rules); });
+  principals_.for_each([&](const Symbol&, const PrincipalRecord& record) { count(record.rules); });
   return counts;
 }
 
 void TrailManager::clear_rule_states() {
   sessions_.for_each(
       [](const Symbol&, std::unique_ptr<SessionSlot>& slot) { slot->rules.clear(); });
+  principals_.erase_if(
+      [](const Symbol&, const PrincipalRecord& record) { return record.locations.empty(); });
+  principals_.for_each([](const Symbol&, PrincipalRecord& record) { record.rules.clear(); });
+}
+
+const TrailManager::PrincipalRecord* TrailManager::principal_of(std::string_view aor) const {
+  auto sym = principal_symbols_.find(aor);
+  return sym ? principals_.find(*sym) : nullptr;
+}
+
+void TrailManager::commit_location(std::string_view aor, pkt::Ipv4Address addr, SimTime time) {
+  PrincipalRecord& record = *principals_.try_emplace(principal_symbols_.intern(aor)).first;
+  for (RegisteredLocation& location : record.locations) {
+    if (location.addr == addr) {
+      location.at = time;
+      return;
+    }
+  }
+  record.locations.push_back({addr, time});
+}
+
+std::span<const RegisteredLocation> TrailManager::registered_locations(
+    std::string_view aor) const {
+  const PrincipalRecord* record = principal_of(aor);
+  if (record == nullptr) return {};
+  return record->locations;
+}
+
+std::optional<SimTime> TrailManager::registered_at(std::string_view aor,
+                                                   pkt::Ipv4Address addr) const {
+  for (const RegisteredLocation& location : registered_locations(aor)) {
+    if (location.addr == addr) return location.at;
+  }
+  return std::nullopt;
+}
+
+bool TrailManager::has_principal(std::string_view aor) const {
+  return principal_of(aor) != nullptr;
+}
+
+std::vector<std::string> TrailManager::principals() const {
+  std::vector<std::string> out;
+  out.reserve(principals_.size());
+  principals_.for_each([&](const Symbol& sym, const PrincipalRecord&) {
+    out.emplace_back(principal_symbols_.name(sym));
+  });
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TrailManager::ExtractedPrincipal TrailManager::extract_principal(std::string_view aor) {
+  ExtractedPrincipal out;
+  auto sym = principal_symbols_.find(aor);
+  if (!sym) return out;
+  PrincipalRecord* record = principals_.find(*sym);
+  if (record == nullptr) return out;
+  out.aor = std::string(aor);
+  out.record = std::move(*record);
+  principals_.erase(*sym);
+  return out;
+}
+
+void TrailManager::install_principal(ExtractedPrincipal&& moved) {
+  if (!moved.valid()) return;
+  principals_.try_emplace(principal_symbols_.intern(moved.aor), std::move(*moved.record));
 }
 
 TrailManager::ExtractedSession::ExtractedSession() = default;

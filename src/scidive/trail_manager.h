@@ -25,6 +25,15 @@
 //     live and die with the record.
 // Expiry and fleet handoff therefore drop or move one record.
 //
+// Each principal (a claimed AOR) has one record too, in the principal table
+// beside the session table — the only AOR-keyed table. It holds what each
+// principal-keyed rule (`key aor`: fake-IM, SPIT graylisting) keeps about
+// the AOR, in the same per-rule-position slots a session record has, and
+// the AOR's registered locations (the passive mirror of the registrar's
+// location service). A principal outlives any one session, so its record
+// is created on first use and never expires; a hot reload empties its rule
+// slots and keeps its locations, and fleet handoff moves it whole.
+//
 // The media path is the hot path: once a flow's first packet has been
 // classified, a (src, dst, protocol) -> MediaFlow cache routes every further
 // packet of that flow with a single hash lookup on trivially-hashable keys —
@@ -40,6 +49,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -67,6 +77,12 @@ struct MediaFlow {
   RtpEndpointState* dst = nullptr;  // the receiving endpoint's state in the session
 };
 
+/// One address the registrar accepted for a principal, and when it last did.
+struct RegisteredLocation {
+  pkt::Ipv4Address addr;
+  SimTime at = 0;
+};
+
 struct TrailManagerStats {
   uint64_t footprints_routed = 0;
   uint64_t sessions_created = 0;
@@ -80,6 +96,15 @@ struct TrailManagerStats {
 class TrailManager {
  private:
   struct SessionSlot;  // all of one session's storage; defined below
+
+  /// One principal's record. Stored by value in the principal table:
+  /// nothing keeps a pointer into it past one rule call.
+  struct PrincipalRecord {
+    /// Indexed by rule position; grown only as far as the rules that wrote.
+    std::vector<std::unique_ptr<RuleSessionState>> rules;
+    /// Addresses the registrar accepted for the AOR, one entry each.
+    std::vector<RegisteredLocation> locations;
+  };
 
  public:
   explicit TrailManager(size_t max_footprints_per_trail = 4096)
@@ -137,15 +162,36 @@ class TrailManager {
   /// Bytes reserved across all live session arenas (observability gauge).
   size_t arena_bytes_reserved() const;
 
-  // --- Rule state (session-keyed rules, one slot per rule position) -----
+  // --- Rule state (one slot per rule position) ---------------------------
 
   /// The slot of rule position `rule` in `session`'s record, created empty
   /// on first use; nullptr when the session has no record.
   std::unique_ptr<RuleSessionState>* rule_slot(const SessionId& session, size_t rule);
-  /// Records holding state, for each rule position below `rules`.
+  /// The slot of rule position `rule` in `aor`'s principal record, created
+  /// empty on first use, the record with it.
+  std::unique_ptr<RuleSessionState>* principal_slot(std::string_view aor, size_t rule);
+  /// Session and principal records holding state, for each rule position
+  /// below `rules`.
   std::vector<size_t> rule_state_counts(size_t rules) const;
-  /// Drop every record's rule state: a new ruleset starts fresh.
+  /// Drop every record's rule state: a new ruleset starts fresh. Registered
+  /// locations stay; a principal record without any goes.
   void clear_rule_states();
+
+  // --- Principals (AOR-keyed records) ------------------------------------
+
+  /// The registrar accepted `addr` for `aor` at `time` (its 200 to a
+  /// REGISTER).
+  void commit_location(std::string_view aor, pkt::Ipv4Address addr, SimTime time);
+  /// Every address the registrar accepted for `aor`; empty when it never
+  /// accepted one.
+  std::span<const RegisteredLocation> registered_locations(std::string_view aor) const;
+  /// When the registrar last accepted `addr` for `aor`; nullopt if never.
+  std::optional<SimTime> registered_at(std::string_view aor, pkt::Ipv4Address addr) const;
+
+  size_t principal_count() const { return principals_.size(); }
+  bool has_principal(std::string_view aor) const;
+  /// Every AOR with a record, sorted.
+  std::vector<std::string> principals() const;
 
   /// Drop every trail whose newest footprint is older than `cutoff`. A
   /// record goes with its last trail, event state, rule state and media
@@ -190,6 +236,18 @@ class TrailManager {
   /// has_session first). Does NOT count a session creation — across a
   /// sharded engine the session was created exactly once.
   void install_session(ExtractedSession&& moved);
+
+  /// A principal moves the same way: its whole record (rule slots and
+  /// registered locations), indexed by the same rule positions.
+  struct ExtractedPrincipal {
+    std::string aor;
+    std::optional<PrincipalRecord> record;  // empty when extraction failed
+    bool valid() const { return record.has_value(); }
+  };
+  /// Detach `aor`'s record; an invalid package when it has none.
+  ExtractedPrincipal extract_principal(std::string_view aor);
+  /// Adopt an extracted principal. Precondition: !has_principal(moved.aor).
+  void install_principal(ExtractedPrincipal&& moved);
 
  private:
   /// One session's record: trails plus their footprint rings live in the
@@ -257,10 +315,18 @@ class TrailManager {
   void release_route_ref(const pkt::Endpoint& ep);
   std::optional<Symbol> media_session_sym(pkt::Endpoint ep, Protocol protocol) const;
 
+  /// The record of `aor`, nullptr when it has none.
+  const PrincipalRecord* principal_of(std::string_view aor) const;
+
   size_t max_footprints_per_trail_;
   SymbolTable symbols_;
   /// Session symbol -> its record.
   FlatMap<Symbol, std::unique_ptr<SessionSlot>> sessions_;
+  /// AORs, interned apart from session ids: a principal symbol keys only
+  /// the principal table.
+  SymbolTable principal_symbols_;
+  /// Principal symbol -> its record.
+  FlatMap<Symbol, PrincipalRecord> principals_;
   size_t trail_count_ = 0;
   FlatMap<pkt::Endpoint, Symbol> media_to_session_;
   /// Flow direction -> flow record.

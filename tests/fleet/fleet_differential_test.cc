@@ -98,6 +98,31 @@ TEST(FleetDifferential, VerdictParityOnSpitCapture) {
   EXPECT_GE(report.baseline_verdicts, 2u) << "both spammers should be graylisted";
 }
 
+TEST(FleetDifferential, SpitGraylistStateFollowsCallerAcrossChurn) {
+  // A spammer's attempt count is principal state: when a join or a leave
+  // moves the caller's slot, the count must move with it, or the new owner
+  // starts from zero and graylists the caller a second time.
+  const std::vector<pkt::Packet> stream = spit_mix_stream(0x5b18);
+  ASSERT_GT(stream.size(), 1000u);
+
+  DifferentialConfig config;
+  config.engine.enforce.mode = core::EnforcementMode::kPassive;
+  config.engine.rules.spit_graylist = true;
+  config.topologies.clear();
+  for (size_t workers : {1, 2, 4}) {
+    FleetRun t = by_caller(fleet_of(2, workers));
+    t.join_at = stream.size() / 3;
+    t.leave_at = (2 * stream.size()) / 3;
+    config.topologies.push_back(t);
+  }
+
+  const DifferentialReport report = run_differential(stream, config);
+  EXPECT_TRUE(report.ok()) << report.to_string();
+  EXPECT_GE(report.baseline_verdicts, 2u) << "both spammers should be graylisted";
+  EXPECT_GT(report.sessions_handed_off, 0u) << "churn must move sessions";
+  EXPECT_GT(report.principals_handed_off, 0u) << "churn must move principals";
+}
+
 /// `stream` with UDP port `from` renumbered `to` (those datagrams are
 /// rebuilt, so checksums stay valid). Everything else, fragments included,
 /// passes through unchanged.

@@ -7,6 +7,7 @@
 
 #include "common/bytes.h"
 #include "common/strings.h"
+#include "scidive/scidive_test_util.h"
 #include "voip/attack.h"
 #include "voip/voip_fixture.h"
 
@@ -293,6 +294,47 @@ TEST(EngineIntegration, HotReloadStartsSessionRuleStateFresh) {
   EXPECT_TRUE(reloaded);
   EXPECT_EQ(failures, 5u);
   EXPECT_EQ(ids.alerts().count_for_rule("password-guess"), 1u);
+}
+
+TEST(EngineIntegration, HotReloadStartsPrincipalRuleStateFreshButKeepsRegistrations) {
+  // bob registers from .9 (the registrar's 200 commits the location) and
+  // messages from .2; then the ruleset reloads. fake-im's record for bob
+  // starts over, so a message from .66 is bob's first and raises nothing.
+  // A move to .9 right after is still sanctioned: the registration was
+  // committed before the reload, and registered locations survive it. A
+  // move back to .66 is not.
+  using testing::ep;
+  using testing::sip_packet;
+  const pkt::Endpoint proxy = ep(100, 5060);
+  const std::string bob = "bob@lab.net";
+  auto message = [&](const std::string& call_id, pkt::Endpoint from, SimTime time) {
+    return sip_packet("MESSAGE sip:alice@lab.net SIP/2.0", bob, call_id, "MESSAGE", time, from,
+                      proxy);
+  };
+  auto run = [&](bool registrar_accepts) {
+    ScidiveEngine ids;
+    ids.on_packet(sip_packet("REGISTER sip:lab.net SIP/2.0", bob, "reg-1", "REGISTER", sec(1),
+                             ep(9, 5060), proxy, ep(9, 5060)));
+    if (registrar_accepts) {
+      ids.on_packet(sip_packet("SIP/2.0 200 OK", bob, "reg-1", "REGISTER", sec(1) + msec(10),
+                               proxy, ep(9, 5060)));
+    }
+    ids.on_packet(message("im-1", ep(2, 5060), sec(2)));
+    ids.set_rules(make_default_ruleset());
+    const obs::Snapshot reloaded = ids.metrics_snapshot();
+    EXPECT_EQ(reloaded.gauge_value("scidive_rule_state_entries", {{"rule", "fake-im"}}), 0);
+    EXPECT_EQ(reloaded.gauge_value("scidive_principal_records"), registrar_accepts ? 1 : 0);
+    ids.on_packet(message("im-2", ep(66, 5060), sec(3)));
+    EXPECT_EQ(ids.alerts().count_for_rule("fake-im"), 0u) << "fresh record: bob's first message";
+    ids.on_packet(message("im-3", ep(9, 5060), sec(4)));
+    const size_t after_move = ids.alerts().count_for_rule("fake-im");
+    ids.on_packet(message("im-4", ep(66, 5060), sec(5)));
+    EXPECT_EQ(ids.alerts().count_for_rule("fake-im"), after_move + 1);
+    return after_move;
+  };
+  EXPECT_EQ(run(/*registrar_accepts=*/true), 0u);
+  // Control: the REGISTER alone (no 200) went with the old record.
+  EXPECT_EQ(run(/*registrar_accepts=*/false), 1u);
 }
 
 TEST(EngineIntegration, AttacksAgainstBAreInvisibleToAsIds) {

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "ruledsl/loader.h"
+#include "scidive/scidive_test_util.h"
 #include "scidive/sharded_engine.h"
 #include "sip/message.h"
 #include "voip/accounting.h"
@@ -277,6 +278,69 @@ TEST(Rebalance, SessionKeyedDslStateCrossesMigrationMidAttack) {
   // Control: the tail alone holds one kind of evidence.
   tail_only.on_packet(capture[1]);
   EXPECT_EQ(tail_only.alerts().count_for_rule("billing-fraud"), 0u);
+}
+
+/// Move `aor`'s principal record from `source` to `target`, the way fleet
+/// churn hands a principal to its slot's new owner.
+void move_principal(ScidiveEngine& source, ScidiveEngine& target, const std::string& aor) {
+  ASSERT_TRUE(source.has_principal(aor));
+  ASSERT_FALSE(target.has_principal(aor));
+  TrailManager::ExtractedPrincipal moved = source.extract_principal(aor);
+  ASSERT_TRUE(moved.valid());
+  target.install_principal(std::move(moved));
+  EXPECT_FALSE(source.has_principal(aor));
+  EXPECT_TRUE(target.has_principal(aor));
+}
+
+TEST(Rebalance, PrincipalStateCrossesMigrationMidAttack) {
+  // fake-im: bob's messages come from .2 on the source; his principal
+  // record moves; a forged message from .66 reaches the target a second
+  // later. Only the moved sender history can call that a forgery.
+  using testing::ep;
+  using testing::sip_packet;
+  const pkt::Endpoint proxy = ep(100, 5060);
+  auto message = [&](const std::string& call_id, pkt::Endpoint from, SimTime time) {
+    return sip_packet("MESSAGE sip:alice@lab.net SIP/2.0", "bob@lab.net", call_id, "MESSAGE",
+                      time, from, proxy);
+  };
+  {
+    ScidiveEngine source, target, tail_only;
+    source.on_packet(message("im-1", ep(2, 5060), sec(1)));
+    source.on_packet(message("im-2", ep(2, 5060), sec(2)));
+    move_principal(source, target, "bob@lab.net");
+    target.on_packet(message("im-3", ep(66, 5060), sec(3)));
+    tail_only.on_packet(message("im-3", ep(66, 5060), sec(3)));
+    EXPECT_EQ(source.alerts().count(), 0u);
+    EXPECT_EQ(target.alerts().count_for_rule("fake-im"), 1u);
+    EXPECT_EQ(target.alerts().count(), 1u);
+    // Control: without the history the forged message is a first message.
+    EXPECT_EQ(tail_only.alerts().count(), 0u);
+  }
+
+  // spit-graylist: twenty call attempts by one caller inside a minute, ten
+  // on each side of the move. The source graylists the caller at the
+  // eighth; the moved record still says so, and the target stays quiet
+  // where a fresh count would reach eight again and graylist twice.
+  EngineConfig config;
+  config.enforce.mode = EnforcementMode::kPassive;
+  config.rules.spit_graylist = true;
+  ScidiveEngine source(config), target(config), tail_only(config);
+  auto invite = [&](int i) {
+    return sip_packet("INVITE sip:victim@lab.net SIP/2.0", "spammer@lab.net",
+                      "spit-" + std::to_string(i), "INVITE", sec(1) + msec(100 * i), ep(66, 5060),
+                      proxy);
+  };
+  for (int i = 0; i < 10; ++i) source.on_packet(invite(i));
+  ASSERT_EQ(source.alerts().count_for_rule("spit-graylist"), 1u);
+  move_principal(source, target, "spammer@lab.net");
+  for (int i = 10; i < 20; ++i) {
+    target.on_packet(invite(i));
+    tail_only.on_packet(invite(i));
+  }
+  EXPECT_EQ(target.alerts().count_for_rule("spit-graylist"), 0u);
+  EXPECT_EQ(source.verdicts().count() + target.verdicts().count(), 1u) << "graylisted once";
+  // Control: a fresh count over the same ten attempts graylists again.
+  EXPECT_EQ(tail_only.alerts().count_for_rule("spit-graylist"), 1u);
 }
 
 }  // namespace

@@ -149,6 +149,26 @@ TEST(FakeImRule, StaleRegistrationDoesNotSanction) {
   EXPECT_EQ(h.sink.count(), 1u);
 }
 
+TEST(FakeImRule, CommittedRegistrationSanctionsRapidMove) {
+  // The registrar accepted bob at .5 (a location in his principal record,
+  // read through registered_at): a rapid move there is mobility. A move to
+  // an address never registered is not, nor is one to an address whose
+  // registration is older than the registration window.
+  RuleHarness h;
+  RulePtr rule = default_rule("fake-im");
+  const std::string bob = "bob@lab.net";
+  h.trails.commit_location(bob, ep(5, 5060).addr, sec(11));
+  h.trails.commit_location(bob, ep(7, 5060).addr, sec(11));
+  rule->on_event(h.make(EventType::kImMessageSeen, "i1", sec(10), bob, ep(2, 5060)), h.ctx);
+  rule->on_event(h.make(EventType::kImMessageSeen, "i2", sec(12), bob, ep(5, 5060)), h.ctx);
+  EXPECT_EQ(h.sink.count(), 0u);
+  rule->on_event(h.make(EventType::kImMessageSeen, "i3", sec(13), bob, ep(66, 5060)), h.ctx);
+  EXPECT_EQ(h.sink.count(), 1u);
+  rule->on_event(h.make(EventType::kImMessageSeen, "i4", sec(290), bob, ep(2, 5060)), h.ctx);
+  rule->on_event(h.make(EventType::kImMessageSeen, "i5", sec(291), bob, ep(7, 5060)), h.ctx);
+  EXPECT_EQ(h.sink.count(), 2u);
+}
+
 TEST(FakeImRule, DifferentUsersTrackedIndependently) {
   RuleHarness h;
   RulePtr rule = default_rule("fake-im");

@@ -1,6 +1,10 @@
 // Builders for synthetic footprints/events used by the core unit tests.
 #pragma once
 
+#include <string>
+#include <string_view>
+
+#include "pkt/packet.h"
 #include "scidive/event_generator.h"
 #include "scidive/footprint.h"
 
@@ -8,6 +12,29 @@ namespace scidive::core::testing {
 
 inline pkt::Endpoint ep(uint8_t last_octet, uint16_t port) {
   return {pkt::Ipv4Address(10, 0, 0, last_octet), port};
+}
+
+/// One SIP message as a captured UDP datagram, for driving whole engines.
+/// `first_line` is the request or status line; From carries `from_aor`,
+/// CSeq `cseq_method`, and Contact `contact` when given.
+inline pkt::Packet sip_packet(std::string_view first_line, std::string_view from_aor,
+                              std::string_view call_id, std::string_view cseq_method,
+                              SimTime time, pkt::Endpoint src, pkt::Endpoint dst,
+                              std::optional<pkt::Endpoint> contact = std::nullopt) {
+  std::string text(first_line);
+  text += "\r\nVia: SIP/2.0/UDP " + src.to_string() + ";branch=z9hG4bK-" + std::string(call_id);
+  text += "\r\nFrom: <sip:" + std::string(from_aor) + ">;tag=f-" + std::string(call_id);
+  text += "\r\nTo: <sip:service@lab.net>";
+  text += "\r\nCall-ID: " + std::string(call_id);
+  text += "\r\nCSeq: 1 " + std::string(cseq_method);
+  if (contact) {
+    text += "\r\nContact: <sip:" + std::string(from_aor.substr(0, from_aor.find('@'))) + "@" +
+            contact->to_string() + ">";
+  }
+  text += "\r\nContent-Length: 0\r\n\r\n";
+  pkt::Packet packet = pkt::make_udp_packet(src, dst, Bytes(text.begin(), text.end()));
+  packet.timestamp = time;
+  return packet;
 }
 
 struct FootprintBuilder {

@@ -268,6 +268,40 @@ TEST(TrailManager, InternsSessionSymbolsOnce) {
   EXPECT_EQ(tm.symbols().size(), 1u);
 }
 
+TEST(TrailManager, PrincipalRecordHoldsRuleSlotsAndLocations) {
+  // One record per AOR, whatever the session: rule slots by position and
+  // registered locations. A new ruleset empties the slots and keeps the
+  // locations; a record holding neither goes.
+  TrailManager tm;
+  *tm.principal_slot("bob@lab.net", 2) = std::make_unique<RuleSessionState>();
+  *tm.principal_slot("carol@lab.net", 0) = std::make_unique<RuleSessionState>();
+  tm.commit_location("bob@lab.net", ep(5, 5060).addr, sec(1));
+  tm.commit_location("bob@lab.net", ep(5, 5060).addr, sec(4));
+  tm.commit_location("bob@lab.net", ep(7, 5060).addr, sec(2));
+  EXPECT_EQ(tm.principals(), (std::vector<std::string>{"bob@lab.net", "carol@lab.net"}));
+  EXPECT_EQ(tm.rule_state_counts(3), (std::vector<size_t>{1, 0, 1}));
+  EXPECT_EQ(tm.registered_locations("bob@lab.net").size(), 2u);
+  EXPECT_EQ(tm.registered_at("bob@lab.net", ep(5, 5060).addr), sec(4));
+  EXPECT_EQ(tm.registered_at("bob@lab.net", ep(9, 5060).addr), std::nullopt);
+  EXPECT_TRUE(tm.registered_locations("carol@lab.net").empty());
+  EXPECT_EQ(tm.session_count(), 0u) << "principals are not sessions";
+
+  tm.clear_rule_states();
+  EXPECT_EQ(tm.principals(), (std::vector<std::string>{"bob@lab.net"}));
+  EXPECT_EQ(tm.rule_state_counts(3), (std::vector<size_t>{0, 0, 0}));
+  EXPECT_EQ(tm.registered_at("bob@lab.net", ep(7, 5060).addr), sec(2));
+
+  // Handoff moves the whole record.
+  *tm.principal_slot("bob@lab.net", 1) = std::make_unique<RuleSessionState>();
+  TrailManager adopter;
+  adopter.install_principal(tm.extract_principal("bob@lab.net"));
+  EXPECT_FALSE(tm.has_principal("bob@lab.net"));
+  EXPECT_FALSE(tm.extract_principal("bob@lab.net").valid());
+  EXPECT_TRUE(adopter.has_principal("bob@lab.net"));
+  EXPECT_EQ(adopter.rule_state_counts(2), (std::vector<size_t>{0, 1}));
+  EXPECT_EQ(adopter.registered_at("bob@lab.net", ep(5, 5060).addr), sec(4));
+}
+
 TEST(TrailManager, SessionArenaReleasedOnLastTrailExpiry) {
   // All of a session's trails share one arena; expiring them all releases
   // the session slot (O(1) in footprint count), and the session id can be
