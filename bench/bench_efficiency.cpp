@@ -372,7 +372,8 @@ BENCHMARK(BM_EngineSipPacket)->Arg(0)->Arg(1);
 
 /// Heap allocations per INVITE of BM_EngineSipPacket's stream, default
 /// engine. A new session's INVITE pays for its footprint block, its session
-/// record with its bookkeeping, and the event it raises; check_allocs.py
+/// record with its bookkeeping (arming the record's expiry wake allocates
+/// nothing), and the event it raises; check_allocs.py
 /// holds the count at a ceiling (CEILINGS) so per-footprint boxes and
 /// strings cannot creep back.
 void BM_EngineSipPacketAllocs(benchmark::State& state) {

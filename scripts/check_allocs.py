@@ -75,7 +75,9 @@ GUARDED = [
 # under one allocation, so a single extra allocation per operation fails.
 CEILINGS = {
     # A new session's INVITE: its SIP footprint block; the session record,
-    # its arena chunk, chunk table and trail list; the trail key's copy of
+    # its arena chunk, chunk table and the list of media endpoints bound to
+    # it (its trail list is inline, and its wake entry on the expiry wheel
+    # is intrusive: arming it allocates nothing); the trail key's copy of
     # the Call-ID; the event's session id and its two-step detail string.
     "BM_EngineSipPacketAllocs": 9.5,  # measured 9.0
 }

@@ -268,13 +268,14 @@ void Fleet::relocate_moved_records() {
   deliver_frames(last_time_);
 }
 
-bool Fleet::add_node(const std::string& name) {
+bool Fleet::add_node(const std::string& name, const std::function<void(FleetNode&)>& setup) {
   if (name.empty() || find(name) != nullptr) return false;
   // Quiesce the incumbents so the moved slots' sessions are extractable.
   for (auto& node : nodes_) node->pump(last_time_);
   deliver_frames(last_time_);
   if (!ring_.add_node(name)) return false;
   auto joined = make_node(name);
+  if (setup) setup(*joined);
   for (auto& node : nodes_) {
     node->add_peer(name);
     joined->add_peer(node->name());

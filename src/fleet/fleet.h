@@ -18,6 +18,7 @@
 // delivery loop with real simulated datagrams.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -87,8 +88,10 @@ class Fleet {
 
   /// Membership churn. add/remove hand the moved slots' sessions and
   /// principals off to their new owners; crash loses the node's state
-  /// (peers fail open).
-  bool add_node(const std::string& name);
+  /// (peers fail open). `setup`, when given, prepares the joining node (its
+  /// ruleset, say) before any record is handed to it.
+  bool add_node(const std::string& name,
+                const std::function<void(FleetNode&)>& setup = nullptr);
   bool remove_node(const std::string& name);
   bool crash_node(const std::string& name);
 

@@ -222,7 +222,7 @@ class Runner {
     for (const pkt::Packet& packet : stream_) {
       fleet.on_packet(packet);
       ++fed;
-      if (fed == t.join_at && fleet.add_node("joiner")) install_rules(*fleet.node("joiner"));
+      if (fed == t.join_at) fleet.add_node("joiner", install_rules);
       if (t.leave_at > t.join_at && fed == t.leave_at) fleet.remove_node("node-0");
     }
     fleet.flush();

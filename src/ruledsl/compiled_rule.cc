@@ -1,5 +1,6 @@
 #include "ruledsl/compiled_rule.h"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/strings.h"
@@ -317,6 +318,19 @@ void CompiledRule::on_event(const core::Event& event, core::RuleContext& ctx) {
     }
     ++pc;
   }
+}
+
+SimDuration CompiledRule::horizon() const {
+  SimDuration longest = 0;
+  for (const SlotDecl& slot : def_->slots) longest = std::max(longest, slot.span);
+  for (const ExprProgram& program : def_->exprs) {
+    for (const ExprOp& op : program.ops) {
+      if (op.kind == ExprOpKind::kPushInt && op.type == ValType::kDuration) {
+        longest = std::max(longest, op.imm);
+      }
+    }
+  }
+  return longest;
 }
 
 }  // namespace scidive::ruledsl

@@ -38,6 +38,11 @@ class CompiledRule : public core::Rule {
     return (def_->subscriptions & core::event_mask(core::EventType::kRtpPacketSeen)) != 0;
   }
 
+  /// The largest duration the compiled program uses: every window span and
+  /// every duration the expressions push (literals such as spit-graylist's
+  /// `60s`, and duration parameters where they are read).
+  SimDuration horizon() const override;
+
   const CompiledRuleDef& def() const { return *def_; }
 
  private:

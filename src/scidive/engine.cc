@@ -1,5 +1,7 @@
 #include "scidive/engine.h"
 
+#include <algorithm>
+
 #include "pkt/ipv4.h"
 #include "rtp/rtp.h"
 
@@ -182,6 +184,19 @@ void ScidiveEngine::rebuild_subscriber_index() {
       }
     }
   }
+  // Retention follows the ruleset: a closed record is kept for the window m
+  // and the horizon of each rule holding state in it, an open one for the
+  // longest horizon any rule has.
+  RetentionPolicy retention;
+  retention.closed = config_.events.monitor_window;
+  retention.open = retention.closed;
+  retention.rule_horizons.reserve(rules_.size());
+  for (const RulePtr& rule : rules_) {
+    const SimDuration horizon = rule->horizon();
+    retention.rule_horizons.push_back(horizon);
+    retention.open = std::max(retention.open, horizon);
+  }
+  trails_.set_retention(std::move(retention));
   // Re-derive whether any installed rule wants to see steady-state media.
   // The flow records hold no rule state, so a ruleset change (hot reload
   // included) leaves them as they are.
@@ -212,6 +227,9 @@ VerdictAction ScidiveEngine::on_packet(const pkt::Packet& packet) {
     }
   }
   packets_inspected_->inc();
+  // Records whose retention ran out by this packet's time retire first, so
+  // the packet meets exactly the records every topology would keep.
+  trails_.advance(packet.timestamp);
   // One countdown and one branch: only a sample reads the clock.
   if (--timing_countdown_ != 0) [[likely]] return process<false>(packet);
   return process<true>(packet);
@@ -435,8 +453,13 @@ void ScidiveEngine::sync_component_stats() {
       .counter("scidive_trail_flow_cache_hits_total",
                "Media packets routed through the flow cache without classify")
       .sync(t.flow_cache_hits + bypassed_total_);
-  registry_.counter("scidive_trails_expired_total", "Trails dropped by idle expiry")
-      .sync(t.trails_expired);
+  const char* kRetiredHelp =
+      "Session records retired, idle past their retention: closed (the dialog had ended) or "
+      "idle (still open)";
+  registry_.counter("scidive_sessions_retired_total", kRetiredHelp, {{"reason", "closed"}})
+      .sync(t.sessions_retired_closed);
+  registry_.counter("scidive_sessions_retired_total", kRetiredHelp, {{"reason", "idle"}})
+      .sync(t.sessions_retired_idle);
   registry_.gauge("scidive_trails_active", "Live trails (per-session, per-protocol)")
       .set(static_cast<int64_t>(trails_.trail_count()));
   registry_.gauge("scidive_sessions_active", "Live sessions with at least one trail")
@@ -470,10 +493,6 @@ void ScidiveEngine::sync_component_stats() {
       .sync(e.monitors_fired);
   registry_.counter("scidive_monitors_expired_total", "Media monitors that expired quietly")
       .sync(e.monitors_expired);
-  registry_
-      .counter("scidive_eventgen_sessions_expired_total",
-               "Event-generator session states dropped by idle expiry")
-      .sync(trails_.stats().sessions_expired);
   registry_.gauge("scidive_tracked_sessions", "Sessions with live event-generator state")
       .set(static_cast<int64_t>(events_.tracked_sessions()));
 

@@ -106,6 +106,8 @@ class ScidiveEngine {
   explicit ScidiveEngine(EngineConfig config);
 
   /// Feed one captured packet (fragment-level; reassembly is internal).
+  /// An inspected packet first advances the session records' expiry clock
+  /// to its time, retiring the records idle past their retention.
   /// Returns the enforcement decision for the packet: always kPass when the
   /// prevention layer is off; otherwise the max over pre-existing blocks,
   /// armed rate limits, and verdicts the packet's own processing emitted.
@@ -197,9 +199,10 @@ class ScidiveEngine {
   /// first, which is why it is non-const.
   obs::Snapshot metrics_snapshot();
 
-  /// Housekeeping: expire idle trails/session state older than cutoff. The
-  /// id of every session whose record went is appended to `retired` when
-  /// given.
+  /// Forced sweep: retire every session record whose newest footprint is
+  /// older than cutoff, whatever its retention (on_packet retires records
+  /// on packet time by itself). The id of every record that went is
+  /// appended to `retired` when given.
   void expire_idle(SimTime cutoff, std::vector<SessionId>* retired = nullptr);
 
   // --- Session and principal migration (fleet churn handoff) ------------

@@ -49,7 +49,10 @@ void EventGenerator::process(const Footprint& fp, const Trail& trail,
 
   switch (fp.protocol) {
     case Protocol::kSip:
-      if (const SipFootprint* sip = fp.sip()) process_sip(fp, *sip, state, session, out);
+      if (const SipFootprint* sip = fp.sip()) {
+        process_sip(fp, *sip, state, session, out);
+        if (!sip->call_id.empty()) track_lifecycle(*sip, state, trail);
+      }
       break;
     case Protocol::kRtp:
       if (const RtpFootprint* rtp = fp.rtp()) process_rtp(fp, *rtp, state, trail, out);
@@ -61,7 +64,11 @@ void EventGenerator::process(const Footprint& fp, const Trail& trail,
       if (const RtcpFootprint* rtcp = fp.rtcp()) process_rtcp(fp, *rtcp, state, session, out);
       break;
     case Protocol::kH225:
-      if (const H225Footprint* h225 = fp.h225()) process_h225(fp, *h225, state, session, out);
+      if (const H225Footprint* h225 = fp.h225()) {
+        process_h225(fp, *h225, state, session, out);
+        if (h225->is_release) set_closed(state, trail, true);
+        if (h225->is_setup) set_closed(state, trail, false);
+      }
       break;
     case Protocol::kRas:
       break;  // RAS footprints feed trails; admission anomalies are future work
@@ -73,6 +80,34 @@ void EventGenerator::process(const Footprint& fp, const Trail& trail,
       }
       break;
   }
+}
+
+void EventGenerator::set_closed(EventSessionState& state, const Trail& trail, bool closed) {
+  const bool closing = closed && !state.closed;
+  state.closed = closed;
+  if (closing) trails_.note_closed(trail);
+}
+
+void EventGenerator::track_lifecycle(const SipFootprint& sip, EventSessionState& state,
+                                     const Trail& trail) {
+  if (sip.is_request) {
+    // A CANCEL only asks: the INVITE's final answer (487, or a 200 that
+    // sets the call up after all) decides, and that answer may come long
+    // after the CANCEL.
+    if (sip.method == "BYE") {
+      set_closed(state, trail, true);
+    } else if (sip.method != "ACK" && sip.method != "CANCEL") {
+      set_closed(state, trail, false);
+    }
+    return;
+  }
+  if (sip.status_code < 200) return;
+  // A failed re-INVITE leaves its dialog up, and so does an in-dialog
+  // transaction's answer; an out-of-dialog transaction ends with its final.
+  const bool closes = sip.cseq_method == "INVITE"
+                          ? sip.status_code >= 300 && !state.established
+                          : !state.invite_seen;
+  if (closes) set_closed(state, trail, true);
 }
 
 void EventGenerator::start_monitor(EventSessionState& state, SimTime now, pkt::Endpoint watched,
@@ -161,7 +196,6 @@ void EventGenerator::process_sip(const Footprint& fp, const SipFootprint& sip,
   }
 
   if (sip.is_request && sip.method == "BYE") {
-    state.torn_down = true;
     // Which party claims to be hanging up? Their media must fall silent.
     std::optional<pkt::Endpoint> watched;
     std::optional<pkt::Endpoint> peer_media;
@@ -355,7 +389,6 @@ void EventGenerator::process_h225(const Footprint& fp, const H225Footprint& h225
     return;
   }
   if (h225.is_release) {
-    state.torn_down = true;
     // Who claims to clear the call? H.225 carries no From tag; attribute by
     // the signaling address the message (claims to) come from.
     std::optional<pkt::Endpoint> watched;

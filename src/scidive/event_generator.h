@@ -78,6 +78,11 @@ class EventGenerator {
   void process_acc(const Footprint& fp, const AccFootprint& acc, EventSessionState& state,
                    const SessionId& session, std::vector<Event>& out);
 
+  /// The dialog mirror's lifecycle, which the record's retention reads;
+  /// closing tells the trail manager, whose wake may have to come sooner.
+  void track_lifecycle(const SipFootprint& sip, EventSessionState& state, const Trail& trail);
+  void set_closed(EventSessionState& state, const Trail& trail, bool closed);
+
   void start_monitor(EventSessionState& state, SimTime now, pkt::Endpoint watched,
                      std::optional<pkt::Endpoint> expected_dst, EventType emit,
                      std::string claimed_aor);

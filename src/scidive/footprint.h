@@ -30,6 +30,7 @@ namespace scidive::core {
 
 /// Which protocol a footprint was distilled from.
 enum class Protocol { kSip, kRtp, kRtcp, kAcc, kH225, kRas, kUnknown };
+inline constexpr size_t kProtocolCount = static_cast<size_t>(Protocol::kUnknown) + 1;
 
 std::string_view protocol_name(Protocol p);
 

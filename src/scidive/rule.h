@@ -111,6 +111,12 @@ class Rule {
   /// an event only visits its subscribers; the default (everything)
   /// preserves broadcast behavior for rules that do not declare interest.
   virtual EventTypeMask subscriptions() const { return kAllEventsMask; }
+  /// The rule's horizon: the longest span of time its logic looks back
+  /// over (a window, a since/within bound), 0 when it compares no times.
+  /// A closed session record holding the rule's state is kept at least
+  /// this long after its last footprint, and an open record is kept for
+  /// the longest horizon in the ruleset.
+  virtual SimDuration horizon() const { return 0; }
   /// Whether the rule needs to observe anomaly-free steady-state media.
   /// The engine's established-flow fast path only bypasses the pipeline for
   /// a flow when no installed rule declares this interest: kRtpPacketSeen is

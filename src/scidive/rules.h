@@ -53,6 +53,7 @@ class Stateless4xxRule : public Rule {
   EventTypeMask subscriptions() const override {
     return event_mask(EventType::kSip4xxSeen);
   }
+  SimDuration horizon() const override { return kWindow; }
 
  private:
   std::deque<SimTime> recent_4xx_;  // across all sessions — deliberately
@@ -75,6 +76,7 @@ class DirectTrailScanByeRule : public Rule {
   EventTypeMask subscriptions() const override {
     return event_mask(EventType::kRtpPacketSeen);
   }
+  SimDuration horizon() const override { return window_; }
 
  private:
   SimDuration window_;

@@ -1,9 +1,10 @@
 // One session's state (§3.1 "per-session processors"). The event state is
 // the mirrored dialog, the orphan-media monitors and the per-endpoint RTP
 // state; the rule state is what each session-keyed rule keeps about the
-// session (a principal record holds the same kind of rule state per AOR). The TrailManager's session record holds both, so they are created
-// with the session's first trail, move with the record on migration and are
-// dropped with the record's last trail. The EventGenerator steps the event
+// session (a principal record holds the same kind of rule state per AOR).
+// The TrailManager's session record holds both, so they are created with
+// the session's first trail, move with the record on migration and are
+// dropped when the record retires. The EventGenerator steps the event
 // state; each rule reads and writes its own slot through the RuleContext.
 #pragma once
 
@@ -55,7 +56,12 @@ struct EventSessionState {
   // Mirrored dialog.
   bool invite_seen = false;
   bool established = false;
-  bool torn_down = false;
+  /// The dialog's lifecycle as the record's retention reads it: closed by a
+  /// BYE or H.225 release, by a final failure to the initial INVITE (a 487
+  /// after a CANCEL included), or by a final answer to an out-of-dialog
+  /// request (REGISTER, MESSAGE, ...); reopened by any later request but
+  /// ACK and CANCEL.
+  bool closed = false;
   std::string caller_aor, callee_aor;
   std::string caller_tag, callee_tag;
   std::optional<pkt::Endpoint> caller_media, callee_media;

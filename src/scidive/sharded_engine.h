@@ -143,8 +143,10 @@ class ShardedEngine {
   /// flush() + join the workers. Idempotent; the destructor calls it.
   void stop();
 
-  /// Housekeeping across all shards (flushes first). A session whose record
-  /// a shard retires loses its router pin to that shard with it.
+  /// Forced sweep across all shards (flushes first): every record idle since
+  /// before cutoff retires, and loses its router pin to that shard with it.
+  /// Each shard also retires records on packet time by itself; those keep
+  /// their pins, since the workers do not touch the router.
   void expire_idle(SimTime cutoff);
 
   /// Atomically replace every shard's ruleset (hot reload). Flushes first,

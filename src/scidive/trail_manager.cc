@@ -78,17 +78,26 @@ Symbol TrailManager::classify(const Footprint& fp, bool& media_bound) {
   return symbols_.intern("unclassified");
 }
 
-Trail& TrailManager::trail_for(Symbol sym, Protocol protocol) {
+TrailManager::SessionSlot& TrailManager::record_for(Symbol sym, SimTime time) {
   auto [slot_ptr, created] = sessions_.try_emplace(sym);
   if (created) {
     *slot_ptr = std::make_unique<SessionSlot>();
+    SessionSlot& slot = **slot_ptr;
+    slot.sym = sym;
     ++stats_.sessions_created;
+    // Armed for the open retention from its first footprint; a touch before
+    // then moves nothing here, the wake re-arms instead.
+    link(slot, tick_at_or_after(time, retention_.open));
   }
-  SessionSlot& slot = **slot_ptr;
+  return **slot_ptr;
+}
+
+Trail& TrailManager::trail_in(SessionSlot& slot, Protocol protocol) {
   if (Trail* found = slot.find(protocol)) return *found;
-  Trail* trail = slot.arena.create<Trail>(TrailKey{std::string(symbols_.name(sym)), protocol},
-                                          max_footprints_per_trail_, sym, &slot.arena);
-  slot.trails.push_back(trail);
+  Trail* trail = slot.arena.create<Trail>(
+      TrailKey{std::string(symbols_.name(slot.sym)), protocol}, max_footprints_per_trail_,
+      slot.sym, &slot.arena);
+  slot.trails[slot.trail_count++] = trail;
   ++trail_count_;
   return *trail;
 }
@@ -112,14 +121,19 @@ Trail& TrailManager::route(const Footprint& fp) {
     } else {
       ++stats_.rtp_unbound;
     }
-    Trail& trail = trail_for(sym, fp.protocol);
+    SessionSlot& slot = record_for(sym, fp.time);
+    Trail& trail = trail_in(slot, fp.protocol);
     media_flow_cache_.try_emplace(flow, MediaFlow{.trail = &trail, .bound = bound});
     ++route_refs_[binding_key(fp.src, fp.protocol)];
     ++route_refs_[binding_key(fp.dst, fp.protocol)];
+    if (std::find(slot.routes.begin(), slot.routes.end(), flow) == slot.routes.end()) {
+      slot.routes.push_back(flow);
+    }
     return trail;
   }
   bool bound = false;
-  return trail_for(classify(fp, bound), fp.protocol);
+  const Symbol sym = classify(fp, bound);
+  return trail_in(record_for(sym, fp.time), fp.protocol);
 }
 
 Trail& TrailManager::add(Footprint fp) {
@@ -131,10 +145,14 @@ Trail& TrailManager::add(Footprint fp) {
 
 void TrailManager::bind_media_endpoint(const pkt::Endpoint& media, const SessionId& session) {
   const Symbol sym = symbols_.intern(session);
-  auto [slot, inserted] = media_to_session_.try_emplace(media, sym);
+  auto [bound, inserted] = media_to_session_.try_emplace(media, sym);
   if (!inserted) {
-    if (*slot == sym) return;  // re-signaled same binding: keep cache
-    *slot = sym;
+    if (*bound == sym) return;  // re-signaled same binding: keep cache
+    *bound = sym;
+  }
+  if (const std::unique_ptr<SessionSlot>* slot = sessions_.find(sym)) {
+    std::vector<pkt::Endpoint>& own = (*slot)->media;
+    if (std::find(own.begin(), own.end(), media) == own.end()) own.push_back(media);
   }
   // A new or changed binding can redirect flows through `media` that
   // previously resolved to a synthetic flow-session (or another call).
@@ -164,9 +182,15 @@ void TrailManager::release_route_ref(const pkt::Endpoint& ep) {
   if (refs != nullptr && --*refs == 0) route_refs_.erase(ep);
 }
 
-void TrailManager::forget_routes() {
-  media_flow_cache_.clear();
-  route_refs_.clear();
+void TrailManager::forget_routes_into(SessionSlot& slot) {
+  for (const MediaFlowKey& key : slot.routes) {
+    const MediaFlow* flow = media_flow_cache_.find(key);
+    if (flow == nullptr || flow->trail->sym() != slot.sym) continue;
+    media_flow_cache_.erase(key);
+    release_route_ref(binding_key(key.src, key.protocol));
+    release_route_ref(binding_key(key.dst, key.protocol));
+  }
+  slot.routes.clear();
 }
 
 size_t TrailManager::attached_flows() const {
@@ -203,7 +227,7 @@ Trail* TrailManager::find_mut(const SessionId& session, Protocol protocol) {
 std::vector<const Trail*> TrailManager::session_trails(const SessionId& session) const {
   std::vector<const Trail*> out;
   if (const SessionSlot* slot = slot_of(session)) {
-    out.assign(slot->trails.begin(), slot->trails.end());
+    out.assign(slot->trail_list().begin(), slot->trail_list().end());
   }
   return out;
 }
@@ -336,11 +360,12 @@ bool TrailManager::has_session(const SessionId& session) const {
 
 std::vector<pkt::Endpoint> TrailManager::media_endpoints(const SessionId& session) const {
   std::vector<pkt::Endpoint> out;
-  auto sym = symbols_.find(session);
-  if (!sym) return out;
-  media_to_session_.for_each([&](const pkt::Endpoint& ep, const Symbol& bound) {
-    if (bound == *sym) out.push_back(ep);
-  });
+  const SessionSlot* slot = slot_of(session);
+  if (slot == nullptr) return out;
+  for (const pkt::Endpoint& ep : slot->media) {
+    const Symbol* bound = media_to_session_.find(ep);
+    if (bound != nullptr && *bound == slot->sym) out.push_back(ep);
+  }
   return out;
 }
 
@@ -348,68 +373,172 @@ TrailManager::ExtractedSession TrailManager::extract_session(const SessionId& se
   ExtractedSession out;
   auto sym = symbols_.find(session);
   if (!sym) return out;
-  std::unique_ptr<SessionSlot>* slot = sessions_.find(*sym);
-  if (slot == nullptr) return out;
+  std::unique_ptr<SessionSlot>* found = sessions_.find(*sym);
+  if (found == nullptr) return out;
   out.id = session;
-  out.slot = std::move(*slot);
+  out.slot = std::move(*found);
   sessions_.erase(*sym);
-  trail_count_ -= out.slot->trails.size();
-  media_to_session_.erase_if([&](const pkt::Endpoint& ep, const Symbol& bound) {
-    if (bound != *sym) return false;
-    out.media.push_back(ep);
-    return true;
+  SessionSlot& slot = *out.slot;
+  unlink(slot);
+  trail_count_ -= slot.trail_count;
+  // The bindings still pointing at the record move with it; the ones that
+  // moved on stay behind.
+  std::erase_if(slot.media, [&](const pkt::Endpoint& ep) {
+    const Symbol* bound = media_to_session_.find(ep);
+    if (bound == nullptr || *bound != *sym) return true;
+    media_to_session_.erase(ep);
+    return false;
   });
-  // Cached media routes may point into the departed record. The source
-  // symbol stays interned (symbols are never recycled); it simply has no
-  // state behind it any more.
-  forget_routes();
+  // Cached routes into the departed record would dangle. The source symbol
+  // stays interned (symbols are never recycled); it simply has no state
+  // behind it any more.
+  forget_routes_into(slot);
   return out;
 }
 
 void TrailManager::install_session(ExtractedSession&& moved) {
   if (!moved.valid()) return;
   const Symbol sym = symbols_.intern(moved.id);
+  if (sessions_.contains(sym)) return;  // precondition broken: keep what is here
   // Intentionally no ++stats_.sessions_created: the session already exists
   // from the pipeline's point of view, it just lives here now.
-  for (Trail* trail : moved.slot->trails) trail->rebind(sym);
-  trail_count_ += moved.slot->trails.size();
-  for (const pkt::Endpoint& ep : moved.media) {
+  SessionSlot& slot = *moved.slot;
+  slot.sym = sym;
+  for (Trail* trail : slot.trail_list()) trail->rebind(sym);
+  trail_count_ += slot.trail_count;
+  for (const pkt::Endpoint& ep : slot.media) {
     media_to_session_.insert_or_assign(ep, sym);
     forget_routes_through(ep);
   }
   sessions_.try_emplace(sym, std::move(moved.slot));
+  wake(slot);
+}
+
+SimTime TrailManager::SessionSlot::last_touch() const {
+  SimTime last = INT64_MIN;
+  for (const Trail* t : trail_list()) last = std::max(last, t->last_time());
+  return last;
+}
+
+SimDuration TrailManager::retention_of(const SessionSlot& slot) const {
+  if (!slot.events.closed) return retention_.open;
+  SimDuration keep = retention_.closed;
+  const size_t n = std::min(slot.rules.size(), retention_.rule_horizons.size());
+  for (size_t i = 0; i < n; ++i) {
+    if (slot.rules[i] != nullptr) keep = std::max(keep, retention_.rule_horizons[i]);
+  }
+  return keep;
+}
+
+int64_t TrailManager::tick_at_or_after(SimTime time, SimDuration keep) {
+  const SimTime due = time > INT64_MAX - keep ? INT64_MAX : time + keep;
+  // Round up: a wake at the tick's start never comes before the deadline.
+  return (due >> kWheelTickShift) + ((due & ((SimTime{1} << kWheelTickShift) - 1)) != 0);
+}
+
+int64_t TrailManager::due_tick(const SessionSlot& slot) const {
+  return tick_at_or_after(slot.last_touch(), retention_of(slot));
+}
+
+void TrailManager::link(SessionSlot& slot, int64_t tick) {
+  if (wheel_.empty()) wheel_.assign(kWheelSlots, nullptr);
+  // A tick the wheel has already passed would wait a whole turn.
+  if (wheel_started_ && tick <= wheel_tick_) tick = wheel_tick_ + 1;
+  SessionSlot*& head = wheel_[static_cast<uint64_t>(tick) & (kWheelSlots - 1)];
+  slot.wake_tick = tick;
+  slot.wake_prev = nullptr;
+  slot.wake_next = head;
+  if (head != nullptr) head->wake_prev = &slot;
+  head = &slot;
+}
+
+void TrailManager::unlink(SessionSlot& slot) {
+  if (slot.wake_prev != nullptr) {
+    slot.wake_prev->wake_next = slot.wake_next;
+  } else {
+    wheel_[static_cast<uint64_t>(slot.wake_tick) & (kWheelSlots - 1)] = slot.wake_next;
+  }
+  if (slot.wake_next != nullptr) slot.wake_next->wake_prev = slot.wake_prev;
+  slot.wake_prev = slot.wake_next = nullptr;
+}
+
+void TrailManager::wake(SessionSlot& slot) {
+  const int64_t due = due_tick(slot);
+  if (wheel_started_ && due <= wheel_tick_) {
+    retire(slot);
+  } else {
+    link(slot, due);
+  }
+}
+
+void TrailManager::note_closed(const Trail& trail) {
+  SessionSlot& slot = **sessions_.find(trail.sym());
+  // The closing footprint is the record's newest, and a closed record is
+  // kept at least the window m: the wake never needs to come sooner. Rule
+  // state that keeps it longer re-arms it at that wake.
+  const int64_t due = tick_at_or_after(trail.last_time(), retention_.closed);
+  if (due >= slot.wake_tick) return;
+  unlink(slot);
+  link(slot, due);
+}
+
+void TrailManager::advance_wheel(SimTime now) {
+  const int64_t target = now >> kWheelTickShift;
+  // Ticks to visit: those after the last one visited, at most one turn (a
+  // turn visits every list once). Before the first packet nothing was
+  // visited, and installed records may already wait anywhere.
+  const uint64_t steps =
+      wheel_started_
+          ? std::min<uint64_t>(static_cast<uint64_t>(target) - static_cast<uint64_t>(wheel_tick_),
+                               kWheelSlots)
+          : kWheelSlots;
+  wheel_started_ = true;
+  wheel_tick_ = target;
+  next_tick_at_ =
+      target >= (INT64_MAX >> kWheelTickShift) ? INT64_MAX : (target + 1) << kWheelTickShift;
+  if (wheel_.empty()) return;
+  for (uint64_t k = steps; k-- > 0;) {
+    SessionSlot* entry = wheel_[static_cast<uint64_t>(target - static_cast<int64_t>(k)) &
+                                (kWheelSlots - 1)];
+    while (entry != nullptr) {
+      SessionSlot* next = entry->wake_next;
+      // Entries of a later turn share the list and stay.
+      if (entry->wake_tick <= target) {
+        unlink(*entry);
+        wake(*entry);  // a re-armed entry lands ahead of `target`
+      }
+      entry = next;
+    }
+  }
+}
+
+void TrailManager::retire(SessionSlot& slot) {
+  const Symbol sym = slot.sym;
+  forget_routes_into(slot);
+  // A binding left pointing at the record would re-create it on the
+  // endpoint's next packet.
+  for (const pkt::Endpoint& ep : slot.media) {
+    const Symbol* bound = media_to_session_.find(ep);
+    if (bound != nullptr && *bound == sym) media_to_session_.erase(ep);
+  }
+  ++(slot.events.closed ? stats_.sessions_retired_closed : stats_.sessions_retired_idle);
+  trail_count_ -= slot.trail_count;
+  // The arena (every byte the session's trails ever allocated) goes in one
+  // release, the event and rule state with it.
+  sessions_.erase(sym);
 }
 
 size_t TrailManager::expire_idle(SimTime cutoff, std::vector<SessionId>* retired) {
-  size_t dropped = 0;
-  FlatSet<Symbol> gone;
-  sessions_.erase_if([&](const Symbol& sym, std::unique_ptr<SessionSlot>& slot) {
-    dropped += std::erase_if(slot->trails, [&](Trail* trail) {
-      if (trail->last_time() >= cutoff) return false;
-      trail->~Trail();
-      return true;
-    });
-    if (!slot->trails.empty()) return false;
-    // The record goes with its last trail: the arena (every byte the
-    // session's trails ever allocated) in one release, the event state
-    // with it.
-    gone.insert(sym);
-    return true;
+  std::vector<SessionSlot*> idle;
+  sessions_.for_each([&](const Symbol&, const std::unique_ptr<SessionSlot>& slot) {
+    if (slot->last_touch() < cutoff) idle.push_back(slot.get());
   });
-  trail_count_ -= dropped;
-  stats_.trails_expired += dropped;
-  stats_.sessions_expired += gone.size();
-  if (retired != nullptr)
-    gone.for_each([&](const Symbol& sym) { retired->emplace_back(symbols_.name(sym)); });
-  // A binding to a dropped record would re-create it on the endpoint's
-  // next packet.
-  if (!gone.empty()) {
-    media_to_session_.erase_if(
-        [&](const pkt::Endpoint&, const Symbol& bound) { return gone.contains(bound); });
+  for (SessionSlot* slot : idle) {
+    if (retired != nullptr) retired->emplace_back(symbols_.name(slot->sym));
+    unlink(*slot);
+    retire(*slot);
   }
-  // Cached media routes may point into expired trails or dropped records.
-  if (dropped != 0) forget_routes();
-  return dropped;
+  return idle.size();
 }
 
 }  // namespace scidive::core

@@ -23,7 +23,24 @@
 //     the record (not arena-placed), and so is each rule's state (one
 //     slot per rule position, empty until that rule first writes): they
 //     live and die with the record.
-// Expiry and fleet handoff therefore drop or move one record.
+// Retirement and fleet handoff therefore drop or move one record.
+//
+// Records retire on packet time. The engine advances the manager's expiry
+// wheel to each inspected packet's time (the clock is the largest time
+// seen, so it never runs backwards); each record sits on the wheel once, at
+// its deadline. A touch writes nothing to the wheel — the record's trails
+// already keep their last times — so a record whose deadline comes due
+// either retires or re-arms at its real deadline: idle past its retention.
+// Retention comes from the ruleset (set_retention): a closed record (its
+// dialog mirror saw a BYE, the initial INVITE failing or an out-of-dialog
+// transaction completing) is kept for the window m and the horizon of every
+// rule holding state in it; an open one for the longest horizon in the
+// ruleset. Ticks are coarse, which can only delay a retirement. Retiring a
+// record drops exactly what is its own: its arena, trails, event and rule
+// state, the media bindings still pointing at it and the cached routes into
+// it — nothing else in the tables is read. Whether a record is retired when
+// its next packet arrives depends only on its own footprints and that
+// packet's time, so every topology retires the same records.
 //
 // Each principal (a claimed AOR) has one record too, in the principal table
 // beside the session table — the only AOR-keyed table. It holds what each
@@ -31,8 +48,8 @@
 // the AOR, in the same per-rule-position slots a session record has, and
 // the AOR's registered locations (the passive mirror of the registrar's
 // location service). A principal outlives any one session, so its record
-// is created on first use and never expires; a hot reload empties its rule
-// slots and keeps its locations, and fleet handoff moves it whole.
+// is created on first use and does not expire yet; a hot reload empties its
+// rule slots and keeps its locations, and fleet handoff moves it whole.
 //
 // The media path is the hot path: once a flow's first packet has been
 // classified, a (src, dst, protocol) -> MediaFlow cache routes every further
@@ -43,10 +60,11 @@
 // it, and the slow path and the engine's bypass both step that state in
 // place. A binding change (SDP offer/answer, re-INVITE) drops only the cached
 // routes whose classification looked the rebound endpoint up, so call setup
-// elsewhere leaves established flows cached; expiry and session migration
-// still drop every route.
+// elsewhere leaves established flows cached; retirement and session
+// migration drop only the routes into the record that goes.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <optional>
 #include <span>
@@ -68,7 +86,7 @@ namespace scidive::core {
 /// packet. From then on the slow path and the engine's bypass step that
 /// state in place through these pointers, so nothing is copied and nothing
 /// needs writing back. The pointees live in the session's record; the trail
-/// manager drops every route before it drops or moves a record.
+/// manager drops a record's routes before it drops or moves the record.
 struct MediaFlow {
   Trail* trail = nullptr;
   bool bound = false;  // routed via an SDP binding; keeps stats exact on cache hits
@@ -89,8 +107,22 @@ struct TrailManagerStats {
   uint64_t rtp_bound_to_session = 0;   // matched via SDP-learned endpoints
   uint64_t rtp_unbound = 0;            // synthetic flow session
   uint64_t flow_cache_hits = 0;        // media packets routed without classify
-  uint64_t trails_expired = 0;         // trails dropped by expire_idle
-  uint64_t sessions_expired = 0;       // records dropped with their last trail
+  uint64_t sessions_retired_closed = 0;  // records retired after their dialog closed
+  uint64_t sessions_retired_idle = 0;    // records retired while still open
+};
+
+/// How long an idle session record is kept, derived from the ruleset by the
+/// engine (ScidiveEngine keeps it in step with its rules).
+struct RetentionPolicy {
+  /// The least a closed record is kept: the monitoring window m of §4.3,
+  /// so orphan media after a BYE still meets the record.
+  SimDuration closed = 0;
+  /// An open record's retention: the longest horizon in the ruleset, and
+  /// at least `closed`.
+  SimDuration open = 0;
+  /// Each rule position's horizon: a closed record holding that rule's
+  /// state is kept at least this long.
+  std::vector<SimDuration> rule_horizons;
 };
 
 class TrailManager {
@@ -120,7 +152,9 @@ class TrailManager {
 
   /// Register a media endpoint as belonging to a session (the Distiller
   /// sees SDP; the EventGenerator calls this when signaling reveals where a
-  /// call's media will flow).
+  /// call's media will flow). The session's record owns the binding, so it
+  /// goes when the record retires or moves; a binding made while the
+  /// session has no record yet belongs to no record.
   void bind_media_endpoint(const pkt::Endpoint& media, const SessionId& session);
   void unbind_media_endpoint(const pkt::Endpoint& media);
   std::optional<SessionId> session_for_media(const pkt::Endpoint& media) const;
@@ -145,7 +179,7 @@ class TrailManager {
   /// bypass can step.
   size_t attached_flows() const;
   /// The event state of the session `trail` belongs to. Precondition:
-  /// `trail` was routed by this manager and has not expired.
+  /// `trail` was routed by this manager and has not retired.
   EventSessionState& session_state(const Trail& trail) {
     return (*sessions_.find(trail.sym()))->events;
   }
@@ -193,25 +227,46 @@ class TrailManager {
   /// Every AOR with a record, sorted.
   std::vector<std::string> principals() const;
 
-  /// Drop every trail whose newest footprint is older than `cutoff`. A
-  /// record goes with its last trail, event state, rule state and media
-  /// bindings included; its id is appended to `retired` when given.
-  /// Returns the trails dropped.
+  // --- Retirement on packet time --------------------------------------
+
+  /// The retention every record is judged by from now on. A record whose
+  /// retention shrank keeps its wake and retires at it, late but never
+  /// early.
+  void set_retention(RetentionPolicy policy) { retention_ = std::move(policy); }
+  const RetentionPolicy& retention() const { return retention_; }
+  /// Move the expiry wheel's clock to `now` (never backwards) and retire
+  /// every record whose deadline has come due. One compare while the clock
+  /// stays inside the current tick.
+  void advance(SimTime now) {
+    if (now >= next_tick_at_) advance_wheel(now);
+  }
+  /// The start of the wheel tick holding the largest time advanced to.
+  SimTime wheel_time() const { return wheel_tick_ << kWheelTickShift; }
+  /// The dialog mirror closed `trail`'s session: its retention may have
+  /// shrunk, so its wake moves up to its deadline when that comes sooner.
+  void note_closed(const Trail& trail);
+  uint64_t sessions_retired() const {
+    return stats_.sessions_retired_closed + stats_.sessions_retired_idle;
+  }
+
+  /// Forced sweep through the same retire path: retire every record whose
+  /// newest footprint is older than `cutoff`, whatever its retention. Each
+  /// retired id is appended to `retired` when given. Returns the records
+  /// retired.
   size_t expire_idle(SimTime cutoff, std::vector<SessionId>* retired = nullptr);
 
   // --- Session migration (fleet churn handoff) --------------------------
   // A session moves between managers as one opaque package: its record
-  // (arena, trails, event state, rule state) plus the media endpoints bound
-  // to it. Rule state is indexed by rule position, so both managers must
-  // serve the same ruleset.
+  // (arena, trails, event state, rule state, the media endpoints bound to
+  // it), from which its deadline follows. Rule state is indexed by rule
+  // position, so both managers must serve the same ruleset.
   // Trail and state pointers stay valid across the move (the record moves,
-  // not the objects); install re-interns the id and rebinds the trails to
-  // the adopting manager's symbol.
+  // not the objects); install re-interns the id, rebinds the trails to
+  // the adopting manager's symbol and re-arms the record on its wheel.
 
   struct ExtractedSession {
     SessionId id;
     std::unique_ptr<SessionSlot> slot;  // null when extraction failed
-    std::vector<pkt::Endpoint> media;   // endpoints that were bound to it
     bool valid() const { return slot != nullptr; }
     ExtractedSession();
     ExtractedSession(ExtractedSession&&) noexcept;
@@ -227,14 +282,17 @@ class TrailManager {
   static bool synthetic_session(std::string_view session);
   std::vector<pkt::Endpoint> media_endpoints(const SessionId& session) const;
 
-  /// Detach a session (its record and media bindings) for transplant.
-  /// Returns an invalid package when the session does not exist. Counters
-  /// (sessions_created etc.) are monotone and unaffected.
+  /// Detach a session (its record and media bindings) for transplant; only
+  /// the record's own cached routes are dropped. Returns an invalid package
+  /// when the session does not exist. Counters (sessions_created etc.) are
+  /// monotone and unaffected.
   ExtractedSession extract_session(const SessionId& session);
   /// Adopt an extracted session. Precondition: no session with this id
   /// exists here (the router's affinity guarantees it; callers check
   /// has_session first). Does NOT count a session creation — across a
-  /// sharded engine the session was created exactly once.
+  /// sharded engine the session was created exactly once. A record already
+  /// past its deadline on this manager's clock retires at once, as it would
+  /// have where it came from.
   void install_session(ExtractedSession&& moved);
 
   /// A principal moves the same way: its whole record (rule slots and
@@ -250,33 +308,6 @@ class TrailManager {
   void install_principal(ExtractedPrincipal&& moved);
 
  private:
-  /// One session's record: trails plus their footprint rings live in the
-  /// arena; the slot destructor runs the Trail destructors and then the
-  /// arena release reclaims every byte at once. Held behind unique_ptr so
-  /// the arena's and the event state's addresses survive table rehashes
-  /// (trail rings keep Arena*, flow records keep state pointers).
-  struct SessionSlot {
-    /// A one-trail session (a trail and its first ring block, 416 B) fits
-    /// the first chunk; the second chunk (twice the size) holds a second
-    /// trail plus the first trail's ring regrown to eight slots.
-    static constexpr size_t kFirstChunkBytes = 512;
-
-    Arena arena{kFirstChunkBytes};
-    std::vector<Trail*> trails;  // creation order, arena-placed, one per protocol
-    EventSessionState events;
-    /// Indexed by rule position; grown only as far as the rules that wrote.
-    std::vector<std::unique_ptr<RuleSessionState>> rules;
-    ~SessionSlot() {
-      for (Trail* t : trails) t->~Trail();
-    }
-    Trail* find(Protocol protocol) const {
-      for (Trail* t : trails) {
-        if (t->key().protocol == protocol) return t;
-      }
-      return nullptr;
-    }
-  };
-
   /// One direction of a media flow. Trivially hashable: the steady-state
   /// lookup never touches a string.
   struct MediaFlowKey {
@@ -294,6 +325,52 @@ class TrailManager {
     }
   };
 
+  /// One session's record: trails plus their footprint rings live in the
+  /// arena; the slot destructor runs the Trail destructors and then the
+  /// arena release reclaims every byte at once. Held behind unique_ptr so
+  /// the arena's and the event state's addresses survive table rehashes
+  /// (trail rings keep Arena*, flow records keep state pointers, the wheel
+  /// links records).
+  struct SessionSlot {
+    /// A one-trail session (a trail and its first ring block, 416 B) fits
+    /// the first chunk; the second chunk (twice the size) holds a second
+    /// trail plus the first trail's ring regrown to eight slots.
+    static constexpr size_t kFirstChunkBytes = 512;
+
+    Arena arena{kFirstChunkBytes};
+    /// Creation order, arena-placed, one per protocol.
+    std::array<Trail*, kProtocolCount> trails{};
+    uint8_t trail_count = 0;
+    Symbol sym = kInvalidSymbol;
+    /// The wheel tick the record's one wake entry sits at, and its
+    /// neighbours in that tick's list.
+    int64_t wake_tick = 0;
+    SessionSlot* wake_prev = nullptr;
+    SessionSlot* wake_next = nullptr;
+    EventSessionState events;
+    /// Indexed by rule position; grown only as far as the rules that wrote.
+    std::vector<std::unique_ptr<RuleSessionState>> rules;
+    /// Endpoints bound to this session, each once; a binding that has since
+    /// moved to another session is skipped when this record goes.
+    std::vector<pkt::Endpoint> media;
+    /// Cached routes into this record's trails, each once; a route that has
+    /// since been dropped or re-routed elsewhere is skipped.
+    std::vector<MediaFlowKey> routes;
+
+    ~SessionSlot() {
+      for (Trail* t : trail_list()) t->~Trail();
+    }
+    std::span<Trail* const> trail_list() const { return {trails.data(), trail_count}; }
+    Trail* find(Protocol protocol) const {
+      for (Trail* t : trail_list()) {
+        if (t->key().protocol == protocol) return t;
+      }
+      return nullptr;
+    }
+    /// The newest footprint time across the record's trails.
+    SimTime last_touch() const;
+  };
+
   /// The binding a media footprint's classification looks up for `ep`:
   /// RTCP runs on media-port + 1, so an odd RTCP port maps to the even RTP
   /// port.
@@ -303,13 +380,15 @@ class TrailManager {
   }
 
   Symbol classify(const Footprint& fp, bool& media_bound);
-  Trail& trail_for(Symbol sym, Protocol protocol);
+  /// The record of `sym`, created (and armed from `time`) on first use.
+  SessionSlot& record_for(Symbol sym, SimTime time);
+  Trail& trail_in(SessionSlot& slot, Protocol protocol);
   /// The record of `session`, nullptr when it has none. Shallow const, like
   /// the trail pointers the record holds.
   SessionSlot* slot_of(const SessionId& session) const;
-  /// Drop every cached route: they may point into a record being dropped
-  /// or moved.
-  void forget_routes();
+  /// Drop the cached routes into `slot`'s trails, and nothing else: the
+  /// record is retiring or moving.
+  void forget_routes_into(SessionSlot& slot);
   /// The binding of `ep` changed: drop the cached routes that looked it up.
   void forget_routes_through(const pkt::Endpoint& ep);
   void release_route_ref(const pkt::Endpoint& ep);
@@ -317,6 +396,29 @@ class TrailManager {
 
   /// The record of `aor`, nullptr when it has none.
   const PrincipalRecord* principal_of(std::string_view aor) const;
+
+  // --- The expiry wheel ---------------------------------------------------
+  // A hashed wheel of kWheelSlots tick lists; a record's wake sits in the
+  // list of its tick modulo the wheel size, and an entry more than one turn
+  // away is passed over until its turn.
+
+  /// Ticks of 2^16 µs (about 65 ms); one turn of the wheel is about 134 s.
+  static constexpr int kWheelTickShift = 16;
+  static constexpr size_t kWheelSlots = 2048;
+
+  void advance_wheel(SimTime now);
+  /// The first tick starting at or after `time + keep` (saturating).
+  static int64_t tick_at_or_after(SimTime time, SimDuration keep);
+  /// The tick by which `slot` has been idle for its retention.
+  int64_t due_tick(const SessionSlot& slot) const;
+  SimDuration retention_of(const SessionSlot& slot) const;
+  void link(SessionSlot& slot, int64_t tick);
+  void unlink(SessionSlot& slot);
+  /// A record's wake: retire it if due by the wheel's tick, else re-arm it
+  /// at its deadline.
+  void wake(SessionSlot& slot);
+  /// Drop one unlinked record: routes, bindings, then the record itself.
+  void retire(SessionSlot& slot);
 
   size_t max_footprints_per_trail_;
   SymbolTable symbols_;
@@ -335,6 +437,14 @@ class TrailManager {
   /// rebound endpoint absent here has no cached route to drop, which is the
   /// common case: SDP names fresh media endpoints.
   FlatMap<pkt::Endpoint, uint32_t> route_refs_;
+  RetentionPolicy retention_;
+  /// Tick list heads, allocated on the first arm.
+  std::vector<SessionSlot*> wheel_;
+  /// The tick of the largest time advanced to; valid once started.
+  int64_t wheel_tick_ = 0;
+  bool wheel_started_ = false;
+  /// The first time of the next tick: advance() does nothing below it.
+  SimTime next_tick_at_ = INT64_MIN;
   TrailManagerStats stats_;
 };
 

@@ -123,6 +123,36 @@ TEST(FleetDifferential, SpitGraylistStateFollowsCallerAcrossChurn) {
   EXPECT_GT(report.principals_handed_off, 0u) << "churn must move principals";
 }
 
+TEST(FleetDifferential, JoinerGetsItsRulesetBeforeChurnHandsItState) {
+  // The same churn probe with spit-graylist installed through make_rules:
+  // the joining node must have its ruleset before the join hands it
+  // records, because installing a ruleset starts every rule slot fresh —
+  // afterwards it would wipe the moved spammer's count.
+  const std::vector<pkt::Packet> stream = spit_mix_stream(0x5b18);
+  ASSERT_GT(stream.size(), 1000u);
+
+  DifferentialConfig config;
+  config.engine.enforce.mode = core::EnforcementMode::kPassive;
+  config.make_rules = [] {
+    core::RulesConfig rules;
+    rules.spit_graylist = true;
+    return core::make_default_ruleset(rules);
+  };
+  config.topologies.clear();
+  for (size_t workers : {1, 2, 4}) {
+    FleetRun t = by_caller(fleet_of(2, workers));
+    t.join_at = stream.size() / 3;
+    t.leave_at = (2 * stream.size()) / 3;
+    config.topologies.push_back(t);
+  }
+
+  const DifferentialReport report = run_differential(stream, config);
+  EXPECT_TRUE(report.ok()) << report.to_string();
+  EXPECT_GE(report.baseline_verdicts, 2u) << "both spammers should be graylisted";
+  EXPECT_GT(report.sessions_handed_off, 0u) << "churn must move sessions";
+  EXPECT_GT(report.principals_handed_off, 0u) << "churn must move principals";
+}
+
 /// `stream` with UDP port `from` renumbered `to` (those datagrams are
 /// rebuilt, so checksums stay valid). Everything else, fragments included,
 /// passes through unchanged.

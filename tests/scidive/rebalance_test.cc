@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "ruledsl/loader.h"
+#include "scidive/call_streams.h"
 #include "scidive/scidive_test_util.h"
 #include "scidive/sharded_engine.h"
 #include "sip/message.h"
@@ -138,6 +139,61 @@ TEST(Rebalance, MigrationFlushesFastpathCacheAndKeepsDetecting) {
     bypassed_after += sharded.shard(i).fastpath_bypassed();
   }
   EXPECT_GT(bypassed_after, bypassed) << "migrated flows re-attach and bypass again";
+}
+
+TEST(Rebalance, MovedRecordRetiresAtTheSamePacketInItsNewEngine) {
+  // A record's deadline moves with it: a call closed by its BYE and handed
+  // to another engine inside its window retires at the same packet of the
+  // ongoing stream there as in an engine that kept it all along — whether
+  // the new engine has seen traffic before or not.
+  using namespace call_streams;
+  const Call ended{"call-ended", media(1, 16384), media(2, 16386)};
+  const Call other{"call-other", media(3, 20000), media(4, 20002)};
+  std::vector<pkt::Packet> stream = setup(ended, 0);
+  for (pkt::Packet& p : setup(other, msec(1))) stream.push_back(std::move(p));
+  size_t handoff = 0;
+  for (uint16_t r = 0; r < 100; ++r) {
+    const SimTime t = msec(100) + msec(20) * r;
+    if (r < 20) add_media_round(stream, ended, r, t);
+    if (r == 20) {
+      stream.push_back(bye(ended, t));
+      handoff = stream.size();
+    }
+    add_media_round(stream, other, r, t + msec(5));
+  }
+  auto retired_at = [&](ScidiveEngine& engine, size_t from) {
+    for (size_t i = from; i < stream.size(); ++i) {
+      engine.on_packet(stream[i]);
+      if (!engine.has_session(ended.id)) return i;
+    }
+    return stream.size();
+  };
+
+  ScidiveEngine kept;
+  const size_t expected = retired_at(kept, 0);
+  ASSERT_LT(expected, stream.size()) << "the closed record must retire within the stream";
+  ASSERT_GT(expected, handoff + 8) << "the handoff must come inside the record's window";
+
+  // One source per target: the fresh target has seen no packet before the
+  // install, the warm one every packet of the other call.
+  auto is_other = [&](const pkt::Packet& p) {
+    const auto ends = Distiller::header_endpoints(p);
+    return ends && (ends->first.addr == other.caller_media.addr ||
+                    ends->first.addr == other.callee_media.addr);
+  };
+  for (bool warm_target : {false, true}) {
+    ScidiveEngine source, target;
+    for (size_t i = 0; i < handoff; ++i) {
+      source.on_packet(stream[i]);
+      if (warm_target && is_other(stream[i])) target.on_packet(stream[i]);
+    }
+    TrailManager::ExtractedSession moved = source.extract_session(ended.id);
+    ASSERT_TRUE(moved.valid());
+    target.install_session(std::move(moved));
+    EXPECT_TRUE(target.has_session(ended.id));
+    EXPECT_EQ(retired_at(target, handoff), expected) << (warm_target ? "warm" : "fresh");
+    EXPECT_EQ(target.trails().stats().sessions_retired_closed, 1u);
+  }
 }
 
 TEST(Rebalance, ExtractInstallHandoffWritesBackExactMicrostate) {

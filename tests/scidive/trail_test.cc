@@ -237,11 +237,12 @@ TEST(TrailManager, RebindingReachesRtcpRoutesOnTheOddPort) {
   EXPECT_EQ(tm.add(rtcp()).key().session, "call-A");
 }
 
-TEST(TrailManager, MigrationCannotBeReplayedEndpointByEndpoint) {
-  // Extracting a session drops every cached route wholesale, not just the
-  // routes through its endpoints: other calls' flows are re-classified
-  // (into the same sessions) on their next packet.
+TEST(TrailManager, MigrationDropsOnlyTheMovedRecordsRoutes) {
+  // Extracting a session drops the cached routes into its trails and no
+  // others: another call's flow stays cached and its next packet is a hit.
   TrailManager tm;
+  tm.add(sip_request("INVITE", "call-A", "a@x", "ta", "b@x", "", 0, ep(1, 5060), ep(2, 5060)));
+  tm.add(sip_request("INVITE", "call-B", "c@x", "tc", "d@x", "", 0, ep(3, 5060), ep(4, 5060)));
   tm.bind_media_endpoint(ep(2, 16384), "call-A");
   tm.bind_media_endpoint(ep(4, 16384), "call-B");
   tm.add(rtp_packet(1, 7, 0, ep(1, 16384), ep(2, 16384)));
@@ -250,10 +251,16 @@ TEST(TrailManager, MigrationCannotBeReplayedEndpointByEndpoint) {
   ASSERT_TRUE(moved.valid());
   EXPECT_EQ(tm.find_flow(ep(1, 16384), ep(2, 16384), Protocol::kRtp), nullptr)
       << "cached routes into the departed trails are gone";
-  EXPECT_EQ(tm.find_flow(ep(3, 16384), ep(4, 16384), Protocol::kRtp), nullptr);
+  EXPECT_FALSE(tm.session_for_media(ep(2, 16384)).has_value()) << "its binding left with it";
+  EXPECT_NE(tm.find_flow(ep(3, 16384), ep(4, 16384), Protocol::kRtp), nullptr);
   EXPECT_EQ(tm.add(rtp_packet(2, 8, msec(20), ep(3, 16384), ep(4, 16384))).key().session,
             "call-B");
-  EXPECT_EQ(tm.stats().flow_cache_hits, 0u);
+  EXPECT_EQ(tm.stats().flow_cache_hits, 1u);
+  // The moved record's endpoint, with no binding here any more, classifies
+  // as a flow of its own.
+  EXPECT_EQ(tm.add(rtp_packet(2, 7, msec(20), ep(1, 16384), ep(2, 16384))).key().session.rfind(
+                "flow:", 0),
+            0u);
 }
 
 TEST(TrailManager, InternsSessionSymbolsOnce) {
@@ -324,21 +331,27 @@ TEST(TrailManager, SessionArenaReleasedOnLastTrailExpiry) {
   EXPECT_EQ(tm.stats().sessions_created, 3u);  // call-A, flow, call-A again
 }
 
-TEST(TrailManager, PartialExpiryKeepsSessionAlive) {
-  // Only some of a session's trails go idle: the session slot (and its
-  // arena) must survive for the still-live trails.
+TEST(TrailManager, ExpiryKeepsARecordWithALiveTrailWhole) {
+  // Only some of a session's trails went idle: the record is not idle, so
+  // it stays whole — every trail readable, its binding kept.
   TrailManager tm;
   tm.add(sip_request("INVITE", "call-A", "a@x", "t", "b@x", "", msec(10), ep(1, 1), ep(2, 2)));
   tm.bind_media_endpoint(ep(4, 16384), "call-A");
   tm.add(rtp_packet(1, 1, sec(100), ep(3, 16384), ep(4, 16384)));
   ASSERT_EQ(tm.session_count(), 1u);
-  EXPECT_EQ(tm.expire_idle(sec(50)), 1u);  // the sip trail only
+  EXPECT_EQ(tm.expire_idle(sec(50)), 0u);
   EXPECT_EQ(tm.session_count(), 1u);
-  EXPECT_EQ(tm.find("call-A", Protocol::kSip), nullptr);
+  ASSERT_NE(tm.find("call-A", Protocol::kSip), nullptr);
+  EXPECT_EQ(tm.find("call-A", Protocol::kSip)->size(), 1u);
   const Trail* rtp = tm.find("call-A", Protocol::kRtp);
   ASSERT_NE(rtp, nullptr);
-  EXPECT_EQ(rtp->size(), 1u);  // still readable: arena not released
-  EXPECT_EQ(tm.session_for_media(ep(4, 16384)), "call-A");  // the record keeps its binding
+  EXPECT_EQ(rtp->size(), 1u);
+  EXPECT_EQ(tm.session_for_media(ep(4, 16384)), "call-A");
+  // Once the newest trail is idle too, the record goes whole.
+  EXPECT_EQ(tm.expire_idle(sec(101)), 1u);
+  EXPECT_EQ(tm.session_count(), 0u);
+  EXPECT_EQ(tm.trail_count(), 0u);
+  EXPECT_FALSE(tm.session_for_media(ep(4, 16384)).has_value());
 }
 
 TEST(TrailManager, SessionChurnStress) {
@@ -360,7 +373,7 @@ TEST(TrailManager, SessionChurnStress) {
   EXPECT_EQ(tm.find("wave-0-call-0", Protocol::kSip), nullptr);
   EXPECT_NE(tm.find("wave-9-call-999", Protocol::kSip), nullptr);
   EXPECT_EQ(tm.stats().sessions_created, 10000u);
-  EXPECT_EQ(tm.stats().trails_expired, 9000u);
+  EXPECT_EQ(tm.sessions_retired(), 9000u);
   // The interner is append-only by design; every distinct id stays interned.
   EXPECT_EQ(tm.symbols().size(), 10000u);
 }
