@@ -1,6 +1,5 @@
 #include "scidive/enforce.h"
 
-#include <algorithm>
 #include <cmath>
 
 namespace scidive::core {
@@ -103,41 +102,6 @@ size_t BlockList::sweep(SimTime now) {
   return n;
 }
 
-// --- SharedEnforcement -----------------------------------------------------
-
-namespace {
-
-uint32_t pack_enforcement(VerdictAction action, SimTime expires_at) {
-  const SimTime whole_sec = expires_at <= 0 ? 0 : (expires_at + 999'999) / 1'000'000;
-  constexpr uint64_t kMaxSec = (uint64_t{1} << 30) - 1;
-  const uint64_t capped = std::min(static_cast<uint64_t>(whole_sec), kMaxSec);
-  return static_cast<uint32_t>(capped << 2) | static_cast<uint32_t>(action);
-}
-
-}  // namespace
-
-void SharedEnforcement::publish(uint64_t key, VerdictAction action, SimTime expires_at) {
-  const uint32_t packed = pack_enforcement(action, expires_at);
-  uint32_t cur;
-  if (published_.find(key, cur)) {
-    // Take the max of the deadline and of the action independently.
-    const uint32_t merged = std::max(cur & ~uint32_t{3}, packed & ~uint32_t{3}) |
-                            std::max(cur & 3, packed & 3);
-    if (merged != cur) published_.insert_or_assign(key, merged);
-    return;
-  }
-  published_.insert_or_assign(key, packed);
-}
-
-VerdictAction SharedEnforcement::published(uint64_t key, SimTime now) const {
-  if (published_.size() == 0) return VerdictAction::kPass;  // common-path fast exit
-  uint32_t packed;
-  if (!published_.find(key, packed)) return VerdictAction::kPass;
-  const SimTime expires = static_cast<SimTime>(packed >> 2) * 1'000'000;
-  if (expires <= now) return VerdictAction::kPass;
-  return static_cast<VerdictAction>(packed & 3);
-}
-
 // --- Enforcer --------------------------------------------------------------
 
 Enforcer::Enforcer(EnforceConfig config)
@@ -145,59 +109,38 @@ Enforcer::Enforcer(EnforceConfig config)
       blocks_(BlockListConfig{config.block_ttl, config.max_blocked}),
       limiter_(config.limiter) {}
 
-void Enforcer::apply(const Verdict& verdict) {
-  const SimTime now = verdict.time;
+Enforcement Enforcer::enforcement_of(const Verdict& verdict) {
   const uint64_t src =
       verdict.endpoint.addr.is_unspecified() ? 0 : source_key(verdict.endpoint.addr);
   const uint64_t sess = verdict.session.empty() ? 0 : session_key(verdict.session);
   const uint64_t principal = verdict.aor.empty() ? 0 : aor_key(verdict.aor);
-
   switch (verdict.action) {
     case VerdictAction::kPass:
-      return;
-    case VerdictAction::kDrop: {
-      const uint64_t key = src != 0 ? src : sess;
-      if (key == 0) return;
-      if (blocks_.block(key, VerdictAction::kDrop, now) && shared_ != nullptr) {
-        shared_->publish(key, VerdictAction::kDrop, now + config_.block_ttl);
-      }
-      return;
-    }
-    case VerdictAction::kQuarantine: {
-      const uint64_t key = sess != 0 ? sess : src;
-      if (key == 0) return;
-      if (blocks_.block(key, VerdictAction::kQuarantine, now) && shared_ != nullptr) {
-        shared_->publish(key, VerdictAction::kQuarantine, now + config_.block_ttl);
-      }
-      return;
-    }
-    case VerdictAction::kRateLimit: {
-      const uint64_t key = principal != 0 ? principal : src;
-      if (key == 0) return;
-      if (limiter_.arm(key, now) && shared_ != nullptr) {
-        shared_->publish(key, VerdictAction::kRateLimit, now + config_.block_ttl);
-      }
-      return;
-    }
+      return {};
+    case VerdictAction::kDrop:
+      return {src != 0 ? src : sess, verdict.action, verdict.time};
+    case VerdictAction::kQuarantine:
+      return {sess != 0 ? sess : src, verdict.action, verdict.time};
+    case VerdictAction::kRateLimit:
+      return {principal != 0 ? principal : src, verdict.action, verdict.time};
   }
+  return {};
 }
 
-VerdictAction Enforcer::adopt_shared(uint64_t src_key, uint64_t sess_key,
-                                     uint64_t principal_key, SimTime now) {
-  VerdictAction act = VerdictAction::kPass;
-  const uint64_t keys[3] = {src_key, sess_key, principal_key};
-  for (uint64_t key : keys) {
-    if (key == 0) continue;
-    const VerdictAction p = shared_->published(key, now);
-    if (p == VerdictAction::kRateLimit) {
-      // Another shard graylisted this principal: arm a local bucket so
-      // token accounting happens here too.
-      limiter_.arm(key, now);
-    } else {
-      act = max_action(act, p);
-    }
+void Enforcer::apply(const Verdict& verdict) {
+  const Enforcement enforcement = enforcement_of(verdict);
+  if (enforcement.key == 0) return;
+  apply(enforcement);
+  if (outbox_ != nullptr) outbox_->push_back(enforcement);
+}
+
+void Enforcer::apply(const Enforcement& enforcement) {
+  if (enforcement.key == 0 || enforcement.action == VerdictAction::kPass) return;
+  if (enforcement.action == VerdictAction::kRateLimit) {
+    limiter_.arm(enforcement.key, enforcement.time);
+  } else {
+    blocks_.block(enforcement.key, enforcement.action, enforcement.time);
   }
-  return act;
 }
 
 VerdictAction Enforcer::decide(uint64_t src_key, uint64_t sess_key, uint64_t principal_key,
@@ -206,9 +149,6 @@ VerdictAction Enforcer::decide(uint64_t src_key, uint64_t sess_key, uint64_t pri
   const uint64_t keys[3] = {src_key, sess_key, principal_key};
   for (uint64_t key : keys) {
     if (key != 0) act = max_action(act, blocks_.lookup(key, now));
-  }
-  if (shared_ != nullptr) {
-    act = max_action(act, adopt_shared(src_key, sess_key, principal_key, now));
   }
   if (act != VerdictAction::kPass) return act;  // blocks hold only quarantine/drop
 
@@ -229,10 +169,6 @@ VerdictAction Enforcer::peek(uint64_t src_key, uint64_t sess_key, uint64_t princ
   const uint64_t keys[3] = {src_key, sess_key, principal_key};
   for (uint64_t key : keys) {
     if (key != 0) act = max_action(act, blocks_.peek(key, now));
-    if (shared_ != nullptr && key != 0) {
-      const VerdictAction p = shared_->published(key, now);
-      if (p != VerdictAction::kRateLimit) act = max_action(act, p);
-    }
   }
   if (act != VerdictAction::kPass) return act;
 

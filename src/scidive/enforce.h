@@ -7,8 +7,9 @@
 // Keys are content-derived, not interner-local: a key is an EnforceKeyKind
 // tag in the top byte over a 56-bit hash of the identity (source address,
 // AOR spelling, session id). Content derivation is what lets a verdict
-// computed on one shard be published through SharedEnforcement and honored
-// by every other shard — symbol ids are per-interner, hashes are not.
+// computed on one shard (or on a fleet peer) mean the same thing in every
+// other shard's Enforcer it is forwarded to — symbol ids are per-interner,
+// hashes are not.
 //
 // The Enforcer composes the two stores and owns the action semantics:
 //   drop        -> block the source (TTL), fall back to the session;
@@ -24,10 +25,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string_view>
+#include <vector>
 
-#include "common/atomic_u64_map.h"
 #include "common/clock.h"
 #include "common/flat_map.h"
 #include "pkt/addr.h"
@@ -187,28 +187,6 @@ class BlockList {
   uint64_t rejected_total_ = 0;
 };
 
-// --- shared publication ----------------------------------------------------
-
-/// Cross-shard verdict publication. A ShardedEngine owns one and attaches
-/// every worker's Enforcer to it, so a verdict applied on one shard is
-/// honored by packet decisions on every other. Workers publish while other
-/// workers read, so entries live in an AtomicU64Map (lock-free reads,
-/// mutex-serialized writes); each value packs ceil-seconds of the expiry
-/// (30 bits, saturated) over the 2-bit action. The map cannot erase, so
-/// expiry is value-level: an entry past its deadline reads as kPass, and a
-/// re-publish merges in place. Single-engine deployments attach none.
-class SharedEnforcement {
- public:
-  /// Merge-upgrade: never downgrades the action, never shortens the TTL.
-  void publish(uint64_t key, VerdictAction action, SimTime expires_at);
-  /// Action published for `key`, kPass when none or expired at `now`.
-  VerdictAction published(uint64_t key, SimTime now) const;
-  size_t published_count() const { return published_.size(); }
-
- private:
-  AtomicU64Map published_{256};
-};
-
 // --- the enforcer ----------------------------------------------------------
 
 struct EnforceConfig {
@@ -219,6 +197,15 @@ struct EnforceConfig {
   size_t verdict_capacity = VerdictSink::kDefaultCapacity;
 };
 
+/// What one verdict installs: a block on one key (drop, quarantine) or a
+/// bucket armed on one key (rate_limit), as of the verdict's time. Key 0
+/// installs nothing.
+struct Enforcement {
+  uint64_t key = 0;
+  VerdictAction action = VerdictAction::kPass;
+  SimTime time = 0;
+};
+
 /// Applies verdicts to the stores and evaluates per-packet decisions.
 class Enforcer {
  public:
@@ -227,9 +214,22 @@ class Enforcer {
   EnforcementMode mode() const { return config_.mode; }
   bool inline_mode() const { return config_.mode == EnforcementMode::kInline; }
 
-  /// Consume one rule-emitted verdict: install blocks / arm buckets and
-  /// publish through the shared view when one is attached.
+  /// The key and action `verdict` resolves to (see the header comment).
+  static Enforcement enforcement_of(const Verdict& verdict);
+
+  /// Consume one rule-emitted verdict: install its block or arm its bucket,
+  /// and record it in the outbox when one is attached.
   void apply(const Verdict& verdict);
+  /// Install an enforcement resolved elsewhere (a sibling shard's rule, a
+  /// fleet peer). It never reaches the outbox, so it is never forwarded
+  /// again. The stores merge: a block keeps the max action and the later
+  /// expiry, and arming an armed bucket is a no-op.
+  void apply(const Enforcement& enforcement);
+
+  /// Where apply(const Verdict&) records what it installs, for a sharded
+  /// engine to forward to its other shards. nullptr (the default) records
+  /// nothing.
+  void set_outbox(std::vector<Enforcement>* outbox) { outbox_ = outbox; }
 
   /// Mutating per-packet decision over the packet's identity keys (0 for
   /// an absent identity — e.g. RTP has no AOR). Consumes a token when a
@@ -241,8 +241,6 @@ class Enforcer {
   VerdictAction peek(uint64_t src_key, uint64_t sess_key, uint64_t principal_key,
                      SimTime now) const;
 
-  void set_shared(SharedEnforcement* shared) { shared_ = shared; }
-
   BlockList& blocks() { return blocks_; }
   const BlockList& blocks() const { return blocks_; }
   RateLimiter& limiter() { return limiter_; }
@@ -250,15 +248,10 @@ class Enforcer {
   const EnforceConfig& config() const { return config_; }
 
  private:
-  /// Strongest published action across the packet's keys, arming local
-  /// state for shared entries this shard has not seen yet (decide path).
-  VerdictAction adopt_shared(uint64_t src_key, uint64_t sess_key, uint64_t principal_key,
-                             SimTime now);
-
   EnforceConfig config_;
   BlockList blocks_;
   RateLimiter limiter_;
-  SharedEnforcement* shared_ = nullptr;
+  std::vector<Enforcement>* outbox_ = nullptr;
 };
 
 }  // namespace scidive::core

@@ -39,6 +39,18 @@ uint64_t elapsed_ns(std::chrono::steady_clock::time_point since) {
                                    .count());
 }
 
+/// Spin, then sleep, until `done()` holds (the feeder waiting on workers).
+template <typename Done>
+void wait_until(Done done) {
+  for (int spins = 0; !done();) {
+    if (++spins < 1024) {
+      std::this_thread::yield();
+    } else {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  }
+}
+
 }  // namespace
 
 ShardedEngine::ShardedEngine(ShardedEngineConfig config)
@@ -48,11 +60,12 @@ ShardedEngine::ShardedEngine(ShardedEngineConfig config)
   shards_.reserve(config_.num_shards);
   for (size_t i = 0; i < config_.num_shards; ++i)
     shards_.push_back(std::make_unique<Shard>(ec, config_.queue_capacity));
-  // Before any worker starts: attach each shard's enforcer (present when
-  // enforcement is on) to the shared publication so a verdict applied on
-  // one worker is honored by every shard's decide().
-  for (auto& shard : shards_) {
-    if (Enforcer* enf = shard->engine.enforcer()) enf->set_shared(&enforcement_);
+  // Before any worker starts: each shard's enforcer (present when
+  // enforcement is on) records what its rules apply, for forwarding.
+  if (shards_.size() > 1) {
+    for (auto& shard : shards_) {
+      if (Enforcer* enf = shard->engine.enforcer()) enf->set_outbox(&shard->outbox);
+    }
   }
   for (size_t i = 0; i < shards_.size(); ++i)
     shards_[i]->worker = std::thread([this, s = shards_[i].get(), i] { worker_loop(*s, i); });
@@ -81,6 +94,7 @@ void ShardedEngine::worker_loop(Shard& shard, size_t index) {
   uint64_t hwm = 0;
   int idle_polls = 0;
   for (;;) {
+    drain_inbox(shard);
     // Sample ring depth before draining: the high-water mark feeds the
     // scidive_shard_queue_depth_hwm gauge.
     const size_t depth = shard.queue.size();
@@ -101,10 +115,12 @@ void ShardedEngine::worker_loop(Shard& shard, size_t index) {
           if (packet.data.capacity() > kSlotBufferBytes) packet.data = Bytes();
         });
     if (n != 0) {
+      forward_outbox(shard);
       shard.busy_ns.fetch_add(elapsed_ns(poll_start), std::memory_order_relaxed);
       // One release store per batch publishes both the progress counter and
       // every engine mutation made while processing the batch. Ordering
-      // matters for flush(): processed must trail the processing itself.
+      // matters for flush(): processed must trail the processing itself,
+      // and the batch's verdicts must already sit in the other inboxes.
       shard.processed.fetch_add(n, std::memory_order_release);
       idle_polls = 0;
       continue;
@@ -117,6 +133,28 @@ void ShardedEngine::worker_loop(Shard& shard, size_t index) {
     }
     shard.idle_ns.fetch_add(elapsed_ns(poll_start), std::memory_order_relaxed);
   }
+}
+
+void ShardedEngine::drain_inbox(Shard& shard) {
+  if (shard.inbox_pending.load(std::memory_order_relaxed) == 0) return;
+  std::lock_guard<std::mutex> lock(shard.inbox_mu);
+  // Only an enforcing shard forwards, and every shard runs one config.
+  Enforcer& enforcer = *shard.engine.enforcer();
+  for (const Enforcement& enforcement : shard.inbox) enforcer.apply(enforcement);
+  shard.inbox.clear();
+  // Release: flush() reads zero only after the applies above.
+  shard.inbox_pending.store(0, std::memory_order_release);
+}
+
+void ShardedEngine::forward_outbox(Shard& shard) {
+  if (shard.outbox.empty()) return;
+  for (auto& to : shards_) {
+    if (to.get() == &shard) continue;
+    std::lock_guard<std::mutex> lock(to->inbox_mu);
+    to->inbox.insert(to->inbox.end(), shard.outbox.begin(), shard.outbox.end());
+    to->inbox_pending.fetch_add(shard.outbox.size(), std::memory_order_relaxed);
+  }
+  shard.outbox.clear();
 }
 
 void ShardedEngine::enqueue(size_t index, const pkt::Packet& packet) {
@@ -158,16 +196,15 @@ void ShardedEngine::on_packet(const pkt::Packet& packet) {
 }
 
 void ShardedEngine::flush() {
+  // Rings first. A worker forwards a batch's verdicts before it publishes
+  // the batch as processed, so once every ring is drained every forwarded
+  // verdict is in an inbox; applying one forwards nothing.
   for (auto& shard : shards_) {
     const uint64_t target = shard->enqueued.load(std::memory_order_acquire);
-    int spins = 0;
-    while (shard->processed.load(std::memory_order_acquire) < target) {
-      if (++spins < 1024) {
-        std::this_thread::yield();
-      } else {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-      }
-    }
+    wait_until([&] { return shard->processed.load(std::memory_order_acquire) >= target; });
+  }
+  for (auto& shard : shards_) {
+    wait_until([&] { return shard->inbox_pending.load(std::memory_order_acquire) == 0; });
   }
 }
 
@@ -240,7 +277,10 @@ bool ShardedEngine::install_principal(TrailManager::ExtractedPrincipal&& moved, 
 }
 
 void ShardedEngine::adopt_verdict(const Verdict& verdict) {
-  if (Enforcer* enforcer = shards_.front()->engine.enforcer()) enforcer->apply(verdict);
+  const Enforcement enforcement = Enforcer::enforcement_of(verdict);
+  for (auto& shard : shards_) {
+    if (Enforcer* enforcer = shard->engine.enforcer()) enforcer->apply(enforcement);
+  }
 }
 
 uint64_t ShardedEngine::packets_dropped() const {
@@ -338,12 +378,6 @@ void ShardedEngine::sync_frontend_stats() {
       .gauge("scidive_router_affinity_overrides",
              "Session-affinity overrides (caller dialog pins and handed-off sessions)")
       .set(static_cast<int64_t>(router_.override_count()));
-  if (config_.engine.enforce.mode != EnforcementMode::kOff) {
-    frontend_registry_
-        .gauge("scidive_router_published_enforcement",
-               "Enforcement entries published for every shard to honor")
-        .set(static_cast<int64_t>(enforcement_.published_count()));
-  }
 }
 
 obs::Snapshot ShardedEngine::metrics_snapshot() {

@@ -12,13 +12,19 @@
 //
 // One feeder, one routing owner: the feeding thread owns the router and
 // with it every piece of routing state (media bindings, session overrides,
-// the reassembler). The only state workers share is verdict publication
-// (SharedEnforcement, enforce.h): a verdict applied on one worker is
-// honored by every shard's decide().
+// the reassembler). Workers share nothing: each shard's Enforcer is its
+// own. A verdict a shard's rules apply is forwarded, after the batch that
+// raised it, to every other shard's verdict inbox, and each worker applies
+// its inbox to its own Enforcer at the top of its next poll. A forwarded
+// verdict is applied but never raised again (verdict multisets stay
+// per-shard) and never forwarded again.
 //
-// Determinism protocol: flush() blocks until every queue is drained and
-// every worker is parked; after it returns (and until the next on_packet)
-// the shard engines, merged stats and merged alerts may be read safely.
+// Determinism protocol: flush() blocks until every queue and every verdict
+// inbox is drained and every worker is parked; after it returns (and until
+// the next on_packet) the shard engines, merged stats and merged alerts may
+// be read safely. Below the caps, every shard's block list and armed
+// buckets then hold the same keys, whatever the timing: blocks merge by
+// max action and max expiry, and arming is idempotent.
 // Backpressure is explicit: a full ring either blocks the feeder
 // (OverflowPolicy::kBlock, the default) or drops the packet and counts it —
 // packets are never silently lost.
@@ -32,6 +38,7 @@
 
 #include <atomic>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -115,10 +122,10 @@ class ShardedEngine {
   TrailManager::ExtractedPrincipal extract_principal(std::string_view aor);
   bool install_principal(TrailManager::ExtractedPrincipal&& moved, size_t shard);
 
-  /// Adopt a verdict computed elsewhere (a fleet peer's engine): apply it
-  /// through shard 0's enforcer, which installs its content-derived keys
-  /// locally and publishes them to every shard. No-op when enforcement is
-  /// off. Quiescent-only, like shard(i) access.
+  /// Adopt a verdict computed elsewhere (a fleet peer's engine): apply its
+  /// content-derived key to every shard's enforcer. Nothing is raised or
+  /// forwarded. No-op when enforcement is off. Quiescent-only, like
+  /// shard(i) access.
   void adopt_verdict(const Verdict& verdict);
 
   /// Drive loop over a capture source, then flush() — so when this returns, merged alerts/stats/shards are safe to
@@ -168,9 +175,8 @@ class ShardedEngine {
   std::vector<Alert> merged_alerts() const;
   size_t alert_count() const;
   /// All verdicts across shards in a deterministic order (call after
-  /// flush()). Worker-computed verdicts are additionally published through
-  /// SharedEnforcement, so enforcement state is topology-global even
-  /// though each sink is shard-local.
+  /// flush()). Each verdict is raised by the shard that computed it; its
+  /// enforcement reaches every shard through the verdict inboxes.
   std::vector<Verdict> merged_verdicts() const;
   size_t verdict_count() const;
   uint64_t packets_dropped() const;
@@ -203,10 +209,24 @@ class ShardedEngine {
     std::atomic<uint64_t> busy_ns{0};
     std::atomic<uint64_t> idle_ns{0};
     std::atomic<uint64_t> queue_depth_hwm{0};
+    /// Worker-owned: what this shard's rules applied during the current
+    /// batch.
+    std::vector<Enforcement> outbox;
+    /// Written by the other shards' workers: they append under `inbox_mu`
+    /// and keep `inbox_pending` at the inbox's size; this worker applies
+    /// and clears it under the lock, so an empty inbox costs its poll one
+    /// relaxed load.
+    alignas(kCacheLineSize) std::atomic<size_t> inbox_pending{0};
+    std::mutex inbox_mu;
+    std::vector<Enforcement> inbox;
     std::thread worker;
   };
 
   void worker_loop(Shard& shard, size_t index);
+  /// Worker side of verdict forwarding: apply this shard's inbox, and hand
+  /// its outbox to every other shard's inbox.
+  void drain_inbox(Shard& shard);
+  void forward_outbox(Shard& shard);
   void enqueue(size_t index, const pkt::Packet& packet);
   void pin_worker(size_t index);
 
@@ -224,10 +244,8 @@ class ShardedEngine {
   /// Front-end instruments (touched only at snapshot time; the feeder
   /// counters stay plain fields on the hot path).
   obs::MetricsRegistry frontend_registry_;
-  /// Read by the workers — the published verdicts on every decision, the
-  /// stop flag on every idle poll — so each starts a cache line of its own,
-  /// away from the feeder's per-packet writes above.
-  alignas(kCacheLineSize) SharedEnforcement enforcement_;
+  /// Read by the workers on every idle poll, so it starts a cache line of
+  /// its own, away from the feeder's per-packet writes above.
   alignas(kCacheLineSize) std::atomic<bool> stopping_{false};
   /// Last: the worker threads live here and use every member above.
   std::vector<std::unique_ptr<Shard>> shards_;

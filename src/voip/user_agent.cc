@@ -268,6 +268,9 @@ void UserAgent::handle_request(const SipMessage& req, pkt::Endpoint from) {
     case Method::kBye:
       handle_bye(req, from);
       return;
+    case Method::kCancel:
+      handle_cancel(req, from);
+      return;
     case Method::kMessage:
       handle_message(req, from);
       return;
@@ -368,33 +371,23 @@ void UserAgent::handle_invite(const SipMessage& req, pkt::Endpoint from) {
       call_state.dialog->set_remote_target(*ep);
   }
   learn_contact(req, from);
+  call_state.ringing_invite = req;
+  call_state.ringing_from = from;
   calls_[*call_id] = std::move(call_state);
   ++stats_.calls_answered;
 
-  // Ring, then answer.
-  auto ringing = sip::TransactionManager::make_response_for(req, 180, "Ringing");
-  {
-    // 180 carries our To tag so the caller can form the early dialog.
-    auto to = req.to();
-    if (to.ok()) {
-      auto na = to.value();
-      na.set_tag(local_tag);
-      ringing.headers().set("To", na.to_string());
-    }
-  }
-  tm_.respond(req, ringing, from);
+  // Ring, then answer — unless a CANCEL ends the ringing first. The 180
+  // carries our To tag so the caller can form the early dialog.
+  tm_.respond(req, dialog_response(req, 180, "Ringing", local_tag), from);
 
   std::string id = *call_id;
-  host_.after(config_.answer_delay, [this, req, from, id, local_tag] {
+  host_.after(config_.answer_delay, [this, id, local_tag] {
     Call* call = find_call_mut(id);
-    if (call == nullptr || crashed_) return;
-    auto rsp = sip::TransactionManager::make_response_for(req, 200, "OK");
-    auto to = req.to();
-    if (to.ok()) {
-      auto na = to.value();
-      na.set_tag(local_tag);
-      rsp.headers().set("To", na.to_string());
-    }
+    if (call == nullptr || crashed_ || !call->ringing_invite) return;
+    const SipMessage req = std::move(*call->ringing_invite);
+    const pkt::Endpoint from = call->ringing_from;
+    call->ringing_invite.reset();
+    auto rsp = dialog_response(req, 200, "OK", local_tag);
     rsp.headers().add("Contact", "<sip:" + config_.user + "@" + host_.address().to_string() +
                                      str::format(":%u", config_.sip_port) + ">");
     rsp.set_body(local_sdp(call->local_rtp_port).to_string(), "application/sdp");
@@ -448,6 +441,39 @@ void UserAgent::handle_bye(const SipMessage& req, pkt::Endpoint from) {
   }
   tm_.respond(req, sip::TransactionManager::make_response_for(req, 200, "OK"), from);
   end_call(call->dialog->id().call_id);
+}
+
+void UserAgent::handle_cancel(const SipMessage& req, pkt::Endpoint from) {
+  // RFC 3261 §9.2: the CANCEL is answered 200 if it matches a call; while
+  // that call still rings, its INVITE is answered 487 and the call ends.
+  Call* call = match_dialog(req);
+  if (call == nullptr) {
+    tm_.respond(req,
+                sip::TransactionManager::make_response_for(req, 481,
+                                                           "Call/Transaction Does Not Exist"),
+                from);
+    return;
+  }
+  tm_.respond(req, sip::TransactionManager::make_response_for(req, 200, "OK"), from);
+  if (!call->ringing_invite) return;  // already answered: the CANCEL changes nothing
+  const SipMessage invite = std::move(*call->ringing_invite);
+  call->ringing_invite.reset();
+  tm_.respond(invite,
+              dialog_response(invite, 487, "Request Terminated", call->dialog->id().local_tag),
+              call->ringing_from);
+  end_call(call->dialog->id().call_id);
+}
+
+SipMessage UserAgent::dialog_response(const SipMessage& req, int code, std::string reason,
+                                      const std::string& local_tag) {
+  auto rsp = sip::TransactionManager::make_response_for(req, code, std::move(reason));
+  auto to = req.to();
+  if (to.ok()) {
+    auto na = to.value();
+    na.set_tag(local_tag);
+    rsp.headers().set("To", na.to_string());
+  }
+  return rsp;
 }
 
 void UserAgent::handle_message(const SipMessage& req, pkt::Endpoint from) {

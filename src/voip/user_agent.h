@@ -134,6 +134,10 @@ class UserAgent {
     uint32_t ssrc = 0;
     bool we_are_caller = false;
     uint16_t local_rtp_port = 0;  // per-call media port
+    /// An incoming INVITE not yet answered 200, and where it came from: a
+    /// CANCEL meanwhile answers it 487 instead.
+    std::optional<sip::SipMessage> ringing_invite;
+    pkt::Endpoint ringing_from;
   };
 
   /// Allocate and bind the next per-call RTP port.
@@ -144,8 +148,12 @@ class UserAgent {
   void handle_request(const sip::SipMessage& req, pkt::Endpoint from);
   void handle_invite(const sip::SipMessage& req, pkt::Endpoint from);
   void handle_bye(const sip::SipMessage& req, pkt::Endpoint from);
+  void handle_cancel(const sip::SipMessage& req, pkt::Endpoint from);
   void handle_message(const sip::SipMessage& req, pkt::Endpoint from);
   void handle_ack(const sip::SipMessage& req);
+  /// A response to `req` whose To carries our dialog tag.
+  static sip::SipMessage dialog_response(const sip::SipMessage& req, int code,
+                                         std::string reason, const std::string& local_tag);
 
   /// RFC 3261 §13.3.1.4: retransmit the 2xx to an INVITE until the ACK
   /// arrives (the transaction layer won't; 2xx reliability is the UA's).

@@ -435,54 +435,62 @@ TEST(FleetScreening, VerdictOnOneNodeScreensThePrincipalOnAll) {
   // SPIT carrier mix through a two-node inline fleet: whichever node's
   // graylist rule convicts the spammer, the verdict gossips and every other
   // node's enforcer arms the same principal key — the spammer is screened
-  // fleet-wide, not just where the evidence happened to land.
-  capture::CarrierMixConfig mix;
-  mix.seed = 0x5b17;
-  mix.provisioned_users = 200;
-  mix.call_rate_hz = 3.0;
-  mix.im_rate_hz = 2.0;
-  mix.register_rate_hz = 3.0;
-  mix.mean_call_hold_sec = 4.0;
-  mix.rtp_interval = msec(40);
-  mix.spit_callers = 2;
-  mix.spit_call_rate_hz = 6.0;
-  mix.spit_hold = msec(300);
-  mix.max_packets = 3000;
-  capture::CarrierMixSource source(mix);
+  // fleet-wide, not just where the evidence happened to land. Within a
+  // node, the verdict reaches every shard: forwarded from the shard that
+  // raised it, or adopted from the peer by all of them.
+  for (size_t num_shards : {1, 2}) {
+    SCOPED_TRACE("num_shards=" + std::to_string(num_shards));
+    capture::CarrierMixConfig mix;
+    mix.seed = 0x5b17;
+    mix.provisioned_users = 200;
+    mix.call_rate_hz = 3.0;
+    mix.im_rate_hz = 2.0;
+    mix.register_rate_hz = 3.0;
+    mix.mean_call_hold_sec = 4.0;
+    mix.rtp_interval = msec(40);
+    mix.spit_callers = 2;
+    mix.spit_call_rate_hz = 6.0;
+    mix.spit_hold = msec(300);
+    mix.max_packets = 3000;
+    capture::CarrierMixSource source(mix);
 
-  FleetConfig fc;
-  fc.node.engine.num_shards = 1;
-  fc.node.engine.route_invite_by_caller = true;
-  fc.node.engine.engine.obs.time_stages = false;
-  fc.node.engine.engine.enforce.mode = core::EnforcementMode::kInline;
-  fc.pump_every_packets = 256;
-  Fleet fleet(fc, {"node-0", "node-1"});
-  for (size_t i = 0; i < fleet.size(); ++i) {
-    fleet.node_at(i).engine().set_rules([](size_t) {
-      core::RulesConfig rc;
-      rc.spit_graylist = true;
-      return core::make_default_ruleset(rc);
-    });
-  }
-  fleet.run(source);
-
-  size_t screened = 0;
-  for (const core::Verdict& v : fleet.merged_verdicts()) {
-    if (v.action != core::VerdictAction::kRateLimit || v.aor.empty()) continue;
-    ++screened;
+    FleetConfig fc;
+    fc.node.engine.num_shards = num_shards;
+    fc.node.engine.route_invite_by_caller = true;
+    fc.node.engine.engine.obs.time_stages = false;
+    fc.node.engine.engine.enforce.mode = core::EnforcementMode::kInline;
+    fc.pump_every_packets = 256;
+    Fleet fleet(fc, {"node-0", "node-1"});
     for (size_t i = 0; i < fleet.size(); ++i) {
-      core::Enforcer* enforcer = fleet.node_at(i).engine().shard(0).enforcer();
-      ASSERT_NE(enforcer, nullptr);
-      EXPECT_TRUE(enforcer->limiter().armed(core::aor_key(v.aor)))
-          << fleet.node_at(i).name() << " never armed " << v.aor;
+      fleet.node_at(i).engine().set_rules([](size_t) {
+        core::RulesConfig rc;
+        rc.spit_graylist = true;
+        return core::make_default_ruleset(rc);
+      });
     }
-  }
-  EXPECT_GE(screened, 2u) << "both spammers should draw rate-limit verdicts";
+    fleet.run(source);
 
-  const FleetNodeStats stats = fleet.node_stats();
-  EXPECT_GE(stats.verdicts_shared, 1u);
-  EXPECT_GE(stats.verdicts_adopted, 1u);
-  EXPECT_EQ(stats.gossip_records_dropped, 0u);
+    size_t screened = 0;
+    for (const core::Verdict& v : fleet.merged_verdicts()) {
+      if (v.action != core::VerdictAction::kRateLimit || v.aor.empty()) continue;
+      ++screened;
+      for (size_t i = 0; i < fleet.size(); ++i) {
+        core::ShardedEngine& engine = fleet.node_at(i).engine();
+        for (size_t s = 0; s < engine.num_shards(); ++s) {
+          core::Enforcer* enforcer = engine.shard(s).enforcer();
+          ASSERT_NE(enforcer, nullptr);
+          EXPECT_TRUE(enforcer->limiter().armed(core::aor_key(v.aor)))
+              << fleet.node_at(i).name() << " shard " << s << " never armed " << v.aor;
+        }
+      }
+    }
+    EXPECT_GE(screened, 2u) << "both spammers should draw rate-limit verdicts";
+
+    const FleetNodeStats stats = fleet.node_stats();
+    EXPECT_GE(stats.verdicts_shared, 1u);
+    EXPECT_GE(stats.verdicts_adopted, 1u);
+    EXPECT_EQ(stats.gossip_records_dropped, 0u);
+  }
 }
 
 }  // namespace

@@ -33,7 +33,7 @@ TEST(EnforceKeys, KindsNeverCollideOnTheSameIdentity) {
 
 TEST(EnforceKeys, ContentDerivedAcrossInstances) {
   // Two shards hashing the same identity independently agree — the property
-  // the SharedEnforcement publication rests on.
+  // forwarding a verdict to another shard's Enforcer rests on.
   EXPECT_EQ(aor_key("spambot@lab.net"), aor_key(std::string("spambot@lab.net")));
   EXPECT_EQ(source_key(pkt::Ipv4Address(10, 0, 0, 66)),
             source_key(pkt::Ipv4Address(10, 0, 0, 66)));
@@ -272,53 +272,32 @@ TEST(Enforcer, PassVerdictsAndIdentitylessVerdictsAreNoOps) {
   EXPECT_EQ(enf.limiter().size(), 0u);
 }
 
-// --- shared publication across shards --------------------------------------
-
-TEST(SharedEnforcement, PublishMergeUpgradesAndExpires) {
-  SharedEnforcement shared;
-  const uint64_t key = source_key(pkt::Ipv4Address(10, 0, 0, 66));
-  shared.publish(key, VerdictAction::kQuarantine, sec(100));
-  EXPECT_EQ(shared.published(key, sec(50)), VerdictAction::kQuarantine);
-  // Upgrade with a *shorter* TTL: action upgrades, TTL must not shorten.
-  shared.publish(key, VerdictAction::kDrop, sec(40));
-  EXPECT_EQ(shared.published(key, sec(99)), VerdictAction::kDrop);
-  // Downgrade attempt: the action is ignored, but the longer deadline is
-  // adopted — the merge takes the max of each field independently.
-  shared.publish(key, VerdictAction::kRateLimit, sec(500));
-  EXPECT_EQ(shared.published(key, sec(99)), VerdictAction::kDrop);
-  EXPECT_EQ(shared.published(key, sec(499)), VerdictAction::kDrop);
-  // Value-level expiry (packed ceil-seconds): past the deadline reads kPass
-  // even though the atomic map cannot erase.
-  EXPECT_EQ(shared.published(key, sec(500)), VerdictAction::kPass);
-  EXPECT_EQ(shared.published_count(), 1u);
-}
-
-TEST(SharedEnforcement, CrossShardAdoptionOfBlocksAndGraylists) {
-  // Shard A applies verdicts; shard B, sharing only the publication, must
-  // honor them: blocks immediately, graylists by arming a local bucket.
-  SharedEnforcement shared;
+TEST(Enforcer, OutboxRecordsRuleVerdictsAndForwardedOnesMerge) {
+  // A rule's verdict lands in the outbox; an enforcement applied from
+  // elsewhere does not, and it merges into the block list: the action never
+  // downgrades and the expiry never shortens.
   EnforceConfig config;
   config.mode = EnforcementMode::kInline;
-  config.limiter.burst = 1.0;
-  config.limiter.rate_per_sec = 0.0;
-  Enforcer a(config), b(config);
-  a.set_shared(&shared);
-  b.set_shared(&shared);
-
+  config.block_ttl = sec(60);
+  std::vector<Enforcement> outbox;
+  Enforcer enf(config);
+  enf.set_outbox(&outbox);
   const pkt::Endpoint bot{pkt::Ipv4Address(10, 0, 0, 66), 5060};
-  a.apply(make_verdict(VerdictAction::kDrop, "call-1", "", bot, sec(1)));
-  a.apply(make_verdict(VerdictAction::kRateLimit, "call-2", "spambot@lab.net", bot,
-                       sec(1)));
-
+  enf.apply(make_verdict(VerdictAction::kQuarantine, "", "", bot, sec(1)));
+  ASSERT_EQ(outbox.size(), 1u);
   const uint64_t src = source_key(bot.addr);
-  const uint64_t principal = aor_key("spambot@lab.net");
-  EXPECT_EQ(b.decide(src, 0, 0, sec(2)), VerdictAction::kDrop);
-  // First decide on the graylisted principal adopts the shared entry (arms
-  // a local bucket that starts full), so one attempt is admitted and the
-  // next is shaped — exactly what the publishing shard would do.
-  EXPECT_EQ(b.decide(0, 0, principal, sec(2)), VerdictAction::kPass);
-  EXPECT_EQ(b.decide(0, 0, principal, sec(2)), VerdictAction::kRateLimit);
-  EXPECT_TRUE(b.limiter().armed(principal));
+  EXPECT_EQ(outbox[0].key, src);
+  EXPECT_EQ(outbox[0].action, VerdictAction::kQuarantine);
+  EXPECT_EQ(outbox[0].time, sec(1));
+
+  enf.apply(Enforcement{src, VerdictAction::kDrop, sec(0)});          // upgrade, earlier
+  enf.apply(Enforcement{src, VerdictAction::kRateLimit, sec(100)});  // arms a bucket
+  enf.apply(Enforcement{src, VerdictAction::kQuarantine, sec(50)});   // later expiry
+  EXPECT_EQ(outbox.size(), 1u);
+  EXPECT_EQ(enf.blocks().size(), 1u);
+  EXPECT_EQ(enf.blocks().peek(src, sec(100)), VerdictAction::kDrop);
+  EXPECT_EQ(enf.blocks().peek(src, sec(110)), VerdictAction::kPass);
+  EXPECT_TRUE(enf.limiter().armed(src));
 }
 
 }  // namespace

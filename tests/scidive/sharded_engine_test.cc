@@ -14,12 +14,15 @@
 #include <utility>
 #include <vector>
 
+#include "scidive/scidive_test_util.h"
 #include "voip/attack.h"
 #include "voip/voip_fixture.h"
 
 namespace scidive::core {
 namespace {
 
+using testing::ep;
+using testing::sip_packet;
 using voip::testing::VoipFixture;
 
 /// Runs a scenario while recording every packet crossing the hub; the
@@ -333,6 +336,93 @@ TEST(ShardedEngine, ExpireIdleDropsThePinsOfRetiredSessions) {
   EXPECT_EQ(sharded.router().override_count(), pins);
   sharded.expire_idle(f.sim.now() + sec(100));
   EXPECT_EQ(sharded.router().override_count(), 0u);
+}
+
+/// Convicts on sight: a MESSAGE drops its source, an INVITE rate-limits
+/// its caller.
+class ConvictRule : public Rule {
+ public:
+  std::string_view name() const override { return "convict"; }
+  EventTypeMask subscriptions() const override {
+    return event_mask(EventType::kImMessageSeen) | event_mask(EventType::kSipInviteSeen);
+  }
+  void on_event(const Event& event, RuleContext& ctx) override {
+    const bool im = event.type == EventType::kImMessageSeen;
+    ctx.verdict("convict", im ? VerdictAction::kDrop : VerdictAction::kRateLimit, event,
+                "convicted");
+  }
+};
+
+ShardedEngineConfig convicting_config(size_t num_shards) {
+  ShardedEngineConfig sc;
+  sc.num_shards = num_shards;
+  sc.engine.obs.time_stages = false;
+  sc.engine.enforce.mode = EnforcementMode::kInline;
+  return sc;
+}
+
+std::vector<RulePtr> convict_rules(size_t) {
+  std::vector<RulePtr> rules;
+  rules.push_back(std::make_unique<ConvictRule>());
+  return rules;
+}
+
+pkt::Packet im_from(pkt::Endpoint src, std::string_view call_id, SimTime time) {
+  return sip_packet("MESSAGE sip:service@lab.net SIP/2.0", "bot@lab.net", call_id, "MESSAGE",
+                    time, src, ep(1, 5060));
+}
+
+TEST(ShardedEngine, VerdictOnOneShardBindsEveryShard) {
+  ShardedEngine sharded(convicting_config(4));
+  sharded.set_rules(convict_rules);
+  const pkt::Endpoint bot = ep(66, 5060);
+  sharded.on_packet_to_shard(0, im_from(bot, "im-1", sec(1)));
+  sharded.on_packet_to_shard(1, sip_packet("INVITE sip:service@lab.net SIP/2.0",
+                                           "spam@lab.net", "call-1", "INVITE", sec(1),
+                                           ep(77, 5060), ep(1, 5060)));
+  sharded.flush();
+
+  // Raised once, by the shard that computed it; enforced everywhere.
+  EXPECT_EQ(sharded.merged_verdicts().size(), 2u);
+  const uint64_t src = source_key(bot.addr);
+  const uint64_t principal = aor_key("spam@lab.net");
+  for (size_t i = 0; i < sharded.num_shards(); ++i) {
+    const Enforcer* enforcer = sharded.shard(i).enforcer();
+    ASSERT_NE(enforcer, nullptr);
+    EXPECT_EQ(enforcer->blocks().peek(src, sec(2)), VerdictAction::kDrop) << "shard " << i;
+    EXPECT_EQ(enforcer->blocks().size(), 1u) << "shard " << i;
+    EXPECT_TRUE(enforcer->limiter().armed(principal)) << "shard " << i;
+    EXPECT_EQ(enforcer->limiter().size(), 1u) << "shard " << i;
+  }
+
+  // The blocked source's next packet lands on another shard and is dropped.
+  sharded.on_packet_to_shard(2, sip_packet("OPTIONS sip:service@lab.net SIP/2.0",
+                                           "bot@lab.net", "opt-1", "OPTIONS", sec(2), bot,
+                                           ep(1, 5060)));
+  sharded.flush();
+  EXPECT_EQ(sharded.shard(2).decisions(VerdictAction::kDrop), 1u);
+  EXPECT_EQ(sharded.merged_verdicts().size(), 2u);
+}
+
+TEST(ShardedEngine, ForwardedVerdictsRespectEachShardsCap) {
+  ShardedEngineConfig sc = convicting_config(2);
+  sc.engine.enforce.max_blocked = 4;
+  ShardedEngine sharded(sc);
+  sharded.set_rules(convict_rules);
+  constexpr int kSources = 10;
+  for (int i = 0; i < kSources; ++i) {
+    sharded.on_packet_to_shard(0, im_from(ep(static_cast<uint8_t>(100 + i), 5060),
+                                          "im-" + std::to_string(i), sec(1)));
+  }
+  sharded.flush();
+
+  EXPECT_EQ(sharded.merged_verdicts().size(), static_cast<size_t>(kSources));
+  for (size_t i = 0; i < sharded.num_shards(); ++i) {
+    const BlockList& blocks = sharded.shard(i).enforcer()->blocks();
+    EXPECT_EQ(blocks.size(), sc.engine.enforce.max_blocked) << "shard " << i;
+    EXPECT_EQ(blocks.rejected_total(), kSources - sc.engine.enforce.max_blocked)
+        << "shard " << i;
+  }
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 // Edge cases and failure injection for the VoIP endpoints.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "voip/voip_fixture.h"
 
 namespace scidive::voip {
@@ -169,6 +172,42 @@ TEST(UaEdge, UnsupportedMethodGets501) {
   f.b_host.send_udp(5061, f.a.sip_endpoint(), subscribe.to_string());
   f.sim.run_until(f.sim.now() + sec(1));
   EXPECT_EQ(code, 501);
+}
+
+TEST(UaEdge, CancelledRingingCallGets487AndNever200) {
+  // RFC 3261 §9.2: a CANCEL reaching a callee that still rings is answered
+  // 200, the INVITE is answered 487, the call ends, and the answer the ring
+  // timer would have sent never goes out.
+  VoipFixture f;
+  f.register_both();
+  const auto request = [](const char* method) {
+    return sip::SipMessage::parse(std::string(method) +
+                                  " sip:alice@10.0.0.1 SIP/2.0\r\n"
+                                  "Via: SIP/2.0/UDP 10.0.0.2:5061;branch=z9hG4bK-ring\r\n"
+                                  "From: <sip:bob@lab.net>;tag=r\r\n"
+                                  "To: <sip:alice@lab.net>\r\n"
+                                  "Call-ID: ring-1\r\n"
+                                  "CSeq: 1 " +
+                                  method + "\r\n\r\n")
+        .value();
+  };
+  std::vector<std::string> responses;  // "<code> <CSeq method>"
+  f.b_host.bind_udp(5061, [&](pkt::Endpoint, std::span<const uint8_t> payload, SimTime) {
+    auto rsp = sip::SipMessage::parse(payload);
+    if (!rsp.ok() || !rsp.value().is_response()) return;
+    auto cs = rsp.value().cseq();
+    responses.push_back(std::to_string(rsp.value().status_code()) + " " +
+                        (cs.ok() ? cs.value().method : "?"));
+  });
+  f.b_host.send_udp(5061, f.a.sip_endpoint(), request("INVITE").to_string());
+  f.sim.run_until(f.sim.now() + msec(200));  // ringing: answer_delay is 500 ms
+  f.b_host.send_udp(5061, f.a.sip_endpoint(), request("CANCEL").to_string());
+  f.sim.run_until(f.sim.now() + sec(2));
+
+  EXPECT_EQ(responses, (std::vector<std::string>{"180 INVITE", "200 CANCEL", "487 INVITE"}));
+  EXPECT_EQ(f.a.active_calls(), 0u);
+  EXPECT_EQ(f.a.stats().calls_ended, 1u);
+  EXPECT_EQ(f.a.stats().calls_established, 0u);
 }
 
 TEST(UaEdge, LossyNetworkCallStillEstablishes) {
