@@ -23,6 +23,8 @@
 #include "rtp/rtp.h"
 #include "scidive/distiller.h"
 #include "scidive/engine.h"
+#include "scidive/rule.h"
+#include "scidive/rules.h"
 #include "scidive/shard_router.h"
 #include "scidive/sharded_engine.h"
 #include "scidive/trail_manager.h"
@@ -317,15 +319,17 @@ BENCHMARK(BM_EngineRtpPacket)->ArgsProduct({{0, 1}, {0, 1}});
 
 /// A stream of INVITEs, each opening a fresh session. Per-iteration
 /// PauseTiming/ResumeTiming costs far more than the work being measured, so
-/// next() patches a fixed-width Call-ID counter into one pre-built packet
-/// instead, and a timed loop contains only the IDS.
+/// next() patches a fixed-width counter into one pre-built packet instead,
+/// and a timed loop contains only the IDS. The counter numbers the Call-ID,
+/// and with `fresh_callers` the caller's AOR too.
 class InviteStream {
  public:
-  InviteStream() {
+  explicit InviteStream(bool fresh_callers = false) {
     auto m = sip::SipMessage::request(sip::Method::kInvite, sip::SipUri("bob", "lab.net"));
     m.headers().add("Via", "SIP/2.0/UDP 10.0.0.1:5060;branch=z9hG4bK-bench-1");
     m.headers().add("Max-Forwards", "70");
-    m.headers().add("From", "\"Alice\" <sip:alice@lab.net>;tag=ta");
+    m.headers().add("From", fresh_callers ? "<sip:caller-00000000@lab.net>;tag=ta"
+                                          : "\"Alice\" <sip:alice@lab.net>;tag=ta");
     m.headers().add("To", "<sip:bob@lab.net>");
     m.headers().add("Call-ID", "bench-call-00000000");
     m.headers().add("CSeq", "1 INVITE");
@@ -333,16 +337,23 @@ class InviteStream {
     m.set_body(sip::make_audio_sdp("10.0.0.1", 16384, 1).to_string(), "application/sdp");
     packet_ = pkt::make_udp_packet(kASip, kBSip, from_string(m.to_string()));
     disable_udp_checksum(packet_);
-    const std::string marker = "bench-call-";
-    auto it = std::search(packet_.data.begin(), packet_.data.end(), marker.begin(), marker.end());
-    digits_at_ = static_cast<size_t>(it - packet_.data.begin()) + marker.size();
+    for (const std::string marker : {"bench-call-", "caller-"}) {
+      auto it =
+          std::search(packet_.data.begin(), packet_.data.end(), marker.begin(), marker.end());
+      if (it != packet_.data.end()) {
+        digits_at_.push_back(static_cast<size_t>(it - packet_.data.begin()) + marker.size());
+      }
+    }
   }
 
   const pkt::Packet& next() {
-    uint64_t id = n_++;
-    for (size_t d = 0; d < 8; ++d) {
-      packet_.data[digits_at_ + 7 - d] = static_cast<uint8_t>('0' + id % 10);
-      id /= 10;
+    const uint64_t n = n_++;
+    for (size_t at : digits_at_) {
+      uint64_t id = n;
+      for (size_t d = 0; d < 8; ++d) {
+        packet_.data[at + 7 - d] = static_cast<uint8_t>('0' + id % 10);
+        id /= 10;
+      }
     }
     packet_.timestamp = (now_ += msec(1));
     return packet_;
@@ -350,7 +361,7 @@ class InviteStream {
 
  private:
   pkt::Packet packet_;
-  size_t digits_at_ = 0;
+  std::vector<size_t> digits_at_;
   SimTime now_ = 0;
   uint64_t n_ = 0;
 };
@@ -390,6 +401,63 @@ void BM_EngineSipPacketAllocs(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_EngineSipPacketAllocs);
+
+/// Heap allocations per INVITE with spit-graylist installed, each INVITE
+/// from a fresh caller AOR in a fresh session: on top of what
+/// BM_EngineSipPacketAllocs counts, the caller's principal record and the
+/// one rule-state block its spit-graylist state lives in (plus the AOR's
+/// interned name). check_allocs.py holds it at a ceiling (CEILINGS).
+void BM_EngineSpitInviteAllocs(benchmark::State& state) {
+  core::EngineConfig config;
+  config.rules.spit_graylist = true;
+  core::ScidiveEngine engine(config);
+  InviteStream invites(/*fresh_callers=*/true);
+  for (int i = 0; i < 1000; ++i) engine.on_packet(invites.next());  // warm tables
+  uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  for (auto _ : state) {
+    engine.on_packet(invites.next());
+  }
+  uint64_t allocs = g_alloc_count.load(std::memory_order_relaxed) - before;
+  state.counters["allocs_per_op"] =
+      benchmark::Counter(static_cast<double>(allocs) / static_cast<double>(state.iterations()));
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EngineSpitInviteAllocs);
+
+/// Repeated spit-graylist events on one existing principal: the rule finds
+/// its area in the principal's rule-state block and updates its slots in
+/// place, its 60 s window tumbling every 6000 events. The threshold is out
+/// of reach, so no alert is formatted: allocs_per_op must read 0.
+void BM_RuleStateUpdateAllocs(benchmark::State& state) {
+  core::RulesConfig config;
+  config.spit_graylist = true;
+  config.spit_call_threshold = std::numeric_limits<int>::max();
+  std::vector<core::RulePtr> rules = core::make_default_ruleset(config);
+  size_t spit = 0;
+  while (rules[spit]->name() != "spit-graylist") ++spit;
+  core::TrailManager trails;
+  trails.set_rule_layout(core::lay_out_rule_state(rules));
+  core::AlertSink sink;
+  core::RuleContext ctx(trails, sink);
+  ctx.set_rule(spit);
+  core::Event event{};
+  event.type = core::EventType::kSipInviteSeen;
+  event.session = "bench-call-1";
+  event.aor = "sip:caller@lab.net";
+  rules[spit]->on_event(event, ctx);  // the principal's record and block
+  uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  for (auto _ : state) {
+    event.time += msec(10);
+    rules[spit]->on_event(event, ctx);
+  }
+  uint64_t allocs = g_alloc_count.load(std::memory_order_relaxed) - before;
+  state.counters["allocs_per_op"] =
+      benchmark::Counter(static_cast<double>(allocs) / static_cast<double>(state.iterations()));
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+  state.SetLabel(trails.rule_state_counts(rules.size())[spit] == 1 ? "principals=1"
+                                                                    : "principals=missing");
+}
+BENCHMARK(BM_RuleStateUpdateAllocs);
 
 /// Steady-state media routing must be allocation-free: once a flow's first
 /// packet has populated TrailManager's flow cache, classifying further

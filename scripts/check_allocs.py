@@ -27,7 +27,10 @@ shard router's keys-only scan of an unfolded INVITE with SDP read views
 into the datagram and allocate nothing. BM_FleetCorrelatorAllocs guards
 the fleet control plane's correlator: a local REGISTER advancing an
 existing window and a threshold pass over that one dirty window reuse the
-flat window table and the dirty list, and format nothing. A small epsilon
+flat window table and the dirty list, and format nothing.
+BM_RuleStateUpdateAllocs guards rule state: a spit-graylist event on an
+existing principal updates the rule's slots in place in the principal's
+rule-state block. A small epsilon
 absorbs one-time noise that leaks past warm-up (a rare flat-map rehash
 amortised over millions of iterations lands around 1e-6 allocs/op).
 
@@ -39,7 +42,9 @@ is measuring the slow path twice, so that is a failure too.
 CEILINGS holds benchmarks that must allocate, but no more than they do
 today: BM_EngineSipPacketAllocs (an INVITE opening a fresh session) is
 held at its measured count plus a small margin, so the per-footprint boxes
-and owned strings that SIP footprints used to carry cannot creep back.
+and owned strings that SIP footprints used to carry cannot creep back, and
+BM_EngineSpitInviteAllocs (the same with spit-graylist on and a fresh
+caller AOR per INVITE) so a new principal's rule state stays one block.
 
 Exit status is non-zero if any guarded benchmark exceeds the threshold
 or is missing from the JSON (so a renamed/deleted benchmark cannot
@@ -68,6 +73,7 @@ GUARDED = [
     "BM_SipScanAllocs",
     "BM_FleetCorrelatorAllocs",
     "BM_DistillGarbageAllocs",
+    "BM_RuleStateUpdateAllocs",
 ]
 
 # Benchmark-name prefix -> allocs/op ceiling, for paths that allocate by
@@ -80,6 +86,9 @@ CEILINGS = {
     # is intrusive: arming it allocates nothing); the trail key's copy of
     # the Call-ID; the event's session id and its two-step detail string.
     "BM_EngineSipPacketAllocs": 9.5,  # measured 9.0
+    # The same INVITE with spit-graylist on, from a fresh caller AOR: the new
+    # principal's spit-graylist state is one rule-state block.
+    "BM_EngineSpitInviteAllocs": 12.5,  # measured 12.0
 }
 
 # Minimum fraction of measured iterations that must take the fast-path

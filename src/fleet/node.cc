@@ -17,11 +17,15 @@ FleetNode::FleetNode(FleetNodeConfig config)
       correlator_(config_.name, config_.correlator),
       vouches_(config_.match_window) {
   event_buffers_.resize(engine_.num_shards());
-  verdict_cursors_.assign(engine_.num_shards(), 0);
+  verdict_buffers_.resize(engine_.num_shards());
   for (size_t i = 0; i < engine_.num_shards(); ++i) {
     auto* buffer = &event_buffers_[i];
     engine_.shard(i).set_event_callback(
         [buffer](const core::Event& event) { buffer->push_back(event); });
+    auto* verdicts = &verdict_buffers_[i];
+    engine_.shard(i).set_verdict_callback([verdicts](const core::Verdict& verdict) {
+      if (verdict.action != core::VerdictAction::kPass) verdicts->push_back(verdict);
+    });
   }
 }
 
@@ -153,16 +157,14 @@ void FleetNode::on_engine_outputs(SimTime) {
     broadcast(SepRecord{counter});
   }
   // Newly raised local verdicts propagate so a principal blocked here is
-  // screened on every peer.
-  for (size_t i = 0; i < engine_.num_shards(); ++i) {
-    const auto& verdicts = engine_.shard(i).verdicts().verdicts();
-    for (size_t c = verdict_cursors_[i]; c < verdicts.size(); ++c) {
-      const core::Verdict& v = verdicts[c];
-      if (v.action == core::VerdictAction::kPass) continue;
+  // screened on every peer: all of them, not only those a shard's verdict
+  // sink still retains.
+  for (auto& buffer : verdict_buffers_) {
+    for (const core::Verdict& v : buffer) {
       ++stats_.verdicts_shared;
       broadcast(SepRecord{SepVerdict{v.rule, v.action, v.session, v.aor, v.endpoint, v.time}});
     }
-    verdict_cursors_[i] = verdicts.size();
+    buffer.clear();
   }
 }
 

@@ -197,9 +197,10 @@ class FleetNode {
   VouchStore vouches_;
   std::function<bool(std::string_view)> is_owner_ = [](std::string_view) { return true; };
 
-  /// Worker-written, pump-drained (flush() is the memory barrier).
+  /// Worker-written, pump-drained (flush() is the memory barrier): each
+  /// shard's events, and every non-pass verdict its rules raised.
   std::vector<std::vector<core::Event>> event_buffers_;
-  std::vector<size_t> verdict_cursors_;
+  std::vector<std::vector<core::Verdict>> verdict_buffers_;
 
   /// Records decoded from peers, staged until the next quiesce point.
   std::vector<std::pair<std::string, SepRecord>> inbox_;

@@ -172,6 +172,7 @@ int fuzz_ruledsl(const uint8_t* data, size_t size) {
     fp.data = core::AccFootprint{.call_id = session};
     trails.add(std::move(fp));
   }
+  trails.set_rule_layout(core::lay_out_rule_state(rules));
   core::AlertSink sink;
   core::RuleContext ctx(trails, sink);
   for (size_t position = 0; position < rules.size(); ++position) {

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <memory>
+#include <new>
+#include <utility>
 
 #include "common/strings.h"
 #include "scidive/footprint.h"
@@ -30,11 +33,6 @@ int64_t since_value(SimTime now, int64_t t) {
   return static_cast<int64_t>(static_cast<uint64_t>(now) - static_cast<uint64_t>(t));
 }
 
-/// Whether records of `def` need out-of-line storage.
-bool has_storage(const CompiledRuleDef& def) {
-  return def.num_string_slots + def.num_windows + def.num_sets != 0;
-}
-
 }  // namespace
 
 void CompiledRule::Window::add(SimTime now, SimDuration span) {
@@ -46,47 +44,85 @@ void CompiledRule::Window::add(SimTime now, SimDuration span) {
   }
 }
 
-void CompiledRule::init(Record& rec) const {
-  rec.nums.reserve(def_->slots.size());
-  for (const SlotDecl& slot : def_->slots) rec.nums.push_back(slot.init);
-  if (!has_storage(*def_)) return;
-  rec.more = std::make_unique<Storage>();
-  rec.more->strs.resize(def_->num_string_slots);
-  rec.more->windows.resize(def_->num_windows);
-  rec.more->sets.resize(def_->num_sets);
+CompiledRule::CompiledRule(std::shared_ptr<const CompiledRuleDef> def) : def_(std::move(def)) {
+  auto layout = std::make_shared<SlotLayout>();
+  layout->def = def_;
+  layout->shape = 0xcbf29ce484222325ULL;  // FNV-1a over the slot types
+  size_t at = 0;
   for (const SlotDecl& slot : def_->slots) {
-    if (slot.type == ValType::kString) rec.more->strs[slot.str_index] = slot.str_init;
+    size_t size = sizeof(int64_t);  // numbers, times, addresses, event sets
+    size_t align = alignof(int64_t);
+    switch (slot.type) {
+      case ValType::kString:
+        size = sizeof(std::string);
+        align = alignof(std::string);
+        break;
+      case ValType::kWindow:
+        size = sizeof(Window);
+        align = alignof(Window);
+        break;
+      case ValType::kStringSet:
+        size = sizeof(std::set<std::string>);
+        align = alignof(std::set<std::string>);
+        break;
+      default:
+        break;
+    }
+    layout->align = std::max<uint32_t>(layout->align, static_cast<uint32_t>(align));
+    at = (at + align - 1) / align * align;
+    layout->offsets.push_back(static_cast<uint32_t>(at));
+    at += size;
+    layout->shape = (layout->shape ^ (static_cast<uint64_t>(slot.type) + 1)) * 0x100000001b3ULL;
+  }
+  layout->bytes = static_cast<uint32_t>(at);
+  offsets_ = layout->offsets.data();
+  slots_ = std::move(layout);
+}
+
+core::RuleStateSpec CompiledRule::state_spec() const {
+  if (def_->slots.empty()) return {};
+  return {.key = def_->key == KeyKind::kAor ? core::StateKey::kPrincipal : core::StateKey::kSession,
+          .size = slots_->bytes,
+          .align = slots_->align,
+          .shape = slots_->shape,
+          .init = &CompiledRule::init_area,
+          .destroy = &CompiledRule::destroy_area,
+          .arg = slots_};
+}
+
+void CompiledRule::init_area(void* area, const void* arg) {
+  const auto& layout = *static_cast<const SlotLayout*>(arg);
+  auto* base = static_cast<std::byte*>(area);
+  for (size_t i = 0; i < layout.offsets.size(); ++i) {
+    const SlotDecl& slot = layout.def->slots[i];
+    std::byte* at = base + layout.offsets[i];
+    switch (slot.type) {
+      case ValType::kString: ::new (at) std::string(slot.str_init); break;
+      case ValType::kWindow: ::new (at) Window(); break;
+      case ValType::kStringSet: ::new (at) std::set<std::string>(); break;
+      default: ::new (at) int64_t(slot.init); break;
+    }
   }
 }
 
-bool CompiledRule::fits(const Record& rec) const {
-  if (rec.nums.size() != def_->slots.size()) return false;
-  if (rec.more == nullptr) return !has_storage(*def_);
-  return rec.more->strs.size() == def_->num_string_slots &&
-         rec.more->windows.size() == def_->num_windows && rec.more->sets.size() == def_->num_sets;
-}
-
-CompiledRule::Record* CompiledRule::record_for(const core::Event& event,
-                                               core::RuleContext& ctx) {
-  std::unique_ptr<core::RuleSessionState>* slot = def_->key == KeyKind::kAor
-                                                       ? ctx.principal_slot(event.aor)
-                                                       : ctx.session_slot(event.session);
-  if (slot == nullptr) return nullptr;
-  auto* rec = static_cast<Record*>(slot->get());
-  // A layout that does not match the definition means the record was
-  // written by another revision of this rule (a session or principal that
-  // migrated mid-hot-reload); reading it would misindex slots, so start
-  // over.
-  if (rec == nullptr || !fits(*rec)) {
-    *slot = std::make_unique<Record>();
-    rec = static_cast<Record*>(slot->get());
-    init(*rec);
+void CompiledRule::destroy_area(void* area, const void* arg) {
+  const auto& layout = *static_cast<const SlotLayout*>(arg);
+  auto* base = static_cast<std::byte*>(area);
+  for (size_t i = 0; i < layout.offsets.size(); ++i) {
+    std::byte* at = base + layout.offsets[i];
+    switch (layout.def->slots[i].type) {
+      case ValType::kString: std::destroy_at(reinterpret_cast<std::string*>(at)); break;
+      case ValType::kWindow: std::destroy_at(reinterpret_cast<Window*>(at)); break;
+      case ValType::kStringSet:
+        std::destroy_at(reinterpret_cast<std::set<std::string>*>(at));
+        break;
+      default: break;
+    }
   }
-  return rec;
 }
 
 CompiledRule::Value CompiledRule::eval(const ExprProgram& program, const core::Event& event,
-                                       const Record* rec, core::RuleContext& ctx) const {
+                                       std::byte* area, core::RuleContext& ctx) const {
   Value stack[kMaxEvalStack];
   size_t top = 0;  // next free slot; compiler bounds max_stack <= kMaxEvalStack
   for (const ExprOp& op : program.ops) {
@@ -128,12 +164,11 @@ CompiledRule::Value CompiledRule::eval(const ExprProgram& program, const core::E
         }
         break;
       case ExprOpKind::kPushSlot: {
-        const SlotDecl& slot = def_->slots[op.slot];
-        if (slot.type == ValType::kString) {
+        if (def_->slots[op.slot].type == ValType::kString) {
           stack[top].i = 0;
-          stack[top++].s = &rec->more->strs[slot.str_index];
+          stack[top++].s = &at<std::string>(area, op.slot);
         } else {
-          stack[top++].i = rec->nums[op.slot];
+          stack[top++].i = at<int64_t>(area, op.slot);
         }
         break;
       }
@@ -152,13 +187,11 @@ CompiledRule::Value CompiledRule::eval(const ExprProgram& program, const core::E
       case ExprOpKind::kCount:
         stack[top - 1].i = std::popcount(static_cast<uint64_t>(stack[top - 1].i));
         break;
-      case ExprOpKind::kCountEntries: {
-        const SlotDecl& slot = def_->slots[op.slot];
-        stack[top++].i = static_cast<int64_t>(slot.type == ValType::kWindow
-                                                  ? rec->more->windows[slot.coll_index].size()
-                                                  : rec->more->sets[slot.coll_index].size());
+      case ExprOpKind::kCountEntries:
+        stack[top++].i = static_cast<int64_t>(def_->slots[op.slot].type == ValType::kWindow
+                                                  ? at<Window>(area, op.slot).size()
+                                                  : at<std::set<std::string>>(area, op.slot).size());
         break;
-      }
       case ExprOpKind::kHasTrail:
         stack[top++].i =
             ctx.trails().find(event.session, static_cast<core::Protocol>(op.imm)) != nullptr
@@ -209,7 +242,7 @@ CompiledRule::Value CompiledRule::eval(const ExprProgram& program, const core::E
 }
 
 std::string CompiledRule::render(const std::vector<AlertPiece>& pieces,
-                                 const core::Event& event, const Record* rec,
+                                 const core::Event& event, std::byte* area,
                                  core::RuleContext& ctx) const {
   std::string out;
   for (const AlertPiece& piece : pieces) {
@@ -218,7 +251,7 @@ std::string CompiledRule::render(const std::vector<AlertPiece>& pieces,
       continue;
     }
     const ExprProgram& program = def_->exprs[static_cast<size_t>(piece.expr_index)];
-    const Value v = eval(program, event, rec, ctx);
+    const Value v = eval(program, event, area, ctx);
     if (piece.format == AlertPiece::Format::kSec1) {
       out += str::format("%.1f", to_sec(v.i));
       continue;
@@ -261,10 +294,13 @@ std::string CompiledRule::render(const std::vector<AlertPiece>& pieces,
 void CompiledRule::on_event(const core::Event& event, core::RuleContext& ctx) {
   const HandlerRange h = def_->handlers[static_cast<size_t>(event.type)];
   if (h.begin == h.end) return;
-  Record* rec = nullptr;
+  // The key's area, built on first use; a rule with slots does nothing
+  // where the context has no state to give.
+  std::byte* area = nullptr;
   if (!def_->slots.empty()) {
-    rec = record_for(event, ctx);
-    if (rec == nullptr) return;
+    area = def_->key == KeyKind::kAor ? ctx.principal_slot<std::byte>(event.aor)
+                                      : ctx.session_slot<std::byte>(event.session);
+    if (area == nullptr) return;
   }
 
   uint32_t pc = h.begin;
@@ -272,7 +308,7 @@ void CompiledRule::on_event(const core::Event& event, core::RuleContext& ctx) {
     const StmtOp& op = def_->stmts[pc];
     switch (op.kind) {
       case StmtOpKind::kBranchIfFalse:
-        if (eval(def_->exprs[op.expr], event, rec, ctx).i == 0) {
+        if (eval(def_->exprs[op.expr], event, area, ctx).i == 0) {
           pc = op.target;
           continue;
         }
@@ -281,38 +317,36 @@ void CompiledRule::on_event(const core::Event& event, core::RuleContext& ctx) {
         pc = op.target;
         continue;
       case StmtOpKind::kSetSlot: {
-        const Value v = eval(def_->exprs[op.expr], event, rec, ctx);
-        const SlotDecl& slot = def_->slots[op.slot];
-        if (slot.type == ValType::kString) {
-          rec->more->strs[slot.str_index] = *v.s;
+        const Value v = eval(def_->exprs[op.expr], event, area, ctx);
+        if (def_->slots[op.slot].type == ValType::kString) {
+          at<std::string>(area, op.slot) = *v.s;
         } else {
-          rec->nums[op.slot] = v.i;
+          at<int64_t>(area, op.slot) = v.i;
         }
         break;
       }
       case StmtOpKind::kAddEvent:
-        rec->nums[op.slot] |= static_cast<int64_t>(uint64_t{1} << static_cast<size_t>(event.type));
+        at<int64_t>(area, op.slot) |=
+            static_cast<int64_t>(uint64_t{1} << static_cast<size_t>(event.type));
         break;
       case StmtOpKind::kAddInt:
-        rec->nums[op.slot] += 1;
+        at<int64_t>(area, op.slot) += 1;
         break;
-      case StmtOpKind::kAddTime: {
-        const SlotDecl& slot = def_->slots[op.slot];
-        rec->more->windows[slot.coll_index].add(event.time, slot.span);
+      case StmtOpKind::kAddTime:
+        at<Window>(area, op.slot).add(event.time, def_->slots[op.slot].span);
         break;
-      }
       case StmtOpKind::kAddString:
-        rec->more->sets[def_->slots[op.slot].coll_index].insert(
-            *eval(def_->exprs[op.expr], event, rec, ctx).s);
+        at<std::set<std::string>>(area, op.slot)
+            .insert(*eval(def_->exprs[op.expr], event, area, ctx).s);
         break;
       case StmtOpKind::kAlert: {
         const AlertTemplate& tmpl = def_->alerts[op.alert];
-        ctx.raise(def_->name, tmpl.severity, event, render(tmpl.pieces, event, rec, ctx));
+        ctx.raise(def_->name, tmpl.severity, event, render(tmpl.pieces, event, area, ctx));
         break;
       }
       case StmtOpKind::kVerdict: {
         const VerdictTemplate& tmpl = def_->verdicts[op.alert];
-        ctx.verdict(def_->name, tmpl.action, event, render(tmpl.pieces, event, rec, ctx));
+        ctx.verdict(def_->name, tmpl.action, event, render(tmpl.pieces, event, area, ctx));
         break;
       }
     }

@@ -1,11 +1,13 @@
 // CompiledRule: the Rule adapter that executes one compiled DSL rule — every
 // rule of the default ruleset. To ScidiveEngine, ShardedEngine, the per-rule
 // obs instruments and the AlertLedger it is a Rule like any other. A rule
-// owns no state table: a `key session` rule keeps its state record in the
-// session's record (so it expires and migrates with the session), a
-// `key aor` rule in the claimed AOR's principal record (so it migrates with
-// the principal), both reached through the RuleContext. The immutable
-// CompiledRuleDef is shared.
+// owns no state table: a `key session` rule keeps its slots in its area of
+// the session's record (so they expire and migrate with the session), a
+// `key aor` rule in its area of the claimed AOR's principal record (so they
+// migrate with the principal), both reached through the RuleContext. The
+// area holds every slot in place at a fixed offset — numbers, window
+// headers, strings and string sets — so a rule's state is no allocation of
+// its own. The immutable CompiledRuleDef is shared.
 #pragma once
 
 #include <memory>
@@ -20,7 +22,7 @@ namespace scidive::ruledsl {
 
 class CompiledRule : public core::Rule {
  public:
-  explicit CompiledRule(std::shared_ptr<const CompiledRuleDef> def) : def_(std::move(def)) {}
+  explicit CompiledRule(std::shared_ptr<const CompiledRuleDef> def);
 
   std::string_view name() const override { return def_->name; }
   void on_event(const core::Event& event, core::RuleContext& ctx) override;
@@ -42,6 +44,9 @@ class CompiledRule : public core::Rule {
   /// every duration the expressions push (literals such as spit-graylist's
   /// `60s`, and duration parameters where they are read).
   SimDuration horizon() const override;
+  /// The definition's slots in place, keyed by its `key`; no state when it
+  /// declares no slots.
+  core::RuleStateSpec state_spec() const override;
 
   const CompiledRuleDef& def() const { return *def_; }
 
@@ -58,21 +63,19 @@ class CompiledRule : public core::Rule {
     void add(SimTime now, SimDuration span);
   };
 
-  /// String, window and stringset slots, out of line: most rules declare
-  /// none, and a record is kept per session or per AOR.
-  struct Storage {
-    std::vector<std::string> strs;
-    std::vector<Window> windows;
-    std::vector<std::set<std::string>> sets;
+  /// Where each slot lives in the rule's area. The rule-state layout holds
+  /// it too, so the blocks built from it outlive the rule.
+  struct SlotLayout {
+    std::shared_ptr<const CompiledRuleDef> def;
+    std::vector<uint32_t> offsets;  // by slot index
+    uint32_t bytes = 0;
+    uint32_t align = 1;
+    /// The slot types in order: another revision of the rule with other
+    /// slots reads as another shape.
+    uint64_t shape = 0;
   };
-
-  /// Mutable state for one key (session or AOR), held in that key's record:
-  /// one numeric cell per slot, plus the storage of the other slot kinds
-  /// when the rule declares any.
-  struct Record : core::RuleSessionState {
-    std::vector<int64_t> nums;
-    std::unique_ptr<Storage> more;
-  };
+  static void init_area(void* area, const void* layout);
+  static void destroy_area(void* area, const void* layout);
 
   /// Evaluation value. Types are static (checked at compile time), so no
   /// runtime tag: numbers/times/bools/addrs/packed endpoints/eventset bits
@@ -83,20 +86,20 @@ class CompiledRule : public core::Rule {
     const std::string* s = nullptr;
   };
 
-  /// The event's key's record, initialised on first use; nullptr when the
-  /// context has no state to give.
-  Record* record_for(const core::Event& event, core::RuleContext& ctx);
-  /// Fill a fresh record with the definition's initial slot values.
-  void init(Record& rec) const;
-  /// Whether `rec` has this definition's layout (slot and storage counts).
-  bool fits(const Record& rec) const;
-  Value eval(const ExprProgram& program, const core::Event& event, const Record* rec,
+  /// Slot `slot` of `area`, as the type its declaration gives it.
+  template <typename T>
+  T& at(std::byte* area, uint32_t slot) const {
+    return *reinterpret_cast<T*>(area + offsets_[slot]);
+  }
+  Value eval(const ExprProgram& program, const core::Event& event, std::byte* area,
              core::RuleContext& ctx) const;
   /// Renders alert and verdict templates alike (both are AlertPiece lists).
   std::string render(const std::vector<AlertPiece>& pieces, const core::Event& event,
-                     const Record* rec, core::RuleContext& ctx) const;
+                     std::byte* area, core::RuleContext& ctx) const;
 
   std::shared_ptr<const CompiledRuleDef> def_;
+  std::shared_ptr<const SlotLayout> slots_;
+  const uint32_t* offsets_ = nullptr;  // slots_->offsets
 };
 
 }  // namespace scidive::ruledsl

@@ -1,5 +1,6 @@
 #include "scidive/enforce.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace scidive::core {
@@ -69,11 +70,16 @@ bool BlockList::block(uint64_t key, VerdictAction action, SimTime now) {
     e->action = max_action(e->action, action);
     return true;
   }
-  if (entries_.size() >= config_.max_entries) {
+  // At the cap, expired entries make room first; only a table of live
+  // entries rejects. The earliest expiry bounds when a sweep can free one,
+  // so a full table of live entries rejects without a scan.
+  if (entries_.size() >= config_.max_entries &&
+      (earliest_expiry_ > now || sweep(now) == 0)) {
     ++rejected_total_;
     return false;
   }
   entries_.insert_or_assign(key, Entry{expires, action});
+  earliest_expiry_ = std::min(earliest_expiry_, expires);
   ++installed_total_;
   return true;
 }
@@ -99,6 +105,10 @@ size_t BlockList::sweep(SimTime now) {
   const size_t n = entries_.erase_if(
       [now](const uint64_t&, const Entry& e) { return e.expires_at <= now; });
   expired_total_ += n;
+  earliest_expiry_ = INT64_MAX;
+  entries_.for_each([this](const uint64_t&, const Entry& e) {
+    earliest_expiry_ = std::min(earliest_expiry_, e.expires_at);
+  });
   return n;
 }
 

@@ -147,13 +147,15 @@ struct BlockListConfig {
 };
 
 /// TTL block list over tagged keys. Expiry is lazy (a lookup that finds an
-/// expired entry erases it) plus sweep() for housekeeping; an entry
-/// re-blocked before expiry has its TTL extended, never shortened.
+/// expired entry erases it) plus sweep(), which block() also runs when the
+/// table is at its cap and an entry may have expired; an entry re-blocked
+/// before expiry has its TTL extended, never shortened.
 class BlockList {
  public:
   explicit BlockList(BlockListConfig config = {}) : config_(config) {}
 
-  /// Returns false when rejected at the capacity bound.
+  /// Returns false when rejected at the capacity bound, which counts only
+  /// live entries: expired ones are swept (and counted expired) first.
   bool block(uint64_t key, VerdictAction action, SimTime now);
 
   /// Action for `key` at `now` (kPass when absent or expired; expired
@@ -182,6 +184,9 @@ class BlockList {
 
   BlockListConfig config_;
   FlatMap<uint64_t, Entry> entries_;
+  /// No entry expires before this (a bound: lookups and extensions leave
+  /// it low, a sweep makes it exact).
+  SimTime earliest_expiry_ = INT64_MAX;
   uint64_t installed_total_ = 0;
   uint64_t expired_total_ = 0;
   uint64_t rejected_total_ = 0;

@@ -74,6 +74,7 @@ ScidiveEngine::ScidiveEngine(EngineConfig config)
         .counter("scidive_verdicts_total", "Verdicts emitted by rules, by action and rule",
                  {{"action", std::string(verdict_action_name(v.action))}, {"rule", v.rule}})
         .inc();
+    if (verdict_callback_) verdict_callback_(v);
   });
   auto ruleset = make_default_ruleset(config_.rules);
   for (RulePtr& rule : ruleset) add_rule(std::move(rule));
@@ -197,6 +198,8 @@ void ScidiveEngine::rebuild_subscriber_index() {
     retention.open = std::max(retention.open, horizon);
   }
   trails_.set_retention(std::move(retention));
+  // Each stateful rule's area in the session and principal records' blocks.
+  trails_.set_rule_layout(lay_out_rule_state(rules_));
   // Re-derive whether any installed rule wants to see steady-state media.
   // The flow records hold no rule state, so a ruleset change (hot reload
   // included) leaves them as they are.
@@ -497,7 +500,7 @@ void ScidiveEngine::sync_component_stats() {
       .set(static_cast<int64_t>(events_.tracked_sessions()));
 
   // A rule's state: what it keeps in tables of its own plus the session and
-  // principal records holding its slot.
+  // principal records whose presence bit it set.
   const std::vector<size_t> in_records = trails_.rule_state_counts(rules_.size());
   for (size_t i = 0; i < rules_.size(); ++i) {
     rule_inst_[i].state_entries->set(

@@ -134,7 +134,9 @@ class ScidiveEngine {
     return fed;
   }
 
-  /// Install an additional rule (the ruleset defaults to the paper's).
+  /// Install an additional rule (the ruleset defaults to the paper's). A
+  /// stateful rule changes its key kind's rule-state layout, so the blocks
+  /// of that kind built so far are freed.
   void add_rule(RulePtr rule);
   /// Drop all rules (for baseline configurations in the benches), and with
   /// them every session and principal record's rule state.
@@ -142,9 +144,9 @@ class ScidiveEngine {
   /// Atomically replace the whole ruleset (hot reload). Instruments for the
   /// new rules are interned against the same registry, so a rule keeping its
   /// name keeps its counters across the swap. Rule state starts fresh: every
-  /// session and principal record's rule slots are emptied, as new rule
-  /// instances would have it. Registered locations are the registrar's, not
-  /// a rule's, and stay.
+  /// session and principal record's rule-state block is freed, as new rule
+  /// instances would have it, and the new rules' layout is installed.
+  /// Registered locations are the registrar's, not a rule's, and stay.
   void set_rules(std::vector<RulePtr> rules);
   size_t rule_count() const { return rules_.size(); }
 
@@ -152,6 +154,11 @@ class ScidiveEngine {
   /// from the value carried on kRtpAfterBye/kRtpAfterReinvite events).
   void set_event_callback(std::function<void(const Event&)> cb) {
     event_callback_ = std::move(cb);
+  }
+  /// Observe every verdict a rule raises, whether or not the verdict sink
+  /// still retains it.
+  void set_verdict_callback(std::function<void(const Verdict&)> cb) {
+    verdict_callback_ = std::move(cb);
   }
 
   AlertSink& alerts() { return sink_; }
@@ -290,6 +297,7 @@ class ScidiveEngine {
   /// Per-EventType list of rule indices subscribed to it.
   std::vector<uint32_t> subscribers_[kEventTypeCount];
   std::function<void(const Event&)> event_callback_;
+  std::function<void(const Verdict&)> verdict_callback_;
   AlertSink sink_;
   VerdictSink verdicts_;
   std::unique_ptr<Enforcer> enforcer_;

@@ -1,21 +1,27 @@
 // The Rule abstraction. Rules are driven by Events (the efficient path) and
 // may additionally inspect Trails directly through the context (the paper's
 // "crude information directly from the Trails" path, §3.1). A stateful
-// rule keeps its state in a record the TrailManager owns — the session's
-// record for session-keyed rules, the claimed AOR's principal record for
-// principal-keyed ones — reached through the context, so the rule holds no
+// rule declares what it keeps per key (state_spec: the key kind, size,
+// alignment, init and destroy), and keeps it in place in a record the
+// TrailManager owns — the session's record for session-keyed rules, the
+// claimed AOR's principal record for principal-keyed ones. The engine lays
+// the ruleset's specs out into one block per record (lay_out_rule_state);
+// the context hands each rule its area in that block, so the rule holds no
 // table of its own. Cross-protocol rules simply subscribe to events
 // originating from different protocol trails of one session.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string_view>
+#include <vector>
 
 #include "obs/alert_ledger.h"
 #include "scidive/alert.h"
 #include "scidive/enforce.h"
 #include "scidive/event.h"
+#include "scidive/rule_state.h"
 #include "scidive/trail_manager.h"
 #include "scidive/verdict.h"
 
@@ -33,22 +39,29 @@ class RuleContext {
   const TrailManager& trails() const { return trails_; }
 
   /// Which rule the next on_event call is for: its position in the rule
-  /// list, which is also its slot in every session and principal record.
+  /// list, which also places its area in every record's rule-state block.
   /// The engine's dispatch loop sets it before each call; until it is set,
   /// rules see no state.
   void set_rule(size_t position) { rule_ = position; }
 
-  /// The calling rule's slot in `session`'s record; the rule builds the
-  /// state it keeps there. nullptr when no rule is set or the session has
-  /// no record.
-  std::unique_ptr<RuleSessionState>* session_slot(const SessionId& session) {
-    return rule_ == kNoRule ? nullptr : trails_.rule_slot(session, rule_);
+  /// The calling rule's state in `session`'s record, built by its spec's
+  /// init on first use. nullptr when no rule is set, the session has no
+  /// record or the rule keeps no session state under the manager's layout.
+  template <typename State>
+  State* session_slot(const SessionId& session) {
+    return rule_ == kNoRule ? nullptr : static_cast<State*>(trails_.rule_slot(session, rule_));
+  }
+  /// Whether the calling rule has built its state in `session`'s record.
+  bool holds_session_state(const SessionId& session) const {
+    return rule_ != kNoRule && trails_.has_rule_state(session, rule_);
   }
 
-  /// The calling rule's slot in `aor`'s principal record, which is created
-  /// on first use. nullptr when no rule is set.
-  std::unique_ptr<RuleSessionState>* principal_slot(std::string_view aor) {
-    return rule_ == kNoRule ? nullptr : trails_.principal_slot(aor, rule_);
+  /// The calling rule's state in `aor`'s principal record, which is created
+  /// on first use. nullptr when no rule is set or the rule keeps no
+  /// principal state.
+  template <typename State>
+  State* principal_slot(std::string_view aor) {
+    return rule_ == kNoRule ? nullptr : static_cast<State*>(trails_.principal_slot(aor, rule_));
   }
 
   void raise(std::string rule, Severity severity, const Event& cause, std::string message) {
@@ -102,10 +115,13 @@ class Rule {
   virtual ~Rule() = default;
   virtual std::string_view name() const = 0;
   virtual void on_event(const Event& event, RuleContext& ctx) = 0;
+  /// What the rule keeps per session or per principal, in place in the
+  /// record's rule-state block. The default keeps nothing.
+  virtual RuleStateSpec state_spec() const { return {}; }
   /// How many state entries the rule holds in tables of its own — the
   /// observability surface for rule memory. Rules that keep their state in
   /// session or principal records keep the default: the engine counts the
-  /// records holding a rule's slot itself.
+  /// records whose presence bit the rule set.
   virtual size_t state_entries() const { return 0; }
   /// The EventTypes this rule consumes. The engine indexes rules by type so
   /// an event only visits its subscribers; the default (everything)
@@ -131,5 +147,14 @@ class Rule {
 };
 
 using RulePtr = std::unique_ptr<Rule>;
+
+/// The rule-state layout of `rules`, in rule-position order (what a
+/// TrailManager serving them installs with set_rule_layout).
+inline RuleStateLayout lay_out_rule_state(std::span<const RulePtr> rules) {
+  std::vector<RuleStateSpec> specs;
+  specs.reserve(rules.size());
+  for (const RulePtr& rule : rules) specs.push_back(rule->state_spec());
+  return RuleStateLayout(specs);
+}
 
 }  // namespace scidive::core

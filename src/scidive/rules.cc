@@ -24,9 +24,9 @@ void Stateless4xxRule::on_event(const Event& event, RuleContext& ctx) {
 
 void DirectTrailScanByeRule::on_event(const Event& event, RuleContext& ctx) {
   if (event.type != EventType::kRtpPacketSeen) return;
-  // A session holds a state only once the rule alerted on it.
-  std::unique_ptr<RuleSessionState>* alerted = ctx.session_slot(event.session);
-  if (alerted == nullptr || *alerted != nullptr) return;
+  // The rule's presence bit in a session's record marks a session it
+  // alerted on; its area is empty.
+  if (ctx.holds_session_state(event.session)) return;
   const Trail* sip_trail = ctx.trails().find(event.session, Protocol::kSip);
   if (sip_trail == nullptr) return;
 
@@ -59,7 +59,7 @@ void DirectTrailScanByeRule::on_event(const Event& event, RuleContext& ctx) {
   });
   if (!sender_media || event.endpoint != *sender_media) return;
 
-  *alerted = std::make_unique<RuleSessionState>();
+  if (ctx.session_slot<void>(event.session) == nullptr) return;
   ctx.raise(std::string(name()), Severity::kCritical, event,
             str::format("orphan RTP from %s %lld us after BYE (direct trail scan)",
                         event.endpoint.to_string().c_str(),

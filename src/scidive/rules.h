@@ -76,6 +76,12 @@ class DirectTrailScanByeRule : public Rule {
   EventTypeMask subscriptions() const override {
     return event_mask(EventType::kRtpPacketSeen);
   }
+  /// No bytes: the presence bit alone marks a session alerted on.
+  RuleStateSpec state_spec() const override {
+    RuleStateSpec spec;
+    spec.key = StateKey::kSession;
+    return spec;
+  }
   SimDuration horizon() const override { return window_; }
 
  private:

@@ -1,11 +1,12 @@
-// One session's state (§3.1 "per-session processors"). The event state is
-// the mirrored dialog, the orphan-media monitors and the per-endpoint RTP
-// state; the rule state is what each session-keyed rule keeps about the
-// session (a principal record holds the same kind of rule state per AOR).
-// The TrailManager's session record holds both, so they are created with
-// the session's first trail, move with the record on migration and are
-// dropped when the record retires. The EventGenerator steps the event
-// state; each rule reads and writes its own slot through the RuleContext.
+// One session's event state (§3.1 "per-session processors"): the mirrored
+// dialog, the orphan-media monitors and the per-endpoint RTP state. The
+// TrailManager's session record holds it beside the record's rule-state
+// block (scidive/rule_state.h: what each session-keyed rule keeps about the
+// session, one area per rule), so both are created with the session's
+// first trail (the block on the first rule write), move with the record on
+// migration and are dropped when the record retires. The EventGenerator
+// steps the event state; each rule reads and writes its own area through
+// the RuleContext.
 #pragma once
 
 #include <memory>
@@ -80,14 +81,6 @@ struct EventSessionState {
   /// the mirror by spraying REGISTERs).
   std::string pending_register_aor;
   std::optional<pkt::Ipv4Address> pending_register_addr;
-};
-
-/// One stateful rule's state for one session or one principal. Each such
-/// rule derives its own state type from this base; the session or principal
-/// record holds it at the rule's position in the engine's rule list, so
-/// only that rule ever reads it.
-struct RuleSessionState {
-  virtual ~RuleSessionState() = default;
 };
 
 }  // namespace scidive::core

@@ -1,6 +1,8 @@
 #include "scidive/trail_manager.h"
 
 #include <algorithm>
+#include <cstring>
+#include <new>
 
 #include "common/strings.h"
 
@@ -250,27 +252,63 @@ size_t TrailManager::arena_bytes_reserved() const {
   return bytes;
 }
 
-std::unique_ptr<RuleSessionState>* TrailManager::rule_slot(const SessionId& session,
-                                                           size_t rule) {
-  SessionSlot* slot = slot_of(session);
-  if (slot == nullptr) return nullptr;
-  if (slot->rules.size() <= rule) slot->rules.resize(rule + 1);
-  return &slot->rules[rule];
+void TrailManager::set_rule_layout(RuleStateLayout layout) {
+  auto next = std::make_shared<const RuleStateLayout>(std::move(layout));
+  auto keeps = [&](StateKey key) {
+    return rule_layout_ != nullptr && next->block(key).compatible(rule_layout_->block(key));
+  };
+  const bool keep_sessions = keeps(StateKey::kSession);
+  const bool keep_principals = keeps(StateKey::kPrincipal);
+  sessions_.for_each([&](const Symbol&, std::unique_ptr<SessionSlot>& slot) {
+    if (keep_sessions) {
+      slot->rules.relayout(next->block(StateKey::kSession));
+    } else {
+      slot->rules.reset();
+    }
+  });
+  if (!keep_principals) {
+    principals_.erase_if(
+        [](const Symbol&, const PrincipalRecord& record) { return record.locations.empty(); });
+  }
+  principals_.for_each([&](const Symbol&, PrincipalRecord& record) {
+    if (keep_principals) {
+      record.rules.relayout(next->block(StateKey::kPrincipal));
+    } else {
+      record.rules.reset();
+    }
+  });
+  rule_layout_ = std::move(next);
 }
 
-std::unique_ptr<RuleSessionState>* TrailManager::principal_slot(std::string_view aor,
-                                                                size_t rule) {
+void* TrailManager::rule_slot(const SessionId& session, size_t rule) {
+  const RuleStateLayout::Place place = rule_place(rule);
+  if (place.key != StateKey::kSession) return nullptr;
+  SessionSlot* slot = slot_of(session);
+  if (slot == nullptr) return nullptr;
+  return slot->rules.area(rule_layout_->block(StateKey::kSession), place.entry);
+}
+
+bool TrailManager::has_rule_state(const SessionId& session, size_t rule) const {
+  const RuleStateLayout::Place place = rule_place(rule);
+  if (place.key != StateKey::kSession) return false;
+  const SessionSlot* slot = slot_of(session);
+  return slot != nullptr && slot->rules.holds(place.entry);
+}
+
+void* TrailManager::principal_slot(std::string_view aor, size_t rule) {
+  const RuleStateLayout::Place place = rule_place(rule);
+  if (place.key != StateKey::kPrincipal) return nullptr;
   PrincipalRecord& record = *principals_.try_emplace(principal_symbols_.intern(aor)).first;
-  if (record.rules.size() <= rule) record.rules.resize(rule + 1);
-  return &record.rules[rule];
+  return record.rules.area(rule_layout_->block(StateKey::kPrincipal), place.entry);
 }
 
 std::vector<size_t> TrailManager::rule_state_counts(size_t rules) const {
   std::vector<size_t> counts(rules, 0);
-  auto count = [&](const std::vector<std::unique_ptr<RuleSessionState>>& slots) {
-    for (size_t i = 0; i < std::min(rules, slots.size()); ++i) {
-      if (slots[i] != nullptr) ++counts[i];
-    }
+  auto count = [&](const RuleStateBlock& block) {
+    block.for_each_held([&](size_t entry) {
+      const uint32_t rule = block.layout()->entries()[entry].rule;
+      if (rule < rules) ++counts[rule];
+    });
   };
   sessions_.for_each(
       [&](const Symbol&, const std::unique_ptr<SessionSlot>& slot) { count(slot->rules); });
@@ -278,12 +316,31 @@ std::vector<size_t> TrailManager::rule_state_counts(size_t rules) const {
   return counts;
 }
 
+size_t TrailManager::rule_state_blocks() const {
+  size_t n = 0;
+  sessions_.for_each([&](const Symbol&, const std::unique_ptr<SessionSlot>& slot) {
+    n += slot->rules.empty() ? 0 : 1;
+  });
+  principals_.for_each(
+      [&](const Symbol&, const PrincipalRecord& record) { n += record.rules.empty() ? 0 : 1; });
+  return n;
+}
+
 void TrailManager::clear_rule_states() {
   sessions_.for_each(
-      [](const Symbol&, std::unique_ptr<SessionSlot>& slot) { slot->rules.clear(); });
+      [](const Symbol&, std::unique_ptr<SessionSlot>& slot) { slot->rules.reset(); });
   principals_.erase_if(
       [](const Symbol&, const PrincipalRecord& record) { return record.locations.empty(); });
-  principals_.for_each([](const Symbol&, PrincipalRecord& record) { record.rules.clear(); });
+  principals_.for_each([](const Symbol&, PrincipalRecord& record) { record.rules.reset(); });
+}
+
+void TrailManager::adopt_block(RuleStateBlock& block, StateKey key) const {
+  if (block.empty()) return;
+  if (rule_layout_ != nullptr && rule_layout_->block(key).compatible(*block.layout())) {
+    block.relayout(rule_layout_->block(key));
+  } else {
+    block.reset();
+  }
 }
 
 const TrailManager::PrincipalRecord* TrailManager::principal_of(std::string_view aor) const {
@@ -291,22 +348,38 @@ const TrailManager::PrincipalRecord* TrailManager::principal_of(std::string_view
   return sym ? principals_.find(*sym) : nullptr;
 }
 
-void TrailManager::commit_location(std::string_view aor, pkt::Ipv4Address addr, SimTime time) {
-  PrincipalRecord& record = *principals_.try_emplace(principal_symbols_.intern(aor)).first;
-  for (RegisteredLocation& location : record.locations) {
-    if (location.addr == addr) {
-      location.at = time;
+void TrailManager::Locations::commit(pkt::Ipv4Address addr, SimTime time) {
+  const uint32_t size = p_ == nullptr ? 0 : header().size;
+  for (uint32_t i = 0; i < size; ++i) {
+    if (entries()[i].addr == addr) {
+      entries()[i].at = time;
       return;
     }
   }
-  record.locations.push_back({addr, time});
+  if (p_ == nullptr || size == header().capacity) {
+    const uint32_t capacity = size == 0 ? 1 : 2 * size;
+    auto* grown = static_cast<std::byte*>(
+        ::operator new(sizeof(Header) + capacity * sizeof(RegisteredLocation)));
+    ::new (grown) Header{size, capacity};
+    if (p_ != nullptr) {
+      std::memcpy(grown + sizeof(Header), entries(), size * sizeof(RegisteredLocation));
+    }
+    ::operator delete(p_);
+    p_ = grown;
+  }
+  ::new (entries() + size) RegisteredLocation{addr, time};
+  header().size = size + 1;
+}
+
+void TrailManager::commit_location(std::string_view aor, pkt::Ipv4Address addr, SimTime time) {
+  principals_.try_emplace(principal_symbols_.intern(aor)).first->locations.commit(addr, time);
 }
 
 std::span<const RegisteredLocation> TrailManager::registered_locations(
     std::string_view aor) const {
   const PrincipalRecord* record = principal_of(aor);
   if (record == nullptr) return {};
-  return record->locations;
+  return record->locations.view();
 }
 
 std::optional<SimTime> TrailManager::registered_at(std::string_view aor,
@@ -338,6 +411,7 @@ TrailManager::ExtractedPrincipal TrailManager::extract_principal(std::string_vie
   PrincipalRecord* record = principals_.find(*sym);
   if (record == nullptr) return out;
   out.aor = std::string(aor);
+  out.layout = rule_layout_;
   out.record = std::move(*record);
   principals_.erase(*sym);
   return out;
@@ -345,6 +419,8 @@ TrailManager::ExtractedPrincipal TrailManager::extract_principal(std::string_vie
 
 void TrailManager::install_principal(ExtractedPrincipal&& moved) {
   if (!moved.valid()) return;
+  adopt_block(moved.record->rules, StateKey::kPrincipal);
+  if (moved.record->rules.empty() && moved.record->locations.empty()) return;
   principals_.try_emplace(principal_symbols_.intern(moved.aor), std::move(*moved.record));
 }
 
@@ -376,6 +452,7 @@ TrailManager::ExtractedSession TrailManager::extract_session(const SessionId& se
   std::unique_ptr<SessionSlot>* found = sessions_.find(*sym);
   if (found == nullptr) return out;
   out.id = session;
+  out.layout = rule_layout_;
   out.slot = std::move(*found);
   sessions_.erase(*sym);
   SessionSlot& slot = *out.slot;
@@ -404,6 +481,7 @@ void TrailManager::install_session(ExtractedSession&& moved) {
   // from the pipeline's point of view, it just lives here now.
   SessionSlot& slot = *moved.slot;
   slot.sym = sym;
+  adopt_block(slot.rules, StateKey::kSession);
   for (Trail* trail : slot.trail_list()) trail->rebind(sym);
   trail_count_ += slot.trail_count;
   for (const pkt::Endpoint& ep : slot.media) {
@@ -423,10 +501,12 @@ SimTime TrailManager::SessionSlot::last_touch() const {
 SimDuration TrailManager::retention_of(const SessionSlot& slot) const {
   if (!slot.events.closed) return retention_.open;
   SimDuration keep = retention_.closed;
-  const size_t n = std::min(slot.rules.size(), retention_.rule_horizons.size());
-  for (size_t i = 0; i < n; ++i) {
-    if (slot.rules[i] != nullptr) keep = std::max(keep, retention_.rule_horizons[i]);
-  }
+  slot.rules.for_each_held([&](size_t entry) {
+    const uint32_t rule = slot.rules.layout()->entries()[entry].rule;
+    if (rule < retention_.rule_horizons.size()) {
+      keep = std::max(keep, retention_.rule_horizons[rule]);
+    }
+  });
   return keep;
 }
 

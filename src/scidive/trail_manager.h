@@ -19,10 +19,11 @@
 //     rings bump-allocate from it, so session teardown is one arena release
 //     instead of per-trail frees. (A SIP footprint's own block is owned by
 //     its ring slot, not the arena, so a wrapping ring frees what it
-//     overwrites.) The event state is an ordinary member of
-//     the record (not arena-placed), and so is each rule's state (one
-//     slot per rule position, empty until that rule first writes): they
-//     live and die with the record.
+//     overwrites.) The event state is an ordinary member of the record (not
+//     arena-placed), and so is its rule state: one block laid out by the
+//     ruleset (scidive/rule_state.h), allocated on the record's first rule
+//     write, with each stateful rule's area at a fixed offset and one
+//     presence bit per rule. Both live and die with the record.
 // Retirement and fleet handoff therefore drop or move one record.
 //
 // Records retire on packet time. The engine advances the manager's expiry
@@ -34,22 +35,25 @@
 // Retention comes from the ruleset (set_retention): a closed record (its
 // dialog mirror saw a BYE, the initial INVITE failing or an out-of-dialog
 // transaction completing) is kept for the window m and the horizon of every
-// rule holding state in it; an open one for the longest horizon in the
-// ruleset. Ticks are coarse, which can only delay a retirement. Retiring a
-// record drops exactly what is its own: its arena, trails, event and rule
-// state, the media bindings still pointing at it and the cached routes into
-// it — nothing else in the tables is read. Whether a record is retired when
+// rule whose presence bit is set in its block; an open one for the longest
+// horizon in the ruleset. Ticks are coarse, which can only delay a
+// retirement. Retiring a record drops exactly what is its own: its arena,
+// trails, event and rule state, the media bindings still pointing at it and
+// the cached routes into it — nothing else in the tables is read. Whether a record is retired when
 // its next packet arrives depends only on its own footprints and that
 // packet's time, so every topology retires the same records.
 //
 // Each principal (a claimed AOR) has one record too, in the principal table
 // beside the session table — the only AOR-keyed table. It holds what each
 // principal-keyed rule (`key aor`: fake-IM, SPIT graylisting) keeps about
-// the AOR, in the same per-rule-position slots a session record has, and
-// the AOR's registered locations (the passive mirror of the registrar's
-// location service). A principal outlives any one session, so its record
-// is created on first use and does not expire yet; a hot reload empties its
-// rule slots and keeps its locations, and fleet handoff moves it whole.
+// the AOR, in one block laid out like a session record's, and the AOR's
+// registered locations (the passive mirror of the registrar's location
+// service) — two pointers, so a table slot is 24 bytes. A principal
+// outlives any one session, so its record is created on first use and does
+// not expire yet (its presence bits are what expiry will read); a hot
+// reload frees its block and keeps its locations, and fleet handoff moves
+// it whole. A block that arrives under a layout other than the adopting
+// manager's is dropped, never misread.
 //
 // The media path is the hot path: once a flow's first packet has been
 // classified, a (src, dst, protocol) -> MediaFlow cache routes every further
@@ -75,6 +79,7 @@
 #include "common/arena.h"
 #include "common/flat_map.h"
 #include "common/symbol.h"
+#include "scidive/rule_state.h"
 #include "scidive/session_state.h"
 #include "scidive/trail.h"
 
@@ -129,13 +134,47 @@ class TrailManager {
  private:
   struct SessionSlot;  // all of one session's storage; defined below
 
-  /// One principal's record. Stored by value in the principal table:
-  /// nothing keeps a pointer into it past one rule call.
+  /// Addresses the registrar accepted for one AOR, one entry each: a count,
+  /// a capacity and the entries in one heap block behind one pointer, none
+  /// while empty.
+  class Locations {
+   public:
+    Locations() = default;
+    Locations(Locations&& other) noexcept : p_(std::exchange(other.p_, nullptr)) {}
+    Locations& operator=(Locations&& other) noexcept {
+      std::swap(p_, other.p_);
+      return *this;
+    }
+    ~Locations() { ::operator delete(p_); }
+
+    bool empty() const { return p_ == nullptr; }
+    std::span<const RegisteredLocation> view() const {
+      if (p_ == nullptr) return {};
+      return {entries(), header().size};
+    }
+    /// The registrar accepted `addr` at `time`.
+    void commit(pkt::Ipv4Address addr, SimTime time);
+
+   private:
+    struct Header {
+      uint32_t size;
+      uint32_t capacity;
+    };
+    static_assert(sizeof(Header) % alignof(RegisteredLocation) == 0);
+    Header& header() const { return *reinterpret_cast<Header*>(p_); }
+    RegisteredLocation* entries() const {
+      return reinterpret_cast<RegisteredLocation*>(p_ + sizeof(Header));
+    }
+
+    std::byte* p_ = nullptr;
+  };
+
+  /// One principal's record, stored by value in the principal table. The
+  /// block and the location entries live behind their pointers, so a rule
+  /// area stays put when the table rehashes.
   struct PrincipalRecord {
-    /// Indexed by rule position; grown only as far as the rules that wrote.
-    std::vector<std::unique_ptr<RuleSessionState>> rules;
-    /// Addresses the registrar accepted for the AOR, one entry each.
-    std::vector<RegisteredLocation> locations;
+    RuleStateBlock rules;
+    Locations locations;
   };
 
  public:
@@ -196,18 +235,31 @@ class TrailManager {
   /// Bytes reserved across all live session arenas (observability gauge).
   size_t arena_bytes_reserved() const;
 
-  // --- Rule state (one slot per rule position) ---------------------------
+  // --- Rule state (one block per record, laid out by the ruleset) -------
+  // The engine installs its ruleset's layout; a manager without one keeps
+  // no rule state. A rule area stays valid until the record retires or
+  // moves, or the layout changes.
 
-  /// The slot of rule position `rule` in `session`'s record, created empty
-  /// on first use; nullptr when the session has no record.
-  std::unique_ptr<RuleSessionState>* rule_slot(const SessionId& session, size_t rule);
-  /// The slot of rule position `rule` in `aor`'s principal record, created
-  /// empty on first use, the record with it.
-  std::unique_ptr<RuleSessionState>* principal_slot(std::string_view aor, size_t rule);
+  /// The rule-state layout every record is read by from now on. Blocks of a
+  /// key kind whose layout is compatible with the new one stay; the others
+  /// are freed (a principal record left holding nothing goes).
+  void set_rule_layout(RuleStateLayout layout);
+  /// The area of rule position `rule` in `session`'s record, built on first
+  /// use; nullptr when the session has no record or the rule keeps no
+  /// session state.
+  void* rule_slot(const SessionId& session, size_t rule);
+  /// Whether rule position `rule` has built its area in `session`'s record.
+  bool has_rule_state(const SessionId& session, size_t rule) const;
+  /// The area of rule position `rule` in `aor`'s principal record, built on
+  /// first use, the record with it; nullptr when the rule keeps no
+  /// principal state.
+  void* principal_slot(std::string_view aor, size_t rule);
   /// Session and principal records holding state, for each rule position
   /// below `rules`.
   std::vector<size_t> rule_state_counts(size_t rules) const;
-  /// Drop every record's rule state: a new ruleset starts fresh. Registered
+  /// Session and principal records holding a rule-state block.
+  size_t rule_state_blocks() const;
+  /// Free every record's rule state: a new ruleset starts fresh. Registered
   /// locations stay; a principal record without any goes.
   void clear_rule_states();
 
@@ -257,15 +309,19 @@ class TrailManager {
 
   // --- Session migration (fleet churn handoff) --------------------------
   // A session moves between managers as one opaque package: its record
-  // (arena, trails, event state, rule state, the media endpoints bound to
-  // it), from which its deadline follows. Rule state is indexed by rule
-  // position, so both managers must serve the same ruleset.
+  // (arena, trails, event state, rule-state block, the media endpoints
+  // bound to it), from which its deadline follows. The block is kept only
+  // when the adopting manager's session layout is compatible with the one
+  // it was built under, so both managers must serve the same ruleset for
+  // rule state to cross.
   // Trail and state pointers stay valid across the move (the record moves,
   // not the objects); install re-interns the id, rebinds the trails to
   // the adopting manager's symbol and re-arms the record on its wheel.
 
   struct ExtractedSession {
     SessionId id;
+    /// Keeps the block's layout alive in transit.
+    std::shared_ptr<const RuleStateLayout> layout;
     std::unique_ptr<SessionSlot> slot;  // null when extraction failed
     bool valid() const { return slot != nullptr; }
     ExtractedSession();
@@ -295,10 +351,12 @@ class TrailManager {
   /// have where it came from.
   void install_session(ExtractedSession&& moved);
 
-  /// A principal moves the same way: its whole record (rule slots and
-  /// registered locations), indexed by the same rule positions.
+  /// A principal moves the same way: its whole record (rule-state block and
+  /// registered locations), the block kept as a session's is.
   struct ExtractedPrincipal {
     std::string aor;
+    /// Keeps the block's layout alive in transit.
+    std::shared_ptr<const RuleStateLayout> layout;
     std::optional<PrincipalRecord> record;  // empty when extraction failed
     bool valid() const { return record.has_value(); }
   };
@@ -348,8 +406,7 @@ class TrailManager {
     SessionSlot* wake_prev = nullptr;
     SessionSlot* wake_next = nullptr;
     EventSessionState events;
-    /// Indexed by rule position; grown only as far as the rules that wrote.
-    std::vector<std::unique_ptr<RuleSessionState>> rules;
+    RuleStateBlock rules;
     /// Endpoints bound to this session, each once; a binding that has since
     /// moved to another session is skipped when this record goes.
     std::vector<pkt::Endpoint> media;
@@ -396,6 +453,13 @@ class TrailManager {
 
   /// The record of `aor`, nullptr when it has none.
   const PrincipalRecord* principal_of(std::string_view aor) const;
+  /// Where rule position `rule` keeps its state under the current layout.
+  RuleStateLayout::Place rule_place(size_t rule) const {
+    return rule_layout_ == nullptr ? RuleStateLayout::Place{} : rule_layout_->place(rule);
+  }
+  /// Keep `block` (built under another manager's layout) when the current
+  /// layout of its key kind is compatible, else free it.
+  void adopt_block(RuleStateBlock& block, StateKey key) const;
 
   // --- The expiry wheel ---------------------------------------------------
   // A hashed wheel of kWheelSlots tick lists; a record's wake sits in the
@@ -421,6 +485,9 @@ class TrailManager {
   void retire(SessionSlot& slot);
 
   size_t max_footprints_per_trail_;
+  /// Where each rule keeps its state; null until the engine installs one.
+  /// Declared before the record tables: their blocks point into it.
+  std::shared_ptr<const RuleStateLayout> rule_layout_;
   SymbolTable symbols_;
   /// Session symbol -> its record.
   FlatMap<Symbol, std::unique_ptr<SessionSlot>> sessions_;

@@ -493,5 +493,56 @@ TEST(FleetScreening, VerdictOnOneNodeScreensThePrincipalOnAll) {
   }
 }
 
+TEST(FleetScreening, EveryRaisedVerdictGossipsPastTheSinksRetention) {
+  // The same fleet with eight spammers and verdict sinks that retain one
+  // verdict: gossip reads what the shards raise, not what their sinks keep,
+  // so every verdict reaches the peers.
+  for (size_t num_shards : {1, 2}) {
+    SCOPED_TRACE("num_shards=" + std::to_string(num_shards));
+    capture::CarrierMixConfig mix;
+    mix.seed = 0x5b17;
+    mix.provisioned_users = 200;
+    mix.call_rate_hz = 3.0;
+    mix.im_rate_hz = 2.0;
+    mix.register_rate_hz = 3.0;
+    mix.mean_call_hold_sec = 4.0;
+    mix.rtp_interval = msec(40);
+    mix.spit_callers = 8;
+    mix.spit_call_rate_hz = 6.0;
+    mix.spit_hold = msec(300);
+    mix.max_packets = 3000;
+    capture::CarrierMixSource source(mix);
+
+    FleetConfig fc;
+    fc.node.engine.num_shards = num_shards;
+    fc.node.engine.route_invite_by_caller = true;
+    fc.node.engine.engine.obs.time_stages = false;
+    fc.node.engine.engine.enforce.mode = core::EnforcementMode::kInline;
+    fc.node.engine.engine.enforce.verdict_capacity = 1;
+    fc.pump_every_packets = 256;
+    Fleet fleet(fc, {"node-0", "node-1"});
+    for (size_t i = 0; i < fleet.size(); ++i) {
+      fleet.node_at(i).engine().set_rules([](size_t) {
+        core::RulesConfig rc;
+        rc.spit_graylist = true;
+        return core::make_default_ruleset(rc);
+      });
+    }
+    fleet.run(source);
+
+    uint64_t raised = 0;
+    for (size_t i = 0; i < fleet.size(); ++i) {
+      core::ShardedEngine& engine = fleet.node_at(i).engine();
+      for (size_t s = 0; s < engine.num_shards(); ++s) {
+        raised += engine.shard(s).verdicts().total_raised();
+      }
+    }
+    EXPECT_EQ(raised, 5u);
+    const FleetNodeStats stats = fleet.node_stats();
+    EXPECT_EQ(stats.verdicts_shared, raised);
+    EXPECT_EQ(stats.gossip_records_dropped, 0u);
+  }
+}
+
 }  // namespace
 }  // namespace scidive::fleet

@@ -38,6 +38,7 @@ struct Harness {
     auto compiled = compile_ruleset_text(text, "test.sdr");
     EXPECT_TRUE(compiled.ok()) << compiled.error().to_string();
     if (compiled.ok()) rules = make_rules(compiled.value());
+    trails.set_rule_layout(core::lay_out_rule_state(rules));
   }
 
   core::Rule& rule() { return *rules.at(0); }
@@ -256,7 +257,11 @@ rule r {
   ASSERT_TRUE(compiled.ok());
   auto a = make_rules(compiled.value());
   auto b = make_rules(compiled.value());
+  std::vector<core::RulePtr> both;
+  both.push_back(std::move(a[0]));
+  both.push_back(std::move(b[0]));
   core::TrailManager trails;
+  trails.set_rule_layout(core::lay_out_rule_state(both));
   route_session(trails, "s1");
   core::AlertSink sink;
   core::RuleContext ctx(trails, sink);
@@ -264,17 +269,18 @@ rule r {
   e.type = EventType::kSipByeSeen;
   e.session = "s1";
   ctx.set_rule(0);
-  a[0]->on_event(e, ctx);
+  both[0]->on_event(e, ctx);
   ctx.set_rule(1);
-  b[0]->on_event(e, ctx);
+  both[1]->on_event(e, ctx);
   EXPECT_EQ(sink.total_raised(), 2u) << "each instance owns its own slot";
   EXPECT_EQ(trails.rule_state_counts(2), (std::vector<size_t>{1, 1}));
 }
 
 TEST(CompiledRule, RecordOfAnotherRevisionStartsOver) {
   // A session moves between engines running two revisions of a `key
-  // session` rule (mid-reload): the record's slot count does not match the
-  // new definition, so it is re-initialised rather than misindexed.
+  // session` rule (mid-reload): the block was laid out for other slots, so
+  // the adopting manager drops it and the rule starts over rather than
+  // misreading it.
   auto v1 = compile_ruleset_text(R"sdr(
 rule r {
   key session;
@@ -290,7 +296,11 @@ rule r {
 }
 )sdr");
   ASSERT_TRUE(v1.ok() && v2.ok());
+  auto old_rules = make_rules(v1.value());
+  auto rules = make_rules(v2.value());
   core::TrailManager from, to;
+  from.set_rule_layout(core::lay_out_rule_state(old_rules));
+  to.set_rule_layout(core::lay_out_rule_state(rules));
   route_session(from, "s1");
   core::AlertSink sink;
   core::RuleContext from_ctx(from, sink), to_ctx(to, sink);
@@ -299,10 +309,11 @@ rule r {
   Event e;
   e.type = EventType::kSipByeSeen;
   e.session = "s1";
-  make_rules(v1.value())[0]->on_event(e, from_ctx);
+  old_rules[0]->on_event(e, from_ctx);
+  old_rules.clear();
   to.install_session(from.extract_session("s1"));
+  EXPECT_EQ(to.rule_state_blocks(), 0u);
 
-  auto rules = make_rules(v2.value());
   rules[0]->on_event(e, to_ctx);
   EXPECT_EQ(sink.total_raised(), 0u) << "v2 starts from its own initial values";
   rules[0]->on_event(e, to_ctx);

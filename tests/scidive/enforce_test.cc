@@ -189,13 +189,20 @@ TEST(BlockListProperty, HundredThousandSourceChurn) {
   uint64_t accepted = 0, rejected = 0;
   SimTime now = 0;
   for (int i = 0; i < 100'000; ++i) {
-    now += msec(rng.uniform_int(0, 20));
-    const auto addr = pkt::Ipv4Address(static_cast<uint32_t>(rng.next_u32()));
+    // About 15k arrivals per TTL: more live sources than the bound holds.
+    now += msec(rng.uniform_int(0, 4));
+    // Distinct sources (an odd multiplier is a bijection on 32 bits).
+    const auto addr = pkt::Ipv4Address(static_cast<uint32_t>(i + 1) * 0x9e3779b1u);
     if (blocks.block(source_key(addr), VerdictAction::kDrop, now)) {
       ++accepted;
       ASSERT_EQ(blocks.peek(source_key(addr), now), VerdictAction::kDrop);
     } else {
       ++rejected;
+      ASSERT_EQ(blocks.size(), config.max_entries);
+      // Only a table of live entries rejects: nothing was left to sweep.
+      if (rejected % 1024 == 0) {
+        ASSERT_EQ(blocks.sweep(now), 0u);
+      }
     }
     ASSERT_LE(blocks.size(), config.max_entries);
     if (i % 4096 == 0) blocks.sweep(now);
@@ -207,6 +214,36 @@ TEST(BlockListProperty, HundredThousandSourceChurn) {
   EXPECT_GT(rejected, 0u);  // the bound actually bit
   EXPECT_EQ(blocks.installed_total(), accepted);
   EXPECT_EQ(blocks.expired_total(), accepted);  // every accepted entry expired
+}
+
+TEST(BlockList, FullTableOfExpiredEntriesMakesRoom) {
+  // Both caps at 4, four drops at 1 s, one new drop an hour later: the four
+  // expired at 61 s, so the new one is installed, not rejected.
+  EnforceConfig config;
+  config.mode = EnforcementMode::kInline;
+  config.max_blocked = 4;
+  config.limiter.max_entries = 4;
+  Enforcer enf(config);
+  for (uint32_t i = 1; i <= 4; ++i) {
+    enf.apply(Enforcement{source_key(pkt::Ipv4Address(10, 0, 0, i)), VerdictAction::kDrop,
+                          sec(1)});
+  }
+  ASSERT_EQ(enf.blocks().size(), 4u);
+  const uint64_t late = source_key(pkt::Ipv4Address(10, 0, 1, 1));
+  enf.apply(Enforcement{late, VerdictAction::kDrop, sec(3600)});
+  EXPECT_EQ(enf.blocks().peek(late, sec(3600)), VerdictAction::kDrop);
+  EXPECT_EQ(enf.blocks().size(), 1u);
+  EXPECT_EQ(enf.blocks().expired_total(), 4u);
+  EXPECT_EQ(enf.blocks().rejected_total(), 0u);
+  // A table full of live entries still rejects, and counts it.
+  for (uint32_t i = 2; i <= 4; ++i) {
+    enf.apply(Enforcement{source_key(pkt::Ipv4Address(10, 0, 1, i)), VerdictAction::kDrop,
+                          sec(3600)});
+  }
+  enf.apply(Enforcement{source_key(pkt::Ipv4Address(10, 0, 1, 5)), VerdictAction::kDrop,
+                        sec(3601)});
+  EXPECT_EQ(enf.blocks().size(), 4u);
+  EXPECT_EQ(enf.blocks().rejected_total(), 1u);
 }
 
 // --- the enforcer ----------------------------------------------------------

@@ -29,6 +29,14 @@ struct RuleHarness {
 
   RuleHarness() { ctx.set_rule(0); }
 
+  /// The default ruleset's rule `name`; the records keep its state, laid
+  /// out as the only rule.
+  RulePtr rule(std::string_view name, RulesConfig config = {}) {
+    RulePtr r = default_rule(name, config);
+    trails.set_rule_layout(lay_out_rule_state({&r, 1}));
+    return r;
+  }
+
   /// An event of `session`, whose record is created first (by routing an
   /// ACC footprint for it): session-keyed rules keep their state there.
   Event make(EventType type, SessionId session, SimTime time, std::string aor = "",
@@ -41,7 +49,7 @@ struct RuleHarness {
 
 TEST(ByeAttackRule, FiresOnOrphanAfterBye) {
   RuleHarness h;
-  RulePtr rule = default_rule("bye-attack");
+  RulePtr rule = h.rule("bye-attack");
   rule->on_event(h.make(EventType::kRtpAfterBye, "c1", msec(500), "bob@lab.net", ep(2, 16384),
                         msec(12)),
                  h.ctx);
@@ -54,7 +62,7 @@ TEST(ByeAttackRule, FiresOnOrphanAfterBye) {
 
 TEST(ByeAttackRule, IgnoresOtherEvents) {
   RuleHarness h;
-  RulePtr rule = default_rule("bye-attack");
+  RulePtr rule = h.rule("bye-attack");
   rule->on_event(h.make(EventType::kSipByeSeen, "c1", 0), h.ctx);
   rule->on_event(h.make(EventType::kRtpAfterReinvite, "c1", 0), h.ctx);
   EXPECT_EQ(h.sink.count(), 0u);
@@ -62,7 +70,7 @@ TEST(ByeAttackRule, IgnoresOtherEvents) {
 
 TEST(CallHijackRule, FiresOnOrphanAfterReinvite) {
   RuleHarness h;
-  RulePtr rule = default_rule("call-hijack");
+  RulePtr rule = h.rule("call-hijack");
   rule->on_event(h.make(EventType::kRtpAfterReinvite, "c1", msec(700), "bob@lab.net",
                         ep(2, 16384)),
                  h.ctx);
@@ -72,7 +80,7 @@ TEST(CallHijackRule, FiresOnOrphanAfterReinvite) {
 
 TEST(FakeImRule, AlarmsOnRapidSourceChange) {
   RuleHarness h;
-  RulePtr rule = default_rule("fake-im");
+  RulePtr rule = h.rule("fake-im");
   rule->on_event(h.make(EventType::kImMessageSeen, "im1", sec(10), "bob@lab.net", ep(2, 5060)),
                  h.ctx);
   rule->on_event(h.make(EventType::kImMessageSeen, "im2", sec(12), "bob@lab.net", ep(66, 5060)),
@@ -83,7 +91,7 @@ TEST(FakeImRule, AlarmsOnRapidSourceChange) {
 
 TEST(FakeImRule, StableSourceNeverAlarms) {
   RuleHarness h;
-  RulePtr rule = default_rule("fake-im");
+  RulePtr rule = h.rule("fake-im");
   for (int i = 0; i < 20; ++i) {
     rule->on_event(h.make(EventType::kImMessageSeen, "im", sec(i), "bob@lab.net", ep(2, 5060)),
                    h.ctx);
@@ -93,7 +101,7 @@ TEST(FakeImRule, StableSourceNeverAlarms) {
 
 TEST(FakeImRule, SlowChangeIsMobilityNotAttack) {
   RuleHarness h;
-  RulePtr rule = default_rule("fake-im");
+  RulePtr rule = h.rule("fake-im");
   rule->on_event(h.make(EventType::kImMessageSeen, "im1", sec(10), "bob@lab.net", ep(2, 5060)),
                  h.ctx);
   // Two minutes later bob is on a different network: plausible motion.
@@ -110,7 +118,7 @@ TEST(FakeImRule, RegistrarUpdateSanctionsRapidMove) {
   // bob re-registers from a new address; an IM from there moments later is
   // legitimate mobility even though the mobility-rate bound would flag it.
   RuleHarness h;
-  RulePtr rule = default_rule("fake-im");
+  RulePtr rule = h.rule("fake-im");
   rule->on_event(h.make(EventType::kImMessageSeen, "i1", sec(10), "bob@lab.net", ep(2, 5060)),
                  h.ctx);
   rule->on_event(h.make(EventType::kSipRegisterSeen, "r1", sec(11), "bob@lab.net", ep(5, 5060),
@@ -123,7 +131,7 @@ TEST(FakeImRule, RegistrarUpdateSanctionsRapidMove) {
 
 TEST(FakeImRule, RegistrationFromOtherAddressDoesNotSanction) {
   RuleHarness h;
-  RulePtr rule = default_rule("fake-im");
+  RulePtr rule = h.rule("fake-im");
   rule->on_event(h.make(EventType::kImMessageSeen, "i1", sec(10), "bob@lab.net", ep(2, 5060)),
                  h.ctx);
   rule->on_event(h.make(EventType::kSipRegisterSeen, "r1", sec(11), "bob@lab.net", ep(5, 5060)),
@@ -137,7 +145,7 @@ TEST(FakeImRule, RegistrationFromOtherAddressDoesNotSanction) {
 
 TEST(FakeImRule, StaleRegistrationDoesNotSanction) {
   RuleHarness h;
-  RulePtr rule = default_rule("fake-im");
+  RulePtr rule = h.rule("fake-im");
   rule->on_event(h.make(EventType::kSipRegisterSeen, "r1", sec(0), "bob@lab.net", ep(5, 5060)),
                  h.ctx);
   rule->on_event(h.make(EventType::kImMessageSeen, "i1", sec(300), "bob@lab.net", ep(2, 5060)),
@@ -155,7 +163,7 @@ TEST(FakeImRule, CommittedRegistrationSanctionsRapidMove) {
   // an address never registered is not, nor is one to an address whose
   // registration is older than the registration window.
   RuleHarness h;
-  RulePtr rule = default_rule("fake-im");
+  RulePtr rule = h.rule("fake-im");
   const std::string bob = "bob@lab.net";
   h.trails.commit_location(bob, ep(5, 5060).addr, sec(11));
   h.trails.commit_location(bob, ep(7, 5060).addr, sec(11));
@@ -171,7 +179,7 @@ TEST(FakeImRule, CommittedRegistrationSanctionsRapidMove) {
 
 TEST(FakeImRule, DifferentUsersTrackedIndependently) {
   RuleHarness h;
-  RulePtr rule = default_rule("fake-im");
+  RulePtr rule = h.rule("fake-im");
   rule->on_event(h.make(EventType::kImMessageSeen, "i1", sec(1), "bob@lab.net", ep(2, 5060)),
                  h.ctx);
   rule->on_event(h.make(EventType::kImMessageSeen, "i2", sec(2), "carol@lab.net", ep(3, 5060)),
@@ -181,7 +189,7 @@ TEST(FakeImRule, DifferentUsersTrackedIndependently) {
 
 TEST(RtpAttackRule, FiresOnSeqJump) {
   RuleHarness h;
-  RulePtr rule = default_rule("rtp-attack");
+  RulePtr rule = h.rule("rtp-attack");
   rule->on_event(h.make(EventType::kRtpSeqJump, "c1", msec(100), "", ep(66, 40000), 4900),
                  h.ctx);
   ASSERT_EQ(h.sink.count(), 1u);
@@ -191,7 +199,7 @@ TEST(RtpAttackRule, FiresOnSeqJump) {
 
 TEST(RtpAttackRule, FiresOnUnexpectedSourceAndGarbage) {
   RuleHarness h;
-  RulePtr rule = default_rule("rtp-attack");
+  RulePtr rule = h.rule("rtp-attack");
   rule->on_event(h.make(EventType::kRtpUnexpectedSource, "c1", 0, "", ep(66, 40000)), h.ctx);
   rule->on_event(h.make(EventType::kNonRtpOnMediaPort, "c1", 0, "", ep(66, 40000)), h.ctx);
   EXPECT_EQ(h.sink.count(), 2u);
@@ -201,7 +209,7 @@ TEST(BillingFraudRule, RequiresTwoIndependentConditions) {
   RuleHarness h;
   RulesConfig config;
   config.billing_min_evidence = 2;
-  RulePtr rule = default_rule("billing-fraud", config);
+  RulePtr rule = h.rule("billing-fraud", config);
   // One condition alone (the false-alarm case the paper warns about) stays
   // quiet...
   rule->on_event(h.make(EventType::kAccUnmatched, "c1", sec(1), "victim@lab.net"), h.ctx);
@@ -215,7 +223,7 @@ TEST(BillingFraudRule, RequiresTwoIndependentConditions) {
 
 TEST(BillingFraudRule, DuplicateEvidenceDoesNotCount) {
   RuleHarness h;
-  RulePtr rule = default_rule("billing-fraud");
+  RulePtr rule = h.rule("billing-fraud");
   for (int i = 0; i < 5; ++i) {
     rule->on_event(h.make(EventType::kAccUnmatched, "c1", sec(i), "v@x"), h.ctx);
   }
@@ -224,7 +232,7 @@ TEST(BillingFraudRule, DuplicateEvidenceDoesNotCount) {
 
 TEST(BillingFraudRule, AlertsOncePerSession) {
   RuleHarness h;
-  RulePtr rule = default_rule("billing-fraud");
+  RulePtr rule = h.rule("billing-fraud");
   rule->on_event(h.make(EventType::kAccUnmatched, "c1", 1), h.ctx);
   rule->on_event(h.make(EventType::kSipMalformed, "c1", 2), h.ctx);
   rule->on_event(h.make(EventType::kRtpUnexpectedSource, "c1", 3), h.ctx);
@@ -233,7 +241,7 @@ TEST(BillingFraudRule, AlertsOncePerSession) {
 
 TEST(BillingFraudRule, EvidenceIsPerSession) {
   RuleHarness h;
-  RulePtr rule = default_rule("billing-fraud");
+  RulePtr rule = h.rule("billing-fraud");
   rule->on_event(h.make(EventType::kAccUnmatched, "c1", 1), h.ctx);
   rule->on_event(h.make(EventType::kSipMalformed, "c2", 2), h.ctx);
   EXPECT_EQ(h.sink.count(), 0u);  // two sessions with one condition each
@@ -241,7 +249,7 @@ TEST(BillingFraudRule, EvidenceIsPerSession) {
 
 TEST(RegisterFloodRule, FiresAfterThresholdCycles) {
   RuleHarness h;
-  RulePtr rule = default_rule("register-flood");
+  RulePtr rule = h.rule("register-flood");
   for (int i = 0; i < 5; ++i) {
     rule->on_event(h.make(EventType::kSipRegisterSeen, "flood", msec(i * 100), "x@lab.net", {},
                           /*has_auth=*/0),
@@ -254,7 +262,7 @@ TEST(RegisterFloodRule, FiresAfterThresholdCycles) {
 
 TEST(RegisterFloodRule, NormalAuthFlowDoesNotAlarm) {
   RuleHarness h;
-  RulePtr rule = default_rule("register-flood");
+  RulePtr rule = h.rule("register-flood");
   // Typical client: one unauthenticated attempt, 401, authenticated retry.
   rule->on_event(h.make(EventType::kSipRegisterSeen, "r1", 0, "alice@lab.net", {}, 0), h.ctx);
   rule->on_event(h.make(EventType::kSipAuthChallenge, "r1", msec(10)), h.ctx);
@@ -267,7 +275,7 @@ TEST(RegisterFloodRule, SlowCyclesOutsideWindowDoNotAccumulate) {
   RuleHarness h;
   // Ten cycles 20s apart: more than the threshold (5) in total, but never
   // two within the 10s window.
-  RulePtr rule = default_rule("register-flood");
+  RulePtr rule = h.rule("register-flood");
   for (int i = 0; i < 10; ++i) {
     rule->on_event(h.make(EventType::kSipRegisterSeen, "slow", sec(i * 20), "x@lab.net", {}, 0),
                    h.ctx);
@@ -278,7 +286,7 @@ TEST(RegisterFloodRule, SlowCyclesOutsideWindowDoNotAccumulate) {
 
 TEST(RegisterFloodRule, SessionsIsolated) {
   RuleHarness h;
-  RulePtr rule = default_rule("register-flood");
+  RulePtr rule = h.rule("register-flood");
   // Five *different* clients — as many as the threshold — each do one
   // normal unauth/401 cycle at the same moment: the stateless rule's
   // false-alarm scenario.
@@ -293,7 +301,7 @@ TEST(RegisterFloodRule, SessionsIsolated) {
 
 TEST(PasswordGuessRule, FiresOnDistinctFailedResponses) {
   RuleHarness h;
-  RulePtr rule = default_rule("password-guess");
+  RulePtr rule = h.rule("password-guess");
   for (int i = 0; i < 3; ++i) {
     rule->on_event(h.make(EventType::kSipAuthFailure, "guess", msec(i * 50), "alice@lab.net",
                           {}, 0, "response-" + std::to_string(i)),
@@ -305,7 +313,7 @@ TEST(PasswordGuessRule, FiresOnDistinctFailedResponses) {
 
 TEST(PasswordGuessRule, RepeatedIdenticalResponseIsRetransmissionNotGuessing) {
   RuleHarness h;
-  RulePtr rule = default_rule("password-guess");
+  RulePtr rule = h.rule("password-guess");
   for (int i = 0; i < 10; ++i) {
     rule->on_event(h.make(EventType::kSipAuthFailure, "r1", msec(i * 50), "alice@lab.net", {},
                           0, "same-response"),

@@ -187,7 +187,10 @@ TEST(SessionRecord, FootprintsSurviveHandoff) {
   // The direct-scan BYE rule reads the BYE's tag and scans the trail for
   // the sender's SDP: media from the peer is not orphaned, media from the
   // BYE's sender is.
-  DirectTrailScanByeRule rule(msec(200));
+  std::vector<RulePtr> rules;
+  rules.push_back(std::make_unique<DirectTrailScanByeRule>(msec(200)));
+  Rule& rule = *rules[0];
+  adopter.set_rule_layout(lay_out_rule_state(rules));
   AlertSink sink;
   RuleContext ctx(adopter, sink);
   ctx.set_rule(0);

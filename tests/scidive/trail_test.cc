@@ -276,17 +276,37 @@ TEST(TrailManager, InternsSessionSymbolsOnce) {
 }
 
 TEST(TrailManager, PrincipalRecordHoldsRuleSlotsAndLocations) {
-  // One record per AOR, whatever the session: rule slots by position and
-  // registered locations. A new ruleset empties the slots and keeps the
-  // locations; a record holding neither goes.
+  // One record per AOR, whatever the session: one rule-state block with an
+  // area per principal-keyed rule, and registered locations. A new ruleset
+  // frees the blocks and keeps the locations; a record holding neither
+  // goes.
+  auto int64_state = [](StateKey key) {
+    RuleStateSpec spec;
+    spec.key = key;
+    spec.size = sizeof(int64_t);
+    spec.align = alignof(int64_t);
+    return spec;
+  };
+  const std::vector<RuleStateSpec> specs{int64_state(StateKey::kPrincipal),
+                                         int64_state(StateKey::kSession),
+                                         int64_state(StateKey::kPrincipal)};
+  auto area = [](TrailManager& tm, std::string_view aor, size_t rule) {
+    return static_cast<int64_t*>(tm.principal_slot(aor, rule));
+  };
   TrailManager tm;
-  *tm.principal_slot("bob@lab.net", 2) = std::make_unique<RuleSessionState>();
-  *tm.principal_slot("carol@lab.net", 0) = std::make_unique<RuleSessionState>();
+  EXPECT_EQ(tm.principal_slot("bob@lab.net", 0), nullptr) << "no layout, no state";
+  tm.set_rule_layout(RuleStateLayout(specs));
+  EXPECT_EQ(tm.principal_slot("bob@lab.net", 1), nullptr) << "a session-keyed rule";
+  EXPECT_FALSE(tm.has_principal("bob@lab.net"));
+  *area(tm, "bob@lab.net", 2) = 7;
+  EXPECT_EQ(*area(tm, "carol@lab.net", 0), 0) << "a new area starts zeroed";
+  EXPECT_EQ(*area(tm, "bob@lab.net", 2), 7) << "built once, then kept";
   tm.commit_location("bob@lab.net", ep(5, 5060).addr, sec(1));
   tm.commit_location("bob@lab.net", ep(5, 5060).addr, sec(4));
   tm.commit_location("bob@lab.net", ep(7, 5060).addr, sec(2));
   EXPECT_EQ(tm.principals(), (std::vector<std::string>{"bob@lab.net", "carol@lab.net"}));
   EXPECT_EQ(tm.rule_state_counts(3), (std::vector<size_t>{1, 0, 1}));
+  EXPECT_EQ(tm.rule_state_blocks(), 2u);
   EXPECT_EQ(tm.registered_locations("bob@lab.net").size(), 2u);
   EXPECT_EQ(tm.registered_at("bob@lab.net", ep(5, 5060).addr), sec(4));
   EXPECT_EQ(tm.registered_at("bob@lab.net", ep(9, 5060).addr), std::nullopt);
@@ -296,16 +316,19 @@ TEST(TrailManager, PrincipalRecordHoldsRuleSlotsAndLocations) {
   tm.clear_rule_states();
   EXPECT_EQ(tm.principals(), (std::vector<std::string>{"bob@lab.net"}));
   EXPECT_EQ(tm.rule_state_counts(3), (std::vector<size_t>{0, 0, 0}));
+  EXPECT_EQ(tm.rule_state_blocks(), 0u);
   EXPECT_EQ(tm.registered_at("bob@lab.net", ep(7, 5060).addr), sec(2));
 
-  // Handoff moves the whole record.
-  *tm.principal_slot("bob@lab.net", 1) = std::make_unique<RuleSessionState>();
+  // Handoff moves the whole record, its block included.
+  *area(tm, "bob@lab.net", 0) = 9;
   TrailManager adopter;
+  adopter.set_rule_layout(RuleStateLayout(specs));
   adopter.install_principal(tm.extract_principal("bob@lab.net"));
   EXPECT_FALSE(tm.has_principal("bob@lab.net"));
   EXPECT_FALSE(tm.extract_principal("bob@lab.net").valid());
   EXPECT_TRUE(adopter.has_principal("bob@lab.net"));
-  EXPECT_EQ(adopter.rule_state_counts(2), (std::vector<size_t>{0, 1}));
+  EXPECT_EQ(adopter.rule_state_counts(3), (std::vector<size_t>{1, 0, 0}));
+  EXPECT_EQ(*area(adopter, "bob@lab.net", 0), 9);
   EXPECT_EQ(adopter.registered_at("bob@lab.net", ep(5, 5060).addr), sec(4));
 }
 
