@@ -87,8 +87,8 @@ RunStats run(bool direct_mode, int packets, int trail_padding) {
   config.events.emit_per_packet_events = direct_mode;
   core::ScidiveEngine engine(config);
   if (direct_mode) {
-    engine.clear_rules();
-    engine.add_rule(std::make_unique<core::DirectTrailScanByeRule>(msec(200)));
+    engine.set_rules(
+        core::make_ruleset({std::make_shared<core::DirectTrailScanByeRule>(msec(200))}));
   }
   establish(engine, trail_padding);
 

@@ -31,7 +31,9 @@ RunResult run(uint64_t seed, bool with_attacks, bool proxy_side) {
   config.ids_watches_client_a = !proxy_side;
   config.ids_watches_proxy = proxy_side;
   Testbed tb(config);
-  tb.ids().add_rule(std::make_unique<core::Stateless4xxRule>());
+  std::vector<core::RulePtr> rules = tb.ids().ruleset()->rules();
+  rules.push_back(std::make_shared<core::Stateless4xxRule>());
+  tb.ids().set_rules(core::make_ruleset(std::move(rules)));
   tb.add_client("carol", 3);
   tb.add_client("dave", 4);
   tb.register_all();

@@ -20,6 +20,7 @@
 #include "fleet/fleet.h"
 #include "obs/metrics.h"
 #include "pkt/packet.h"
+#include "ruledsl/loader.h"
 #include "rtp/rtp.h"
 #include "scidive/distiller.h"
 #include "scidive/engine.h"
@@ -33,23 +34,29 @@
 #include "sip/sdp.h"
 
 // Global allocation counter (this binary only) so the *_Allocs benchmarks
-// can prove the hot paths are allocation-free rather than just fast.
+// can prove the hot paths are allocation-free rather than just fast. Every
+// replaced form goes through one out-of-line pair, so no caller sees a
+// new inlined into malloc meet a delete inlined into free.
 static std::atomic<uint64_t> g_alloc_count{0};
 
-void* operator new(std::size_t n) {
+namespace {
+
+[[gnu::noinline]] void* counted_alloc(std::size_t n) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t n) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+[[gnu::noinline]] void counted_free(void* p) noexcept { std::free(p); }
+
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_alloc(n); }
+void* operator new[](std::size_t n) { return counted_alloc(n); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
 
 using namespace scidive;
 
@@ -436,7 +443,7 @@ void BM_RuleStateUpdateAllocs(benchmark::State& state) {
   size_t spit = 0;
   while (rules[spit]->name() != "spit-graylist") ++spit;
   core::TrailManager trails;
-  trails.set_rule_layout(core::lay_out_rule_state(rules));
+  trails.set_rule_layout(core::Ruleset(rules).layout());
   core::AlertSink sink;
   core::RuleContext ctx(trails, sink);
   ctx.set_rule(spit);
@@ -771,15 +778,17 @@ void BM_EngineGarbagePacket(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineGarbagePacket);
 
-/// What an engine (each shard, each fleet node) pays once at construction:
-/// compiling the embedded default ruleset into fresh rule instances.
-/// Arg(1) includes spit-graylist.
+/// What a process pays once per distinct RulesConfig (default_ruleset
+/// memoises the result for every engine, shard and fleet node): compiling
+/// the embedded default ruleset into a Ruleset. Arg(1) includes
+/// spit-graylist.
 void BM_MakeDefaultRuleset(benchmark::State& state) {
   core::RulesConfig config;
   config.spit_graylist = state.range(0) != 0;
   for (auto _ : state) {
-    std::vector<core::RulePtr> rules = core::make_default_ruleset(config);
-    benchmark::DoNotOptimize(rules.data());
+    core::RulesetPtr rules =
+        ruledsl::make_ruleset(ruledsl::compile_default_ruleset(config).value());
+    benchmark::DoNotOptimize(rules.get());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }

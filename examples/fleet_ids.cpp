@@ -117,13 +117,9 @@ int main() {
     fc.node.engine.engine.enforce.mode = core::EnforcementMode::kInline;
     fc.pump_every_packets = 256;
     fleet::Fleet cluster(fc, {"ids-a", "ids-b"});
-    for (size_t i = 0; i < cluster.size(); ++i) {
-      cluster.node_at(i).engine().set_rules([](size_t) {
-        core::RulesConfig rc;
-        rc.spit_graylist = true;
-        return core::make_default_ruleset(rc);
-      });
-    }
+    core::RulesConfig rc;
+    rc.spit_graylist = true;
+    cluster.set_rules(core::default_ruleset(rc));
     cluster.run(source);
 
     size_t screened_everywhere = 0;

@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
   {
     printf("\n=== 4.2.1 BYE attack ===\n");
     Testbed tb;
-    tb.ids().set_rules(ruledsl::make_rules(ruleset.value()));
+    tb.ids().set_rules(ruledsl::make_ruleset(ruleset.value()));
     tb.establish_call(sec(3));
     tb.inject_bye_attack();
     tb.run_for(sec(1));
@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
   {
     printf("\n=== 4.2.2 Fake Instant Messaging ===\n");
     Testbed tb;
-    tb.ids().set_rules(ruledsl::make_rules(ruleset.value()));
+    tb.ids().set_rules(ruledsl::make_ruleset(ruleset.value()));
     tb.register_all();
     tb.client_b().add_contact(tb.client_a().aor(), tb.client_a().sip_endpoint());
     tb.client_b().send_im("alice", "lunch at noon? - bob");
@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
   {
     printf("\n=== 4.2.3 Call Hijacking ===\n");
     Testbed tb;
-    tb.ids().set_rules(ruledsl::make_rules(ruleset.value()));
+    tb.ids().set_rules(ruledsl::make_ruleset(ruleset.value()));
     tb.establish_call(sec(3));
     tb.inject_call_hijack();
     tb.run_for(sec(1));
@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
   {
     printf("\n=== 4.2.4 RTP attack ===\n");
     Testbed tb;
-    tb.ids().set_rules(ruledsl::make_rules(ruleset.value()));
+    tb.ids().set_rules(ruledsl::make_ruleset(ruleset.value()));
     tb.establish_call(sec(3));
     tb.inject_rtp_flood(30);
     tb.run_for(sec(1));
@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
   {
     printf("\n=== hot reload ===\n");
     Testbed tb;
-    tb.ids().set_rules(ruledsl::make_rules(ruleset.value()));
+    tb.ids().set_rules(ruledsl::make_ruleset(ruleset.value()));
     tb.establish_call(sec(1));
     // Invalid reload: the running rules stay untouched.
     auto bad = ruledsl::reload_from_file(tb.ids(), dir + "/no_such_file.sdr");

@@ -35,7 +35,9 @@ int main() {
     printf("\n--- scenario 1: benign load only (5 clients re-registering) ---\n");
     auto tb = make_proxy_watching_testbed();
     // Enable the strawman next to the real ruleset for comparison.
-    tb->ids().add_rule(std::make_unique<core::Stateless4xxRule>());
+    std::vector<core::RulePtr> rules = tb->ids().ruleset()->rules();
+    rules.push_back(std::make_shared<core::Stateless4xxRule>());
+    tb->ids().set_rules(core::make_ruleset(std::move(rules)));
     tb->add_client("carol", 3);
     tb->add_client("dave", 4);
     tb->add_client("erin", 5);

@@ -75,6 +75,7 @@ std::unique_ptr<FleetNode> Fleet::make_node(const std::string& name) {
   FleetNodeConfig nc = config_.node;
   nc.name = name;
   auto node = std::make_unique<FleetNode>(std::move(nc));
+  if (rules_ != nullptr) node->engine().set_rules(rules_);
   node->set_owner_check(
       [this, name](std::string_view key) { return ring_.owner_of_key(key) == name; });
   return node;
@@ -268,14 +269,18 @@ void Fleet::relocate_moved_records() {
   deliver_frames(last_time_);
 }
 
-bool Fleet::add_node(const std::string& name, const std::function<void(FleetNode&)>& setup) {
+void Fleet::set_rules(core::RulesetPtr rules) {
+  for (auto& node : nodes_) node->engine().set_rules(rules);
+  rules_ = std::move(rules);
+}
+
+bool Fleet::add_node(const std::string& name) {
   if (name.empty() || find(name) != nullptr) return false;
   // Quiesce the incumbents so the moved slots' sessions are extractable.
   for (auto& node : nodes_) node->pump(last_time_);
   deliver_frames(last_time_);
   if (!ring_.add_node(name)) return false;
   auto joined = make_node(name);
-  if (setup) setup(*joined);
   for (auto& node : nodes_) {
     node->add_peer(name);
     joined->add_peer(node->name());

@@ -18,7 +18,6 @@
 // delivery loop with real simulated datagrams.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -86,12 +85,15 @@ class Fleet {
   /// One streaming pump round (each member pumps once, frames deliver once).
   void pump_now();
 
+  /// Replace every member's ruleset (ShardedEngine::set_rules), and keep it
+  /// for nodes that join later.
+  void set_rules(core::RulesetPtr rules);
+
   /// Membership churn. add/remove hand the moved slots' sessions and
   /// principals off to their new owners; crash loses the node's state
-  /// (peers fail open). `setup`, when given, prepares the joining node (its
-  /// ruleset, say) before any record is handed to it.
-  bool add_node(const std::string& name,
-                const std::function<void(FleetNode&)>& setup = nullptr);
+  /// (peers fail open). A joining node runs the fleet's ruleset before any
+  /// record is handed to it.
+  bool add_node(const std::string& name);
   bool remove_node(const std::string& name);
   bool crash_node(const std::string& name);
 
@@ -133,6 +135,8 @@ class Fleet {
   void retire_node(FleetNode& node);
 
   FleetConfig config_;
+  /// set_rules's ruleset, given to every joiner; null means the default.
+  core::RulesetPtr rules_;
   FleetRing ring_;
   core::ShardRouter router_;  // slot-level routing: media bindings, call-id pins
   std::vector<std::unique_ptr<FleetNode>> nodes_;

@@ -126,7 +126,7 @@ class Runner {
  public:
   Runner(const std::vector<pkt::Packet>& stream, const DifferentialConfig& config,
          DifferentialReport& report)
-      : stream_(stream), make_rules_(config.make_rules), report_(report) {
+      : stream_(stream), rules_(config.rules), report_(report) {
     engine_ = config.engine;
     engine_.obs.time_stages = false;
   }
@@ -174,7 +174,7 @@ class Runner {
     if (sc.route_invite_by_caller) out.who += " by caller";
 
     core::ShardedEngine sharded(sc);
-    if (make_rules_) sharded.set_rules([&](size_t) { return make_rules_(); });
+    if (rules_) sharded.set_rules(rules_);
     for (const pkt::Packet& packet : stream_) sharded.on_packet(packet);
     sharded.flush();
 
@@ -214,15 +214,12 @@ class Runner {
     std::vector<std::string> names;
     for (size_t i = 0; i < t.nodes; ++i) names.push_back(str::format("node-%zu", i));
     fleet::Fleet fleet(fc, names);
-    auto install_rules = [&](fleet::FleetNode& node) {
-      if (make_rules_) node.engine().set_rules([&](size_t) { return make_rules_(); });
-    };
-    for (size_t i = 0; i < fleet.size(); ++i) install_rules(fleet.node_at(i));
+    if (rules_) fleet.set_rules(rules_);
     size_t fed = 0;
     for (const pkt::Packet& packet : stream_) {
       fleet.on_packet(packet);
       ++fed;
-      if (fed == t.join_at) fleet.add_node("joiner", install_rules);
+      if (fed == t.join_at) fleet.add_node("joiner");
       if (t.leave_at > t.join_at && fed == t.leave_at) fleet.remove_node("node-0");
     }
     fleet.flush();
@@ -262,7 +259,7 @@ class Runner {
   Outcome single(std::string who, const core::EngineConfig& ec,
                  const std::vector<pkt::Packet>& packets) {
     core::ScidiveEngine engine(ec);
-    if (make_rules_) engine.set_rules(make_rules_());
+    if (rules_) engine.set_rules(rules_);
     for (const pkt::Packet& packet : packets) engine.on_packet(packet);
     const core::EngineStats stats = engine.stats();
     if (stats.packets_seen != packets.size() ||
@@ -286,7 +283,7 @@ class Runner {
   void mismatch(std::string m) { report_.mismatches.push_back(std::move(m)); }
 
   const std::vector<pkt::Packet>& stream_;
-  const std::function<std::vector<core::RulePtr>()>& make_rules_;
+  const core::RulesetPtr& rules_;
   DifferentialReport& report_;
   core::EngineConfig engine_;
 };

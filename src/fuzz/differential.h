@@ -11,7 +11,6 @@
 // topology and reports each divergence it finds.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <variant>
 #include <vector>
@@ -66,10 +65,9 @@ struct DifferentialConfig {
   /// (wall-clock histograms can never be equal) and the baseline forces
   /// fastpath.enabled off.
   core::EngineConfig engine;
-  /// Optional ruleset override, called once per engine instance (every
-  /// single engine and every shard of every node) before any traffic.
-  /// Leave empty to keep the default ruleset.
-  std::function<std::vector<core::RulePtr>()> make_rules;
+  /// The ruleset every engine, shard and node runs, installed before any
+  /// traffic; null keeps the default ruleset of `engine.rules`.
+  core::RulesetPtr rules;
 };
 
 struct DifferentialReport {

@@ -163,7 +163,8 @@ int fuzz_ruledsl(const uint8_t* data, size_t size) {
   // sessions, so slot updates, branches and alert rendering all execute on
   // whatever programs the fuzzer evolved. Both sessions get a record first:
   // `key session` state lives there.
-  std::vector<core::RulePtr> rules = ruledsl::make_rules(ruleset.value());
+  const core::RulesetPtr compiled = ruledsl::make_ruleset(ruleset.value());
+  const std::vector<core::RulePtr>& rules = compiled->rules();
   const char* const sessions[] = {"fuzz-session", "fuzz-session-2"};
   core::TrailManager trails;
   for (const char* session : sessions) {
@@ -172,7 +173,7 @@ int fuzz_ruledsl(const uint8_t* data, size_t size) {
     fp.data = core::AccFootprint{.call_id = session};
     trails.add(std::move(fp));
   }
-  trails.set_rule_layout(core::lay_out_rule_state(rules));
+  trails.set_rule_layout(compiled->layout());
   core::AlertSink sink;
   core::RuleContext ctx(trails, sink);
   for (size_t position = 0; position < rules.size(); ++position) {
@@ -192,8 +193,8 @@ int fuzz_ruledsl(const uint8_t* data, size_t size) {
         rule->on_event(event, ctx);
       }
     }
-    (void)rule->state_entries();
   }
+  (void)trails.rule_state_counts(rules.size());
   return 0;
 }
 

@@ -291,7 +291,7 @@ std::string CompiledRule::render(const std::vector<AlertPiece>& pieces,
   return out;
 }
 
-void CompiledRule::on_event(const core::Event& event, core::RuleContext& ctx) {
+void CompiledRule::on_event(const core::Event& event, core::RuleContext& ctx) const {
   const HandlerRange h = def_->handlers[static_cast<size_t>(event.type)];
   if (h.begin == h.end) return;
   // The key's area, built on first use; a rule with slots does nothing

@@ -7,7 +7,8 @@
 // migrate with the principal), both reached through the RuleContext. The
 // area holds every slot in place at a fixed offset — numbers, window
 // headers, strings and string sets — so a rule's state is no allocation of
-// its own. The immutable CompiledRuleDef is shared.
+// its own. The immutable CompiledRuleDef is shared, and so is the rule:
+// on_event is const, so one instance serves every engine of a Ruleset.
 #pragma once
 
 #include <memory>
@@ -25,7 +26,7 @@ class CompiledRule : public core::Rule {
   explicit CompiledRule(std::shared_ptr<const CompiledRuleDef> def);
 
   std::string_view name() const override { return def_->name; }
-  void on_event(const core::Event& event, core::RuleContext& ctx) override;
+  void on_event(const core::Event& event, core::RuleContext& ctx) const override;
   core::EventTypeMask subscriptions() const override { return def_->subscriptions; }
   /// Static analysis over the compiled transition programs: a DSL rule is
   /// steady-state-media-interested exactly when it compiled a handler for

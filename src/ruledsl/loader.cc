@@ -26,11 +26,18 @@ Result<std::string> read_file(const std::string& path) {
   return std::move(ss).str();
 }
 
-void count_reload(obs::MetricsRegistry& registry, bool ok) {
+/// Validate `path` off-line, count the outcome in `registry`, and install
+/// the ruleset only when it compiled.
+template <typename Engine>
+Status reload(Engine& engine, obs::MetricsRegistry& registry, const std::string& path) {
+  auto ruleset = compile_ruleset_file(path);
   registry
       .counter("scidive_ruleset_reloads_total", "Hot ruleset reload attempts, by outcome",
-               {{"result", ok ? "ok" : "error"}})
+               {{"result", ruleset.ok() ? "ok" : "error"}})
       .inc();
+  if (!ruleset.ok()) return ruleset.error();
+  engine.set_rules(make_ruleset(ruleset.value()));
+  return Status::Ok();
 }
 
 }  // namespace
@@ -77,35 +84,18 @@ Result<CompiledRuleset> compile_ruleset_files(const std::vector<std::string>& pa
   return merged;
 }
 
-std::vector<core::RulePtr> make_rules(const CompiledRuleset& ruleset) {
+core::RulesetPtr make_ruleset(const CompiledRuleset& ruleset) {
   std::vector<core::RulePtr> rules;
-  rules.reserve(ruleset.rules.size());
-  for (const auto& def : ruleset.rules) {
-    rules.push_back(std::make_unique<CompiledRule>(def));
-  }
-  return rules;
+  for (const auto& def : ruleset.rules) rules.push_back(std::make_shared<CompiledRule>(def));
+  return core::make_ruleset(std::move(rules));
 }
 
 Status reload_from_file(core::ScidiveEngine& engine, const std::string& path) {
-  auto ruleset = compile_ruleset_file(path);
-  if (!ruleset.ok()) {
-    count_reload(engine.metrics(), false);
-    return ruleset.error();
-  }
-  engine.set_rules(make_rules(ruleset.value()));
-  count_reload(engine.metrics(), true);
-  return Status::Ok();
+  return reload(engine, engine.metrics(), path);
 }
 
 Status reload_from_file(core::ShardedEngine& engine, const std::string& path) {
-  auto ruleset = compile_ruleset_file(path);
-  if (!ruleset.ok()) {
-    count_reload(engine.frontend_metrics(), false);
-    return ruleset.error();
-  }
-  engine.set_rules([&ruleset](size_t) { return make_rules(ruleset.value()); });
-  count_reload(engine.frontend_metrics(), true);
-  return Status::Ok();
+  return reload(engine, engine.frontend_metrics(), path);
 }
 
 }  // namespace scidive::ruledsl

@@ -1,5 +1,5 @@
-// Loader: text/file -> CompiledRuleset -> live Rule instances, the
-// embedded default ruleset, plus atomic hot reload into a running engine.
+// Loader: text/file -> CompiledRuleset -> Rule instances, the embedded
+// default ruleset, plus atomic hot reload into a running engine.
 // Reload is all-or-nothing: the candidate file is parsed and compiled
 // off-line first, and only a fully valid ruleset replaces the running
 // rules — an invalid file leaves the engine untouched (and is counted in
@@ -38,9 +38,10 @@ Result<CompiledRuleset> compile_ruleset_file(const std::string& path);
 /// unique across all of them).
 Result<CompiledRuleset> compile_ruleset_files(const std::vector<std::string>& paths);
 
-/// Fresh Rule instances for a compiled ruleset. Call once per engine (or
-/// per shard): the instances carry mutable per-session state.
-std::vector<core::RulePtr> make_rules(const CompiledRuleset& ruleset);
+/// A compiled ruleset's rules, as one Ruleset ready for set_rules. The rules
+/// hold no state (it lives in the records of whichever engine runs them),
+/// so one Ruleset serves every engine, shard and node.
+core::RulesetPtr make_ruleset(const CompiledRuleset& ruleset);
 
 /// Hot reload: validate `path` off-line, then atomically swap the engine's
 /// ruleset. On error the running rules are untouched. Either way the
@@ -48,7 +49,7 @@ std::vector<core::RulePtr> make_rules(const CompiledRuleset& ruleset);
 Status reload_from_file(core::ScidiveEngine& engine, const std::string& path);
 
 /// Sharded hot reload: validates off-line, then swaps every shard between
-/// flush() boundaries (each shard gets its own rule instances). No event is
+/// flush() boundaries (every shard runs the one new Ruleset). No event is
 /// lost or double-matched across the swap.
 Status reload_from_file(core::ShardedEngine& engine, const std::string& path);
 

@@ -145,9 +145,9 @@ struct HandlerRange {
   uint32_t end = 0;  // begin == end: rule ignores this event type
 };
 
-/// One fully compiled rule. Immutable after compilation; CompiledRule
-/// instances (one per shard) share it by shared_ptr and keep only their own
-/// mutable per-key records.
+/// One fully compiled rule. Immutable after compilation; the CompiledRule
+/// that runs it holds it by shared_ptr, and its per-key state lives in the
+/// records of each engine running the rule.
 struct CompiledRuleDef {
   std::string name;
   KeyKind key = KeyKind::kSession;

@@ -76,8 +76,7 @@ ScidiveEngine::ScidiveEngine(EngineConfig config)
         .inc();
     if (verdict_callback_) verdict_callback_(v);
   });
-  auto ruleset = make_default_ruleset(config_.rules);
-  for (RulePtr& rule : ruleset) add_rule(std::move(rule));
+  set_rules(default_ruleset(config_.rules));
 }
 
 void ScidiveEngine::intern_pipeline_instruments() {
@@ -151,65 +150,25 @@ ScidiveEngine::RuleInstruments ScidiveEngine::intern_rule_instruments(const Rule
   return ri;
 }
 
-void ScidiveEngine::add_rule(RulePtr rule) {
-  rule_inst_.push_back(intern_rule_instruments(*rule));
-  rules_.push_back(std::move(rule));
-  rebuild_subscriber_index();
-}
-
-void ScidiveEngine::clear_rules() {
-  // Registry cells are append-only; a cleared rule's instruments simply
+void ScidiveEngine::set_rules(RulesetPtr rules) {
+  ruleset_ = std::move(rules);
+  rules_ = ruleset_.get();
+  // Registry cells are append-only; a dropped rule's instruments simply
   // freeze at their last values.
-  rules_.clear();
   rule_inst_.clear();
-  trails_.clear_rule_states();
-  rebuild_subscriber_index();
-}
-
-void ScidiveEngine::set_rules(std::vector<RulePtr> rules) {
-  rules_ = std::move(rules);
-  rule_inst_.clear();
-  rule_inst_.reserve(rules_.size());
-  for (const RulePtr& rule : rules_) rule_inst_.push_back(intern_rule_instruments(*rule));
-  trails_.clear_rule_states();
-  rebuild_subscriber_index();
-}
-
-void ScidiveEngine::rebuild_subscriber_index() {
-  for (auto& list : subscribers_) list.clear();
-  for (size_t i = 0; i < rules_.size(); ++i) {
-    const EventTypeMask mask = rules_[i]->subscriptions();
-    for (size_t t = 0; t < kEventTypeCount; ++t) {
-      if (mask & (EventTypeMask{1} << t)) {
-        subscribers_[t].push_back(static_cast<uint32_t>(i));
-      }
-    }
-  }
+  for (const RulePtr& rule : rules_->rules()) rule_inst_.push_back(intern_rule_instruments(*rule));
   // Retention follows the ruleset: a closed record is kept for the window m
   // and the horizon of each rule holding state in it, an open one for the
   // longest horizon any rule has.
   RetentionPolicy retention;
   retention.closed = config_.events.monitor_window;
-  retention.open = retention.closed;
-  retention.rule_horizons.reserve(rules_.size());
-  for (const RulePtr& rule : rules_) {
-    const SimDuration horizon = rule->horizon();
-    retention.rule_horizons.push_back(horizon);
-    retention.open = std::max(retention.open, horizon);
-  }
+  retention.open = std::max(retention.closed, rules_->max_horizon());
+  retention.rule_horizons = rules_->horizons();
   trails_.set_retention(std::move(retention));
-  // Each stateful rule's area in the session and principal records' blocks.
-  trails_.set_rule_layout(lay_out_rule_state(rules_));
-  // Re-derive whether any installed rule wants to see steady-state media.
+  trails_.set_rule_layout(rules_->layout());
   // The flow records hold no rule state, so a ruleset change (hot reload
   // included) leaves them as they are.
-  fastpath_rules_ok_ = true;
-  for (const RulePtr& rule : rules_) {
-    if (rule->media_steady_state_interest()) {
-      fastpath_rules_ok_ = false;
-      break;
-    }
-  }
+  fastpath_rules_ok_ = !rules_->media_steady_state_interest();
 }
 
 VerdictAction ScidiveEngine::on_packet(const pkt::Packet& packet) {
@@ -344,13 +303,11 @@ void ScidiveEngine::dispatch_events() {
   for (const Event& event : scratch_events_) {
     event_type_counters_[static_cast<size_t>(event.type)]->inc();
     if (event_callback_) event_callback_(event);
-    // Only the subscribers of this event's type are visited; a rule that
-    // kept the default kAllEventsMask appears in every list.
-    for (uint32_t i : subscribers_[static_cast<size_t>(event.type)]) {
+    for (uint32_t i : rules_->subscribers(event.type)) {
       rule_inst_[i].events_seen->inc();
       const uint64_t before = sink_.total_raised();
       ctx.set_rule(i);
-      rules_[i]->on_event(event, ctx);
+      rules_->rules()[i]->on_event(event, ctx);
       const uint64_t raised = sink_.total_raised() - before;
       if (raised != 0) rule_inst_[i].alerts->inc(raised);
     }
@@ -499,12 +456,10 @@ void ScidiveEngine::sync_component_stats() {
   registry_.gauge("scidive_tracked_sessions", "Sessions with live event-generator state")
       .set(static_cast<int64_t>(events_.tracked_sessions()));
 
-  // A rule's state: what it keeps in tables of its own plus the session and
-  // principal records whose presence bit it set.
-  const std::vector<size_t> in_records = trails_.rule_state_counts(rules_.size());
-  for (size_t i = 0; i < rules_.size(); ++i) {
-    rule_inst_[i].state_entries->set(
-        static_cast<int64_t>(rules_[i]->state_entries() + in_records[i]));
+  // A rule's state: the records (and engine block) whose presence bit it set.
+  const std::vector<size_t> in_records = trails_.rule_state_counts(rules_->rules().size());
+  for (size_t i = 0; i < in_records.size(); ++i) {
+    rule_inst_[i].state_entries->set(static_cast<int64_t>(in_records[i]));
   }
 
   if (config_.fastpath.enabled) {

@@ -134,21 +134,14 @@ class ScidiveEngine {
     return fed;
   }
 
-  /// Install an additional rule (the ruleset defaults to the paper's). A
-  /// stateful rule changes its key kind's rule-state layout, so the blocks
-  /// of that kind built so far are freed.
-  void add_rule(RulePtr rule);
-  /// Drop all rules (for baseline configurations in the benches), and with
-  /// them every session and principal record's rule state.
-  void clear_rules();
-  /// Atomically replace the whole ruleset (hot reload). Instruments for the
-  /// new rules are interned against the same registry, so a rule keeping its
-  /// name keeps its counters across the swap. Rule state starts fresh: every
-  /// session and principal record's rule-state block is freed, as new rule
-  /// instances would have it, and the new rules' layout is installed.
-  /// Registered locations are the registrar's, not a rule's, and stay.
-  void set_rules(std::vector<RulePtr> rules);
-  size_t rule_count() const { return rules_.size(); }
+  /// Atomically replace the ruleset (hot reload; an engine starts with
+  /// default_ruleset(config.rules)). Instruments for the new rules are
+  /// interned against the same registry, so a rule keeping its name keeps
+  /// its counters across the swap. Rule state starts fresh: every rule-state
+  /// block is freed. Registered locations are the registrar's, and stay.
+  void set_rules(RulesetPtr rules);
+  const RulesetPtr& ruleset() const { return ruleset_; }
+  size_t rule_count() const { return rules_->rules().size(); }
 
   /// Observe every generated event (experiments measure detection delay
   /// from the value carried on kRtpAfterBye/kRtpAfterReinvite events).
@@ -251,7 +244,6 @@ class ScidiveEngine {
 
   void intern_pipeline_instruments();
   RuleInstruments intern_rule_instruments(const Rule& rule);
-  void rebuild_subscriber_index();
   /// Mirror the component-kept stats into registry cells (snapshot path).
   void sync_component_stats();
 
@@ -292,10 +284,10 @@ class ScidiveEngine {
   Distiller distiller_;
   TrailManager trails_;
   EventGenerator events_;
-  std::vector<RulePtr> rules_;
+  RulesetPtr ruleset_;
+  /// ruleset_'s object: dispatch reads through a plain pointer.
+  const Ruleset* rules_ = nullptr;
   std::vector<RuleInstruments> rule_inst_;
-  /// Per-EventType list of rule indices subscribed to it.
-  std::vector<uint32_t> subscribers_[kEventTypeCount];
   std::function<void(const Event&)> event_callback_;
   std::function<void(const Verdict&)> verdict_callback_;
   AlertSink sink_;

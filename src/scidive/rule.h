@@ -1,19 +1,21 @@
 // The Rule abstraction. Rules are driven by Events (the efficient path) and
 // may additionally inspect Trails directly through the context (the paper's
-// "crude information directly from the Trails" path, §3.1). A stateful
-// rule declares what it keeps per key (state_spec: the key kind, size,
-// alignment, init and destroy), and keeps it in place in a record the
-// TrailManager owns — the session's record for session-keyed rules, the
-// claimed AOR's principal record for principal-keyed ones. The engine lays
-// the ruleset's specs out into one block per record (lay_out_rule_state);
-// the context hands each rule its area in that block, so the rule holds no
-// table of its own. Cross-protocol rules simply subscribe to events
-// originating from different protocol trails of one session.
+// "crude information directly from the Trails" path, §3.1). A rule holds no
+// per-key state of its own, so on_event is const: a stateful rule declares
+// what it keeps per key (state_spec: the key kind, size, alignment, init and
+// destroy), and keeps it in place in a record the TrailManager owns — the
+// session's record for session-keyed rules, the claimed AOR's principal
+// record for principal-keyed ones, the manager's one engine block for
+// engine-wide state. A Ruleset lays the specs out into one block per record
+// when it is built, and is then shared, immutable, by every engine, shard
+// and fleet node that runs it; the context hands each rule its area in
+// that block. Cross-protocol rules simply subscribe to events originating
+// from different protocol trails of one session.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string_view>
 #include <vector>
 
@@ -62,6 +64,13 @@ class RuleContext {
   template <typename State>
   State* principal_slot(std::string_view aor) {
     return rule_ == kNoRule ? nullptr : static_cast<State*>(trails_.principal_slot(aor, rule_));
+  }
+
+  /// The calling rule's engine-wide state (key kind kEngine). nullptr when
+  /// no rule is set or the rule keeps no engine state.
+  template <typename State>
+  State* engine_slot() {
+    return rule_ == kNoRule ? nullptr : static_cast<State*>(trails_.engine_slot(rule_));
   }
 
   void raise(std::string rule, Severity severity, const Event& cause, std::string message) {
@@ -114,15 +123,10 @@ class Rule {
  public:
   virtual ~Rule() = default;
   virtual std::string_view name() const = 0;
-  virtual void on_event(const Event& event, RuleContext& ctx) = 0;
-  /// What the rule keeps per session or per principal, in place in the
-  /// record's rule-state block. The default keeps nothing.
+  virtual void on_event(const Event& event, RuleContext& ctx) const = 0;
+  /// What the rule keeps per session, per principal or per engine, in place
+  /// in that record's rule-state block. The default keeps nothing.
   virtual RuleStateSpec state_spec() const { return {}; }
-  /// How many state entries the rule holds in tables of its own — the
-  /// observability surface for rule memory. Rules that keep their state in
-  /// session or principal records keep the default: the engine counts the
-  /// records whose presence bit the rule set.
-  virtual size_t state_entries() const { return 0; }
   /// The EventTypes this rule consumes. The engine indexes rules by type so
   /// an event only visits its subscribers; the default (everything)
   /// preserves broadcast behavior for rules that do not declare interest.
@@ -146,15 +150,55 @@ class Rule {
   }
 };
 
-using RulePtr = std::unique_ptr<Rule>;
+using RulePtr = std::shared_ptr<const Rule>;
 
-/// The rule-state layout of `rules`, in rule-position order (what a
-/// TrailManager serving them installs with set_rule_layout).
-inline RuleStateLayout lay_out_rule_state(std::span<const RulePtr> rules) {
-  std::vector<RuleStateSpec> specs;
-  specs.reserve(rules.size());
-  for (const RulePtr& rule : rules) specs.push_back(rule->state_spec());
-  return RuleStateLayout(specs);
+/// A ruleset as engines run it: the rules in position order and what an
+/// engine derives from them. Immutable once built.
+class Ruleset {
+ public:
+  explicit Ruleset(std::vector<RulePtr> rules) : rules_(std::move(rules)) {
+    std::vector<RuleStateSpec> specs;
+    for (size_t i = 0; i < rules_.size(); ++i) {
+      const Rule& rule = *rules_[i];
+      for (size_t t = 0; t < kEventTypeCount; ++t) {
+        if (rule.subscriptions() & (EventTypeMask{1} << t)) {
+          subscribers_[t].push_back(static_cast<uint32_t>(i));
+        }
+      }
+      horizons_.push_back(rule.horizon());
+      max_horizon_ = std::max(max_horizon_, rule.horizon());
+      media_interest_ = media_interest_ || rule.media_steady_state_interest();
+      specs.push_back(rule.state_spec());
+    }
+    layout_ = std::make_shared<const RuleStateLayout>(specs);
+  }
+
+  const std::vector<RulePtr>& rules() const { return rules_; }
+  /// Positions of the rules subscribed to `type`, in ruleset order.
+  const std::vector<uint32_t>& subscribers(EventType type) const {
+    return subscribers_[static_cast<size_t>(type)];
+  }
+  /// What a TrailManager serving the rules installs (set_rule_layout).
+  const std::shared_ptr<const RuleStateLayout>& layout() const { return layout_; }
+  /// Each rule position's horizon, and the longest of them.
+  const std::vector<SimDuration>& horizons() const { return horizons_; }
+  SimDuration max_horizon() const { return max_horizon_; }
+  /// Whether some rule wants steady-state media (the fast path is then off).
+  bool media_steady_state_interest() const { return media_interest_; }
+
+ private:
+  std::vector<RulePtr> rules_;
+  std::vector<uint32_t> subscribers_[kEventTypeCount];
+  std::shared_ptr<const RuleStateLayout> layout_;
+  std::vector<SimDuration> horizons_;
+  SimDuration max_horizon_ = 0;
+  bool media_interest_ = false;
+};
+
+using RulesetPtr = std::shared_ptr<const Ruleset>;
+
+inline RulesetPtr make_ruleset(std::vector<RulePtr> rules) {
+  return std::make_shared<const Ruleset>(std::move(rules));
 }
 
 }  // namespace scidive::core

@@ -48,12 +48,15 @@ RuleStateLayout::RuleStateLayout(std::span<const RuleStateSpec> specs) {
   for (size_t rule = 0; rule < specs.size(); ++rule) {
     const RuleStateSpec& spec = specs[rule];
     if (spec.key == StateKey::kNone) continue;
-    RuleBlockLayout& layout = spec.key == StateKey::kPrincipal ? principal_ : session_;
+    RuleBlockLayout& layout = spec.key == StateKey::kPrincipal ? principal_
+                              : spec.key == StateKey::kEngine  ? engine_
+                                                               : session_;
     places_[rule] = {spec.key, static_cast<uint32_t>(layout.entries_.size())};
     layout.add(static_cast<uint32_t>(rule), spec);
   }
   session_.close();
   principal_.close();
+  engine_.close();
 }
 
 void* RuleStateBlock::area(const RuleBlockLayout& layout, size_t entry) {

@@ -1,9 +1,10 @@
 // Rule state in place. A stateful rule declares what it keeps per key — a
-// session or a principal (a claimed AOR) — as a RuleStateSpec: the key kind,
-// the state's size and alignment, and how to build and destroy it. The
-// engine lays a ruleset's specs out once (RuleStateLayout): each key kind's
-// stateful rules get fixed offsets in one block. A session or principal
-// record then holds at most one block (RuleStateBlock), allocated on the
+// session, a principal (a claimed AOR) or the engine as a whole — as a
+// RuleStateSpec: the key kind, the state's size and alignment, and how to
+// build and destroy it. A ruleset lays its specs out once (RuleStateLayout):
+// each key kind's stateful rules get fixed offsets in one block. A session
+// or principal record, and the engine, then holds at most one block
+// (RuleStateBlock), allocated on the
 // record's first rule write: a header (its layout, then one presence bit per
 // rule), then each rule's area at its offset. A rule's area is built on the
 // rule's first use and destroyed with the block, so a record's rule state
@@ -20,8 +21,9 @@
 
 namespace scidive::core {
 
-/// The record kind a stateful rule keeps its state in.
-enum class StateKey : uint8_t { kNone, kSession, kPrincipal };
+/// The record kind a stateful rule keeps its state in. kEngine is one block
+/// per engine, across every session; it never moves with a record.
+enum class StateKey : uint8_t { kNone, kSession, kPrincipal, kEngine };
 
 /// What one rule keeps per key. A rule without state keeps key kNone.
 struct RuleStateSpec {
@@ -85,13 +87,14 @@ class RuleStateLayout {
   explicit RuleStateLayout(std::span<const RuleStateSpec> specs);
 
   const RuleBlockLayout& block(StateKey key) const {
-    return key == StateKey::kPrincipal ? principal_ : session_;
+    return key == StateKey::kPrincipal ? principal_ : key == StateKey::kEngine ? engine_ : session_;
   }
   Place place(size_t rule) const { return rule < places_.size() ? places_[rule] : Place{}; }
 
  private:
   RuleBlockLayout session_;
   RuleBlockLayout principal_;
+  RuleBlockLayout engine_;
   std::vector<Place> places_;
 };
 

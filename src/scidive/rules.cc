@@ -2,27 +2,43 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <new>
 
 #include "common/strings.h"
 #include "ruledsl/loader.h"
 
 namespace scidive::core {
 
-void Stateless4xxRule::on_event(const Event& event, RuleContext& ctx) {
+void Stateless4xxRule::on_event(const Event& event, RuleContext& ctx) const {
   if (event.type != EventType::kSip4xxSeen) return;
-  recent_4xx_.push_back(event.time);
+  State* state = ctx.engine_slot<State>();
+  if (state == nullptr) return;
+  std::deque<SimTime>& recent = state->recent_4xx;
+  recent.push_back(event.time);
   SimTime horizon = event.time - kWindow;
-  while (!recent_4xx_.empty() && recent_4xx_.front() < horizon) recent_4xx_.pop_front();
-  if (static_cast<int>(recent_4xx_.size()) >= kThreshold &&
-      (last_alert < 0 || event.time - last_alert > kWindow)) {
-    last_alert = event.time;
+  while (!recent.empty() && recent.front() < horizon) recent.pop_front();
+  if (static_cast<int>(recent.size()) >= kThreshold &&
+      (state->last_alert < 0 || event.time - state->last_alert > kWindow)) {
+    state->last_alert = event.time;
     ctx.raise(std::string(name()), Severity::kWarning, event,
-              str::format("%zu 4xx responses within %.1fs (any session)",
-                          recent_4xx_.size(), to_sec(kWindow)));
+              str::format("%zu 4xx responses within %.1fs (any session)", recent.size(),
+                          to_sec(kWindow)));
   }
 }
 
-void DirectTrailScanByeRule::on_event(const Event& event, RuleContext& ctx) {
+RuleStateSpec Stateless4xxRule::state_spec() const {
+  return {.key = StateKey::kEngine,
+          .size = sizeof(State),
+          .align = alignof(State),
+          .init = [](void* area, const void*) { ::new (area) State(); },
+          .destroy = [](void* area, const void*) { std::destroy_at(static_cast<State*>(area)); },
+          .arg = nullptr};
+}
+
+void DirectTrailScanByeRule::on_event(const Event& event, RuleContext& ctx) const {
   if (event.type != EventType::kRtpPacketSeen) return;
   // The rule's presence bit in a session's record marks a session it
   // alerted on; its area is empty.
@@ -66,7 +82,12 @@ void DirectTrailScanByeRule::on_event(const Event& event, RuleContext& ctx) {
                         static_cast<long long>(event.time - bye_time)));
 }
 
-std::vector<RulePtr> make_default_ruleset(const RulesConfig& config) {
+RulesetPtr default_ruleset(const RulesConfig& config) {
+  static std::mutex mu;
+  static std::map<RulesConfig, RulesetPtr> compiled_once;
+  std::lock_guard lock(mu);
+  RulesetPtr& rules = compiled_once[config];
+  if (rules != nullptr) return rules;
   auto compiled = ruledsl::compile_default_ruleset(config);
   if (!compiled.ok()) {
     // The text is part of the build and a test compiles it, so this is a
@@ -75,7 +96,12 @@ std::vector<RulePtr> make_default_ruleset(const RulesConfig& config) {
                  compiled.error().to_string().c_str());
     std::abort();
   }
-  return ruledsl::make_rules(compiled.value());
+  rules = ruledsl::make_ruleset(compiled.value());
+  return rules;
+}
+
+std::vector<RulePtr> make_default_ruleset(const RulesConfig& config) {
+  return default_ruleset(config)->rules();
 }
 
 }  // namespace scidive::core

@@ -37,27 +37,31 @@ struct RulesConfig {
   /// detection ruleset — and every golden pinned against it — is unchanged;
   /// prevention deployments turn it on.
   bool spit_graylist = false;
+
+  auto operator<=>(const RulesConfig&) const = default;
 };
 
 /// The strawman the paper argues against (§3.3, §5): a session-unaware
 /// "many 4xx responses" rule à la stock Snort — 5 responses within 10s, in
-/// any sessions. Included as the baseline for the accuracy benchmarks.
+/// any sessions. Included as the baseline for the accuracy benchmarks. Its
+/// one window spans every session, so it lives in the engine block.
 class Stateless4xxRule : public Rule {
  public:
   static constexpr int kThreshold = 5;
   static constexpr SimDuration kWindow = sec(10);
 
   std::string_view name() const override { return "stateless-4xx"; }
-  void on_event(const Event& event, RuleContext& ctx) override;
-  size_t state_entries() const override { return recent_4xx_.size(); }
+  void on_event(const Event& event, RuleContext& ctx) const override;
+  RuleStateSpec state_spec() const override;
   EventTypeMask subscriptions() const override {
     return event_mask(EventType::kSip4xxSeen);
   }
   SimDuration horizon() const override { return kWindow; }
 
- private:
-  std::deque<SimTime> recent_4xx_;  // across all sessions — deliberately
-  SimTime last_alert = -1;
+  struct State {
+    std::deque<SimTime> recent_4xx;  // across all sessions — deliberately
+    SimTime last_alert = -1;
+  };
 };
 
 /// Ablation twin of the bye-attack rule that forgoes the event abstraction:
@@ -72,7 +76,7 @@ class DirectTrailScanByeRule : public Rule {
  public:
   explicit DirectTrailScanByeRule(SimDuration window = msec(200)) : window_(window) {}
   std::string_view name() const override { return "bye-attack-direct"; }
-  void on_event(const Event& event, RuleContext& ctx) override;
+  void on_event(const Event& event, RuleContext& ctx) const override;
   EventTypeMask subscriptions() const override {
     return event_mask(EventType::kRtpPacketSeen);
   }
@@ -89,8 +93,10 @@ class DirectTrailScanByeRule : public Rule {
 };
 
 /// The full SCIDIVE ruleset of the paper (without the strawmen), compiled
-/// from the embedded `.sdr` rules on each call; spit-graylist is included
-/// when `config.spit_graylist` is set.
+/// from the embedded `.sdr` rules once per distinct `config` per process;
+/// spit-graylist is included when `config.spit_graylist` is set.
+RulesetPtr default_ruleset(const RulesConfig& config = {});
+/// default_ruleset(config)'s rules.
 std::vector<RulePtr> make_default_ruleset(const RulesConfig& config = {});
 
 }  // namespace scidive::core

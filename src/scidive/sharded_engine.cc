@@ -228,15 +228,12 @@ void ShardedEngine::expire_idle(SimTime cutoff) {
   }
 }
 
-void ShardedEngine::set_rules(
-    const std::function<std::vector<RulePtr>(size_t shard)>& factory) {
+void ShardedEngine::set_rules(const RulesetPtr& rules) {
   flush();
   // Quiescent: every worker is parked with its ring empty, so the swap is
   // ordinary single-threaded mutation; the next enqueue's release store
   // publishes it to the worker.
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    shards_[i]->engine.set_rules(factory(i));
-  }
+  for (auto& shard : shards_) shard->engine.set_rules(rules);
 }
 
 void ShardedEngine::on_packet_to_shard(size_t shard, const pkt::Packet& packet) {
@@ -423,12 +420,6 @@ std::vector<Verdict> ShardedEngine::merged_verdicts() const {
     return a.message < b.message;
   });
   return out;
-}
-
-size_t ShardedEngine::verdict_count() const {
-  size_t n = 0;
-  for (const auto& shard : shards_) n += shard->engine.verdicts().count();
-  return n;
 }
 
 }  // namespace scidive::core

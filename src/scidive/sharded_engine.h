@@ -12,12 +12,13 @@
 //
 // One feeder, one routing owner: the feeding thread owns the router and
 // with it every piece of routing state (media bindings, session overrides,
-// the reassembler). Workers share nothing: each shard's Enforcer is its
-// own. A verdict a shard's rules apply is forwarded, after the batch that
-// raised it, to every other shard's verdict inbox, and each worker applies
-// its inbox to its own Enforcer at the top of its next poll. A forwarded
-// verdict is applied but never raised again (verdict multisets stay
-// per-shard) and never forwarded again.
+// the reassembler). Workers share nothing mutable: every shard runs the one
+// immutable Ruleset, and each shard's rule state and Enforcer are its own.
+// A verdict a shard's rules apply is forwarded, after the batch that raised
+// it, to every other shard's verdict inbox, and each worker applies its
+// inbox to its own Enforcer at the top of its next poll. A forwarded verdict
+// is applied but never raised again (verdict multisets stay per-shard) and
+// never forwarded again.
 //
 // Determinism protocol: flush() blocks until every queue and every verdict
 // inbox is drained and every worker is parked; after it returns (and until
@@ -159,9 +160,9 @@ class ShardedEngine {
   /// Atomically replace every shard's ruleset (hot reload). Flushes first,
   /// so the swap happens at a quiescent boundary: every in-flight packet is
   /// matched by the old rules, every later packet by the new — no event is
-  /// lost or double-matched. The factory is called once per shard (rules
-  /// hold per-session state and must not be shared across workers).
-  void set_rules(const std::function<std::vector<RulePtr>(size_t shard)>& factory);
+  /// lost or double-matched. Every shard runs the one `rules` object: rules
+  /// are immutable, and each shard's rule state lives in its own records.
+  void set_rules(const RulesetPtr& rules);
 
   size_t num_shards() const { return shards_.size(); }
   /// Shard engine access — only safe between flush() and the next on_packet.
@@ -178,7 +179,6 @@ class ShardedEngine {
   /// flush()). Each verdict is raised by the shard that computed it; its
   /// enforcement reaches every shard through the verdict inboxes.
   std::vector<Verdict> merged_verdicts() const;
-  size_t verdict_count() const;
   uint64_t packets_dropped() const;
 
   /// One merged view of every instrument: each shard engine's registry

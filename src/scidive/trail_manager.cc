@@ -221,11 +221,6 @@ const Trail* TrailManager::find(const SessionId& session, Protocol protocol) con
   return slot == nullptr ? nullptr : slot->find(protocol);
 }
 
-Trail* TrailManager::find_mut(const SessionId& session, Protocol protocol) {
-  const SessionSlot* slot = slot_of(session);
-  return slot == nullptr ? nullptr : slot->find(protocol);
-}
-
 std::vector<const Trail*> TrailManager::session_trails(const SessionId& session) const {
   std::vector<const Trail*> out;
   if (const SessionSlot* slot = slot_of(session)) {
@@ -252,32 +247,9 @@ size_t TrailManager::arena_bytes_reserved() const {
   return bytes;
 }
 
-void TrailManager::set_rule_layout(RuleStateLayout layout) {
-  auto next = std::make_shared<const RuleStateLayout>(std::move(layout));
-  auto keeps = [&](StateKey key) {
-    return rule_layout_ != nullptr && next->block(key).compatible(rule_layout_->block(key));
-  };
-  const bool keep_sessions = keeps(StateKey::kSession);
-  const bool keep_principals = keeps(StateKey::kPrincipal);
-  sessions_.for_each([&](const Symbol&, std::unique_ptr<SessionSlot>& slot) {
-    if (keep_sessions) {
-      slot->rules.relayout(next->block(StateKey::kSession));
-    } else {
-      slot->rules.reset();
-    }
-  });
-  if (!keep_principals) {
-    principals_.erase_if(
-        [](const Symbol&, const PrincipalRecord& record) { return record.locations.empty(); });
-  }
-  principals_.for_each([&](const Symbol&, PrincipalRecord& record) {
-    if (keep_principals) {
-      record.rules.relayout(next->block(StateKey::kPrincipal));
-    } else {
-      record.rules.reset();
-    }
-  });
-  rule_layout_ = std::move(next);
+void TrailManager::set_rule_layout(std::shared_ptr<const RuleStateLayout> layout) {
+  clear_rule_states();
+  rule_layout_ = std::move(layout);
 }
 
 void* TrailManager::rule_slot(const SessionId& session, size_t rule) {
@@ -302,6 +274,12 @@ void* TrailManager::principal_slot(std::string_view aor, size_t rule) {
   return record.rules.area(rule_layout_->block(StateKey::kPrincipal), place.entry);
 }
 
+void* TrailManager::engine_slot(size_t rule) {
+  const RuleStateLayout::Place place = rule_place(rule);
+  if (place.key != StateKey::kEngine) return nullptr;
+  return engine_rules_.area(rule_layout_->block(StateKey::kEngine), place.entry);
+}
+
 std::vector<size_t> TrailManager::rule_state_counts(size_t rules) const {
   std::vector<size_t> counts(rules, 0);
   auto count = [&](const RuleStateBlock& block) {
@@ -313,6 +291,7 @@ std::vector<size_t> TrailManager::rule_state_counts(size_t rules) const {
   sessions_.for_each(
       [&](const Symbol&, const std::unique_ptr<SessionSlot>& slot) { count(slot->rules); });
   principals_.for_each([&](const Symbol&, const PrincipalRecord& record) { count(record.rules); });
+  count(engine_rules_);
   return counts;
 }
 
@@ -323,7 +302,7 @@ size_t TrailManager::rule_state_blocks() const {
   });
   principals_.for_each(
       [&](const Symbol&, const PrincipalRecord& record) { n += record.rules.empty() ? 0 : 1; });
-  return n;
+  return n + (engine_rules_.empty() ? 0 : 1);
 }
 
 void TrailManager::clear_rule_states() {
@@ -332,6 +311,7 @@ void TrailManager::clear_rule_states() {
   principals_.erase_if(
       [](const Symbol&, const PrincipalRecord& record) { return record.locations.empty(); });
   principals_.for_each([](const Symbol&, PrincipalRecord& record) { record.rules.reset(); });
+  engine_rules_.reset();
 }
 
 void TrailManager::adopt_block(RuleStateBlock& block, StateKey key) const {

@@ -200,7 +200,6 @@ class TrailManager {
 
   /// Lookup; nullptr when the trail does not exist.
   const Trail* find(const SessionId& session, Protocol protocol) const;
-  Trail* find_mut(const SessionId& session, Protocol protocol);
 
   /// All trails of one session (the §3.2 "multiple trails for each
   /// session, one for each protocol"), in creation order. O(trails of that
@@ -240,10 +239,8 @@ class TrailManager {
   // no rule state. A rule area stays valid until the record retires or
   // moves, or the layout changes.
 
-  /// The rule-state layout every record is read by from now on. Blocks of a
-  /// key kind whose layout is compatible with the new one stay; the others
-  /// are freed (a principal record left holding nothing goes).
-  void set_rule_layout(RuleStateLayout layout);
+  /// Free every block (clear_rule_states), then lay records out by `layout`.
+  void set_rule_layout(std::shared_ptr<const RuleStateLayout> layout);
   /// The area of rule position `rule` in `session`'s record, built on first
   /// use; nullptr when the session has no record or the rule keeps no
   /// session state.
@@ -254,12 +251,15 @@ class TrailManager {
   /// first use, the record with it; nullptr when the rule keeps no
   /// principal state.
   void* principal_slot(std::string_view aor, size_t rule);
-  /// Session and principal records holding state, for each rule position
-  /// below `rules`.
+  /// The area of rule position `rule` in the engine block (which no record
+  /// carries), built on first use; nullptr for a rule without engine state.
+  void* engine_slot(size_t rule);
+  /// Records (the engine block counted as one) holding state, for each rule
+  /// position below `rules`.
   std::vector<size_t> rule_state_counts(size_t rules) const;
-  /// Session and principal records holding a rule-state block.
+  /// Records (the engine block counted as one) holding a rule-state block.
   size_t rule_state_blocks() const;
-  /// Free every record's rule state: a new ruleset starts fresh. Registered
+  /// Free every record's rule state and the engine block. Registered
   /// locations stay; a principal record without any goes.
   void clear_rule_states();
 
@@ -486,8 +486,10 @@ class TrailManager {
 
   size_t max_footprints_per_trail_;
   /// Where each rule keeps its state; null until the engine installs one.
-  /// Declared before the record tables: their blocks point into it.
+  /// Declared before the blocks: they point into it.
   std::shared_ptr<const RuleStateLayout> rule_layout_;
+  /// The kEngine rules' state, across every session.
+  RuleStateBlock engine_rules_;
   SymbolTable symbols_;
   /// Session symbol -> its record.
   FlatMap<Symbol, std::unique_ptr<SessionSlot>> sessions_;

@@ -7,8 +7,7 @@
 #include <thread>
 #include <vector>
 
-// SpscRing unit tests. The suite keeps the ring's former name, MpscQueue,
-// so these tests keep their recorded ids.
+// SpscRing unit tests.
 namespace scidive {
 namespace {
 
@@ -29,7 +28,7 @@ size_t take(SpscRing<T>& q, std::vector<T>& out, size_t max) {
   return q.consume_batch(max, [&out](T& v, const T*) { out.push_back(v); });
 }
 
-TEST(MpscQueue, PushPopOrdering) {
+TEST(SpscRing, PushPopOrdering) {
   SpscRing<int> q(8);
   for (int i = 0; i < 5; ++i) EXPECT_TRUE(q.try_push_with(put(i)));
   EXPECT_EQ(q.size(), 5u);
@@ -42,14 +41,14 @@ TEST(MpscQueue, PushPopOrdering) {
   EXPECT_TRUE(q.empty());
 }
 
-TEST(MpscQueue, CapacityRoundsUpToPowerOfTwo) {
+TEST(SpscRing, CapacityRoundsUpToPowerOfTwo) {
   SpscRing<int> q(5);
   EXPECT_EQ(q.capacity(), 8u);
   SpscRing<int> q2(0);
   EXPECT_EQ(q2.capacity(), 2u);
 }
 
-TEST(MpscQueue, FullRingRejectsAndKeepsValue) {
+TEST(SpscRing, FullRingRejectsAndKeepsValue) {
   SpscRing<std::string> q(2);
   EXPECT_TRUE(q.try_push_with(put<std::string>("a")));
   EXPECT_TRUE(q.try_push_with(put<std::string>("b")));
@@ -70,7 +69,7 @@ TEST(MpscQueue, FullRingRejectsAndKeepsValue) {
   EXPECT_TRUE(filled);
 }
 
-TEST(MpscQueue, WraparoundManyTimes) {
+TEST(SpscRing, WraparoundManyTimes) {
   SpscRing<uint32_t> q(4);
   uint32_t next_in = 0, next_out = 0;
   for (int round = 0; round < 1000; ++round) {
@@ -85,7 +84,7 @@ TEST(MpscQueue, WraparoundManyTimes) {
   EXPECT_GT(next_in, 1000u);
 }
 
-TEST(MpscQueue, PopBatchDrainsUpToLimit) {
+TEST(SpscRing, PopBatchDrainsUpToLimit) {
   SpscRing<int> q(16);
   for (int i = 0; i < 10; ++i) ASSERT_TRUE(q.try_push_with(put(i)));
   std::vector<int> got;
@@ -99,7 +98,7 @@ TEST(MpscQueue, PopBatchDrainsUpToLimit) {
   EXPECT_EQ(take(q, got, 8), 0u);
 }
 
-TEST(MpscQueue, MoveOnlyElements) {
+TEST(SpscRing, MoveOnlyElements) {
   SpscRing<std::unique_ptr<int>> q(4);
   EXPECT_TRUE(q.try_push_with([](std::unique_ptr<int>& slot) { slot = std::make_unique<int>(42); }));
   std::unique_ptr<int> out;
@@ -111,7 +110,7 @@ TEST(MpscQueue, MoveOnlyElements) {
   EXPECT_EQ(*out, 42);
 }
 
-TEST(MpscQueue, SlotBufferSurvivesLaps) {
+TEST(SpscRing, SlotBufferSurvivesLaps) {
   // What the sharded engine's copy-free ingest rests on: a value consumed in
   // place stays in its slot, so when a producer claims the slot again a lap
   // later the buffer it grew is still there and refilling it with data that
@@ -140,7 +139,7 @@ TEST(MpscQueue, SlotBufferSurvivesLaps) {
   }
 }
 
-TEST(MpscQueue, OneProducerOneConsumerKeepsOrderAndLosesNothing) {
+TEST(SpscRing, OneProducerOneConsumerKeepsOrderAndLosesNothing) {
   // The contract the sharded engine and the UDP source depend on: one
   // producer thread racing one consumer thread through a tiny ring loses
   // nothing, duplicates nothing, and pops in push order. The ring wraps

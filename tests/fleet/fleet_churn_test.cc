@@ -6,6 +6,9 @@
 
 #include "capture/test_streams.h"
 #include "fleet/fleet.h"
+#include "ruledsl/loader.h"
+#include "scidive/rules.h"
+#include "scidive/scidive_test_util.h"
 #include "testbed/testbed.h"
 
 namespace scidive::fleet {
@@ -95,6 +98,82 @@ TEST(FleetChurn, CrashLosesStateButStaysFailOpen) {
   EXPECT_EQ(fleet.stats().packets_seen, stream.size());
   // The survivor kept inspecting after the crash.
   EXPECT_GT(fleet.node_at(0).engine().stats().packets_seen, 0u);
+}
+
+TEST(FleetChurn, EngineShardsAndNodesShareOneDefaultRuleset) {
+  core::RulesConfig rules;
+  rules.spit_graylist = true;
+  rules.spit_call_threshold = 11;
+  core::EngineConfig ec;
+  ec.rules = rules;
+  const core::ScidiveEngine single(ec);
+  const core::RulesetPtr shared = single.ruleset();
+  ASSERT_NE(shared, nullptr);
+  EXPECT_EQ(shared, core::default_ruleset(rules));
+
+  core::ShardedEngineConfig sc;
+  sc.engine = ec;
+  sc.num_shards = 2;
+  core::ShardedEngine sharded(sc);
+  FleetConfig fc;
+  fc.node.engine = sc;
+  Fleet fleet(fc, {"node-0", "node-1"});
+  ASSERT_TRUE(fleet.add_node("joiner"));
+  for (size_t i = 0; i < sharded.num_shards(); ++i) {
+    EXPECT_EQ(sharded.shard(i).ruleset(), shared) << "shard " << i;
+  }
+  ASSERT_EQ(fleet.size(), 3u);
+  for (size_t n = 0; n < fleet.size(); ++n) {
+    core::ShardedEngine& node = fleet.node_at(n).engine();
+    for (size_t i = 0; i < node.num_shards(); ++i) {
+      EXPECT_EQ(node.shard(i).ruleset(), shared) << fleet.node_at(n).name() << " shard " << i;
+    }
+  }
+
+  core::EngineConfig other = ec;
+  other.rules.spit_call_threshold = 12;
+  const core::ScidiveEngine differently_configured(other);
+  EXPECT_NE(differently_configured.ruleset(), shared);
+  EXPECT_EQ(differently_configured.ruleset(), core::default_ruleset(other.rules));
+}
+
+TEST(FleetChurn, JoinerRunsTheFleetRulesetBeforeRecordsArrive) {
+  // Every INVITE session holds a block of the custom ruleset's one
+  // session-keyed rule. A joiner running any other ruleset would drop each
+  // block it adopts (its layout differs), so the blocks that arrive whole
+  // show the joiner ran the fleet's ruleset before the handoff.
+  auto compiled = ruledsl::compile_ruleset_text(R"sdr(
+rule invite-count {
+  key session;
+  state { int invites = 0; }
+  on SipInviteSeen { add invites; }
+}
+)sdr");
+  ASSERT_TRUE(compiled.ok()) << compiled.error().to_string();
+  const core::RulesetPtr custom = ruledsl::make_ruleset(compiled.value());
+  FleetConfig fc;
+  fc.node.engine.num_shards = 1;
+  fc.node.engine.engine.obs.time_stages = false;
+  Fleet fleet(fc, {"node-0", "node-1"});
+  fleet.set_rules(custom);
+  for (int i = 0; i < 64; ++i) {
+    fleet.on_packet(core::testing::sip_packet(
+        "INVITE sip:bob@lab.net SIP/2.0", "alice@lab.net", "call-" + std::to_string(i), "INVITE",
+        msec(i), core::testing::ep(1, 5060), core::testing::ep(2, 5060)));
+  }
+  fleet.flush();
+  ASSERT_TRUE(fleet.add_node("joiner"));
+  fleet.flush();
+
+  const FleetStats stats = fleet.stats();
+  ASSERT_GT(stats.sessions_handed_off, 0u);
+  FleetNode* joiner = fleet.node("joiner");
+  ASSERT_NE(joiner, nullptr);
+  const core::ScidiveEngine& engine = joiner->engine().shard(0);
+  EXPECT_EQ(engine.ruleset(), custom);
+  EXPECT_EQ(engine.trails().session_count(), stats.sessions_handed_off);
+  EXPECT_EQ(engine.trails().rule_state_blocks(), stats.sessions_handed_off)
+      << "every moved session kept its rule state";
 }
 
 }  // namespace

@@ -83,11 +83,9 @@ TEST(FleetDifferential, VerdictParityOnSpitCapture) {
 
   DifferentialConfig config;
   config.engine.enforce.mode = core::EnforcementMode::kPassive;
-  config.make_rules = [] {
-    core::RulesConfig rc;
-    rc.spit_graylist = true;
-    return core::make_default_ruleset(rc);
-  };
+  core::RulesConfig rc;
+  rc.spit_graylist = true;
+  config.rules = core::default_ruleset(rc);
   // Per-caller graylist state needs every INVITE of a caller on one node
   // and one worker.
   config.topologies = fleets();
@@ -124,7 +122,7 @@ TEST(FleetDifferential, SpitGraylistStateFollowsCallerAcrossChurn) {
 }
 
 TEST(FleetDifferential, JoinerGetsItsRulesetBeforeChurnHandsItState) {
-  // The same churn probe with spit-graylist installed through make_rules:
+  // The same churn probe with spit-graylist installed through config.rules:
   // the joining node must have its ruleset before the join hands it
   // records, because installing a ruleset starts every rule slot fresh —
   // afterwards it would wipe the moved spammer's count.
@@ -133,11 +131,9 @@ TEST(FleetDifferential, JoinerGetsItsRulesetBeforeChurnHandsItState) {
 
   DifferentialConfig config;
   config.engine.enforce.mode = core::EnforcementMode::kPassive;
-  config.make_rules = [] {
-    core::RulesConfig rules;
-    rules.spit_graylist = true;
-    return core::make_default_ruleset(rules);
-  };
+  core::RulesConfig rules;
+  rules.spit_graylist = true;
+  config.rules = core::default_ruleset(rules);
   config.topologies.clear();
   for (size_t workers : {1, 2, 4}) {
     FleetRun t = by_caller(fleet_of(2, workers));

@@ -461,13 +461,9 @@ TEST(FleetScreening, VerdictOnOneNodeScreensThePrincipalOnAll) {
     fc.node.engine.engine.enforce.mode = core::EnforcementMode::kInline;
     fc.pump_every_packets = 256;
     Fleet fleet(fc, {"node-0", "node-1"});
-    for (size_t i = 0; i < fleet.size(); ++i) {
-      fleet.node_at(i).engine().set_rules([](size_t) {
-        core::RulesConfig rc;
-        rc.spit_graylist = true;
-        return core::make_default_ruleset(rc);
-      });
-    }
+    core::RulesConfig rc;
+    rc.spit_graylist = true;
+    fleet.set_rules(core::default_ruleset(rc));
     fleet.run(source);
 
     size_t screened = 0;
@@ -521,13 +517,9 @@ TEST(FleetScreening, EveryRaisedVerdictGossipsPastTheSinksRetention) {
     fc.node.engine.engine.enforce.verdict_capacity = 1;
     fc.pump_every_packets = 256;
     Fleet fleet(fc, {"node-0", "node-1"});
-    for (size_t i = 0; i < fleet.size(); ++i) {
-      fleet.node_at(i).engine().set_rules([](size_t) {
-        core::RulesConfig rc;
-        rc.spit_graylist = true;
-        return core::make_default_ruleset(rc);
-      });
-    }
+    core::RulesConfig rc;
+    rc.spit_graylist = true;
+    fleet.set_rules(core::default_ruleset(rc));
     fleet.run(source);
 
     uint64_t raised = 0;

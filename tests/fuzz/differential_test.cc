@@ -227,11 +227,9 @@ DifferentialConfig verdict_config() {
   config.topologies = {FastPath{}};
   for (size_t workers : {1, 2, 4, 8}) config.topologies.push_back(by_caller(sharded_on(workers)));
   config.engine.enforce.mode = core::EnforcementMode::kPassive;
-  config.make_rules = [] {
-    core::RulesConfig rc;
-    rc.spit_graylist = true;
-    return core::make_default_ruleset(rc);
-  };
+  core::RulesConfig rc;
+  rc.spit_graylist = true;
+  config.rules = core::default_ruleset(rc);
   return config;
 }
 
@@ -273,7 +271,7 @@ TEST(Differential, InlineAndPassiveDecideIdentically) {
     config.obs.time_stages = false;
     config.enforce.mode = mode;
     core::ScidiveEngine engine(config);
-    engine.set_rules(core::make_default_ruleset(rc));
+    engine.set_rules(core::default_ruleset(rc));
     for (const pkt::Packet& p : stream) engine.on_packet(p);
     for (size_t a = 0; a < core::kVerdictActionCount; ++a) {
       totals[i][a] = engine.decisions(static_cast<core::VerdictAction>(a));

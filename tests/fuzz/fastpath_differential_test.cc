@@ -155,11 +155,9 @@ TEST(FastpathDifferential, SpitMixWithVerdictParity) {
   config.topologies = {FastPath{}};
   for (size_t workers : {1, 2, 4, 8}) config.topologies.push_back(by_caller(sharded_on(workers)));
   config.engine.enforce.mode = core::EnforcementMode::kPassive;
-  config.make_rules = [] {
-    core::RulesConfig rc;
-    rc.spit_graylist = true;
-    return core::make_default_ruleset(rc);
-  };
+  core::RulesConfig rc;
+  rc.spit_graylist = true;
+  config.rules = core::default_ruleset(rc);
   DifferentialReport report = run_differential(stream, config);
   EXPECT_TRUE(report.ok()) << report.to_string();
   EXPECT_GE(report.baseline_verdicts, 2u) << "both spammers should be graylisted";

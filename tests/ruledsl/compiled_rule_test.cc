@@ -37,16 +37,14 @@ struct Harness {
     ctx.set_rule(0);
     auto compiled = compile_ruleset_text(text, "test.sdr");
     EXPECT_TRUE(compiled.ok()) << compiled.error().to_string();
-    if (compiled.ok()) rules = make_rules(compiled.value());
-    trails.set_rule_layout(core::lay_out_rule_state(rules));
+    if (compiled.ok()) rules = make_ruleset(compiled.value())->rules();
+    trails.set_rule_layout(core::Ruleset(rules).layout());
   }
 
-  core::Rule& rule() { return *rules.at(0); }
-  /// What the engine's state gauge reads for the rule: its own (per-AOR)
-  /// records plus the session records holding its slot.
-  size_t state_entries() const {
-    return rules.at(0)->state_entries() + trails.rule_state_counts(1)[0];
-  }
+  const core::Rule& rule() { return *rules.at(0); }
+  /// What the engine's state gauge reads for the rule: the session and
+  /// principal records holding its slot.
+  size_t state_entries() const { return trails.rule_state_counts(1)[0]; }
 
   /// An event of `session`, whose record is created first: `key session`
   /// state lives there.
@@ -232,7 +230,7 @@ TEST(CompiledRule, AlertsFlowThroughLedgerWhenPresent) {
   auto compiled = compile_ruleset_text(
       "rule r { on RtpSeqJump { alert critical \"jump {value}\"; } }", "t");
   ASSERT_TRUE(compiled.ok());
-  auto rules = make_rules(compiled.value());
+  auto rules = make_ruleset(compiled.value())->rules();
 
   Event e;
   e.type = EventType::kRtpSeqJump;
@@ -255,13 +253,13 @@ rule r {
 }
 )sdr");
   ASSERT_TRUE(compiled.ok());
-  auto a = make_rules(compiled.value());
-  auto b = make_rules(compiled.value());
+  auto a = make_ruleset(compiled.value())->rules();
+  auto b = make_ruleset(compiled.value())->rules();
   std::vector<core::RulePtr> both;
   both.push_back(std::move(a[0]));
   both.push_back(std::move(b[0]));
   core::TrailManager trails;
-  trails.set_rule_layout(core::lay_out_rule_state(both));
+  trails.set_rule_layout(core::Ruleset(both).layout());
   route_session(trails, "s1");
   core::AlertSink sink;
   core::RuleContext ctx(trails, sink);
@@ -296,11 +294,11 @@ rule r {
 }
 )sdr");
   ASSERT_TRUE(v1.ok() && v2.ok());
-  auto old_rules = make_rules(v1.value());
-  auto rules = make_rules(v2.value());
+  auto old_rules = make_ruleset(v1.value())->rules();
+  auto rules = make_ruleset(v2.value())->rules();
   core::TrailManager from, to;
-  from.set_rule_layout(core::lay_out_rule_state(old_rules));
-  to.set_rule_layout(core::lay_out_rule_state(rules));
+  from.set_rule_layout(core::Ruleset(old_rules).layout());
+  to.set_rule_layout(core::Ruleset(rules).layout());
   route_session(from, "s1");
   core::AlertSink sink;
   core::RuleContext from_ctx(from, sink), to_ctx(to, sink);

@@ -246,9 +246,9 @@ EngineConfig replay_config(const std::set<pkt::Ipv4Address>& home) {
   return config;
 }
 
-ScidiveEngine make_engine(const Scenario& s, std::vector<core::RulePtr> rules) {
+ScidiveEngine make_engine(const Scenario& s, const core::RulesetPtr& rules) {
   ScidiveEngine engine(replay_config(s.home));
-  engine.set_rules(std::move(rules));
+  engine.set_rules(rules);
   return engine;
 }
 
@@ -414,13 +414,13 @@ TEST(RuledslParity, HotReloadMidStreamLosesAndDoublesNothing) {
   const CompiledRuleset ruleset = default_ruleset();
   Scenario s = bye_attack_scenario();
 
-  ScidiveEngine baseline = make_engine(s, make_rules(ruleset));
+  ScidiveEngine baseline = make_engine(s, make_ruleset(ruleset));
   for (const pkt::Packet& p : s.capture) baseline.on_packet(p);
   ASSERT_GE(baseline.alerts().count_for_rule("bye-attack"), 1u);
 
-  ScidiveEngine reloaded = make_engine(s, make_rules(ruleset));
+  ScidiveEngine reloaded = make_engine(s, make_ruleset(ruleset));
   for (size_t i = 0; i < s.capture.size(); ++i) {
-    if (i % 7 == 3) reloaded.set_rules(make_rules(ruleset));  // frequent swaps
+    if (i % 7 == 3) reloaded.set_rules(make_ruleset(ruleset));  // frequent swaps
     reloaded.on_packet(s.capture[i]);
   }
   EXPECT_EQ(alert_strings(reloaded), alert_strings(baseline));
@@ -430,10 +430,10 @@ TEST(RuledslParity, HotReloadMidStreamLosesAndDoublesNothing) {
   sc.engine = replay_config(s.home);
   sc.num_shards = 4;
   ShardedEngine sharded(sc);
-  sharded.set_rules([&](size_t) { return make_rules(ruleset); });
+  sharded.set_rules(make_ruleset(ruleset));
   for (size_t i = 0; i < s.capture.size(); ++i) {
     if (i == s.capture.size() / 2) {
-      sharded.set_rules([&](size_t) { return make_rules(ruleset); });
+      sharded.set_rules(make_ruleset(ruleset));
     }
     sharded.on_packet(s.capture[i]);
   }
@@ -456,7 +456,7 @@ TEST(RuledslParity, InvalidReloadLeavesRunningRulesetUntouched) {
         << "rule broken { on RtpAfterBye { set ghost = 1; } }\n";
   }
 
-  ScidiveEngine engine = make_engine(s, make_rules(ruleset));
+  ScidiveEngine engine = make_engine(s, make_ruleset(ruleset));
   ASSERT_EQ(engine.rule_count(), 8u);
 
   auto bad = reload_from_file(engine, bad_path);
@@ -492,7 +492,7 @@ TEST(RuledslParity, ShardedInvalidReloadLeavesRulesUntouched) {
   sc.num_shards = 2;
   sc.engine.obs.time_stages = false;
   ShardedEngine sharded(sc);
-  sharded.set_rules([&](size_t) { return make_rules(ruleset); });
+  sharded.set_rules(make_ruleset(ruleset));
 
   auto bad = reload_from_file(sharded, rule_file("nope.sdr"));
   EXPECT_FALSE(bad.ok());
@@ -535,7 +535,7 @@ TEST(RuledslParity, FastpathHotReloadMidStreamStaysByteIdentical) {
   const CompiledRuleset ruleset = default_ruleset();
   Scenario s = bye_attack_scenario();
 
-  ScidiveEngine baseline = make_engine(s, make_rules(ruleset));
+  ScidiveEngine baseline = make_engine(s, make_ruleset(ruleset));
   for (const pkt::Packet& p : s.capture) baseline.on_packet(p);
   ASSERT_GE(baseline.alerts().count_for_rule("bye-attack"), 1u);
   EXPECT_GT(baseline.fastpath_bypassed(), 0u)
@@ -544,15 +544,15 @@ TEST(RuledslParity, FastpathHotReloadMidStreamStaysByteIdentical) {
   EngineConfig off_config = replay_config(s.home);
   off_config.fastpath.enabled = false;
   ScidiveEngine off(off_config);
-  off.set_rules(make_rules(ruleset));
+  off.set_rules(make_ruleset(ruleset));
   for (const pkt::Packet& p : s.capture) off.on_packet(p);
   EXPECT_EQ(off.fastpath_bypassed(), 0u);
   EXPECT_EQ(alert_strings(baseline), alert_strings(off));
   EXPECT_EQ(ledger_strings(baseline), ledger_strings(off));
 
-  ScidiveEngine reloaded = make_engine(s, make_rules(ruleset));
+  ScidiveEngine reloaded = make_engine(s, make_ruleset(ruleset));
   for (size_t i = 0; i < s.capture.size(); ++i) {
-    if (i % 7 == 3) reloaded.set_rules(make_rules(ruleset));  // frequent swaps
+    if (i % 7 == 3) reloaded.set_rules(make_ruleset(ruleset));  // frequent swaps
     reloaded.on_packet(s.capture[i]);
   }
   EXPECT_EQ(alert_strings(reloaded), alert_strings(baseline));
@@ -579,7 +579,7 @@ TEST(RuledslParity, FastpathDisabledByRtpPacketSeenSubscriptionUntilReload) {
   }
 })sdr");
   ASSERT_TRUE(tap.ok()) << tap.error().to_string();
-  ASSERT_TRUE(make_rules(tap.value()).front()->media_steady_state_interest());
+  ASSERT_TRUE(make_ruleset(tap.value())->rules().front()->media_steady_state_interest());
 
   const pkt::Endpoint media_src{pkt::Ipv4Address(10, 0, 0, 1), 16384};
   const pkt::Endpoint media_dst{pkt::Ipv4Address(10, 0, 0, 2), 16386};
@@ -591,7 +591,7 @@ TEST(RuledslParity, FastpathDisabledByRtpPacketSeenSubscriptionUntilReload) {
     EngineConfig config = replay_config({media_dst.addr});
     config.fastpath.enabled = fastpath_enabled;
     ScidiveEngine engine(config);
-    engine.set_rules(make_rules(tap.value()));
+    engine.set_rules(make_ruleset(tap.value()));
     for (size_t i = 0; i < stream.size(); ++i) {
       if (i == 30) {
         // While media-tap is live the bypass must never have engaged.
@@ -629,11 +629,11 @@ TEST(RuledslParity, FastpathSeqJumpFallsBackByteIdentical) {
 
   const CompiledRuleset ruleset = default_ruleset();
   ScidiveEngine on(replay_config({media_dst.addr}));
-  on.set_rules(make_rules(ruleset));
+  on.set_rules(make_ruleset(ruleset));
   EngineConfig off_config = replay_config({media_dst.addr});
   off_config.fastpath.enabled = false;
   ScidiveEngine off(off_config);
-  off.set_rules(make_rules(ruleset));
+  off.set_rules(make_ruleset(ruleset));
   for (const pkt::Packet& p : stream) {
     on.on_packet(p);
     off.on_packet(p);
@@ -662,11 +662,11 @@ TEST(RuledslParity, FastpathSsrcChangeFallsBackAndRecaches) {
 
   const CompiledRuleset ruleset = default_ruleset();
   ScidiveEngine on(replay_config({media_dst.addr}));
-  on.set_rules(make_rules(ruleset));
+  on.set_rules(make_ruleset(ruleset));
   EngineConfig off_config = replay_config({media_dst.addr});
   off_config.fastpath.enabled = false;
   ScidiveEngine off(off_config);
-  off.set_rules(make_rules(ruleset));
+  off.set_rules(make_ruleset(ruleset));
   uint64_t bypassed_before_change = 0;
   for (size_t i = 0; i < stream.size(); ++i) {
     if (i == 60) bypassed_before_change = on.fastpath_bypassed();

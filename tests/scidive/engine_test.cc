@@ -284,7 +284,7 @@ TEST(EngineIntegration, HotReloadStartsSessionRuleStateFresh) {
   for (const pkt::Packet& packet : capture) {
     ids.on_packet(packet);
     if (failures == 2 && !reloaded) {
-      ids.set_rules(make_default_ruleset());
+      ids.set_rules(default_ruleset());
       reloaded = true;
     }
     if (failures == 4) {
@@ -320,7 +320,7 @@ TEST(EngineIntegration, HotReloadStartsPrincipalRuleStateFreshButKeepsRegistrati
                                proxy, ep(9, 5060)));
     }
     ids.on_packet(message("im-1", ep(2, 5060), sec(2)));
-    ids.set_rules(make_default_ruleset());
+    ids.set_rules(default_ruleset());
     const obs::Snapshot reloaded = ids.metrics_snapshot();
     EXPECT_EQ(reloaded.gauge_value("scidive_rule_state_entries", {{"rule", "fake-im"}}), 0);
     EXPECT_EQ(reloaded.gauge_value("scidive_principal_records"), registrar_accepts ? 1 : 0);

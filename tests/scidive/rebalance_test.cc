@@ -316,10 +316,9 @@ TEST(Rebalance, SessionKeyedDslStateCrossesMigrationMidAttack) {
   auto ruleset =
       ruledsl::compile_ruleset_file(std::string(SCIDIVE_RULESET_DIR) + "/billing_fraud.sdr");
   ASSERT_TRUE(ruleset.ok()) << ruleset.error().to_string();
+  const RulesetPtr rules = ruledsl::make_ruleset(ruleset.value());
   ScidiveEngine source, target, tail_only;
-  for (ScidiveEngine* engine : {&source, &target, &tail_only}) {
-    engine->set_rules(ruledsl::make_rules(ruleset.value()));
-  }
+  for (ScidiveEngine* engine : {&source, &target, &tail_only}) engine->set_rules(rules);
   const EventTypeMask evidence =
       event_mask(EventType::kSipMalformed, EventType::kAccUnmatched,
                  EventType::kAccBilledPartyAbsent, EventType::kRtpUnexpectedSource);

@@ -157,11 +157,9 @@ TEST(Retirement, RetentionComesFromTheRuleset) {
   EXPECT_EQ(sorted,
             (std::vector<SimDuration>{0, 0, 0, 0, 0, sec(10), sec(30), sec(60), sec(120)}));
   // A C++ rule declares its own; the open retention follows the ruleset.
-  std::vector<RulePtr> only;
-  only.push_back(std::make_unique<Stateless4xxRule>());
-  engine.set_rules(std::move(only));
+  engine.set_rules(make_ruleset({std::make_shared<Stateless4xxRule>()}));
   EXPECT_EQ(engine.trails().retention().open, Stateless4xxRule::kWindow);
-  engine.clear_rules();
+  engine.set_rules(make_ruleset({}));
   EXPECT_EQ(engine.trails().retention().open, msec(200)) << "never below the window m";
 }
 

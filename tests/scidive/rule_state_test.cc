@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "scidive/engine.h"
 #include "scidive/rule.h"
 #include "scidive/rules.h"
 #include "scidive/scidive_test_util.h"
@@ -40,7 +41,7 @@ struct Driver {
   RuleContext ctx{trails, sink};
 
   Driver(std::vector<RulePtr> ruleset, TrailManager& tm) : rules(std::move(ruleset)), trails(tm) {
-    trails.set_rule_layout(lay_out_rule_state(rules));
+    trails.set_rule_layout(Ruleset(rules).layout());
   }
 
   void feed(std::string_view rule, EventType type, const SessionId& session, SimTime time,
@@ -171,6 +172,40 @@ TEST(RuleState, LayoutMismatchOnInstallDropsTheState) {
   bare.install_session(to.extract_session("reg-1"));
   EXPECT_TRUE(bare.has_session("reg-1"));
   EXPECT_EQ(bare.rule_state_blocks(), 0u);
+}
+
+TEST(RuleState, EngineKeyedStateStaysWithTheEngine) {
+  // stateless-4xx counts 4xx responses across every session, in the one
+  // engine block: no session's record carries it, so a handoff leaves it
+  // where it is, and only a ruleset install frees it.
+  const RulesetPtr rules = make_ruleset({std::make_shared<Stateless4xxRule>()});
+  ASSERT_EQ(rules->layout()->place(0).key, StateKey::kEngine);
+  ScidiveEngine engine, adopter;
+  engine.set_rules(rules);
+  adopter.set_rules(rules);
+  auto reject = [](int i) {
+    return sip_packet("SIP/2.0 401 Unauthorized", "u" + std::to_string(i) + "@lab.net",
+                      "call-" + std::to_string(i), "REGISTER", msec(i), ep(100, 5060),
+                      ep(1, 5060));
+  };
+  for (int i = 0; i < 4; ++i) engine.on_packet(reject(i));
+  EXPECT_EQ(engine.trails().rule_state_blocks(), 1u) << "the engine block alone";
+  EXPECT_EQ(engine.trails().rule_state_counts(1), std::vector<size_t>{1});
+
+  adopter.install_session(engine.extract_session("call-3"));
+  EXPECT_TRUE(adopter.has_session("call-3"));
+  EXPECT_EQ(adopter.trails().rule_state_blocks(), 0u) << "the handoff carried no 4xx window";
+  engine.on_packet(reject(4));
+  EXPECT_EQ(engine.alerts().count_for_rule("stateless-4xx"), 1u)
+      << "the window kept the moved session's response";
+
+  engine.set_rules(rules);
+  EXPECT_EQ(engine.trails().rule_state_blocks(), 0u) << "an install starts the window fresh";
+  for (int i = 5; i < 9; ++i) engine.on_packet(reject(i));
+  EXPECT_EQ(engine.alerts().count_for_rule("stateless-4xx"), 1u);
+  engine.on_packet(reject(9));
+  EXPECT_EQ(engine.alerts().count_for_rule("stateless-4xx"), 2u)
+      << "a fresh window alerts on its own fifth response, its last alert forgotten";
 }
 
 }  // namespace

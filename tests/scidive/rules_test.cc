@@ -13,8 +13,8 @@ using namespace scidive::core::testing;
 /// compiled with `config`.
 RulePtr default_rule(std::string_view name, RulesConfig config = {}) {
   config.spit_graylist = true;
-  for (RulePtr& rule : make_default_ruleset(config)) {
-    if (rule->name() == name) return std::move(rule);
+  for (const RulePtr& rule : make_default_ruleset(config)) {
+    if (rule->name() == name) return rule;
   }
   ADD_FAILURE() << "the default ruleset has no rule '" << name << "'";
   return nullptr;
@@ -33,7 +33,7 @@ struct RuleHarness {
   /// out as the only rule.
   RulePtr rule(std::string_view name, RulesConfig config = {}) {
     RulePtr r = default_rule(name, config);
-    trails.set_rule_layout(lay_out_rule_state({&r, 1}));
+    trails.set_rule_layout(Ruleset({r}).layout());
     return r;
   }
 
@@ -324,14 +324,15 @@ TEST(PasswordGuessRule, RepeatedIdenticalResponseIsRetransmissionNotGuessing) {
 
 TEST(Stateless4xxRule, FalseAlarmsOnUnrelatedSessions) {
   RuleHarness h;
-  Stateless4xxRule rule;
+  const RulePtr rule = std::make_shared<Stateless4xxRule>();
+  h.trails.set_rule_layout(Ruleset({rule}).layout());
   // Five different clients each get one routine 401 at around the same
   // time. The session-unaware strawman alarms; SCIDIVE's stateful rules
   // (above) do not.
   for (int i = 0; i < 5; ++i) {
-    rule.on_event(h.make(EventType::kSip4xxSeen, "session-" + std::to_string(i), msec(i * 100),
-                         "", {}, 401),
-                  h.ctx);
+    rule->on_event(h.make(EventType::kSip4xxSeen, "session-" + std::to_string(i),
+                          msec(i * 100), "", {}, 401),
+                   h.ctx);
   }
   EXPECT_EQ(h.sink.count(), 1u);
 }

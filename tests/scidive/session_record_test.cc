@@ -5,14 +5,16 @@
 //
 // Heap use is read through a replacement of the global operator new/delete
 // that keeps a count of live bytes. The replacement covers the whole test
-// binary; it forwards to malloc/free and only adds to the count.
-#include <malloc.h>
-
+// binary; it forwards to malloc/free and counts the bytes each call asked
+// for, kept in a header in front of the block, so the count does not move
+// with whatever chunk size the allocator happens to serve.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <string>
 
@@ -29,19 +31,24 @@ namespace {
 
 std::atomic<int64_t> g_live_heap_bytes{0};
 
+/// Holds the requested size; keeps the block after it aligned as malloc's.
+constexpr std::size_t kHeader = alignof(std::max_align_t);
+
 void* counted_alloc(std::size_t n) {
-  void* p = std::malloc(n == 0 ? 1 : n);
-  if (p == nullptr) throw std::bad_alloc();
-  g_live_heap_bytes.fetch_add(static_cast<int64_t>(malloc_usable_size(p)),
-                              std::memory_order_relaxed);
-  return p;
+  auto* base = static_cast<std::byte*>(std::malloc(kHeader + n));
+  if (base == nullptr) throw std::bad_alloc();
+  std::memcpy(base, &n, sizeof n);
+  g_live_heap_bytes.fetch_add(static_cast<int64_t>(n), std::memory_order_relaxed);
+  return base + kHeader;
 }
 
 void counted_free(void* p) noexcept {
   if (p == nullptr) return;
-  g_live_heap_bytes.fetch_sub(static_cast<int64_t>(malloc_usable_size(p)),
-                              std::memory_order_relaxed);
-  std::free(p);
+  std::byte* base = static_cast<std::byte*>(p) - kHeader;
+  std::size_t n = 0;
+  std::memcpy(&n, base, sizeof n);
+  g_live_heap_bytes.fetch_sub(static_cast<int64_t>(n), std::memory_order_relaxed);
+  std::free(base);
 }
 
 }  // namespace
@@ -188,9 +195,9 @@ TEST(SessionRecord, FootprintsSurviveHandoff) {
   // the sender's SDP: media from the peer is not orphaned, media from the
   // BYE's sender is.
   std::vector<RulePtr> rules;
-  rules.push_back(std::make_unique<DirectTrailScanByeRule>(msec(200)));
-  Rule& rule = *rules[0];
-  adopter.set_rule_layout(lay_out_rule_state(rules));
+  rules.push_back(std::make_shared<DirectTrailScanByeRule>(msec(200)));
+  const Rule& rule = *rules[0];
+  adopter.set_rule_layout(Ruleset(rules).layout());
   AlertSink sink;
   RuleContext ctx(adopter, sink);
   ctx.set_rule(0);

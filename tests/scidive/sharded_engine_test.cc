@@ -346,7 +346,7 @@ class ConvictRule : public Rule {
   EventTypeMask subscriptions() const override {
     return event_mask(EventType::kImMessageSeen) | event_mask(EventType::kSipInviteSeen);
   }
-  void on_event(const Event& event, RuleContext& ctx) override {
+  void on_event(const Event& event, RuleContext& ctx) const override {
     const bool im = event.type == EventType::kImMessageSeen;
     ctx.verdict("convict", im ? VerdictAction::kDrop : VerdictAction::kRateLimit, event,
                 "convicted");
@@ -361,11 +361,7 @@ ShardedEngineConfig convicting_config(size_t num_shards) {
   return sc;
 }
 
-std::vector<RulePtr> convict_rules(size_t) {
-  std::vector<RulePtr> rules;
-  rules.push_back(std::make_unique<ConvictRule>());
-  return rules;
-}
+RulesetPtr convict_rules() { return make_ruleset({std::make_shared<ConvictRule>()}); }
 
 pkt::Packet im_from(pkt::Endpoint src, std::string_view call_id, SimTime time) {
   return sip_packet("MESSAGE sip:service@lab.net SIP/2.0", "bot@lab.net", call_id, "MESSAGE",
@@ -374,7 +370,7 @@ pkt::Packet im_from(pkt::Endpoint src, std::string_view call_id, SimTime time) {
 
 TEST(ShardedEngine, VerdictOnOneShardBindsEveryShard) {
   ShardedEngine sharded(convicting_config(4));
-  sharded.set_rules(convict_rules);
+  sharded.set_rules(convict_rules());
   const pkt::Endpoint bot = ep(66, 5060);
   sharded.on_packet_to_shard(0, im_from(bot, "im-1", sec(1)));
   sharded.on_packet_to_shard(1, sip_packet("INVITE sip:service@lab.net SIP/2.0",
@@ -408,7 +404,7 @@ TEST(ShardedEngine, ForwardedVerdictsRespectEachShardsCap) {
   ShardedEngineConfig sc = convicting_config(2);
   sc.engine.enforce.max_blocked = 4;
   ShardedEngine sharded(sc);
-  sharded.set_rules(convict_rules);
+  sharded.set_rules(convict_rules());
   constexpr int kSources = 10;
   for (int i = 0; i < kSources; ++i) {
     sharded.on_packet_to_shard(0, im_from(ep(static_cast<uint8_t>(100 + i), 5060),

@@ -66,11 +66,11 @@ struct Outputs {
 /// caller buffer.
 std::vector<Outputs> run_three_ways(const std::vector<pkt::Packet>& stream,
                                     const EngineConfig& config, bool by_caller,
-                                    const std::function<std::vector<RulePtr>()>& rules) {
+                                    const RulesetPtr& rules) {
   std::vector<Outputs> out;
 
   ScidiveEngine single(config);
-  if (rules) single.set_rules(rules());
+  if (rules) single.set_rules(rules);
   for (const pkt::Packet& packet : stream) single.on_packet(packet);
   out.push_back({alert_multiset(single.alerts().alerts()),
                  verdict_multiset(single.verdicts().verdicts())});
@@ -80,7 +80,7 @@ std::vector<Outputs> run_three_ways(const std::vector<pkt::Packet>& stream,
   sc.num_shards = 2;
   sc.route_invite_by_caller = by_caller;
   ShardedEngine sharded(sc);
-  if (rules) sharded.set_rules([&](size_t) { return rules(); });
+  if (rules) sharded.set_rules(rules);
   feed_through_one_buffer(sharded, stream);
   sharded.flush();
   EXPECT_EQ(sharded.packets_dropped(), 0u);
@@ -93,10 +93,7 @@ std::vector<Outputs> run_three_ways(const std::vector<pkt::Packet>& stream,
   fc.node.engine.num_shards = 1;
   fc.node.engine.route_invite_by_caller = by_caller;
   fleet::Fleet fleet(fc, {"node-0", "node-1"});
-  if (rules) {
-    for (size_t i = 0; i < fleet.size(); ++i)
-      fleet.node_at(i).engine().set_rules([&](size_t) { return rules(); });
-  }
+  if (rules) fleet.set_rules(rules);
   feed_through_one_buffer(fleet, stream);
   fleet.flush();
   out.push_back({alert_multiset(fleet.merged_alerts()),
@@ -117,11 +114,9 @@ TEST(ShardedEngine, CallerReusesOnePacketBuffer) {
 
   // Verdicts too: the SPIT graylist has to see each spammer's INVITEs
   // intact, so both callers must be graylisted on every topology.
-  const auto prevention = [] {
-    RulesConfig rc;
-    rc.spit_graylist = true;
-    return make_default_ruleset(rc);
-  };
+  RulesConfig rc;
+  rc.spit_graylist = true;
+  const RulesetPtr prevention = default_ruleset(rc);
   EngineConfig passive;
   passive.enforce.mode = EnforcementMode::kPassive;
   const std::vector<Outputs> spit =

@@ -295,7 +295,7 @@ TEST(TrailManager, PrincipalRecordHoldsRuleSlotsAndLocations) {
   };
   TrailManager tm;
   EXPECT_EQ(tm.principal_slot("bob@lab.net", 0), nullptr) << "no layout, no state";
-  tm.set_rule_layout(RuleStateLayout(specs));
+  tm.set_rule_layout(std::make_shared<const RuleStateLayout>(specs));
   EXPECT_EQ(tm.principal_slot("bob@lab.net", 1), nullptr) << "a session-keyed rule";
   EXPECT_FALSE(tm.has_principal("bob@lab.net"));
   *area(tm, "bob@lab.net", 2) = 7;
@@ -322,7 +322,7 @@ TEST(TrailManager, PrincipalRecordHoldsRuleSlotsAndLocations) {
   // Handoff moves the whole record, its block included.
   *area(tm, "bob@lab.net", 0) = 9;
   TrailManager adopter;
-  adopter.set_rule_layout(RuleStateLayout(specs));
+  adopter.set_rule_layout(std::make_shared<const RuleStateLayout>(specs));
   adopter.install_principal(tm.extract_principal("bob@lab.net"));
   EXPECT_FALSE(tm.has_principal("bob@lab.net"));
   EXPECT_FALSE(tm.extract_principal("bob@lab.net").valid());
